@@ -9,30 +9,40 @@ class IntegrityError(ValueError):
 
 
 def subclass_cycles(store: TripleStore) -> list[list[Term]]:
-    """Cycles in the subClassOf relation; empty means a clean hierarchy."""
+    """Cycles in the subClassOf relation; empty means a clean hierarchy.
+
+    A depth-first search in term order with an explicit stack, so chains
+    of any depth are scanned without recursion.
+    """
     edges: dict[Term, set[Term]] = {}
     for t in store.match(p=RDFS_SUBCLASSOF):
         edges.setdefault(t.subject, set()).add(t.object)
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[Term, int] = {}
     cycles: list[list[Term]] = []
-    path: list[Term] = []
 
-    def visit(node: Term) -> None:
-        color[node] = GRAY
-        path.append(node)
-        for nxt in sorted(edges.get(node, ()), key=Term.ntriples):
-            state = color.get(nxt, WHITE)
-            if state == GRAY:
-                cycles.append(path[path.index(nxt):] + [nxt])
-            elif state == WHITE:
-                visit(nxt)
-        path.pop()
-        color[node] = BLACK
+    def successors(node: Term):
+        return iter(sorted(edges.get(node, ()), key=Term.ntriples))
 
-    for node in sorted(edges, key=Term.ntriples):
-        if color.get(node, WHITE) == WHITE:
-            visit(node)
+    for root in sorted(edges, key=Term.ntriples):
+        if color.get(root, WHITE) != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        pending = [successors(root)]
+        while pending:
+            for nxt in pending[-1]:
+                state = color.get(nxt, WHITE)
+                if state == GRAY:
+                    cycles.append(path[path.index(nxt):] + [nxt])
+                elif state == WHITE:
+                    color[nxt] = GRAY
+                    path.append(nxt)
+                    pending.append(successors(nxt))
+                    break
+            else:
+                pending.pop()
+                color[path.pop()] = BLACK
     return cycles
 
 

@@ -69,6 +69,7 @@ class _Config:
     def __init__(self, values: dict, base: Path):
         self.values = values
         self.base = base
+        self._prefix_maps: dict[Path | None, PrefixMap] = {}
 
     @classmethod
     def load(cls, path: str | None) -> "_Config":
@@ -94,28 +95,25 @@ class _Config:
             return override
         return self.values.get(key, default)
 
+    def prefixes(self, override: str | None) -> PrefixMap:
+        """The prefix map, read once per run however many stages ask."""
+        path = self.path("prefixes", override)
+        if path not in self._prefix_maps:
+            self._prefix_maps[path] = (
+                default_prefix_map() if path is None else PrefixMap.from_tsv(_read_text(path))
+            )
+        return self._prefix_maps[path]
+
 
 def _read_text(path: Path) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _require(value, name: str):
     if value is None:
         raise ValueError(f"missing required input: {name} (flag or config key)")
     return value
-
-
-def _load_prefixes(cfg: _Config, override: str | None) -> PrefixMap:
-    path = cfg.path("prefixes", override)
-    if path is None:
-        return default_prefix_map()
-    return PrefixMap.from_tsv(_read_text(path))
 
 
 def _load_stop_words(cfg: _Config, override: str | None) -> frozenset[str]:
@@ -143,21 +141,33 @@ def _read_graph(path: Path, prefixes: PrefixMap) -> TripleStore:
     return store
 
 
-def _write_summary(out_dir: Path, command: str, counts: dict, outputs: list[str], seconds: float) -> None:
+def _write_summary(path: Path, command: str, result: dict, seconds: float) -> None:
     summary = {
         "command": command,
-        "counts": counts,
-        "outputs": sorted(outputs),
+        "counts": result["counts"],
+        "outputs": sorted(result["outputs"]),
         "seconds": round(seconds, 3),
     }
-    _write_text(out_dir / f"{command}.summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    ntriples.write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+
+
+def _emit(args, text: str, counts: dict) -> dict:
+    """Print a command's report; with ``--out`` also write it to that file."""
+    sys.stdout.write(text)
+    if not args.out:
+        return {"counts": counts, "outputs": []}
+    ntriples.write_text(Path(args.out), text)
+    return {"counts": counts, "outputs": [args.out]}
 
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# The stages that build part graphs also return the store they wrote
+# under "store", so `update` can hand it on instead of reading it back.
 
 def cmd_ingest_ncbi(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
+    prefixes = cfg.prefixes(args.prefixes)
     out_dir = _out_dir(cfg, args.out)
     nodes = dmp.parse_nodes(_read_text(_require(cfg.path("ncbi_nodes", args.nodes), "ncbi_nodes")))
     names = dmp.parse_names(_read_text(_require(cfg.path("ncbi_names", args.names), "ncbi_names")))
@@ -175,11 +185,11 @@ def cmd_ingest_ncbi(args, cfg: _Config) -> dict:
         "total_triples": len(store),
     }
     ntriples.write_file(store, out_dir / "ncbi.nt")
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["ncbi.nt"]}
+    return {"out_dir": out_dir, "counts": counts, "outputs": ["ncbi.nt"], "store": store}
 
 
 def cmd_units(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
+    prefixes = cfg.prefixes(args.prefixes)
     out_dir = _out_dir(cfg, args.out)
     store = TripleStore(prefixes)
     registry, added = units.load_registry(
@@ -187,7 +197,7 @@ def cmd_units(args, cfg: _Config) -> dict:
     )
     ntriples.write_file(store, out_dir / "units.nt")
     counts = {"units": len(registry), "triples": added}
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["units.nt"]}
+    return {"out_dir": out_dir, "counts": counts, "outputs": ["units.nt"], "store": store}
 
 
 def _load_registry(cfg: _Config, override: str | None, prefixes: PrefixMap) -> units.UnitRegistry | None:
@@ -199,7 +209,7 @@ def _load_registry(cfg: _Config, override: str | None, prefixes: PrefixMap) -> u
 
 
 def cmd_ingest_ecotox(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
+    prefixes = cfg.prefixes(args.prefixes)
     out_dir = _out_dir(cfg, args.out)
     species = [
         ecotox.synthesize_lineage(rec)
@@ -228,11 +238,11 @@ def cmd_ingest_ecotox(args, cfg: _Config) -> dict:
         "total_triples": len(store),
     }
     ntriples.write_file(store, out_dir / "ecotox.nt")
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["ecotox.nt"]}
+    return {"out_dir": out_dir, "counts": counts, "outputs": ["ecotox.nt"], "store": store}
 
 
 def cmd_ingest_traits(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
+    prefixes = cfg.prefixes(args.prefixes)
     out_dir = _out_dir(cfg, args.out)
     glossary = traits.load_glossary(
         _read_text(_require(cfg.path("glossary", args.glossary), "glossary")), prefixes
@@ -244,30 +254,43 @@ def cmd_ingest_traits(args, cfg: _Config) -> dict:
     added = traits.ingest_traits(rows, glossary, store, prefixes)
     ntriples.write_file(store, out_dir / "traits.nt")
     counts = {"rows": len(rows), "triples": added, "glossary_terms": len(glossary)}
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["traits.nt"]}
+    return {"out_dir": out_dir, "counts": counts, "outputs": ["traits.nt"], "store": store}
 
 
-def cmd_align(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
+def _align_graph(path: Path | None, given: TripleStore | None, default: Path,
+                 prefixes: PrefixMap) -> TripleStore:
+    """The configured graph file, else the store handed over, else ``default``."""
+    if path is None and given is not None:
+        return given
+    return _read_graph(path or default, prefixes)
+
+
+def cmd_align(args, cfg: _Config, source: TripleStore | None = None,
+              target: TripleStore | None = None) -> dict:
+    """Align source labels to target labels; returns the set under "mappings".
+
+    A ``--source``/``--target`` flag or ``align_source``/``align_target``
+    config key names a graph file to read; otherwise the store passed in
+    is used, and failing that ecotox.nt/ncbi.nt in the output directory.
+    """
+    prefixes = cfg.prefixes(args.prefixes)
     out_dir = _out_dir(cfg, args.out)
     stop_words = _load_stop_words(cfg, args.stopwords)
     threshold = float(cfg.get("threshold", args.threshold, align_mod.DEFAULT_THRESHOLD))
-    source_path = cfg.path("align_source", args.source) or (out_dir / "ecotox.nt")
-    target_path = cfg.path("align_target", args.target) or (out_dir / "ncbi.nt")
-    source = _read_graph(source_path, prefixes)
-    target = _read_graph(target_path, prefixes)
+    source = _align_graph(cfg.path("align_source", args.source), source, out_dir / "ecotox.nt", prefixes)
+    target = _align_graph(cfg.path("align_target", args.target), target, out_dir / "ncbi.nt", prefixes)
     source_labels = align_mod.labels_by_prefix(source, args.source_ns)
     target_labels = align_mod.labels_by_prefix(target, args.target_ns)
     mappings = align_mod.align_lexical(
         source_labels, target_labels, threshold=threshold, stop_words=stop_words
     )
-    _write_text(out_dir / "mappings.tsv", align_mod.write_mappings(mappings))
+    ntriples.write_text(out_dir / "mappings.tsv", align_mod.write_mappings(mappings))
     counts = {
         "source_entities": len(source_labels),
         "target_entities": len(target_labels),
         "mappings": len(mappings),
     }
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["mappings.tsv"]}
+    return {"out_dir": out_dir, "counts": counts, "outputs": ["mappings.tsv"], "mappings": mappings}
 
 
 def cmd_eval_mappings(args, cfg: _Config) -> dict:
@@ -276,17 +299,12 @@ def cmd_eval_mappings(args, cfg: _Config) -> dict:
     recall = align_mod.evaluate(computed, reference)
     disagree = align_mod.disagreement(computed, reference)
     text = f"recall\t{recall:.6f}\ndisagreement\t{disagree}\n"
-    sys.stdout.write(text)
     counts = {"computed": len(computed), "reference": len(reference), "recall": round(recall, 6)}
-    out = {"counts": counts, "outputs": []}
-    if args.out:
-        _write_text(Path(args.out), text)
-        out["outputs"] = [args.out]
-    return out
+    return _emit(args, text, counts)
 
 
 def cmd_bridge(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
+    prefixes = cfg.prefixes(args.prefixes)
     out_dir = _out_dir(cfg, args.out)
     pairs = idmap.parse_pairs(_read_text(_require(cfg.path("pairs", args.pairs), "pairs")))
     store = TripleStore(prefixes)
@@ -296,7 +314,7 @@ def cmd_bridge(args, cfg: _Config) -> dict:
     name = f"sameas_{args.rewrite}.nt"
     ntriples.write_file(store, out_dir / name)
     counts = {"pairs": len(pairs), "triples": added, "errors": len(errors)}
-    return {"out_dir": out_dir, "counts": counts, "outputs": [name]}
+    return {"out_dir": out_dir, "counts": counts, "outputs": [name], "store": store}
 
 
 _EXPORT_PARTS = (
@@ -310,30 +328,47 @@ _EXPORT_PARTS = (
 )
 
 
-def cmd_export(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
-    out_dir = _out_dir(cfg, args.out)
-    merged = TripleStore(prefixes)
-    parts = [Path(p) for p in args.graphs] if args.graphs else [
+def _part_files(args, out_dir: Path, prefixes: PrefixMap):
+    """(file name, store) for ``--graphs``, else for the part files present."""
+    paths = [Path(p) for p in args.graphs] if args.graphs else [
         out_dir / name for name in _EXPORT_PARTS if (out_dir / name).exists()
     ]
-    if not parts:
-        raise ValueError("nothing to export: no graph files found or given")
+    for path in paths:
+        yield path.name, ntriples.parse(_read_text(path), prefixes)
+
+
+def cmd_export(args, cfg: _Config, parts=None, mappings: align_mod.MappingSet | None = None) -> dict:
+    """Merge part graphs, plus mappings as owl:sameAs, into kg.nt.
+
+    ``parts`` yields (file name, store) in merge order; without it the
+    parts and the mappings come from files. The first part becomes the
+    merged store, and the frozen result is returned under "store".
+    """
+    out_dir = _out_dir(cfg, args.out)
+    if parts is None:
+        parts = _part_files(args, out_dir, cfg.prefixes(args.prefixes))
+        mappings_path = cfg.path("mappings", args.mappings)
+        if mappings_path is not None:
+            mappings = align_mod.read_mappings(_read_text(mappings_path))
+    merged = None
     counts = {}
-    for part in parts:
-        added = merged.add_all(ntriples.parse(_read_text(part), prefixes))
-        counts[part.name] = added
-    mappings_path = cfg.path("mappings", args.mappings)
-    if mappings_path is not None:
-        mappings = align_mod.read_mappings(_read_text(mappings_path))
+    for name, part in parts:
+        if merged is None:
+            merged, counts[name] = part, len(part)
+        else:
+            counts[name] = merged.add_all(part)
+    if merged is None:
+        raise ValueError("nothing to export: no graph files found or given")
+    if mappings is not None:
         counts["mappings_sameas"] = align_mod.add_sameas(mappings, merged)
     ntriples.write_file(merged, out_dir / "kg.nt")
     counts["total_triples"] = len(merged)
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["kg.nt"]}
+    merged.freeze()
+    return {"out_dir": out_dir, "counts": counts, "outputs": ["kg.nt"], "store": merged}
 
 
 def cmd_query(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
+    prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
     parsed = query_mod.parse_query(_read_text(Path(args.query)), prefixes)
     if parsed.kind == "select":
@@ -346,16 +381,11 @@ def cmd_query(args, cfg: _Config) -> dict:
         built = query_mod.run_query(store, parsed)
         text = ntriples.serialize(built)
         counts = {"triples": len(built)}
-    sys.stdout.write(text)
-    out = {"counts": counts, "outputs": []}
-    if args.out:
-        _write_text(Path(args.out), text)
-        out["outputs"] = [args.out]
-    return out
+    return _emit(args, text, counts)
 
 
 def cmd_path(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
+    prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
     expr = query_mod.parse_path(args.expr, prefixes)
     start = iri(prefixes.resolve(args.start)) if args.start else None
@@ -364,55 +394,41 @@ def cmd_path(args, cfg: _Config) -> dict:
         key=lambda pair: (pair[0].ntriples(), pair[1].ntriples()),
     )
     text = "".join(f"{a.ntriples()}\t{b.ntriples()}\n" for a, b in pairs)
-    sys.stdout.write(text)
-    out = {"counts": {"pairs": len(pairs)}, "outputs": []}
-    if args.out:
-        _write_text(Path(args.out), text)
-        out["outputs"] = [args.out]
-    return out
+    return _emit(args, text, {"pairs": len(pairs)})
 
 
 def cmd_lookup(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
+    prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
     hits = query_mod.fuzzy_lookup(store, args.name, args.k)
     text = "".join(f"{iri_text}\t{score:.6f}\n" for iri_text, score in hits)
-    sys.stdout.write(text)
-    out = {"counts": {"hits": len(hits)}, "outputs": []}
-    if args.out:
-        _write_text(Path(args.out), text)
-        out["outputs"] = [args.out]
-    return out
+    return _emit(args, text, {"hits": len(hits)})
 
 
 def cmd_lineage(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
+    prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
     ancestors = query_mod.lineage(store, iri(prefixes.resolve(args.taxon)))
     text = "".join(
         (prefixes.compact(term.value) if term.is_iri() else term.ntriples()) + "\n"
         for term in ancestors
     )
-    sys.stdout.write(text)
-    out = {"counts": {"ancestors": len(ancestors)}, "outputs": []}
-    if args.out:
-        _write_text(Path(args.out), text)
-        out["outputs"] = [args.out]
-    return out
+    return _emit(args, text, {"ancestors": len(ancestors)})
 
 
-def cmd_stats(args, cfg: _Config) -> dict:
-    prefixes = _load_prefixes(cfg, args.prefixes)
+def cmd_stats(args, cfg: _Config, kg: TripleStore | None = None) -> dict:
+    """Size and density report for ``kg``, else for the graph file."""
     out_dir = _out_dir(cfg, args.out)
-    graph_path = cfg.path("graph", args.graph) or (out_dir / "kg.nt")
-    store = _read_graph(graph_path, prefixes)
-    counts = stats.count_graph(store)
+    if kg is None:
+        graph_path = cfg.path("graph", args.graph) or (out_dir / "kg.nt")
+        kg = _read_graph(graph_path, cfg.prefixes(args.prefixes))
+    counts = stats.count_graph(kg)
     coverage_percent = None
     if args.tests is not None and args.compounds is not None and args.species is not None:
         coverage_percent = stats.coverage(args.tests, args.compounds, args.species)
-    _write_text(out_dir / "stats.tsv", stats.report_tsv(counts, coverage_percent))
+    ntriples.write_text(out_dir / "stats.tsv", stats.report_tsv(counts, coverage_percent))
     text = stats.report_text(counts, coverage_percent)
-    _write_text(out_dir / "stats.txt", text)
+    ntriples.write_text(out_dir / "stats.txt", text)
     sys.stdout.write(text)
     summary_counts = {
         "triples": counts.triples,
@@ -426,57 +442,58 @@ def _count_type_instances(store: TripleStore, type_term) -> int:
     return len(store.subjects(RDF_TYPE, type_term))
 
 
+def _stage_args(args, **flags) -> argparse.Namespace:
+    """Flags for a stage whose own flags `update` does not take."""
+    return argparse.Namespace(prefixes=args.prefixes, out=args.out, **flags)
+
+
+def _drain(items: list):
+    """Yield the items in order, letting go of each as it is taken."""
+    while items:
+        yield items.pop(0)
+
+
 def cmd_update(args, cfg: _Config) -> dict:
-    """Full rebuild: ingest everything, align, bridge, export, stats."""
-    prefixes = _load_prefixes(cfg, args.prefixes)
+    """Full rebuild: ingest everything, align, bridge, export, check, stats.
+
+    Each stage hands its store to the next in memory, so every part file
+    is written once and none is read back; kg.nt merges exactly the
+    parts this run built.
+    """
     out_dir = _out_dir(cfg, args.out)
     step_counts: dict[str, dict] = {}
     outputs: list[str] = []
+    parts: list[tuple[str, TripleStore]] = []
 
-    ncbi_result = cmd_ingest_ncbi(args, cfg)
-    step_counts["ingest-ncbi"] = ncbi_result["counts"]
-    outputs += ncbi_result["outputs"]
+    def record(step: str, result: dict) -> dict:
+        step_counts[step] = result["counts"]
+        outputs.extend(result["outputs"])
+        return result
 
-    units_result = cmd_units(args, cfg)
-    step_counts["units"] = units_result["counts"]
-    outputs += units_result["outputs"]
+    def keep_part(step: str, result: dict) -> TripleStore:
+        store = record(step, result).pop("store")
+        parts.append((result["outputs"][0], store))
+        return store
 
-    ecotox_result = cmd_ingest_ecotox(args, cfg)
-    step_counts["ingest-ecotox"] = ecotox_result["counts"]
-    outputs += ecotox_result["outputs"]
+    ncbi_store = keep_part("ingest-ncbi", cmd_ingest_ncbi(args, cfg))
+    keep_part("units", cmd_units(args, cfg))
+    ecotox_store = keep_part("ingest-ecotox", cmd_ingest_ecotox(args, cfg))
+    keep_part("ingest-traits", cmd_ingest_traits(args, cfg))
 
-    traits_result = cmd_ingest_traits(args, cfg)
-    step_counts["ingest-traits"] = traits_result["counts"]
-    outputs += traits_result["outputs"]
-
-    align_args = argparse.Namespace(
-        prefixes=args.prefixes, out=args.out, stopwords=None, threshold=None,
-        source=None, target=None, source_ns=ET + "taxon/", target_ns=NCBI + "taxon/",
+    align_args = _stage_args(
+        args, stopwords=None, threshold=None, source=None, target=None,
+        source_ns=ET + "taxon/", target_ns=NCBI + "taxon/",
     )
-    align_result = cmd_align(align_args, cfg)
-    step_counts["align"] = align_result["counts"]
-    outputs += align_result["outputs"]
+    mappings = record("align", cmd_align(align_args, cfg, ecotox_store, ncbi_store))["mappings"]
+    del ncbi_store, ecotox_store  # export frees each part once merged
 
     for key, rewrite in (("pairs_ncbi", "ncbi"), ("pairs_cas", "cas")):
         pairs_path = cfg.path(key, None)
-        if pairs_path is None:
-            continue
-        bridge_args = argparse.Namespace(
-            prefixes=args.prefixes, out=args.out, pairs=str(pairs_path), rewrite=rewrite
-        )
-        bridge_result = cmd_bridge(bridge_args, cfg)
-        step_counts[f"bridge-{rewrite}"] = bridge_result["counts"]
-        outputs += bridge_result["outputs"]
+        if pairs_path is not None:
+            bridge_args = _stage_args(args, pairs=str(pairs_path), rewrite=rewrite)
+            keep_part(f"bridge-{rewrite}", cmd_bridge(bridge_args, cfg))
 
-    export_args = argparse.Namespace(
-        prefixes=args.prefixes, out=args.out, graphs=None,
-        mappings=str(out_dir / "mappings.tsv"),
-    )
-    export_result = cmd_export(export_args, cfg)
-    step_counts["export"] = export_result["counts"]
-    outputs += export_result["outputs"]
-
-    kg = _read_graph(out_dir / "kg.nt", prefixes)
+    kg = record("export", cmd_export(args, cfg, _drain(parts), mappings))["store"]
     cycles = checks.subclass_cycles(kg)
     violations = checks.disjointness_violations(kg, ecotox.GROUP_PROP)
     if cycles or violations:
@@ -485,16 +502,13 @@ def cmd_update(args, cfg: _Config) -> dict:
             f"{len(cycles)} cycles, {len(violations)} disjointness violations"
         )
     step_counts["checks"] = {"cycles": 0, "disjointness_violations": 0}
-    stats_args = argparse.Namespace(
-        prefixes=args.prefixes, out=args.out, graph=str(out_dir / "kg.nt"),
+    stats_args = _stage_args(
+        args,
         tests=_count_type_instances(kg, ecotox.TEST_TYPE),
         compounds=_count_type_instances(kg, ecotox.CHEMICAL_TYPE),
         species=_count_type_instances(kg, ecotox.TAXON_TYPE),
     )
-    stats_result = cmd_stats(stats_args, cfg)
-    step_counts["stats"] = stats_result["counts"]
-    outputs += stats_result["outputs"]
-
+    record("stats", cmd_stats(stats_args, cfg, kg))
     return {"out_dir": out_dir, "counts": step_counts, "outputs": outputs}
 
 
@@ -633,16 +647,10 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.perf_counter() - started
         out_dir = result.get("out_dir")
         if out_dir is not None:
-            _write_summary(out_dir, args.command, result["counts"], result["outputs"], elapsed)
+            _write_summary(out_dir / f"{args.command}.summary.json", args.command, result, elapsed)
         elif getattr(args, "out", None):
-            summary_path = Path(args.out).with_suffix(Path(args.out).suffix + ".summary.json")
-            summary = {
-                "command": args.command,
-                "counts": result["counts"],
-                "outputs": result["outputs"],
-                "seconds": round(elapsed, 3),
-            }
-            _write_text(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            out = Path(args.out)
+            _write_summary(out.with_name(out.name + ".summary.json"), args.command, result, elapsed)
         return EXIT_OK
     except _VALIDATION_ERRORS as exc:
         return _fail(exc, EXIT_VALIDATION)

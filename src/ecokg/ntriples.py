@@ -4,8 +4,13 @@ One triple per line, terminated by `` .``. IRIs sit in angle brackets,
 blank nodes are ``_:label``, literals are double-quoted with ``\\"``,
 ``\\\\``, ``\\n``, ``\\r``, ``\\t`` escapes plus ``\\uXXXX`` for other
 control characters. Serialization sorts lines so equal stores always
-produce byte-identical text.
+produce byte-identical text. Lines end at ``\\n`` only (one trailing
+``\\r`` is dropped), so a literal holding U+0085, U+2028 or U+2029, which
+the serializer writes verbatim, reads back unchanged.
 """
+
+import os
+from pathlib import Path
 
 from .graph import PrefixMap, Term, Triple, TripleStore, blank, iri, literal
 
@@ -174,8 +179,9 @@ def parse(text: str, prefixes: PrefixMap | None = None) -> TripleStore:
     1-based line number.
     """
     store = TripleStore(prefixes)
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\r")
+    for line_no, line in enumerate(text.split("\n"), 1):
+        if line.endswith("\r"):
+            line = line[:-1]
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         store.add(parse_triple_line(line, line_no))
@@ -193,6 +199,23 @@ def read_file(path, prefixes: PrefixMap | None = None) -> TripleStore:
         return parse(fh.read(), prefixes)
 
 
+def write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8, ``\\n`` newlines) in one step.
+
+    The text goes to a temporary file in the same directory, which is then
+    renamed over ``path``; a write that fails partway leaves the previous
+    file untouched and no temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_file(store: TripleStore, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize(store))
+    write_text(path, serialize(store))

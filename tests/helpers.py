@@ -5,8 +5,11 @@ matrices, denotational set semantics) so they share no code paths with
 the implementations they check.
 """
 
+import builtins
+import errno
 import random
 import string
+from pathlib import Path
 
 from ecokg.graph import Term, Triple, TripleStore, blank, iri, literal
 from ecokg.query import PathAlt, PathAtom, PathInverse, PathRepeat, PathSeq
@@ -22,7 +25,9 @@ def random_iri(rng: random.Random) -> Term:
 
 
 def random_literal(rng: random.Random) -> Term:
-    pool = string.ascii_letters + string.digits + ' \t\n"\\é☃'
+    # U+0085, U+2028 and U+2029 are line breaks to str.splitlines() but
+    # not to N-Triples, which writes them unescaped.
+    pool = string.ascii_letters + string.digits + ' \t\n"\\é☃\x85\u2028\u2029'
     text = "".join(rng.choice(pool) for _ in range(rng.randrange(12)))
     roll = rng.random()
     if roll < 0.4:
@@ -162,3 +167,37 @@ def random_edge_graph(
     for _ in range(rng.randrange(max_edges + 1)):
         store.add(Triple(rng.choice(nodes), rng.choice(predicates), rng.choice(nodes)))
     return store, predicates
+
+
+# ---------------------------------------------------------------------------
+# Failing writes
+
+class _HalfWriter:
+    """A file that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def fail_writes_in(monkeypatch, directory: Path) -> None:
+    """Make every file opened for writing in ``directory`` fail partway."""
+    real_open = builtins.open
+
+    def flaky_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).parent == directory:
+            return _HalfWriter(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", flaky_open)

@@ -7,7 +7,9 @@ import pytest
 
 from ecokg import align, cli, ntriples
 from ecokg.graph import PrefixMap
+from ecokg.ns import ET, NCBI
 
+import helpers
 from conftest import FIXTURES, read_summary, run_cli
 
 
@@ -177,6 +179,71 @@ class TestPipelineArtifacts:
         assert run_cli(*cfg_args("update", "--out", str(out))) == 0
         assert snapshot() == first
         assert len(first) >= 10
+
+
+class TestUpdateInMemory:
+    PARTS = ["ncbi.nt", "units.nt", "ecotox.nt", "traits.nt", "sameas_ncbi.nt", "sameas_cas.nt"]
+
+    def test_update_reads_nothing_back_and_writes_each_part_once(self, tmp_path, monkeypatch):
+        parsed, written = [], []
+        real_parse, real_write = ntriples.parse, ntriples.write_file
+
+        def counting_parse(text, prefixes=None):
+            parsed.append(len(text))
+            return real_parse(text, prefixes)
+
+        def counting_write(store, path):
+            written.append(Path(path).name)
+            real_write(store, path)
+
+        monkeypatch.setattr(ntriples, "parse", counting_parse)
+        monkeypatch.setattr(ntriples, "write_file", counting_write)
+        assert run_cli(*cfg_args("update", "--out", str(tmp_path))) == 0
+        assert parsed == []
+        assert sorted(written) == sorted(self.PARTS + ["kg.nt"])
+
+    def test_update_merges_only_the_parts_it_built(self, tmp_path):
+        stray = (
+            "<http://example.org/stray> <http://www.w3.org/2002/07/owl#sameAs> "
+            "<http://example.org/other> .\n"
+        )
+        (tmp_path / "sameas_verbatim.nt").write_text(stray)
+        assert run_cli(*cfg_args("update", "--out", str(tmp_path))) == 0
+        assert stray not in (tmp_path / "kg.nt").read_text()
+        assert list(read_summary(tmp_path, "update")["counts"]["export"]) == sorted(
+            self.PARTS + ["mappings_sameas", "total_triples"]
+        )
+        # the standalone export still merges every part file it finds
+        assert run_cli(*cfg_args("export", "--out", str(tmp_path))) == 0
+        assert stray in (tmp_path / "kg.nt").read_text()
+
+    def test_align_source_config_key_still_read(self, tmp_path):
+        source = tmp_path / "source.nt"
+        source.write_text(
+            f'<{ET}taxon/probe> <http://www.w3.org/2000/01/rdf-schema#label> "Daphnia magna" .\n'
+        )
+        config = json.loads((FIXTURES / "config.json").read_text())
+        config = {k: str(FIXTURES / v) if isinstance(v, str) else v for k, v in config.items()}
+        config["align_source"] = str(source)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("--config", str(config_path), "update", "--out", str(out)) == 0
+        assert read_summary(out, "update")["counts"]["align"]["source_entities"] == 1
+        rows = [line.split("\t")[:2] for line in (out / "mappings.tsv").read_text().splitlines()]
+        assert rows == [[f"{ET}taxon/probe", f"{NCBI}taxon/35525"]]
+
+    def test_failed_out_write_keeps_previous_file(self, pipeline_dir, tmp_path, monkeypatch):
+        out = tmp_path / "hits.tsv"
+        argv = cfg_args("lookup", "--graph", str(pipeline_dir / "kg.nt"),
+                        "--name", "daphnia magna", "--out", str(out))
+        assert run_cli(*argv) == 0
+        previous = out.read_text()
+        helpers.fail_writes_in(monkeypatch, tmp_path)
+        assert run_cli(*argv) == 2
+        monkeypatch.undo()
+        assert out.read_text() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hits.tsv", "hits.tsv.summary.json"]
 
 
 class TestAlignmentCommands:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ecokg import checks, ecotox, units
@@ -331,6 +333,23 @@ class TestConsistencyScans:
         assert len(cycles) == 1
         assert set(cycles[0]) == {a, b, c}
 
+    def test_deep_chain_scans_without_recursion(self):
+        nodes = [iri(f"http://x.org/n{i}") for i in range(3001)]
+        store = TripleStore()
+        store.add_all(Triple(a, RDFS_SUBCLASSOF, b) for a, b in zip(nodes, nodes[1:]))
+        assert checks.subclass_cycles(store) == []
+        store.add(Triple(nodes[-1], RDFS_SUBCLASSOF, nodes[0]))
+        assert checks.subclass_cycles(store) == [nodes + [nodes[0]]]
+
+    def test_cycles_and_order_match_recursive_search(self):
+        rng = random.Random(4100)
+        nodes = [iri(f"http://x.org/{i}") for i in range(12)]
+        for _ in range(300):
+            store = TripleStore()
+            for _ in range(rng.randrange(30)):
+                store.add(Triple(rng.choice(nodes), RDFS_SUBCLASSOF, rng.choice(nodes)))
+            assert checks.subclass_cycles(store) == recursive_cycles(store)
+
     def test_planted_disjointness_violation_found(self):
         store = TripleStore()
         entity = iri("http://x.org/e")
@@ -339,3 +358,27 @@ class TestConsistencyScans:
         store.add(Triple(entity, ecotox.GROUP_PROP, g1))
         store.add(Triple(entity, ecotox.GROUP_PROP, g2))
         assert checks.disjointness_violations(store, ecotox.GROUP_PROP) == [(entity, g1, g2)]
+
+
+def recursive_cycles(store: TripleStore) -> list:
+    """The recursive depth-first cycle search, as a reference for order."""
+    edges = {}
+    for t in store.match(p=RDFS_SUBCLASSOF):
+        edges.setdefault(t.subject, set()).add(t.object)
+    color, cycles, path = {}, [], []
+
+    def visit(node):
+        color[node] = "gray"
+        path.append(node)
+        for nxt in sorted(edges.get(node, ()), key=lambda term: term.ntriples()):
+            if color.get(nxt) == "gray":
+                cycles.append(path[path.index(nxt):] + [nxt])
+            elif nxt not in color:
+                visit(nxt)
+        path.pop()
+        color[node] = "black"
+
+    for node in sorted(edges, key=lambda term: term.ntriples()):
+        if node not in color:
+            visit(node)
+    return cycles

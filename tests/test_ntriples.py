@@ -4,7 +4,7 @@ import pytest
 
 import helpers
 from ecokg import ntriples
-from ecokg.graph import Triple, blank, iri, literal
+from ecokg.graph import Triple, TripleStore, blank, iri, literal
 from ecokg.ntriples import NTriplesParseError, parse, serialize
 
 
@@ -123,6 +123,26 @@ class TestRoundTrip:
             assert serialize(parse(text)) == text
 
 
+class TestLineBreaks:
+    @pytest.mark.parametrize("ch", ["\x85", "\u2028", "\u2029"])
+    def test_unicode_line_separator_in_literal_round_trips(self, ch):
+        store = TripleStore()
+        store.add(Triple(iri("http://x.org/s"), iri("http://x.org/p"), literal(f"a{ch}b")))
+        text = serialize(store)
+        assert ch in text  # written verbatim, not escaped
+        assert parse(text) == store
+
+    def test_crlf_line_endings(self):
+        store = parse('<http://x.org/s> <http://x.org/p> "o" .\r\n_:a <http://x.org/p> _:b .\r\n')
+        assert len(store) == 2
+
+    def test_line_numbers_count_newlines_only(self):
+        text = '<http://x.org/s> <http://x.org/p> "a\u2028b" .\n<http://x.org/s> oops .\n'
+        with pytest.raises(NTriplesParseError) as err:
+            parse(text)
+        assert err.value.line == 2
+
+
 class TestFiles:
     def test_write_and_read_file(self, tmp_path):
         store = parse('<http://x.org/s> <http://x.org/p> "o" .\n')
@@ -131,3 +151,17 @@ class TestFiles:
         again = ntriples.read_file(path)
         assert again == store
         assert path.read_bytes() == b'<http://x.org/s> <http://x.org/p> "o" .\n'
+
+    @pytest.mark.parametrize("write", [
+        lambda path: ntriples.write_file(parse('<http://x.org/s> <http://x.org/p> "new" .\n'), path),
+        lambda path: ntriples.write_text(path, "new text\n" * 100),
+    ], ids=["write_file", "write_text"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "g.nt"
+        path.write_text("previous\n")
+        helpers.fail_writes_in(monkeypatch, tmp_path)
+        with pytest.raises(OSError):
+            write(path)
+        monkeypatch.undo()
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.nt"]
