@@ -7,6 +7,13 @@ not count because stop words never survive normalization. Each blocked
 pair is scored with ``1 - distance/max(len)`` over the cross product of
 the two entities' normalized labels, and each source keeps its best
 target at or above the threshold.
+
+The distance is the exact bit-parallel Levenshtein algorithm (Myers
+1999, in Hyyrö's 2001 form), one pass over the longer string with the
+shorter one's columns packed into an int. A form pair is not scored
+when its length bound ``1 - |len difference|/max(len)``, which no score
+can exceed, is already below what it would have to reach; scores,
+tie-breaks and the kept mappings are those of scoring every pair.
 """
 
 from dataclasses import dataclass
@@ -38,26 +45,41 @@ def normalize_label(label: str, stop_words: frozenset[str] = DEFAULT_STOP_WORDS)
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit costs, two-row dynamic programming."""
+    """Edit distance with unit costs, bit-parallel over the shorter string.
+
+    Bit i of the vertical delta vectors ``pv``/``mv`` says the DP column
+    for the current character of the longer string steps +1/-1 at row
+    i + 1; ``score`` follows the last row.
+    """
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        current = [i]
-        for j, cb in enumerate(b, 1):
-            current.append(
-                min(
-                    previous[j] + 1,  # deletion
-                    current[j - 1] + 1,  # insertion
-                    previous[j - 1] + (ca != cb),  # substitution
-                )
-            )
-        previous = current
-    return previous[-1]
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in b:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, len(b)
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def similarity(a: str, b: str) -> float:
@@ -153,31 +175,56 @@ def align_lexical(
     threshold: float = DEFAULT_THRESHOLD,
     stop_words: frozenset[str] = DEFAULT_STOP_WORDS,
     method: str = "levenshtein",
+    funnel: dict[str, int] | None = None,
 ) -> MappingSet:
     """Best-scoring target per source entity, at or above threshold.
 
     Ties prefer the higher score, then the lexicographically smaller
-    target IRI, so results never depend on dict order.
+    target IRI, so results never depend on dict order. A form pair is
+    scored only if its length bound reaches the threshold, the source's
+    best score so far and the pair's best so far; a pair below all three
+    could neither pass, win nor tie. ``funnel``, when given, receives
+    the counts of blocked pairs, form pairs, length-pruned form pairs,
+    scored form pairs and sources whose best score several targets tied.
     """
     source_forms, source_tokens = _normalized_forms(source_labels, stop_words)
     target_forms, target_tokens = _normalized_forms(target_labels, stop_words)
+    blocked = block_candidates(source_tokens, target_tokens)
     best: dict[str, tuple[float, str]] = {}
-    for source, target in block_candidates(source_tokens, target_tokens):
-        score = max(
-            (
-                similarity(sf, tf)
-                for sf in source_forms[source]
-                for tf in target_forms[target]
-            ),
-            default=0.0,
-        )
-        if score < threshold:
-            continue
+    tied: set[str] = set()
+    form_pairs = scored = 0
+    # Sorted, so the pruning and its counts do not depend on set order,
+    # and the first target to reach a score is the smallest.
+    for source, target in sorted(blocked):
         incumbent = best.get(source)
-        if incumbent is None or score > incumbent[0] or (
-            score == incumbent[0] and target < incumbent[1]
-        ):
+        floor = threshold if incumbent is None else max(threshold, incumbent[0])
+        score = None
+        for sf in source_forms[source]:
+            for tf in target_forms[target]:
+                form_pairs += 1
+                longest = max(len(sf), len(tf))
+                if 1.0 - abs(len(sf) - len(tf)) / longest < floor:
+                    continue
+                scored += 1
+                form_score = similarity(sf, tf)
+                if score is None or form_score > score:
+                    score = form_score
+                    floor = max(floor, score)
+        if score is None or score < threshold:
+            continue
+        if incumbent is None or score > incumbent[0]:
             best[source] = (score, target)
+            tied.discard(source)
+        elif score == incumbent[0]:
+            tied.add(source)
+    if funnel is not None:
+        funnel.update(
+            blocked_pairs=len(blocked),
+            form_pairs=form_pairs,
+            length_pruned=form_pairs - scored,
+            scored=scored,
+            ties_broken=len(tied),
+        )
     out = MappingSet(method=method)
     for source, (score, target) in best.items():
         out.add(Mapping(source, target, score, method))

@@ -197,7 +197,8 @@ def cmd_units(args, cfg: _Config) -> dict:
     )
     ntriples.write_file(store, out_dir / "units.nt")
     counts = {"units": len(registry), "triples": added}
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["units.nt"], "store": store}
+    return {"out_dir": out_dir, "counts": counts, "outputs": ["units.nt"], "store": store,
+            "registry": registry}
 
 
 def _load_registry(cfg: _Config, override: str | None, prefixes: PrefixMap) -> units.UnitRegistry | None:
@@ -208,7 +209,8 @@ def _load_registry(cfg: _Config, override: str | None, prefixes: PrefixMap) -> u
     return registry
 
 
-def cmd_ingest_ecotox(args, cfg: _Config) -> dict:
+def cmd_ingest_ecotox(args, cfg: _Config, registry: units.UnitRegistry | None = None) -> dict:
+    """Effect tables to ecotox.nt; ``registry``, if given, replaces reading units.tsv."""
     prefixes = cfg.prefixes(args.prefixes)
     out_dir = _out_dir(cfg, args.out)
     species = [
@@ -225,7 +227,8 @@ def cmd_ingest_ecotox(args, cfg: _Config) -> dict:
         _read_text(_require(cfg.path("results", args.results), "results"))
     )
     ecotox.validate_test_references(tests, species, chemicals)
-    registry = _load_registry(cfg, args.units, prefixes)
+    if registry is None:
+        registry = _load_registry(cfg, args.units, prefixes)
     store = TripleStore(prefixes)
     counts = {
         "species_rows": len(species),
@@ -281,14 +284,16 @@ def cmd_align(args, cfg: _Config, source: TripleStore | None = None,
     target = _align_graph(cfg.path("align_target", args.target), target, out_dir / "ncbi.nt", prefixes)
     source_labels = align_mod.labels_by_prefix(source, args.source_ns)
     target_labels = align_mod.labels_by_prefix(target, args.target_ns)
+    funnel: dict[str, int] = {}
     mappings = align_mod.align_lexical(
-        source_labels, target_labels, threshold=threshold, stop_words=stop_words
+        source_labels, target_labels, threshold=threshold, stop_words=stop_words, funnel=funnel
     )
     ntriples.write_text(out_dir / "mappings.tsv", align_mod.write_mappings(mappings))
     counts = {
         "source_entities": len(source_labels),
         "target_entities": len(target_labels),
         "mappings": len(mappings),
+        **funnel,
     }
     return {"out_dir": out_dir, "counts": counts, "outputs": ["mappings.tsv"], "mappings": mappings}
 
@@ -476,8 +481,9 @@ def cmd_update(args, cfg: _Config) -> dict:
         return store
 
     ncbi_store = keep_part("ingest-ncbi", cmd_ingest_ncbi(args, cfg))
-    keep_part("units", cmd_units(args, cfg))
-    ecotox_store = keep_part("ingest-ecotox", cmd_ingest_ecotox(args, cfg))
+    units_result = cmd_units(args, cfg)
+    keep_part("units", units_result)
+    ecotox_store = keep_part("ingest-ecotox", cmd_ingest_ecotox(args, cfg, units_result["registry"]))
     keep_part("ingest-traits", cmd_ingest_traits(args, cfg))
 
     align_args = _stage_args(

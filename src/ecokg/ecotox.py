@@ -280,7 +280,8 @@ def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> int:
             node = lineage_node_iri(name)
             added += store.add(Triple(node, RANK_PROP, _level_term(level)))
             added += store.add(Triple(node, RDFS_LABEL, literal(name)))
-            if previous is not None:
+            # A tautonym (genus Bufo, species bufo) names two levels alike.
+            if previous is not None and node != previous:
                 added += store.add(Triple(node, RDFS_SUBCLASSOF, previous))
             previous = node
         leaf = species_iri(rec.number)

@@ -639,11 +639,11 @@ def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, f
     """
     probe = " ".join(normalize_label(name)) or name.lower()
     best: dict[str, float] = {}
-    for t in store.match(p=RDFS_LABEL):
-        if t.object.kind != "literal":
+    for s, o in store.predicate_pairs(RDFS_LABEL):
+        if o.kind != "literal":
             continue
-        subject = t.subject.ntriples() if t.subject.is_blank() else t.subject.value
-        form = " ".join(normalize_label(t.object.value)) or t.object.value.lower()
+        subject = s.ntriples() if s.is_blank() else s.value
+        form = " ".join(normalize_label(o.value)) or o.value.lower()
         score = similarity(probe, form)
         if score > best.get(subject, -1.0):
             best[subject] = score

@@ -50,6 +50,25 @@ class TestLevenshtein:
             b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(9)))
             assert levenshtein(a, b) == helpers.dp_levenshtein(a, b)
 
+    def test_long_unicode_and_unequal_lengths_against_oracle(self):
+        # Up to 150 characters (several machine words of bit vector),
+        # non-ASCII letters, and one side often far shorter than the other.
+        rng = random.Random(43)
+        alphabet = "abcdeéøßжλ☃ "
+        for _ in range(400):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randrange(151)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.choice((rng.randrange(4), rng.randrange(151)))))
+            if rng.random() < 0.5:
+                a, b = b, a
+            assert levenshtein(a, b) == helpers.dp_levenshtein(a, b), (a, b)
+
+    def test_shared_prefix_and_suffix_against_oracle(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            core = "".join(rng.choice("ab") for _ in range(rng.randrange(70, 140)))
+            a = core[: rng.randrange(len(core))] + "ж" + core[rng.randrange(len(core)):]
+            assert levenshtein(core, a) == helpers.dp_levenshtein(core, a)
+
     def test_metric_properties(self):
         rng = random.Random(31)
         pool = string.ascii_lowercase[:6]
@@ -160,6 +179,128 @@ class TestAlignLexical:
         out = align_lexical(source, target, threshold=0.8)
         hits = out.pairs() & expected
         assert len(hits) / len(expected) >= 0.95
+
+
+def brute_force_alignment(source_labels, target_labels, threshold):
+    """Score every form pair of every pair sharing a token; no pruning."""
+
+    def forms(labels):
+        out = []
+        for label in labels:
+            form = " ".join(normalize_label(label))
+            if form and form not in out:
+                out.append(form)
+        return out
+
+    def score(a, b):
+        return 1.0 - helpers.dp_levenshtein(a, b) / max(len(a), len(b))
+
+    best = {}
+    for source, s_labels in source_labels.items():
+        s_forms = forms(s_labels)
+        s_tokens = {tok for f in s_forms for tok in f.split()}
+        for target, t_labels in target_labels.items():
+            t_forms = forms(t_labels)
+            if not s_tokens & {tok for f in t_forms for tok in f.split()}:
+                continue
+            pair = max(score(sf, tf) for sf in s_forms for tf in t_forms)
+            if pair >= threshold:
+                best.setdefault(source, []).append((-pair, target))
+    return {source: min(found) for source, found in best.items()}
+
+
+def random_label_sets(rng):
+    """Small vocabularies of near-identical words, so ties and exact
+    threshold scores (one edit in five letters at 0.8) come up often."""
+    roots = ["".join(rng.choice("abcd") for _ in range(5)) for _ in range(4)]
+
+    def word():
+        w = list(rng.choice(roots))
+        for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            pos = rng.randrange(len(w))
+            roll = rng.random()
+            if roll < 0.5:
+                w[pos] = rng.choice("abcdé")
+            elif roll < 0.75:
+                del w[pos]
+            else:
+                w.insert(pos, rng.choice("abcd"))
+        return "".join(w) or "a"
+
+    def labels():
+        return [" ".join(word() for _ in range(rng.randrange(1, 3)))
+                for _ in range(rng.randrange(1, 4))]
+
+    source = {f"s/{i}": labels() for i in range(rng.randrange(1, 12))}
+    target = {f"t/{i:02d}": labels() for i in range(rng.randrange(1, 12))}
+    return source, target
+
+
+class TestLengthPruning:
+    def test_equals_brute_force_on_random_label_sets(self):
+        rng = random.Random(53)
+        exact_threshold = ties = 0
+        for _ in range(300):
+            source, target = random_label_sets(rng)
+            threshold = rng.choice((0.5, 0.6, 0.75, 0.8))
+            funnel = {}
+            got = align_lexical(source, target, threshold=threshold, funnel=funnel)
+            expect = brute_force_alignment(source, target, threshold)
+            assert {m.source: (-m.score, m.target) for m in got} == expect
+            exact_threshold += sum(-neg == threshold for neg, _ in expect.values())
+            ties += funnel["ties_broken"]
+        # the sets really exercise the boundary cases
+        assert exact_threshold > 20 and ties > 20
+
+    def test_exact_threshold_score_kept(self):
+        # one edit over five characters scores exactly 0.8
+        assert 1.0 - 1 / 5 == 0.8
+        out = align_lexical({"s": ["ab cx"]}, {"t": ["ab cy"]}, threshold=0.8)
+        assert out.get("s", "t").score == 0.8
+        # shares the token, but its length bound is 1 - 5/10
+        funnel = {}
+        out = align_lexical({"s": ["ab cx"]}, {"u": ["ab cxyzwvu"]}, threshold=0.8, funnel=funnel)
+        assert len(out) == 0
+        assert funnel["length_pruned"] == 1 and funnel["scored"] == 0
+
+    def test_equal_score_tie_counted_and_broken_to_smaller_target(self):
+        funnel = {}
+        out = align_lexical(
+            {"s": ["ab cx"]},
+            {"t/c": ["ab cy"], "t/a": ["ab cz"], "t/b": ["ab cxzz zz"]},
+            threshold=0.8,
+            funnel=funnel,
+        )
+        assert out.pairs() == {("s", "t/a")}
+        assert out.get("s", "t/a").score == 0.8
+        assert funnel == {"blocked_pairs": 3, "form_pairs": 3, "length_pruned": 1,
+                          "scored": 2, "ties_broken": 1}
+
+    def test_funnel_counts(self, monkeypatch):
+        rng = random.Random(59)
+        source, target = random_label_sets(rng)
+        plain = align_lexical(source, target, threshold=0.6)
+        calls = []
+        real = align.levenshtein
+        monkeypatch.setattr(align, "levenshtein", lambda a, b: calls.append(1) or real(a, b))
+        funnel = {}
+        counted = align_lexical(source, target, threshold=0.6, funnel=funnel)
+        assert list(counted) == list(plain)
+        assert sorted(funnel) == ["blocked_pairs", "form_pairs", "length_pruned",
+                                  "scored", "ties_broken"]
+        assert funnel["form_pairs"] == funnel["length_pruned"] + funnel["scored"]
+        assert funnel["scored"] == len(calls)
+        assert funnel["length_pruned"] > 0
+
+    def test_funnel_is_deterministic(self):
+        source, target = random_label_sets(random.Random(61))
+        funnels = []
+        for order in (1, -1):
+            funnel = {}
+            align_lexical(dict(list(source.items())[::order]),
+                          dict(list(target.items())[::order]), threshold=0.6, funnel=funnel)
+            funnels.append(funnel)
+        assert funnels[0] == funnels[1]
 
 
 class TestSetOperations:

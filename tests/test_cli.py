@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ecokg import align, cli, ntriples
+from ecokg import align, cli, ntriples, units
 from ecokg.graph import PrefixMap
 from ecokg.ns import ET, NCBI
 
@@ -244,6 +244,62 @@ class TestUpdateInMemory:
         monkeypatch.undo()
         assert out.read_text() == previous
         assert sorted(p.name for p in tmp_path.iterdir()) == ["hits.tsv", "hits.tsv.summary.json"]
+
+
+class TestUpdateRegressions:
+    def copy_config(self, tmp_path) -> Path:
+        config = json.loads((FIXTURES / "config.json").read_text())
+        config = {k: str(FIXTURES / v) if isinstance(v, str) else v for k, v in config.items()}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_tautonym_species_builds(self, tmp_path):
+        # Genus Bufo and species bufo share the node et:taxon/bufo; a
+        # subClassOf self-loop there used to fail the cycle scan (exit 3).
+        species = tmp_path / "species.txt"
+        species.write_text(
+            (FIXTURES / "ecotox" / "species.txt").read_text()
+            + "4242|Common Toad|Bufo bufo|Animalia|Chordata|Amphibia|Anura|Bufonidae|Bufo|bufo|Amphibians\n"
+        )
+        config_path = self.copy_config(tmp_path)
+        config = json.loads(config_path.read_text())
+        config["species"] = str(species)
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("--config", str(config_path), "update", "--out", str(out)) == 0
+        kg = (out / "kg.nt").read_text()
+        bufo = f"<{ET}taxon/bufo>"
+        assert f"<{ET}taxon/4242> <http://www.w3.org/2000/01/rdf-schema#subClassOf> {bufo} .\n" in kg
+        assert f"{bufo} <http://www.w3.org/2000/01/rdf-schema#subClassOf> {bufo}" not in kg
+
+    def test_update_loads_units_registry_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = units.load_registry
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(units, "load_registry", counting)
+        assert run_cli(*cfg_args("update", "--out", str(tmp_path / "update"))) == 0
+        assert len(calls) == 1
+        # the standalone stage still reads units.tsv itself
+        assert run_cli(*cfg_args("ingest-ecotox", "--out", str(tmp_path / "ecotox"))) == 0
+        assert len(calls) == 2
+        assert (tmp_path / "ecotox" / "ecotox.nt").read_bytes() == (
+            tmp_path / "update" / "ecotox.nt"
+        ).read_bytes()
+
+    def test_update_summary_reports_alignment_funnel(self, pipeline_dir):
+        counts = read_summary(pipeline_dir, "update")["counts"]["align"]
+        for key in ("source_entities", "target_entities", "mappings", "blocked_pairs",
+                    "form_pairs", "length_pruned", "scored", "ties_broken"):
+            assert isinstance(counts[key], int), key
+        assert counts["form_pairs"] == counts["length_pruned"] + counts["scored"]
+        assert counts["form_pairs"] >= counts["blocked_pairs"] >= counts["mappings"]
+        mappings = align.read_mappings((pipeline_dir / "mappings.tsv").read_text())
+        assert counts["mappings"] == len(mappings)
 
 
 class TestAlignmentCommands:

@@ -185,6 +185,17 @@ class TestSpeciesIngest:
         ecotox.ingest_species(species_records, store)
         assert ecotox.ingest_species(species_records, store) == 0
 
+    def test_tautonym_has_no_self_loop(self):
+        lineage = (("family", "Bufonidae"), ("genus", "Bufo"), ("species", "bufo"))
+        rec = ecotox.SpeciesRecord("7", None, "Bufo bufo", None, lineage)
+        store = TripleStore()
+        ecotox.ingest_species([rec], store)
+        bufo = ecotox.lineage_node_iri("bufo")
+        assert bufo == ecotox.lineage_node_iri("Bufo") == iri(f"{ET}taxon/bufo")
+        assert store.objects(bufo, RDFS_SUBCLASSOF) == {ecotox.lineage_node_iri("Bufonidae")}
+        assert store.objects(ecotox.species_iri("7"), RDFS_SUBCLASSOF) == {bufo}
+        assert checks.subclass_cycles(store) == []
+
     def test_unresolved_parent(self):
         rec = ecotox.SpeciesRecord("9", None, "x", None, (("genus", ""), ("species", "")))
         with pytest.raises(ecotox.UnresolvedParentError):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ecokg import ns
-from ecokg.graph import PrefixMap, Term, Triple, TripleStore, iri, literal
+from ecokg.graph import PrefixMap, Term, Triple, TripleStore, blank, iri, literal
 from ecokg.ntriples import parse as parse_ntriples
 from ecokg.query import (
     PathAlt,
@@ -538,6 +538,17 @@ class TestFuzzyLookup:
         store.add(Triple(iri("http://example.org/a"), ns.RDFS_LABEL, literal("same")))
         got = fuzzy_lookup(store, "same", k=2)
         assert [g[0] for g in got] == ["http://example.org/a", "http://example.org/b"]
+
+    def test_tie_order_with_blank_subjects(self):
+        # Blank subjects rank by their N-Triples text among the IRIs.
+        store = TripleStore(PREFIXES)
+        for subject in (blank("b2"), iri("http://example.org/z"), blank("b10"),
+                        iri("http://example.org/a")):
+            store.add(Triple(subject, ns.RDFS_LABEL, literal("same")))
+        store.add(Triple(blank("b2"), ns.RDFS_LABEL, literal("other")))
+        got = fuzzy_lookup(store, "same", k=4)
+        assert got == [("_:b10", 1.0), ("_:b2", 1.0),
+                       ("http://example.org/a", 1.0), ("http://example.org/z", 1.0)]
 
 
 class TestLineageSiblings:
