@@ -278,10 +278,13 @@ def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> int:
         previous: Term | None = None
         for level, name in filled:
             node = lineage_node_iri(name)
+            if node == previous:
+                # a tautonym (genus Bufo, species bufo) names two levels
+                # alike; the node keeps the upper level's rank and label
+                continue
             added += store.add(Triple(node, RANK_PROP, _level_term(level)))
             added += store.add(Triple(node, RDFS_LABEL, literal(name)))
-            # A tautonym (genus Bufo, species bufo) names two levels alike.
-            if previous is not None and node != previous:
+            if previous is not None:
                 added += store.add(Triple(node, RDFS_SUBCLASSOF, previous))
             previous = node
         leaf = species_iri(rec.number)

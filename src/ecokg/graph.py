@@ -302,6 +302,24 @@ class TripleStore:
         out.sort(key=Triple.sort_key)
         return out
 
+    def count(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> int:
+        """Number of triples ``match(s, p, o)`` would return, read off the indexes."""
+        if s is not None and p is not None and o is not None:
+            return int(o in self._spo.get(s, {}).get(p, ()))
+        if s is not None and p is not None:
+            return len(self._spo.get(s, {}).get(p, ()))
+        if p is not None and o is not None:
+            return len(self._pos.get(p, {}).get(o, ()))
+        if s is not None and o is not None:
+            return len(self._osp.get(o, {}).get(s, ()))
+        if s is not None:
+            return sum(map(len, self._spo.get(s, {}).values()))
+        if p is not None:
+            return sum(map(len, self._pos.get(p, {}).values()))
+        if o is not None:
+            return sum(map(len, self._osp.get(o, {}).values()))
+        return len(self._triples)
+
     def terms(self) -> set[Term]:
         """All subjects and objects (predicates excluded)."""
         found: set[Term] = set()

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .align import normalize_label, similarity
 from .graph import PrefixMap, Term, Triple, TripleStore, iri, literal
 from .ns import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
+from .ntriples import NTriplesParseError, _LineScanner
 
 
 class PathSyntaxError(ValueError):
@@ -225,18 +226,36 @@ def _compose(left: set[tuple[Term, Term]], right: set[tuple[Term, Term]]) -> set
     return {(a, c) for a, b in left for c in by_start.get(b, ())}
 
 
-def _eval_relation(store: TripleStore, expr: PathExpr) -> set[tuple[Term, Term]]:
+def _eval_relation(
+    store: TripleStore, expr: PathExpr, starts: set[Term] | None = None
+) -> set[tuple[Term, Term]]:
+    """Pairs connected by ``expr``; with ``starts``, only pairs beginning there.
+
+    A start set is pushed through every operator, so the cost follows
+    the subgraph reachable from it (forward evaluation, as in the SPARQL
+    1.1 ALP procedure) instead of the whole graph.
+    """
     if isinstance(expr, PathAtom):
-        return store.predicate_pairs(expr.predicate)
+        if starts is None:
+            return store.predicate_pairs(expr.predicate)
+        return {(n, o) for n in starts for o in store.objects(n, expr.predicate)}
     if isinstance(expr, PathInverse):
         # normalization leaves inverse only directly over atoms
-        return {(o, s) for s, o in _eval_relation(store, expr.child)}
+        if starts is None:
+            return {(o, s) for s, o in _eval_relation(store, expr.child)}
+        p = expr.child.predicate
+        return {(n, s) for n in starts for s in store.subjects(p, n)}
     if isinstance(expr, PathSeq):
-        return _compose(_eval_relation(store, expr.left), _eval_relation(store, expr.right))
+        left = _eval_relation(store, expr.left, starts)
+        if starts is None:
+            return _compose(left, _eval_relation(store, expr.right))
+        return _compose(left, _eval_relation(store, expr.right, {b for _, b in left}))
     if isinstance(expr, PathAlt):
-        return _eval_relation(store, expr.left) | _eval_relation(store, expr.right)
+        return _eval_relation(store, expr.left, starts) | _eval_relation(store, expr.right, starts)
     if isinstance(expr, PathRepeat):
-        return _eval_repeat(store, expr)
+        if starts is None:
+            return _eval_repeat(store, expr)
+        return _eval_repeat_from(store, expr, starts)
     raise TypeError(f"not a path expression: {expr!r}")
 
 
@@ -280,6 +299,34 @@ def _eval_repeat(store: TripleStore, expr: PathRepeat) -> set[tuple[Term, Term]]
     return out
 
 
+def _eval_repeat_from(
+    store: TripleStore, expr: PathRepeat, starts: set[Term]
+) -> set[tuple[Term, Term]]:
+    cache: dict[Term, set[Term]] = {}
+
+    def successors(node: Term) -> set[Term]:
+        if node not in cache:
+            cache[node] = {b for _, b in _eval_relation(store, expr.child, {node})}
+        return cache[node]
+
+    out: set[tuple[Term, Term]] = set()
+    for start in starts:
+        # exactly ``low`` steps, then breadth-first up to ``high - low`` more:
+        # a node within that many steps of the frontier has a walk of a
+        # length in [low, high], and its first visit is its shortest one
+        frontier = {start}
+        for _ in range(expr.low):
+            frontier = {b for a in frontier for b in successors(a)}
+        seen = set(frontier)
+        depth = 0
+        while frontier and (expr.high is None or depth < expr.high - expr.low):
+            frontier = {b for a in frontier for b in successors(a)} - seen
+            seen |= frontier
+            depth += 1
+        out.update((start, e) for e in seen)
+    return out
+
+
 def eval_path(
     store: TripleStore,
     path: PathExpr,
@@ -287,30 +334,12 @@ def eval_path(
 ) -> set[tuple[Term, Term]]:
     """All (start, end) node pairs connected by the path.
 
-    With ``start`` given, only pairs beginning there are returned; a
-    zero-minimum repetition then includes (start, start) even when the
-    term is absent from the graph.
+    With ``start`` given, only pairs beginning there are returned,
+    evaluated forward from it; a path that accepts the empty walk then
+    includes (start, start) even when the term is absent from the graph.
     """
     normalized = _normalize_inverse(path)
-    pairs = _eval_relation(store, normalized)
-    if start is None:
-        return pairs
-    restricted = {(a, b) for a, b in pairs if a == start}
-    if _accepts_empty(normalized):
-        restricted.add((start, start))
-    return restricted
-
-
-def _accepts_empty(expr: PathExpr) -> bool:
-    if isinstance(expr, PathRepeat):
-        return expr.low == 0 or _accepts_empty(expr.child)
-    if isinstance(expr, PathSeq):
-        return _accepts_empty(expr.left) and _accepts_empty(expr.right)
-    if isinstance(expr, PathAlt):
-        return _accepts_empty(expr.left) or _accepts_empty(expr.right)
-    if isinstance(expr, PathInverse):
-        return _accepts_empty(expr.child)
-    return False
+    return _eval_relation(store, normalized, None if start is None else {start})
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +376,8 @@ def solve(store: TripleStore, patterns) -> list[dict[Var, Term]]:
     """All distinct variable bindings satisfying every pattern.
 
     Patterns are joined most-selective-first: at each step the pattern
-    with the most bound positions (then the fewest matching triples)
-    is expanded.
+    with the most bound positions (then the fewest matching triples,
+    counted from the store's indexes) is expanded.
     """
     patterns = list(patterns)
     for pat in patterns:
@@ -360,19 +389,12 @@ def solve(store: TripleStore, patterns) -> list[dict[Var, Term]]:
             raise ValueError("pattern predicate cannot be a blank variable")
     results: list[dict[Var, Term]] = []
 
-    def candidates(pat: Pattern, binding: dict[Var, Term]) -> list[Triple]:
-        s = _bind(pat[0], binding)
-        p = _bind(pat[1], binding)
-        o = _bind(pat[2], binding)
-        return store.match(s, p, o)
+    def resolve(pat: Pattern, binding: dict[Var, Term]) -> tuple[Term | None, ...]:
+        return tuple(_bind(slot, binding) for slot in pat)
 
     def selectivity(pat: Pattern, binding: dict[Var, Term]) -> tuple[int, int]:
-        bound = sum(
-            1
-            for slot in pat
-            if not isinstance(slot, Var) or slot in binding
-        )
-        return (-bound, len(candidates(pat, binding)))
+        slots = resolve(pat, binding)
+        return (-sum(slot is not None for slot in slots), store.count(*slots))
 
     def extend(remaining: list[Pattern], binding: dict[Var, Term]) -> None:
         if not remaining:
@@ -380,7 +402,7 @@ def solve(store: TripleStore, patterns) -> list[dict[Var, Term]]:
             return
         remaining = sorted(remaining, key=lambda pat: selectivity(pat, binding))
         pat, rest = remaining[0], remaining[1:]
-        for t in candidates(pat, binding):
+        for t in store.match(*resolve(pat, binding)):
             new = dict(binding)
             ok = True
             for slot, value in zip(pat, (t.subject, t.predicate, t.object)):
@@ -513,27 +535,15 @@ class _PatternScanner:
     def scan_literal(self, position: str) -> Term:
         if position != "object":
             raise self.error("literals are only allowed in object position")
-        self.pos += 1
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated string literal")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == '"':
-                break
-            if ch == "\\":
-                if self.pos >= len(self.text):
-                    raise self.error("dangling escape")
-                nxt = self.text[self.pos]
-                self.pos += 1
-                table = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
-                if nxt not in table:
-                    raise self.error(f"unknown escape: \\{nxt}")
-                out.append(table[nxt])
-            else:
-                out.append(ch)
-        lex = "".join(out)
+        # the N-Triples string scanner, so a query reads every escape the
+        # serializer writes (\uXXXX included)
+        scanner = _LineScanner(self.text, self.line)
+        scanner.pos = self.pos
+        try:
+            lex = scanner.scan_string()
+        except NTriplesParseError as exc:
+            raise QuerySyntaxError(str(exc)) from None
+        self.pos = scanner.pos
         if self.text.startswith("@", self.pos):
             self.pos += 1
             end = self.token_end()
@@ -652,7 +662,7 @@ def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, f
 
 
 def _require_known(store: TripleStore, term: Term) -> None:
-    if not store.match(s=term) and not store.match(o=term):
+    if not store.count(s=term) and not store.count(o=term):
         raise UnknownEntityError(f"entity not in graph: {term.ntriples()}")
 
 

@@ -134,6 +134,18 @@ def path_oracle(store: TripleStore, expr) -> set[tuple[Term, Term]]:
     return denote(expr)
 
 
+def accepts_empty(expr) -> bool:
+    """Whether the path matches the zero-length walk.
+
+    Asked of the oracle: a node with no edge under any path predicate is
+    related to itself exactly when the empty walk is accepted.
+    """
+    loner = iri("http://example.org/loner")
+    store = TripleStore()
+    store.add(Triple(loner, iri("http://example.org/unused"), loner))
+    return (loner, loner) in path_oracle(store, expr)
+
+
 def random_path_expr(rng: random.Random, predicates: list[Term], depth: int = 3):
     """Random PathExpr tree over the given predicates."""
     if depth <= 0 or rng.random() < 0.35:

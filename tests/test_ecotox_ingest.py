@@ -4,7 +4,7 @@ import pytest
 
 from ecokg import checks, ecotox, units
 from ecokg.graph import Triple, TripleStore, blank, iri, literal
-from ecokg.ns import ET, RDF_VALUE, RDFS_SUBCLASSOF, UNIT_UNITS, XSD_DECIMAL, default_prefix_map
+from ecokg.ns import ET, RDF_VALUE, RDFS_LABEL, RDFS_SUBCLASSOF, UNIT_UNITS, XSD_DECIMAL, default_prefix_map
 from ecokg.ntriples import serialize
 
 
@@ -193,6 +193,9 @@ class TestSpeciesIngest:
         bufo = ecotox.lineage_node_iri("bufo")
         assert bufo == ecotox.lineage_node_iri("Bufo") == iri(f"{ET}taxon/bufo")
         assert store.objects(bufo, RDFS_SUBCLASSOF) == {ecotox.lineage_node_iri("Bufonidae")}
+        # the collapsed species level adds neither its rank nor its label
+        assert store.objects(bufo, ecotox.RANK_PROP) == {iri(f"{ET}Genus")}
+        assert store.objects(bufo, RDFS_LABEL) == {literal("Bufo")}
         assert store.objects(ecotox.species_iri("7"), RDFS_SUBCLASSOF) == {bufo}
         assert checks.subclass_cycles(store) == []
 

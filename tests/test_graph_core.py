@@ -213,6 +213,18 @@ class TestStore:
                             store, s, p, o
                         )
 
+    def test_count_equals_match_length(self):
+        rng = random.Random(12)
+        miss = iri("http://example.org/never/used")
+        for _ in range(40):
+            store = helpers.random_store(rng, 50)
+            triples = store.sorted_triples()
+            probe = rng.choice(triples) if triples else Triple(miss, miss, miss)
+            for s in (None, probe.subject, miss):
+                for p in (None, probe.predicate, miss):
+                    for o in (None, probe.object, miss):
+                        assert store.count(s, p, o) == len(store.match(s, p, o))
+
     def test_index_coherence_after_random_adds(self):
         rng = random.Random(13)
         for _ in range(20):

@@ -8,6 +8,7 @@ import pytest
 from ecokg import ns
 from ecokg.graph import PrefixMap, Term, Triple, TripleStore, blank, iri, literal
 from ecokg.ntriples import parse as parse_ntriples
+from ecokg.ntriples import serialize
 from ecokg.query import (
     PathAlt,
     PathAtom,
@@ -33,7 +34,7 @@ from ecokg.query import (
     solve,
 )
 
-from helpers import path_oracle, random_edge_graph, random_path_expr
+from helpers import accepts_empty, path_oracle, random_edge_graph, random_path_expr
 
 PREFIXES = PrefixMap(ns.DEFAULT_PREFIXES)
 
@@ -184,6 +185,48 @@ class TestEvalPath:
             store, preds = random_edge_graph(rng)
             expr = random_path_expr(rng, preds)
             assert eval_path(store, expr) == path_oracle(store, expr)
+
+    def test_anchored_matches_oracle_on_random_graphs(self):
+        rng = random.Random(5151)
+        ghost = iri("http://example.org/ghost")
+        for _ in range(300):
+            store, preds = random_edge_graph(rng, max_nodes=12, max_edges=30)
+            # close a cycle so unbounded repetition has to stop on revisits
+            store.add(Triple(node(0), preds[0], node(1)))
+            store.add(Triple(node(1), preds[0], node(0)))
+            expr = random_path_expr(rng, preds)
+            if rng.random() < 0.5:
+                low = rng.randrange(0, 3)
+                high = rng.choice([None, *range(max(low, 2), 5)])
+                expr = PathRepeat(expr, low, high)
+            whole = path_oracle(store, expr)
+            empty = accepts_empty(expr)
+            for n in sorted(store.terms() | {ghost}, key=Term.ntriples):
+                expect = {(a, b) for a, b in whole if a == n}
+                if empty:
+                    expect.add((n, n))
+                assert eval_path(store, expr, start=n) == expect, (expr, n)
+
+    def test_anchored_never_builds_whole_relation(self, monkeypatch):
+        store = edge_store([(1, 2), (2, 3), (3, 1), (3, 4)])
+        store.add(Triple(node(4), Q.predicate, node(5)))
+
+        def whole_graph(*args, **kwargs):
+            raise AssertionError("anchored path read the whole graph")
+
+        monkeypatch.setattr(TripleStore, "predicate_pairs", whole_graph)
+        monkeypatch.setattr(TripleStore, "terms", whole_graph)
+        assert eval_path(store, PathRepeat(P, 1, None), start=node(1)) == {
+            (node(1), node(n)) for n in (1, 2, 3, 4)
+        }
+        assert eval_path(store, PathSeq(PathRepeat(P, 0, None), Q), start=node(2)) == {
+            (node(2), node(5))
+        }
+        assert eval_path(store, PathRepeat(PathInverse(P), 2, 3), start=node(4)) == {
+            (node(4), node(n)) for n in (1, 2)
+        }
+        ghost = node(99)
+        assert eval_path(store, PathAlt(P, PathRepeat(Q, 0, 1)), start=ghost) == {(ghost, ghost)}
 
     def test_algebra_laws(self):
         rng = random.Random(99)
@@ -413,6 +456,16 @@ class TestParseQuery:
         assert objects[1] == literal("12.5", ns.XSD_DECIMAL)
         assert objects[2] == literal("a\nb")
         assert objects[3] == literal("7", ns.XSD + "integer")
+
+    def test_serialized_control_character_is_matchable(self):
+        # the serializer writes U+0001 as \u0001; a query must read it back
+        store = TripleStore(PREFIXES)
+        store.add(Triple(node(1), ns.RDFS_LABEL, literal("a\x01b")))
+        text = serialize(store)
+        assert '"a\\u0001b"' in text
+        reloaded = parse_ntriples(text)
+        q = parse_query('select ?x\n?x rdfs:label "a\\u0001b" .', PREFIXES)
+        assert run_query(reloaded, q) == [(node(1),)]
 
     @pytest.mark.parametrize(
         ("bad", "needle"),
