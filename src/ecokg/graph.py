@@ -322,11 +322,7 @@ class TripleStore:
 
     def terms(self) -> set[Term]:
         """All subjects and objects (predicates excluded)."""
-        found: set[Term] = set()
-        for t in self._triples:
-            found.add(t.subject)
-            found.add(t.object)
-        return found
+        return self._spo.keys() | self._osp.keys()
 
     def _scan(self, order: str):
         """Enumerate triples through one index; used to check coherence."""

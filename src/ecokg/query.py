@@ -227,79 +227,31 @@ def _compose(left: set[tuple[Term, Term]], right: set[tuple[Term, Term]]) -> set
 
 
 def _eval_relation(
-    store: TripleStore, expr: PathExpr, starts: set[Term] | None = None
+    store: TripleStore, expr: PathExpr, starts: set[Term]
 ) -> set[tuple[Term, Term]]:
-    """Pairs connected by ``expr``; with ``starts``, only pairs beginning there.
+    """Pairs connected by ``expr`` that begin at a node in ``starts``.
 
-    A start set is pushed through every operator, so the cost follows
+    The start set is pushed through every operator, so the cost follows
     the subgraph reachable from it (forward evaluation, as in the SPARQL
     1.1 ALP procedure) instead of the whole graph.
     """
     if isinstance(expr, PathAtom):
-        if starts is None:
-            return store.predicate_pairs(expr.predicate)
         return {(n, o) for n in starts for o in store.objects(n, expr.predicate)}
     if isinstance(expr, PathInverse):
         # normalization leaves inverse only directly over atoms
-        if starts is None:
-            return {(o, s) for s, o in _eval_relation(store, expr.child)}
         p = expr.child.predicate
         return {(n, s) for n in starts for s in store.subjects(p, n)}
     if isinstance(expr, PathSeq):
         left = _eval_relation(store, expr.left, starts)
-        if starts is None:
-            return _compose(left, _eval_relation(store, expr.right))
         return _compose(left, _eval_relation(store, expr.right, {b for _, b in left}))
     if isinstance(expr, PathAlt):
         return _eval_relation(store, expr.left, starts) | _eval_relation(store, expr.right, starts)
     if isinstance(expr, PathRepeat):
-        if starts is None:
-            return _eval_repeat(store, expr)
-        return _eval_repeat_from(store, expr, starts)
+        return _eval_repeat(store, expr, starts)
     raise TypeError(f"not a path expression: {expr!r}")
 
 
-def _eval_repeat(store: TripleStore, expr: PathRepeat) -> set[tuple[Term, Term]]:
-    step = _eval_relation(store, expr.child)
-    successors: dict[Term, set[Term]] = {}
-    for a, b in step:
-        successors.setdefault(a, set()).add(b)
-    out: set[tuple[Term, Term]] = set()
-    if expr.low == 0:
-        out.update((t, t) for t in store.terms())
-    if expr.high is not None:
-        # union of the k-fold compositions for k in [max(low,1), high]
-        current = set(step)
-        for k in range(1, expr.high + 1):
-            if k > 1:
-                current = _compose(current, step)
-                if not current:
-                    break
-            if k >= expr.low:
-                out.update(current)
-        return out
-    # unbounded: walk exactly max(low, 1) steps, then any number more
-    # (the low == 0 identity pairs were already added above)
-    base = set(step)
-    for _ in range(max(expr.low, 1) - 1):
-        base = _compose(base, step)
-    starts: dict[Term, set[Term]] = {}
-    for a, b in base:
-        starts.setdefault(a, set()).add(b)
-    for a, frontier in starts.items():
-        seen = set(frontier)
-        queue = list(frontier)
-        while queue:
-            node = queue.pop()
-            for nxt in successors.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        out.update((a, e) for e in seen)
-    return out
-
-
-def _eval_repeat_from(
+def _eval_repeat(
     store: TripleStore, expr: PathRepeat, starts: set[Term]
 ) -> set[tuple[Term, Term]]:
     cache: dict[Term, set[Term]] = {}
@@ -339,7 +291,8 @@ def eval_path(
     includes (start, start) even when the term is absent from the graph.
     """
     normalized = _normalize_inverse(path)
-    return _eval_relation(store, normalized, None if start is None else {start})
+    starts = store.terms() if start is None else {start}
+    return _eval_relation(store, normalized, starts)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,13 @@ class TestStore:
                     for o in (None, probe.object, miss):
                         assert store.count(s, p, o) == len(store.match(s, p, o))
 
+    def test_terms_are_subjects_and_objects(self):
+        rng = random.Random(14)
+        for _ in range(40):
+            store = helpers.random_store(rng, 50)
+            expected = {t.subject for t in store} | {t.object for t in store}
+            assert store.terms() == expected
+
     def test_index_coherence_after_random_adds(self):
         rng = random.Random(13)
         for _ in range(20):
