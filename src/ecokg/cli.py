@@ -239,6 +239,7 @@ def cmd_ingest_ecotox(args, cfg: _Config, registry: units.UnitRegistry | None = 
         "chemical_triples": ecotox.ingest_chemicals(chemicals, store),
         "effect_triples": ecotox.ingest_tests(tests, results, store, registry),
         "total_triples": len(store),
+        "lineage_merges": ecotox.lineage_merges(store),
     }
     ntriples.write_file(store, out_dir / "ecotox.nt")
     return {"out_dir": out_dir, "counts": counts, "outputs": ["ecotox.nt"], "store": store}

@@ -303,6 +303,16 @@ def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> int:
     return added
 
 
+def lineage_merges(store: TripleStore) -> int:
+    """Lineage nodes with more than one ``rdfs:subClassOf`` parent.
+
+    Nodes are keyed by name alone, so species that share an epithet
+    under different genera (two ``vulgaris``) hang under one node.
+    """
+    nodes = {node for node, _ in store.predicate_pairs(RANK_PROP)}
+    return sum(store.count(node, RDFS_SUBCLASSOF) > 1 for node in nodes)
+
+
 def parse_chemicals(text: str, missing: frozenset[str] = MISSING_TOKENS) -> list[ChemicalRecord]:
     header, rows = read_table(text)
     for col in ("cas_number", "chemical_name"):

@@ -1,9 +1,9 @@
 """Terms, triples, prefix handling, and the indexed in-memory triple store.
 
 Terms are immutable and hashable so they can key the store's indexes.
-A store keeps one canonical triple set plus three nested indexes
-(subject-, predicate-, and object-first) and answers wildcard pattern
-matches in deterministic lexicographic order.
+A store keeps three nested indexes (subject-, predicate-, and
+object-first), the first of which doubles as the triple set, and answers
+wildcard pattern matches in deterministic lexicographic order.
 """
 
 import re
@@ -198,16 +198,20 @@ class PrefixMap:
 
 
 class TripleStore:
-    """Set-semantics triple store with three access-path indexes."""
+    """Set-semantics triple store with three access-path indexes.
 
-    __slots__ = ("prefixes", "_triples", "_spo", "_pos", "_osp", "_frozen")
+    The subject-first index is the triple set: membership, iteration and
+    equality all read it, and a counter tracks its size.
+    """
+
+    __slots__ = ("prefixes", "_spo", "_pos", "_osp", "_len", "_frozen")
 
     def __init__(self, prefixes: PrefixMap | None = None):
         self.prefixes = prefixes if prefixes is not None else PrefixMap()
-        self._triples: set[Triple] = set()
         self._spo: dict[Term, dict[Term, set[Term]]] = {}
         self._pos: dict[Term, dict[Term, set[Term]]] = {}
         self._osp: dict[Term, dict[Term, set[Term]]] = {}
+        self._len = 0
         self._frozen = False
 
     @property
@@ -219,35 +223,37 @@ class TripleStore:
         self._frozen = True
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._len
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        return t.object in self._spo.get(t.subject, {}).get(t.predicate, ())
 
     def __iter__(self):
-        return iter(self._triples)
+        return self._scan("spo")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):
             return NotImplemented
-        return self._triples == other._triples
+        return self._spo == other._spo
 
     def triples(self) -> frozenset[Triple]:
-        return frozenset(self._triples)
+        return frozenset(self._scan("spo"))
 
     def sorted_triples(self) -> list[Triple]:
-        return sorted(self._triples, key=Triple.sort_key)
+        return sorted(self._scan("spo"), key=Triple.sort_key)
 
     def add(self, t: Triple) -> bool:
         """Insert one triple; returns False for duplicates."""
         if self._frozen:
             raise FrozenStoreError("store is frozen")
-        if t in self._triples:
+        s, p, o = t.subject, t.predicate, t.object
+        objs = self._spo.setdefault(s, {}).setdefault(p, set())
+        if o in objs:
             return False
-        self._triples.add(t)
-        self._spo.setdefault(t.subject, {}).setdefault(t.predicate, set()).add(t.object)
-        self._pos.setdefault(t.predicate, {}).setdefault(t.object, set()).add(t.subject)
-        self._osp.setdefault(t.object, {}).setdefault(t.subject, set()).add(t.predicate)
+        objs.add(o)
+        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        self._len += 1
         return True
 
     def add_all(self, triples) -> int:
@@ -271,8 +277,7 @@ class TripleStore:
         """
         out: list[Triple]
         if s is not None and p is not None and o is not None:
-            t = Triple(s, p, o)
-            out = [t] if t in self._triples else []
+            out = [Triple(s, p, o)] if o in self._spo.get(s, {}).get(p, ()) else []
         elif s is not None and p is not None:
             out = [Triple(s, p, obj) for obj in self._spo.get(s, {}).get(p, ())]
         elif p is not None and o is not None:
@@ -298,7 +303,7 @@ class TripleStore:
                 for pred in preds
             ]
         else:
-            out = list(self._triples)
+            out = list(self._scan("spo"))
         out.sort(key=Triple.sort_key)
         return out
 
@@ -318,14 +323,28 @@ class TripleStore:
             return sum(map(len, self._pos.get(p, {}).values()))
         if o is not None:
             return sum(map(len, self._osp.get(o, {}).values()))
-        return len(self._triples)
+        return self._len
+
+    def ntriples_lines(self) -> list[str]:
+        """Every triple as an N-Triples line, unsorted.
+
+        Each subject, and each predicate under it, is rendered once for
+        all the triples that share it.
+        """
+        lines = []
+        for s, po in self._spo.items():
+            s_text = s.ntriples()
+            for p, objs in po.items():
+                head = f"{s_text} {p.ntriples()} "
+                lines.extend([f"{head}{o.ntriples()} ." for o in objs])
+        return lines
 
     def terms(self) -> set[Term]:
         """All subjects and objects (predicates excluded)."""
         return self._spo.keys() | self._osp.keys()
 
     def _scan(self, order: str):
-        """Enumerate triples through one index; used to check coherence."""
+        """Enumerate triples through one index."""
         if order == "spo":
             for s, po in self._spo.items():
                 for p, objs in po.items():

@@ -10,6 +10,7 @@ the serializer writes verbatim, reads back unchanged.
 """
 
 import os
+import re
 from pathlib import Path
 
 from .graph import PrefixMap, Term, Triple, TripleStore, blank, iri, literal
@@ -18,6 +19,20 @@ _UNESCAPES = {
     't': '\t', 'b': '\b', 'n': '\n', 'r': '\r', 'f': '\f',
     '"': '"', "'": "'", '\\': '\\',
 }
+
+
+# The exact line shape ``serialize`` writes: single spaces, `` .`` last,
+# ASCII blank labels, and a literal without quote or backslash, whose
+# closing quote is therefore the first one after the opening quote (a
+# datatype IRI may hold ``"``). Each class is the validity rule of its
+# term, so every token the regex accepts is valid. Groups: subject,
+# predicate, object token, then lexical form, language and datatype.
+_IRI_RE = r"<[^\s<>]+>"
+_BLANK_RE = r"_:[A-Za-z0-9_]+"
+_CANONICAL = re.compile(
+    rf"({_IRI_RE}|{_BLANK_RE}) ({_IRI_RE}) "
+    rf'({_IRI_RE}|{_BLANK_RE}|"([^"\\]*)"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^<([^\s<>]+)>)?) \.'
+)
 
 
 class NTriplesParseError(ValueError):
@@ -176,21 +191,48 @@ def parse(text: str, prefixes: PrefixMap | None = None) -> TripleStore:
     """Parse N-Triples text into a fresh store.
 
     Blank lines and ``#`` comment lines are skipped. Errors report the
-    1-based line number.
+    1-based line number. Canonical lines are read by one regex match and
+    all other lines by ``parse_triple_line``, with the same result. Equal
+    tokens become one shared ``Term``, built and validated once.
     """
     store = TripleStore(prefixes)
+    add = store.add
+    fast = _CANONICAL.fullmatch
+    terms: dict[str, Term] = {}
     for line_no, line in enumerate(text.split("\n"), 1):
         if line.endswith("\r"):
             line = line[:-1]
-        if not line.strip() or line.lstrip().startswith("#"):
+        m = fast(line)
+        if m is None:
+            if line.strip() and not line.lstrip().startswith("#"):
+                add(parse_triple_line(line, line_no))
             continue
-        store.add(parse_triple_line(line, line_no))
+        s_tok, p_tok, o_tok, lex, language, datatype = m.groups()
+        s = terms.get(s_tok)
+        if s is None:
+            s = terms[s_tok] = _token_term(s_tok, lex, language, datatype)
+        p = terms.get(p_tok)
+        if p is None:
+            p = terms[p_tok] = iri(p_tok[1:-1])
+        o = terms.get(o_tok)
+        if o is None:
+            o = terms[o_tok] = _token_term(o_tok, lex, language, datatype)
+        add(Triple(s, p, o))
     return store
+
+
+def _token_term(token: str, lex: str | None, language: str | None, datatype: str | None) -> Term:
+    """The term of one ``_CANONICAL`` token; the literal parts belong to the object."""
+    if token[0] == "<":
+        return iri(token[1:-1])
+    if token[0] == "_":
+        return blank(token[2:])
+    return literal(lex, datatype, language)
 
 
 def serialize(store: TripleStore) -> str:
     """Render the store as canonically sorted N-Triples text."""
-    lines = sorted(t.ntriples() for t in store)
+    lines = sorted(store.ntriples_lines())
     return "".join(line + "\n" for line in lines)
 
 

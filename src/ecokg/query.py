@@ -441,6 +441,10 @@ class _PatternScanner:
         end = self.pos
         while end < len(self.text) and not self.text[end].isspace():
             end += 1
+        # as in Turtle, a name cannot end in '.', so a '.' that ends the
+        # line closes the pattern ("?s a ?t." reads as "?s a ?t .")
+        if end > self.pos and self.text[end - 1] == "." and not self.text[end:].strip():
+            end -= 1
         return end
 
     def scan_term(self, position: str) -> Term | Var:

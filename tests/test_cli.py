@@ -254,18 +254,35 @@ class TestUpdateRegressions:
         path.write_text(json.dumps(config))
         return path
 
-    def test_tautonym_species_builds(self, tmp_path):
-        # Genus Bufo and species bufo share the node et:taxon/bufo; a
-        # subClassOf self-loop there used to fail the cycle scan (exit 3).
+    def with_species_rows(self, tmp_path, rows: str) -> Path:
         species = tmp_path / "species.txt"
-        species.write_text(
-            (FIXTURES / "ecotox" / "species.txt").read_text()
-            + "4242|Common Toad|Bufo bufo|Animalia|Chordata|Amphibia|Anura|Bufonidae|Bufo|bufo|Amphibians\n"
-        )
+        species.write_text((FIXTURES / "ecotox" / "species.txt").read_text() + rows)
         config_path = self.copy_config(tmp_path)
         config = json.loads(config_path.read_text())
         config["species"] = str(species)
         config_path.write_text(json.dumps(config))
+        return config_path
+
+    def test_update_summary_counts_lineage_merges(self, tmp_path, pipeline_dir):
+        assert read_summary(pipeline_dir, "update")["counts"]["ingest-ecotox"]["lineage_merges"] == 0
+        config_path = self.with_species_rows(
+            tmp_path,
+            "4243|Hydra|Hydra vulgaris|Animalia|Cnidaria|Hydrozoa|Anthoathecata|Hydridae|Hydra|vulgaris|Invertebrates\n"
+            "4244|Beet|Beta vulgaris|Plantae|Tracheophyta|Magnoliopsida|Caryophyllales|Amaranthaceae|Beta|vulgaris|Plants\n",
+        )
+        out = tmp_path / "out"
+        assert run_cli("--config", str(config_path), "update", "--out", str(out)) == 0
+        counts = read_summary(out, "update")["counts"]["ingest-ecotox"]
+        assert counts["lineage_merges"] == 1
+        assert counts["species_rows"] == 9
+
+    def test_tautonym_species_builds(self, tmp_path):
+        # Genus Bufo and species bufo share the node et:taxon/bufo; a
+        # subClassOf self-loop there used to fail the cycle scan (exit 3).
+        config_path = self.with_species_rows(
+            tmp_path,
+            "4242|Common Toad|Bufo bufo|Animalia|Chordata|Amphibia|Anura|Bufonidae|Bufo|bufo|Amphibians\n",
+        )
         out = tmp_path / "out"
         assert run_cli("--config", str(config_path), "update", "--out", str(out)) == 0
         kg = (out / "kg.nt").read_text()

@@ -199,6 +199,23 @@ class TestSpeciesIngest:
         assert store.objects(ecotox.species_iri("7"), RDFS_SUBCLASSOF) == {bufo}
         assert checks.subclass_cycles(store) == []
 
+    def test_lineage_merges_counts_shared_epithets(self, effect_store):
+        # nodes are keyed by name, so both vulgaris species hang under one
+        # et:taxon/vulgaris node, which then has two parents
+        records = [
+            ecotox.SpeciesRecord(number, None, f"{genus} vulgaris", None,
+                                 (("family", family), ("genus", genus), ("species", "vulgaris")))
+            for number, family, genus in (("1", "Hydridae", "Hydra"), ("2", "Amaranthaceae", "Beta"))
+        ]
+        store = TripleStore()
+        ecotox.ingest_species(records, store)
+        vulgaris = ecotox.lineage_node_iri("vulgaris")
+        assert store.objects(vulgaris, RDFS_SUBCLASSOF) == {
+            ecotox.lineage_node_iri("Hydra"), ecotox.lineage_node_iri("Beta"),
+        }
+        assert ecotox.lineage_merges(store) == 1
+        assert ecotox.lineage_merges(effect_store) == 0
+
     def test_unresolved_parent(self):
         rec = ecotox.SpeciesRecord("9", None, "x", None, (("genus", ""), ("species", "")))
         with pytest.raises(ecotox.UnresolvedParentError):

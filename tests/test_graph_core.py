@@ -232,6 +232,34 @@ class TestStore:
             expected = {t.subject for t in store} | {t.object for t in store}
             assert store.terms() == expected
 
+    def test_store_agrees_with_a_plain_set(self):
+        # membership, size, iteration and equality read the indexes; a
+        # plain set of the added triples is the independent record
+        rng = random.Random(15)
+        for _ in range(40):
+            store, twin, added = TripleStore(), TripleStore(), set()
+            for _ in range(rng.randrange(60)):
+                t = helpers.random_triple(rng)
+                assert store.add(t) is (t not in added)
+                added.add(t)
+            for t in sorted(added, key=lambda t: rng.random()):
+                twin.add(t)
+            assert len(store) == store.count() == len(added)
+            assert store.triples() == frozenset(store) == added
+            assert all(t in store for t in added)
+            assert sorted(store.ntriples_lines()) == sorted(t.ntriples() for t in added)
+            assert store == twin
+            probe = helpers.random_triple(rng)
+            assert (probe in store) is (probe in added)
+
+    def test_literal_subject_matches_nothing(self):
+        store = TripleStore()
+        s, label = iri("http://x.org/s"), iri("http://x.org/label")
+        store.add(Triple(s, label, literal("o")))
+        assert store.match(literal("o"), label, s) == []
+        assert store.count(literal("o"), label, s) == 0
+        assert store.match(literal("o"), label) == []
+
     def test_index_coherence_after_random_adds(self):
         rng = random.Random(13)
         for _ in range(20):

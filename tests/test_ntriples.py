@@ -83,6 +83,99 @@ class TestParseErrors:
             parse('<http://x.org/s> <http://x.org/p> "\\q" .\n')
 
 
+def scanner_parse(text: str) -> TripleStore:
+    """Every line through ``parse_triple_line``: the reader without its fast path."""
+    store = TripleStore()
+    for line_no, line in enumerate(text.split("\n"), 1):
+        if line.endswith("\r"):
+            line = line[:-1]
+        if line.strip() and not line.lstrip().startswith("#"):
+            store.add(ntriples.parse_triple_line(line, line_no))
+    return store
+
+
+def outcome(reader, text: str):
+    try:
+        return sorted(t.ntriples() for t in reader(text))
+    except NTriplesParseError as exc:
+        return (exc.line, str(exc))
+
+
+S, P = "<http://x.org/s>", "<http://x.org/p>"
+
+
+class TestFastPath:
+    def test_serialized_lines_read_alike_on_both_paths(self):
+        rng = random.Random(23)
+        taken = {"fast": 0, "scanner": 0}
+        for _ in range(200):
+            for line in serialize(helpers.random_store(rng, 40)).split("\n")[:-1]:
+                if ntriples._CANONICAL.fullmatch(line) is None:
+                    taken["scanner"] += 1
+                    continue
+                taken["fast"] += 1
+                assert single(line + "\n") == ntriples.parse_triple_line(line, 1)
+        # both paths were exercised: escaped literals miss the fast path
+        assert taken["fast"] > 1000 and taken["scanner"] > 100
+
+    # The outcome of every line (after a first comment line) is the
+    # reader's before the fast path existed: its triples, or its error's
+    # line number and text.
+    @pytest.mark.parametrize("line,expected", [
+        (f"{S}  {P} <http://x.org/o> .", [f"{S} {P} <http://x.org/o> ."]),
+        (f"{S} {P} <http://x.org/o>  .", [f"{S} {P} <http://x.org/o> ."]),
+        (f'{S}\t{P}\t"o"\t.', [f'{S} {P} "o" .']),
+        (f'{S} {P} "o" . ', [f'{S} {P} "o" .']),
+        (f'{S} {P} "o" .\t', [f'{S} {P} "o" .']),
+        (f'  {S} {P} "o" .', [f'{S} {P} "o" .']),
+        (f'{S} {P} "o".', [f'{S} {P} "o" .']),
+        (f'{S} {P} "o" .\r', [f'{S} {P} "o" .']),
+        (f'# {S} {P} "o" .', []),
+        ("   # comment", []),
+        (f'{S} {P} "o" . # comment', (2, "line 2: trailing content after '.'")),
+        (f'{S} {P} "\\u00e9\\U0001F600" .', [f'{S} {P} "\u00e9\U0001F600" .']),
+        (f'{S} {P} "\\U00110000" .', (2, "line 2: bad \\U escape: '00110000'")),
+        (f'{S} {P} "\\u12" .', (2, "line 2: bad \\u escape: '12\" '")),
+        (f'{S} {P} "a\\"b" .', [f'{S} {P} "a\\"b" .']),
+        (f'_:b\u00e9 {P} "o" .', (2, "line 2: invalid blank node label: 'b\u00e9'")),
+        (f"{S} {P} _:b\u00e9 .", (2, "line 2: invalid blank node label: 'b\u00e9'")),
+        (f'_: {P} "o" .', (2, "line 2: invalid blank node label: ''")),
+        (f'{S} {P} "o"@en- .', (2, "line 2: invalid language tag: 'en-'")),
+        (f'{S} {P} "o"@1en .', (2, "line 2: invalid language tag: '1en'")),
+        (f'{S} {P} "o"@ .', (2, "line 2: invalid language tag: ''")),
+        (f'{S} {P} "o"@en-GB .', [f'{S} {P} "o"@en-GB .']),
+        (f'{S} {P} "a"^^<http://x.org/"q> .', [f'{S} {P} "a"^^<http://x.org/"q> .']),
+        (f'{S} {P} "a"b" .', (2, "line 2: missing terminal '.'")),
+        (f'{S} {P} "o"@en^^<http://x.org/d> .', (2, "line 2: missing terminal '.'")),
+        (f"{S} {P} <http://x.org/a b> .", (2, "line 2: invalid IRI: 'http://x.org/a b'")),
+        (f"{S} {P} <> .", (2, "line 2: invalid IRI: ''")),
+        (f'{S} {P} "o"^^<> .', (2, "line 2: invalid IRI: ''")),
+    ])
+    def test_noncanonical_lines_read_as_before(self, line, expected):
+        text = "# first\n" + line + "\n"
+        assert outcome(parse, text) == outcome(scanner_parse, text) == expected
+
+    def test_datatype_iri_may_hold_a_quote(self):
+        line = f'{S} {P} "a"^^<http://x.org/"q> .'
+        assert ntriples._CANONICAL.fullmatch(line) is not None
+        assert single(line).object == literal("a", 'http://x.org/"q')
+
+    def test_equal_tokens_share_one_term(self):
+        text = (
+            f"{S} {P} <http://x.org/o> .\n"
+            f"<http://x.org/o> {P} {S} .\n"
+            f'{S} <http://x.org/q> "v" .\n'
+            f'<http://x.org/o> {P} "v" .\n'
+            f"_:b {P} _:b .\n"
+        )
+        seen: dict = {}
+        for t in parse(text):
+            for term in (t.subject, t.predicate, t.object):
+                seen.setdefault(term, set()).add(id(term))
+        assert len(seen) == 6
+        assert all(len(ids) == 1 for ids in seen.values())
+
+
 class TestSerialize:
     def test_sorted_and_terminated(self):
         store = parse(

@@ -357,6 +357,15 @@ class TestSolveSelect:
         assert len(hit) == 1 and miss == []
 
 
+    def test_literal_bound_as_subject_joins_to_nothing(self):
+        # ?l binds a literal, which the second pattern then uses as a subject
+        store = TripleStore(PREFIXES)
+        store.add(Triple(node(1), ns.RDFS_LABEL, literal("one")))
+        s, lab = Var("s"), Var("l")
+        patterns = [(s, ns.RDFS_LABEL, lab), (lab, ns.RDFS_LABEL, s)]
+        assert select(store, patterns, ["s"]) == []
+
+
 class TestConstruct:
     def test_rewrites_pairs_to_sameas(self):
         store = TripleStore(PREFIXES)
@@ -432,6 +441,20 @@ class TestParseQuery:
     def test_comments_and_blanks_skipped(self):
         q = parse_query("# a comment\n\n?s a ?t .\n", PREFIXES)
         assert len(q.patterns) == 1
+
+    @pytest.mark.parametrize("unspaced,spaced", [
+        ("?s a et:Taxon.", "?s a et:Taxon ."),
+        ("?s a ?t.", "?s a ?t ."),
+        ("?s rdfs:seeAlso _:b.", "?s rdfs:seeAlso _:b ."),
+        ('?s rdfs:label "x"@en.', '?s rdfs:label "x"@en .'),
+        ('?s rdfs:label "1"^^xsd:decimal.', '?s rdfs:label "1"^^xsd:decimal .'),
+    ])
+    def test_closing_dot_ends_the_last_token(self, unspaced, spaced):
+        assert parse_query(unspaced, PREFIXES) == parse_query(spaced, PREFIXES)
+
+    def test_lone_dot_is_a_missing_object(self):
+        with pytest.raises(QuerySyntaxError, match="missing object"):
+            parse_query("?s a .", PREFIXES)
 
     def test_anonymous_blank_fresh_per_occurrence(self):
         q = parse_query("?s rdfs:seeAlso [] .\n?t rdfs:seeAlso [] .", PREFIXES)
