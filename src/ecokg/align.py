@@ -16,6 +16,7 @@ can exceed, is already below what it would have to reach; scores,
 tie-breaks and the kept mappings are those of scoring every pair.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping as MappingType, Sequence
 
@@ -31,17 +32,18 @@ DEFAULT_STOP_WORDS = frozenset(
 
 DEFAULT_THRESHOLD = 0.8
 
+# A word character other than "_" is exactly a character for which
+# str.isalnum() is true.
+_WORD = re.compile(r"[^\W_]+")
+
 
 class EmptyReferenceError(ValueError):
     pass
 
 
 def normalize_label(label: str, stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> list[str]:
-    """Lowercase, strip punctuation, split, drop stop words."""
-    cleaned = []
-    for ch in label.lower():
-        cleaned.append(ch if ch.isalnum() else " ")
-    return [tok for tok in "".join(cleaned).split() if tok not in stop_words]
+    """Lowercase, split into runs of ``str.isalnum`` characters, drop stop words."""
+    return [tok for tok in _WORD.findall(label.lower()) if tok not in stop_words]
 
 
 def levenshtein(a: str, b: str) -> int:

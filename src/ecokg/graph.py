@@ -201,10 +201,12 @@ class TripleStore:
     """Set-semantics triple store with three access-path indexes.
 
     The subject-first index is the triple set: membership, iteration and
-    equality all read it, and a counter tracks its size.
+    equality all read it, and a counter tracks its size. ``label_index``
+    is left to readers that derive data from a frozen store; the store
+    itself never reads it.
     """
 
-    __slots__ = ("prefixes", "_spo", "_pos", "_osp", "_len", "_frozen")
+    __slots__ = ("prefixes", "_spo", "_pos", "_osp", "_len", "_frozen", "label_index")
 
     def __init__(self, prefixes: PrefixMap | None = None):
         self.prefixes = prefixes if prefixes is not None else PrefixMap()
@@ -213,6 +215,7 @@ class TripleStore:
         self._osp: dict[Term, dict[Term, set[Term]]] = {}
         self._len = 0
         self._frozen = False
+        self.label_index = None
 
     @property
     def frozen(self) -> bool:

@@ -14,6 +14,8 @@ triples from a template. Literals use N-Triples syntax with
 ``@lang``/``^^dt`` suffixes, datatypes as curies or ``<iri>``.
 """
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 from .align import normalize_label, similarity
@@ -395,7 +397,11 @@ def select(
 
 
 def construct(store: TripleStore, patterns, template) -> TripleStore:
-    """New store holding the template instantiated per solution."""
+    """New store holding the template instantiated per solution.
+
+    As in SPARQL CONSTRUCT, an instance that is no valid triple (a
+    literal subject, a non-IRI predicate) is left out.
+    """
     pattern_vars = _pattern_vars(patterns)
     unbound = sorted(
         v.name for v in _pattern_vars(template) if v not in pattern_vars
@@ -405,13 +411,9 @@ def construct(store: TripleStore, patterns, template) -> TripleStore:
     out = TripleStore(store.prefixes)
     for binding in solve(store, patterns):
         for pat in template:
-            out.add(
-                Triple(
-                    _bind(pat[0], binding),
-                    _bind(pat[1], binding),
-                    _bind(pat[2], binding),
-                )
-            )
+            s, p, o = (_bind(slot, binding) for slot in pat)
+            if not s.is_literal() and p.is_iri():
+                out.add(Triple(s, p, o))
     return out
 
 
@@ -597,23 +599,71 @@ def run_query(store: TripleStore, query: Query):
 # ---------------------------------------------------------------------------
 # Navigation helpers
 
+def _label_form(label: str) -> str:
+    return " ".join(normalize_label(label)) or label.lower()
+
+
+def _label_index(store: TripleStore) -> dict[int, list[tuple[str, tuple, list[str]]]]:
+    """Distinct label forms grouped by length: (form, char counts, subject keys).
+
+    Built once per frozen store and kept on it; an unfrozen store can
+    change, so it gets a fresh index on every call.
+    """
+    if store.label_index is not None:
+        return store.label_index
+    keys_by_form: dict[str, set[str]] = {}
+    for s, o in store.predicate_pairs(RDFS_LABEL):
+        if o.is_literal():
+            key = s.ntriples() if s.is_blank() else s.value
+            keys_by_form.setdefault(_label_form(o.value), set()).add(key)
+    index = {}
+    for form, keys in sorted(keys_by_form.items()):
+        index.setdefault(len(form), []).append((form, tuple(Counter(form).items()), sorted(keys)))
+    if store.frozen:
+        store.label_index = index
+    return index
+
+
 def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, float]]:
     """Top-k labeled entities by edit-distance score against ``name``.
 
     Scores use the alignment formula over normalized label forms; ties
     break toward the lexicographically smaller IRI. Ingest mirrors all
-    source names under rdfs:label, so scanning labels covers them all.
+    source names under rdfs:label, so the labels cover them all.
+
+    The result is exact. Forms are visited by length, best length bound
+    first, and a form is scored only if neither its length bound nor its
+    character-count bound (Gravano et al. 2001, q = 1) is below the k-th
+    best score so far; both bounds are at least the form's score.
     """
-    probe = " ".join(normalize_label(name)) or name.lower()
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    probe = _label_form(name)
+    lp = len(probe)
+    probe_count = Counter(probe).get
+
+    def length_bound(length: int) -> float:
+        return 1.0 - abs(length - lp) / (max(length, lp) or 1)
+
+    index = _label_index(store)
     best: dict[str, float] = {}
-    for s, o in store.predicate_pairs(RDFS_LABEL):
-        if o.kind != "literal":
-            continue
-        subject = s.ntriples() if s.is_blank() else s.value
-        form = " ".join(normalize_label(o.value)) or o.value.lower()
-        score = similarity(probe, form)
-        if score > best.get(subject, -1.0):
-            best[subject] = score
+    kth = float("-inf")
+    for length in sorted(index, key=length_bound, reverse=True):
+        if length_bound(length) < kth:
+            break
+        longest = max(length, lp) or 1
+        for form, counts, keys in index[length]:
+            # the form's characters the probe lacks, and the probe's the form
+            # lacks, each need an edit of their own
+            extra = sum([n - probe_count(ch, 0) for ch, n in counts if n > probe_count(ch, 0)])
+            if 1.0 - max(extra, lp - length + extra) / longest < kth:
+                continue
+            score = similarity(probe, form)
+            for key in keys:
+                if score > best.get(key, -1.0):
+                    best[key] = score
+            if score > kth and len(best) >= k:
+                kth = heapq.nlargest(k, best.values())[-1]
     ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 

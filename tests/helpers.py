@@ -11,7 +11,9 @@ import random
 import string
 from pathlib import Path
 
+from ecokg.align import DEFAULT_STOP_WORDS
 from ecokg.graph import Term, Triple, TripleStore, blank, iri, literal
+from ecokg.ns import RDFS_LABEL
 from ecokg.query import PathAlt, PathAtom, PathInverse, PathRepeat, PathSeq
 
 _WORDS = [
@@ -82,6 +84,36 @@ def dp_levenshtein(a: str, b: str) -> int:
             cost = 0 if a[i - 1] == b[j - 1] else 1
             d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
     return d[-1][-1]
+
+
+def reference_normalize_label(label: str, stop_words=DEFAULT_STOP_WORDS) -> list[str]:
+    """Label tokens by a character loop: every non-alphanumeric is a space."""
+    cleaned = []
+    for ch in label.lower():
+        cleaned.append(ch if ch.isalnum() else " ")
+    return [tok for tok in "".join(cleaned).split() if tok not in stop_words]
+
+
+def reference_lookup(store: TripleStore, name: str) -> list[tuple[str, float]]:
+    """Every labeled subject ranked against ``name`` by scoring every label.
+
+    A subject's score is its best label's ``1 - distance/max(len)`` over
+    normalized forms; ties go to the smaller key (IRI text, or ``_:label``).
+    """
+    def form(label: str) -> str:
+        return " ".join(reference_normalize_label(label)) or label.lower()
+
+    probe = form(name)
+    scores: dict[str, float] = {}
+    for t in store.triples():
+        if t.predicate != RDFS_LABEL or not t.object.is_literal():
+            continue
+        key = t.subject.ntriples() if t.subject.is_blank() else t.subject.value
+        label_form = form(t.object.value)
+        longest = max(len(probe), len(label_form))
+        score = 1.0 - dp_levenshtein(probe, label_form) / longest if longest else 1.0
+        scores[key] = max(score, scores.get(key, -1.0))
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import string
+import sys
 
 import pytest
 
@@ -32,6 +33,26 @@ class TestNormalization:
 
     def test_all_stop_words_empty(self):
         assert normalize_label("of the sp.") == []
+
+    def test_matches_character_loop_on_random_unicode(self):
+        rng = random.Random(61)
+        # ASCII, Latin-1, Greek, combining marks, Arabic-Indic digits,
+        # CJK, line separators, surrogates, and any code point at all
+        ranges = [(0x20, 0x7F), (0xA0, 0x100), (0x370, 0x400), (0x300, 0x370),
+                  (0x660, 0x66A), (0x4E00, 0x4E40), (0x2028, 0x202A),
+                  (0xD800, 0xD810), (0, sys.maxunicode + 1)]
+        for _ in range(500):
+            label = "".join(
+                chr(rng.randrange(*rng.choice(ranges))) for _ in range(rng.randrange(25))
+            )
+            for stop_words in (align.DEFAULT_STOP_WORDS, frozenset()):
+                assert normalize_label(label, stop_words) == helpers.reference_normalize_label(
+                    label, stop_words
+                ), ascii(label)
+
+    def test_matches_character_loop_on_every_code_point(self):
+        label = " ".join(map(chr, range(sys.maxunicode + 1)))
+        assert normalize_label(label) == helpers.reference_normalize_label(label)
 
 
 class TestLevenshtein:

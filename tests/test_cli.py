@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, error lines, summaries, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -466,6 +469,15 @@ class TestQueryCommands:
         scores = [float(ln.split("\t")[1]) for ln in lines]
         assert scores == sorted(scores, reverse=True)
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_lookup_k_below_one_is_two(self, pipeline_dir, capsys, k):
+        code = run_cli(
+            *cfg_args("lookup", "--graph", str(pipeline_dir / "kg.nt"),
+                      "--name", "daphnia magna", "-k", k)
+        )
+        assert code == 2
+        assert error_line(capsys) == ("ValueError", f"k must be at least 1, got {k}")
+
     def test_lineage_compacted(self, pipeline_dir, capsys):
         code = run_cli(
             *cfg_args(
@@ -516,3 +528,14 @@ class TestStatsCommand:
         )
         assert code == 0
         assert capsys.readouterr().out == (tmp_path / "stats.txt").read_text()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "ecokg", "--help"], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ecokg")

@@ -34,6 +34,7 @@ from ecokg.query import (
     solve,
 )
 
+import helpers
 from helpers import accepts_empty, path_oracle, random_edge_graph, random_path_expr
 
 PREFIXES = PrefixMap(ns.DEFAULT_PREFIXES)
@@ -409,6 +410,26 @@ class TestConstruct:
         via = select(out, [(Var("y"), Q.predicate, Var("x"))], ["y", "x"])
         assert direct == via
 
+    def test_literal_subject_instance_skipped(self):
+        store = TripleStore(PREFIXES)
+        store.add(Triple(iri("http://example.org/a"), ns.RDFS_LABEL, literal("a")))
+        s, lab = Var("s"), Var("l")
+        out = construct(store, [(s, ns.RDFS_LABEL, lab)], [(lab, ns.RDFS_LABEL, s)])
+        assert len(out) == 0
+
+    def test_only_invalid_instances_skipped(self):
+        store = TripleStore(PREFIXES)
+        store.add(Triple(iri("http://example.org/a"), ns.RDFS_LABEL, literal("a")))
+        s, lab = Var("s"), Var("l")
+        out = construct(
+            store,
+            [(s, ns.RDFS_LABEL, lab)],
+            [(s, lab, s), (lab, ns.RDFS_LABEL, s), (s, ns.RDF_VALUE, lab)],
+        )
+        assert out.triples() == {
+            Triple(iri("http://example.org/a"), ns.RDF_VALUE, literal("a"))
+        }
+
     def test_deduplicates(self):
         store = edge_store([(1, 2), (1, 3)])
         out = construct(
@@ -625,6 +646,89 @@ class TestFuzzyLookup:
         got = fuzzy_lookup(store, "same", k=4)
         assert got == [("_:b10", 1.0), ("_:b2", 1.0),
                        ("http://example.org/a", 1.0), ("http://example.org/z", 1.0)]
+
+    def test_k_below_one_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                fuzzy_lookup(self.build(), "Danio rerio", k)
+
+    @staticmethod
+    def labeled(*pairs):
+        store = TripleStore(PREFIXES)
+        for subject, label in pairs:
+            store.add(Triple(iri(f"http://example.org/{subject}"), ns.RDFS_LABEL, literal(label)))
+        return store
+
+    def test_kth_tie_in_a_shorter_length_group(self):
+        # "abcx" scores 0.75 first; the length-3 group's bound is exactly
+        # 0.75, so it must still be visited for "a" to win the tie
+        store = self.labeled(("z", "abcx"), ("a", "abc"))
+        assert fuzzy_lookup(store, "abcd", k=1) == [("http://example.org/a", 0.75)]
+
+    def test_kth_tie_within_a_length_group(self):
+        # "abcy"'s character-count bound equals the 0.75 "abcx" set first
+        store = self.labeled(("z", "abcx"), ("a", "abcy"))
+        assert fuzzy_lookup(store, "abcd", k=1) == [("http://example.org/a", 0.75)]
+
+    def test_equals_scoring_every_label_on_random_stores(self):
+        rng = random.Random(83)
+        subjects = [iri(f"http://example.org/s/{i}") for i in range(10)]
+        subjects += [blank(f"b{i}") for i in range(3)]
+        stems = ["abc", "abd", "bca", "cab", "abcab", "ba"]
+
+        def label(rng):
+            roll = rng.random()
+            if roll < 0.1:
+                return rng.choice(["the", "!!", "", "The Sp.", "a-b c"])
+            text = rng.choice(stems)
+            for _ in range(rng.randrange(3)):
+                i = rng.randrange(len(text) + 1)
+                text = text[:i] + rng.choice("abc ") + text[i + 1:]
+            return text if roll < 0.8 else text.upper() + " " + rng.choice(stems)
+
+        for trial in range(300):
+            store = TripleStore(PREFIXES)
+            for _ in range(rng.randrange(1, 25)):
+                subject = rng.choice(subjects)
+                roll = rng.random()
+                if roll < 0.1:
+                    obj = rng.choice(subjects[:10])  # a label that is no literal
+                elif roll < 0.2:
+                    obj = literal(label(rng), language="en")
+                else:
+                    obj = literal(label(rng))
+                store.add(Triple(subject, ns.RDFS_LABEL, obj))
+            probes = [label(rng) for _ in range(3)]
+            for frozen in (False, True):
+                if frozen:
+                    store.freeze()
+                for probe in probes:
+                    expect = helpers.reference_lookup(store, probe)
+                    for k in (1, 2, 5, 50):
+                        assert fuzzy_lookup(store, probe, k) == expect[:k], (trial, probe, k)
+
+    def test_frozen_store_reads_its_labels_once(self, monkeypatch):
+        reads = []
+        real = TripleStore.predicate_pairs
+
+        def counted(store, p):
+            reads.append(p)
+            return real(store, p)
+
+        monkeypatch.setattr(TripleStore, "predicate_pairs", counted)
+        store = self.build()
+        store.freeze()
+        first = fuzzy_lookup(store, "Danio rerio", k=1)
+        second = fuzzy_lookup(store, "Coleophora cornella", k=2)
+        assert reads == [ns.RDFS_LABEL]
+        assert first == [("http://example.org/t/3", 1.0)]
+        assert [key for key, _ in second] == ["http://example.org/t/1", "http://example.org/t/2"]
+
+    def test_unfrozen_store_sees_labels_added_after_a_lookup(self):
+        store = self.build()
+        assert fuzzy_lookup(store, "Daphnia magna", k=1)[0][1] < 1.0
+        store.add(Triple(iri("http://example.org/t/4"), ns.RDFS_LABEL, literal("Daphnia magna")))
+        assert fuzzy_lookup(store, "Daphnia magna", k=1) == [("http://example.org/t/4", 1.0)]
 
 
 class TestLineageSiblings:
