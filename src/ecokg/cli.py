@@ -347,8 +347,10 @@ def cmd_export(args, cfg: _Config, parts=None, mappings: align_mod.MappingSet | 
     """Merge part graphs, plus mappings as owl:sameAs, into kg.nt.
 
     ``parts`` yields (file name, store) in merge order; without it the
-    parts and the mappings come from files. The first part becomes the
-    merged store, and the frozen result is returned under "store".
+    parts and the mappings come from files. The largest part (the first
+    of equals) is the merge base: it counts its own size, and every other
+    part counts the triples it adds. The base is returned, frozen, under
+    "store".
     """
     out_dir = _out_dir(cfg, args.out)
     if parts is None:
@@ -356,15 +358,12 @@ def cmd_export(args, cfg: _Config, parts=None, mappings: align_mod.MappingSet | 
         mappings_path = cfg.path("mappings", args.mappings)
         if mappings_path is not None:
             mappings = align_mod.read_mappings(_read_text(mappings_path))
-    merged = None
-    counts = {}
-    for name, part in parts:
-        if merged is None:
-            merged, counts[name] = part, len(part)
-        else:
-            counts[name] = merged.add_all(part)
-    if merged is None:
+    parts = list(parts)
+    if not parts:
         raise ValueError("nothing to export: no graph files found or given")
+    merged = max((part for _, part in parts), key=len)
+    base_size = len(merged)
+    counts = {name: base_size if part is merged else merged.add_all(part) for name, part in parts}
     if mappings is not None:
         counts["mappings_sameas"] = align_mod.add_sameas(mappings, merged)
     ntriples.write_file(merged, out_dir / "kg.nt")
@@ -404,6 +403,7 @@ def cmd_path(args, cfg: _Config) -> dict:
 
 
 def cmd_lookup(args, cfg: _Config) -> dict:
+    query_mod.check_lookup_k(args.k)
     prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
     hits = query_mod.fuzzy_lookup(store, args.name, args.k)
@@ -453,12 +453,6 @@ def _stage_args(args, **flags) -> argparse.Namespace:
     return argparse.Namespace(prefixes=args.prefixes, out=args.out, **flags)
 
 
-def _drain(items: list):
-    """Yield the items in order, letting go of each as it is taken."""
-    while items:
-        yield items.pop(0)
-
-
 def cmd_update(args, cfg: _Config) -> dict:
     """Full rebuild: ingest everything, align, bridge, export, check, stats.
 
@@ -492,7 +486,6 @@ def cmd_update(args, cfg: _Config) -> dict:
         source_ns=ET + "taxon/", target_ns=NCBI + "taxon/",
     )
     mappings = record("align", cmd_align(align_args, cfg, ecotox_store, ncbi_store))["mappings"]
-    del ncbi_store, ecotox_store  # export frees each part once merged
 
     for key, rewrite in (("pairs_ncbi", "ncbi"), ("pairs_cas", "cas")):
         pairs_path = cfg.path(key, None)
@@ -500,7 +493,7 @@ def cmd_update(args, cfg: _Config) -> dict:
             bridge_args = _stage_args(args, pairs=str(pairs_path), rewrite=rewrite)
             keep_part(f"bridge-{rewrite}", cmd_bridge(bridge_args, cfg))
 
-    kg = record("export", cmd_export(args, cfg, _drain(parts), mappings))["store"]
+    kg = record("export", cmd_export(args, cfg, parts, mappings))["store"]
     cycles = checks.subclass_cycles(kg)
     violations = checks.disjointness_violations(kg, ecotox.GROUP_PROP)
     if cycles or violations:

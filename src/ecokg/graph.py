@@ -1,9 +1,11 @@
 """Terms, triples, prefix handling, and the indexed in-memory triple store.
 
 Terms are immutable and hashable so they can key the store's indexes.
-A store keeps three nested indexes (subject-, predicate-, and
-object-first), the first of which doubles as the triple set, and answers
-wildcard pattern matches in deterministic lexicographic order.
+A store keeps two nested indexes (subject-first and predicate-first),
+the first of which doubles as the triple set, and answers wildcard
+pattern matches in deterministic lexicographic order. Patterns that bind
+the object but not the predicate are served by probing the
+predicate-first index once per predicate; a graph has few predicates.
 """
 
 import re
@@ -198,21 +200,24 @@ class PrefixMap:
 
 
 class TripleStore:
-    """Set-semantics triple store with three access-path indexes.
+    """Set-semantics triple store with two access-path indexes.
 
-    The subject-first index is the triple set: membership, iteration and
-    equality all read it, and a counter tracks its size. ``label_index``
+    The subject-first index ``spo`` is the triple set: membership,
+    iteration and equality all read it, and a counter tracks its size.
+    The predicate-first index ``pos`` serves predicate-bound patterns.
+    There is no object-first index: a pattern with only the object bound
+    makes one ``pos`` probe per predicate, and one with subject and
+    object bound reads the predicates under ``spo[s]``. ``label_index``
     is left to readers that derive data from a frozen store; the store
     itself never reads it.
     """
 
-    __slots__ = ("prefixes", "_spo", "_pos", "_osp", "_len", "_frozen", "label_index")
+    __slots__ = ("prefixes", "_spo", "_pos", "_len", "_frozen", "label_index")
 
     def __init__(self, prefixes: PrefixMap | None = None):
         self.prefixes = prefixes if prefixes is not None else PrefixMap()
         self._spo: dict[Term, dict[Term, set[Term]]] = {}
         self._pos: dict[Term, dict[Term, set[Term]]] = {}
-        self._osp: dict[Term, dict[Term, set[Term]]] = {}
         self._len = 0
         self._frozen = False
         self.label_index = None
@@ -232,7 +237,10 @@ class TripleStore:
         return t.object in self._spo.get(t.subject, {}).get(t.predicate, ())
 
     def __iter__(self):
-        return self._scan("spo")
+        for s, po in self._spo.items():
+            for p, objs in po.items():
+                for o in objs:
+                    yield Triple(s, p, o)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):
@@ -240,10 +248,10 @@ class TripleStore:
         return self._spo == other._spo
 
     def triples(self) -> frozenset[Triple]:
-        return frozenset(self._scan("spo"))
+        return frozenset(self)
 
     def sorted_triples(self) -> list[Triple]:
-        return sorted(self._scan("spo"), key=Triple.sort_key)
+        return sorted(self, key=Triple.sort_key)
 
     def add(self, t: Triple) -> bool:
         """Insert one triple; returns False for duplicates."""
@@ -255,7 +263,6 @@ class TripleStore:
             return False
         objs.add(o)
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._len += 1
         return True
 
@@ -267,6 +274,9 @@ class TripleStore:
 
     def subjects(self, p: Term, o: Term) -> set[Term]:
         return set(self._pos.get(p, {}).get(o, ()))
+
+    def predicates(self) -> list[Term]:
+        return list(self._pos)
 
     def predicate_pairs(self, p: Term) -> set[tuple[Term, Term]]:
         """All (subject, object) pairs under one predicate."""
@@ -286,7 +296,7 @@ class TripleStore:
         elif p is not None and o is not None:
             out = [Triple(sub, p, o) for sub in self._pos.get(p, {}).get(o, ())]
         elif s is not None and o is not None:
-            out = [Triple(s, pred, o) for pred in self._osp.get(o, {}).get(s, ())]
+            out = [Triple(s, pred, o) for pred, objs in self._spo.get(s, {}).items() if o in objs]
         elif s is not None:
             out = [
                 Triple(s, pred, obj)
@@ -302,11 +312,11 @@ class TripleStore:
         elif o is not None:
             out = [
                 Triple(sub, pred, o)
-                for sub, preds in self._osp.get(o, {}).items()
-                for pred in preds
+                for pred, os_ in self._pos.items()
+                for sub in os_.get(o, ())
             ]
         else:
-            out = list(self._scan("spo"))
+            out = list(self)
         out.sort(key=Triple.sort_key)
         return out
 
@@ -319,13 +329,13 @@ class TripleStore:
         if p is not None and o is not None:
             return len(self._pos.get(p, {}).get(o, ()))
         if s is not None and o is not None:
-            return len(self._osp.get(o, {}).get(s, ()))
+            return sum(o in objs for objs in self._spo.get(s, {}).values())
         if s is not None:
             return sum(map(len, self._spo.get(s, {}).values()))
         if p is not None:
             return sum(map(len, self._pos.get(p, {}).values()))
         if o is not None:
-            return sum(map(len, self._osp.get(o, {}).values()))
+            return sum(len(os_.get(o, ())) for os_ in self._pos.values())
         return self._len
 
     def ntriples_lines(self) -> list[str]:
@@ -344,24 +354,4 @@ class TripleStore:
 
     def terms(self) -> set[Term]:
         """All subjects and objects (predicates excluded)."""
-        return self._spo.keys() | self._osp.keys()
-
-    def _scan(self, order: str):
-        """Enumerate triples through one index."""
-        if order == "spo":
-            for s, po in self._spo.items():
-                for p, objs in po.items():
-                    for o in objs:
-                        yield Triple(s, p, o)
-        elif order == "pos":
-            for p, os_ in self._pos.items():
-                for o, subs in os_.items():
-                    for s in subs:
-                        yield Triple(s, p, o)
-        elif order == "osp":
-            for o, sp in self._osp.items():
-                for s, preds in sp.items():
-                    for p in preds:
-                        yield Triple(s, p, o)
-        else:
-            raise ValueError(f"unknown index order: {order!r}")
+        return set(self._spo).union(*self._pos.values())

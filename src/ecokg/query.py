@@ -624,6 +624,12 @@ def _label_index(store: TripleStore) -> dict[int, list[tuple[str, tuple, list[st
     return index
 
 
+def check_lookup_k(k: int) -> None:
+    """Reject a lookup result count below 1."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, float]]:
     """Top-k labeled entities by edit-distance score against ``name``.
 
@@ -636,8 +642,7 @@ def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, f
     character-count bound (Gravano et al. 2001, q = 1) is below the k-th
     best score so far; both bounds are at least the form's score.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    check_lookup_k(k)
     probe = _label_form(name)
     lp = len(probe)
     probe_count = Counter(probe).get

@@ -27,17 +27,15 @@ class GraphCounts:
 
 def count_graph(store: TripleStore) -> GraphCounts:
     """Count triples, relations, and entities with literals removed."""
-    triples = 0
-    relations = set()
+    triples = relations = 0
     entities = set()
-    for t in store:
-        if t.object.is_literal():
-            continue
-        triples += 1
-        relations.add(t.predicate)
-        entities.add(t.subject)
-        entities.add(t.object)
-    return GraphCounts(triples, len(relations), len(entities))
+    for p in store.predicates():
+        pairs = [(s, o) for s, o in store.predicate_pairs(p) if not o.is_literal()]
+        if pairs:
+            triples += len(pairs)
+            relations += 1
+            entities.update(*zip(*pairs))
+    return GraphCounts(triples, relations, len(entities))
 
 
 def _require_nonempty(counts: GraphCounts) -> None:

@@ -213,9 +213,13 @@ class TestUpdateInMemory:
         (tmp_path / "sameas_verbatim.nt").write_text(stray)
         assert run_cli(*cfg_args("update", "--out", str(tmp_path))) == 0
         assert stray not in (tmp_path / "kg.nt").read_text()
-        assert list(read_summary(tmp_path, "update")["counts"]["export"]) == sorted(
-            self.PARTS + ["mappings_sameas", "total_triples"]
-        )
+        # ecotox.nt is the largest part, so it is the merge base; the
+        # parts are disjoint, so every part counts its own size
+        assert read_summary(tmp_path, "update")["counts"]["export"] == {
+            "ncbi.nt": 93, "units.nt": 40, "ecotox.nt": 200, "traits.nt": 7,
+            "sameas_ncbi.nt": 1, "sameas_cas.nt": 1, "mappings_sameas": 11,
+            "total_triples": 353,
+        }
         # the standalone export still merges every part file it finds
         assert run_cli(*cfg_args("export", "--out", str(tmp_path))) == 0
         assert stray in (tmp_path / "kg.nt").read_text()
@@ -402,6 +406,24 @@ class TestBridgeExport:
         b = len((pipeline_dir / "traits.nt").read_text().splitlines())
         assert merged_total == a + b  # disjoint parts, no overlap
 
+    def test_export_merges_into_the_largest_part(self, tmp_path):
+        def line(i):
+            return f"<http://example.org/s{i}> <http://example.org/p> <http://example.org/o{i}> .\n"
+
+        graphs = {"small.nt": [0, 1, 2], "large.nt": [1, 2, 3, 4, 5], "tail.nt": [5, 6]}
+        for name, ids in graphs.items():
+            (tmp_path / name).write_text("".join(line(i) for i in ids))
+        out = tmp_path / "out"
+        code = run_cli(*cfg_args("export", "--graphs", *(str(tmp_path / n) for n in graphs),
+                                 "--out", str(out)))
+        assert code == 0
+        assert (out / "kg.nt").read_text() == "".join(sorted(line(i) for i in range(7)))
+        # the base counts its size before any other part goes in; every
+        # other part, in the given order, counts the triples it adds
+        assert read_summary(out, "export")["counts"] == {
+            "small.nt": 1, "large.nt": 5, "tail.nt": 1, "total_triples": 7,
+        }
+
     def test_export_nothing_found_is_input_error(self, tmp_path, capsys):
         code = run_cli(*cfg_args("export", "--out", str(tmp_path)))
         assert code == 2
@@ -470,13 +492,22 @@ class TestQueryCommands:
         assert scores == sorted(scores, reverse=True)
 
     @pytest.mark.parametrize("k", ["0", "-1"])
-    def test_lookup_k_below_one_is_two(self, pipeline_dir, capsys, k):
+    def test_lookup_k_below_one_is_two(self, pipeline_dir, capsys, monkeypatch, k):
+        parsed = []
+        real_parse = ntriples.parse
+
+        def counting_parse(text, prefixes=None):
+            parsed.append(len(text))
+            return real_parse(text, prefixes)
+
+        monkeypatch.setattr(ntriples, "parse", counting_parse)
         code = run_cli(
             *cfg_args("lookup", "--graph", str(pipeline_dir / "kg.nt"),
                       "--name", "daphnia magna", "-k", k)
         )
         assert code == 2
         assert error_line(capsys) == ("ValueError", f"k must be at least 1, got {k}")
+        assert parsed == []  # rejected before the graph is read
 
     def test_lineage_compacted(self, pipeline_dir, capsys):
         code = run_cli(

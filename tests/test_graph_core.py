@@ -19,6 +19,33 @@ from ecokg.graph import (
 )
 
 
+def shared_node_store() -> tuple[TripleStore, Triple]:
+    """Eight predicates from one subject to one object, with neighbours.
+
+    Returns the store and a probe triple between the shared pair, so the
+    object-only and subject-object patterns span several predicates.
+    """
+    hub, shared = iri("http://x.org/hub"), iri("http://x.org/shared")
+    store = TripleStore()
+    for i in range(8):
+        p = iri(f"http://x.org/p{i}")
+        store.add(Triple(hub, p, shared))
+        store.add(Triple(iri(f"http://x.org/s{i}"), p, shared))
+        store.add(Triple(hub, p, literal(str(i))))
+        store.add(Triple(shared, p, hub))
+    return store, Triple(hub, iri("http://x.org/p0"), shared)
+
+
+def probed_stores(rng: random.Random):
+    """The shared-node store, then random stores each with one of its triples."""
+    yield shared_node_store()
+    miss = iri("http://example.org/never/used")
+    for _ in range(40):
+        store = helpers.random_store(rng, 50)
+        triples = store.sorted_triples()
+        yield store, rng.choice(triples) if triples else Triple(miss, miss, miss)
+
+
 class TestTerm:
     def test_factories(self):
         assert iri("http://x.org/a").kind == "iri"
@@ -198,14 +225,8 @@ class TestStore:
         assert out == sorted(out, key=Triple.sort_key)
 
     def test_match_all_patterns_against_brute_force(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            store = helpers.random_store(rng, 50)
-            all_triples = store.sorted_triples()
-            if not all_triples:
-                continue
-            probe = rng.choice(all_triples)
-            miss = iri("http://example.org/never/used")
+        miss = iri("http://example.org/never/used")
+        for store, probe in probed_stores(random.Random(11)):
             for s in (None, probe.subject, miss):
                 for p in (None, probe.predicate, miss):
                     for o in (None, probe.object, miss):
@@ -214,12 +235,8 @@ class TestStore:
                         )
 
     def test_count_equals_match_length(self):
-        rng = random.Random(12)
         miss = iri("http://example.org/never/used")
-        for _ in range(40):
-            store = helpers.random_store(rng, 50)
-            triples = store.sorted_triples()
-            probe = rng.choice(triples) if triples else Triple(miss, miss, miss)
+        for store, probe in probed_stores(random.Random(12)):
             for s in (None, probe.subject, miss):
                 for p in (None, probe.predicate, miss):
                     for o in (None, probe.object, miss):
@@ -261,12 +278,16 @@ class TestStore:
         assert store.match(literal("o"), label) == []
 
     def test_index_coherence_after_random_adds(self):
+        # match(p=...) reads the predicate-first index and match(s=...)
+        # the subject-first one; each union must be the whole triple set
         rng = random.Random(13)
         for _ in range(20):
             store = helpers.random_store(rng, 60)
             expected = store.triples()
-            for order in ("spo", "pos", "osp"):
-                assert frozenset(store._scan(order)) == expected
+            by_predicate = {t for p in store.predicates() for t in store.match(p=p)}
+            subjects = {t.subject for t in expected}
+            by_subject = {t for s in subjects for t in store.match(s=s)}
+            assert by_predicate == by_subject == expected
 
     @given(st.lists(st.integers(0, 5), min_size=0, max_size=30))
     @settings(max_examples=60, deadline=None)
