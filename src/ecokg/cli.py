@@ -240,6 +240,7 @@ def cmd_ingest_ecotox(args, cfg: _Config, registry: units.UnitRegistry | None = 
         "effect_triples": ecotox.ingest_tests(tests, results, store, registry),
         "total_triples": len(store),
         "lineage_merges": ecotox.lineage_merges(store),
+        "invalid_cas_kept": sum(not rec.cas_valid for rec in chemicals),
     }
     ntriples.write_file(store, out_dir / "ecotox.nt")
     return {"out_dir": out_dir, "counts": counts, "outputs": ["ecotox.nt"], "store": store}

@@ -14,6 +14,7 @@ replaced by underscores. Divisions are declared pairwise disjoint.
 
 from dataclasses import dataclass
 
+from . import idmap
 from .graph import Term, Triple, TripleStore, iri, literal
 from .ns import NCBI, OWL_DISJOINTWITH, RDFS_LABEL, RDFS_SUBCLASSOF
 
@@ -129,7 +130,7 @@ def parse_divisions(text: str) -> list[DivisionRow]:
 
 
 def taxon_iri(taxon_id: int | str) -> Term:
-    return iri(f"{NCBI}taxon/{taxon_id}")
+    return iri(idmap.taxon_iri_text(taxon_id))
 
 
 def division_iri(division_id: int) -> Term:

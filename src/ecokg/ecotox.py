@@ -241,7 +241,7 @@ def group_iri(group: str) -> Term:
 
 
 def chemical_iri(cas: str) -> Term:
-    return iri(f"{ET}chemical/{cas.replace('-', '')}")
+    return iri(idmap.chemical_iri_text(cas))
 
 
 def test_iri(test_id: str) -> Term:

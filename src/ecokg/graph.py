@@ -1,6 +1,7 @@
 """Terms, triples, prefix handling, and the indexed in-memory triple store.
 
-Terms are immutable and hashable so they can key the store's indexes.
+Terms and triples are immutable named tuples, hashed and compared by
+the tuple's own C code, so they key the store's indexes cheaply.
 A store keeps two nested indexes (subject-first and predicate-first),
 the first of which doubles as the triple set, and answers wildcard
 pattern matches in deterministic lexicographic order. Patterns that bind
@@ -9,7 +10,7 @@ predicate-first index once per predicate; a graph has few predicates.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 IRI = "iri"
 LITERAL = "literal"
@@ -18,10 +19,12 @@ BLANK = "blank"
 _BLANK_LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
 _BAD_IRI_CHAR = re.compile(r"[\s<>]")
 _LANG_TAG = re.compile(r"[A-Za-z]+(-[A-Za-z0-9]+)*\Z")
+_new = tuple.__new__
 
 # Named escapes for literal serialization; remaining control characters
 # (below U+0020, plus U+007F) are written as \uXXXX.
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f]')
 
 
 class FrozenStoreError(RuntimeError):
@@ -32,54 +35,47 @@ class UnknownPrefixError(ValueError):
     """Raised when a curie uses a prefix that is not bound."""
 
 
+def _escape_char(m: re.Match) -> str:
+    ch = m.group()
+    return _ESCAPES.get(ch) or "\\u%04X" % ord(ch)
+
+
 def escape_literal(text: str) -> str:
-    out = []
-    for ch in text:
-        esc = _ESCAPES.get(ch)
-        if esc is not None:
-            out.append(esc)
-        elif ord(ch) < 0x20 or ord(ch) == 0x7F:
-            out.append("\\u%04X" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
+    if _NEEDS_ESCAPE.search(text) is None:
+        return text
+    return _NEEDS_ESCAPE.sub(_escape_char, text)
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(namedtuple("Term", "kind value datatype language", defaults=(None, None))):
     """One RDF-style term: an IRI, a literal, or a blank node.
 
     ``value`` holds the IRI text, the lexical form, or the blank label.
     Literals carry at most one of ``datatype`` (an IRI) and ``language``.
+    A term is the immutable tuple ``(kind, value, datatype, language)``,
+    so hashing and equality are the tuple's own.
     """
 
-    kind: str
-    value: str
-    datatype: str | None = None
-    language: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind == IRI:
-            if not self.value or _BAD_IRI_CHAR.search(self.value):
-                raise ValueError(f"invalid IRI: {self.value!r}")
-            if self.datatype is not None or self.language is not None:
-                raise ValueError("IRI terms carry no datatype or language")
-        elif self.kind == LITERAL:
-            if self.datatype is not None and self.language is not None:
-                raise ValueError("literal cannot have both datatype and language")
-            if self.datatype is not None and (
-                not self.datatype or _BAD_IRI_CHAR.search(self.datatype)
-            ):
-                raise ValueError(f"invalid datatype IRI: {self.datatype!r}")
-            if self.language is not None and not _LANG_TAG.fullmatch(self.language):
-                raise ValueError(f"invalid language tag: {self.language!r}")
-        elif self.kind == BLANK:
-            if not _BLANK_LABEL.fullmatch(self.value):
-                raise ValueError(f"invalid blank node label: {self.value!r}")
-            if self.datatype is not None or self.language is not None:
-                raise ValueError("blank nodes carry no datatype or language")
+    def __new__(cls, kind: str, value: str, datatype: str | None = None,
+                language: str | None = None) -> "Term":
+        if kind == LITERAL:
+            return literal(value, datatype, language)
+        if kind == IRI:
+            term = iri(value)
+        elif kind == BLANK:
+            term = blank(value)
         else:
-            raise ValueError(f"unknown term kind: {self.kind!r}")
+            raise ValueError(f"unknown term kind: {kind!r}")
+        if datatype is not None or language is not None:
+            what = "IRI terms" if kind == IRI else "blank nodes"
+            raise ValueError(f"{what} carry no datatype or language")
+        return term
+
+    @classmethod
+    def _make(cls, fields) -> "Term":
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
     def is_iri(self) -> bool:
         return self.kind == IRI
@@ -105,30 +101,43 @@ class Term:
 
 
 def iri(text: str) -> Term:
-    return Term(IRI, text)
+    if not text or _BAD_IRI_CHAR.search(text):
+        raise ValueError(f"invalid IRI: {text!r}")
+    return _new(Term, (IRI, text, None, None))
 
 
 def literal(lex: str, datatype: str | None = None, language: str | None = None) -> Term:
-    return Term(LITERAL, lex, datatype, language)
+    if datatype is not None:
+        if language is not None:
+            raise ValueError("literal cannot have both datatype and language")
+        if not datatype or _BAD_IRI_CHAR.search(datatype):
+            raise ValueError(f"invalid datatype IRI: {datatype!r}")
+    elif language is not None and not _LANG_TAG.fullmatch(language):
+        raise ValueError(f"invalid language tag: {language!r}")
+    return _new(Term, (LITERAL, lex, datatype, language))
 
 
 def blank(label: str) -> Term:
-    return Term(BLANK, label)
+    if not _BLANK_LABEL.fullmatch(label):
+        raise ValueError(f"invalid blank node label: {label!r}")
+    return _new(Term, (BLANK, label, None, None))
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(namedtuple("Triple", "subject predicate object")):
     """Subject/predicate/object with positional validity checks."""
 
-    subject: Term
-    predicate: Term
-    object: Term
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.subject.kind == LITERAL:
+    def __new__(cls, subject: Term, predicate: Term, object: Term) -> "Triple":
+        if subject.kind == LITERAL:
             raise ValueError("literal cannot be a subject")
-        if self.predicate.kind != IRI:
+        if predicate.kind != IRI:
             raise ValueError("predicate must be an IRI")
+        return _new(cls, (subject, predicate, object))
+
+    @classmethod
+    def _make(cls, fields) -> "Triple":
+        return cls(*fields)
 
     def ntriples(self) -> str:
         return f"{self.subject.ntriples()} {self.predicate.ntriples()} {self.object.ntriples()} ."
@@ -209,7 +218,8 @@ class TripleStore:
     makes one ``pos`` probe per predicate, and one with subject and
     object bound reads the predicates under ``spo[s]``. ``label_index``
     is left to readers that derive data from a frozen store; the store
-    itself never reads it.
+    itself never reads it. Every triple the store hands out is built from
+    terms checked when they were inserted, so it skips ``Triple``'s checks.
     """
 
     __slots__ = ("prefixes", "_spo", "_pos", "_len", "_frozen", "label_index")
@@ -240,7 +250,7 @@ class TripleStore:
         for s, po in self._spo.items():
             for p, objs in po.items():
                 for o in objs:
-                    yield Triple(s, p, o)
+                    yield _new(Triple, (s, p, o))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleStore):
@@ -290,28 +300,32 @@ class TripleStore:
         """
         out: list[Triple]
         if s is not None and p is not None and o is not None:
-            out = [Triple(s, p, o)] if o in self._spo.get(s, {}).get(p, ()) else []
+            out = [_new(Triple, (s, p, o))] if o in self._spo.get(s, {}).get(p, ()) else []
         elif s is not None and p is not None:
-            out = [Triple(s, p, obj) for obj in self._spo.get(s, {}).get(p, ())]
+            out = [_new(Triple, (s, p, obj)) for obj in self._spo.get(s, {}).get(p, ())]
         elif p is not None and o is not None:
-            out = [Triple(sub, p, o) for sub in self._pos.get(p, {}).get(o, ())]
+            out = [_new(Triple, (sub, p, o)) for sub in self._pos.get(p, {}).get(o, ())]
         elif s is not None and o is not None:
-            out = [Triple(s, pred, o) for pred, objs in self._spo.get(s, {}).items() if o in objs]
+            out = [
+                _new(Triple, (s, pred, o))
+                for pred, objs in self._spo.get(s, {}).items()
+                if o in objs
+            ]
         elif s is not None:
             out = [
-                Triple(s, pred, obj)
+                _new(Triple, (s, pred, obj))
                 for pred, objs in self._spo.get(s, {}).items()
                 for obj in objs
             ]
         elif p is not None:
             out = [
-                Triple(sub, p, obj)
+                _new(Triple, (sub, p, obj))
                 for obj, subs in self._pos.get(p, {}).items()
                 for sub in subs
             ]
         elif o is not None:
             out = [
-                Triple(sub, pred, o)
+                _new(Triple, (sub, pred, o))
                 for pred, os_ in self._pos.items()
                 for sub in os_.get(o, ())
             ]

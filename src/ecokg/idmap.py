@@ -34,18 +34,28 @@ def validate_cas(cas: str) -> bool:
     return total % 10 == check
 
 
+def chemical_iri_text(cas: str) -> str:
+    """Chemical IRI text from a CAS number, hyphens dropped; not validated."""
+    return f"{ET}chemical/{cas.replace('-', '')}"
+
+
 def cas_to_iri(cas: str) -> str:
-    """Chemical IRI from a hyphenated CAS number (hyphens dropped)."""
+    """Chemical IRI from a valid hyphenated CAS number (hyphens dropped)."""
     if not validate_cas(cas):
         raise InvalidCasError(f"invalid CAS number: {cas!r}")
-    return f"{ET}chemical/{cas.strip().replace('-', '')}"
+    return chemical_iri_text(cas.strip())
+
+
+def taxon_iri_text(taxon_id: int | str) -> str:
+    """NCBI taxon IRI text from a taxon id; not validated."""
+    return f"{NCBI}taxon/{taxon_id}"
 
 
 def ncbi_id_to_iri(taxon_id: str) -> str:
     text = str(taxon_id).strip()
     if not _NCBI_ID.fullmatch(text):
         raise InvalidNcbiIdError(f"invalid NCBI taxon id: {taxon_id!r}")
-    return f"{NCBI}taxon/{text}"
+    return taxon_iri_text(text)
 
 
 def ncbi_iri_to_id(iri_text: str) -> str:

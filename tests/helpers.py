@@ -94,6 +94,20 @@ def reference_normalize_label(label: str, stop_words=DEFAULT_STOP_WORDS) -> list
     return [tok for tok in "".join(cleaned).split() if tok not in stop_words]
 
 
+def reference_escape_literal(text: str) -> str:
+    """N-Triples literal escaping by a character loop over the whole text."""
+    named = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    out = []
+    for ch in text:
+        if ch in named:
+            out.append(named[ch])
+        elif ord(ch) < 0x20 or ord(ch) == 0x7F:
+            out.append("\\u%04X" % ord(ch))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 def reference_lookup(store: TripleStore, name: str) -> list[tuple[str, float]]:
     """Every labeled subject ranked against ``name`` by scoring every label.
 

@@ -261,19 +261,21 @@ class TestUpdateRegressions:
         path.write_text(json.dumps(config))
         return path
 
-    def with_species_rows(self, tmp_path, rows: str) -> Path:
-        species = tmp_path / "species.txt"
-        species.write_text((FIXTURES / "ecotox" / "species.txt").read_text() + rows)
+    def with_rows(self, tmp_path, table: str, rows: str) -> Path:
+        """A config whose ECOTOX ``table`` (species, chemicals) has ``rows`` appended."""
+        path = tmp_path / f"{table}.txt"
+        path.write_text((FIXTURES / "ecotox" / f"{table}.txt").read_text() + rows)
         config_path = self.copy_config(tmp_path)
         config = json.loads(config_path.read_text())
-        config["species"] = str(species)
+        config[table] = str(path)
         config_path.write_text(json.dumps(config))
         return config_path
 
     def test_update_summary_counts_lineage_merges(self, tmp_path, pipeline_dir):
         assert read_summary(pipeline_dir, "update")["counts"]["ingest-ecotox"]["lineage_merges"] == 0
-        config_path = self.with_species_rows(
+        config_path = self.with_rows(
             tmp_path,
+            "species",
             "4243|Hydra|Hydra vulgaris|Animalia|Cnidaria|Hydrozoa|Anthoathecata|Hydridae|Hydra|vulgaris|Invertebrates\n"
             "4244|Beet|Beta vulgaris|Plantae|Tracheophyta|Magnoliopsida|Caryophyllales|Amaranthaceae|Beta|vulgaris|Plants\n",
         )
@@ -283,11 +285,25 @@ class TestUpdateRegressions:
         assert counts["lineage_merges"] == 1
         assert counts["species_rows"] == 9
 
+    def test_update_summary_counts_invalid_cas_kept(self, tmp_path, pipeline_dir, caplog):
+        built = read_summary(pipeline_dir, "update")["counts"]["ingest-ecotox"]
+        assert built["invalid_cas_kept"] == 0
+        config_path = self.with_rows(tmp_path, "chemicals", "877-43-1|Bad checksum|Organics\n")
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="ecokg.ecotox"):
+            assert run_cli("--config", str(config_path), "update", "--out", str(out)) == 0
+        counts = read_summary(out, "update")["counts"]["ingest-ecotox"]
+        assert counts["invalid_cas_kept"] == 1
+        assert counts["chemical_rows"] == 4
+        kept = [r for r in caplog.records if r.getMessage().startswith("invalid CAS number kept")]
+        assert len(kept) == counts["invalid_cas_kept"]
+
     def test_tautonym_species_builds(self, tmp_path):
         # Genus Bufo and species bufo share the node et:taxon/bufo; a
         # subClassOf self-loop there used to fail the cycle scan (exit 3).
-        config_path = self.with_species_rows(
+        config_path = self.with_rows(
             tmp_path,
+            "species",
             "4242|Common Toad|Bufo bufo|Animalia|Chordata|Amphibia|Anura|Bufonidae|Bufo|bufo|Amphibians\n",
         )
         out = tmp_path / "out"

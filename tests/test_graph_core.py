@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -5,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from ecokg import ntriples
 from ecokg.graph import (
+    BLANK,
+    IRI,
+    LITERAL,
     FrozenStoreError,
     PrefixMap,
     Term,
@@ -89,6 +95,91 @@ class TestTerm:
         assert iri("http://x.org/a") == iri("http://x.org/a")
         assert len({literal("a"), literal("a"), literal("a", language="en")}) == 2
 
+    def test_factories_reject_exactly_what_the_constructor_rejects(self):
+        pieces = [
+            "", "a", "b_1", "en", "de-AT", "1en", "en-", "en us", "a b", "a:b", "a-b",
+            "x\ny", "<", ">", "\t", "é", "http://x.org/a", "http://x.org/<a>",
+        ]
+        rng = random.Random(5)
+        values = pieces + ["".join(rng.choices(pieces, k=rng.randrange(1, 4))) for _ in range(300)]
+        optional = [None, *pieces]
+
+        def outcome(make, *args):
+            try:
+                return make(*args)
+            except ValueError:
+                return ValueError
+
+        for value in values:
+            for kind, factory in ((IRI, iri), (BLANK, blank)):
+                made = outcome(factory, value)
+                assert outcome(Term, kind, value) == made
+                assert made is ValueError or type(made) is Term
+            for _ in range(4):
+                datatype, language = rng.choice(optional), rng.choice(optional)
+                made = outcome(literal, value, datatype, language)
+                assert outcome(Term, LITERAL, value, datatype, language) == made
+                assert made is ValueError or type(made) is Term
+
+    def test_fields_cannot_be_assigned(self):
+        term = literal("x", language="en")
+        triple = Triple(iri("http://x.org/s"), iri("http://x.org/p"), term)
+        for obj, field in (
+            (term, "value"), (term, "language"), (triple, "object"), (term, "extra"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, "y")
+
+    def test_replace_and_make_check_fields(self):
+        term = iri("http://x.org/a")
+        assert term._replace(value="http://x.org/b") == iri("http://x.org/b")
+        triple = Triple(term, term, literal("o"))
+        for bad in (
+            lambda: term._replace(value="a b"),
+            lambda: term._replace(language="en"),
+            lambda: Term._make(["literal", "x", "http://x.org/dt", "en"]),
+            lambda: triple._replace(subject=literal("s")),
+            lambda: Triple._make([term, blank("b"), term]),
+        ):
+            with pytest.raises(ValueError):
+                bad()
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        s, p = iri("http://x.org/s"), iri("http://x.org/p")
+        for obj in (
+            literal('a "b"', language="de-AT"),
+            literal("1", "http://www.w3.org/2001/XMLSchema#decimal"),
+            blank("b1"),
+            Triple(s, p, literal("o")),
+        ):
+            protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+            copies = [copy.deepcopy(obj)] + [pickle.loads(pickle.dumps(obj, n)) for n in protocols]
+            for twin in copies:
+                assert twin == obj and hash(twin) == hash(obj) and type(twin) is type(obj)
+
+    def test_parsed_terms_equal_and_hash_like_built_ones(self):
+        s, p = iri("http://x.org/s"), iri("http://x.org/p")
+        built = [
+            Triple(s, p, literal("o")),
+            Triple(blank("b1"), p, literal("hei", language="no")),
+            Triple(s, p, literal("1", "http://www.w3.org/2001/XMLSchema#decimal")),
+            Triple(s, p, iri("http://x.org/o")),
+        ]
+        for t in built:
+            line = t.ntriples()
+            # the canonical-line regex, then the scanner on the same line padded
+            fast = next(iter(ntriples.parse(line)))
+            for parsed in (fast, ntriples.parse_triple_line(f" {line} ", 1)):
+                assert parsed == t and hash(parsed) == hash(t)
+                for mine, theirs in zip(parsed, t):
+                    assert mine == theirs and hash(mine) == hash(theirs)
+
+    def test_hash_and_equality_are_the_tuples_own(self):
+        for cls in (Term, Triple):
+            assert cls.__hash__ is tuple.__hash__
+            assert cls.__eq__ is tuple.__eq__
+        assert iri("http://x.org/a") == ("iri", "http://x.org/a", None, None)
+
     def test_ntriples_forms(self):
         assert iri("http://x.org/a").ntriples() == "<http://x.org/a>"
         assert blank("b1").ntriples() == "_:b1"
@@ -113,6 +204,14 @@ class TestEscaping:
 
     def test_printable_unicode_untouched(self):
         assert escape_literal("smørgås ☃") == "smørgås ☃"
+
+    def test_matches_the_character_loop(self):
+        rng = random.Random(3)
+        texts = [helpers.random_literal(rng).value for _ in range(500)]
+        texts += [chr(cp) for cp in range(0x100)]
+        texts.append("".join(chr(cp) for cp in range(0x100)))
+        for text in texts:
+            assert escape_literal(text) == helpers.reference_escape_literal(text)
 
 
 class TestTriple:
