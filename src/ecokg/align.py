@@ -10,7 +10,9 @@ target at or above the threshold.
 
 The distance is the exact bit-parallel Levenshtein algorithm (Myers
 1999, in Hyyrö's 2001 form), one pass over the longer string with the
-shorter one's columns packed into an int. A form pair is not scored
+shorter one's columns packed into an int. ``lane_deltas`` is that pass
+over any number of patterns packed side by side in one int, and
+``levenshtein`` is its one-pattern call. A form pair is not scored
 when its length bound ``1 - |len difference|/max(len)``, which no score
 can exceed, is already below what it would have to reach; scores,
 tie-breaks and the kept mappings are those of scoring every pair.
@@ -20,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping as MappingType, Sequence
 
-from .graph import Triple, TripleStore, iri
+from .graph import Triple, TripleStore, iri, read_tsv_rows
 from .ns import OWL_SAMEAS, RDFS_LABEL
 
 DEFAULT_STOP_WORDS = frozenset(
@@ -46,13 +48,35 @@ def normalize_label(label: str, stop_words: frozenset[str] = DEFAULT_STOP_WORDS)
     return [tok for tok in _WORD.findall(label.lower()) if tok not in stop_words]
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit costs, bit-parallel over the shorter string.
+def lane_deltas(peq: dict[str, int], mask: int, bottoms: int, text: str) -> tuple[int, int]:
+    """Myers' step over every lane at once; the last DP column's deltas.
 
-    Bit i of the vertical delta vectors ``pv``/``mv`` says the DP column
-    for the current character of the longer string steps +1/-1 at row
-    i + 1; ``score`` follows the last row.
+    Each lane packs one pattern in the low bits of a field: ``mask`` sets
+    those bits, ``bottoms`` bit 0 of every non-empty field, and ``peq``
+    maps a character to the positions where it occurs. Bit i of the
+    returned ``pv``/``mv`` says the column for all of ``text`` steps
+    +1/-1 at row i + 1, so a lane's distance is ``len(text)`` plus its
+    ``pv`` bits minus its ``mv`` bits. The masked shifts keep every bit
+    in its lane, and a zero bit above each field absorbs the add's carry.
     """
+    inner = mask ^ bottoms
+    get = peq.get
+    pv, mv = mask, 0
+    for ch in text:
+        eq = get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        ph = ((ph << 1) & mask) | bottoms
+        mh = (mh << 1) & inner
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return pv, mv
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance with unit costs: ``lane_deltas`` with one lane, ``b``."""
     if a == b:
         return 0
     if len(a) < len(b):
@@ -64,24 +88,8 @@ def levenshtein(a: str, b: str) -> int:
     for ch in b:
         peq[ch] = peq.get(ch, 0) | bit
         bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
-    pv, mv, score = mask, 0, len(b)
-    for ch in a:
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        ph = (ph << 1) | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
-        mv = ph & xv
-    return score
+    pv, mv = lane_deltas(peq, bit - 1, 1, a)
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
 def similarity(a: str, b: str) -> float:
@@ -269,10 +277,7 @@ def write_mappings(mappings: MappingSet) -> str:
 def read_mappings(text: str) -> MappingSet:
     out = MappingSet()
     methods: set[str] = set()
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
+    for line_no, parts in read_tsv_rows(text):
         if len(parts) != 4:
             raise ValueError(f"mappings line {line_no}: expected 4 columns, got {len(parts)}")
         out.add(Mapping(parts[0].strip(), parts[1].strip(), float(parts[2]), parts[3].strip()))

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import align as align_mod
 from . import checks, dmp, ecotox, idmap, ntriples, stats, traits, units
 from . import query as query_mod
-from .graph import FrozenStoreError, PrefixMap, TripleStore, UnknownPrefixError, iri
+from .graph import FrozenStoreError, PrefixMap, TripleStore, UnknownPrefixError, iri, is_content_line
 from .ns import ET, NCBI, RDF_TYPE, default_prefix_map
 
 log = logging.getLogger(__name__)
@@ -120,12 +120,8 @@ def _load_stop_words(cfg: _Config, override: str | None) -> frozenset[str]:
     path = cfg.path("stopwords", override)
     if path is None:
         return align_mod.DEFAULT_STOP_WORDS
-    words = {
-        line.strip().lower()
-        for line in _read_text(path).splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    }
-    return frozenset(words)
+    lines = _read_text(path).splitlines()
+    return frozenset(line.strip().lower() for line in lines if is_content_line(line))
 
 
 def _out_dir(cfg: _Config, override: str | None) -> Path:

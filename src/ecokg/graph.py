@@ -11,6 +11,7 @@ predicate-first index once per predicate; a graph has few predicates.
 
 import re
 from collections import namedtuple
+from typing import Iterator
 
 IRI = "iri"
 LITERAL = "literal"
@@ -146,6 +147,18 @@ class Triple(namedtuple("Triple", "subject predicate object")):
         return (self.subject.ntriples(), self.predicate.ntriples(), self.object.ntriples())
 
 
+def is_content_line(line: str) -> bool:
+    """Whether a line of a table, query or N-Triples file is neither blank nor a ``#`` comment."""
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
+def read_tsv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Line number (from 1) and tab-separated fields of each content line."""
+    for line_no, line in enumerate(text.splitlines(), 1):
+        if is_content_line(line):
+            yield line_no, line.split("\t")
+
+
 class PrefixMap:
     """Bidirectional curie <-> IRI mapping with longest-namespace compaction."""
 
@@ -198,10 +211,7 @@ class PrefixMap:
     def from_tsv(cls, text: str) -> "PrefixMap":
         """Load bindings from two-column (prefix, namespace) TSV text."""
         pm = cls()
-        for line_no, line in enumerate(text.splitlines(), 1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.rstrip("\n").split("\t")
+        for line_no, parts in read_tsv_rows(text):
             if len(parts) < 2:
                 raise ValueError(f"prefix table line {line_no}: expected 2 columns")
             pm.bind(parts[0].strip(), parts[1].strip())

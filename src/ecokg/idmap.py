@@ -3,7 +3,7 @@
 import re
 from dataclasses import dataclass
 
-from .graph import Triple, TripleStore, iri
+from .graph import Triple, TripleStore, iri, read_tsv_rows
 from .ns import ET, NCBI, OWL_SAMEAS
 
 _CAS = re.compile(r"(\d{2,7})-(\d{2})-(\d)\Z")
@@ -77,10 +77,7 @@ class IdPair:
 def parse_pairs(text: str) -> list[IdPair]:
     """Read (external-id, external-iri) rows from TSV text."""
     pairs = []
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
+    for line_no, parts in read_tsv_rows(text):
         if len(parts) < 2:
             raise ValueError(f"pair table line {line_no}: expected 2 columns")
         pairs.append(IdPair(parts[0].strip(), parts[1].strip()))

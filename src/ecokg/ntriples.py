@@ -13,7 +13,7 @@ import os
 import re
 from pathlib import Path
 
-from .graph import PrefixMap, Term, Triple, TripleStore, blank, iri, literal
+from .graph import PrefixMap, Term, Triple, TripleStore, blank, iri, is_content_line, literal
 
 _UNESCAPES = {
     't': '\t', 'b': '\b', 'n': '\n', 'r': '\r', 'f': '\f',
@@ -204,7 +204,7 @@ def parse(text: str, prefixes: PrefixMap | None = None) -> TripleStore:
             line = line[:-1]
         m = fast(line)
         if m is None:
-            if line.strip() and not line.lstrip().startswith("#"):
+            if is_content_line(line):
                 add(parse_triple_line(line, line_no))
             continue
         s_tok, p_tok, o_tok, lex, language, datatype = m.groups()

@@ -15,11 +15,12 @@ triples from a template. Literals use N-Triples syntax with
 """
 
 import heapq
-from collections import Counter
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import compress
 
-from .align import normalize_label, similarity
-from .graph import PrefixMap, Term, Triple, TripleStore, iri, literal
+from .align import lane_deltas, normalize_label
+from .graph import PrefixMap, Term, Triple, TripleStore, iri, is_content_line, literal
 from .ns import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
 from .ntriples import NTriplesParseError, _LineScanner
 
@@ -300,10 +301,10 @@ def eval_path(
 # ---------------------------------------------------------------------------
 # Triple patterns and joins
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
-    blank: bool = False
+class Var(namedtuple("Var", "name blank", defaults=(False,))):
+    """A pattern variable; a blank one joins but cannot be projected."""
+
+    __slots__ = ()
 
 
 Pattern = tuple[Term | Var, Term | Var, Term | Var]
@@ -546,11 +547,7 @@ def _parse_pattern_line(
 
 def parse_query(text: str, prefixes: PrefixMap) -> Query:
     """Parse the textual mini-query format into a Query."""
-    lines = [
-        (no, ln.strip())
-        for no, ln in enumerate(text.splitlines(), 1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if is_content_line(ln)]
     if not lines:
         raise QuerySyntaxError("empty query")
     fresh = [0]
@@ -603,11 +600,69 @@ def _label_form(label: str) -> str:
     return " ".join(normalize_label(label)) or label.lower()
 
 
-def _label_index(store: TripleStore) -> dict[int, list[tuple[str, tuple, list[str]]]]:
-    """Distinct label forms grouped by length: (form, char counts, subject keys).
+# bit count of every byte value
+_POPCOUNT = bytes(bin(byte).count("1") for byte in range(256))
+# per bit j, the binary digit ("0" or "1") of that bit of every byte value
+_BINARY_DIGIT = [bytes(48 + (byte >> j & 1) for byte in range(256)) for j in range(8)]
 
-    Built once per frozen store and kept on it; an unfrozen store can
-    change, so it gets a fresh index on every call.
+
+def _stride(length: int) -> int:
+    """Lane width: the smallest power of two above the length, at least 8."""
+    return max(8, 1 << length.bit_length())
+
+
+def _pack(length: int, forms: list[str]) -> tuple[int, int, dict[str, int]]:
+    """``lane_deltas``'s mask, bottoms and per-character bits for the forms."""
+    stride = _stride(length)
+    mask = int(("0" * (stride - length) + "1" * length) * len(forms), 2)
+    bottoms = int(("0" * (stride - 1) + "1") * len(forms), 2) if length else 0
+    # Bit p of plane j is bit j of the code point at position p of the
+    # padded text, read as binary digits from the last position down. A
+    # character's positions are those where every plane agrees with it.
+    pad = "\0" * (stride - length)
+    points = (pad.join(forms) + pad)[::-1].encode("utf-32-le")
+    alphabet = set("".join(forms))
+    planes = [
+        int(points[j // 8::4].translate(_BINARY_DIGIT[j % 8]), 2)
+        for j in range(max(map(ord, alphabet), default=0).bit_length())
+    ]
+    peq = {}
+    for ch in alphabet:
+        bits = mask
+        for j, plane in enumerate(planes):
+            bits &= plane if ord(ch) >> j & 1 else ~plane
+        peq[ch] = bits
+    return mask, bottoms, peq
+
+
+def _lane_counts(pv: int, nv: int, stride: int, lanes: int) -> bytes | list[int]:
+    """Per lane, the popcount of ``pv`` plus that of ``nv``.
+
+    A table turns every byte into its popcount. One multiply then sums
+    each run of up to 8 bytes into the run's top byte; a run's counts
+    total at most 128, so no byte carries. Lanes wider than a run add
+    their runs' sums.
+    """
+    size = lanes * stride // 8
+    n = (int.from_bytes(pv.to_bytes(size, "little").translate(_POPCOUNT), "little")
+         + int.from_bytes(nv.to_bytes(size, "little").translate(_POPCOUNT), "little"))
+    run = min(stride // 8, 8)
+    summed = n * int.from_bytes(b"\1" * run, "little")
+    counts = summed.to_bytes(size + run, "little")[run - 1:size:run]
+    per = stride // 64
+    if per <= 1:
+        return counts
+    return [sum(counts[i:i + per]) for i in range(0, len(counts), per)]
+
+
+def _label_index(store: TripleStore) -> dict[int, tuple[int, int, dict[str, int], list[list[str]]]]:
+    """Distinct label forms by length, packed for ``lane_deltas``.
+
+    Per length: the mask, bottoms and per-character bits of the group's
+    sorted forms, one form per ``_stride(length)``-bit lane, and each
+    lane's sorted subject keys. Built once per frozen store and kept on
+    it; an unfrozen store can change, so it gets a fresh index on every
+    call.
     """
     if store.label_index is not None:
         return store.label_index
@@ -616,9 +671,12 @@ def _label_index(store: TripleStore) -> dict[int, list[tuple[str, tuple, list[st
         if o.is_literal():
             key = s.ntriples() if s.is_blank() else s.value
             keys_by_form.setdefault(_label_form(o.value), set()).add(key)
-    index = {}
+    groups: dict[int, tuple[list[str], list[list[str]]]] = {}
     for form, keys in sorted(keys_by_form.items()):
-        index.setdefault(len(form), []).append((form, tuple(Counter(form).items()), sorted(keys)))
+        forms, lane_keys = groups.setdefault(len(form), ([], []))
+        forms.append(form)
+        lane_keys.append(sorted(keys))
+    index = {length: (*_pack(length, forms), keys) for length, (forms, keys) in groups.items()}
     if store.frozen:
         store.label_index = index
     return index
@@ -637,15 +695,16 @@ def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, f
     break toward the lexicographically smaller IRI. Ingest mirrors all
     source names under rdfs:label, so the labels cover them all.
 
-    The result is exact. Forms are visited by length, best length bound
-    first, and a form is scored only if neither its length bound nor its
-    character-count bound (Gravano et al. 2001, q = 1) is below the k-th
-    best score so far; both bounds are at least the form's score.
+    The result is exact. Forms of one length share a lane-packed run of
+    Myers' algorithm (Hyyrö, Fredriksson and Navarro 2005), one pass
+    over the probe per length. Lengths are visited best length bound
+    first, stopping once that bound is below the k-th best score so far;
+    within a length, a form is scored only if its distance leaves it a
+    chance to reach that score.
     """
     check_lookup_k(k)
     probe = _label_form(name)
     lp = len(probe)
-    probe_count = Counter(probe).get
 
     def length_bound(length: int) -> float:
         return 1.0 - abs(length - lp) / (max(length, lp) or 1)
@@ -656,19 +715,24 @@ def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, f
     for length in sorted(index, key=length_bound, reverse=True):
         if length_bound(length) < kth:
             break
+        mask, bottoms, peq, keys = index[length]
         longest = max(length, lp) or 1
-        for form, counts, keys in index[length]:
-            # the form's characters the probe lacks, and the probe's the form
-            # lacks, each need an edit of their own
-            extra = sum([n - probe_count(ch, 0) for ch, n in counts if n > probe_count(ch, 0)])
-            if 1.0 - max(extra, lp - length + extra) / longest < kth:
-                continue
-            score = similarity(probe, form)
-            for key in keys:
+        # a form further than this scores more than 1/longest below kth
+        limit = int((1.0 - kth) * longest) + 1 if kth > 0.0 else longest
+        pv, mv = lane_deltas(peq, mask, bottoms, probe)
+        # distance = lp + popcount(pv) - popcount(mv), where popcount(mv)
+        # = length - popcount(mv ^ mask); "most" is the count at limit
+        counts = _lane_counts(pv, mv ^ mask, _stride(length), len(keys))
+        most = limit + length - lp
+        for lane_keys, count in compress(zip(keys, counts), map(most.__ge__, counts)):
+            score = 1.0 - (count + lp - length) / longest
+            for key in lane_keys:
                 if score > best.get(key, -1.0):
                     best[key] = score
-            if score > kth and len(best) >= k:
-                kth = heapq.nlargest(k, best.values())[-1]
+        if len(best) >= k:
+            kth = heapq.nlargest(k, best.values())[-1]
+            # kth only rises, so a subject below it now can never rank
+            best = {key: score for key, score in best.items() if score >= kth}
     ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 

@@ -9,7 +9,7 @@ rows flow through the same path. Each row becomes exactly one triple.
 import re
 from dataclasses import dataclass
 
-from .graph import PrefixMap, Term, Triple, TripleStore, iri, literal
+from .graph import PrefixMap, Term, Triple, TripleStore, iri, literal, read_tsv_rows
 
 _KINDS = ("iri", "literal", "glossary")
 _LITERAL_SYNTAX = re.compile(r'"(.*)"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^(\S+))?\Z', re.S)
@@ -38,10 +38,7 @@ class TraitRow:
 def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:
     """Read (term, iri) rows; the iri column may be a curie."""
     glossary: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
+    for line_no, parts in read_tsv_rows(text):
         if len(parts) < 2:
             raise ValueError(f"glossary line {line_no}: expected 2 columns")
         glossary[parts[0].strip()] = prefixes.resolve(parts[1].strip())
@@ -50,10 +47,7 @@ def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:
 
 def parse_traits(text: str, prefixes: PrefixMap) -> list[TraitRow]:
     rows = []
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
+    for line_no, parts in read_tsv_rows(text):
         if len(parts) != 4:
             raise ValueError(f"trait table line {line_no}: expected 4 columns, got {len(parts)}")
         rows.append(

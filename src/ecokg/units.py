@@ -15,7 +15,7 @@ they are deliberately unreachable from mass-per-volume units.
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .graph import PrefixMap, Term, Triple, TripleStore, iri, literal
+from .graph import PrefixMap, Term, Triple, TripleStore, iri, literal, read_tsv_rows
 from .ns import QUDT, RDF_TYPE, RDFS_LABEL, XSD_DECIMAL, XSD_STRING
 
 
@@ -134,10 +134,7 @@ def parse_units(text: str, prefixes: PrefixMap | None = None) -> list[UnitDef]:
     symbol. The id may be a curie when a prefix map is supplied.
     """
     units = []
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
+    for line_no, parts in read_tsv_rows(text):
         if len(parts) != 7:
             raise ValueError(f"units table line {line_no}: expected 7 columns, got {len(parts)}")
         unit_id = parts[0].strip()

@@ -90,6 +90,22 @@ class TestLevenshtein:
             a = core[: rng.randrange(len(core))] + "ж" + core[rng.randrange(len(core)):]
             assert levenshtein(core, a) == helpers.dp_levenshtein(core, a)
 
+    def test_lane_edges_and_non_ascii_against_oracle(self):
+        # Both strings at or around the 64- and 128-bit word edges, over a
+        # two-letter and a non-ASCII alphabet (code points past U+FFFF too).
+        rng = random.Random(53)
+        lengths = (63, 64, 65, 127, 128, 129, 200)
+        for alphabet in ("ab", "aéжλ☃\U0001d538"):
+            for _ in range(12):
+                a = "".join(rng.choice(alphabet) for _ in range(rng.choice(lengths)))
+                b = list(a if rng.random() < 0.5 else
+                         "".join(rng.choice(alphabet) for _ in range(rng.choice(lengths))))
+                for _ in range(rng.randrange(6)):
+                    b[rng.randrange(len(b))] = rng.choice(alphabet)
+                b = "".join(b)
+                assert levenshtein(a, b) == helpers.dp_levenshtein(a, b), (a, b)
+                assert levenshtein(b, a) == helpers.dp_levenshtein(a, b), (a, b)
+
     def test_metric_properties(self):
         rng = random.Random(31)
         pool = string.ascii_lowercase[:6]

@@ -21,7 +21,9 @@ from ecokg.graph import (
     blank,
     escape_literal,
     iri,
+    is_content_line,
     literal,
+    read_tsv_rows,
 )
 
 
@@ -265,6 +267,23 @@ class TestPrefixMap:
         assert pm.namespaces() == {"ex": "http://x.org/"}
         with pytest.raises(ValueError):
             PrefixMap.from_tsv("only-one-column\n")
+
+
+class TestTsvRows:
+    def test_blank_and_comment_lines_skipped_numbers_kept(self):
+        text = "# head\n\n a\tb \n \t\n  # indented comment\nc\r\nd\te\tf"
+        assert list(read_tsv_rows(text)) == [(3, [" a", "b "]), (6, ["c"]), (7, ["d", "e", "f"])]
+        assert list(read_tsv_rows("")) == []
+
+    def test_lines_split_as_splitlines(self):
+        # str.splitlines also breaks at U+2028 and form feeds
+        assert list(read_tsv_rows("a\u2028#b\x0cc")) == [(1, ["a"]), (3, ["c"])]
+
+    def test_content_line(self):
+        for line in ("a", " a # not a comment", "\ta", "a#"):
+            assert is_content_line(line)
+        for line in ("", " ", "\t\u2028", "#", "  #a", "\t# x"):
+            assert not is_content_line(line)
 
 
 class TestStore:

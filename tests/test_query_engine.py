@@ -295,6 +295,16 @@ class TestSolveSelect:
         assert len(solve(store, hit)) == 1
         assert solve(store, miss) == []
 
+    def test_var_is_a_tuple_record(self):
+        assert Var.__hash__ is tuple.__hash__
+        assert Var.__eq__ is tuple.__eq__
+        assert Var("x") == Var("x", False) == Var(name="x", blank=False)
+        assert Var("x") != Var("x", blank=True)
+        assert {Var("x"): 1}[Var("x")] == 1
+        assert repr(Var("x", blank=True)) == "Var(name='x', blank=True)"
+        with pytest.raises(AttributeError):
+            Var("x").name = "y"
+
     def test_three_pattern_join_matches_brute_force(self):
         rng = random.Random(2024)
         x, y, z = Var("x"), Var("y"), Var("z")
@@ -666,7 +676,8 @@ class TestFuzzyLookup:
         assert fuzzy_lookup(store, "abcd", k=1) == [("http://example.org/a", 0.75)]
 
     def test_kth_tie_within_a_length_group(self):
-        # "abcy"'s character-count bound equals the 0.75 "abcx" set first
+        # "abcx" and "abcy" share a lane group and both score exactly the
+        # k-th score; the tie goes to the smaller key
         store = self.labeled(("z", "abcx"), ("a", "abcy"))
         assert fuzzy_lookup(store, "abcd", k=1) == [("http://example.org/a", 0.75)]
 
@@ -698,14 +709,89 @@ class TestFuzzyLookup:
                 else:
                     obj = literal(label(rng))
                 store.add(Triple(subject, ns.RDFS_LABEL, obj))
-            probes = [label(rng) for _ in range(3)]
-            for frozen in (False, True):
-                if frozen:
-                    store.freeze()
-                for probe in probes:
-                    expect = helpers.reference_lookup(store, probe)
-                    for k in (1, 2, 5, 50):
-                        assert fuzzy_lookup(store, probe, k) == expect[:k], (trial, probe, k)
+            self.assert_matches_reference(store, [label(rng) for _ in range(3)])
+
+    @staticmethod
+    def assert_matches_reference(store, probes):
+        """Unfrozen, then frozen: every k agrees with scoring every label."""
+        expected = [(probe, helpers.reference_lookup(store, probe)) for probe in probes]
+        for frozen in (False, True):
+            if frozen:
+                store.freeze()
+            for probe, expect in expected:
+                for k in (1, 2, 5, 50):
+                    assert fuzzy_lookup(store, probe, k) == expect[:k], (probe, k)
+
+    def test_form_lengths_at_every_lane_width_edge(self):
+        # Lanes are 8, 16, ..., 256 bits wide: lengths on both sides of
+        # each edge, runs of one letter (the longest carries) and near
+        # copies of the stored labels as probes.
+        rng = random.Random(89)
+        lengths = (0, 1, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 200)
+
+        def word(n):
+            if rng.random() < 0.3:
+                return rng.choice("abé") * n
+            return "".join(rng.choice("abcé") for _ in range(n))
+
+        for _ in range(6):
+            labels = [word(n) for n in lengths for _ in range(2)]
+            store = TripleStore(PREFIXES)
+            for text in labels:
+                subject = iri(f"http://example.org/{rng.randrange(20)}")
+                store.add(Triple(subject, ns.RDFS_LABEL, literal(text)))
+            probes = [word(rng.choice(lengths)) for _ in range(2)]
+            for text in rng.sample(labels, 4):
+                edits = list(text)
+                for _ in range(rng.randrange(3)):
+                    if edits:
+                        edits[rng.randrange(len(edits))] = rng.choice("abcé")
+                probes.append("".join(edits))
+            self.assert_matches_reference(store, probes)
+
+    def test_non_ascii_labels(self):
+        store = self.labeled(
+            ("1", "Øresund ål"), ("2", "Ærø"), ("3", "жук-олень"), ("4", "Straße"),
+            ("5", "☃"), ("6", "\U0001d538\U0001d539 \U0001d53b"), ("7", "oresund al"),
+            ("8", "\0 !"),  # kept whole: no alphanumeric token
+        )
+        got = fuzzy_lookup(store, "Oresund ål", k=2)
+        assert got == [("http://example.org/1", 0.9), ("http://example.org/7", 0.9)]
+        self.assert_matches_reference(
+            store, ["Øresund ål", "zhuk", "жук олень", "strasse", "☃☃", "\U0001d538\U0001d539", "é", "\0"]
+        )
+
+    def test_empty_probe_and_probe_longer_than_every_form(self):
+        store = self.labeled(("a", ""), ("b", "ab"), ("c", "abc d"), ("d", "x" * 40))
+        assert fuzzy_lookup(store, "", k=2) == [("http://example.org/a", 1.0), ("http://example.org/b", 0.0)]
+        self.assert_matches_reference(store, ["", "!!", "ab" * 150, "x" * 41 + "y" * 200])
+
+    def test_k_larger_than_the_subjects(self):
+        store = self.labeled(("a", "alpha"), ("b", "beta"), ("b", "bet"), ("c", "gamma"))
+        got = fuzzy_lookup(store, "alpah", k=40)
+        assert [key for key, _ in got] == [
+            "http://example.org/a", "http://example.org/b", "http://example.org/c"
+        ]
+        self.assert_matches_reference(store, ["alpah", "bta", ""])
+
+    def test_one_subject_in_several_length_groups(self):
+        # "m"'s best label (0.75) is in the length-6 group, visited after
+        # the length-8 group where its label scores 0.625
+        store = self.labeled(
+            ("m", "abcdezzz"), ("m", "abcdef"), ("m", "ab"), ("n", "abcdefgx"), ("o", "qqqqqqqq")
+        )
+        got = fuzzy_lookup(store, "abcdefgh", k=2)
+        assert got == [("http://example.org/n", 0.875), ("http://example.org/m", 0.75)]
+        self.assert_matches_reference(store, ["abcdefgh", "ab", "abcdefzz", "qq"])
+
+    def test_kth_tie_across_two_length_groups(self):
+        # k = 2: "abxd" sets the k-th score 0.75 in the length-4 group; "abc"
+        # ties it in the length-3 group and wins on its smaller key
+        store = self.labeled(("z1", "abcd"), ("z2", "abxd"), ("a3", "abc"))
+        assert fuzzy_lookup(store, "abcd", k=2) == [
+            ("http://example.org/z1", 1.0), ("http://example.org/a3", 0.75)
+        ]
+        self.assert_matches_reference(store, ["abcd", "abc", "abxd"])
 
     def test_frozen_store_reads_its_labels_once(self, monkeypatch):
         reads = []
