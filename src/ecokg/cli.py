@@ -12,6 +12,7 @@ detail on stderr.
 import argparse
 import json
 import logging
+import resource
 import sys
 import time
 import traceback
@@ -142,6 +143,8 @@ def _write_summary(path: Path, command: str, result: dict, seconds: float) -> No
         "command": command,
         "counts": result["counts"],
         "outputs": sorted(result["outputs"]),
+        # ru_maxrss is in KiB on Linux; MB here means MiB
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "seconds": round(seconds, 3),
     }
     ntriples.write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")

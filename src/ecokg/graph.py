@@ -230,14 +230,21 @@ class TripleStore:
     is left to readers that derive data from a frozen store; the store
     itself never reads it. Every triple the store hands out is built from
     terms checked when they were inserted, so it skips ``Triple``'s checks.
+
+    Most index leaves hold one term, kept as the 1-tuple ``(term,)`` at a
+    fraction of a set's size; the second distinct insert makes it a
+    ``set``. Readers use only ``in``, ``len`` and iteration, alike on both,
+    and leaves only grow, so equal stores have equal indexes. A leaf is
+    never the bare term: a ``Term`` is a tuple, so iterating it would walk
+    its fields.
     """
 
     __slots__ = ("prefixes", "_spo", "_pos", "_len", "_frozen", "label_index")
 
     def __init__(self, prefixes: PrefixMap | None = None):
         self.prefixes = prefixes if prefixes is not None else PrefixMap()
-        self._spo: dict[Term, dict[Term, set[Term]]] = {}
-        self._pos: dict[Term, dict[Term, set[Term]]] = {}
+        self._spo: dict[Term, dict[Term, tuple[Term] | set[Term]]] = {}
+        self._pos: dict[Term, dict[Term, tuple[Term] | set[Term]]] = {}
         self._len = 0
         self._frozen = False
         self.label_index = None
@@ -277,12 +284,29 @@ class TripleStore:
         """Insert one triple; returns False for duplicates."""
         if self._frozen:
             raise FrozenStoreError("store is frozen")
-        s, p, o = t.subject, t.predicate, t.object
-        objs = self._spo.setdefault(s, {}).setdefault(p, set())
-        if o in objs:
+        s, p, o = t
+        po = self._spo.get(s)
+        if po is None:
+            po = self._spo[s] = {}
+        objs = po.get(p)
+        if objs is None:
+            po[p] = (o,)
+        elif o in objs:
             return False
-        objs.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
+        elif type(objs) is tuple:
+            po[p] = {objs[0], o}
+        else:
+            objs.add(o)
+        os_ = self._pos.get(p)
+        if os_ is None:
+            os_ = self._pos[p] = {}
+        subs = os_.get(o)
+        if subs is None:
+            os_[o] = (s,)
+        elif type(subs) is tuple:
+            os_[o] = {subs[0], s}
+        else:
+            subs.add(s)
         self._len += 1
         return True
 

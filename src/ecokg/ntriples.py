@@ -11,6 +11,7 @@ the serializer writes verbatim, reads back unchanged.
 
 import os
 import re
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .graph import PrefixMap, Term, Triple, TripleStore, blank, iri, is_content_line, literal
@@ -230,10 +231,22 @@ def _token_term(token: str, lex: str | None, language: str | None, datatype: str
     return literal(lex, datatype, language)
 
 
+# Lines per chunk of ``_sorted_chunks``: large writes, yet one chunk
+# stays a small fraction of a big graph's text.
+_CHUNK_LINES = 2048
+
+
+def _sorted_chunks(store: TripleStore) -> Iterator[str]:
+    """The canonical text of ``store``, ``_CHUNK_LINES`` sorted lines at a time."""
+    lines = store.ntriples_lines()
+    lines.sort()
+    for start in range(0, len(lines), _CHUNK_LINES):
+        yield "\n".join(lines[start:start + _CHUNK_LINES]) + "\n"
+
+
 def serialize(store: TripleStore) -> str:
     """Render the store as canonically sorted N-Triples text."""
-    lines = sorted(store.ntriples_lines())
-    return "".join(line + "\n" for line in lines)
+    return "".join(_sorted_chunks(store))
 
 
 def read_file(path, prefixes: PrefixMap | None = None) -> TripleStore:
@@ -241,23 +254,33 @@ def read_file(path, prefixes: PrefixMap | None = None) -> TripleStore:
         return parse(fh.read(), prefixes)
 
 
-def write_text(path, text: str) -> None:
-    """Replace ``path`` with ``text`` (UTF-8, ``\\n`` newlines) in one step.
+def _replace_file(path, chunks: Iterable[str]) -> None:
+    """Replace ``path`` with the concatenated ``chunks`` (UTF-8, ``\\n`` newlines) in one step.
 
-    The text goes to a temporary file in the same directory, which is then
-    renamed over ``path``; a write that fails partway leaves the previous
-    file untouched and no temporary file behind.
+    The chunks go to a temporary file in the same directory, one ``write``
+    each, which is then renamed over ``path``; a write that fails partway
+    leaves the previous file untouched and no temporary file behind.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step; a failed write keeps the old file."""
+    _replace_file(path, (text,))
+
+
 def write_file(store: TripleStore, path) -> None:
-    write_text(path, serialize(store))
+    """Write ``serialize(store)`` to ``path`` one chunk at a time.
+
+    Neither the whole text nor its encoded bytes is ever held at once.
+    """
+    _replace_file(path, _sorted_chunks(store))

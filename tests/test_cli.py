@@ -134,6 +134,12 @@ class TestSummaries:
         assert sidecar["command"] == "lookup"
         assert sidecar["outputs"] == [str(out)]
 
+    def test_summaries_report_peak_rss(self, pipeline_dir, tmp_path):
+        peak = read_summary(pipeline_dir, "update")["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0
+        assert run_cli(*cfg_args("units", "--out", str(tmp_path))) == 0
+        assert read_summary(tmp_path, "units")["peak_rss_mb"] > 0
+
     def test_update_summary_collects_steps(self, pipeline_dir):
         summary = read_summary(pipeline_dir, "update")
         for step in ("ingest-ncbi", "units", "ingest-ecotox", "ingest-traits",

@@ -387,6 +387,62 @@ class TestStore:
             probe = helpers.random_triple(rng)
             assert (probe in store) is (probe in added)
 
+    @pytest.mark.parametrize("index", ["spo", "pos"])
+    def test_leaf_grows_from_one_term_to_many(self, index):
+        # spo: one subject and predicate, objects vary; pos: one predicate
+        # and object, subjects vary. One member is a 1-tuple, then a set.
+        s, p, o = iri("http://x.org/s"), iri("http://x.org/p"), literal("o")
+        store = TripleStore()
+
+        def nth(i: int) -> Triple:
+            if index == "spo":
+                return Triple(s, p, literal(f"o{i}"))
+            return Triple(iri(f"http://x.org/s{i}"), p, o)
+
+        def leaf():
+            return store._spo[s][p] if index == "spo" else store._pos[p][o]
+
+        for size in range(1, 6):
+            assert store.add(nth(size - 1)) is True
+            assert type(leaf()) is (tuple if size == 1 else set)
+            for i in range(size):
+                assert store.add(nth(i)) is False
+            assert len(store) == store.count() == size
+            bound = {"s": s, "p": p} if index == "spo" else {"p": p, "o": o}
+            assert store.count(**bound) == len(store.match(**bound)) == size
+            assert store.count(p=p) == size
+            assert all(nth(i) in store for i in range(size))
+            assert nth(size) not in store
+
+    def test_lookup_helpers_return_fresh_sets_for_one_member_leaves(self):
+        s, p, o = iri("http://x.org/s"), iri("http://x.org/p"), literal("o")
+        store = TripleStore()
+        store.add(Triple(s, p, o))
+        objs, subs = store.objects(s, p), store.subjects(p, o)
+        assert type(objs) is set and objs == {o}
+        assert type(subs) is set and subs == {s}
+        objs.add(literal("x"))
+        subs.clear()
+        assert store.objects(s, p) == {o}
+        assert store.subjects(p, o) == {s}
+        assert store.match() == [Triple(s, p, o)] and len(store) == 1
+
+    def test_equal_stores_have_equal_leaves_whatever_the_order(self):
+        # leaves of one and of several members on both indexes
+        rng = random.Random(16)
+        for _ in range(30):
+            store = helpers.random_store(rng, 60)
+            for i in range(rng.randrange(4)):
+                store.add(Triple(iri("http://x.org/hub"), iri("http://x.org/p"), literal(str(i))))
+                store.add(Triple(iri(f"http://x.org/s{i}"), iri("http://x.org/p"), literal("0")))
+            shuffled = sorted(store, key=lambda t: rng.random())
+            twin = TripleStore()
+            twin.add_all(shuffled)
+            copied = TripleStore()
+            assert copied.add_all(store) == len(store)
+            assert store == twin == copied
+            assert twin._pos == store._pos == copied._pos
+
     def test_literal_subject_matches_nothing(self):
         store = TripleStore()
         s, label = iri("http://x.org/s"), iri("http://x.org/label")

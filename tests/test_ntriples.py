@@ -1,4 +1,7 @@
+import builtins
+import errno
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +9,16 @@ import helpers
 from ecokg import ntriples
 from ecokg.graph import Triple, TripleStore, blank, iri, literal
 from ecokg.ntriples import NTriplesParseError, parse, serialize
+
+
+def labelled_store(n: int) -> TripleStore:
+    """``n`` triples shaped like ingested taxon labels."""
+    store = TripleStore()
+    label = iri("http://www.w3.org/2000/01/rdf-schema#label")
+    for i in range(n):
+        name = literal(f"Taxon name {i}", language="en")
+        store.add(Triple(iri(f"http://example.org/taxon/{i}"), label, name))
+    return store
 
 
 def single(text: str) -> Triple:
@@ -245,10 +258,19 @@ class TestFiles:
         assert again == store
         assert path.read_bytes() == b'<http://x.org/s> <http://x.org/p> "o" .\n'
 
+    @pytest.mark.parametrize("size", [0, 1, 3 * ntriples._CHUNK_LINES + 5])
+    def test_write_file_equals_serialize(self, tmp_path, size):
+        store = labelled_store(size)
+        path = tmp_path / "g.nt"
+        ntriples.write_file(store, path)
+        assert path.read_bytes() == serialize(store).encode("utf-8")
+        assert len(path.read_bytes().splitlines()) == size
+
     @pytest.mark.parametrize("write", [
         lambda path: ntriples.write_file(parse('<http://x.org/s> <http://x.org/p> "new" .\n'), path),
+        lambda path: ntriples.write_file(labelled_store(2 * ntriples._CHUNK_LINES + 1), path),
         lambda path: ntriples.write_text(path, "new text\n" * 100),
-    ], ids=["write_file", "write_text"])
+    ], ids=["write_file", "write_file_chunks", "write_text"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write):
         path = tmp_path / "g.nt"
         path.write_text("previous\n")
@@ -258,3 +280,51 @@ class TestFiles:
         monkeypatch.undo()
         assert path.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["g.nt"]
+
+    def test_write_failing_after_some_chunks_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.nt"
+        path.write_text("previous\n")
+        real_open = builtins.open
+        writes = []
+
+        class ThirdWriteFails:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, text):
+                writes.append(len(text))
+                if len(writes) == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self._fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        def flaky_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return ThirdWriteFails(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(builtins, "open", flaky_open)
+        with pytest.raises(OSError):
+            ntriples.write_file(labelled_store(5 * ntriples._CHUNK_LINES), path)
+        monkeypatch.undo()
+        assert len(writes) == 3
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.nt"]
+
+    def test_write_file_never_holds_the_whole_text(self, tmp_path):
+        # the sorted lines alone cost about 1.7x the file's size here and
+        # the streamed writer peaks near 1.9x; one that also joins and
+        # encodes the whole text peaks near 4x
+        store = labelled_store(20_000)
+        path = tmp_path / "g.nt"
+        tracemalloc.start()
+        try:
+            ntriples.write_file(store, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size
