@@ -9,6 +9,7 @@ produce byte-identical text. Lines end at ``\\n`` only (one trailing
 the serializer writes verbatim, reads back unchanged.
 """
 
+import gc
 import os
 import re
 from collections.abc import Iterable, Iterator
@@ -22,17 +23,14 @@ _UNESCAPES = {
 }
 
 
-# The exact line shape ``serialize`` writes: single spaces, `` .`` last,
-# ASCII blank labels, and a literal without quote or backslash, whose
-# closing quote is therefore the first one after the opening quote (a
-# datatype IRI may hold ``"``). Each class is the validity rule of its
-# term, so every token the regex accepts is valid. Groups: subject,
-# predicate, object token, then lexical form, language and datatype.
-_IRI_RE = r"<[^\s<>]+>"
-_BLANK_RE = r"_:[A-Za-z0-9_]+"
-_CANONICAL = re.compile(
-    rf"({_IRI_RE}|{_BLANK_RE}) ({_IRI_RE}) "
-    rf'({_IRI_RE}|{_BLANK_RE}|"([^"\\]*)"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^<([^\s<>]+)>)?) \.'
+# One term token in the shape ``serialize`` writes: an IRI, an ASCII
+# blank label, or a literal whose lexical form holds no quote or
+# backslash, so its closing quote is the first one after the opening
+# quote (a datatype IRI may hold ``"``). Each class is the validity rule
+# of its term, so every token the regex accepts is valid. Groups: the
+# literal's lexical form, language and datatype.
+_TOKEN = re.compile(
+    r'<[^\s<>]+>|_:[A-Za-z0-9_]+|"([^"\\]*)"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^<([^\s<>]+)>)?'
 )
 
 
@@ -192,43 +190,57 @@ def parse(text: str, prefixes: PrefixMap | None = None) -> TripleStore:
     """Parse N-Triples text into a fresh store.
 
     Blank lines and ``#`` comment lines are skipped. Errors report the
-    1-based line number. Canonical lines are read by one regex match and
-    all other lines by ``parse_triple_line``, with the same result. Equal
-    tokens become one shared ``Term``, built and validated once.
+    1-based line number. A line in the shape ``serialize`` writes splits
+    at its first two spaces into three tokens and `` .``; each distinct
+    token is checked against ``_TOKEN`` and built into one shared ``Term``
+    once. Every other line goes through ``parse_triple_line``, with the
+    same result. The cyclic collector is paused meanwhile: a load makes
+    no cyclic garbage, yet each collection would walk the growing store.
     """
     store = TripleStore(prefixes)
     add = store.add
-    fast = _CANONICAL.fullmatch
     terms: dict[str, Term] = {}
-    for line_no, line in enumerate(text.split("\n"), 1):
-        if line.endswith("\r"):
-            line = line[:-1]
-        m = fast(line)
-        if m is None:
+    get = terms.get
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for line_no, line in enumerate(text.split("\n"), 1):
+            toks = line.split(" ", 2)
+            # roles by first character: a literal subject or a non-IRI
+            # predicate is left to the scanner, which rejects it
+            if len(toks) == 3 and toks[2].endswith(" .") and toks[1][:1] == "<" and toks[0][:1] != '"':
+                s_tok, p_tok, rest = toks
+                o_tok = rest[:-2]
+                s = get(s_tok) or _token_term(terms, s_tok)
+                p = get(p_tok) or _token_term(terms, p_tok)
+                o = get(o_tok) or _token_term(terms, o_tok)
+                if s and p and o:
+                    add((s, p, o))
+                    continue
+            if line.endswith("\r"):
+                line = line[:-1]
             if is_content_line(line):
                 add(parse_triple_line(line, line_no))
-            continue
-        s_tok, p_tok, o_tok, lex, language, datatype = m.groups()
-        s = terms.get(s_tok)
-        if s is None:
-            s = terms[s_tok] = _token_term(s_tok, lex, language, datatype)
-        p = terms.get(p_tok)
-        if p is None:
-            p = terms[p_tok] = iri(p_tok[1:-1])
-        o = terms.get(o_tok)
-        if o is None:
-            o = terms[o_tok] = _token_term(o_tok, lex, language, datatype)
-        add(Triple(s, p, o))
+    finally:
+        if enabled:
+            gc.enable()
     return store
 
 
-def _token_term(token: str, lex: str | None, language: str | None, datatype: str | None) -> Term:
-    """The term of one ``_CANONICAL`` token; the literal parts belong to the object."""
+def _token_term(terms: dict[str, Term], token: str) -> Term | None:
+    """The ``Term`` of a canonical ``token``, kept in ``terms``; None for any other token."""
+    m = _TOKEN.fullmatch(token)
+    if m is None:
+        return None
     if token[0] == "<":
-        return iri(token[1:-1])
-    if token[0] == "_":
-        return blank(token[2:])
-    return literal(lex, datatype, language)
+        term = iri(token[1:-1])
+    elif token[0] == "_":
+        term = blank(token[2:])
+    else:
+        lex, language, datatype = m.groups()
+        term = literal(lex, datatype, language)
+    terms[token] = term
+    return term
 
 
 # Lines per chunk of ``_sorted_chunks``: large writes, yet one chunk

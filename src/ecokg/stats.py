@@ -11,7 +11,7 @@ so AD always equals ED / (|E| - 1).
 
 from dataclasses import dataclass
 
-from .graph import TripleStore
+from .graph import LITERAL, TripleStore
 
 
 class EmptyGraphError(ValueError):
@@ -26,15 +26,17 @@ class GraphCounts:
 
 
 def count_graph(store: TripleStore) -> GraphCounts:
-    """Count triples, relations, and entities with literals removed."""
+    """Count triples, relations, and entities with literals removed, walking ``pos`` once."""
     triples = relations = 0
     entities = set()
-    for p in store.predicates():
-        pairs = [(s, o) for s, o in store.predicate_pairs(p) if not o.is_literal()]
-        if pairs:
-            triples += len(pairs)
-            relations += 1
-            entities.update(*zip(*pairs))
+    for by_object in store._pos.values():
+        before = triples
+        for o, subjects in by_object.items():
+            if o.kind != LITERAL:
+                triples += len(subjects)
+                entities.add(o)
+                entities.update(subjects)
+        relations += triples > before
     return GraphCounts(triples, relations, len(entities))
 
 

@@ -71,6 +71,20 @@ def brute_force_match(store: TripleStore, s=None, p=None, o=None) -> list[Triple
     return sorted(hits, key=Triple.sort_key)
 
 
+def reference_count_graph(store: TripleStore) -> tuple[int, int, int]:
+    """Triples, relations and entities with literal objects set aside,
+    from one (subject, object) pair list per predicate."""
+    triples = relations = 0
+    entities = set()
+    for p in store.predicates():
+        pairs = [(s, o) for s, o in store.predicate_pairs(p) if not o.is_literal()]
+        if pairs:
+            triples += len(pairs)
+            relations += 1
+            entities.update(*zip(*pairs))
+    return triples, relations, len(entities)
+
+
 def dp_levenshtein(a: str, b: str) -> int:
     """Full-matrix edit distance, the classic textbook recurrence."""
     rows, cols = len(a) + 1, len(b) + 1

@@ -18,7 +18,7 @@ from ecokg.stats import (
     report_tsv,
 )
 
-from helpers import random_store
+from helpers import random_literal, random_store, random_triple, reference_count_graph
 
 
 def brute_counts(store):
@@ -52,6 +52,18 @@ class TestCountGraph:
             store = random_store(rng, max_triples=40)
             counts = count_graph(store)
             assert (counts.triples, counts.relations, counts.entities) == brute_counts(store)
+
+    def test_matches_pair_set_reference_on_random_stores(self):
+        # literal objects, blank nodes, a predicate whose objects are all
+        # literals, and objects shared by several subjects and predicates
+        rng = random.Random(9)
+        literal_only = iri("http://example.org/literal-only")
+        for _ in range(200):
+            store = random_store(rng, max_triples=60)
+            for _ in range(rng.randrange(4)):
+                store.add(Triple(random_triple(rng).subject, literal_only, random_literal(rng)))
+            counts = count_graph(store)
+            assert (counts.triples, counts.relations, counts.entities) == reference_count_graph(store)
 
 
 class TestDensities:
