@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping as MappingType, Sequence
 
-from .graph import Triple, TripleStore, iri, read_tsv_rows
+from .graph import Triple, TripleStore, ValidationError, iri, read_tsv_rows
 from .ns import OWL_SAMEAS, RDFS_LABEL
 
 DEFAULT_STOP_WORDS = frozenset(
@@ -39,7 +39,7 @@ DEFAULT_THRESHOLD = 0.8
 _WORD = re.compile(r"[^\W_]+")
 
 
-class EmptyReferenceError(ValueError):
+class EmptyReferenceError(ValidationError):
     pass
 
 

@@ -1,10 +1,10 @@
 """Consistency scans: hierarchy cycles and disjointness violations."""
 
-from .graph import Term, TripleStore
+from .graph import Term, TripleStore, ValidationError
 from .ns import OWL_DISJOINTWITH, RDFS_SUBCLASSOF
 
 
-class IntegrityError(ValueError):
+class IntegrityError(ValidationError):
     """A consistency scan found cycles or disjointness violations."""
 
 

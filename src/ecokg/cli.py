@@ -3,10 +3,11 @@
 Every subcommand reads defaults from an optional ``--config`` JSON file
 (paths resolved relative to the config file) and writes its artifacts
 plus a ``<command>.summary.json`` run summary into the output
-directory. Failures exit 2 for unreadable or malformed input, 3 for
-semantic validation errors, 4 for anything unexpected, and print one
-machine-parsable ``error<TAB>class<TAB>message`` line on stdout with
-detail on stderr.
+directory. Failures exit 3 for a ``graph.ValidationError`` (or a
+``FrozenStoreError``), 2 for any other ``ValueError`` or ``OSError``
+(unreadable or malformed input), 4 for anything unexpected, and print
+one machine-parsable ``error<TAB>class<TAB>message`` line on stdout
+with detail on stderr.
 """
 
 import argparse
@@ -21,42 +22,10 @@ from pathlib import Path
 from . import align as align_mod
 from . import checks, dmp, ecotox, idmap, ntriples, stats, traits, units
 from . import query as query_mod
-from .graph import FrozenStoreError, PrefixMap, TripleStore, UnknownPrefixError, iri, is_content_line
+from .graph import FrozenStoreError, PrefixMap, TripleStore, ValidationError, iri, is_content_line
 from .ns import ET, NCBI, RDF_TYPE, default_prefix_map
 
 log = logging.getLogger(__name__)
-
-_VALIDATION_ERRORS = (
-    dmp.DanglingParentError,
-    dmp.DuplicateDivisionError,
-    ecotox.EmptyLineageError,
-    ecotox.UnresolvedParentError,
-    ecotox.OrphanResultError,
-    ecotox.UnknownReferenceError,
-    traits.UnresolvedGlossaryError,
-    units.DuplicateUnitError,
-    units.DimensionMismatchError,
-    align_mod.EmptyReferenceError,
-    checks.IntegrityError,
-    idmap.InvalidCasError,
-    idmap.InvalidNcbiIdError,
-    query_mod.UnboundProjectionError,
-    query_mod.UnboundTemplateError,
-    query_mod.UnknownEntityError,
-    stats.EmptyGraphError,
-    FrozenStoreError,
-)
-
-_INPUT_ERRORS = (
-    OSError,
-    json.JSONDecodeError,
-    ntriples.NTriplesParseError,
-    dmp.DmpFormatError,
-    query_mod.PathSyntaxError,
-    query_mod.QuerySyntaxError,
-    UnknownPrefixError,
-    ValueError,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -515,6 +484,31 @@ def cmd_update(args, cfg: _Config) -> dict:
 # ---------------------------------------------------------------------------
 # Parser and dispatch
 
+# The input-file flags of each ingest stage, declared once: the stage's
+# own subcommand takes them, and `update` takes the union.
+_INGEST_STAGES = (
+    ("ingest-ncbi", "taxonomy dump files to ncbi.nt", {
+        "--nodes": "nodes.dmp path",
+        "--names": "names.dmp path",
+        "--divisions": "division.dmp path",
+    }),
+    ("ingest-ecotox", "effect tables to ecotox.nt", {
+        "--species": "species table path",
+        "--chemicals": "chemicals table path",
+        "--tests": "tests table path",
+        "--results": "results table path",
+        "--units": "unit registry TSV for unit IRIs",
+    }),
+    ("ingest-traits", "trait TSV to traits.nt", {
+        "--traits": "trait table path",
+        "--glossary": "glossary table path",
+    }),
+    ("units", "unit registry TSV to units.nt", {
+        "--units": "unit registry TSV path",
+    }),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecokg", description="Build and query an ecotoxicology knowledge graph."
@@ -526,28 +520,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prefixes", help="prefix table TSV (prefix<TAB>namespace)")
         p.add_argument("--out", help="output directory" if out_required else "output file")
 
-    p = sub.add_parser("ingest-ncbi", help="taxonomy dump files to ncbi.nt")
-    common(p, out_required=True)
-    p.add_argument("--nodes", help="nodes.dmp path")
-    p.add_argument("--names", help="names.dmp path")
-    p.add_argument("--divisions", help="division.dmp path")
+    def ingest_parser(name: str, stage_help: str, flags: dict[str, str]):
+        p = sub.add_parser(name, help=stage_help)
+        common(p, out_required=True)
+        for flag, flag_help in flags.items():
+            p.add_argument(flag, help=flag_help)
 
-    p = sub.add_parser("ingest-ecotox", help="effect tables to ecotox.nt")
-    common(p, out_required=True)
-    p.add_argument("--species", help="species table path")
-    p.add_argument("--chemicals", help="chemicals table path")
-    p.add_argument("--tests", help="tests table path")
-    p.add_argument("--results", help="results table path")
-    p.add_argument("--units", help="unit registry TSV for unit IRIs")
-
-    p = sub.add_parser("ingest-traits", help="trait TSV to traits.nt")
-    common(p, out_required=True)
-    p.add_argument("--traits", help="trait table path")
-    p.add_argument("--glossary", help="glossary table path")
-
-    p = sub.add_parser("units", help="unit registry TSV to units.nt")
-    common(p, out_required=True)
-    p.add_argument("--units", help="unit registry TSV path")
+    update_flags: dict[str, str] = {}
+    for name, stage_help, flags in _INGEST_STAGES:
+        ingest_parser(name, stage_help, flags)
+        update_flags.update(flags)
 
     p = sub.add_parser("align", help="lexical alignment between two graphs")
     common(p, out_required=True)
@@ -602,19 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compounds", type=int, help="compound count for coverage")
     p.add_argument("--species", type=int, help="species count for coverage")
 
-    p = sub.add_parser("update", help="full deterministic rebuild from config")
-    common(p, out_required=True)
-    p.add_argument("--nodes", help="nodes.dmp path")
-    p.add_argument("--names", help="names.dmp path")
-    p.add_argument("--divisions", help="division.dmp path")
-    p.add_argument("--species", help="species table path")
-    p.add_argument("--chemicals", help="chemicals table path")
-    p.add_argument("--tests", help="tests table path")
-    p.add_argument("--results", help="results table path")
-    p.add_argument("--traits", help="trait table path")
-    p.add_argument("--glossary", help="glossary table path")
-    p.add_argument("--units", help="unit registry TSV path")
-
+    ingest_parser("update", "full deterministic rebuild from config", update_flags)
     return parser
 
 
@@ -652,9 +622,9 @@ def main(argv: list[str] | None = None) -> int:
             out = Path(args.out)
             _write_summary(out.with_name(out.name + ".summary.json"), args.command, result, elapsed)
         return EXIT_OK
-    except _VALIDATION_ERRORS as exc:
+    except (ValidationError, FrozenStoreError) as exc:
         return _fail(exc, EXIT_VALIDATION)
-    except _INPUT_ERRORS as exc:
+    except (OSError, ValueError) as exc:
         return _fail(exc, EXIT_INPUT)
     except Exception as exc:  # pragma: no cover - safety net
         sys.stderr.write(traceback.format_exc())

@@ -15,7 +15,7 @@ replaced by underscores. Divisions are declared pairwise disjoint.
 from dataclasses import dataclass
 
 from . import idmap
-from .graph import Term, Triple, TripleStore, iri, literal
+from .graph import Term, Triple, TripleStore, ValidationError, iri, literal
 from .ns import NCBI, OWL_DISJOINTWITH, RDFS_LABEL, RDFS_SUBCLASSOF
 
 FIELD_SEP = "\t|\t"
@@ -30,7 +30,7 @@ class DmpFormatError(ValueError):
         self.line = line
 
 
-class DanglingParentError(ValueError):
+class DanglingParentError(ValidationError):
     """nodes.dmp references parent ids that are not defined."""
 
     def __init__(self, missing: list[int]):
@@ -38,7 +38,7 @@ class DanglingParentError(ValueError):
         self.missing = sorted(missing)
 
 
-class DuplicateDivisionError(ValueError):
+class DuplicateDivisionError(ValidationError):
     pass
 
 

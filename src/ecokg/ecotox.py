@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, replace
 
 from . import idmap
-from .graph import Term, Triple, TripleStore, blank, iri, literal
+from .graph import Term, Triple, TripleStore, ValidationError, blank, iri, literal
 from .ns import (
     ET,
     OWL_DISJOINTWITH,
@@ -61,15 +61,15 @@ CONCENTRATION_PROP = iri(ET + "concentration")
 QUALIFIER_PROP = iri(ET + "qualifier")
 
 
-class EmptyLineageError(ValueError):
+class EmptyLineageError(ValidationError):
     """No lineage level is filled, so nothing can be synthesized."""
 
 
-class UnresolvedParentError(ValueError):
+class UnresolvedParentError(ValidationError):
     """A species row has no lineage node to attach to."""
 
 
-class OrphanResultError(ValueError):
+class OrphanResultError(ValidationError):
     """Results reference test ids that do not exist."""
 
     def __init__(self, missing: list[str]):
@@ -77,7 +77,7 @@ class OrphanResultError(ValueError):
         self.missing = sorted(missing)
 
 
-class UnknownReferenceError(ValueError):
+class UnknownReferenceError(ValidationError):
     """Tests reference species or chemicals absent from their tables."""
 
     def __init__(self, missing: list[str]):
@@ -139,16 +139,16 @@ def read_table(text: str) -> tuple[list[str], list[dict[str, str]]]:
     return header, rows
 
 
-def clean_species_name(raw: str, missing: frozenset[str] = MISSING_TOKENS) -> str | None:
+def clean_species_name(raw: str) -> str | None:
     """Drop placeholder words and missing-value shorthands.
 
     Returns None when nothing meaningful remains.
     """
-    if raw.strip() in missing:
+    if raw.strip() in MISSING_TOKENS:
         return None
     words = [w for w in raw.split() if w.lower() not in _PLACEHOLDER_WORDS]
     cleaned = " ".join(words)
-    if not cleaned or cleaned in missing:
+    if not cleaned or cleaned in MISSING_TOKENS:
         return None
     return cleaned
 
@@ -199,7 +199,7 @@ def synthesize_lineage(record: SpeciesRecord) -> SpeciesRecord:
     return replace(record, lineage=lineage)
 
 
-def parse_species(text: str, missing: frozenset[str] = MISSING_TOKENS) -> list[SpeciesRecord]:
+def parse_species(text: str) -> list[SpeciesRecord]:
     """Read species rows; lineage levels come from the header order."""
     header, rows = read_table(text)
     for col in _SPECIES_META_COLUMNS:
@@ -215,13 +215,13 @@ def parse_species(text: str, missing: frozenset[str] = MISSING_TOKENS) -> list[S
         lineage = []
         for level in levels:
             cell = row[level]
-            lineage.append((level, "" if cell in missing else cell))
+            lineage.append((level, "" if cell in MISSING_TOKENS else cell))
         records.append(
             SpeciesRecord(
                 number=number,
-                common_name=clean_species_name(row["common_name"], missing),
-                latin_name=clean_species_name(row["latin_name"], missing),
-                group=None if group in missing else group,
+                common_name=clean_species_name(row["common_name"]),
+                latin_name=clean_species_name(row["latin_name"]),
+                group=None if group in MISSING_TOKENS else group,
                 lineage=tuple(lineage),
             )
         )
@@ -313,7 +313,7 @@ def lineage_merges(store: TripleStore) -> int:
     return sum(store.count(node, RDFS_SUBCLASSOF) > 1 for node in nodes)
 
 
-def parse_chemicals(text: str, missing: frozenset[str] = MISSING_TOKENS) -> list[ChemicalRecord]:
+def parse_chemicals(text: str) -> list[ChemicalRecord]:
     header, rows = read_table(text)
     for col in ("cas_number", "chemical_name"):
         if col not in header:
@@ -329,8 +329,8 @@ def parse_chemicals(text: str, missing: frozenset[str] = MISSING_TOKENS) -> list
         records.append(
             ChemicalRecord(
                 cas=cas,
-                name="" if name in missing else name,
-                group=None if group in missing else group,
+                name="" if name in MISSING_TOKENS else name,
+                group=None if group in MISSING_TOKENS else group,
                 cas_valid=valid,
             )
         )
@@ -352,7 +352,7 @@ def ingest_chemicals(records: list[ChemicalRecord], store: TripleStore) -> int:
     return added
 
 
-def parse_tests(text: str, missing: frozenset[str] = MISSING_TOKENS) -> list[TestRecord]:
+def parse_tests(text: str) -> list[TestRecord]:
     header, rows = read_table(text)
     for col in ("test_id", "test_cas", "species_number"):
         if col not in header:
@@ -364,7 +364,7 @@ def parse_tests(text: str, missing: frozenset[str] = MISSING_TOKENS) -> list[Tes
             raise ValueError(f"bad test_id: {test_id!r}")
         if not _DIGITS.fullmatch(row["species_number"]):
             raise ValueError(f"test {test_id}: bad species_number {row['species_number']!r}")
-        if row["test_cas"] in missing:
+        if row["test_cas"] in MISSING_TOKENS:
             raise ValueError(f"test {test_id}: missing test_cas")
         reference = row.get("reference_number", "")
         lifestage = row.get("organism_lifestage", "")
@@ -373,14 +373,14 @@ def parse_tests(text: str, missing: frozenset[str] = MISSING_TOKENS) -> list[Tes
                 test_id=test_id,
                 cas=row["test_cas"],
                 species_number=row["species_number"],
-                reference_number=int(reference) if reference and reference not in missing else None,
-                lifestage=None if lifestage in missing else lifestage,
+                reference_number=None if reference in MISSING_TOKENS else int(reference),
+                lifestage=None if lifestage in MISSING_TOKENS else lifestage,
             )
         )
     return records
 
 
-def parse_results(text: str, missing: frozenset[str] = MISSING_TOKENS) -> list[ResultRecord]:
+def parse_results(text: str) -> list[ResultRecord]:
     header, rows = read_table(text)
     for col in ("result_id", "test_id", "endpoint"):
         if col not in header:
@@ -391,7 +391,7 @@ def parse_results(text: str, missing: frozenset[str] = MISSING_TOKENS) -> list[R
         if not _DIGITS.fullmatch(result_id):
             raise ValueError(f"bad result_id: {result_id!r}")
         endpoint = row["endpoint"]
-        if endpoint in missing:
+        if endpoint in MISSING_TOKENS:
             raise ValueError(f"result {result_id}: missing endpoint")
         conc = row.get("conc1_mean", "")
         unit = row.get("conc1_unit", "")
@@ -401,9 +401,9 @@ def parse_results(text: str, missing: frozenset[str] = MISSING_TOKENS) -> list[R
                 result_id=result_id,
                 test_id=row["test_id"],
                 endpoint=endpoint,
-                concentration=None if conc in missing else conc,
-                unit=None if unit in missing else unit,
-                effect=None if effect in missing else effect,
+                concentration=None if conc in MISSING_TOKENS else conc,
+                unit=None if unit in MISSING_TOKENS else unit,
+                effect=None if effect in MISSING_TOKENS else effect,
             )
         )
     return records

@@ -28,6 +28,10 @@ _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f]')
 
 
+class ValidationError(ValueError):
+    """Well-formed input that fails a semantic check; the CLI exits 3 on it."""
+
+
 class FrozenStoreError(RuntimeError):
     """Raised on mutation of a store after freeze()."""
 
@@ -174,9 +178,6 @@ class PrefixMap:
         if not namespace or _BAD_IRI_CHAR.search(namespace):
             raise ValueError(f"invalid namespace IRI: {namespace!r}")
         self._ns[prefix] = namespace
-
-    def namespaces(self) -> dict[str, str]:
-        return dict(self._ns)
 
     def expand(self, curie: str) -> Term:
         """Expand ``prefix:local`` to an IRI term."""

@@ -3,18 +3,18 @@
 import re
 from dataclasses import dataclass
 
-from .graph import Triple, TripleStore, iri, read_tsv_rows
+from .graph import Triple, TripleStore, ValidationError, iri, read_tsv_rows
 from .ns import ET, NCBI, OWL_SAMEAS
 
 _CAS = re.compile(r"(\d{2,7})-(\d{2})-(\d)\Z")
 _NCBI_ID = re.compile(r"[1-9]\d*\Z")
 
 
-class InvalidCasError(ValueError):
+class InvalidCasError(ValidationError):
     pass
 
 
-class InvalidNcbiIdError(ValueError):
+class InvalidNcbiIdError(ValidationError):
     pass
 
 
@@ -56,16 +56,6 @@ def ncbi_id_to_iri(taxon_id: str) -> str:
     if not _NCBI_ID.fullmatch(text):
         raise InvalidNcbiIdError(f"invalid NCBI taxon id: {taxon_id!r}")
     return taxon_iri_text(text)
-
-
-def ncbi_iri_to_id(iri_text: str) -> str:
-    prefix = f"{NCBI}taxon/"
-    if not iri_text.startswith(prefix):
-        raise InvalidNcbiIdError(f"not a taxon IRI: {iri_text!r}")
-    tail = iri_text[len(prefix):]
-    if not _NCBI_ID.fullmatch(tail):
-        raise InvalidNcbiIdError(f"not a taxon IRI: {iri_text!r}")
-    return tail
 
 
 @dataclass(frozen=True, slots=True)

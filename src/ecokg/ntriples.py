@@ -261,11 +261,6 @@ def serialize(store: TripleStore) -> str:
     return "".join(_sorted_chunks(store))
 
 
-def read_file(path, prefixes: PrefixMap | None = None) -> TripleStore:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read(), prefixes)
-
-
 def _replace_file(path, chunks: Iterable[str]) -> None:
     """Replace ``path`` with the concatenated ``chunks`` (UTF-8, ``\\n`` newlines) in one step.
 

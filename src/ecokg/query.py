@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .align import lane_deltas, normalize_label
-from .graph import PrefixMap, Term, Triple, TripleStore, iri, is_content_line, literal
+from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, is_content_line, literal
 from .ns import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
 from .ntriples import NTriplesParseError, _LineScanner
 
@@ -33,15 +33,15 @@ class QuerySyntaxError(ValueError):
     pass
 
 
-class UnboundProjectionError(ValueError):
+class UnboundProjectionError(ValidationError):
     pass
 
 
-class UnboundTemplateError(ValueError):
+class UnboundTemplateError(ValidationError):
     pass
 
 
-class UnknownEntityError(ValueError):
+class UnknownEntityError(ValidationError):
     pass
 
 
@@ -370,13 +370,12 @@ def solve(store: TripleStore, patterns) -> list[dict[Var, Term]]:
             if ok:
                 extend(rest, new)
 
+    # The bindings are already distinct: two of them part where one
+    # pattern matched two different triples under the same binding, and
+    # those triples differ in a slot that holds a variable left unbound
+    # there, so they bind it differently.
     extend(patterns, {})
-    # distinct bindings (joins can reach the same assignment twice)
-    unique: dict[tuple, dict[Var, Term]] = {}
-    for binding in results:
-        key = tuple(sorted(((v.name, v.blank, t.ntriples()) for v, t in binding.items())))
-        unique[key] = binding
-    return list(unique.values())
+    return results
 
 
 def select(

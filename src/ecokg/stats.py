@@ -11,10 +11,10 @@ so AD always equals ED / (|E| - 1).
 
 from dataclasses import dataclass
 
-from .graph import LITERAL, TripleStore
+from .graph import LITERAL, TripleStore, ValidationError
 
 
-class EmptyGraphError(ValueError):
+class EmptyGraphError(ValidationError):
     pass
 
 

@@ -9,13 +9,13 @@ rows flow through the same path. Each row becomes exactly one triple.
 import re
 from dataclasses import dataclass
 
-from .graph import PrefixMap, Term, Triple, TripleStore, iri, literal, read_tsv_rows
+from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
 
 _KINDS = ("iri", "literal", "glossary")
 _LITERAL_SYNTAX = re.compile(r'"(.*)"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^(\S+))?\Z', re.S)
 
 
-class UnresolvedGlossaryError(ValueError):
+class UnresolvedGlossaryError(ValidationError):
     """Glossary rows whose terms are absent from the glossary."""
 
     def __init__(self, terms: list[str]):

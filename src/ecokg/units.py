@@ -15,15 +15,15 @@ they are deliberately unreachable from mass-per-volume units.
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .graph import PrefixMap, Term, Triple, TripleStore, iri, literal, read_tsv_rows
+from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
 from .ns import QUDT, RDF_TYPE, RDFS_LABEL, XSD_DECIMAL, XSD_STRING
 
 
-class DuplicateUnitError(ValueError):
+class DuplicateUnitError(ValidationError):
     pass
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(ValidationError):
     pass
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, error lines, summaries, artifacts."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ecokg import align, cli, ntriples, units
-from ecokg.graph import PrefixMap
+from ecokg import align, checks, cli, dmp, ecotox, graph, idmap, ntriples, query, stats, traits, units
+from ecokg.graph import FrozenStoreError, PrefixMap, UnknownPrefixError
 from ecokg.ns import ET, NCBI
 
 import helpers
@@ -28,7 +29,71 @@ def error_line(capsys):
     return fields[1], fields[2]
 
 
+# One instance of every error class that exits 3: the input is well
+# formed but fails a semantic check.
+VALIDATION_FAILURES = [
+    dmp.DanglingParentError([404]),
+    dmp.DuplicateDivisionError("division 3 defined twice"),
+    ecotox.EmptyLineageError("no lineage level"),
+    ecotox.UnresolvedParentError("no parent node"),
+    ecotox.OrphanResultError(["t9"]),
+    ecotox.UnknownReferenceError(["species 9"]),
+    traits.UnresolvedGlossaryError(["size"]),
+    units.DuplicateUnitError("mg/L twice"),
+    units.DimensionMismatchError("mass vs length"),
+    align.EmptyReferenceError("no reference mappings"),
+    checks.IntegrityError("1 cycles"),
+    idmap.InvalidCasError("invalid CAS number"),
+    idmap.InvalidNcbiIdError("invalid NCBI taxon id"),
+    query.UnboundProjectionError("?x not in pattern"),
+    query.UnboundTemplateError("?y not in pattern"),
+    query.UnknownEntityError("unknown taxon"),
+    stats.EmptyGraphError("empty graph"),
+    FrozenStoreError("store is frozen"),
+]
+
+# ... and of every error class that exits 2: unreadable or malformed input,
+# including a plain ValueError or OSError.
+INPUT_FAILURES = [
+    OSError("disk gone"),
+    FileNotFoundError(2, "No such file or directory"),
+    json.JSONDecodeError("Expecting value", "{", 1),
+    ntriples.NTriplesParseError("missing object", 3),
+    dmp.DmpFormatError("missing terminator", 1),
+    query.PathSyntaxError("unbalanced parenthesis"),
+    query.QuerySyntaxError("missing object"),
+    UnknownPrefixError("unknown prefix: 'zz'"),
+    ValueError("bad value"),
+]
+
+
+def exit_code_raising(exc, tmp_path, monkeypatch) -> int:
+    """Exit code of ``main`` when a command raises ``exc``."""
+    def fail(args, cfg):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "units", fail)
+    return run_cli(*cfg_args("units", "--out", str(tmp_path)))
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("exc", VALIDATION_FAILURES, ids=lambda exc: type(exc).__name__)
+    def test_validation_error_classes_are_three(self, tmp_path, capsys, monkeypatch, exc):
+        assert exit_code_raising(exc, tmp_path, monkeypatch) == 3
+        assert error_line(capsys)[0] == type(exc).__name__
+
+    @pytest.mark.parametrize("exc", INPUT_FAILURES, ids=lambda exc: type(exc).__name__)
+    def test_input_error_classes_are_two(self, tmp_path, capsys, monkeypatch, exc):
+        assert exit_code_raising(exc, tmp_path, monkeypatch) == 2
+        assert error_line(capsys)[0] == type(exc).__name__
+
+    def test_any_validation_error_subclass_is_three(self, tmp_path, capsys, monkeypatch):
+        class NewCheckError(graph.ValidationError):
+            pass
+
+        assert exit_code_raising(NewCheckError("new check failed"), tmp_path, monkeypatch) == 3
+        assert error_line(capsys) == ("NewCheckError", "new check failed")
+
     def test_success_is_zero(self, tmp_path):
         code = run_cli(*cfg_args("ingest-ncbi", "--out", str(tmp_path)))
         assert code == 0
@@ -108,6 +173,65 @@ class TestExitCodes:
         assert code == 2
         cls, _ = error_line(capsys)
         assert cls == "QuerySyntaxError"
+
+
+# Every subcommand's option strings (besides -h/--help).
+CLI_OPTIONS = {
+    "ingest-ncbi": {"--prefixes", "--out", "--nodes", "--names", "--divisions"},
+    "ingest-ecotox": {"--prefixes", "--out", "--species", "--chemicals", "--tests", "--results", "--units"},
+    "ingest-traits": {"--prefixes", "--out", "--traits", "--glossary"},
+    "units": {"--prefixes", "--out", "--units"},
+    "align": {"--prefixes", "--out", "--source", "--target", "--source-ns", "--target-ns",
+              "--threshold", "--stopwords"},
+    "eval-mappings": {"--prefixes", "--out", "--mappings", "--reference"},
+    "bridge": {"--prefixes", "--out", "--pairs", "--rewrite"},
+    "export": {"--prefixes", "--out", "--graphs", "--mappings"},
+    "query": {"--prefixes", "--out", "--graph", "--query"},
+    "path": {"--prefixes", "--out", "--graph", "--expr", "--start"},
+    "lookup": {"--prefixes", "--out", "--graph", "--name", "-k"},
+    "lineage": {"--prefixes", "--out", "--graph", "--taxon"},
+    "stats": {"--prefixes", "--out", "--graph", "--tests", "--compounds", "--species"},
+    "update": {"--prefixes", "--out", "--nodes", "--names", "--divisions", "--species",
+               "--chemicals", "--tests", "--results", "--traits", "--glossary", "--units"},
+}
+
+INGEST_STAGES = ("ingest-ncbi", "ingest-ecotox", "ingest-traits", "units")
+
+
+def subcommand_actions() -> dict[str, list[argparse.Action]]:
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [a for a in p._actions if a.option_strings and a.dest != "help"]
+        for name, p in sub.choices.items()
+    }
+
+
+def subcommand_options() -> dict[str, set[str]]:
+    return {
+        name: {opt for action in actions for opt in action.option_strings}
+        for name, actions in subcommand_actions().items()
+    }
+
+
+class TestParserSurface:
+    def test_subcommand_options(self):
+        assert subcommand_options() == CLI_OPTIONS
+
+    def test_update_takes_the_ingest_stages_flags(self):
+        options = subcommand_options()
+        ingest = set().union(*(options[name] for name in INGEST_STAGES))
+        assert options["update"] == ingest | {"--prefixes", "--out"}
+
+    def test_ingest_file_flags_are_optional_paths(self):
+        actions = subcommand_actions()
+        for name in (*INGEST_STAGES, "update"):
+            for action in actions[name]:
+                (flag,) = action.option_strings
+                assert action.dest == flag[2:]
+                assert (action.default, action.type, action.nargs, action.required) == (
+                    None, None, None, False
+                ), (name, flag)
 
 
 class TestSummaries:

@@ -264,7 +264,7 @@ class TestPrefixMap:
 
     def test_from_tsv_skips_comments_and_blanks(self):
         pm = PrefixMap.from_tsv("# comment\n\nex\thttp://x.org/\n")
-        assert pm.namespaces() == {"ex": "http://x.org/"}
+        assert pm.expand("ex:a") == iri("http://x.org/a")
         with pytest.raises(ValueError):
             PrefixMap.from_tsv("only-one-column\n")
 

@@ -13,7 +13,6 @@ from ecokg.idmap import (
     cas_to_iri,
     construct_sameas,
     ncbi_id_to_iri,
-    ncbi_iri_to_id,
     parse_pairs,
     validate_cas,
 )
@@ -130,18 +129,6 @@ class TestNcbiIds:
     def test_rejects_non_positive_ints(self, bad):
         with pytest.raises(InvalidNcbiIdError):
             ncbi_id_to_iri(bad)
-
-    def test_round_trip_identity(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            taxon = str(rng.randint(1, 10**9))
-            assert ncbi_iri_to_id(ncbi_id_to_iri(taxon)) == taxon
-
-    def test_iri_to_id_rejects_foreign_iris(self):
-        with pytest.raises(InvalidNcbiIdError):
-            ncbi_iri_to_id("https://example.org/taxon/5")
-        with pytest.raises(InvalidNcbiIdError):
-            ncbi_iri_to_id(ns.NCBI + "taxon/leaf")
 
 
 class TestParsePairs:
