@@ -277,10 +277,11 @@ def write_mappings(mappings: MappingSet) -> str:
 def read_mappings(text: str) -> MappingSet:
     out = MappingSet()
     methods: set[str] = set()
-    for line_no, parts in read_tsv_rows(text):
-        if len(parts) != 4:
-            raise ValueError(f"mappings line {line_no}: expected 4 columns, got {len(parts)}")
-        out.add(Mapping(parts[0].strip(), parts[1].strip(), float(parts[2]), parts[3].strip()))
+    for line_no, parts in read_tsv_rows(text, "mappings", 4):
+        try:
+            out.add(Mapping(parts[0].strip(), parts[1].strip(), float(parts[2]), parts[3].strip()))
+        except ValueError as exc:
+            raise ValueError(f"mappings line {line_no}: {exc}") from None
         methods.add(parts[3].strip())
     out.method = methods.pop() if len(methods) == 1 else "mixed"
     return out

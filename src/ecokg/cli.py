@@ -11,6 +11,7 @@ with detail on stderr.
 """
 
 import argparse
+import gc
 import json
 import logging
 import resource
@@ -104,6 +105,8 @@ def _out_dir(cfg: _Config, override: str | None) -> Path:
 def _read_graph(path: Path, prefixes: PrefixMap) -> TripleStore:
     store = ntriples.parse(_read_text(path), prefixes)
     store.freeze()
+    # the store lives until exit, so the cyclic collector need never walk it
+    gc.freeze()
     return store
 
 

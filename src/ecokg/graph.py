@@ -147,20 +147,27 @@ class Triple(namedtuple("Triple", "subject predicate object")):
     def ntriples(self) -> str:
         return f"{self.subject.ntriples()} {self.predicate.ntriples()} {self.object.ntriples()} ."
 
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.subject.ntriples(), self.predicate.ntriples(), self.object.ntriples())
-
 
 def is_content_line(line: str) -> bool:
     """Whether a line of a table, query or N-Triples file is neither blank nor a ``#`` comment."""
     return bool(line.strip()) and not line.lstrip().startswith("#")
 
 
-def read_tsv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Line number (from 1) and tab-separated fields of each content line."""
+def read_tsv_rows(
+    text: str, table: str, columns: int, at_least: bool = False
+) -> Iterator[tuple[int, list[str]]]:
+    """Line number (from 1) and tab-separated fields of each content line.
+
+    A line needs exactly ``columns`` fields, or at least that many with
+    ``at_least``; any other line fails as "<table> line N: expected ...".
+    """
     for line_no, line in enumerate(text.splitlines(), 1):
         if is_content_line(line):
-            yield line_no, line.split("\t")
+            parts = line.split("\t")
+            if len(parts) < columns or (len(parts) > columns and not at_least):
+                rule = f"at least {columns}" if at_least else columns
+                raise ValueError(f"{table} line {line_no}: expected {rule} columns, got {len(parts)}")
+            yield line_no, parts
 
 
 class PrefixMap:
@@ -212,9 +219,7 @@ class PrefixMap:
     def from_tsv(cls, text: str) -> "PrefixMap":
         """Load bindings from two-column (prefix, namespace) TSV text."""
         pm = cls()
-        for line_no, parts in read_tsv_rows(text):
-            if len(parts) < 2:
-                raise ValueError(f"prefix table line {line_no}: expected 2 columns")
+        for _, parts in read_tsv_rows(text, "prefix table", 2, at_least=True):
             pm.bind(parts[0].strip(), parts[1].strip())
         return pm
 
@@ -279,7 +284,7 @@ class TripleStore:
         return frozenset(self)
 
     def sorted_triples(self) -> list[Triple]:
-        return sorted(self, key=Triple.sort_key)
+        return sorted(self, key=Triple.ntriples)
 
     def add(self, t: Triple) -> bool:
         """Insert one triple; returns False for duplicates."""
@@ -366,7 +371,7 @@ class TripleStore:
             ]
         else:
             out = list(self)
-        out.sort(key=Triple.sort_key)
+        out.sort(key=Triple.ntriples)
         return out
 
     def count(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> int:

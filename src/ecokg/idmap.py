@@ -67,9 +67,7 @@ class IdPair:
 def parse_pairs(text: str) -> list[IdPair]:
     """Read (external-id, external-iri) rows from TSV text."""
     pairs = []
-    for line_no, parts in read_tsv_rows(text):
-        if len(parts) < 2:
-            raise ValueError(f"pair table line {line_no}: expected 2 columns")
+    for _, parts in read_tsv_rows(text, "pair table", 2, at_least=True):
         pairs.append(IdPair(parts[0].strip(), parts[1].strip()))
     return pairs
 

@@ -43,13 +43,27 @@ class NTriplesParseError(ValueError):
 
 
 class _LineScanner:
+    """A cursor over the terms of one line.
+
+    The query syntaxes build on it. A subclass overrides ``skip_ws`` for
+    its whitespace, ``error`` for the exception a failure raises, and
+    ``scan_datatype`` for what may follow a literal's ``^^``.
+    """
+
     def __init__(self, text: str, line_no: int):
         self.text = text
         self.pos = 0
         self.line = line_no
 
-    def error(self, message: str) -> NTriplesParseError:
+    def error(self, message: str) -> ValueError:
         return NTriplesParseError(message, self.line)
+
+    def checked(self, make, *args):
+        """``make(*args)``, with a ``ValueError`` it raises reported as ``error``."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
 
     def eof(self) -> bool:
         return self.pos >= len(self.text)
@@ -73,22 +87,14 @@ class _LineScanner:
 
     def scan_iri(self) -> Term:
         self.pos += 1  # consume '<'
-        text = self.take_until(">", "IRI")
-        try:
-            return iri(text)
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
+        return self.checked(iri, self.take_until(">", "IRI"))
 
     def scan_blank(self) -> Term:
         self.pos += 2  # consume '_:'
         start = self.pos
         while not self.eof() and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
             self.pos += 1
-        label = self.text[start:self.pos]
-        try:
-            return blank(label)
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
+        return self.checked(blank, self.text[start:self.pos])
 
     def scan_string(self) -> str:
         self.pos += 1  # consume '"'
@@ -122,6 +128,12 @@ class _LineScanner:
             else:
                 raise self.error(f"unknown escape: \\{esc}")
 
+    def scan_datatype(self) -> str:
+        """The datatype IRI text after a literal's ``^^``."""
+        if self.peek() != "<":
+            raise self.error("datatype must be an IRI")
+        return self.scan_iri().value
+
     def scan_literal(self) -> Term:
         lex = self.scan_string()
         datatype = None
@@ -134,13 +146,8 @@ class _LineScanner:
             language = self.text[start:self.pos]
         elif self.text.startswith("^^", self.pos):
             self.pos += 2
-            if self.peek() != "<":
-                raise self.error("datatype must be an IRI")
-            datatype = self.scan_iri().value
-        try:
-            return literal(lex, datatype, language)
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
+            datatype = self.scan_datatype()
+        return self.checked(literal, lex, datatype, language)
 
     def scan_subject(self) -> Term:
         ch = self.peek()
@@ -180,10 +187,7 @@ def parse_triple_line(line: str, line_no: int) -> Triple:
     sc.skip_ws()
     if not sc.eof():
         raise sc.error("trailing content after '.'")
-    try:
-        return Triple(subject, predicate, obj)
-    except ValueError as exc:
-        raise sc.error(str(exc)) from None
+    return sc.checked(Triple, subject, predicate, obj)
 
 
 def parse(text: str, prefixes: PrefixMap | None = None) -> TripleStore:

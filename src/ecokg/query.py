@@ -10,19 +10,21 @@ projectable variable, ``_:label`` a blank variable that joins across
 patterns but cannot be projected, ``[]`` a fresh anonymous blank
 variable per occurrence. An optional leading ``select ?x ?y`` line
 fixes the projection; a ``construct``/``where`` pair instead builds new
-triples from a template. Literals use N-Triples syntax with
-``@lang``/``^^dt`` suffixes, datatypes as curies or ``<iri>``.
+triples from a template. Terms are read by the N-Triples scanner, so a
+literal takes every escape and ``@lang``/``^^<iri>`` suffix a graph
+file can hold; a query adds ``^^curie`` datatypes.
 """
 
 import heapq
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress
 
 from .align import lane_deltas, normalize_label
-from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, is_content_line, literal
+from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, is_content_line
 from .ns import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
-from .ntriples import NTriplesParseError, _LineScanner
+from .ntriples import _LineScanner
 
 
 class PathSyntaxError(ValueError):
@@ -84,23 +86,33 @@ class PathRepeat:
 PathExpr = PathAtom | PathInverse | PathSeq | PathAlt | PathRepeat
 
 
-class _PathParser:
-    """Recursive descent over | then / then ^ then {m,n}."""
+# a path atom (a curie or ``a``) runs to a space, tab, newline, operator or bracket
+_ATOM = re.compile(r"[^ \t\n\r|/^{}()]*")
+
+
+class _TermScanner(_LineScanner):
+    """The N-Triples term scanner with query whitespace, curies and ``a``."""
 
     def __init__(self, text: str, prefixes: PrefixMap):
-        self.text = text
-        self.pos = 0
+        super().__init__(text, 0)
         self.prefixes = prefixes
-
-    def error(self, message: str) -> PathSyntaxError:
-        return PathSyntaxError(f"position {self.pos}: {message}")
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def expand(self, token: str) -> Term:
+        """rdf:type for ``a``, else the IRI of the curie ``token``."""
+        if token == "a":
+            return RDF_TYPE
+        return self.checked(self.prefixes.expand, token)
+
+
+class _PathParser(_TermScanner):
+    """Recursive descent over | then / then ^ then {m,n}."""
+
+    def error(self, message: str) -> PathSyntaxError:
+        return PathSyntaxError(f"position {self.pos}: {message}")
 
     def parse(self) -> PathExpr:
         expr = self.alternative()
@@ -154,10 +166,7 @@ class _PathParser:
             if self.peek() != "}":
                 raise self.error("expected '}'")
             self.pos += 1
-            try:
-                expr = PathRepeat(expr, low, high)
-            except ValueError as exc:
-                raise self.error(str(exc)) from None
+            expr = self.checked(PathRepeat, expr, low, high)
 
     def number(self) -> int:
         self.skip_ws()
@@ -166,10 +175,9 @@ class _PathParser:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")
-        return int(self.text[start:self.pos])
+        return self.checked(int, self.text[start:self.pos])
 
     def primary(self) -> PathExpr:
-        self.skip_ws()
         ch = self.peek()
         if ch == "(":
             self.pos += 1
@@ -180,24 +188,13 @@ class _PathParser:
             self.pos += 1
             return expr
         if ch == "<":
-            end = self.text.find(">", self.pos)
-            if end < 0:
-                raise self.error("unterminated IRI")
-            text = self.text[self.pos + 1:end]
-            self.pos = end + 1
-            return PathAtom(iri(text))
+            return PathAtom(self.scan_iri())
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in " \t\n\r|/^{}()":
-            self.pos += 1
+        self.pos = _ATOM.match(self.text, start).end()
         token = self.text[start:self.pos]
         if not token:
             raise self.error("expected a predicate atom")
-        if token == "a":
-            return PathAtom(RDF_TYPE)
-        try:
-            return PathAtom(self.prefixes.expand(token))
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
+        return PathAtom(self.expand(token))
 
 
 def parse_path(text: str, prefixes: PrefixMap) -> PathExpr:
@@ -420,128 +417,74 @@ def construct(store: TripleStore, patterns, template) -> TripleStore:
 # ---------------------------------------------------------------------------
 # Textual mini-query format
 
-class _PatternScanner:
-    def __init__(self, text: str, line_no: int, prefixes: PrefixMap, fresh: list[int]):
-        self.text = text
-        self.pos = 0
-        self.line = line_no
-        self.prefixes = prefixes
-        self.fresh = fresh
+_NAME = re.compile(r"\S*")
+
+
+class _PatternScanner(_TermScanner):
+    """Reads a query's patterns, one line each; ``fresh`` counts its ``[]`` blanks."""
+
+    def __init__(self, prefixes: PrefixMap):
+        super().__init__("", prefixes)
+        self.fresh = 0
 
     def error(self, message: str) -> QuerySyntaxError:
         return QuerySyntaxError(f"line {self.line}: {message}")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def take_token(self) -> str:
+        """The text up to the next whitespace.
 
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def token_end(self) -> int:
-        end = self.pos
-        while end < len(self.text) and not self.text[end].isspace():
-            end += 1
-        # as in Turtle, a name cannot end in '.', so a '.' that ends the
-        # line closes the pattern ("?s a ?t." reads as "?s a ?t .")
-        if end > self.pos and self.text[end - 1] == "." and not self.text[end:].strip():
-            end -= 1
-        return end
+        As in Turtle, a name cannot end in '.', so a '.' that ends the
+        line closes the pattern ("?s a ?t." reads as "?s a ?t .").
+        """
+        start = self.pos
+        self.pos = _NAME.match(self.text, start).end()
+        if self.pos > start and self.text[self.pos - 1] == "." and not self.text[self.pos:].strip():
+            self.pos -= 1
+        return self.text[start:self.pos]
 
     def scan_term(self, position: str) -> Term | Var:
         self.skip_ws()
-        ch = self.text[self.pos] if self.pos < len(self.text) else ""
-        if ch == "?":
-            end = self.token_end()
-            name = self.text[self.pos + 1:end]
+        ch = self.peek()
+        if ch == "?" or self.text.startswith("_:", self.pos):
+            blank = ch == "_"
+            name = self.take_token()[2 if blank else 1:]
             if not name:
-                raise self.error("empty variable name")
-            self.pos = end
-            return Var(name)
-        if self.text.startswith("_:", self.pos):
-            end = self.token_end()
-            name = self.text[self.pos + 2:end]
-            if not name:
-                raise self.error("empty blank label")
-            self.pos = end
-            return Var(name, blank=True)
+                raise self.error("empty blank label" if blank else "empty variable name")
+            return Var(name, blank)
         if self.text.startswith("[]", self.pos):
             self.pos += 2
-            self.fresh[0] += 1
-            return Var(f"anon{self.fresh[0]}", blank=True)
+            self.fresh += 1
+            return Var(f"anon{self.fresh}", blank=True)
         if ch == "<":
-            end = self.text.find(">", self.pos)
-            if end < 0:
-                raise self.error("unterminated IRI")
-            text = self.text[self.pos + 1:end]
-            self.pos = end + 1
-            return iri(text)
+            return self.scan_iri()
         if ch == '"':
-            return self.scan_literal(position)
-        end = self.token_end()
-        token = self.text[self.pos:end]
+            if position != "object":
+                raise self.error("literals are only allowed in object position")
+            return self.scan_literal()
+        token = self.take_token()
         if not token:
             raise self.error(f"missing {position}")
-        self.pos = end
-        if token == "a":
-            return RDF_TYPE
-        try:
-            return self.prefixes.expand(token)
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
+        return self.expand(token)
 
-    def scan_literal(self, position: str) -> Term:
-        if position != "object":
-            raise self.error("literals are only allowed in object position")
-        # the N-Triples string scanner, so a query reads every escape the
-        # serializer writes (\uXXXX included)
-        scanner = _LineScanner(self.text, self.line)
-        scanner.pos = self.pos
-        try:
-            lex = scanner.scan_string()
-        except NTriplesParseError as exc:
-            raise QuerySyntaxError(str(exc)) from None
-        self.pos = scanner.pos
-        if self.text.startswith("@", self.pos):
-            self.pos += 1
-            end = self.token_end()
-            tag = self.text[self.pos:end]
-            self.pos = end
-            return literal(lex, language=tag)
-        if self.text.startswith("^^", self.pos):
-            self.pos += 2
-            if self.text.startswith("<", self.pos):
-                end = self.text.find(">", self.pos)
-                if end < 0:
-                    raise self.error("unterminated datatype IRI")
-                datatype = self.text[self.pos + 1:end]
-                self.pos = end + 1
-            else:
-                end = self.token_end()
-                datatype = self.prefixes.resolve(self.text[self.pos:end])
-                self.pos = end
-            return literal(lex, datatype)
-        return literal(lex)
+    def scan_datatype(self) -> str:
+        if self.peek() == "<":
+            return self.scan_iri().value
+        return self.checked(self.prefixes.resolve, self.take_token())
 
-
-def _parse_pattern_line(
-    line: str, line_no: int, prefixes: PrefixMap, fresh: list[int]
-) -> Pattern:
-    sc = _PatternScanner(line, line_no, prefixes, fresh)
-    s = sc.scan_term("subject")
-    p = sc.scan_term("predicate")
-    o = sc.scan_term("object")
-    if isinstance(s, Term) and s.is_literal():
-        raise sc.error("literal cannot be a subject")
-    if isinstance(p, Term) and not p.is_iri():
-        raise sc.error("predicate must be an IRI")
-    if isinstance(p, Var) and p.blank:
-        raise sc.error("predicate cannot be a blank variable")
-    trailing = line[sc.pos:].strip()
-    if trailing not in ("", "."):
-        raise sc.error(f"trailing content: {trailing!r}")
-    return (s, p, o)
+    def pattern(self, line: str, line_no: int) -> Pattern:
+        """The triple pattern on one line of the query."""
+        self.text = line
+        self.pos = 0
+        self.line = line_no
+        s = self.scan_term("subject")
+        p = self.scan_term("predicate")
+        o = self.scan_term("object")
+        if isinstance(p, Var) and p.blank:
+            raise self.error("predicate cannot be a blank variable")
+        trailing = line[self.pos:].strip()
+        if trailing not in ("", "."):
+            raise self.error(f"trailing content: {trailing!r}")
+        return (s, p, o)
 
 
 def parse_query(text: str, prefixes: PrefixMap) -> Query:
@@ -549,7 +492,7 @@ def parse_query(text: str, prefixes: PrefixMap) -> Query:
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if is_content_line(ln)]
     if not lines:
         raise QuerySyntaxError("empty query")
-    fresh = [0]
+    sc = _PatternScanner(prefixes)
     first_no, first = lines[0]
     if first.lower().startswith("select"):
         names = []
@@ -559,9 +502,7 @@ def parse_query(text: str, prefixes: PrefixMap) -> Query:
             names.append(token[1:])
         if not names:
             raise QuerySyntaxError(f"line {first_no}: empty projection")
-        patterns = tuple(
-            _parse_pattern_line(ln, no, prefixes, fresh) for no, ln in lines[1:]
-        )
+        patterns = tuple(sc.pattern(ln, no) for no, ln in lines[1:])
         if not patterns:
             raise QuerySyntaxError("query has no patterns")
         return Query("select", patterns, projection=tuple(names))
@@ -570,16 +511,12 @@ def parse_query(text: str, prefixes: PrefixMap) -> Query:
             split = next(i for i, (_, ln) in enumerate(lines) if ln.lower() == "where")
         except StopIteration:
             raise QuerySyntaxError("construct query needs a 'where' line") from None
-        template = tuple(
-            _parse_pattern_line(ln, no, prefixes, fresh) for no, ln in lines[1:split]
-        )
-        patterns = tuple(
-            _parse_pattern_line(ln, no, prefixes, fresh) for no, ln in lines[split + 1:]
-        )
+        template = tuple(sc.pattern(ln, no) for no, ln in lines[1:split])
+        patterns = tuple(sc.pattern(ln, no) for no, ln in lines[split + 1:])
         if not template or not patterns:
             raise QuerySyntaxError("construct query needs template and where patterns")
         return Query("construct", patterns, template=template)
-    patterns = tuple(_parse_pattern_line(ln, no, prefixes, fresh) for no, ln in lines)
+    patterns = tuple(sc.pattern(ln, no) for no, ln in lines)
     names = sorted({v.name for v in _pattern_vars(patterns) if not v.blank})
     if not names:
         raise QuerySyntaxError("query binds no named variables")

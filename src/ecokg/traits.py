@@ -38,18 +38,14 @@ class TraitRow:
 def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:
     """Read (term, iri) rows; the iri column may be a curie."""
     glossary: dict[str, str] = {}
-    for line_no, parts in read_tsv_rows(text):
-        if len(parts) < 2:
-            raise ValueError(f"glossary line {line_no}: expected 2 columns")
+    for _, parts in read_tsv_rows(text, "glossary", 2, at_least=True):
         glossary[parts[0].strip()] = prefixes.resolve(parts[1].strip())
     return glossary
 
 
 def parse_traits(text: str, prefixes: PrefixMap) -> list[TraitRow]:
     rows = []
-    for line_no, parts in read_tsv_rows(text):
-        if len(parts) != 4:
-            raise ValueError(f"trait table line {line_no}: expected 4 columns, got {len(parts)}")
+    for _, parts in read_tsv_rows(text, "trait table", 4):
         rows.append(
             TraitRow(
                 subject=prefixes.resolve(parts[0].strip()),

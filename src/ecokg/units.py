@@ -134,9 +134,7 @@ def parse_units(text: str, prefixes: PrefixMap | None = None) -> list[UnitDef]:
     symbol. The id may be a curie when a prefix map is supplied.
     """
     units = []
-    for line_no, parts in read_tsv_rows(text):
-        if len(parts) != 7:
-            raise ValueError(f"units table line {line_no}: expected 7 columns, got {len(parts)}")
+    for line_no, parts in read_tsv_rows(text, "units table", 7):
         unit_id = parts[0].strip()
         if prefixes is not None:
             unit_id = prefixes.resolve(unit_id)

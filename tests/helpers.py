@@ -60,6 +60,11 @@ def random_store(rng: random.Random, max_triples: int = 60) -> TripleStore:
     return store
 
 
+def triple_key(t: Triple) -> tuple[str, str, str]:
+    """Reference triple order: subject, then predicate, then object text."""
+    return (t.subject.ntriples(), t.predicate.ntriples(), t.object.ntriples())
+
+
 def brute_force_match(store: TripleStore, s=None, p=None, o=None) -> list[Triple]:
     hits = [
         t
@@ -68,7 +73,7 @@ def brute_force_match(store: TripleStore, s=None, p=None, o=None) -> list[Triple
         and (p is None or t.predicate == p)
         and (o is None or t.object == o)
     ]
-    return sorted(hits, key=Triple.sort_key)
+    return sorted(hits, key=triple_key)
 
 
 def reference_count_graph(store: TripleStore) -> tuple[int, int, int]:

@@ -416,6 +416,15 @@ class TestInterchange:
         with pytest.raises(ValueError, match="line 1"):
             align.read_mappings("a\tb\tc\n")
 
+    @pytest.mark.parametrize(("score", "message"), [
+        ("x", "could not convert string to float: 'x'"),
+        ("1.5", "score out of range: 1.5"),
+    ])
+    def test_bad_score_names_its_line(self, score, message):
+        text = f"s\tt\t1.000000\tlex\n\ns2\tt2\t{score}\tlex\n"
+        with pytest.raises(ValueError, match=f"^mappings line 3: {message}$"):
+            align.read_mappings(text)
+
     def test_sameas_emission(self):
         ms = MappingSet("m", [Mapping("http://x.org/a", "http://y.org/b", 1.0, "m")])
         store = TripleStore()

@@ -164,15 +164,18 @@ class TestExitCodes:
         cls, _ = error_line(capsys)
         assert cls == "UnknownEntityError"
 
-    def test_query_syntax_error_is_two(self, pipeline_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(("text", "message"), [
+        ("?s nosuchprefix:p ?o .\n", "line 1: unknown prefix: 'nosuchprefix'"),
+        ("?s <a b> ?o .\n", "line 1: invalid IRI: 'a b'"),
+    ], ids=["unknown-prefix", "invalid-iri"])
+    def test_query_syntax_error_is_two(self, pipeline_dir, tmp_path, capsys, text, message):
         bad = tmp_path / "q.rq"
-        bad.write_text("?s nosuchprefix:p ?o .\n")
+        bad.write_text(text)
         code = run_cli(
             *cfg_args("query", "--graph", str(pipeline_dir / "kg.nt"), "--query", str(bad))
         )
         assert code == 2
-        cls, _ = error_line(capsys)
-        assert cls == "QuerySyntaxError"
+        assert error_line(capsys) == ("QuerySyntaxError", message)
 
 
 # Every subcommand's option strings (besides -h/--help).

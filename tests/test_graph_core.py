@@ -272,12 +272,22 @@ class TestPrefixMap:
 class TestTsvRows:
     def test_blank_and_comment_lines_skipped_numbers_kept(self):
         text = "# head\n\n a\tb \n \t\n  # indented comment\nc\r\nd\te\tf"
-        assert list(read_tsv_rows(text)) == [(3, [" a", "b "]), (6, ["c"]), (7, ["d", "e", "f"])]
-        assert list(read_tsv_rows("")) == []
+        rows = [(3, [" a", "b "]), (6, ["c"]), (7, ["d", "e", "f"])]
+        assert list(read_tsv_rows(text, "t", 1, at_least=True)) == rows
+        assert list(read_tsv_rows("", "t", 1)) == []
 
     def test_lines_split_as_splitlines(self):
         # str.splitlines also breaks at U+2028 and form feeds
-        assert list(read_tsv_rows("a\u2028#b\x0cc")) == [(1, ["a"]), (3, ["c"])]
+        assert list(read_tsv_rows("a\u2028#b\x0cc", "t", 1)) == [(1, ["a"]), (3, ["c"])]
+
+    @pytest.mark.parametrize(("text", "at_least", "message"), [
+        ("a\tb\n#\na\tb\tc\n", False, "t line 3: expected 2 columns, got 3"),
+        ("a\tb\n\na\n", False, "t line 3: expected 2 columns, got 1"),
+        ("a\tb\tc\na\n", True, "t line 2: expected at least 2 columns, got 1"),
+    ])
+    def test_column_rule(self, text, at_least, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list(read_tsv_rows(text, "t", 2, at_least=at_least))
 
     def test_content_line(self):
         for line in ("a", " a # not a comment", "\ta", "a#"):
@@ -340,7 +350,7 @@ class TestStore:
         rng = random.Random(7)
         store = helpers.random_store(rng, 80)
         out = store.match()
-        assert out == sorted(out, key=Triple.sort_key)
+        assert out == sorted(out, key=helpers.triple_key)
 
     def test_match_all_patterns_against_brute_force(self):
         miss = iri("http://example.org/never/used")

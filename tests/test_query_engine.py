@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecokg import ns
 from ecokg.graph import PrefixMap, Term, Triple, TripleStore, blank, iri, literal
@@ -115,6 +117,7 @@ class TestParsePath:
             "<http://unterminated",
             "nosuchprefix:x",
             "rdfs:label)",
+            "<a b>",
         ],
     )
     def test_syntax_errors_carry_position(self, bad):
@@ -536,6 +539,12 @@ class TestParseQuery:
             ("?s nosuch:p ?o .", "line 1"),
             ('?s rdfs:label "open .', "unterminated"),
             ("?s rdfs:label ?o\n?x a .", "line 2"),
+            ("?s <a b> ?o .", "line 1: invalid IRI"),
+            ('?s rdfs:label "x"^^<a b> .', "line 1: invalid IRI"),
+            ('?s rdfs:label "x"@e_n .', "line 1: trailing content"),
+            ('?s rdfs:label "x"@', "line 1: invalid language tag"),
+            ('?s rdfs:label "x"^^nope:dt .', "line 1: unknown prefix"),
+            ('?s rdfs:label "x"^^/ .', "line 1: not a curie"),
         ],
     )
     def test_errors(self, bad, needle):
@@ -555,6 +564,37 @@ class TestParseQuery:
             ),
         )
         assert isinstance(out, TripleStore) and len(out) == 1
+
+
+# Words of the query and path syntaxes, built from their characters and
+# tokens, and the separators between words: whitespace beyond space and
+# tab, and the lines that open a query.
+SYNTAX_PIECES = [
+    "<", ">", '"x"', "@", "^^", "?s", "a", "{", ",", "}", "1", "²", "/", "|", "^", "(", ")", "_:b", "[]",
+    ".", ":", "\\", "\x0b", "é", "rdfs:label", "nope:x", "xsd:decimal", "\\u0041", "<http://example.org/p>",
+]
+SEPARATORS = [" ", "\t", "\n", "\u2028", "select ?s\n", "construct\n", "where\n"]
+syntax_words = st.lists(st.sampled_from(SYNTAX_PIECES), min_size=1, max_size=4).map("".join)
+syntax_texts = st.lists(st.tuples(st.sampled_from(SEPARATORS), syntax_words), max_size=4).map(
+    lambda pairs: "".join(sep + word for sep, word in pairs)
+)
+
+
+class TestSyntaxErrorsOnly:
+    @given(syntax_texts)
+    @example("<>")
+    @example('?s rdfs:label "x"@')
+    @example("a{²,}")
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_text_raises_only_syntax_errors(self, text):
+        try:
+            parse_query(text, PREFIXES)
+        except QuerySyntaxError:
+            pass
+        try:
+            parse_path(text, PREFIXES)
+        except PathSyntaxError:
+            pass
 
 
 class TestEffectQuery:
