@@ -19,7 +19,7 @@ tie-breaks and the kept mappings are those of scoring every pair.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping as MappingType, Sequence
 
 from .graph import Triple, TripleStore, ValidationError, iri, read_tsv_rows
@@ -117,16 +117,20 @@ def block_candidates(
     return pairs
 
 
-@dataclass(frozen=True, slots=True)
-class Mapping:
-    source: str
-    target: str
-    score: float
-    method: str
+class Mapping(namedtuple("Mapping", "source target score method")):
+    """One scored correspondence; the score lies in [0, 1]."""
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score out of range: {self.score!r}")
+    __slots__ = ()
+
+    def __new__(cls, source: str, target: str, score: float, method: str) -> "Mapping":
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score out of range: {score!r}")
+        return tuple.__new__(cls, (source, target, score, method))
+
+    @classmethod
+    def _make(cls, fields) -> "Mapping":
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
 
 class MappingSet:

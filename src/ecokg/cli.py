@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import align as align_mod
 from . import checks, dmp, ecotox, idmap, ntriples, stats, traits, units
-from . import query as query_mod
 from .graph import FrozenStoreError, PrefixMap, TripleStore, ValidationError, iri, is_content_line
 from .ns import ET, NCBI, RDF_TYPE, default_prefix_map
 
@@ -110,13 +109,29 @@ def _read_graph(path: Path, prefixes: PrefixMap) -> TripleStore:
     return store
 
 
+def _peak_rss_mb(status: str = "/proc/self/status") -> float:
+    """This process's peak RSS in MiB: Linux's ``VmHWM``, else ``ru_maxrss``.
+
+    A child started by a larger process inherits its ``ru_maxrss`` but
+    not its ``VmHWM``.
+    """
+    # both are in KiB on Linux; MB here means MiB
+    try:
+        with open(status, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024, 1)
+    except OSError:
+        pass
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def _write_summary(path: Path, command: str, result: dict, seconds: float) -> None:
     summary = {
         "command": command,
         "counts": result["counts"],
         "outputs": sorted(result["outputs"]),
-        # ru_maxrss is in KiB on Linux; MB here means MiB
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": _peak_rss_mb(),
         "seconds": round(seconds, 3),
     }
     ntriples.write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -344,7 +359,12 @@ def cmd_export(args, cfg: _Config, parts=None, mappings: align_mod.MappingSet | 
     return {"out_dir": out_dir, "counts": counts, "outputs": ["kg.nt"], "store": merged}
 
 
+# The query commands import the query engine themselves, so that the
+# build stages never load it.
+
 def cmd_query(args, cfg: _Config) -> dict:
+    from . import query as query_mod
+
     prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
     parsed = query_mod.parse_query(_read_text(Path(args.query)), prefixes)
@@ -362,6 +382,8 @@ def cmd_query(args, cfg: _Config) -> dict:
 
 
 def cmd_path(args, cfg: _Config) -> dict:
+    from . import query as query_mod
+
     prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
     expr = query_mod.parse_path(args.expr, prefixes)
@@ -375,6 +397,8 @@ def cmd_path(args, cfg: _Config) -> dict:
 
 
 def cmd_lookup(args, cfg: _Config) -> dict:
+    from . import query as query_mod
+
     query_mod.check_lookup_k(args.k)
     prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
@@ -384,6 +408,8 @@ def cmd_lookup(args, cfg: _Config) -> dict:
 
 
 def cmd_lineage(args, cfg: _Config) -> dict:
+    from . import query as query_mod
+
     prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
     ancestors = query_mod.lineage(store, iri(prefixes.resolve(args.taxon)))

@@ -12,7 +12,7 @@ the root (its own parent) emits no subClassOf triple. Ranks turn into
 replaced by underscores. Divisions are declared pairwise disjoint.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import idmap
 from .graph import Term, Triple, TripleStore, ValidationError, iri, literal
@@ -42,25 +42,9 @@ class DuplicateDivisionError(ValidationError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class TaxonNodeRow:
-    taxon_id: int
-    parent_id: int
-    rank: str
-    division_id: int
-
-
-@dataclass(frozen=True, slots=True)
-class TaxonNameRow:
-    taxon_id: int
-    name: str
-    name_class: str
-
-
-@dataclass(frozen=True, slots=True)
-class DivisionRow:
-    division_id: int
-    label: str
+TaxonNodeRow = namedtuple("TaxonNodeRow", "taxon_id parent_id rank division_id")
+TaxonNameRow = namedtuple("TaxonNameRow", "taxon_id name name_class")
+DivisionRow = namedtuple("DivisionRow", "division_id label")
 
 
 def parse_dmp(text: str) -> list[list[str]]:

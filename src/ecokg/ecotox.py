@@ -17,7 +17,7 @@ shorthands before use.
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import idmap
 from .graph import Term, Triple, TripleStore, ValidationError, blank, iri, literal
@@ -85,40 +85,13 @@ class UnknownReferenceError(ValidationError):
         self.missing = sorted(missing)
 
 
-@dataclass(frozen=True, slots=True)
-class SpeciesRecord:
-    number: str
-    common_name: str | None
-    latin_name: str | None
-    group: str | None
-    lineage: tuple[tuple[str, str], ...]  # (level, name-or-empty), highest first
-
-
-@dataclass(frozen=True, slots=True)
-class ChemicalRecord:
-    cas: str
-    name: str
-    group: str | None
-    cas_valid: bool
-
-
-@dataclass(frozen=True, slots=True)
-class TestRecord:
-    test_id: str
-    cas: str
-    species_number: str
-    reference_number: int | None = None
-    lifestage: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class ResultRecord:
-    result_id: str
-    test_id: str
-    endpoint: str
-    concentration: str | None = None
-    unit: str | None = None
-    effect: str | None = None
+# lineage: (level, name-or-empty) pairs, highest first
+SpeciesRecord = namedtuple("SpeciesRecord", "number common_name latin_name group lineage")
+ChemicalRecord = namedtuple("ChemicalRecord", "cas name group cas_valid")
+TestRecord = namedtuple("TestRecord", "test_id cas species_number reference_number lifestage",
+                        defaults=(None, None))
+ResultRecord = namedtuple("ResultRecord", "result_id test_id endpoint concentration unit effect",
+                          defaults=(None, None, None))
 
 
 def read_table(text: str) -> tuple[list[str], list[dict[str, str]]]:
@@ -196,7 +169,7 @@ def synthesize_lineage(record: SpeciesRecord) -> SpeciesRecord:
         if not completed[i]:
             completed[i] = f"{completed[i - 1]} {record.lineage[i][0]}"
     lineage = tuple((level, completed[i]) for i, (level, _) in enumerate(record.lineage))
-    return replace(record, lineage=lineage)
+    return record._replace(lineage=lineage)
 
 
 def parse_species(text: str) -> list[SpeciesRecord]:

@@ -1,7 +1,7 @@
 """External identifier bridging: CAS and NCBI ids to IRIs, sameAs links."""
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graph import Triple, TripleStore, ValidationError, iri, read_tsv_rows
 from .ns import ET, NCBI, OWL_SAMEAS
@@ -58,10 +58,7 @@ def ncbi_id_to_iri(taxon_id: str) -> str:
     return taxon_iri_text(text)
 
 
-@dataclass(frozen=True, slots=True)
-class IdPair:
-    external_id: str
-    external_iri: str
+IdPair = namedtuple("IdPair", "external_id external_iri")
 
 
 def parse_pairs(text: str) -> list[IdPair]:

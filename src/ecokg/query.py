@@ -108,50 +108,79 @@ class _TermScanner(_LineScanner):
         return self.checked(self.prefixes.expand, token)
 
 
+# Operators and groups one path may nest: the parser descends, and
+# eval_path recurses, once per level, so a deeper path would exhaust the
+# interpreter's stack instead of failing as a syntax error.
+MAX_PATH_DEPTH = 64
+
+
 class _PathParser(_TermScanner):
-    """Recursive descent over | then / then ^ then {m,n}."""
+    """Recursive descent over | then / then ^ then {m,n}.
+
+    Each rule returns its expression with its depth: 1 for an atom, one
+    more per group, inversion, repetition, and sequence or alternative
+    step above it.
+    """
+
+    open = 0  # groups and inversions entered and not yet left
 
     def error(self, message: str) -> PathSyntaxError:
         return PathSyntaxError(f"position {self.pos}: {message}")
 
+    def deeper(self, depth: int) -> int:
+        """``depth + 1``, unless that exceeds ``MAX_PATH_DEPTH``."""
+        if depth >= MAX_PATH_DEPTH:
+            raise self.error(f"path nested more than {MAX_PATH_DEPTH} levels deep")
+        return depth + 1
+
+    def nested(self, rule):
+        """``rule()`` inside one more group or inversion, with its depth raised by one."""
+        self.open = self.deeper(self.open)
+        expr, depth = rule()
+        self.open -= 1
+        return expr, self.deeper(depth)
+
     def parse(self) -> PathExpr:
-        expr = self.alternative()
+        expr, _ = self.alternative()
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error(f"unexpected {self.peek()!r}")
         return expr
 
-    def alternative(self) -> PathExpr:
-        expr = self.sequence()
+    def alternative(self) -> tuple[PathExpr, int]:
+        expr, depth = self.sequence()
         while True:
             self.skip_ws()
             if self.peek() != "|":
-                return expr
+                return expr, depth
             self.pos += 1
-            expr = PathAlt(expr, self.sequence())
+            right, right_depth = self.sequence()
+            expr, depth = PathAlt(expr, right), self.deeper(max(depth, right_depth))
 
-    def sequence(self) -> PathExpr:
-        expr = self.unary()
+    def sequence(self) -> tuple[PathExpr, int]:
+        expr, depth = self.unary()
         while True:
             self.skip_ws()
             if self.peek() != "/":
-                return expr
+                return expr, depth
             self.pos += 1
-            expr = PathSeq(expr, self.unary())
+            right, right_depth = self.unary()
+            expr, depth = PathSeq(expr, right), self.deeper(max(depth, right_depth))
 
-    def unary(self) -> PathExpr:
+    def unary(self) -> tuple[PathExpr, int]:
         self.skip_ws()
         if self.peek() == "^":
             self.pos += 1
-            return PathInverse(self.unary())
+            child, depth = self.nested(self.unary)
+            return PathInverse(child), depth
         return self.postfix()
 
-    def postfix(self) -> PathExpr:
-        expr = self.primary()
+    def postfix(self) -> tuple[PathExpr, int]:
+        expr, depth = self.primary()
         while True:
             self.skip_ws()
             if self.peek() != "{":
-                return expr
+                return expr, depth
             self.pos += 1
             low = self.number()
             self.skip_ws()
@@ -166,7 +195,7 @@ class _PathParser(_TermScanner):
             if self.peek() != "}":
                 raise self.error("expected '}'")
             self.pos += 1
-            expr = self.checked(PathRepeat, expr, low, high)
+            expr, depth = self.checked(PathRepeat, expr, low, high), self.deeper(depth)
 
     def number(self) -> int:
         self.skip_ws()
@@ -177,24 +206,24 @@ class _PathParser(_TermScanner):
             raise self.error("expected a number")
         return self.checked(int, self.text[start:self.pos])
 
-    def primary(self) -> PathExpr:
+    def primary(self) -> tuple[PathExpr, int]:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            expr = self.alternative()
+            expr, depth = self.nested(self.alternative)
             self.skip_ws()
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.pos += 1
-            return expr
+            return expr, depth
         if ch == "<":
-            return PathAtom(self.scan_iri())
+            return PathAtom(self.scan_iri()), 1
         start = self.pos
         self.pos = _ATOM.match(self.text, start).end()
         token = self.text[start:self.pos]
         if not token:
             raise self.error("expected a predicate atom")
-        return PathAtom(self.expand(token))
+        return PathAtom(self.expand(token)), 1
 
 
 def parse_path(text: str, prefixes: PrefixMap) -> PathExpr:
@@ -494,9 +523,10 @@ def parse_query(text: str, prefixes: PrefixMap) -> Query:
         raise QuerySyntaxError("empty query")
     sc = _PatternScanner(prefixes)
     first_no, first = lines[0]
-    if first.lower().startswith("select"):
+    words = first.split()
+    if words[0].lower() == "select":
         names = []
-        for token in first[len("select"):].split():
+        for token in words[1:]:
             if not token.startswith("?"):
                 raise QuerySyntaxError(f"line {first_no}: projection must list ?variables")
             names.append(token[1:])

@@ -9,7 +9,7 @@ nodes in subject or object position. Densities are the plain ratios
 so AD always equals ED / (|E| - 1).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graph import LITERAL, TripleStore, ValidationError
 
@@ -18,11 +18,7 @@ class EmptyGraphError(ValidationError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class GraphCounts:
-    triples: int
-    relations: int
-    entities: int
+GraphCounts = namedtuple("GraphCounts", "triples relations entities")
 
 
 def count_graph(store: TripleStore) -> GraphCounts:

@@ -7,7 +7,7 @@ rows flow through the same path. Each row becomes exactly one triple.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
 
@@ -23,16 +23,20 @@ class UnresolvedGlossaryError(ValidationError):
         self.terms = sorted(terms)
 
 
-@dataclass(frozen=True, slots=True)
-class TraitRow:
-    subject: str  # IRI text
-    property: str  # IRI text
-    value: str  # raw value column
-    kind: str
+class TraitRow(namedtuple("TraitRow", "subject property value kind")):
+    """One trait row: subject and property IRI texts, the raw value column, its kind."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown trait value kind: {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, subject: str, property: str, value: str, kind: str) -> "TraitRow":
+        if kind not in _KINDS:
+            raise ValueError(f"unknown trait value kind: {kind!r}")
+        return tuple.__new__(cls, (subject, property, value, kind))
+
+    @classmethod
+    def _make(cls, fields) -> "TraitRow":
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
 
 def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:

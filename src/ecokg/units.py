@@ -12,7 +12,7 @@ concentrations (e.g. "mg/kg diet") carry their own dimension tag, so
 they are deliberately unreachable from mass-per-volume units.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 
 from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
@@ -27,21 +27,21 @@ class DimensionMismatchError(ValidationError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class UnitDef:
+class UnitDef(namedtuple("UnitDef", "id label abbreviation multiplier offset dimension symbol")):
     """One unit: identity, presentation strings, and conversion data."""
 
-    id: str
-    label: str
-    abbreviation: str
-    multiplier: float
-    offset: float
-    dimension: str
-    symbol: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.multiplier > 0:
-            raise ValueError(f"multiplier must be positive: {self.multiplier!r}")
+    def __new__(cls, id: str, label: str, abbreviation: str, multiplier: float, offset: float,
+                dimension: str, symbol: str) -> "UnitDef":
+        if not multiplier > 0:
+            raise ValueError(f"multiplier must be positive: {multiplier!r}")
+        return tuple.__new__(cls, (id, label, abbreviation, multiplier, offset, dimension, symbol))
+
+    @classmethod
+    def _make(cls, fields) -> "UnitDef":
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
 
 def _decimal_lexical(value: float) -> str:

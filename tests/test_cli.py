@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -177,6 +178,20 @@ class TestExitCodes:
         assert code == 2
         assert error_line(capsys) == ("QuerySyntaxError", message)
 
+    @pytest.mark.parametrize("expr", [
+        "(" * 2000 + "rdfs:subClassOf" + ")" * 2000,
+        "^" * 2000 + "rdfs:subClassOf",
+        "/".join(["rdfs:subClassOf"] * 3000),
+    ], ids=["groups", "inverses", "sequence"])
+    def test_too_deep_path_is_two(self, pipeline_dir, capsys, expr):
+        code = run_cli(
+            *cfg_args("path", "--graph", str(pipeline_dir / "kg.nt"), "--expr", expr)
+        )
+        assert code == 2
+        cls, message = error_line(capsys)
+        assert cls == "PathSyntaxError"
+        assert message.endswith(f"path nested more than {query.MAX_PATH_DEPTH} levels deep")
+
 
 # Every subcommand's option strings (besides -h/--help).
 CLI_OPTIONS = {
@@ -266,6 +281,21 @@ class TestSummaries:
         assert isinstance(peak, float) and peak > 0
         assert run_cli(*cfg_args("units", "--out", str(tmp_path))) == 0
         assert read_summary(tmp_path, "units")["peak_rss_mb"] > 0
+
+    def test_peak_rss_reads_vmhwm(self, tmp_path):
+        status = tmp_path / "status"
+        status.write_text("Name:\tpython3\nVmPeak:\t  99999 kB\nVmHWM:\t   24576 kB\nVmRSS:\t   20480 kB\n")
+        assert cli._peak_rss_mb(str(status)) == 24.0
+
+    def test_peak_rss_falls_back_to_ru_maxrss(self, tmp_path):
+        def ru_maxrss_mb():
+            return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+        no_vmhwm = tmp_path / "status"
+        no_vmhwm.write_text("Name:\tpython3\n")
+        for status in (tmp_path / "absent", no_vmhwm):
+            before = ru_maxrss_mb()
+            assert before <= cli._peak_rss_mb(str(status)) <= ru_maxrss_mb()
 
     def test_update_summary_collects_steps(self, pipeline_dir):
         summary = read_summary(pipeline_dir, "update")

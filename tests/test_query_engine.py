@@ -12,6 +12,7 @@ from ecokg.graph import PrefixMap, Term, Triple, TripleStore, blank, iri, litera
 from ecokg.ntriples import parse as parse_ntriples
 from ecokg.ntriples import serialize
 from ecokg.query import (
+    MAX_PATH_DEPTH,
     PathAlt,
     PathAtom,
     PathInverse,
@@ -123,6 +124,33 @@ class TestParsePath:
     def test_syntax_errors_carry_position(self, bad):
         with pytest.raises(PathSyntaxError, match="position"):
             parse_path(bad, PREFIXES)
+
+    @pytest.mark.parametrize(("text", "position"), [
+        ("(" * 2000 + "a" + ")" * 2000, MAX_PATH_DEPTH + 1),
+        ("^" * 2000 + "a", MAX_PATH_DEPTH + 1),
+        ("/".join(["a"] * 3000), 2 * MAX_PATH_DEPTH + 1),
+        ("|".join(["a"] * 3000), 2 * MAX_PATH_DEPTH + 1),
+        ("a" + "{1,}" * 3000, 1 + 4 * MAX_PATH_DEPTH),
+        ("(" * MAX_PATH_DEPTH + "a" + ")" * MAX_PATH_DEPTH, 2 * MAX_PATH_DEPTH),
+    ], ids=["groups", "inverses", "sequence", "alternative", "repetitions", "one-group-too-many"])
+    def test_too_deep_is_a_syntax_error(self, text, position):
+        with pytest.raises(PathSyntaxError, match=f"^position {position}: path nested more than"):
+            parse_path(text, PREFIXES)
+
+    @pytest.mark.parametrize("text", [
+        "(" * (MAX_PATH_DEPTH - 1) + "rdfs:subClassOf" + ")" * (MAX_PATH_DEPTH - 1),
+        "^" * (MAX_PATH_DEPTH - 1) + "rdfs:subClassOf",
+        "/".join(["rdfs:subClassOf"] * MAX_PATH_DEPTH),
+        "|".join(["rdfs:subClassOf"] * MAX_PATH_DEPTH),
+        "rdfs:subClassOf" + "{1,1}" * (MAX_PATH_DEPTH - 1),
+        "^(" * (MAX_PATH_DEPTH // 2 - 2) + "rdfs:subClassOf/rdfs:subClassOf/rdfs:subClassOf/^rdfs:subClassOf"
+        + ")" * (MAX_PATH_DEPTH // 2 - 2),
+    ], ids=["groups", "inverses", "sequence", "alternative", "repetitions", "inverted-groups"])
+    def test_deepest_paths_parse_and_evaluate(self, text):
+        store = edge_store([(1, 2), (2, 3), (3, 1)], predicate=ns.RDFS + "subClassOf")
+        expr = parse_path(text, PREFIXES)
+        expected = {(a, b) for a, b in path_oracle(store, expr) if a == node(1)}
+        assert eval_path(store, expr, node(1)) == expected
 
 
 class TestEvalPath:
@@ -460,6 +488,16 @@ class TestParseQuery:
         assert q.kind == "select"
         assert q.projection == ("s", "o")
         assert q.patterns == ((Var("s"), ns.RDFS_LABEL, Var("o")),)
+
+    @pytest.mark.parametrize("header", ["SELECT ?s ?o", "Select\t?s ?o", "  select ?s  ?o  "])
+    def test_select_header_in_any_case(self, header):
+        assert parse_query(f"{header}\n?s rdfs:label ?o .", PREFIXES).projection == ("s", "o")
+
+    def test_curie_prefix_starting_with_select_is_a_pattern(self):
+        prefixes = PrefixMap({**ns.DEFAULT_PREFIXES, "selectors": "http://example.org/sel/"})
+        q = parse_query("selectors:x a ?t .", prefixes)
+        assert q.projection == ("t",)
+        assert q.patterns == ((iri("http://example.org/sel/x"), ns.RDF_TYPE, Var("t")),)
 
     def test_bare_patterns_project_all_named_sorted(self):
         q = parse_query("?b rdfs:label ?a .\n_:x a ?b .", PREFIXES)
