@@ -13,6 +13,7 @@ replaced by underscores. Divisions are declared pairwise disjoint.
 """
 
 from collections import namedtuple
+from collections.abc import Iterator
 
 from . import idmap
 from .graph import Term, Triple, TripleStore, ValidationError, iri, literal
@@ -47,17 +48,15 @@ TaxonNameRow = namedtuple("TaxonNameRow", "taxon_id name name_class")
 DivisionRow = namedtuple("DivisionRow", "division_id label")
 
 
-def parse_dmp(text: str) -> list[list[str]]:
-    """Split dump text into records of raw string fields."""
-    records = []
+def parse_dmp(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Line number (from 1) and raw string fields of each record; blank lines are skipped."""
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip("\r")
         if not line:
             continue
         if not line.endswith(RECORD_END):
             raise DmpFormatError("record does not end with tab-pipe terminator", line_no)
-        records.append(line[: -len(RECORD_END)].split(FIELD_SEP))
-    return records
+        yield line_no, line[: -len(RECORD_END)].split(FIELD_SEP)
 
 
 def _field(fields: list[str], index: int, line_no: int) -> str:
@@ -76,7 +75,7 @@ def _int_field(fields: list[str], index: int, line_no: int) -> int:
 
 def parse_nodes(text: str) -> list[TaxonNodeRow]:
     rows = []
-    for line_no, fields in enumerate(parse_dmp(text), 1):
+    for line_no, fields in parse_dmp(text):
         rows.append(
             TaxonNodeRow(
                 taxon_id=_int_field(fields, 0, line_no),
@@ -90,7 +89,7 @@ def parse_nodes(text: str) -> list[TaxonNodeRow]:
 
 def parse_names(text: str) -> list[TaxonNameRow]:
     rows = []
-    for line_no, fields in enumerate(parse_dmp(text), 1):
+    for line_no, fields in parse_dmp(text):
         rows.append(
             TaxonNameRow(
                 taxon_id=_int_field(fields, 0, line_no),
@@ -103,7 +102,7 @@ def parse_names(text: str) -> list[TaxonNameRow]:
 
 def parse_divisions(text: str) -> list[DivisionRow]:
     rows = []
-    for line_no, fields in enumerate(parse_dmp(text), 1):
+    for line_no, fields in parse_dmp(text):
         rows.append(
             DivisionRow(
                 division_id=_int_field(fields, 0, line_no),
@@ -123,9 +122,7 @@ def division_iri(division_id: int) -> Term:
 
 def rank_iri(rank: str) -> Term:
     # "no rank" -> ncbi:No_rank, "species" -> ncbi:Species
-    text = rank.strip()
-    text = (text[:1].upper() + text[1:]).replace(" ", "_")
-    return iri(NCBI + text)
+    return iri(NCBI + idmap.capitalized_local_name(rank))
 
 
 def name_class_iri(name_class: str) -> Term:

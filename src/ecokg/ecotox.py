@@ -96,13 +96,12 @@ ResultRecord = namedtuple("ResultRecord", "result_id test_id endpoint concentrat
 
 def read_table(text: str) -> tuple[list[str], list[dict[str, str]]]:
     """Parse a pipe-delimited table with a header row into dict rows."""
-    lines = [ln.rstrip("\r") for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [(n, ln.rstrip("\r")) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty table")
-    header = [col.strip() for col in lines[0].split("|")]
+    header = [col.strip() for col in lines[0][1].split("|")]
     rows = []
-    for line_no, line in enumerate(lines[1:], 2):
+    for line_no, line in lines[1:]:
         cells = line.split("|")
         if len(cells) != len(header):
             raise ValueError(
@@ -128,13 +127,8 @@ def clean_species_name(raw: str) -> str | None:
 
 def sanitize_name(name: str) -> str:
     """Lineage-node key: lowercase, spaces to underscores, rest dropped."""
-    out = []
-    for ch in name.strip().lower():
-        if ch.isalnum() or ch == "_":
-            out.append(ch)
-        elif ch == " ":
-            out.append("_")
-    return "".join(out)
+    # lowered before filtering: ``"İ".lower()`` adds a combining mark
+    return _sanitize_keep_case(name.lower())
 
 
 def _sanitize_keep_case(name: str) -> str:
@@ -148,8 +142,7 @@ def _sanitize_keep_case(name: str) -> str:
 
 
 def _level_term(level: str) -> Term:
-    text = level.strip()
-    return iri(ET + (text[:1].upper() + text[1:]).replace(" ", "_"))
+    return iri(ET + idmap.capitalized_local_name(level))
 
 
 def synthesize_lineage(record: SpeciesRecord) -> SpeciesRecord:

@@ -392,20 +392,6 @@ class TripleStore:
             return sum(len(os_.get(o, ())) for os_ in self._pos.values())
         return self._len
 
-    def ntriples_lines(self) -> list[str]:
-        """Every triple as an N-Triples line, unsorted.
-
-        Each subject, and each predicate under it, is rendered once for
-        all the triples that share it.
-        """
-        lines = []
-        for s, po in self._spo.items():
-            s_text = s.ntriples()
-            for p, objs in po.items():
-                head = f"{s_text} {p.ntriples()} "
-                lines.extend([f"{head}{o.ntriples()} ." for o in objs])
-        return lines
-
     def terms(self) -> set[Term]:
         """All subjects and objects (predicates excluded)."""
         return set(self._spo).union(*self._pos.values())

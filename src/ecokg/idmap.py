@@ -46,6 +46,12 @@ def cas_to_iri(cas: str) -> str:
     return chemical_iri_text(cas.strip())
 
 
+def capitalized_local_name(text: str) -> str:
+    """IRI local name of a rank or level: stripped, first letter upper-cased, spaces to underscores."""
+    text = text.strip()
+    return (text[:1].upper() + text[1:]).replace(" ", "_")
+
+
 def taxon_iri_text(taxon_id: int | str) -> str:
     """NCBI taxon IRI text from a taxon id; not validated."""
     return f"{NCBI}taxon/{taxon_id}"

@@ -247,17 +247,20 @@ def _token_term(terms: dict[str, Term], token: str) -> Term | None:
     return term
 
 
-# Lines per chunk of ``_sorted_chunks``: large writes, yet one chunk
-# stays a small fraction of a big graph's text.
-_CHUNK_LINES = 2048
-
-
+# Subjects sorted by text, then each subject's lines sorted, is the order
+# of all lines sorted: no subject's text is a proper prefix of another's
+# followed by a character at or below the space that ends it in a line.
+# IRIs hold no ``<>`` and blank labels are ``[A-Za-z0-9_]+``.
 def _sorted_chunks(store: TripleStore) -> Iterator[str]:
-    """The canonical text of ``store``, ``_CHUNK_LINES`` sorted lines at a time."""
-    lines = store.ntriples_lines()
-    lines.sort()
-    for start in range(0, len(lines), _CHUNK_LINES):
-        yield "\n".join(lines[start:start + _CHUNK_LINES]) + "\n"
+    """The canonical text of ``store``, one subject's sorted lines at a time."""
+    # a dict, not a list of (text, index) pairs, so the cyclic collector
+    # is not woken by one tracked pair per subject
+    by_text = {s.ntriples(): po for s, po in store._spo.items()}
+    for s_text in sorted(by_text):
+        po = by_text[s_text]
+        lines = [f"{s_text} {p.ntriples()} {o.ntriples()} ." for p, objs in po.items() for o in objs]
+        lines.sort()
+        yield "\n".join(lines) + "\n"
 
 
 def serialize(store: TripleStore) -> str:

@@ -256,13 +256,16 @@ def _compose(left: set[tuple[Term, Term]], right: set[tuple[Term, Term]]) -> set
 
 
 def _eval_relation(
-    store: TripleStore, expr: PathExpr, starts: set[Term]
+    store: TripleStore, expr: PathExpr, starts: set[Term], memo: dict
 ) -> set[tuple[Term, Term]]:
     """Pairs connected by ``expr`` that begin at a node in ``starts``.
 
     The start set is pushed through every operator, so the cost follows
     the subgraph reachable from it (forward evaluation, as in the SPARQL
-    1.1 ALP procedure) instead of the whole graph.
+    1.1 ALP procedure) instead of the whole graph. ``memo`` maps each
+    repetition to its child's successors by node, for one ``eval_path``
+    call, so a nested repetition evaluates its child at a node once
+    instead of once per enclosing level.
     """
     if isinstance(expr, PathAtom):
         return {(n, o) for n in starts for o in store.objects(n, expr.predicate)}
@@ -271,23 +274,24 @@ def _eval_relation(
         p = expr.child.predicate
         return {(n, s) for n in starts for s in store.subjects(p, n)}
     if isinstance(expr, PathSeq):
-        left = _eval_relation(store, expr.left, starts)
-        return _compose(left, _eval_relation(store, expr.right, {b for _, b in left}))
+        left = _eval_relation(store, expr.left, starts, memo)
+        return _compose(left, _eval_relation(store, expr.right, {b for _, b in left}, memo))
     if isinstance(expr, PathAlt):
-        return _eval_relation(store, expr.left, starts) | _eval_relation(store, expr.right, starts)
+        left = _eval_relation(store, expr.left, starts, memo)
+        return left | _eval_relation(store, expr.right, starts, memo)
     if isinstance(expr, PathRepeat):
-        return _eval_repeat(store, expr, starts)
+        return _eval_repeat(store, expr, starts, memo)
     raise TypeError(f"not a path expression: {expr!r}")
 
 
 def _eval_repeat(
-    store: TripleStore, expr: PathRepeat, starts: set[Term]
+    store: TripleStore, expr: PathRepeat, starts: set[Term], memo: dict
 ) -> set[tuple[Term, Term]]:
-    cache: dict[Term, set[Term]] = {}
+    cache: dict[Term, set[Term]] = memo.setdefault(expr, {})
 
     def successors(node: Term) -> set[Term]:
         if node not in cache:
-            cache[node] = {b for _, b in _eval_relation(store, expr.child, {node})}
+            cache[node] = {b for _, b in _eval_relation(store, expr.child, {node}, memo)}
         return cache[node]
 
     out: set[tuple[Term, Term]] = set()
@@ -321,7 +325,7 @@ def eval_path(
     """
     normalized = _normalize_inverse(path)
     starts = store.terms() if start is None else {start}
-    return _eval_relation(store, normalized, starts)
+    return _eval_relation(store, normalized, starts, {})
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,10 @@ class TestTableReader:
         with pytest.raises(ValueError, match="line 3"):
             ecotox.read_table("a|b\n1|2\nonly-one\n")
 
+    def test_error_names_the_file_line_past_blank_lines(self):
+        with pytest.raises(ValueError, match="^line 4: expected 2 fields, got 1$"):
+            ecotox.read_table("a|b\n1|2\n\nonly-one\n")
+
     def test_empty_table(self):
         with pytest.raises(ValueError):
             ecotox.read_table("\n\n")
@@ -76,6 +80,8 @@ class TestNameCleaning:
         assert ecotox.sanitize_name("Daphniidae genus") == "daphniidae_genus"
         assert ecotox.sanitize_name("O'Brien's worm") == "obriens_worm"
         assert ecotox.sanitize_name("  Daphnia  ") == "daphnia"
+        # lowered before filtering, so the combining dot of "İ".lower() is dropped
+        assert ecotox.sanitize_name("İzmir worm") == "izmir_worm"
 
 
 class TestLineageSynthesis:

@@ -392,7 +392,7 @@ class TestStore:
             assert len(store) == store.count() == len(added)
             assert store.triples() == frozenset(store) == added
             assert all(t in store for t in added)
-            assert sorted(store.ntriples_lines()) == sorted(t.ntriples() for t in added)
+            assert ntriples.serialize(store) == "".join(sorted(t.ntriples() + "\n" for t in added))
             assert store == twin
             probe = helpers.random_triple(rng)
             assert (probe in store) is (probe in added)

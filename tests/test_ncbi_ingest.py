@@ -26,12 +26,22 @@ def taxonomy_store(dump_texts):
 class TestRecordParsing:
     def test_field_separator_and_terminator(self):
         rows = dmp.parse_dmp("10\t|\tleft\t|\t\t|\tright\t|\n")
-        assert rows == [["10", "left", "", "right"]]
+        assert list(rows) == [(1, ["10", "left", "", "right"])]
 
     def test_missing_terminator_is_an_error_with_line(self):
         with pytest.raises(dmp.DmpFormatError) as err:
-            dmp.parse_dmp("1\t|\t2\t|\tok\t|\n3\t|\t4\t|\tbroken\n")
+            list(dmp.parse_dmp("1\t|\t2\t|\tok\t|\n3\t|\t4\t|\tbroken\n"))
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(("parse", "good", "bad"), [
+        (dmp.parse_nodes, "1\t|\t1\t|\tno rank\t|\t\t|\t8\t|", "2\t|\tx\t|\tspecies\t|\t\t|\t1\t|"),
+        (dmp.parse_names, "1\t|\troot\t|\t\t|\tscientific name\t|", "x\t|\tleaf\t|\t\t|\tscientific name\t|"),
+        (dmp.parse_divisions, "0\t|\tBCT\t|\tBacteria\t|", "1\t|\tINV\t|"),
+    ], ids=["nodes", "names", "divisions"])
+    def test_error_names_the_file_line_past_blank_lines(self, parse, good, bad):
+        with pytest.raises(dmp.DmpFormatError, match="^line 3: ") as err:
+            parse(f"{good}\n\n{bad}\n")
+        assert err.value.line == 3
 
     def test_non_integer_id(self):
         with pytest.raises(dmp.DmpFormatError):

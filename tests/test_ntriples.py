@@ -5,6 +5,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from ecokg import ntriples
@@ -20,6 +22,21 @@ def labelled_store(n: int) -> TripleStore:
         name = literal(f"Taxon name {i}", language="en")
         store.add(Triple(iri(f"http://example.org/taxon/{i}"), label, name))
     return store
+
+
+# Term texts that are prefixes of one another, so a writer that orders
+# by anything but the whole line would show it.
+_SUBJECTS = st.one_of(
+    st.sampled_from(["http://x/a", "http://x/a/b", "http://x/a/b1", "http://x/ab", "http://x/a-"]).map(iri),
+    st.sampled_from(["b", "b1", "b10", "b_", "B"]).map(blank),
+)
+_PREDICATES = st.sampled_from(["http://x/p", "http://x/p/q", "http://x/pq"]).map(iri)
+_LITERALS = st.builds(
+    lambda lex, suffix: literal(lex, *suffix),
+    st.text(alphabet='ab \t"\\\x85\u2028é', max_size=6),
+    st.sampled_from([(None, None), (None, "en"), (None, "en-GB"), ("http://x/a", None), ("http://x/a/b", None)]),
+)
+_TRIPLES = st.builds(Triple, _SUBJECTS, _PREDICATES, st.one_of(_SUBJECTS, _LITERALS))
 
 
 def single(text: str) -> Triple:
@@ -270,6 +287,13 @@ class TestSerialize:
         assert all(line.endswith(" .") for line in lines)
         assert text.endswith("\n")
 
+    @given(st.lists(_TRIPLES, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_sorted_lines(self, triples):
+        store = TripleStore()
+        store.add_all(triples)
+        assert serialize(store) == "".join(sorted(t.ntriples() + "\n" for t in store))
+
     def test_empty_store(self):
         store = parse("")
         assert serialize(store) == ""
@@ -332,7 +356,7 @@ class TestFiles:
         assert parse(path.read_text(encoding="utf-8")) == store
         assert path.read_bytes() == b'<http://x.org/s> <http://x.org/p> "o" .\n'
 
-    @pytest.mark.parametrize("size", [0, 1, 3 * ntriples._CHUNK_LINES + 5])
+    @pytest.mark.parametrize("size", [0, 1, 5])
     def test_write_file_equals_serialize(self, tmp_path, size):
         store = labelled_store(size)
         path = tmp_path / "g.nt"
@@ -342,7 +366,7 @@ class TestFiles:
 
     @pytest.mark.parametrize("write", [
         lambda path: ntriples.write_file(parse('<http://x.org/s> <http://x.org/p> "new" .\n'), path),
-        lambda path: ntriples.write_file(labelled_store(2 * ntriples._CHUNK_LINES + 1), path),
+        lambda path: ntriples.write_file(labelled_store(5), path),
         lambda path: ntriples.write_text(path, "new text\n" * 100),
     ], ids=["write_file", "write_file_chunks", "write_text"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write):
@@ -383,16 +407,13 @@ class TestFiles:
 
         monkeypatch.setattr(builtins, "open", flaky_open)
         with pytest.raises(OSError):
-            ntriples.write_file(labelled_store(5 * ntriples._CHUNK_LINES), path)
+            ntriples.write_file(labelled_store(5), path)
         monkeypatch.undo()
         assert len(writes) == 3
         assert path.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["g.nt"]
 
     def test_write_file_never_holds_the_whole_text(self, tmp_path):
-        # the sorted lines alone cost about 1.7x the file's size here and
-        # the streamed writer peaks near 1.9x; one that also joins and
-        # encodes the whole text peaks near 4x
         store = labelled_store(20_000)
         path = tmp_path / "g.nt"
         tracemalloc.start()

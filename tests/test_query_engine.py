@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecokg import ns
+from ecokg import query as query_engine
 from ecokg.graph import PrefixMap, Term, Triple, TripleStore, blank, iri, literal
 from ecokg.ntriples import parse as parse_ntriples
 from ecokg.ntriples import serialize
@@ -259,6 +260,25 @@ class TestEvalPath:
         }
         ghost = node(99)
         assert eval_path(store, PathAlt(P, PathRepeat(Q, 0, 1)), start=ghost) == {(ghost, ghost)}
+
+    def test_nested_repetitions_evaluate_each_node_once_per_level(self, monkeypatch):
+        # every {0,} level asks its child for a node's successors once,
+        # not once per enclosing level, so the work is linear in the depth
+        store = edge_store([(1, 2), (2, 3), (3, 1)], predicate=ns.RDFS + "subClassOf")
+        levels = MAX_PATH_DEPTH - 1
+        nested = parse_path("rdfs:subClassOf" + "{0,}" * levels, PREFIXES)
+        expected = eval_path(store, parse_path("rdfs:subClassOf{0,}", PREFIXES), node(1))
+        real = query_engine._eval_relation
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= 1 + 3 * levels, "a nested repetition re-evaluated its child"
+            return real(*args)
+
+        monkeypatch.setattr(query_engine, "_eval_relation", counted)
+        assert eval_path(store, nested, node(1)) == expected
 
     def test_algebra_laws(self):
         rng = random.Random(99)
