@@ -90,7 +90,7 @@ def _load_stop_words(cfg: _Config, override: str | None) -> frozenset[str]:
     path = cfg.path("stopwords", override)
     if path is None:
         return align_mod.DEFAULT_STOP_WORDS
-    lines = _read_text(path).splitlines()
+    lines = _read_text(path).split("\n")
     return frozenset(line.strip().lower() for line in lines if is_content_line(line))
 
 

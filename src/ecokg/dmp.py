@@ -50,8 +50,8 @@ DivisionRow = namedtuple("DivisionRow", "division_id label")
 
 def parse_dmp(text: str) -> Iterator[tuple[int, list[str]]]:
     """Line number (from 1) and raw string fields of each record; blank lines are skipped."""
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\r")
+    for line_no, raw in enumerate(text.split("\n"), 1):
+        line = raw.removesuffix("\r")
         if not line:
             continue
         if not line.endswith(RECORD_END):

@@ -96,7 +96,7 @@ ResultRecord = namedtuple("ResultRecord", "result_id test_id endpoint concentrat
 
 def read_table(text: str) -> tuple[list[str], list[dict[str, str]]]:
     """Parse a pipe-delimited table with a header row into dict rows."""
-    lines = [(n, ln.rstrip("\r")) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = [(n, ln.removesuffix("\r")) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty table")
     header = [col.strip() for col in lines[0][1].split("|")]

@@ -161,9 +161,9 @@ def read_tsv_rows(
     A line needs exactly ``columns`` fields, or at least that many with
     ``at_least``; any other line fails as "<table> line N: expected ...".
     """
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(text.split("\n"), 1):
         if is_content_line(line):
-            parts = line.split("\t")
+            parts = line.removesuffix("\r").split("\t")
             if len(parts) < columns or (len(parts) > columns and not at_least):
                 rule = f"at least {columns}" if at_least else columns
                 raise ValueError(f"{table} line {line_no}: expected {rule} columns, got {len(parts)}")

@@ -359,53 +359,51 @@ def _bind(slot: Term | Var, binding: dict[Var, Term]) -> Term | None:
 
 
 def solve(store: TripleStore, patterns) -> list[dict[Var, Term]]:
-    """All distinct variable bindings satisfying every pattern.
+    """All distinct variable bindings satisfying every pattern, in no set order.
 
-    Patterns are joined most-selective-first: at each step the pattern
-    with the most bound positions (then the fewest matching triples,
-    counted from the store's indexes) is expanded.
+    The join order is fixed once, before any row is read, as in RDF-3X.
+    Each step takes the pattern with the most positions bound, by
+    constants or by variables of earlier patterns, then the one sharing
+    the most variables with earlier patterns. Only patterns still tied
+    are counted in the store, with their constants alone; the fewest
+    matches go first. Each pattern in turn then extends every partial row.
     """
-    patterns = list(patterns)
-    for pat in patterns:
+    remaining = list(patterns)
+    for pat in remaining:
         if isinstance(pat[0], Term) and pat[0].is_literal():
             raise ValueError("literal cannot be a pattern subject")
         if isinstance(pat[1], Term) and not pat[1].is_iri():
             raise ValueError("pattern predicate must be an IRI")
         if isinstance(pat[1], Var) and pat[1].blank:
             raise ValueError("pattern predicate cannot be a blank variable")
-    results: list[dict[Var, Term]] = []
-
-    def resolve(pat: Pattern, binding: dict[Var, Term]) -> tuple[Term | None, ...]:
-        return tuple(_bind(slot, binding) for slot in pat)
-
-    def selectivity(pat: Pattern, binding: dict[Var, Term]) -> tuple[int, int]:
-        slots = resolve(pat, binding)
-        return (-sum(slot is not None for slot in slots), store.count(*slots))
-
-    def extend(remaining: list[Pattern], binding: dict[Var, Term]) -> None:
-        if not remaining:
-            results.append(dict(binding))
-            return
-        remaining = sorted(remaining, key=lambda pat: selectivity(pat, binding))
-        pat, rest = remaining[0], remaining[1:]
-        for t in store.match(*resolve(pat, binding)):
-            new = dict(binding)
-            ok = True
-            for slot, value in zip(pat, (t.subject, t.predicate, t.object)):
-                if isinstance(slot, Var):
-                    if slot in new and new[slot] != value:
-                        ok = False
+    order: list[Pattern] = []
+    while remaining:
+        bound = _pattern_vars(order)
+        ranks = [(sum(not isinstance(slot, Var) or slot in bound for slot in pat),
+                  len(bound.intersection(pat))) for pat in remaining]
+        top = max(ranks)
+        tied = [pat for pat, rank in zip(remaining, ranks) if rank == top]
+        if len(tied) > 1:
+            tied.sort(key=lambda pat: store.count(*(_bind(slot, {}) for slot in pat)))
+        order.append(tied[0])
+        remaining.remove(tied[0])
+    rows: list[dict[Var, Term]] = [{}]
+    for pat in order:
+        joined = []
+        for row in rows:
+            for t in store.match(*(_bind(slot, row) for slot in pat)):
+                new = dict(row)
+                for slot, value in zip(pat, t):
+                    if isinstance(slot, Var) and new.setdefault(slot, value) != value:
                         break
-                    new[slot] = value
-            if ok:
-                extend(rest, new)
-
-    # The bindings are already distinct: two of them part where one
-    # pattern matched two different triples under the same binding, and
-    # those triples differ in a slot that holds a variable left unbound
-    # there, so they bind it differently.
-    extend(patterns, {})
-    return results
+                else:
+                    joined.append(new)
+        rows = joined
+    # The rows are already distinct: two of them part where one pattern
+    # matched two different triples under the same row, and those
+    # triples differ in a slot that holds a variable left unbound there,
+    # so they bind it differently.
+    return rows
 
 
 def select(
@@ -522,7 +520,7 @@ class _PatternScanner(_TermScanner):
 
 def parse_query(text: str, prefixes: PrefixMap) -> Query:
     """Parse the textual mini-query format into a Query."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if is_content_line(ln)]
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.split("\n"), 1) if is_content_line(ln)]
     if not lines:
         raise QuerySyntaxError("empty query")
     sc = _PatternScanner(prefixes)

@@ -549,6 +549,12 @@ class TestAlignmentCommands:
         rows = [ln for ln in body.splitlines() if ln and not ln.startswith("#")]
         assert rows == []
 
+    def test_stop_words_split_at_newline_only(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes("The\r\n# comment\r\nfoo\u2028bar\n\x0cbaz\n".encode())
+        stop_words = cli._load_stop_words(cli._Config({}, tmp_path), str(path))
+        assert stop_words == {"the", "foo\u2028bar", "baz"}
+
 
 class TestBridgeExport:
     def test_bridge_emits_expected_link(self, tmp_path, prefixes):

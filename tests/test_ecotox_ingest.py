@@ -45,6 +45,11 @@ class TestTableReader:
         assert header == ["a", "b"]
         assert rows == [{"a": "1", "b": "2"}, {"a": "3", "b": "4"}]
 
+    def test_rows_split_at_newline_only(self):
+        header, rows = ecotox.read_table("a|b\r\n1\u2028x|2\x0c3\r\n4\u0085y|5\x1e6\n")
+        assert header == ["a", "b"]
+        assert rows == [{"a": "1\u2028x", "b": "2\x0c3"}, {"a": "4\u0085y", "b": "5\x1e6"}]
+
     def test_column_count_enforced(self):
         with pytest.raises(ValueError, match="line 3"):
             ecotox.read_table("a|b\n1|2\nonly-one\n")

@@ -276,9 +276,11 @@ class TestTsvRows:
         assert list(read_tsv_rows(text, "t", 1, at_least=True)) == rows
         assert list(read_tsv_rows("", "t", 1)) == []
 
-    def test_lines_split_as_splitlines(self):
-        # str.splitlines also breaks at U+2028 and form feeds
-        assert list(read_tsv_rows("a\u2028#b\x0cc", "t", 1)) == [(1, ["a"]), (3, ["c"])]
+    def test_lines_split_at_newline_only(self):
+        # str.splitlines would also break at U+2028, U+0085, \x0b, \x0c and \x1c-\x1e
+        text = "a\tb\u2028c\td\te\r\nf\u0085g\x0bh\x0ci\x1cj\x1dk\x1el\tm\tn\to\n"
+        rows = [(1, ["a", "b\u2028c", "d", "e"]), (2, ["f\u0085g\x0bh\x0ci\x1cj\x1dk\x1el", "m", "n", "o"])]
+        assert list(read_tsv_rows(text, "t", 4)) == rows
 
     @pytest.mark.parametrize(("text", "at_least", "message"), [
         ("a\tb\n#\na\tb\tc\n", False, "t line 3: expected 2 columns, got 3"),

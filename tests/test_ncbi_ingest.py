@@ -28,6 +28,10 @@ class TestRecordParsing:
         rows = dmp.parse_dmp("10\t|\tleft\t|\t\t|\tright\t|\n")
         assert list(rows) == [(1, ["10", "left", "", "right"])]
 
+    def test_records_split_at_newline_only(self):
+        text = "1\t|\ta\u2028b\x0bc\t|\r\n2\t|\td\u0085e\x1cf\t|\n"
+        assert list(dmp.parse_dmp(text)) == [(1, ["1", "a\u2028b\x0bc"]), (2, ["2", "d\u0085e\x1cf"])]
+
     def test_missing_terminator_is_an_error_with_line(self):
         with pytest.raises(dmp.DmpFormatError) as err:
             list(dmp.parse_dmp("1\t|\t2\t|\tok\t|\n3\t|\t4\t|\tbroken\n"))

@@ -1,9 +1,10 @@
 """The behaviour oracle: ``update`` writes the same bytes as before.
 
 A change that only restructures code must keep ``kg.nt``,
-``mappings.tsv`` and ``stats.tsv`` byte-identical on the bundled
-fixtures and on the benchmark's dev input set (``perfbench/synth.py``,
-seed 1, bench scale). A change that means to alter the output updates
+``mappings.tsv``, ``stats.tsv`` and every part file (one ``.nt`` per
+source and bridge) byte-identical on the bundled fixtures and on the
+benchmark's input sets (``perfbench/synth.py``, seeds 1 and 7, bench
+scale). A change that means to alter the output updates
 the pinned digests and says why.
 """
 
@@ -22,20 +23,43 @@ EXPECTED = {
         "kg.nt": "80a01b8d2824c501d5396e150536dc013aa4892c581cf7e08b1cd3b7353c36fe",
         "mappings.tsv": "6ec8a68ef74f1be012057efd88d33d43f0355c22e1c6fd859b79f40b5b2bb0bb",
         "stats.tsv": "daceeeba52b36d9edd6ba4de00a96a47ce6872d1937f9290bb5c39b02c72d2b2",
+        "ecotox.nt": "bf915c65dfc3bcb02f4cd2f1ed8d46dcec05b0fdb6e9d6437550c4f89e0e4f21",
+        "ncbi.nt": "f060528b50f44c38aba1bf7aafb82ed2f2a17129dae29f323bfa803e0361f822",
+        "sameas_cas.nt": "b922a4c252334c94a597517dc330ee13743eadc211b4f5994f318a5d5e2fa099",
+        "sameas_ncbi.nt": "763f052d4b98fdf981aec1e7ffb5478a5ffeedeeada18c98f9ff3585e490e2e2",
+        "traits.nt": "943bd7b6fc759a11263dafa501a6e5dd55fcba537e685a9d926671bb8497e978",
+        "units.nt": "c0d555065dc0f5b60bfcb9cb46050ae73e60bff4a8c1effab57c542f194b824d",
     },
     "bench_seed1": {
         "kg.nt": "3ae21050214391d7c04412006c59017ae0b3750783dd0b50eea722d518c76ab9",
         "mappings.tsv": "8dffdf5a01b183d80d220f6d11ef843e44e37939b87a422fce40c28668e84e49",
         "stats.tsv": "6aac174615c29066396a3193cc7a886014196f97116d7cc0700dfb702078610f",
+        "ecotox.nt": "91c13a1c622030127bdd5bdc85c3519303afd98bbcc60c3fad1da4817ec25ec1",
+        "ncbi.nt": "cc8bcbb2ff21d3f6c1361c71386c32c9153abc15206240f499c17048aae4acca",
+        "sameas_cas.nt": "68592b16ad13d57a4b5b498bc45a67f9016a3c105e4fcce3d97c0feb57094ced",
+        "sameas_ncbi.nt": "0a6dbcf1469ca49da6414da1ef1afc014e750b413af967627edcd6755e40ea72",
+        "traits.nt": "7adf34640e841477c2f5a93bbe099454b1076b0b626a3f008c00fb5b07772664",
+        "units.nt": "c0d555065dc0f5b60bfcb9cb46050ae73e60bff4a8c1effab57c542f194b824d",
+    },
+    "bench_seed7": {
+        "kg.nt": "94999c79aafb4a77723fb39d7a225321c0f45c3dccf4120671616eae7a2d1250",
+        "mappings.tsv": "905ee91605c7a75deee4f7bb2ea50b998d81666a1b2b3b6e99b468fc32cc9a70",
+        "stats.tsv": "e67a6861ba4a03cfec689f8b6be452faef4f0f4a72f95c6d88933fe390e6f58f",
+        "ecotox.nt": "f6108b7c2a9b92e022af8e0b510399b2a66301fe47e71cf75b668358d02e1ba4",
+        "ncbi.nt": "baa920f0e2a02750ab7127278a708b7b5bbbf5b6c018156d9aa1544aafd69fc8",
+        "sameas_cas.nt": "eb1764c32de65eac964061063b59a935a0df232591ed822099b5f7a3d4f4436e",
+        "sameas_ncbi.nt": "0b219772262a0a52173c9c1f54b59ee332f12e659b2929043880a7febcb07559",
+        "traits.nt": "7a8273760aaf4f91e082dfa2c3477eacbc8665f474f677eb8c6ef1541fdfcf58",
+        "units.nt": "c0d555065dc0f5b60bfcb9cb46050ae73e60bff4a8c1effab57c542f194b824d",
     },
 }
 
 
-def _generate_bench_inputs(out: Path) -> Path:
+def _generate_bench_inputs(seed: int, out: Path) -> Path:
     spec = importlib.util.spec_from_file_location("_oracle_synth", SYNTH)
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    synth.generate(1, out, "bench")
+    synth.generate(seed, out, "bench")
     return out / "config.json"
 
 
@@ -44,7 +68,8 @@ def test_update_output_digests(tmp_path, inputs):
     if inputs == "fixtures":
         config = FIXTURES / "config.json"
     else:
-        config = _generate_bench_inputs(tmp_path / "inputs")
+        seed = int(inputs.removeprefix("bench_seed"))
+        config = _generate_bench_inputs(seed, tmp_path / "inputs")
     out = tmp_path / "out"
     assert run_cli("--config", str(config), "update", "--out", str(out)) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in EXPECTED[inputs]}

@@ -60,6 +60,10 @@ def edge_store(edges, predicate="http://example.org/p"):
     return store
 
 
+EX = "http://example.org/"
+COMPOUND, HAS_RESULT, ENDPOINT, LC50 = (iri(EX + name) for name in ("compound", "hasResult", "endpoint", "LC50"))
+
+
 def node(name):
     return iri(f"http://example.org/n/{name}")
 
@@ -338,6 +342,34 @@ def binding_set(bindings):
     }
 
 
+# A small term universe, so random patterns share variables, repeat one
+# inside a pattern, and hit; the absent constants leave some queries empty.
+JOIN_NODES = [iri(f"http://example.org/n/{i}") for i in range(3)] + [blank("b0")]
+JOIN_PREDICATES = [iri("http://example.org/p"), iri("http://example.org/q")]
+JOIN_OBJECTS = JOIN_NODES + [literal("v")]
+JOIN_VARS = [Var("x"), Var("y"), Var("z"), Var("h", blank=True)]
+ABSENT = iri("http://example.org/absent")
+
+join_stores = st.lists(
+    st.tuples(st.sampled_from(JOIN_NODES), st.sampled_from(JOIN_PREDICATES), st.sampled_from(JOIN_OBJECTS)),
+    max_size=12,
+)
+join_patterns = st.tuples(
+    st.sampled_from(JOIN_VARS + JOIN_NODES + [ABSENT]),
+    st.sampled_from(JOIN_VARS[:3] + JOIN_PREDICATES + [ABSENT]),
+    st.sampled_from(JOIN_VARS + JOIN_OBJECTS + [ABSENT, literal("w")]),
+)
+
+
+@st.composite
+def join_queries(draw):
+    """One to four patterns; sometimes the last repeats the first."""
+    patterns = draw(st.lists(join_patterns, min_size=1, max_size=4))
+    if len(patterns) > 1 and draw(st.booleans()):
+        patterns[-1] = patterns[0]
+    return patterns
+
+
 class TestSolveSelect:
     def test_constant_pattern_is_membership(self):
         store = edge_store([(1, 2)])
@@ -427,6 +459,63 @@ class TestSolveSelect:
         s, lab = Var("s"), Var("l")
         patterns = [(s, ns.RDFS_LABEL, lab), (lab, ns.RDFS_LABEL, s)]
         assert select(store, patterns, ["s"]) == []
+
+    @given(join_stores, join_queries())
+    @example([(JOIN_NODES[0], JOIN_PREDICATES[0], JOIN_NODES[0])],
+             [(Var("x"), JOIN_PREDICATES[0], Var("x"))] * 2)
+    @settings(max_examples=400, deadline=None)
+    def test_join_matches_brute_force(self, triples, patterns):
+        store = TripleStore(PREFIXES)
+        store.add_all(Triple(*t) for t in triples)
+        solved = solve(store, patterns)
+        assert binding_set(solved) == binding_set(brute_force_solve(store, patterns))
+        assert len({frozenset(binding.items()) for binding in solved}) == len(solved)
+
+    @staticmethod
+    def effect_store(n):
+        """``n`` tests over 7 chemicals, every other one with an LC50 result."""
+        store = TripleStore(PREFIXES)
+        for i in range(n):
+            test, result = iri(f"{EX}test/{i}"), iri(f"{EX}result/{i}")
+            store.add(Triple(test, COMPOUND, iri(f"{EX}chemical/{i % 7}")))
+            store.add(Triple(test, HAS_RESULT, result))
+            store.add(Triple(result, ENDPOINT, LC50 if i % 2 else iri(f"{EX}EC50")))
+        return store
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The arguments of every ``TripleStore.count`` call from now on."""
+        calls = []
+        real = TripleStore.count
+
+        def count(store, *args):
+            calls.append(args)
+            return real(store, *args)
+
+        monkeypatch.setattr(TripleStore, "count", count)
+        return calls
+
+    def test_unanchored_join_counts_do_not_grow_with_the_graph(self, monkeypatch):
+        # the join order is fixed before any row is read, so how often the
+        # store is counted depends on the query, not on the rows it joins
+        patterns = [(Var("t"), COMPOUND, Var("c")), (Var("t"), HAS_RESULT, Var("r")), (Var("r"), ENDPOINT, LC50)]
+        calls = self.counted(monkeypatch)
+        per_size = []
+        for n in (40, 160):
+            store = self.effect_store(n)
+            calls.clear()
+            assert len(select(store, patterns, ["c", "r"])) == n // 2
+            per_size.append(len(calls))
+        assert per_size[0] == per_size[1]
+
+    def test_anchored_join_counts_only_the_tied_patterns(self, monkeypatch):
+        # counting ?t hasResult ?r by its predicate alone would walk every test
+        chemical = iri(f"{EX}chemical/3")
+        patterns = [(Var("t"), COMPOUND, chemical), (Var("t"), HAS_RESULT, Var("r")), (Var("r"), ENDPOINT, LC50)]
+        store = self.effect_store(40)
+        calls = self.counted(monkeypatch)
+        assert len(select(store, patterns, ["r"])) == 3
+        assert len(calls) == 2 and set(calls) == {(None, COMPOUND, chemical), (None, ENDPOINT, LC50)}
 
 
 class TestConstruct:
@@ -530,6 +619,14 @@ class TestParseQuery:
         assert q.kind == "construct"
         assert q.template == ((Var("x"), ns.OWL_SAMEAS, Var("y")),)
         assert q.patterns == ((Var("x"), iri(ns.RDFS + "seeAlso"), Var("y")),)
+
+    def test_lines_split_at_newline_only(self):
+        # the serializer writes U+2028 and U+0085 raw, so a query may hold them too
+        q = parse_query('?s rdfs:label "a\u2028b\u0085c" .\r\n?s a ?t .\r\n', PREFIXES)
+        assert q.patterns == (
+            (Var("s"), ns.RDFS_LABEL, literal("a\u2028b\u0085c")),
+            (Var("s"), ns.RDF_TYPE, Var("t")),
+        )
 
     def test_comments_and_blanks_skipped(self):
         q = parse_query("# a comment\n\n?s a ?t .\n", PREFIXES)
