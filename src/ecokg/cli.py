@@ -76,7 +76,8 @@ class _Config:
 
 
 def _read_text(path: Path) -> str:
-    with open(path, encoding="utf-8") as fh:
+    # no newline translation: a lone \r is content; each reader drops that of a \r\n
+    with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -368,17 +369,12 @@ def cmd_query(args, cfg: _Config) -> dict:
     prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
     parsed = query_mod.parse_query(_read_text(Path(args.query)), prefixes)
-    if parsed.kind == "select":
-        rows = query_mod.select(store, parsed.patterns, list(parsed.projection))
-        header = "\t".join(f"?{name}" for name in parsed.projection)
-        lines = [header] + ["\t".join(term.ntriples() for term in row) for row in rows]
-        text = "".join(line + "\n" for line in lines)
-        counts = {"rows": len(rows)}
-    else:
-        built = query_mod.run_query(store, parsed)
-        text = ntriples.serialize(built)
-        counts = {"triples": len(built)}
-    return _emit(args, text, counts)
+    result = query_mod.run_query(store, parsed)
+    if parsed.kind == "construct":
+        return _emit(args, ntriples.serialize(result), {"triples": len(result)})
+    lines = ["\t".join(f"?{name}" for name in parsed.projection)]
+    lines += ["\t".join(term.ntriples() for term in row) for row in result]
+    return _emit(args, "".join(line + "\n" for line in lines), {"rows": len(result)})
 
 
 def cmd_path(args, cfg: _Config) -> dict:

@@ -333,6 +333,8 @@ def parse_tests(text: str) -> list[TestRecord]:
         if row["test_cas"] in MISSING_TOKENS:
             raise ValueError(f"test {test_id}: missing test_cas")
         reference = row.get("reference_number", "")
+        if reference not in MISSING_TOKENS and not _DIGITS.fullmatch(reference):
+            raise ValueError(f"test {test_id}: bad reference_number {reference!r}")
         lifestage = row.get("organism_lifestage", "")
         records.append(
             TestRecord(

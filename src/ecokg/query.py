@@ -17,7 +17,7 @@ file can hold; a query adds ``^^curie`` datatypes.
 
 import heapq
 import re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from itertools import compress
 
@@ -231,84 +231,51 @@ def parse_path(text: str, prefixes: PrefixMap) -> PathExpr:
     return _PathParser(text, prefixes).parse()
 
 
-def _normalize_inverse(expr: PathExpr, flip: bool = False) -> PathExpr:
-    """Push inversions down to atoms; ^(p/q) becomes ^q/^p."""
-    if isinstance(expr, PathAtom):
-        return PathInverse(expr) if flip else expr
-    if isinstance(expr, PathInverse):
-        return _normalize_inverse(expr.child, not flip)
-    if isinstance(expr, PathSeq):
-        left = _normalize_inverse(expr.left, flip)
-        right = _normalize_inverse(expr.right, flip)
-        return PathSeq(right, left) if flip else PathSeq(left, right)
-    if isinstance(expr, PathAlt):
-        return PathAlt(_normalize_inverse(expr.left, flip), _normalize_inverse(expr.right, flip))
-    if isinstance(expr, PathRepeat):
-        return PathRepeat(_normalize_inverse(expr.child, flip), expr.low, expr.high)
-    raise TypeError(f"not a path expression: {expr!r}")
+def _ends(store: TripleStore, expr: PathExpr, node: Term, forward: bool, memo: defaultdict) -> set[Term]:
+    """The nodes ``expr`` leads to from ``node``; with ``forward`` false,
+    the nodes it leads from to ``node``.
 
-
-def _compose(left: set[tuple[Term, Term]], right: set[tuple[Term, Term]]) -> set[tuple[Term, Term]]:
-    by_start: dict[Term, set[Term]] = {}
-    for a, b in right:
-        by_start.setdefault(a, set()).add(b)
-    return {(a, c) for a, b in left for c in by_start.get(b, ())}
-
-
-def _eval_relation(
-    store: TripleStore, expr: PathExpr, starts: set[Term], memo: dict
-) -> set[tuple[Term, Term]]:
-    """Pairs connected by ``expr`` that begin at a node in ``starts``.
-
-    The start set is pushed through every operator, so the cost follows
-    the subgraph reachable from it (forward evaluation, as in the SPARQL
-    1.1 ALP procedure) instead of the whole graph. ``memo`` maps each
-    repetition to its child's successors by node, for one ``eval_path``
-    call, so a nested repetition evaluates its child at a node once
-    instead of once per enclosing level.
+    The walk reads only the index entries it reaches from ``node``, as
+    in the SPARQL 1.1 ALP procedure: an atom reads the objects of the
+    node going forward and its subjects going backward, ``^`` turns the
+    direction round, and a sequence runs right to left going backward.
+    ``memo`` maps (``id`` of a composite expression, direction) to its
+    ends by node, for one ``eval_path`` call, so each subexpression is
+    walked from a node once however many enclosing levels reach it; a
+    returned set may be the memo's own, so callers only read it.
     """
-    if isinstance(expr, PathAtom):
-        return {(n, o) for n in starts for o in store.objects(n, expr.predicate)}
-    if isinstance(expr, PathInverse):
-        # normalization leaves inverse only directly over atoms
-        p = expr.child.predicate
-        return {(n, s) for n in starts for s in store.subjects(p, n)}
-    if isinstance(expr, PathSeq):
-        left = _eval_relation(store, expr.left, starts, memo)
-        return _compose(left, _eval_relation(store, expr.right, {b for _, b in left}, memo))
-    if isinstance(expr, PathAlt):
-        left = _eval_relation(store, expr.left, starts, memo)
-        return left | _eval_relation(store, expr.right, starts, memo)
-    if isinstance(expr, PathRepeat):
-        return _eval_repeat(store, expr, starts, memo)
-    raise TypeError(f"not a path expression: {expr!r}")
-
-
-def _eval_repeat(
-    store: TripleStore, expr: PathRepeat, starts: set[Term], memo: dict
-) -> set[tuple[Term, Term]]:
-    cache: dict[Term, set[Term]] = memo.setdefault(expr, {})
-
-    def successors(node: Term) -> set[Term]:
-        if node not in cache:
-            cache[node] = {b for _, b in _eval_relation(store, expr.child, {node}, memo)}
-        return cache[node]
-
-    out: set[tuple[Term, Term]] = set()
-    for start in starts:
+    kind = type(expr)
+    if kind is PathAtom:
+        return store.objects(node, expr.predicate) if forward else store.subjects(expr.predicate, node)
+    if kind is PathInverse:
+        return _ends(store, expr.child, node, not forward, memo)
+    known = memo[id(expr), forward]
+    out = known.get(node)
+    if out is not None:
+        return out
+    if kind is PathSeq:
+        first, then = (expr.left, expr.right) if forward else (expr.right, expr.left)
+        out = {e for m in _ends(store, first, node, forward, memo)
+               for e in _ends(store, then, m, forward, memo)}
+    elif kind is PathAlt:
+        out = _ends(store, expr.left, node, forward, memo) | _ends(store, expr.right, node, forward, memo)
+    elif kind is PathRepeat:
         # exactly ``low`` steps, then breadth-first up to ``high - low`` more:
         # a node within that many steps of the frontier has a walk of a
         # length in [low, high], and its first visit is its shortest one
-        frontier = {start}
+        child = expr.child
+        frontier = {node}
         for _ in range(expr.low):
-            frontier = {b for a in frontier for b in successors(a)}
-        seen = set(frontier)
+            frontier = {b for a in frontier for b in _ends(store, child, a, forward, memo)}
+        out = set(frontier)
         depth = 0
         while frontier and (expr.high is None or depth < expr.high - expr.low):
-            frontier = {b for a in frontier for b in successors(a)} - seen
-            seen |= frontier
+            frontier = {b for a in frontier for b in _ends(store, child, a, forward, memo)} - out
+            out |= frontier
             depth += 1
-        out.update((start, e) for e in seen)
+    else:
+        raise TypeError(f"not a path expression: {expr!r}")
+    known[node] = out
     return out
 
 
@@ -323,9 +290,9 @@ def eval_path(
     evaluated forward from it; a path that accepts the empty walk then
     includes (start, start) even when the term is absent from the graph.
     """
-    normalized = _normalize_inverse(path)
     starts = store.terms() if start is None else {start}
-    return _eval_relation(store, normalized, starts, {})
+    memo = defaultdict(dict)
+    return {(s, e) for s in starts for e in _ends(store, path, s, True, memo)}
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ concentrations (e.g. "mg/kg diet") carry their own dimension tag, so
 they are deliberately unreachable from mass-per-volume units.
 """
 
+import math
 from collections import namedtuple
 from decimal import Decimal
 
@@ -36,6 +37,9 @@ class UnitDef(namedtuple("UnitDef", "id label abbreviation multiplier offset dim
                 dimension: str, symbol: str) -> "UnitDef":
         if not multiplier > 0:
             raise ValueError(f"multiplier must be positive: {multiplier!r}")
+        # xsd:decimal has no lexical form for inf or nan
+        if not math.isfinite(multiplier) or not math.isfinite(offset):
+            raise ValueError(f"multiplier and offset must be finite: {multiplier!r}, {offset!r}")
         return tuple.__new__(cls, (id, label, abbreviation, multiplier, offset, dimension, symbol))
 
     @classmethod

@@ -476,6 +476,27 @@ class TestUpdateRegressions:
         assert f"<{ET}taxon/4242> <http://www.w3.org/2000/01/rdf-schema#subClassOf> {bufo} .\n" in kg
         assert f"{bufo} <http://www.w3.org/2000/01/rdf-schema#subClassOf> {bufo}" not in kg
 
+    def test_lone_carriage_return_stays_inside_a_cell(self, tmp_path):
+        # inputs are read without newline translation, as the library
+        # readers take them: a lone \r is cell content, not a line break
+        config_path = self.with_rows(tmp_path, "chemicals", "64-17-5|Ethyl\ralcohol|Organics\n")
+        out = tmp_path / "out"
+        assert run_cli("--config", str(config_path), "update", "--out", str(out)) == 0
+        assert read_summary(out, "update")["counts"]["ingest-ecotox"]["chemical_rows"] == 4
+        assert '"Ethyl\\ralcohol"' in (out / "kg.nt").read_text()
+
+    def test_crlf_inputs_build_the_same_graph(self, tmp_path, pipeline_dir):
+        crlf = tmp_path / "crlf"
+        for path in FIXTURES.rglob("*"):
+            if path.is_file():
+                target = crlf / path.relative_to(FIXTURES)
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        out = tmp_path / "out"
+        assert run_cli("--config", str(crlf / "config.json"), "update", "--out", str(out)) == 0
+        for name in ("kg.nt", "mappings.tsv", "stats.tsv"):
+            assert (out / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+
     def test_update_loads_units_registry_once(self, tmp_path, monkeypatch):
         calls = []
         real = units.load_registry

@@ -340,6 +340,15 @@ class TestTestIngest:
         assert err.value.missing == ["999999"]
         assert len(store) == 0
 
+    def test_bad_reference_number_names_the_test(self):
+        text = "test_id|test_cas|species_number|reference_number\n12|50-00-0|7|abc\n"
+        with pytest.raises(ValueError, match="^test 12: bad reference_number 'abc'$"):
+            ecotox.parse_tests(text)
+
+    def test_missing_reference_number_is_none(self):
+        text = "test_id|test_cas|species_number|reference_number\n12|50-00-0|7|NR\n13|50-00-0|7|0042\n"
+        assert [t.reference_number for t in ecotox.parse_tests(text)] == [None, 42]
+
     def test_zero_result_test_emits_metadata_only(self):
         tests = [ecotox.TestRecord("5", "50-00-0", "7")]
         store = TripleStore()

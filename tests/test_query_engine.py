@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecokg import ns
-from ecokg import query as query_engine
 from ecokg.graph import PrefixMap, Term, Triple, TripleStore, blank, iri, literal
 from ecokg.ntriples import parse as parse_ntriples
 from ecokg.ntriples import serialize
@@ -265,24 +264,44 @@ class TestEvalPath:
         ghost = node(99)
         assert eval_path(store, PathAlt(P, PathRepeat(Q, 0, 1)), start=ghost) == {(ghost, ghost)}
 
-    def test_nested_repetitions_evaluate_each_node_once_per_level(self, monkeypatch):
-        # every {0,} level asks its child for a node's successors once,
-        # not once per enclosing level, so the work is linear in the depth
-        store = edge_store([(1, 2), (2, 3), (3, 1)], predicate=ns.RDFS + "subClassOf")
-        levels = MAX_PATH_DEPTH - 1
-        nested = parse_path("rdfs:subClassOf" + "{0,}" * levels, PREFIXES)
-        expected = eval_path(store, parse_path("rdfs:subClassOf{0,}", PREFIXES), node(1))
-        real = query_engine._eval_relation
+    @staticmethod
+    def count_object_reads(monkeypatch, bound):
+        """Make ``TripleStore.objects`` fail once it is called more than ``bound`` times."""
+        real = TripleStore.objects
         calls = 0
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            assert calls <= 1 + 3 * levels, "a nested repetition re-evaluated its child"
+            assert calls <= bound, "a subexpression was walked from one node twice"
             return real(*args)
 
-        monkeypatch.setattr(query_engine, "_eval_relation", counted)
-        assert eval_path(store, nested, node(1)) == expected
+        monkeypatch.setattr(TripleStore, "objects", counted)
+
+    def test_nested_repetitions_evaluate_each_node_once_per_level(self, monkeypatch):
+        # each {0,} level walks its child from a node once, not once per
+        # enclosing level: on the 3-cycle the store reads stay at 9 however deep
+        store = edge_store([(1, 2), (2, 3), (3, 1)], predicate=ns.RDFS + "subClassOf")
+        expected = eval_path(store, parse_path("rdfs:subClassOf{0,}", PREFIXES), node(1))
+        for levels in (10, MAX_PATH_DEPTH - 1):
+            nested = parse_path("rdfs:subClassOf" + "{0,}" * levels, PREFIXES)
+            with monkeypatch.context() as patch:
+                self.count_object_reads(patch, 9)
+                assert eval_path(store, nested, node(1)) == expected
+
+    def test_right_nested_sequence_walks_each_node_once_per_level(self, monkeypatch):
+        # p/(p/(p/...)) where every node has two p-successors: without a
+        # memo per sequence the walk from one node doubles at every level
+        nodes = 5
+        store = edge_store([(a, (a + step) % nodes) for a in range(nodes) for step in (1, 2)])
+        levels = MAX_PATH_DEPTH - 1
+        nested = P
+        for _ in range(levels - 1):
+            nested = PathSeq(P, nested)
+        # a walk of 63 steps of +1 or +2 reaches every residue mod 5
+        expected = {(node(0), node(n)) for n in range(nodes)}
+        self.count_object_reads(monkeypatch, nodes * levels)
+        assert eval_path(store, nested, node(0)) == expected
 
     def test_algebra_laws(self):
         rng = random.Random(99)

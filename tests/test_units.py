@@ -172,3 +172,12 @@ class TestTableLoading:
         text = "et:U\tlabel\tabbr\tnot-a-number\t0.0\tdim\tsym\n"
         with pytest.raises(ValueError, match="line 1"):
             units.parse_units(text, prefixes)
+
+    @pytest.mark.parametrize(("multiplier", "offset"), [
+        ("inf", "0.0"), ("1.0", "nan"), ("1e400", "0.0"), ("1.0", "-inf"), ("inf", "nan"),
+    ])
+    def test_non_finite_factor_reported_with_line(self, prefixes, multiplier, offset):
+        # kg.nt would otherwise carry "inf"/"nan" as xsd:decimal, which has no such value
+        text = f"et:A\tA\ta\t1.0\t0.0\tmass\ta\net:B\tB\tb\t{multiplier}\t{offset}\tmass\tb\n"
+        with pytest.raises(ValueError, match="^units table line 2: .*must be finite"):
+            units.parse_units(text, prefixes)
