@@ -1,12 +1,17 @@
-"""Lexical ontology alignment: token blocking plus edit-distance scoring.
+"""Lexical ontology alignment: exact forms first, then token blocking
+plus edit-distance scoring.
 
 Labels are normalized (lowercased, punctuation stripped, stop words and
-taxonomic rank words removed) before anything else. Candidate pairs
-must share at least one normalized token; sharing only stop words does
-not count because stop words never survive normalization. Each blocked
-pair is scored with ``1 - distance/max(len)`` over the cross product of
-the two entities' normalized labels, and each source keeps its best
-target at or above the threshold.
+taxonomic rank words removed) before anything else. A pair scores
+``1 - distance/max(len)`` over the cross product of the two entities'
+normalized labels, and each source keeps its best target at or above
+the threshold. Only identical forms score 1.0, the most any pair can,
+so a source that shares a form with some target is matched through an
+index of target forms by text, to the smallest such target, whenever
+1.0 reaches the threshold. Every other source is paired only with the
+targets sharing at least one normalized token with it, and each such
+blocked pair is scored; sharing only stop words does not count because
+stop words never survive normalization.
 
 The distance is the exact bit-parallel Levenshtein algorithm (Myers
 1999, in Hyyrö's 2001 form), one pass over the longer string with the
@@ -194,18 +199,36 @@ def align_lexical(
     """Best-scoring target per source entity, at or above threshold.
 
     Ties prefer the higher score, then the lexicographically smaller
-    target IRI, so results never depend on dict order. A form pair is
-    scored only if its length bound reaches the threshold, the source's
-    best score so far and the pair's best so far; a pair below all three
-    could neither pass, win nor tie. ``funnel``, when given, receives
-    the counts of blocked pairs, form pairs, length-pruned form pairs,
-    scored form pairs and sources whose best score several targets tied.
+    target IRI, so results never depend on dict order. Only different
+    forms score below 1.0, so a source sharing a form with some target
+    keeps the smallest such target at 1.0 whenever 1.0 reaches the
+    threshold; only the other sources are blocked and scored. A form
+    pair is scored only if its length bound reaches the threshold, the
+    source's best score so far and the pair's best so far; a pair below
+    all three could neither pass, win nor tie. ``funnel``, when given,
+    receives the counts of sources matched by an exact form, distinct
+    tokens of the other sources, and, for those sources alone, blocked
+    pairs, form pairs, length-pruned form pairs and scored form pairs;
+    then the sources whose best score several targets tied.
     """
     source_forms, source_tokens = _normalized_forms(source_labels, stop_words)
     target_forms, target_tokens = _normalized_forms(target_labels, stop_words)
-    blocked = block_candidates(source_tokens, target_tokens)
     best: dict[str, tuple[float, str]] = {}
     tied: set[str] = set()
+    if threshold <= 1.0:
+        targets_by_form: dict[str, list[str]] = {}
+        for target, forms in target_forms.items():
+            for form in forms:
+                targets_by_form.setdefault(form, []).append(target)
+        for source, forms in source_forms.items():
+            exact = {target for form in forms for target in targets_by_form.get(form, ())}
+            if exact:
+                best[source] = (1.0, min(exact))
+                if len(exact) > 1:
+                    tied.add(source)
+    exact_sources = len(best)
+    rest = {source: tokens for source, tokens in source_tokens.items() if source not in best}
+    blocked = block_candidates(rest, target_tokens)
     form_pairs = scored = 0
     # Sorted, so the pruning and its counts do not depend on set order,
     # and the first target to reach a score is the smallest.
@@ -233,6 +256,8 @@ def align_lexical(
             tied.add(source)
     if funnel is not None:
         funnel.update(
+            exact_sources=exact_sources,
+            distinct_tokens=len(set().union(*rest.values())),
             blocked_pairs=len(blocked),
             form_pairs=form_pairs,
             length_pruned=form_pairs - scored,
@@ -300,11 +325,12 @@ def add_sameas(mappings: MappingSet, store: TripleStore) -> int:
 
 
 def labels_by_prefix(store: TripleStore, iri_prefix: str) -> dict[str, list[str]]:
-    """rdfs:label literals grouped by subject IRI under one namespace."""
+    """rdfs:label literals grouped by subject IRI under one namespace.
+
+    Subjects come in IRI order, each with its labels sorted.
+    """
     out: dict[str, list[str]] = {}
-    for t in store.match(p=RDFS_LABEL):
-        if t.subject.is_iri() and t.object.is_literal() and t.subject.value.startswith(iri_prefix):
-            out.setdefault(t.subject.value, []).append(t.object.value)
-    for labels in out.values():
-        labels.sort()
-    return out
+    for s, o in store.predicate_pairs(RDFS_LABEL):
+        if s.is_iri() and o.is_literal() and s.value.startswith(iri_prefix):
+            out.setdefault(s.value, []).append(o.value)
+    return {key: sorted(labels) for key, labels in sorted(out.items())}

@@ -15,8 +15,8 @@ def subclass_cycles(store: TripleStore) -> list[list[Term]]:
     of any depth are scanned without recursion.
     """
     edges: dict[Term, set[Term]] = {}
-    for t in store.match(p=RDFS_SUBCLASSOF):
-        edges.setdefault(t.subject, set()).add(t.object)
+    for child, parent in store.predicate_pairs(RDFS_SUBCLASSOF):
+        edges.setdefault(child, set()).add(parent)
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[Term, int] = {}
     cycles: list[list[Term]] = []
@@ -54,12 +54,12 @@ def disjointness_violations(
     Returns (entity, group, other-group) sorted; empty means consistent.
     """
     disjoint: set[tuple[Term, Term]] = set()
-    for t in store.match(p=OWL_DISJOINTWITH):
-        disjoint.add((t.subject, t.object))
-        disjoint.add((t.object, t.subject))
+    for a, b in store.predicate_pairs(OWL_DISJOINTWITH):
+        disjoint.add((a, b))
+        disjoint.add((b, a))
     memberships: dict[Term, set[Term]] = {}
-    for t in store.match(p=membership_predicate):
-        memberships.setdefault(t.subject, set()).add(t.object)
+    for entity, group in store.predicate_pairs(membership_predicate):
+        memberships.setdefault(entity, set()).add(group)
     violations = []
     for entity, groups in memberships.items():
         ordered = sorted(groups, key=Term.ntriples)

@@ -279,6 +279,37 @@ def _ends(store: TripleStore, expr: PathExpr, node: Term, forward: bool, memo: d
     return out
 
 
+def _first_nodes(store: TripleStore, expr: PathExpr, forward: bool) -> tuple[set[Term], bool]:
+    """The nodes a non-empty walk of ``expr`` can begin at (with
+    ``forward`` false, end at), and whether ``expr`` accepts the empty walk.
+
+    An atom's walks begin at the subjects of its predicate; a sequence's
+    at its first step's, and also at the next step's when the first can
+    be empty; an alternative's at either branch's; a repetition's at its
+    child's. The set may hold nodes no walk begins at, never misses one.
+    """
+    kind = type(expr)
+    if kind is PathAtom:
+        return {pair[0 if forward else 1] for pair in store.predicate_pairs(expr.predicate)}, False
+    if kind is PathInverse:
+        return _first_nodes(store, expr.child, not forward)
+    if kind is PathRepeat:
+        nodes, empty = _first_nodes(store, expr.child, forward)
+        return nodes, empty or expr.low == 0
+    if kind is PathAlt:
+        left, left_empty = _first_nodes(store, expr.left, forward)
+        right, right_empty = _first_nodes(store, expr.right, forward)
+        return left | right, left_empty or right_empty
+    if kind is not PathSeq:
+        raise TypeError(f"not a path expression: {expr!r}")
+    first, then = (expr.left, expr.right) if forward else (expr.right, expr.left)
+    nodes, empty = _first_nodes(store, first, forward)
+    if not empty:
+        return nodes, False
+    then_nodes, then_empty = _first_nodes(store, then, forward)
+    return nodes | then_nodes, then_empty
+
+
 def eval_path(
     store: TripleStore,
     path: PathExpr,
@@ -289,8 +320,16 @@ def eval_path(
     With ``start`` given, only pairs beginning there are returned,
     evaluated forward from it; a path that accepts the empty walk then
     includes (start, start) even when the term is absent from the graph.
+    Without it, a path that accepts the empty walk is walked from every
+    subject and object in the store, and any other path only from the
+    nodes where one of its non-empty walks can begin.
     """
-    starts = store.terms() if start is None else {start}
+    if start is not None:
+        starts = {start}
+    else:
+        starts, empty = _first_nodes(store, path, True)
+        if empty:
+            starts = store.terms()
     memo = defaultdict(dict)
     return {(s, e) for s in starts for e in _ends(store, path, s, True, memo)}
 
@@ -546,16 +585,18 @@ def _stride(length: int) -> int:
     return max(8, 1 << length.bit_length())
 
 
-def _pack(length: int, forms: list[str]) -> tuple[int, int, dict[str, int]]:
-    """``lane_deltas``'s mask, bottoms and per-character bits for the forms."""
-    stride = _stride(length)
-    mask = int(("0" * (stride - length) + "1" * length) * len(forms), 2)
-    bottoms = int(("0" * (stride - 1) + "1") * len(forms), 2) if length else 0
+def _pack(stride: int, forms: list[str]) -> tuple[int, int, dict[str, int]]:
+    """``lane_deltas``'s mask, bottoms and per-character bits for the
+    forms, one per ``stride``-bit lane, each padded to the width on its own."""
+    lengths = list(map(len, forms))
+    lane = {n: ((1 << n) - 1).to_bytes(stride // 8, "little") for n in set(lengths)}
+    mask = int.from_bytes(b"".join(map(lane.__getitem__, lengths)), "little")
+    # bit 0 of a non-empty lane is the one set bit whose bit below is clear
+    bottoms = mask & ~(mask << 1)
     # Bit p of plane j is bit j of the code point at position p of the
     # padded text, read as binary digits from the last position down. A
     # character's positions are those where every plane agrees with it.
-    pad = "\0" * (stride - length)
-    points = (pad.join(forms) + pad)[::-1].encode("utf-32-le")
+    points = "".join([form.ljust(stride, "\0") for form in forms])[::-1].encode("utf-32-le")
     alphabet = set("".join(forms))
     planes = [
         int(points[j // 8::4].translate(_BINARY_DIGIT[j % 8]), 2)
@@ -590,14 +631,17 @@ def _lane_counts(pv: int, nv: int, stride: int, lanes: int) -> bytes | list[int]
     return [sum(counts[i:i + per]) for i in range(0, len(counts), per)]
 
 
-def _label_index(store: TripleStore) -> dict[int, tuple[int, int, dict[str, int], list[list[str]]]]:
-    """Distinct label forms by length, packed for ``lane_deltas``.
+def _label_index(
+    store: TripleStore,
+) -> dict[int, tuple[int, int, dict[str, int], list[list[str]], dict[int, tuple[int, int]]]]:
+    """Distinct label forms by lane width, packed for ``lane_deltas``.
 
-    Per length: the mask, bottoms and per-character bits of the group's
-    sorted forms, one form per ``_stride(length)``-bit lane, and each
-    lane's sorted subject keys. Built once per frozen store and kept on
-    it; an unfrozen store can change, so it gets a fresh index on every
-    call.
+    Per width (``_stride`` of a form's length): the mask, bottoms and
+    per-character bits of the width's forms sorted by (length, form), one
+    form per lane; each lane's sorted subject keys; and per length, the
+    (start, stop) range of its run of lanes. Built once per frozen store
+    and kept on it; an unfrozen store can change, so it gets a fresh
+    index on every call.
     """
     if store.label_index is not None:
         return store.label_index
@@ -606,12 +650,18 @@ def _label_index(store: TripleStore) -> dict[int, tuple[int, int, dict[str, int]
         if o.is_literal():
             key = s.ntriples() if s.is_blank() else s.value
             keys_by_form.setdefault(_label_form(o.value), set()).add(key)
-    groups: dict[int, tuple[list[str], list[list[str]]]] = {}
+    by_length: dict[int, tuple[list[str], list[list[str]]]] = {}
     for form, keys in sorted(keys_by_form.items()):
-        forms, lane_keys = groups.setdefault(len(form), ([], []))
+        forms, lane_keys = by_length.setdefault(len(form), ([], []))
         forms.append(form)
         lane_keys.append(sorted(keys))
-    index = {length: (*_pack(length, forms), keys) for length, (forms, keys) in groups.items()}
+    groups: dict[int, tuple[list[str], list[list[str]], dict[int, tuple[int, int]]]] = {}
+    for length, (run_forms, run_keys) in sorted(by_length.items()):
+        forms, lane_keys, runs = groups.setdefault(_stride(length), ([], [], {}))
+        runs[length] = (len(forms), len(forms) + len(run_forms))
+        forms += run_forms
+        lane_keys += run_keys
+    index = {stride: (*_pack(stride, forms), keys, runs) for stride, (forms, keys, runs) in groups.items()}
     if store.frozen:
         store.label_index = index
     return index
@@ -630,12 +680,13 @@ def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, f
     break toward the lexicographically smaller IRI. Ingest mirrors all
     source names under rdfs:label, so the labels cover them all.
 
-    The result is exact. Forms of one length share a lane-packed run of
-    Myers' algorithm (Hyyrö, Fredriksson and Navarro 2005), one pass
-    over the probe per length. Lengths are visited best length bound
-    first, stopping once that bound is below the k-th best score so far;
-    within a length, a form is scored only if its distance leaves it a
-    chance to reach that score.
+    The result is exact. Forms of one lane width share a lane-packed run
+    of Myers' algorithm (Hyyrö, Fredriksson and Navarro 2005), one pass
+    over the probe per width. Widths are visited by their best length
+    bound, stopping once no length in a width can reach the k-th best
+    score so far. Within a width, lengths are ranked best bound first
+    with the same stop, and a form is ranked only if its distance leaves
+    it a chance to reach that score.
     """
     check_lookup_k(k)
     probe = _label_form(name)
@@ -645,29 +696,40 @@ def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, f
         return 1.0 - abs(length - lp) / (max(length, lp) or 1)
 
     index = _label_index(store)
+    visits = []
+    for stride, (*_, runs) in index.items():
+        lengths = sorted(runs, key=length_bound, reverse=True)
+        visits.append((length_bound(lengths[0]), stride, lengths))
+    visits.sort(key=lambda visit: visit[0], reverse=True)
     best: dict[str, float] = {}
     kth = float("-inf")
-    for length in sorted(index, key=length_bound, reverse=True):
-        if length_bound(length) < kth:
+    for top, stride, lengths in visits:
+        if top < kth:
             break
-        mask, bottoms, peq, keys = index[length]
-        longest = max(length, lp) or 1
-        # a form further than this scores more than 1/longest below kth
-        limit = int((1.0 - kth) * longest) + 1 if kth > 0.0 else longest
+        mask, bottoms, peq, keys, runs = index[stride]
         pv, mv = lane_deltas(peq, mask, bottoms, probe)
         # distance = lp + popcount(pv) - popcount(mv), where popcount(mv)
-        # = length - popcount(mv ^ mask); "most" is the count at limit
-        counts = _lane_counts(pv, mv ^ mask, _stride(length), len(keys))
-        most = limit + length - lp
-        for lane_keys, count in compress(zip(keys, counts), map(most.__ge__, counts)):
-            score = 1.0 - (count + lp - length) / longest
-            for key in lane_keys:
-                if score > best.get(key, -1.0):
-                    best[key] = score
-        if len(best) >= k:
-            kth = heapq.nlargest(k, best.values())[-1]
-            # kth only rises, so a subject below it now can never rank
-            best = {key: score for key, score in best.items() if score >= kth}
+        # = length - popcount(mv ^ mask) in a lane of that length
+        counts = _lane_counts(pv, mv ^ mask, stride, len(keys))
+        for length in lengths:
+            if length_bound(length) < kth:
+                break
+            start, stop = runs[length]
+            longest = max(length, lp) or 1
+            # a form further than this scores more than 1/longest below kth
+            limit = int((1.0 - kth) * longest) + 1 if kth > 0.0 else longest
+            # "most" is the count at limit
+            most = limit + length - lp
+            run = counts[start:stop]
+            for lane_keys, count in compress(zip(keys[start:stop], run), map(most.__ge__, run)):
+                score = 1.0 - (count + lp - length) / longest
+                for key in lane_keys:
+                    if score > best.get(key, -1.0):
+                        best[key] = score
+            if len(best) >= k:
+                kth = heapq.nlargest(k, best.values())[-1]
+                # kth only rises, so a subject below it now can never rank
+                best = {key: score for key, score in best.items() if score >= kth}
     ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 

@@ -194,6 +194,52 @@ class TestAlignLexical:
         out = align_lexical({"s": ["Daphnia sp."]}, {"t": ["Daphnia"]})
         assert out.get("s", "t").score == 1.0
 
+    def test_exact_form_wins_over_a_smaller_near_match_without_scoring(self):
+        funnel = {}
+        out = align_lexical(
+            {"s": ["Danio rerio"], "u": ["Danio reri"]},
+            {"t/0": ["Danio rerios"], "t/1": ["Danio rerio"]},
+            funnel=funnel,
+        )
+        assert {(m.source, m.target, m.score) for m in out} == {
+            ("s", "t/1", 1.0), ("u", "t/1", 1 - 1 / 11)
+        }
+        # only "u" is blocked and scored
+        assert funnel["exact_sources"] == 1
+        assert funnel["blocked_pairs"] == 2 and funnel["distinct_tokens"] == 2
+        assert funnel["ties_broken"] == 0
+
+    def test_two_exact_targets_tie_to_the_smaller(self):
+        funnel = {}
+        out = align_lexical({"s": ["same name"]}, {"t/b": ["Same name"], "t/a": ["same-name"]},
+                            funnel=funnel)
+        assert list(out) == [Mapping("s", "t/a", 1.0, "levenshtein")]
+        assert funnel["exact_sources"] == 1 and funnel["ties_broken"] == 1
+        assert funnel["blocked_pairs"] == 0 and funnel["scored"] == 0
+
+    def test_exact_match_through_second_labels(self):
+        funnel = {}
+        out = align_lexical(
+            {"s": ["totally different", "Rasbora heteromorpha"]},
+            {"t/1": ["Rasbora heteromorphus", "rasbora (heteromorpha)"], "t/0": ["Rasbora sp."]},
+            funnel=funnel,
+        )
+        assert list(out) == [Mapping("s", "t/1", 1.0, "levenshtein")]
+        assert funnel["exact_sources"] == 1 and funnel["blocked_pairs"] == 0
+
+    def test_threshold_one_keeps_only_exact_forms(self):
+        source = {"s": ["Danio rerio"], "u": ["Danio reri"]}
+        target = {"t": ["Danio rerio"]}
+        assert align_lexical(source, target, threshold=1.0).pairs() == {("s", "t")}
+
+    @pytest.mark.parametrize("threshold", [1.0 + 1e-9, 1.5])
+    def test_threshold_above_one_keeps_nothing(self, threshold):
+        funnel = {}
+        out = align_lexical({"s": ["Danio rerio"]}, {"t": ["Danio rerio"]}, threshold=threshold,
+                            funnel=funnel)
+        assert len(out) == 0
+        assert funnel["exact_sources"] == 0 and funnel["scored"] == 0
+
     def test_planted_noise_recovered(self):
         # Binomial-style names: one edit hits one word, the other still
         # shares a token so blocking keeps the pair.
@@ -279,7 +325,7 @@ class TestLengthPruning:
         exact_threshold = ties = 0
         for _ in range(300):
             source, target = random_label_sets(rng)
-            threshold = rng.choice((0.5, 0.6, 0.75, 0.8))
+            threshold = rng.choice((0.5, 0.6, 0.75, 0.8, 1.0))
             funnel = {}
             got = align_lexical(source, target, threshold=threshold, funnel=funnel)
             expect = brute_force_alignment(source, target, threshold)
@@ -310,8 +356,8 @@ class TestLengthPruning:
         )
         assert out.pairs() == {("s", "t/a")}
         assert out.get("s", "t/a").score == 0.8
-        assert funnel == {"blocked_pairs": 3, "form_pairs": 3, "length_pruned": 1,
-                          "scored": 2, "ties_broken": 1}
+        assert funnel == {"exact_sources": 0, "distinct_tokens": 2, "blocked_pairs": 3,
+                          "form_pairs": 3, "length_pruned": 1, "scored": 2, "ties_broken": 1}
 
     def test_funnel_counts(self, monkeypatch):
         rng = random.Random(59)
@@ -323,8 +369,8 @@ class TestLengthPruning:
         funnel = {}
         counted = align_lexical(source, target, threshold=0.6, funnel=funnel)
         assert list(counted) == list(plain)
-        assert sorted(funnel) == ["blocked_pairs", "form_pairs", "length_pruned",
-                                  "scored", "ties_broken"]
+        assert sorted(funnel) == ["blocked_pairs", "distinct_tokens", "exact_sources",
+                                  "form_pairs", "length_pruned", "scored", "ties_broken"]
         assert funnel["form_pairs"] == funnel["length_pruned"] + funnel["scored"]
         assert funnel["scored"] == len(calls)
         assert funnel["length_pruned"] > 0

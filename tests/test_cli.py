@@ -517,11 +517,13 @@ class TestUpdateRegressions:
 
     def test_update_summary_reports_alignment_funnel(self, pipeline_dir):
         counts = read_summary(pipeline_dir, "update")["counts"]["align"]
-        for key in ("source_entities", "target_entities", "mappings", "blocked_pairs",
-                    "form_pairs", "length_pruned", "scored", "ties_broken"):
+        for key in ("source_entities", "target_entities", "mappings", "exact_sources",
+                    "distinct_tokens", "blocked_pairs", "form_pairs", "length_pruned", "scored",
+                    "ties_broken"):
             assert isinstance(counts[key], int), key
         assert counts["form_pairs"] == counts["length_pruned"] + counts["scored"]
-        assert counts["form_pairs"] >= counts["blocked_pairs"] >= counts["mappings"]
+        assert counts["form_pairs"] >= counts["blocked_pairs"]
+        assert counts["blocked_pairs"] + counts["exact_sources"] >= counts["mappings"]
         mappings = align.read_mappings((pipeline_dir / "mappings.tsv").read_text())
         assert counts["mappings"] == len(mappings)
 

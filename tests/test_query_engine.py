@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecokg import ns
+from ecokg import ns, query
 from ecokg.graph import PrefixMap, Term, Triple, TripleStore, blank, iri, literal
 from ecokg.ntriples import parse as parse_ntriples
 from ecokg.ntriples import serialize
@@ -302,6 +302,57 @@ class TestEvalPath:
         expected = {(node(0), node(n)) for n in range(nodes)}
         self.count_object_reads(monkeypatch, nodes * levels)
         assert eval_path(store, nested, node(0)) == expected
+
+    @staticmethod
+    def record_starts(monkeypatch, path):
+        """The set of nodes ``eval_path`` walks ``path`` from, filled as it runs."""
+        real = query._ends
+        starts = set()
+
+        def recording(store, expr, node, forward, memo):
+            if expr is path:
+                starts.add(node)
+            return real(store, expr, node, forward, memo)
+
+        monkeypatch.setattr(query, "_ends", recording)
+        return starts
+
+    def test_unanchored_starts_only_where_a_walk_can_begin(self, monkeypatch):
+        # p: 1 -> 2 -> 3; q: 3 -> 4 and 5 -> 6; node 7 has only a literal
+        store = edge_store([(1, 2), (2, 3)])
+        for a, b in ((3, 4), (5, 6)):
+            store.add(Triple(node(a), Q.predicate, node(b)))
+        store.add(Triple(node(7), iri(EX + "r"), literal("seven")))
+        cases = [
+            (PathSeq(P, Q), {1, 2}),
+            (PathSeq(PathInverse(P), Q), {2, 3}),
+            (PathRepeat(P, 1, None), {1, 2}),
+            (PathSeq(PathRepeat(P, 0, 1), Q), {1, 2, 3, 5}),
+            (PathAlt(P, PathInverse(Q)), {1, 2, 4, 6}),
+            (PathInverse(PathSeq(P, Q)), {4, 6}),
+        ]
+        for path, bound in cases:
+            with monkeypatch.context() as patch:
+                starts = self.record_starts(patch, path)
+                assert eval_path(store, path) == path_oracle(store, path), path
+            assert starts <= {node(n) for n in bound}, path
+        # a path that accepts the empty walk still pairs every term with itself
+        assert (node(7), node(7)) in eval_path(store, PathSeq(PathRepeat(P, 0, None), PathRepeat(Q, 0, 1)))
+
+    def test_unanchored_matches_oracle_and_starts_on_path_edges(self, monkeypatch):
+        rng = random.Random(6161)
+        loose = iri(EX + "loose")
+        for _ in range(200):
+            store, preds = random_edge_graph(rng, max_nodes=12, max_edges=30)
+            for i in range(3):
+                store.add(Triple(iri(f"{EX}loose/{i}"), loose, literal(str(i))))
+            expr = random_path_expr(rng, preds)
+            with monkeypatch.context() as patch:
+                starts = self.record_starts(patch, expr)
+                assert eval_path(store, expr) == path_oracle(store, expr), expr
+            if not accepts_empty(expr):
+                on_edges = {t for p in preds for pair in store.predicate_pairs(p) for t in pair}
+                assert starts <= on_edges, expr
 
     def test_algebra_laws(self):
         rng = random.Random(99)
@@ -1007,6 +1058,31 @@ class TestFuzzyLookup:
             ("http://example.org/z1", 1.0), ("http://example.org/a3", 0.75)
         ]
         self.assert_matches_reference(store, ["abcd", "abc", "abxd"])
+
+    def test_kth_tie_between_two_lengths_in_one_lane_width(self):
+        # lengths 11, 12 and 13 share the 16-bit width, ranked 12, 13, 11:
+        # the k-th score 1 - 1/12 is set at length 12 and tied at length 11
+        store = self.labeled(("z", "abcdefghijkx"), ("m", "abcdefghijklm"), ("a", "abcdefghijk"))
+        assert fuzzy_lookup(store, "abcdefghijkl", k=2) == [
+            ("http://example.org/m", 1 - 1 / 13), ("http://example.org/a", 1 - 1 / 12)
+        ]
+        self.assert_matches_reference(store, ["abcdefghijkl", "abcdefghijk", "abcdefghijklmn"])
+
+    def test_one_lane_deltas_pass_per_lane_width(self, monkeypatch):
+        # forms of every length from 1 to 40 fill the 8-, 16-, 32- and 64-bit widths
+        rng = random.Random(97)
+        store = self.labeled(*((f"s{n}", "".join(rng.choice("bcdf") for _ in range(n)))
+                               for n in range(1, 41)))
+        store.freeze()
+        real = query.lane_deltas
+        calls = []
+        monkeypatch.setattr(query, "lane_deltas", lambda *args: calls.append(args) or real(*args))
+        for probe in ("bcdfbcdfbc", "b", "d" * 40, "bcdf" * 6):
+            expect = helpers.reference_lookup(store, probe)
+            for k in (1, 5):
+                calls.clear()
+                assert fuzzy_lookup(store, probe, k) == expect[:k], (probe, k)
+                assert len(calls) <= 4, (probe, k)
 
     def test_frozen_store_reads_its_labels_once(self, monkeypatch):
         reads = []
