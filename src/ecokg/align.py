@@ -23,6 +23,7 @@ can exceed, is already below what it would have to reach; scores,
 tie-breaks and the kept mappings are those of scoring every pair.
 """
 
+import math
 import re
 from collections import namedtuple
 from typing import Iterable, Mapping as MappingType, Sequence
@@ -209,8 +210,11 @@ def align_lexical(
     receives the counts of sources matched by an exact form, distinct
     tokens of the other sources, and, for those sources alone, blocked
     pairs, form pairs, length-pruned form pairs and scored form pairs;
-    then the sources whose best score several targets tied.
+    then the sources whose best score several targets tied. A NaN
+    threshold, which no score compares with, raises ``ValueError``.
     """
+    if math.isnan(threshold):
+        raise ValueError("alignment threshold must be a number, got nan")
     source_forms, source_tokens = _normalized_forms(source_labels, stop_words)
     target_forms, target_tokens = _normalized_forms(target_labels, stop_words)
     best: dict[str, tuple[float, str]] = {}

@@ -4,7 +4,8 @@ Terms and triples are immutable named tuples, hashed and compared by
 the tuple's own C code, so they key the store's indexes cheaply.
 A store keeps two nested indexes (subject-first and predicate-first),
 the first of which doubles as the triple set, and answers wildcard
-pattern matches in deterministic lexicographic order. Patterns that bind
+pattern matches in deterministic lexicographic order, or unsorted as
+plain tuples through ``probe``. Patterns that bind
 the object but not the predicate are served by probing the
 predicate-first index once per predicate; a graph has few predicates.
 """
@@ -332,45 +333,40 @@ class TripleStore:
         """All (subject, object) pairs under one predicate."""
         return {(s, o) for o, subs in self._pos.get(p, {}).items() for s in subs}
 
+    def probe(
+        self, s: Term | None = None, p: Term | None = None, o: Term | None = None
+    ) -> list[tuple[Term, Term, Term]]:
+        """The plain ``(s, p, o)`` tuples matching the pattern; None is a wildcard.
+
+        The one walk of the indexes behind ``match``, in no set order and
+        with no ``Triple`` built, for readers that need neither.
+        """
+        if s is not None:
+            po = self._spo.get(s, {})
+            if p is not None:
+                objs = po.get(p, ())
+                if o is not None:
+                    return [(s, p, o)] if o in objs else []
+                return [(s, p, obj) for obj in objs]
+            if o is not None:
+                return [(s, pred, o) for pred, objs in po.items() if o in objs]
+            return [(s, pred, obj) for pred, objs in po.items() for obj in objs]
+        if p is not None:
+            os_ = self._pos.get(p, {})
+            if o is not None:
+                return [(sub, p, o) for sub in os_.get(o, ())]
+            return [(sub, p, obj) for obj, subs in os_.items() for sub in subs]
+        if o is not None:
+            return [(sub, pred, o) for pred, os_ in self._pos.items() for sub in os_.get(o, ())]
+        return [(sub, pred, obj) for sub, po in self._spo.items() for pred, objs in po.items() for obj in objs]
+
     def match(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> list[Triple]:
         """All triples matching the pattern; None is a wildcard.
 
-        Results are sorted lexicographically by term text so repeated
-        calls enumerate identically.
+        ``probe``'s tuples as ``Triple``s, sorted lexicographically by
+        term text so repeated calls enumerate identically.
         """
-        out: list[Triple]
-        if s is not None and p is not None and o is not None:
-            out = [_new(Triple, (s, p, o))] if o in self._spo.get(s, {}).get(p, ()) else []
-        elif s is not None and p is not None:
-            out = [_new(Triple, (s, p, obj)) for obj in self._spo.get(s, {}).get(p, ())]
-        elif p is not None and o is not None:
-            out = [_new(Triple, (sub, p, o)) for sub in self._pos.get(p, {}).get(o, ())]
-        elif s is not None and o is not None:
-            out = [
-                _new(Triple, (s, pred, o))
-                for pred, objs in self._spo.get(s, {}).items()
-                if o in objs
-            ]
-        elif s is not None:
-            out = [
-                _new(Triple, (s, pred, obj))
-                for pred, objs in self._spo.get(s, {}).items()
-                for obj in objs
-            ]
-        elif p is not None:
-            out = [
-                _new(Triple, (sub, p, obj))
-                for obj, subs in self._pos.get(p, {}).items()
-                for sub in subs
-            ]
-        elif o is not None:
-            out = [
-                _new(Triple, (sub, pred, o))
-                for pred, os_ in self._pos.items()
-                for sub in os_.get(o, ())
-            ]
-        else:
-            out = list(self)
+        out = [_new(Triple, t) for t in self.probe(s, p, o)]
         out.sort(key=Triple.ntriples)
         return out
 

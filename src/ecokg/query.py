@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .align import lane_deltas, normalize_label
-from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, is_content_line
+from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, is_content_line
 from .ns import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
 from .ntriples import _LineScanner
 
@@ -372,7 +372,11 @@ def solve(store: TripleStore, patterns) -> list[dict[Var, Term]]:
     constants or by variables of earlier patterns, then the one sharing
     the most variables with earlier patterns. Only patterns still tied
     are counted in the store, with their constants alone; the fewest
-    matches go first. Each pattern in turn then extends every partial row.
+    matches go first. Each pattern in turn then extends every partial
+    row from the store's unsorted ``probe``. Which slots a pattern reads
+    from a row, which it binds, and which must repeat a value it binds
+    are worked out once per pattern, since every row at a step binds
+    the same variables.
     """
     remaining = list(patterns)
     for pat in remaining:
@@ -382,28 +386,45 @@ def solve(store: TripleStore, patterns) -> list[dict[Var, Term]]:
             raise ValueError("pattern predicate must be an IRI")
         if isinstance(pat[1], Var) and pat[1].blank:
             raise ValueError("pattern predicate cannot be a blank variable")
-    order: list[Pattern] = []
+    bound: set[Var] = set()
+    steps = []
     while remaining:
-        bound = _pattern_vars(order)
         ranks = [(sum(not isinstance(slot, Var) or slot in bound for slot in pat),
                   len(bound.intersection(pat))) for pat in remaining]
         top = max(ranks)
         tied = [pat for pat, rank in zip(remaining, ranks) if rank == top]
         if len(tied) > 1:
             tied.sort(key=lambda pat: store.count(*(_bind(slot, {}) for slot in pat)))
-        order.append(tied[0])
-        remaining.remove(tied[0])
+        pat = tied[0]
+        remaining.remove(pat)
+        args = [_bind(slot, {}) for slot in pat]
+        reads, binds, repeats = [], [], []
+        first: dict[Var, int] = {}
+        for i, slot in enumerate(pat):
+            if not isinstance(slot, Var):
+                continue
+            if slot in bound:
+                reads.append((i, slot))
+            elif slot in first:
+                repeats.append((i, first[slot]))
+            else:
+                first[slot] = i
+                binds.append((i, slot))
+        bound.update(first)
+        steps.append((args, reads, binds, repeats))
     rows: list[dict[Var, Term]] = [{}]
-    for pat in order:
+    for args, reads, binds, repeats in steps:
         joined = []
         for row in rows:
-            for t in store.match(*(_bind(slot, row) for slot in pat)):
-                new = dict(row)
-                for slot, value in zip(pat, t):
-                    if isinstance(slot, Var) and new.setdefault(slot, value) != value:
-                        break
-                else:
-                    joined.append(new)
+            for i, var in reads:
+                args[i] = row[var]
+            for t in store.probe(*args):
+                if repeats and any(t[i] != t[j] for i, j in repeats):
+                    continue
+                new = row.copy()
+                for i, var in binds:
+                    new[var] = t[i]
+                joined.append(new)
         rows = joined
     # The rows are already distinct: two of them part where one pattern
     # matched two different triples under the same row, and those
@@ -508,8 +529,50 @@ class _PatternScanner(_TermScanner):
             return self.scan_iri().value
         return self.checked(self.prefixes.resolve, self.take_token())
 
+    def plain_term(self, word: str) -> Term | Var | None:
+        """The term a whitespace-free ``word`` of a plain shape reads as:
+        ``?name``, ``_:label``, ``<iri>`` with its only '>' at the end, a
+        curie or ``a``. An empty name, a '<' word not ending in '>' and
+        any word starting with '[' (the scanner reads a leading ``[]`` as
+        a blank) give None; an invalid IRI or curie raises ``ValueError``.
+        """
+        head = word[:1]
+        if head == "?" or word.startswith("_:"):
+            name = word[1 if head == "?" else 2:]
+            return Var(name, head == "_") if name else None
+        if head == "<":
+            # ``iri`` rejects a '>' before the last character
+            return iri(word[1:-1]) if word.endswith(">") else None
+        if head == "[":
+            return None
+        return RDF_TYPE if word == "a" else self.prefixes.expand(word)
+
     def pattern(self, line: str, line_no: int) -> Pattern:
-        """The triple pattern on one line of the query."""
+        """The triple pattern on one line of the query.
+
+        A line with no '"' is first split at whitespace. Three words in
+        plain shapes (see ``plain_term``), then maybe a '.' word, or a
+        '.' closing the third word, make the pattern directly. Every other
+        line, and every line in error, is read by ``scan_pattern``, which
+        gives the same pattern or raises the syntax error.
+        """
+        words = () if '"' in line else line.split()
+        if len(words) == 4 and words[3] == ".":
+            del words[3]
+        elif len(words) == 3 and words[2].endswith("."):
+            words[2] = words[2][:-1]
+        if len(words) == 3:
+            try:
+                s, p, o = map(self.plain_term, words)
+            except ValueError:
+                pass
+            else:
+                if None not in (s, p, o) and not (isinstance(p, Var) and p.blank):
+                    return (s, p, o)
+        return self.scan_pattern(line, line_no)
+
+    def scan_pattern(self, line: str, line_no: int) -> Pattern:
+        """The triple pattern on one line, read term by term."""
         self.text = line
         self.pos = 0
         self.line = line_no

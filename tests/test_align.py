@@ -240,6 +240,15 @@ class TestAlignLexical:
         assert len(out) == 0
         assert funnel["exact_sources"] == 0 and funnel["scored"] == 0
 
+    @pytest.mark.parametrize("threshold", [-3.0, 0.0])
+    def test_threshold_at_or_below_zero_keeps_every_best_blocked_target(self, threshold):
+        out = align_lexical({"s": ["abc def"]}, {"t": ["abc xyz"]}, threshold=threshold)
+        assert out.pairs() == {("s", "t")}
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be a number"):
+            align_lexical({"s": ["abc def"]}, {"t": ["abc xyz"]}, threshold=float("nan"))
+
     def test_planted_noise_recovered(self):
         # Binomial-style names: one edit hits one word, the other still
         # shares a token so blocking keeps the pair.

@@ -572,6 +572,24 @@ class TestAlignmentCommands:
         rows = [ln for ln in body.splitlines() if ln and not ln.startswith("#")]
         assert rows == []
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_nan_threshold_is_an_input_error(self, tmp_path, pipeline_dir, capsys, where):
+        # NaN compares false with every score, so it used to keep every
+        # source's best target whatever its score
+        argv = ["align", "--source", str(pipeline_dir / "ecotox.nt"),
+                "--target", str(pipeline_dir / "ncbi.nt"), "--out", str(tmp_path / "out")]
+        config = json.loads((FIXTURES / "config.json").read_text())
+        config = {k: str(FIXTURES / v) if isinstance(v, str) else v for k, v in config.items()}
+        if where == "flag":
+            argv += ["--threshold", "nan"]
+        else:
+            config["threshold"] = float("nan")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert run_cli("--config", str(config_path), *argv) == 2
+        assert error_line(capsys) == ("ValueError", "alignment threshold must be a number, got nan")
+        assert not (tmp_path / "out" / "mappings.tsv").exists()
+
     def test_stop_words_split_at_newline_only(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_bytes("The\r\n# comment\r\nfoo\u2028bar\n\x0cbaz\n".encode())

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 
@@ -52,6 +53,23 @@ def probed_stores(rng: random.Random):
         store = helpers.random_store(rng, 50)
         triples = store.sorted_triples()
         yield store, rng.choice(triples) if triples else Triple(miss, miss, miss)
+
+
+# Blank labels and IRIs that are prefixes of one another, and literals
+# differing only in language or datatype, so a probe that confused two
+# terms by their text would show.
+PROBE_NODES = [blank("b1"), blank("b12"), iri("http://x.org/a"), iri("http://x.org/a/b"), iri("http://x.org/a/b/c")]
+PROBE_PREDICATES = [iri("http://x.org/p"), iri("http://x.org/p/q")]
+PROBE_OBJECTS = PROBE_NODES + [
+    literal("v"), literal("v", language="en"), literal("v", language="en-GB"),
+    literal("v", "http://www.w3.org/2001/XMLSchema#string"), literal("v w"),
+]
+PROBE_MISS = iri("http://x.org/absent")
+PROBE_TERMS = PROBE_OBJECTS + PROBE_PREDICATES + [PROBE_MISS]
+probe_stores = st.lists(
+    st.tuples(st.sampled_from(PROBE_NODES), st.sampled_from(PROBE_PREDICATES), st.sampled_from(PROBE_OBJECTS)),
+    max_size=20,
+)
 
 
 class TestTerm:
@@ -371,6 +389,23 @@ class TestStore:
                 for p in (None, probe.predicate, miss):
                     for o in (None, probe.object, miss):
                         assert store.count(s, p, o) == len(store.match(s, p, o))
+
+    @given(probe_stores, st.integers(0, 19), st.tuples(*[st.none() | st.sampled_from(PROBE_TERMS)] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_probe_is_match_unsorted(self, triples, index, picks):
+        # a bound position holds a picked term, or with None the term of
+        # one stored triple, in all 8 bound/unbound shapes
+        store = TripleStore()
+        store.add_all(Triple(*t) for t in triples)
+        hit = triples[index % len(triples)] if triples else (PROBE_MISS,) * 3
+        bound = [term if pick is None else pick for term, pick in zip(hit, picks)]
+        for shape in itertools.product((False, True), repeat=3):
+            s, p, o = (term if keep else None for term, keep in zip(bound, shape))
+            rows = store.probe(s, p, o)
+            assert len(set(rows)) == len(rows)
+            assert set(rows) == {tuple(t) for t in helpers.brute_force_match(store, s, p, o)}
+            assert all(type(row) is tuple for row in rows)
+            assert store.match(s, p, o) == sorted(map(Triple._make, rows), key=Triple.ntriples)
 
     def test_terms_are_subjects_and_objects(self):
         rng = random.Random(14)

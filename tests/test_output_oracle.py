@@ -74,3 +74,38 @@ def test_update_output_digests(tmp_path, inputs):
     assert run_cli("--config", str(config), "update", "--out", str(out)) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in EXPECTED[inputs]}
     assert digests == EXPECTED[inputs]
+
+
+# ``ecokg query`` stdout on the bench seed-1 graph: the three-pattern
+# LC50 select anchored on the chemical with the most LC50 results, the
+# same select unanchored, and a construct over the same join.
+ET = "https://cfpub.epa.gov/ecotox/"
+LC50_JOIN = "?t et:compound {chemical} .\n?t et:hasResult ?r .\n?r et:endpoint et:LC50 .\n"
+QUERIES = {
+    "anchored_select": (
+        "select ?r\n" + LC50_JOIN.format(chemical=f"<{ET}chemical/893535541>"),
+        "9dac86413486ddef6a909e93326a1aeda23db56bd35196cc522d1bf45ac391c9",
+    ),
+    "unanchored_select": (
+        "select ?c ?r\n" + LC50_JOIN.format(chemical="?c"),
+        "bf631ca6afec172b7822cf12b5a7c107d573e1125b97cc44badb827b2185bb44",
+    ),
+    "construct": (
+        "construct\n?c et:lc50Result ?r .\nwhere\n" + LC50_JOIN.format(chemical="?c"),
+        "1945fbc23c44981c4555479162eb1f13a4d9b1f95640f2547e58e2d81e8ad38a",
+    ),
+}
+
+
+def test_query_output_digests(tmp_path, capsys):
+    config = _generate_bench_inputs(1, tmp_path / "inputs")
+    out = tmp_path / "out"
+    assert run_cli("--config", str(config), "update", "--out", str(out)) == 0
+    capsys.readouterr()
+    digests = {}
+    for name, (text, _) in QUERIES.items():
+        query_file = tmp_path / f"{name}.txt"
+        query_file.write_text(text, encoding="utf-8")
+        assert run_cli("query", "--graph", str(out / "kg.nt"), "--query", str(query_file)) == 0
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digests == {name: digest for name, (_, digest) in QUERIES.items()}

@@ -25,6 +25,7 @@ from ecokg.query import (
     UnboundTemplateError,
     UnknownEntityError,
     Var,
+    _PatternScanner,
     construct,
     eval_path,
     fuzzy_lookup,
@@ -712,6 +713,9 @@ class TestParseQuery:
     def test_closing_dot_ends_the_last_token(self, unspaced, spaced):
         assert parse_query(unspaced, PREFIXES) == parse_query(spaced, PREFIXES)
 
+    def test_glued_anonymous_blank_reads_as_spaced(self):
+        assert parse_query("[]a ?t", PREFIXES) == parse_query("[] a ?t", PREFIXES)
+
     def test_lone_dot_is_a_missing_object(self):
         with pytest.raises(QuerySyntaxError, match="missing object"):
             parse_query("?s a .", PREFIXES)
@@ -770,6 +774,15 @@ class TestParseQuery:
             ('?s rdfs:label "x"@', "line 1: invalid language tag"),
             ('?s rdfs:label "x"^^nope:dt .', "line 1: unknown prefix"),
             ('?s rdfs:label "x"^^/ .', "line 1: not a curie"),
+            ("<a><b> ?p ?o", "line 1: trailing content: '\\?o'"),
+            ("?s a ?t ; ?x", "line 1: trailing content: '; \\?x'"),
+            ("?s?p ?o", "line 1: missing object"),
+            ("?s a ?.", "line 1: empty variable name"),
+            ("?s a _:.", "line 1: empty blank label"),
+            ("?s [] ?o", "line 1: predicate cannot be a blank variable"),
+            ("<a>b ?p ?o", "line 1: not a curie: 'b'"),
+            ("?s a <x>. .", "line 1: trailing content: '. .'"),
+            ("?s a <> .", "line 1: invalid IRI: ''"),
         ],
     )
     def test_errors(self, bad, needle):
@@ -803,6 +816,56 @@ syntax_words = st.lists(st.sampled_from(SYNTAX_PIECES), min_size=1, max_size=4).
 syntax_texts = st.lists(st.tuples(st.sampled_from(SEPARATORS), syntax_words), max_size=4).map(
     lambda pairs: "".join(sep + word for sep, word in pairs)
 )
+
+
+# Quote-free pattern lines: words of plain and other shapes, glued or
+# split by Unicode whitespace, with a closing '.' glued or spaced.
+LINE_WORDS = [
+    "?v", "?w.", "?", "_:b", "_:", "[]", "[]a", "a", "a.", "rdfs:label", "xsd:decimal.", "nope:x", "x",
+    "<http://example.org/p>", "<http://example.org/q>.", "<a><b>", "<a>b", "<>", "<a", "<ab", ".", "..", ";",
+    "[]x:y",
+]
+# a prefix label may start with "[]", yet a line's "[]" is always a blank
+LINE_PREFIXES = PrefixMap({**ns.DEFAULT_PREFIXES, "[]x": "http://example.org/odd/"})
+LINE_SEPARATORS = ["", " ", "  ", "\t", "\xa0", "\u2028", "\x1c"]
+pattern_lines = st.builds(
+    lambda pairs, end: "".join(sep + word for sep, word in pairs) + end,
+    st.lists(st.tuples(st.sampled_from(LINE_SEPARATORS), st.sampled_from(LINE_WORDS)), max_size=5),
+    st.sampled_from(LINE_SEPARATORS),
+)
+
+
+def pattern_outcome(read, line):
+    """The pattern ``read`` returns for ``line``, or its syntax error's message."""
+    try:
+        return read(line, 3)
+    except QuerySyntaxError as exc:
+        return str(exc)
+
+
+class TestSplitPatternLines:
+    @given(pattern_lines)
+    @example("?s a ?t.")
+    @example("?s\ta\xa0?t\u2028.")
+    @example("[]a ?t")
+    @example("?s a ?t. .")
+    @example("<a><b> ?p ?o")
+    @example("[]x:y a ?t")
+    @example("?s _:b ?o")
+    @settings(max_examples=500, deadline=None)
+    def test_split_path_reads_what_the_scanner_reads(self, line):
+        split, scanner = _PatternScanner(LINE_PREFIXES), _PatternScanner(LINE_PREFIXES)
+        assert pattern_outcome(split.pattern, line) == pattern_outcome(scanner.scan_pattern, line)
+        assert split.fresh == scanner.fresh
+
+    @pytest.mark.parametrize("line", [
+        "?t et:compound <https://cfpub.epa.gov/ecotox/chemical/50000>",
+        "?t et:hasResult ?r .",
+        "_:r\ta\u2028et:LC50.",
+    ])
+    def test_plain_lines_skip_the_scanner(self, line, monkeypatch):
+        monkeypatch.setattr(_PatternScanner, "scan_pattern", None)
+        assert len(_PatternScanner(PREFIXES).pattern(line, 1)) == 3
 
 
 class TestSyntaxErrorsOnly:
