@@ -1,5 +1,5 @@
 """Lexical ontology alignment: exact forms first, then token blocking
-plus edit-distance scoring.
+plus edit distances scored in lanes.
 
 Labels are normalized (lowercased, punctuation stripped, stop words and
 taxonomic rank words removed) before anything else. A pair scores
@@ -9,18 +9,19 @@ the threshold. Only identical forms score 1.0, the most any pair can,
 so a source that shares a form with some target is matched through an
 index of target forms by text, to the smallest such target, whenever
 1.0 reaches the threshold. Every other source is paired only with the
-targets sharing at least one normalized token with it, and each such
-blocked pair is scored; sharing only stop words does not count because
-stop words never survive normalization.
+targets sharing at least one normalized token with it; sharing only
+stop words does not count because stop words never survive
+normalization.
 
 The distance is the exact bit-parallel Levenshtein algorithm (Myers
-1999, in Hyyrö's 2001 form), one pass over the longer string with the
-shorter one's columns packed into an int. ``lane_deltas`` is that pass
-over any number of patterns packed side by side in one int, and
-``levenshtein`` is its one-pattern call. A form pair is not scored
-when its length bound ``1 - |len difference|/max(len)``, which no score
-can exceed, is already below what it would have to reach; scores,
-tie-breaks and the kept mappings are those of scoring every pair.
+1999, in Hyyrö's 2001 form): one pass over a text, with a pattern's
+columns packed into an int. ``lane_deltas`` runs it over any number of
+patterns side by side (Hyyrö, Fredriksson and Navarro 2005), and
+``_pack`` is the one packer of those lanes, for alignment, for
+``levenshtein`` (one lane) and for ``query.fuzzy_lookup``. Each source
+form gets one pass per lane width over its candidates' forms, less
+those whose length bound ``1 - |len difference|/max(len)``, which no
+score can exceed, is below the threshold.
 """
 
 import math
@@ -81,20 +82,69 @@ def lane_deltas(peq: dict[str, int], mask: int, bottoms: int, text: str) -> tupl
     return pv, mv
 
 
+# bit count of every byte value
+_POPCOUNT = bytes(bin(byte).count("1") for byte in range(256))
+# per bit j, the binary digit ("0" or "1") of that bit of every byte value
+_BINARY_DIGIT = [bytes(48 + (byte >> j & 1) for byte in range(256)) for j in range(8)]
+
+
+def _stride(length: int) -> int:
+    """Lane width: the smallest power of two above the length, at least 8."""
+    return max(8, 1 << length.bit_length())
+
+
+def _pack(stride: int, forms: list[str]) -> tuple[int, int, dict[str, int]]:
+    """``lane_deltas``'s mask, bottoms and per-character bits for the
+    forms, one per ``stride``-bit lane, each padded to the width on its own."""
+    lengths = list(map(len, forms))
+    lane = {n: ((1 << n) - 1).to_bytes(stride // 8, "little") for n in set(lengths)}
+    mask = int.from_bytes(b"".join(map(lane.__getitem__, lengths)), "little")
+    # bit 0 of a non-empty lane is the one set bit whose bit below is clear
+    bottoms = mask & ~(mask << 1)
+    # Bit p of plane j is bit j of the code point at position p of the
+    # padded text, read as binary digits from the last position down. A
+    # character's positions are those where every plane agrees with it;
+    # a lone surrogate is a code point like any other.
+    padded = "".join([form.ljust(stride, "\0") for form in forms])
+    points = padded[::-1].encode("utf-32-le", "surrogatepass")
+    alphabet = set("".join(forms))
+    planes = [
+        int(points[j // 8::4].translate(_BINARY_DIGIT[j % 8]), 2)
+        for j in range(max(map(ord, alphabet), default=0).bit_length())
+    ]
+    peq = {}
+    for ch in alphabet:
+        bits = mask
+        for j, plane in enumerate(planes):
+            bits &= plane if ord(ch) >> j & 1 else ~plane
+        peq[ch] = bits
+    return mask, bottoms, peq
+
+
+def _lane_counts(pv: int, nv: int, stride: int, lanes: int) -> bytes | list[int]:
+    """Per lane, the popcount of ``pv`` plus that of ``nv``.
+
+    A table turns every byte into its popcount. One multiply then sums
+    each run of up to 8 bytes into the run's top byte; a run's counts
+    total at most 128, so no byte carries. Lanes wider than a run add
+    their runs' sums.
+    """
+    size = lanes * stride // 8
+    n = (int.from_bytes(pv.to_bytes(size, "little").translate(_POPCOUNT), "little")
+         + int.from_bytes(nv.to_bytes(size, "little").translate(_POPCOUNT), "little"))
+    run = min(stride // 8, 8)
+    summed = n * int.from_bytes(b"\1" * run, "little")
+    counts = summed.to_bytes(size + run, "little")[run - 1:size:run]
+    per = stride // 64
+    if per <= 1:
+        return counts
+    return [sum(counts[i:i + per]) for i in range(0, len(counts), per)]
+
+
 def levenshtein(a: str, b: str) -> int:
     """Edit distance with unit costs: ``lane_deltas`` with one lane, ``b``."""
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    peq: dict[str, int] = {}
-    bit = 1
-    for ch in b:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    pv, mv = lane_deltas(peq, bit - 1, 1, a)
+    mask, bottoms, peq = _pack(_stride(len(b)), [b])
+    pv, mv = lane_deltas(peq, mask, bottoms, a)
     return len(a) + pv.bit_count() - mv.bit_count()
 
 
@@ -203,22 +253,20 @@ def align_lexical(
     target IRI, so results never depend on dict order. Only different
     forms score below 1.0, so a source sharing a form with some target
     keeps the smallest such target at 1.0 whenever 1.0 reaches the
-    threshold; only the other sources are blocked and scored. A form
-    pair is scored only if its length bound reaches the threshold, the
-    source's best score so far and the pair's best so far; a pair below
-    all three could neither pass, win nor tie. ``funnel``, when given,
-    receives the counts of sources matched by an exact form, distinct
-    tokens of the other sources, and, for those sources alone, blocked
-    pairs, form pairs, length-pruned form pairs and scored form pairs;
-    then the sources whose best score several targets tied. A NaN
-    threshold, which no score compares with, raises ``ValueError``.
+    threshold; only the other sources are blocked and scored. ``funnel``,
+    when given, receives the counts of sources matched by an exact form,
+    distinct tokens of the other sources, and, for those sources alone,
+    blocked pairs, form pairs, form pairs whose length bound is below
+    the threshold and form pairs scored in lanes; then the sources whose
+    best score several targets tied. A NaN threshold, which no score
+    compares with, raises ``ValueError``.
     """
     if math.isnan(threshold):
         raise ValueError("alignment threshold must be a number, got nan")
     source_forms, source_tokens = _normalized_forms(source_labels, stop_words)
     target_forms, target_tokens = _normalized_forms(target_labels, stop_words)
-    best: dict[str, tuple[float, str]] = {}
-    tied: set[str] = set()
+    # per source, its best score and every target that reached it
+    best: dict[str, tuple[float, set[str]]] = {}
     if threshold <= 1.0:
         targets_by_form: dict[str, list[str]] = {}
         for target, forms in target_forms.items():
@@ -227,37 +275,41 @@ def align_lexical(
         for source, forms in source_forms.items():
             exact = {target for form in forms for target in targets_by_form.get(form, ())}
             if exact:
-                best[source] = (1.0, min(exact))
-                if len(exact) > 1:
-                    tied.add(source)
+                best[source] = (1.0, exact)
     exact_sources = len(best)
     rest = {source: tokens for source, tokens in source_tokens.items() if source not in best}
     blocked = block_candidates(rest, target_tokens)
+    candidates: dict[str, list[str]] = {}
+    for source, target in blocked:
+        candidates.setdefault(source, []).append(target)
     form_pairs = scored = 0
-    # Sorted, so the pruning and its counts do not depend on set order,
-    # and the first target to reach a score is the smallest.
-    for source, target in sorted(blocked):
-        incumbent = best.get(source)
-        floor = threshold if incumbent is None else max(threshold, incumbent[0])
-        score = None
+    for source, targets in candidates.items():
+        top, winners = threshold, set()
         for sf in source_forms[source]:
-            for tf in target_forms[target]:
-                form_pairs += 1
-                longest = max(len(sf), len(tf))
-                if 1.0 - abs(len(sf) - len(tf)) / longest < floor:
-                    continue
-                scored += 1
-                form_score = similarity(sf, tf)
-                if score is None or form_score > score:
-                    score = form_score
-                    floor = max(floor, score)
-        if score is None or score < threshold:
-            continue
-        if incumbent is None or score > incumbent[0]:
-            best[source] = (score, target)
-            tied.discard(source)
-        elif score == incumbent[0]:
-            tied.add(source)
+            n = len(sf)
+            # by lane width, the forms whose length bound reaches threshold
+            lanes: dict[int, tuple[list[str], list[str]]] = {}
+            for target in targets:
+                for tf in target_forms[target]:
+                    form_pairs += 1
+                    if 1.0 - abs(n - len(tf)) / max(n, len(tf)) >= threshold:
+                        forms, owners = lanes.setdefault(_stride(len(tf)), ([], []))
+                        forms.append(tf)
+                        owners.append(target)
+            for stride, (forms, owners) in lanes.items():
+                scored += len(forms)
+                mask, bottoms, peq = _pack(stride, forms)
+                pv, mv = lane_deltas(peq, mask, bottoms, sf)
+                # as in query.fuzzy_lookup, distance = count + n - len(tf)
+                counts = _lane_counts(pv, mv ^ mask, stride, len(forms))
+                for tf, target, count in zip(forms, owners, counts):
+                    score = 1.0 - (count + n - len(tf)) / max(n, len(tf))
+                    if score > top:
+                        top, winners = score, {target}
+                    elif score == top:
+                        winners.add(target)
+        if winners:
+            best[source] = (top, winners)
     if funnel is not None:
         funnel.update(
             exact_sources=exact_sources,
@@ -266,11 +318,11 @@ def align_lexical(
             form_pairs=form_pairs,
             length_pruned=form_pairs - scored,
             scored=scored,
-            ties_broken=len(tied),
+            ties_broken=sum(len(winners) > 1 for _, winners in best.values()),
         )
     out = MappingSet(method=method)
-    for source, (score, target) in best.items():
-        out.add(Mapping(source, target, score, method))
+    for source, (score, winners) in best.items():
+        out.add(Mapping(source, min(winners), score, method))
     return out
 
 

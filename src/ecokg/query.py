@@ -21,7 +21,7 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from itertools import compress
 
-from .align import lane_deltas, normalize_label
+from .align import _lane_counts, _pack, _stride, lane_deltas, normalize_label
 from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, is_content_line
 from .ns import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
 from .ntriples import _LineScanner
@@ -489,16 +489,16 @@ class _PatternScanner(_TermScanner):
         return QuerySyntaxError(f"line {self.line}: {message}")
 
     def take_token(self) -> str:
-        """The text up to the next whitespace.
+        """The text up to the next whitespace, less the '.'s it ends in.
 
-        As in Turtle, a name cannot end in '.', so a '.' that ends the
-        line closes the pattern ("?s a ?t." reads as "?s a ?t .").
+        As in Turtle, a name cannot end in '.'. A '.' so left that ends
+        the line closes the pattern ("?s a ?t." reads as "?s a ?t ."),
+        and any other is a syntax error.
         """
         start = self.pos
-        self.pos = _NAME.match(self.text, start).end()
-        if self.pos > start and self.text[self.pos - 1] == "." and not self.text[self.pos:].strip():
-            self.pos -= 1
-        return self.text[start:self.pos]
+        token = self.text[start:_NAME.match(self.text, start).end()].rstrip(".")
+        self.pos = start + len(token)
+        return token
 
     def scan_term(self, position: str) -> Term | Var:
         self.skip_ws()
@@ -534,17 +534,18 @@ class _PatternScanner(_TermScanner):
         ``?name``, ``_:label``, ``<iri>`` with its only '>' at the end, a
         curie or ``a``. An empty name, a '<' word not ending in '>' and
         any word starting with '[' (the scanner reads a leading ``[]`` as
-        a blank) give None; an invalid IRI or curie raises ``ValueError``.
+        a blank) give None, and so does a word ending in '.', as no name
+        can; an invalid IRI or curie raises ``ValueError``.
         """
         head = word[:1]
+        if head == "[" or word.endswith("."):
+            return None
         if head == "?" or word.startswith("_:"):
             name = word[1 if head == "?" else 2:]
             return Var(name, head == "_") if name else None
         if head == "<":
             # ``iri`` rejects a '>' before the last character
             return iri(word[1:-1]) if word.endswith(">") else None
-        if head == "[":
-            return None
         return RDF_TYPE if word == "a" else self.prefixes.expand(word)
 
     def pattern(self, line: str, line_no: int) -> Pattern:
@@ -635,63 +636,6 @@ def run_query(store: TripleStore, query: Query):
 
 def _label_form(label: str) -> str:
     return " ".join(normalize_label(label)) or label.lower()
-
-
-# bit count of every byte value
-_POPCOUNT = bytes(bin(byte).count("1") for byte in range(256))
-# per bit j, the binary digit ("0" or "1") of that bit of every byte value
-_BINARY_DIGIT = [bytes(48 + (byte >> j & 1) for byte in range(256)) for j in range(8)]
-
-
-def _stride(length: int) -> int:
-    """Lane width: the smallest power of two above the length, at least 8."""
-    return max(8, 1 << length.bit_length())
-
-
-def _pack(stride: int, forms: list[str]) -> tuple[int, int, dict[str, int]]:
-    """``lane_deltas``'s mask, bottoms and per-character bits for the
-    forms, one per ``stride``-bit lane, each padded to the width on its own."""
-    lengths = list(map(len, forms))
-    lane = {n: ((1 << n) - 1).to_bytes(stride // 8, "little") for n in set(lengths)}
-    mask = int.from_bytes(b"".join(map(lane.__getitem__, lengths)), "little")
-    # bit 0 of a non-empty lane is the one set bit whose bit below is clear
-    bottoms = mask & ~(mask << 1)
-    # Bit p of plane j is bit j of the code point at position p of the
-    # padded text, read as binary digits from the last position down. A
-    # character's positions are those where every plane agrees with it.
-    points = "".join([form.ljust(stride, "\0") for form in forms])[::-1].encode("utf-32-le")
-    alphabet = set("".join(forms))
-    planes = [
-        int(points[j // 8::4].translate(_BINARY_DIGIT[j % 8]), 2)
-        for j in range(max(map(ord, alphabet), default=0).bit_length())
-    ]
-    peq = {}
-    for ch in alphabet:
-        bits = mask
-        for j, plane in enumerate(planes):
-            bits &= plane if ord(ch) >> j & 1 else ~plane
-        peq[ch] = bits
-    return mask, bottoms, peq
-
-
-def _lane_counts(pv: int, nv: int, stride: int, lanes: int) -> bytes | list[int]:
-    """Per lane, the popcount of ``pv`` plus that of ``nv``.
-
-    A table turns every byte into its popcount. One multiply then sums
-    each run of up to 8 bytes into the run's top byte; a run's counts
-    total at most 128, so no byte carries. Lanes wider than a run add
-    their runs' sums.
-    """
-    size = lanes * stride // 8
-    n = (int.from_bytes(pv.to_bytes(size, "little").translate(_POPCOUNT), "little")
-         + int.from_bytes(nv.to_bytes(size, "little").translate(_POPCOUNT), "little"))
-    run = min(stride // 8, 8)
-    summed = n * int.from_bytes(b"\1" * run, "little")
-    counts = summed.to_bytes(size + run, "little")[run - 1:size:run]
-    per = stride // 64
-    if per <= 1:
-        return counts
-    return [sum(counts[i:i + per]) for i in range(0, len(counts), per)]
 
 
 def _label_index(

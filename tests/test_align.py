@@ -3,6 +3,8 @@ import string
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from ecokg import align
@@ -62,6 +64,10 @@ class TestLevenshtein:
         assert levenshtein("abc", "") == 3
         assert levenshtein("abc", "abc") == 0
         assert levenshtein("flaw", "lawn") == 2
+
+    def test_lone_surrogates_are_characters(self):
+        assert levenshtein("\ud800ab", "ab") == 1
+        assert levenshtein("\ud800", "\udc00") == 1
 
     def test_against_full_matrix_oracle(self):
         rng = random.Random(29)
@@ -328,7 +334,53 @@ def random_label_sets(rng):
     return source, target
 
 
+# ASCII, Latin-1, Cyrillic and an astral lowercase letter (U+10428).
+LANE_LETTERS = "ab\xe9\u0436\U00010428"
+# Form lengths at both sides of each lane width's edge (8, 16, 32 and 64
+# bits); 64 and up take 128-bit lanes, whose counts sum two runs.
+LANE_EDGE_LENGTHS = (7, 8, 15, 16, 31, 32, 63, 64, 65)
+
+
+def lane_label_sets(rng):
+    """Forms of one shared token and a word near one of the roots, one
+    root per edge length, so forms land on both sides of every lane
+    width; one form of one target is also a form of another. Edits
+    favour the word's ends, where they move a lane's last row."""
+    roots = ["".join(rng.choice(LANE_LETTERS) for _ in range(n - 3)) for n in LANE_EDGE_LENGTHS]
+
+    def label():
+        word = list(rng.choice(roots))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            pos = rng.choice((0, len(word) - 1, rng.randrange(len(word))))
+            roll = rng.random()
+            if roll < 0.4:
+                word[pos] = rng.choice(LANE_LETTERS)
+            elif roll < 0.7:
+                del word[pos]
+            else:
+                word.insert(pos, rng.choice(LANE_LETTERS))
+        return rng.choice(("ab", "cd")) + " " + "".join(word)
+
+    def labels():
+        return [label() for _ in range(rng.randrange(1, 3))]
+
+    source = {f"s/{i}": labels() for i in range(rng.randrange(1, 6))}
+    target = {f"t/{i}": labels() for i in range(rng.randrange(1, 8))}
+    shared = rng.choice(rng.choice(list(target.values())))
+    # sorts before or after every other target
+    target[rng.choice(("t/", "t/~"))] = [shared, *labels()[1:]]
+    return source, target
+
+
 class TestLengthPruning:
+    @given(st.randoms(use_true_random=False), st.sampled_from((0.0, 0.8, 1.0, 1.2)))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_brute_force_across_lane_widths(self, rng, threshold):
+        source, target = lane_label_sets(rng)
+        got = align_lexical(source, target, threshold=threshold)
+        expect = brute_force_alignment(source, target, threshold)
+        assert {m.source: (-m.score, m.target) for m in got} == expect
+
     def test_equals_brute_force_on_random_label_sets(self):
         rng = random.Random(53)
         exact_threshold = ties = 0
@@ -372,16 +424,16 @@ class TestLengthPruning:
         rng = random.Random(59)
         source, target = random_label_sets(rng)
         plain = align_lexical(source, target, threshold=0.6)
-        calls = []
-        real = align.levenshtein
-        monkeypatch.setattr(align, "levenshtein", lambda a, b: calls.append(1) or real(a, b))
+        lanes = []
+        real = align._pack
+        monkeypatch.setattr(align, "_pack", lambda stride, forms: lanes.append(len(forms)) or real(stride, forms))
         funnel = {}
         counted = align_lexical(source, target, threshold=0.6, funnel=funnel)
         assert list(counted) == list(plain)
         assert sorted(funnel) == ["blocked_pairs", "distinct_tokens", "exact_sources",
                                   "form_pairs", "length_pruned", "scored", "ties_broken"]
         assert funnel["form_pairs"] == funnel["length_pruned"] + funnel["scored"]
-        assert funnel["scored"] == len(calls)
+        assert funnel["scored"] == sum(lanes)
         assert funnel["length_pruned"] > 0
 
     def test_funnel_is_deterministic(self):

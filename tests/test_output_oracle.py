@@ -4,8 +4,9 @@ A change that only restructures code must keep ``kg.nt``,
 ``mappings.tsv``, ``stats.tsv`` and every part file (one ``.nt`` per
 source and bridge) byte-identical on the bundled fixtures and on the
 benchmark's input sets (``perfbench/synth.py``, seeds 1 and 7, bench
-scale). A change that means to alter the output updates
-the pinned digests and says why.
+scale), and the first three on seed 1 at ten times the bench counts. A
+change that means to alter the output updates the pinned digests and
+says why.
 """
 
 import hashlib
@@ -55,12 +56,31 @@ EXPECTED = {
 }
 
 
-def _generate_bench_inputs(seed: int, out: Path) -> Path:
+# Bench seed 1 with every count times 10 (kingdoms and shares unchanged).
+# Alignment there weighs 8,621 form pairs of 3,642 blocked pairs, against
+# 242 of 143 at bench scale, so these pin its scores and ties far harder.
+EXPECTED_X10 = {
+    "kg.nt": "268689ef1a4687f24df22abe2c115685297be5efba467554c8a193996f742f8b",
+    "mappings.tsv": "e592e9f39c5ab07552badb73f3640ae737bdb96e48c61c59cfdc623daeb5938b",
+    "stats.tsv": "5c64876066e3753da2ee4ecbfe103572cf6642e9bdbc3f347c456c1250518238",
+}
+
+
+def _load_synth():
     spec = importlib.util.spec_from_file_location("_oracle_synth", SYNTH)
     synth = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(synth)
-    synth.generate(seed, out, "bench")
+    return synth
+
+
+def _generate_bench_inputs(seed: int, out: Path) -> Path:
+    _load_synth().generate(seed, out, "bench")
     return out / "config.json"
+
+
+def _update_digests(config: Path, out: Path, names) -> dict[str, str]:
+    assert run_cli("--config", str(config), "update", "--out", str(out)) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
 @pytest.mark.parametrize("inputs", sorted(EXPECTED))
@@ -70,10 +90,17 @@ def test_update_output_digests(tmp_path, inputs):
     else:
         seed = int(inputs.removeprefix("bench_seed"))
         config = _generate_bench_inputs(seed, tmp_path / "inputs")
-    out = tmp_path / "out"
-    assert run_cli("--config", str(config), "update", "--out", str(out)) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in EXPECTED[inputs]}
-    assert digests == EXPECTED[inputs]
+    assert _update_digests(config, tmp_path / "out", EXPECTED[inputs]) == EXPECTED[inputs]
+
+
+def test_update_output_digests_x10(tmp_path, monkeypatch):
+    synth = _load_synth()
+    x10 = {key: value if key == "kingdoms" or isinstance(value, float) else value * 10
+           for key, value in synth.SCALES["bench"].items()}
+    monkeypatch.setitem(synth.SCALES, "x10", x10)
+    synth.generate(1, tmp_path / "inputs", "x10")
+    config = tmp_path / "inputs" / "config.json"
+    assert _update_digests(config, tmp_path / "out", EXPECTED_X10) == EXPECTED_X10
 
 
 # ``ecokg query`` stdout on the bench seed-1 graph: the three-pattern

@@ -783,6 +783,12 @@ class TestParseQuery:
             ("<a>b ?p ?o", "line 1: not a curie: 'b'"),
             ("?s a <x>. .", "line 1: trailing content: '. .'"),
             ("?s a <> .", "line 1: invalid IRI: ''"),
+            # a name cannot end in '.'
+            ("?s a ?t. .", "line 1: trailing content: '. .'"),
+            ("?s a ?t..", "line 1: trailing content: '..'"),
+            ("?s. a ?t", "line 1: missing predicate"),
+            ("_:b. a ?t", "line 1: missing predicate"),
+            ("?s a et:x..", "line 1: trailing content: '..'"),
         ],
     )
     def test_errors(self, bad, needle):
@@ -1009,6 +1015,14 @@ class TestFuzzyLookup:
         # k-th score; the tie goes to the smaller key
         store = self.labeled(("z", "abcx"), ("a", "abcy"))
         assert fuzzy_lookup(store, "abcd", k=1) == [("http://example.org/a", 0.75)]
+
+    def test_lone_surrogate_label(self):
+        # a label of no word characters keeps its lowercased text as its
+        # form, and N-Triples can spell a lone surrogate as \uD800
+        store = parse_ntriples(
+            '<http://example.org/a> <http://www.w3.org/2000/01/rdf-schema#label> "\\uD800!" .\n'
+        )
+        assert fuzzy_lookup(store, "\ud800?", k=1) == [("http://example.org/a", 0.5)]
 
     def test_equals_scoring_every_label_on_random_stores(self):
         rng = random.Random(83)
