@@ -65,6 +65,14 @@ def lane_deltas(peq: dict[str, int], mask: int, bottoms: int, text: str) -> tupl
     +1/-1 at row i + 1, so a lane's distance is ``len(text)`` plus its
     ``pv`` bits minus its ``mv`` bits. The masked shifts keep every bit
     in its lane, and a zero bit above each field absorbs the add's carry.
+
+    Every int stays non-negative, because ``^ mask`` stands in for ``~``
+    (on a negative int CPython's ``&``, ``|`` and ``^`` convert the whole
+    int to two's complement). That is exact only if every ``peq`` value
+    lies inside ``mask``, as ``_pack``'s do; then ``pv`` and ``mv`` do
+    too, and ``(xh | pv) ^ mask`` differs from ``~(xh | pv)`` only in
+    bits outside ``mask``. The masked shift moves those onto a lane's
+    bit 0, which ``bottoms`` sets anyway, or out of the mask.
     """
     inner = mask ^ bottoms
     get = peq.get
@@ -73,11 +81,11 @@ def lane_deltas(peq: dict[str, int], mask: int, bottoms: int, text: str) -> tupl
         eq = get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
+        ph = mv | ((xh | pv) ^ mask)
         mh = pv & xh
         ph = ((ph << 1) & mask) | bottoms
         mh = (mh << 1) & inner
-        pv = (mh | ~(xv | ph)) & mask
+        pv = mh | ((xv | ph) ^ mask)
         mv = ph & xv
     return pv, mv
 
@@ -100,7 +108,7 @@ def _pack(stride: int, forms: list[str]) -> tuple[int, int, dict[str, int]]:
     lane = {n: ((1 << n) - 1).to_bytes(stride // 8, "little") for n in set(lengths)}
     mask = int.from_bytes(b"".join(map(lane.__getitem__, lengths)), "little")
     # bit 0 of a non-empty lane is the one set bit whose bit below is clear
-    bottoms = mask & ~(mask << 1)
+    bottoms = mask ^ (mask & (mask << 1))
     # Bit p of plane j is bit j of the code point at position p of the
     # padded text, read as binary digits from the last position down. A
     # character's positions are those where every plane agrees with it;
@@ -112,11 +120,14 @@ def _pack(stride: int, forms: list[str]) -> tuple[int, int, dict[str, int]]:
         int(points[j // 8::4].translate(_BINARY_DIGIT[j % 8]), 2)
         for j in range(max(map(ord, alphabet), default=0).bit_length())
     ]
+    # per plane, the positions where its bit is clear, then set; padding
+    # is U+0000, so both lie inside mask
+    choices = [(mask ^ plane, plane) for plane in planes]
     peq = {}
     for ch in alphabet:
-        bits = mask
-        for j, plane in enumerate(planes):
-            bits &= plane if ord(ch) >> j & 1 else ~plane
+        bits, code = mask, ord(ch)
+        for j, (off, on) in enumerate(choices):
+            bits &= on if code >> j & 1 else off
         peq[ch] = bits
     return mask, bottoms, peq
 

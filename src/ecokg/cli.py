@@ -127,13 +127,25 @@ def _peak_rss_mb(status: str = "/proc/self/status") -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
-def _write_summary(path: Path, command: str, result: dict, seconds: float) -> None:
+class _WarningCounter(logging.Handler):
+    """Counts the records logged at WARNING or above while attached."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.count += 1
+
+
+def _write_summary(path: Path, command: str, result: dict, seconds: float, warnings: int) -> None:
     summary = {
         "command": command,
         "counts": result["counts"],
         "outputs": sorted(result["outputs"]),
         "peak_rss_mb": _peak_rss_mb(),
         "seconds": round(seconds, 3),
+        "warnings": warnings,
     }
     ntriples.write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
@@ -398,9 +410,10 @@ def cmd_lookup(args, cfg: _Config) -> dict:
     query_mod.check_lookup_k(args.k)
     prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
-    hits = query_mod.fuzzy_lookup(store, args.name, args.k)
+    funnel: dict[str, int] = {}
+    hits = query_mod.fuzzy_lookup(store, args.name, args.k, funnel)
     text = "".join(f"{iri_text}\t{score:.6f}\n" for iri_text, score in hits)
-    return _emit(args, text, {"hits": len(hits)})
+    return _emit(args, text, {"hits": len(hits), **funnel})
 
 
 def cmd_lineage(args, cfg: _Config) -> dict:
@@ -636,16 +649,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    counter = _WarningCounter()
+    logging.getLogger().addHandler(counter)
     try:
         cfg = _Config.load(args.config)
         result = _COMMANDS[args.command](args, cfg)
         elapsed = time.perf_counter() - started
         out_dir = result.get("out_dir")
         if out_dir is not None:
-            _write_summary(out_dir / f"{args.command}.summary.json", args.command, result, elapsed)
+            summary = out_dir / f"{args.command}.summary.json"
         elif getattr(args, "out", None):
             out = Path(args.out)
-            _write_summary(out.with_name(out.name + ".summary.json"), args.command, result, elapsed)
+            summary = out.with_name(out.name + ".summary.json")
+        else:
+            return EXIT_OK
+        _write_summary(summary, args.command, result, elapsed, counter.count)
         return EXIT_OK
     except (ValidationError, FrozenStoreError) as exc:
         return _fail(exc, EXIT_VALIDATION)
@@ -654,6 +672,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - safety net
         sys.stderr.write(traceback.format_exc())
         return _fail(exc, EXIT_INTERNAL)
+    finally:
+        logging.getLogger().removeHandler(counter)
 
 
 def _fail(exc: Exception, code: int) -> int:

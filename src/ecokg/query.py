@@ -15,7 +15,6 @@ literal takes every escape and ``@lang``/``^^<iri>`` suffix a graph
 file can hold; a query adds ``^^curie`` datatypes.
 """
 
-import heapq
 import re
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
@@ -680,7 +679,9 @@ def check_lookup_k(k: int) -> None:
         raise ValueError(f"k must be at least 1, got {k}")
 
 
-def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, float]]:
+def fuzzy_lookup(
+    store: TripleStore, name: str, k: int = 5, funnel: dict[str, int] | None = None
+) -> list[tuple[str, float]]:
     """Top-k labeled entities by edit-distance score against ``name``.
 
     Scores use the alignment formula over normalized label forms; ties
@@ -693,33 +694,40 @@ def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, f
     bound, stopping once no length in a width can reach the k-th best
     score so far. Within a width, lengths are ranked best bound first
     with the same stop, and a form is ranked only if its distance leaves
-    it a chance to reach that score.
+    it a chance to reach that score. The k-th best is recomputed only
+    after a length's run raised some subject's score. ``funnel``, when
+    given, receives the number of passes and of the lanes they scanned.
     """
     check_lookup_k(k)
     probe = _label_form(name)
     lp = len(probe)
-
-    def length_bound(length: int) -> float:
-        return 1.0 - abs(length - lp) / (max(length, lp) or 1)
-
     index = _label_index(store)
+    # each length's bound 1 - |len difference|/max(len); no score exceeds it
+    bound = {
+        length: 1.0 - abs(length - lp) / (max(length, lp) or 1)
+        for *_, runs in index.values()
+        for length in runs
+    }
     visits = []
     for stride, (*_, runs) in index.items():
-        lengths = sorted(runs, key=length_bound, reverse=True)
-        visits.append((length_bound(lengths[0]), stride, lengths))
+        lengths = sorted(runs, key=bound.__getitem__, reverse=True)
+        visits.append((bound[lengths[0]], stride, lengths))
     visits.sort(key=lambda visit: visit[0], reverse=True)
     best: dict[str, float] = {}
     kth = float("-inf")
+    passes = lanes = 0
     for top, stride, lengths in visits:
         if top < kth:
             break
         mask, bottoms, peq, keys, runs = index[stride]
         pv, mv = lane_deltas(peq, mask, bottoms, probe)
+        passes += 1
+        lanes += len(keys)
         # distance = lp + popcount(pv) - popcount(mv), where popcount(mv)
         # = length - popcount(mv ^ mask) in a lane of that length
         counts = _lane_counts(pv, mv ^ mask, stride, len(keys))
         for length in lengths:
-            if length_bound(length) < kth:
+            if bound[length] < kth:
                 break
             start, stop = runs[length]
             longest = max(length, lp) or 1
@@ -728,15 +736,19 @@ def fuzzy_lookup(store: TripleStore, name: str, k: int = 5) -> list[tuple[str, f
             # "most" is the count at limit
             most = limit + length - lp
             run = counts[start:stop]
+            raised = False
             for lane_keys, count in compress(zip(keys[start:stop], run), map(most.__ge__, run)):
                 score = 1.0 - (count + lp - length) / longest
                 for key in lane_keys:
                     if score > best.get(key, -1.0):
                         best[key] = score
-            if len(best) >= k:
-                kth = heapq.nlargest(k, best.values())[-1]
+                        raised = True
+            if raised and len(best) >= k:
+                kth = sorted(best.values(), reverse=True)[k - 1]
                 # kth only rises, so a subject below it now can never rank
                 best = {key: score for key, score in best.items() if score >= kth}
+    if funnel is not None:
+        funnel.update(passes=passes, lanes=lanes)
     ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 

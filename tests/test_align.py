@@ -124,6 +124,38 @@ class TestLevenshtein:
             assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
 
+# Lane lengths at and around every lane-width edge up to 128, and 200.
+LANE_EDGE_LENGTHS = (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200)
+# é, ж, a code point past U+FFFF, a lone surrogate and U+0000, the padding
+KERNEL_ALPHABET = ("a", "b", "é", "ж", "\U00010428", "\ud800", "\0")
+
+
+def kernel_text(length):
+    return st.lists(st.sampled_from(KERNEL_ALPHABET), min_size=length, max_size=length).map("".join)
+
+
+kernel_forms = st.one_of(st.sampled_from(LANE_EDGE_LENGTHS), st.integers(0, 200)).flatmap(kernel_text)
+
+
+class TestLaneKernel:
+    @given(st.lists(kernel_forms, min_size=1, max_size=4), st.lists(kernel_forms, max_size=3), kernel_forms)
+    @settings(max_examples=60, deadline=None)
+    def test_bits_stay_inside_mask_and_lanes_match_oracle(self, before, after, text):
+        # an empty lane between non-empty ones, U+0000 inside a form, and
+        # the widest form sets the width
+        forms = before + [""] + after + ["é\0ж\U00010428\ud800"]
+        stride = max(map(align._stride, map(len, forms)))
+        mask, bottoms, peq = align._pack(stride, forms)
+        for bits in (bottoms, *peq.values()):
+            assert bits >= 0 and bits | mask == mask
+        pv, mv = align.lane_deltas(peq, mask, bottoms, text)
+        assert pv >= 0 and pv | mask == mask
+        assert mv >= 0 and mv | mask == mask
+        counts = align._lane_counts(pv, mv ^ mask, stride, len(forms))
+        for form, count in zip(forms, counts):
+            assert count + len(text) - len(form) == helpers.dp_levenshtein(text, form), ascii(form)
+
+
 class TestSimilarity:
     def test_bounds_and_edges(self):
         assert similarity("", "") == 1.0

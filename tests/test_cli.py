@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 import os
 import resource
 import subprocess
@@ -12,10 +13,11 @@ import pytest
 
 from ecokg import align, checks, cli, dmp, ecotox, graph, idmap, ntriples, query, stats, traits, units
 from ecokg.graph import FrozenStoreError, PrefixMap, UnknownPrefixError
-from ecokg.ns import ET, NCBI
+from ecokg.ns import ET, NCBI, default_prefix_map
 
 import helpers
 from conftest import FIXTURES, read_summary, run_cli
+from test_output_oracle import _generate_bench_inputs
 
 
 def cfg_args(*rest):
@@ -275,6 +277,38 @@ class TestSummaries:
         sidecar = json.loads((tmp_path / "hits.tsv.summary.json").read_text())
         assert sidecar["command"] == "lookup"
         assert sidecar["outputs"] == [str(out)]
+        store = ntriples.parse((pipeline_dir / "kg.nt").read_text(), default_prefix_map())
+        funnel = {}
+        hits = query.fuzzy_lookup(store, "daphnia magna", 5, funnel)
+        assert sidecar["counts"] == {"hits": len(hits), **funnel}
+        assert funnel["passes"] >= 1 and funnel["lanes"] >= funnel["passes"]
+        assert sidecar["warnings"] == 0
+
+    def test_update_summary_counts_the_warnings_on_stderr(self, tmp_path):
+        config = _generate_bench_inputs(1, tmp_path / "inputs")
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "ecokg", "--config", str(config), "update", "--out", str(out)],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        warned = [line for line in done.stderr.splitlines() if line.startswith("WARNING ")]
+        # three chemicals with a bad CAS checksum: kept by ingest-ecotox,
+        # then refused by bridge-cas
+        assert [line.split(":")[0] for line in warned] == (
+            ["WARNING invalid CAS number kept"] * 3 + ["WARNING bridge"] * 3
+        )
+        assert read_summary(out, "update")["warnings"] == len(warned) == 6
+
+    def test_warning_counter_is_removed_after_each_run(self, tmp_path):
+        root = logging.getLogger()
+        handlers = list(root.handlers)
+        assert run_cli(*cfg_args("units", "--out", str(tmp_path))) == 0
+        assert run_cli(*cfg_args("stats", "--graph", str(tmp_path / "missing.nt"))) == cli.EXIT_INPUT
+        assert root.handlers == handlers
+        assert read_summary(tmp_path, "units")["warnings"] == 0
 
     def test_summaries_report_peak_rss(self, pipeline_dir, tmp_path):
         peak = read_summary(pipeline_dir, "update")["peak_rss_mb"]

@@ -11,11 +11,14 @@ says why.
 
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, run_cli
+from ecokg import ntriples, query
+from ecokg.ns import default_prefix_map
 
 SYNTH = Path(__file__).resolve().parent.parent / "perfbench" / "synth.py"
 
@@ -136,3 +139,30 @@ def test_query_output_digests(tmp_path, capsys):
         assert run_cli("query", "--graph", str(out / "kg.nt"), "--query", str(query_file)) == 0
         digests[name] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digests == {name: digest for name, (_, digest) in QUERIES.items()}
+
+
+# ``fuzzy_lookup`` on the frozen bench seed-1 graph, for every lookup
+# probe of the generator's truth file: per k, the sha256 of the hits
+# rendered as ``ecokg lookup`` prints them, probe after probe.
+LOOKUP_DIGESTS = {
+    1: "b9a4f99612bb7ecc2935bd8ad990684f5d98262276e9f839ef05d83477b59332",
+    5: "42f1e4f8997950459f5478ad460a8a645c9946e27748ead1532c90441edd3f59",
+}
+
+
+def test_lookup_output_digests(tmp_path):
+    config = _generate_bench_inputs(1, tmp_path / "inputs")
+    out = tmp_path / "out"
+    assert run_cli("--config", str(config), "update", "--out", str(out)) == 0
+    store = ntriples.parse((out / "kg.nt").read_text(encoding="utf-8"), default_prefix_map())
+    store.freeze()
+    probes = json.loads((tmp_path / "inputs" / "truth.json").read_text(encoding="utf-8"))["lookup_probes"]
+    digests = {}
+    for k in LOOKUP_DIGESTS:
+        text = "".join(
+            f"{key}\t{score:.6f}\n"
+            for probe in probes
+            for key, score in query.fuzzy_lookup(store, probe["name"], k)
+        )
+        digests[k] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digests == LOOKUP_DIGESTS

@@ -1161,6 +1161,25 @@ class TestFuzzyLookup:
                 assert fuzzy_lookup(store, probe, k) == expect[:k], (probe, k)
                 assert len(calls) <= 4, (probe, k)
 
+    def test_funnel_counts_passes_and_their_lanes(self, monkeypatch):
+        rng = random.Random(101)
+        store = self.labeled(*((f"s{n}", "".join(rng.choice("bcdf") for _ in range(n % 40 + 1)))
+                               for n in range(120)))
+        store.freeze()
+        lanes_by_mask = {mask: len(keys) for mask, _, _, keys, _ in query._label_index(store).values()}
+        real = query.lane_deltas
+        masks = []
+        monkeypatch.setattr(query, "lane_deltas", lambda *args: masks.append(args[1]) or real(*args))
+        for probe in ("bcdfbcdfbc", "b", "d" * 40, "bcdf" * 6, ""):
+            for k in (1, 5, 200):
+                masks.clear()
+                funnel = {}
+                assert fuzzy_lookup(store, probe, k, funnel) == helpers.reference_lookup(store, probe)[:k]
+                assert funnel == {"passes": len(masks),
+                                  "lanes": sum(map(lanes_by_mask.__getitem__, masks))}, (probe, k)
+            # more hits than subjects: every width is scanned
+            assert funnel == {"passes": len(lanes_by_mask), "lanes": sum(lanes_by_mask.values())}
+
     def test_frozen_store_reads_its_labels_once(self, monkeypatch):
         reads = []
         real = TripleStore.predicate_pairs
