@@ -8,7 +8,7 @@ id side is rewritten into a graph IRI. Chemical registry numbers carry
 a checksum, so bad ids are caught before they mint a bogus IRI.
 """
 
-from ecokg.graph import TripleStore
+from ecokg.graph import Triple, TripleStore
 from ecokg.idmap import (
     IdPair,
     cas_to_iri,
@@ -62,5 +62,5 @@ print(f"{added} sameAs triples, {len(errors)} rejected")
 assert added == 1 and len(errors) == 1
 assert "79-06-2" in errors[0]
 
-for t in store.sorted_triples():
+for t in sorted(store, key=Triple.ntriples):
     print(" ", t.ntriples())

@@ -8,7 +8,7 @@ table gives back both a conversion registry and RDF triples that
 describe each unit.
 """
 
-from ecokg.graph import TripleStore
+from ecokg.graph import Triple, TripleStore
 from ecokg.ns import default_prefix_map
 from ecokg.units import DimensionMismatchError, load_registry
 
@@ -57,7 +57,7 @@ else:
 # multipliers are written as plain decimals, never scientific notation
 row = next(
     t
-    for t in store.sorted_triples()
+    for t in sorted(store, key=Triple.ntriples)
     if t.predicate.value.endswith("conversionMultiplier")
     and t.subject.value.endswith("MicrogramPerLiter")
 )

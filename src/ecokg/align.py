@@ -373,12 +373,12 @@ def write_mappings(mappings: MappingSet) -> str:
 def read_mappings(text: str) -> MappingSet:
     out = MappingSet()
     methods: set[str] = set()
-    for line_no, parts in read_tsv_rows(text, "mappings", 4):
+    for line_no, (source, target, score, method) in read_tsv_rows(text, "mappings", 4):
         try:
-            out.add(Mapping(parts[0].strip(), parts[1].strip(), float(parts[2]), parts[3].strip()))
+            out.add(Mapping(source, target, float(score), method))
         except ValueError as exc:
             raise ValueError(f"mappings line {line_no}: {exc}") from None
-        methods.add(parts[3].strip())
+        methods.add(method)
     out.method = methods.pop() if len(methods) == 1 else "mixed"
     return out
 

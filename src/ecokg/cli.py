@@ -87,6 +87,11 @@ def _require(value, name: str):
     return value
 
 
+def _input(cfg: _Config, key: str, flag: str | None) -> str:
+    """The text of a required input file, named by its flag or else its config key."""
+    return _read_text(_require(cfg.path(key, flag), key))
+
+
 def _load_stop_words(cfg: _Config, override: str | None) -> frozenset[str]:
     path = cfg.path("stopwords", override)
     if path is None:
@@ -168,11 +173,9 @@ def _emit(args, text: str, counts: dict) -> dict:
 def cmd_ingest_ncbi(args, cfg: _Config) -> dict:
     prefixes = cfg.prefixes(args.prefixes)
     out_dir = _out_dir(cfg, args.out)
-    nodes = dmp.parse_nodes(_read_text(_require(cfg.path("ncbi_nodes", args.nodes), "ncbi_nodes")))
-    names = dmp.parse_names(_read_text(_require(cfg.path("ncbi_names", args.names), "ncbi_names")))
-    divisions = dmp.parse_divisions(
-        _read_text(_require(cfg.path("ncbi_divisions", args.divisions), "ncbi_divisions"))
-    )
+    nodes = dmp.parse_nodes(_input(cfg, "ncbi_nodes", args.nodes))
+    names = dmp.parse_names(_input(cfg, "ncbi_names", args.names))
+    divisions = dmp.parse_divisions(_input(cfg, "ncbi_divisions", args.divisions))
     store = TripleStore(prefixes)
     counts = {
         "node_rows": len(nodes),
@@ -191,9 +194,7 @@ def cmd_units(args, cfg: _Config) -> dict:
     prefixes = cfg.prefixes(args.prefixes)
     out_dir = _out_dir(cfg, args.out)
     store = TripleStore(prefixes)
-    registry, added = units.load_registry(
-        _read_text(_require(cfg.path("units", args.units), "units")), prefixes, store
-    )
+    registry, added = units.load_registry(_input(cfg, "units", args.units), prefixes, store)
     ntriples.write_file(store, out_dir / "units.nt")
     counts = {"units": len(registry), "triples": added}
     return {"out_dir": out_dir, "counts": counts, "outputs": ["units.nt"], "store": store,
@@ -214,17 +215,11 @@ def cmd_ingest_ecotox(args, cfg: _Config, registry: units.UnitRegistry | None = 
     out_dir = _out_dir(cfg, args.out)
     species = [
         ecotox.synthesize_lineage(rec)
-        for rec in ecotox.parse_species(
-            _read_text(_require(cfg.path("species", args.species), "species"))
-        )
+        for rec in ecotox.parse_species(_input(cfg, "species", args.species))
     ]
-    chemicals = ecotox.parse_chemicals(
-        _read_text(_require(cfg.path("chemicals", args.chemicals), "chemicals"))
-    )
-    tests = ecotox.parse_tests(_read_text(_require(cfg.path("tests", args.tests), "tests")))
-    results = ecotox.parse_results(
-        _read_text(_require(cfg.path("results", args.results), "results"))
-    )
+    chemicals = ecotox.parse_chemicals(_input(cfg, "chemicals", args.chemicals))
+    tests = ecotox.parse_tests(_input(cfg, "tests", args.tests))
+    results = ecotox.parse_results(_input(cfg, "results", args.results))
     ecotox.validate_test_references(tests, species, chemicals)
     if registry is None:
         registry = _load_registry(cfg, args.units, prefixes)
@@ -248,12 +243,8 @@ def cmd_ingest_ecotox(args, cfg: _Config, registry: units.UnitRegistry | None = 
 def cmd_ingest_traits(args, cfg: _Config) -> dict:
     prefixes = cfg.prefixes(args.prefixes)
     out_dir = _out_dir(cfg, args.out)
-    glossary = traits.load_glossary(
-        _read_text(_require(cfg.path("glossary", args.glossary), "glossary")), prefixes
-    )
-    rows = traits.parse_traits(
-        _read_text(_require(cfg.path("traits", args.traits), "traits")), prefixes
-    )
+    glossary = traits.load_glossary(_input(cfg, "glossary", args.glossary), prefixes)
+    rows = traits.parse_traits(_input(cfg, "traits", args.traits), prefixes)
     store = TripleStore(prefixes)
     added = traits.ingest_traits(rows, glossary, store, prefixes)
     ntriples.write_file(store, out_dir / "traits.nt")
@@ -312,7 +303,7 @@ def cmd_eval_mappings(args, cfg: _Config) -> dict:
 def cmd_bridge(args, cfg: _Config) -> dict:
     prefixes = cfg.prefixes(args.prefixes)
     out_dir = _out_dir(cfg, args.out)
-    pairs = idmap.parse_pairs(_read_text(_require(cfg.path("pairs", args.pairs), "pairs")))
+    pairs = idmap.parse_pairs(_input(cfg, "pairs", args.pairs))
     store = TripleStore(prefixes)
     added, errors = idmap.construct_sameas(pairs, args.rewrite, store)
     for message in errors:

@@ -21,6 +21,7 @@ from .ns import NCBI, OWL_DISJOINTWITH, RDFS_LABEL, RDFS_SUBCLASSOF
 
 FIELD_SEP = "\t|\t"
 RECORD_END = "\t|"
+_new = tuple.__new__
 
 
 class DmpFormatError(ValueError):
@@ -47,9 +48,18 @@ TaxonNodeRow = namedtuple("TaxonNodeRow", "taxon_id parent_id rank division_id")
 TaxonNameRow = namedtuple("TaxonNameRow", "taxon_id name name_class")
 DivisionRow = namedtuple("DivisionRow", "division_id label")
 
+# Each record's fields in reading order: (0-based column, int or str).
+_NODE_FIELDS = ((0, int), (1, int), (2, str), (4, int))
+_NAME_FIELDS = ((0, int), (1, str), (3, str))
+_DIVISION_FIELDS = ((0, int), (2, str))
+
 
 def parse_dmp(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Line number (from 1) and raw string fields of each record; blank lines are skipped."""
+    """Line number (from 1) and unstripped fields of each record.
+
+    Lines end at ``\n`` only, with one trailing ``\r`` dropped; blank
+    lines are skipped, and any other line must end with ``<tab>|``.
+    """
     for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.removesuffix("\r")
         if not line:
@@ -59,57 +69,43 @@ def parse_dmp(text: str) -> Iterator[tuple[int, list[str]]]:
         yield line_no, line[: -len(RECORD_END)].split(FIELD_SEP)
 
 
-def _field(fields: list[str], index: int, line_no: int) -> str:
-    if index >= len(fields):
-        raise DmpFormatError(f"expected at least {index + 1} fields, got {len(fields)}", line_no)
-    return fields[index].strip()
+def _read_records(text: str, record: type, spec: tuple) -> list:
+    """One ``record`` per dump line, built from the stripped fields ``spec`` names."""
+    rows = []
+    for line_no, fields in parse_dmp(text):
+        try:
+            values = [kind(fields[col].strip()) for col, kind in spec]
+        except (IndexError, ValueError):
+            values = _checked_values(fields, spec, line_no)
+        # ``spec`` has one entry per record field, so ``_make``'s length check is moot
+        rows.append(_new(record, values))
+    return rows
 
 
-def _int_field(fields: list[str], index: int, line_no: int) -> int:
-    text = _field(fields, index, line_no)
-    try:
-        return int(text)
-    except ValueError:
-        raise DmpFormatError(f"field {index + 1} is not an integer: {text!r}", line_no) from None
+def _checked_values(fields: list[str], spec: tuple, line_no: int) -> list:
+    """``_read_records``' values of one line, failing at its first short or non-integer field."""
+    values = []
+    for col, kind in spec:
+        if col >= len(fields):
+            raise DmpFormatError(f"expected at least {col + 1} fields, got {len(fields)}", line_no)
+        text = fields[col].strip()
+        try:
+            values.append(kind(text))
+        except ValueError:
+            raise DmpFormatError(f"field {col + 1} is not an integer: {text!r}", line_no) from None
+    return values
 
 
 def parse_nodes(text: str) -> list[TaxonNodeRow]:
-    rows = []
-    for line_no, fields in parse_dmp(text):
-        rows.append(
-            TaxonNodeRow(
-                taxon_id=_int_field(fields, 0, line_no),
-                parent_id=_int_field(fields, 1, line_no),
-                rank=_field(fields, 2, line_no),
-                division_id=_int_field(fields, 4, line_no),
-            )
-        )
-    return rows
+    return _read_records(text, TaxonNodeRow, _NODE_FIELDS)
 
 
 def parse_names(text: str) -> list[TaxonNameRow]:
-    rows = []
-    for line_no, fields in parse_dmp(text):
-        rows.append(
-            TaxonNameRow(
-                taxon_id=_int_field(fields, 0, line_no),
-                name=_field(fields, 1, line_no),
-                name_class=_field(fields, 3, line_no),
-            )
-        )
-    return rows
+    return _read_records(text, TaxonNameRow, _NAME_FIELDS)
 
 
 def parse_divisions(text: str) -> list[DivisionRow]:
-    rows = []
-    for line_no, fields in parse_dmp(text):
-        rows.append(
-            DivisionRow(
-                division_id=_int_field(fields, 0, line_no),
-                label=_field(fields, 2, line_no),
-            )
-        )
-    return rows
+    return _read_records(text, DivisionRow, _DIVISION_FIELDS)
 
 
 def taxon_iri(taxon_id: int | str) -> Term:

@@ -85,7 +85,8 @@ class UnknownReferenceError(ValidationError):
         self.missing = sorted(missing)
 
 
-# lineage: (level, name-or-empty) pairs, highest first
+# lineage: (level, name-or-empty) pairs, highest first. The parsers pass
+# fields by position: keywords make a namedtuple about twice as slow to build.
 SpeciesRecord = namedtuple("SpeciesRecord", "number common_name latin_name group lineage")
 ChemicalRecord = namedtuple("ChemicalRecord", "cas name group cas_valid")
 TestRecord = namedtuple("TestRecord", "test_id cas species_number reference_number lifestage",
@@ -94,9 +95,16 @@ ResultRecord = namedtuple("ResultRecord", "result_id test_id endpoint concentrat
                           defaults=(None, None, None))
 
 
-def read_table(text: str) -> tuple[list[str], list[dict[str, str]]]:
-    """Parse a pipe-delimited table with a header row into dict rows."""
-    lines = [(n, ln.removesuffix("\r")) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
+def read_table(
+    text: str, table: str, required: tuple[str, ...]
+) -> tuple[list[str], list[dict[str, str]]]:
+    """Header and dict rows of a pipe-delimited ``table``, every cell stripped.
+
+    Lines end at ``\n`` only and blank lines are skipped. The first line
+    is the header; each later line needs as many fields as it has, and
+    the header must name every ``required`` column.
+    """
+    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty table")
     header = [col.strip() for col in lines[0][1].split("|")]
@@ -104,11 +112,18 @@ def read_table(text: str) -> tuple[list[str], list[dict[str, str]]]:
     for line_no, line in lines[1:]:
         cells = line.split("|")
         if len(cells) != len(header):
-            raise ValueError(
-                f"line {line_no}: expected {len(header)} fields, got {len(cells)}"
-            )
-        rows.append({col: cell.strip() for col, cell in zip(header, cells)})
+            raise ValueError(f"line {line_no}: expected {len(header)} fields, got {len(cells)}")
+        rows.append(dict(zip(header, map(str.strip, cells))))
+    for col in required:
+        if col not in header:
+            raise ValueError(f"{table} table missing column {col!r}")
     return header, rows
+
+
+def _cell(row: dict[str, str], column: str) -> str | None:
+    """A row's cell, or None when the column is absent or the cell holds a missing-value token."""
+    cell = row.get(column, "")
+    return None if cell in MISSING_TOKENS else cell
 
 
 def clean_species_name(raw: str) -> str | None:
@@ -167,30 +182,20 @@ def synthesize_lineage(record: SpeciesRecord) -> SpeciesRecord:
 
 def parse_species(text: str) -> list[SpeciesRecord]:
     """Read species rows; lineage levels come from the header order."""
-    header, rows = read_table(text)
-    for col in _SPECIES_META_COLUMNS:
-        if col not in header:
-            raise ValueError(f"species table missing column {col!r}")
+    header, rows = read_table(text, "species", _SPECIES_META_COLUMNS)
     levels = [col for col in header if col not in _SPECIES_META_COLUMNS]
     records = []
     for row in rows:
         number = row["species_number"]
         if not _DIGITS.fullmatch(number):
             raise ValueError(f"bad species_number: {number!r}")
-        group = row["ecotox_group"]
-        lineage = []
-        for level in levels:
-            cell = row[level]
-            lineage.append((level, "" if cell in MISSING_TOKENS else cell))
-        records.append(
-            SpeciesRecord(
-                number=number,
-                common_name=clean_species_name(row["common_name"]),
-                latin_name=clean_species_name(row["latin_name"]),
-                group=None if group in MISSING_TOKENS else group,
-                lineage=tuple(lineage),
-            )
-        )
+        records.append(SpeciesRecord(
+            number,
+            clean_species_name(row["common_name"]),
+            clean_species_name(row["latin_name"]),
+            _cell(row, "ecotox_group"),
+            tuple([(level, _cell(row, level) or "") for level in levels]),
+        ))
     return records
 
 
@@ -280,26 +285,18 @@ def lineage_merges(store: TripleStore) -> int:
 
 
 def parse_chemicals(text: str) -> list[ChemicalRecord]:
-    header, rows = read_table(text)
-    for col in ("cas_number", "chemical_name"):
-        if col not in header:
-            raise ValueError(f"chemicals table missing column {col!r}")
+    _, rows = read_table(text, "chemicals", ("cas_number", "chemical_name"))
     records = []
     for row in rows:
-        cas = row["cas_number"]
+        cas = _cell(row, "cas_number")
+        if cas is None:
+            raise ValueError(f"chemical {row['chemical_name']!r}: missing cas_number")
         valid = idmap.validate_cas(cas)
         if not valid:
             log.warning("invalid CAS number kept: %r", cas)
-        group = row.get("ecotox_group", "")
-        name = row["chemical_name"]
-        records.append(
-            ChemicalRecord(
-                cas=cas,
-                name="" if name in MISSING_TOKENS else name,
-                group=None if group in MISSING_TOKENS else group,
-                cas_valid=valid,
-            )
-        )
+        records.append(ChemicalRecord(
+            cas, _cell(row, "chemical_name") or "", _cell(row, "ecotox_group"), valid
+        ))
     return records
 
 
@@ -319,10 +316,7 @@ def ingest_chemicals(records: list[ChemicalRecord], store: TripleStore) -> int:
 
 
 def parse_tests(text: str) -> list[TestRecord]:
-    header, rows = read_table(text)
-    for col in ("test_id", "test_cas", "species_number"):
-        if col not in header:
-            raise ValueError(f"tests table missing column {col!r}")
+    _, rows = read_table(text, "tests", ("test_id", "test_cas", "species_number"))
     records = []
     for row in rows:
         test_id = row["test_id"]
@@ -330,50 +324,40 @@ def parse_tests(text: str) -> list[TestRecord]:
             raise ValueError(f"bad test_id: {test_id!r}")
         if not _DIGITS.fullmatch(row["species_number"]):
             raise ValueError(f"test {test_id}: bad species_number {row['species_number']!r}")
-        if row["test_cas"] in MISSING_TOKENS:
+        cas = _cell(row, "test_cas")
+        if cas is None:
             raise ValueError(f"test {test_id}: missing test_cas")
-        reference = row.get("reference_number", "")
-        if reference not in MISSING_TOKENS and not _DIGITS.fullmatch(reference):
+        reference = _cell(row, "reference_number")
+        if reference is not None and not _DIGITS.fullmatch(reference):
             raise ValueError(f"test {test_id}: bad reference_number {reference!r}")
-        lifestage = row.get("organism_lifestage", "")
-        records.append(
-            TestRecord(
-                test_id=test_id,
-                cas=row["test_cas"],
-                species_number=row["species_number"],
-                reference_number=None if reference in MISSING_TOKENS else int(reference),
-                lifestage=None if lifestage in MISSING_TOKENS else lifestage,
-            )
-        )
+        records.append(TestRecord(
+            test_id,
+            cas,
+            row["species_number"],
+            None if reference is None else int(reference),
+            _cell(row, "organism_lifestage"),
+        ))
     return records
 
 
 def parse_results(text: str) -> list[ResultRecord]:
-    header, rows = read_table(text)
-    for col in ("result_id", "test_id", "endpoint"):
-        if col not in header:
-            raise ValueError(f"results table missing column {col!r}")
+    _, rows = read_table(text, "results", ("result_id", "test_id", "endpoint"))
     records = []
     for row in rows:
         result_id = row["result_id"]
         if not _DIGITS.fullmatch(result_id):
             raise ValueError(f"bad result_id: {result_id!r}")
-        endpoint = row["endpoint"]
-        if endpoint in MISSING_TOKENS:
+        endpoint = _cell(row, "endpoint")
+        if endpoint is None:
             raise ValueError(f"result {result_id}: missing endpoint")
-        conc = row.get("conc1_mean", "")
-        unit = row.get("conc1_unit", "")
-        effect = row.get("effect", "")
-        records.append(
-            ResultRecord(
-                result_id=result_id,
-                test_id=row["test_id"],
-                endpoint=endpoint,
-                concentration=None if conc in MISSING_TOKENS else conc,
-                unit=None if unit in MISSING_TOKENS else unit,
-                effect=None if effect in MISSING_TOKENS else effect,
-            )
-        )
+        records.append(ResultRecord(
+            result_id,
+            row["test_id"],
+            endpoint,
+            _cell(row, "conc1_mean"),
+            _cell(row, "conc1_unit"),
+            _cell(row, "effect"),
+        ))
     return records
 
 

@@ -151,24 +151,27 @@ class Triple(namedtuple("Triple", "subject predicate object")):
 
 def is_content_line(line: str) -> bool:
     """Whether a line of a table, query or N-Triples file is neither blank nor a ``#`` comment."""
-    return bool(line.strip()) and not line.lstrip().startswith("#")
+    head = line.lstrip()
+    return head != "" and head[0] != "#"
 
 
 def read_tsv_rows(
     text: str, table: str, columns: int, at_least: bool = False
 ) -> Iterator[tuple[int, list[str]]]:
-    """Line number (from 1) and tab-separated fields of each content line.
+    """Line number (from 1) and stripped tab-separated fields of each content line.
 
-    A line needs exactly ``columns`` fields, or at least that many with
-    ``at_least``; any other line fails as "<table> line N: expected ...".
+    Lines end at ``\n`` only; blank lines and ``#`` comment lines are
+    skipped. A line needs exactly ``columns`` fields, or at least that
+    many with ``at_least``; any other line fails as "<table> line N:
+    expected ...".
     """
     for line_no, line in enumerate(text.split("\n"), 1):
         if is_content_line(line):
-            parts = line.removesuffix("\r").split("\t")
+            parts = line.split("\t")
             if len(parts) < columns or (len(parts) > columns and not at_least):
                 rule = f"at least {columns}" if at_least else columns
                 raise ValueError(f"{table} line {line_no}: expected {rule} columns, got {len(parts)}")
-            yield line_no, parts
+            yield line_no, list(map(str.strip, parts))
 
 
 class PrefixMap:
@@ -221,7 +224,7 @@ class PrefixMap:
         """Load bindings from two-column (prefix, namespace) TSV text."""
         pm = cls()
         for _, parts in read_tsv_rows(text, "prefix table", 2, at_least=True):
-            pm.bind(parts[0].strip(), parts[1].strip())
+            pm.bind(parts[0], parts[1])
         return pm
 
 
@@ -281,12 +284,6 @@ class TripleStore:
             return NotImplemented
         return self._spo == other._spo
 
-    def triples(self) -> frozenset[Triple]:
-        return frozenset(self)
-
-    def sorted_triples(self) -> list[Triple]:
-        return sorted(self, key=Triple.ntriples)
-
     def add(self, t: Triple) -> bool:
         """Insert one triple; returns False for duplicates."""
         if self._frozen:
@@ -325,9 +322,6 @@ class TripleStore:
 
     def subjects(self, p: Term, o: Term) -> set[Term]:
         return set(self._pos.get(p, {}).get(o, ()))
-
-    def predicates(self) -> list[Term]:
-        return list(self._pos)
 
     def predicate_pairs(self, p: Term) -> set[tuple[Term, Term]]:
         """All (subject, object) pairs under one predicate."""

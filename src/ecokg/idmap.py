@@ -69,10 +69,8 @@ IdPair = namedtuple("IdPair", "external_id external_iri")
 
 def parse_pairs(text: str) -> list[IdPair]:
     """Read (external-id, external-iri) rows from TSV text."""
-    pairs = []
-    for _, parts in read_tsv_rows(text, "pair table", 2, at_least=True):
-        pairs.append(IdPair(parts[0].strip(), parts[1].strip()))
-    return pairs
+    rows = read_tsv_rows(text, "pair table", 2, at_least=True)
+    return [IdPair(parts[0], parts[1]) for _, parts in rows]
 
 
 def construct_sameas(

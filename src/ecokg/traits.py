@@ -43,22 +43,15 @@ def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:
     """Read (term, iri) rows; the iri column may be a curie."""
     glossary: dict[str, str] = {}
     for _, parts in read_tsv_rows(text, "glossary", 2, at_least=True):
-        glossary[parts[0].strip()] = prefixes.resolve(parts[1].strip())
+        glossary[parts[0]] = prefixes.resolve(parts[1])
     return glossary
 
 
 def parse_traits(text: str, prefixes: PrefixMap) -> list[TraitRow]:
-    rows = []
-    for _, parts in read_tsv_rows(text, "trait table", 4):
-        rows.append(
-            TraitRow(
-                subject=prefixes.resolve(parts[0].strip()),
-                property=prefixes.resolve(parts[1].strip()),
-                value=parts[2].strip(),
-                kind=parts[3].strip(),
-            )
-        )
-    return rows
+    return [
+        TraitRow(prefixes.resolve(subject), prefixes.resolve(prop), value, kind)
+        for _, (subject, prop, value, kind) in read_tsv_rows(text, "trait table", 4)
+    ]
 
 
 def parse_literal_value(text: str, prefixes: PrefixMap | None = None) -> Term:

@@ -139,21 +139,12 @@ def parse_units(text: str, prefixes: PrefixMap | None = None) -> list[UnitDef]:
     """
     units = []
     for line_no, parts in read_tsv_rows(text, "units table", 7):
-        unit_id = parts[0].strip()
+        unit_id, label, abbreviation, multiplier, offset, dimension, symbol = parts
         if prefixes is not None:
             unit_id = prefixes.resolve(unit_id)
         try:
-            units.append(
-                UnitDef(
-                    id=unit_id,
-                    label=parts[1].strip(),
-                    abbreviation=parts[2].strip(),
-                    multiplier=float(parts[3]),
-                    offset=float(parts[4]),
-                    dimension=parts[5].strip(),
-                    symbol=parts[6].strip(),
-                )
-            )
+            units.append(UnitDef(unit_id, label, abbreviation, float(multiplier), float(offset),
+                                 dimension, symbol))
         except ValueError as exc:
             raise ValueError(f"units table line {line_no}: {exc}") from None
     return units

@@ -68,7 +68,7 @@ def triple_key(t: Triple) -> tuple[str, str, str]:
 def brute_force_match(store: TripleStore, s=None, p=None, o=None) -> list[Triple]:
     hits = [
         t
-        for t in store.triples()
+        for t in store
         if (s is None or t.subject == s)
         and (p is None or t.predicate == p)
         and (o is None or t.object == o)
@@ -81,7 +81,7 @@ def reference_count_graph(store: TripleStore) -> tuple[int, int, int]:
     from one (subject, object) pair list per predicate."""
     triples = relations = 0
     entities = set()
-    for p in store.predicates():
+    for p in {t.predicate for t in store}:
         pairs = [(s, o) for s, o in store.predicate_pairs(p) if not o.is_literal()]
         if pairs:
             triples += len(pairs)
@@ -138,7 +138,7 @@ def reference_lookup(store: TripleStore, name: str) -> list[tuple[str, float]]:
 
     probe = form(name)
     scores: dict[str, float] = {}
-    for t in store.triples():
+    for t in store:
         if t.predicate != RDFS_LABEL or not t.object.is_literal():
             continue
         key = t.subject.ntriples() if t.subject.is_blank() else t.subject.value
@@ -153,7 +153,7 @@ def reference_lookup(store: TripleStore, name: str) -> list[tuple[str, float]]:
 # Property-path denotational oracle
 
 def _atom_pairs(store: TripleStore, predicate: Term) -> set[tuple[Term, Term]]:
-    return {(t.subject, t.object) for t in store.triples() if t.predicate == predicate}
+    return {(t.subject, t.object) for t in store if t.predicate == predicate}
 
 
 def _join(left: set, right: set) -> set:

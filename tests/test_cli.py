@@ -495,6 +495,14 @@ class TestUpdateRegressions:
         kept = [r for r in caplog.records if r.getMessage().startswith("invalid CAS number kept")]
         assert len(kept) == counts["invalid_cas_kept"]
 
+    def test_missing_cas_number_is_an_input_error(self, tmp_path, capsys):
+        # "" and "--" both minted <.../ecotox/chemical/>: two chemicals of
+        # different groups merged into a false disjointness violation (exit 3)
+        rows = "|Unnamed salt|Organics\n--|Unnamed ester|Esters\n"
+        config_path = self.with_rows(tmp_path, "chemicals", rows)
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
+        assert error_line(capsys) == ("ValueError", "chemical 'Unnamed salt': missing cas_number")
+
     def test_tautonym_species_builds(self, tmp_path):
         # Genus Bufo and species bufo share the node et:taxon/bufo; a
         # subClassOf self-loop there used to fail the cycle scan (exit 3).

@@ -41,26 +41,110 @@ def effect_store(tables, species_records, fixtures, prefixes):
 
 class TestTableReader:
     def test_header_and_rows(self):
-        header, rows = ecotox.read_table("a|b\n1|2\n3|4\n")
+        header, rows = ecotox.read_table("a|b\n1|2\n3|4\n", "t", ())
         assert header == ["a", "b"]
         assert rows == [{"a": "1", "b": "2"}, {"a": "3", "b": "4"}]
 
     def test_rows_split_at_newline_only(self):
-        header, rows = ecotox.read_table("a|b\r\n1\u2028x|2\x0c3\r\n4\u0085y|5\x1e6\n")
+        header, rows = ecotox.read_table("a|b\r\n1\u2028x|2\x0c3\r\n4\u0085y|5\x1e6\n", "t", ())
         assert header == ["a", "b"]
         assert rows == [{"a": "1\u2028x", "b": "2\x0c3"}, {"a": "4\u0085y", "b": "5\x1e6"}]
 
     def test_column_count_enforced(self):
         with pytest.raises(ValueError, match="line 3"):
-            ecotox.read_table("a|b\n1|2\nonly-one\n")
+            ecotox.read_table("a|b\n1|2\nonly-one\n", "t", ())
 
     def test_error_names_the_file_line_past_blank_lines(self):
         with pytest.raises(ValueError, match="^line 4: expected 2 fields, got 1$"):
-            ecotox.read_table("a|b\n1|2\n\nonly-one\n")
+            ecotox.read_table("a|b\n1|2\n\nonly-one\n", "t", ())
 
     def test_empty_table(self):
         with pytest.raises(ValueError):
-            ecotox.read_table("\n\n")
+            ecotox.read_table("\n\n", "t", ())
+
+
+# One valid row per table, as column -> cell; the shape tests drop a
+# column or replace a cell.
+SHAPES = {
+    "species": (ecotox.parse_species, {
+        "species_number": "5156", "common_name": "Zebra Danio", "latin_name": "Danio rerio",
+        "genus": "Danio", "species": "rerio", "ecotox_group": "Fish",
+    }),
+    "chemicals": (ecotox.parse_chemicals, {
+        "cas_number": "79-06-1", "chemical_name": "Acrylamide", "ecotox_group": "Organics",
+    }),
+    "tests": (ecotox.parse_tests, {
+        "test_id": "1", "reference_number": "100", "test_cas": "79-06-1",
+        "species_number": "5156", "organism_lifestage": "adult",
+    }),
+    "results": (ecotox.parse_results, {
+        "result_id": "7", "test_id": "1", "endpoint": "LC50", "conc1_mean": "400",
+        "conc1_unit": "mg/L", "effect": "MOR",
+    }),
+}
+
+# (table, column, record field) of every column whose cell may be missing
+OPTIONAL_CELLS = [
+    ("species", "ecotox_group", "group"),
+    ("chemicals", "ecotox_group", "group"),
+    ("tests", "reference_number", "reference_number"),
+    ("tests", "organism_lifestage", "lifestage"),
+    ("results", "conc1_mean", "concentration"),
+    ("results", "conc1_unit", "unit"),
+    ("results", "effect", "effect"),
+]
+
+
+def shaped(table: str, drop: str | None = None, **cells: str) -> str:
+    row = {**SHAPES[table][1], **cells}
+    row.pop(drop, None)
+    return "|".join(row) + "\n" + "|".join(row.values()) + "\n"
+
+
+def parse_one(table: str, text: str):
+    [record] = SHAPES[table][0](text)
+    return record
+
+
+class TestTableShapes:
+    @pytest.mark.parametrize(("table", "column"), [
+        ("species", "species_number"),
+        ("species", "common_name"),
+        ("species", "latin_name"),
+        ("species", "ecotox_group"),
+        ("chemicals", "cas_number"),
+        ("chemicals", "chemical_name"),
+        ("tests", "test_id"),
+        ("tests", "test_cas"),
+        ("tests", "species_number"),
+        ("results", "result_id"),
+        ("results", "test_id"),
+        ("results", "endpoint"),
+    ])
+    def test_missing_required_column(self, table, column):
+        with pytest.raises(ValueError, match=f"^{table} table missing column '{column}'$"):
+            SHAPES[table][0](shaped(table, drop=column))
+
+    @pytest.mark.parametrize("token", sorted(ecotox.MISSING_TOKENS))
+    @pytest.mark.parametrize(("table", "column", "field"), OPTIONAL_CELLS)
+    def test_missing_value_token_reads_as_none(self, table, column, field, token):
+        assert getattr(parse_one(table, shaped(table, **{column: f" {token} "})), field) is None
+
+    @pytest.mark.parametrize(("table", "column", "field"), OPTIONAL_CELLS[1:])
+    def test_absent_optional_column_reads_as_none(self, table, column, field):
+        assert getattr(parse_one(table, shaped(table, drop=column)), field) is None
+
+    @pytest.mark.parametrize("token", sorted(ecotox.MISSING_TOKENS))
+    def test_missing_value_token_empties_a_lineage_level_and_a_chemical_name(self, token):
+        species = parse_one("species", shaped("species", genus=token))
+        assert species.lineage == (("genus", ""), ("species", "rerio"))
+        assert parse_one("chemicals", shaped("chemicals", chemical_name=token)).name == ""
+
+    @pytest.mark.parametrize("token", sorted(ecotox.MISSING_TOKENS))
+    def test_missing_cas_number_names_the_chemical(self, token):
+        # "" and "--" both minted <.../ecotox/chemical/>, merging unrelated chemicals
+        with pytest.raises(ValueError, match="^chemical 'Acrylamide': missing cas_number$"):
+            ecotox.parse_chemicals(shaped("chemicals", cas_number=token))
 
 
 class TestNameCleaning:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from ecokg import ntriples
+from ecokg import align, idmap, ntriples, traits, units
 from ecokg.graph import (
     BLANK,
     IRI,
@@ -51,7 +51,7 @@ def probed_stores(rng: random.Random):
     miss = iri("http://example.org/never/used")
     for _ in range(40):
         store = helpers.random_store(rng, 50)
-        triples = store.sorted_triples()
+        triples = sorted(store, key=Triple.ntriples)
         yield store, rng.choice(triples) if triples else Triple(miss, miss, miss)
 
 
@@ -290,7 +290,7 @@ class TestPrefixMap:
 class TestTsvRows:
     def test_blank_and_comment_lines_skipped_numbers_kept(self):
         text = "# head\n\n a\tb \n \t\n  # indented comment\nc\r\nd\te\tf"
-        rows = [(3, [" a", "b "]), (6, ["c"]), (7, ["d", "e", "f"])]
+        rows = [(3, ["a", "b"]), (6, ["c"]), (7, ["d", "e", "f"])]
         assert list(read_tsv_rows(text, "t", 1, at_least=True)) == rows
         assert list(read_tsv_rows("", "t", 1)) == []
 
@@ -308,6 +308,33 @@ class TestTsvRows:
     def test_column_rule(self, text, at_least, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             list(read_tsv_rows(text, "t", 2, at_least=at_least))
+
+    @pytest.mark.parametrize(("read", "text", "expected"), [
+        (lambda t: PrefixMap.from_tsv(t).expand("ex:a").value, " ex \t http://x.org/ \t\n",
+         "http://x.org/a"),
+        (idmap.parse_pairs, " 79-06-1 \t wd:Q1 \n", [idmap.IdPair("79-06-1", "wd:Q1")]),
+        (lambda t: traits.load_glossary(t, PrefixMap({"ex": "http://x.org/"})), " endangered \t ex:EN \n",
+         {"endangered": "http://x.org/EN"}),
+        (lambda t: traits.parse_traits(t, PrefixMap({"ex": "http://x.org/"})),
+         " ex:s \t ex:p \t endangered \t glossary \n",
+         [traits.TraitRow("http://x.org/s", "http://x.org/p", "endangered", "glossary")]),
+        (units.parse_units, " http://x.org/mgL \t milligram \t mg/L \t 0.001 \t 0 \t mass \t mg \n",
+         [units.UnitDef("http://x.org/mgL", "milligram", "mg/L", 0.001, 0.0, "mass", "mg")]),
+        (lambda t: list(align.read_mappings(t)), " http://x.org/a \t http://x.org/b \t 0.9 \t lexical \n",
+         [align.Mapping("http://x.org/a", "http://x.org/b", 0.9, "lexical")]),
+    ], ids=["prefixes", "pairs", "glossary", "traits", "units", "mappings"])
+    def test_padded_fields_are_stripped(self, read, text, expected):
+        assert read(text) == expected
+
+    @pytest.mark.parametrize(("read", "text", "message"), [
+        (units.parse_units, "u\tl\ta\t 1x \t0\td\ts\n",
+         "units table line 1: could not convert string to float: '1x'"),
+        (align.read_mappings, "a\tb\t 0.9x \tlexical\n",
+         "mappings line 1: could not convert string to float: '0.9x'"),
+    ], ids=["units", "mappings"])
+    def test_bad_padded_number_quotes_the_stripped_field(self, read, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read(text)
 
     def test_content_line(self):
         for line in ("a", " a # not a comment", "\ta", "a#"):
@@ -427,7 +454,7 @@ class TestStore:
             for t in sorted(added, key=lambda t: rng.random()):
                 twin.add(t)
             assert len(store) == store.count() == len(added)
-            assert store.triples() == frozenset(store) == added
+            assert frozenset(store) == added
             assert all(t in store for t in added)
             assert ntriples.serialize(store) == "".join(sorted(t.ntriples() + "\n" for t in added))
             assert store == twin
@@ -504,8 +531,9 @@ class TestStore:
         rng = random.Random(13)
         for _ in range(20):
             store = helpers.random_store(rng, 60)
-            expected = store.triples()
-            by_predicate = {t for p in store.predicates() for t in store.match(p=p)}
+            expected = frozenset(store)
+            predicates = {t.predicate for t in expected}
+            by_predicate = {t for p in predicates for t in store.match(p=p)}
             subjects = {t.subject for t in expected}
             by_subject = {t for s in subjects for t in store.match(s=s)}
             assert by_predicate == by_subject == expected
@@ -520,5 +548,5 @@ class TestStore:
         store = TripleStore()
         for i in picks:
             store.add(universe[i])
-        assert store.triples() == frozenset(universe[i] for i in picks)
+        assert frozenset(store) == frozenset(universe[i] for i in picks)
         assert len(store) == len(set(picks))

@@ -47,6 +47,40 @@ class TestRecordParsing:
             parse(f"{good}\n\n{bad}\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(("parse", "bad", "message"), [
+        (dmp.parse_nodes, "5\t|", "expected at least 2 fields, got 1"),
+        (dmp.parse_nodes, "5\t|\t1\t|\tspecies\t|", "expected at least 5 fields, got 3"),
+        (dmp.parse_nodes, "x\t|\t1\t|\tspecies\t|\t\t|\t1\t|", "field 1 is not an integer: 'x'"),
+        (dmp.parse_nodes, "5\t|\t 1a \t|\tspecies\t|\t\t|\t1\t|", "field 2 is not an integer: '1a'"),
+        (dmp.parse_nodes, "5\t|\t1\t|\tspecies\t|\t\t|\tBCT\t|", "field 5 is not an integer: 'BCT'"),
+        # the first bad field in reading order is the one reported
+        (dmp.parse_nodes, "x\t|\t1\t|", "field 1 is not an integer: 'x'"),
+        (dmp.parse_nodes, "5\t|\tx\t|", "field 2 is not an integer: 'x'"),
+        (dmp.parse_names, "5\t|\tleaf\t|", "expected at least 4 fields, got 2"),
+        (dmp.parse_names, "5.0\t|\tleaf\t|\t\t|\tscientific name\t|", "field 1 is not an integer: '5.0'"),
+        (dmp.parse_divisions, "1\t|\tINV\t|", "expected at least 3 fields, got 2"),
+        (dmp.parse_divisions, "\t|\tINV\t|\tInvertebrates\t|", "field 1 is not an integer: ''"),
+    ])
+    def test_field_errors_name_the_line(self, parse, bad, message):
+        good = {
+            dmp.parse_nodes: "1\t|\t1\t|\tno rank\t|\t\t|\t8\t|",
+            dmp.parse_names: "1\t|\troot\t|\t\t|\tscientific name\t|",
+            dmp.parse_divisions: "0\t|\tBCT\t|\tBacteria\t|",
+        }[parse]
+        with pytest.raises(dmp.DmpFormatError) as err:
+            parse(f"{good}\n{good}\n{bad}\n")
+        assert str(err.value) == f"line 3: {message}"
+        assert err.value.line == 3
+
+    def test_fields_are_stripped(self):
+        assert dmp.parse_nodes(" 5 \t|\t 1\t|\t species \t|\t\t|\t1 \t|\n") == [
+            dmp.TaxonNodeRow(5, 1, "species", 1)
+        ]
+        assert dmp.parse_names("5\t|\t Danio rerio \t|\t\t|\t scientific name\t|") == [
+            dmp.TaxonNameRow(5, "Danio rerio", "scientific name")
+        ]
+        assert dmp.parse_divisions(" 0\t|\tBCT\t|\tBacteria \t|") == [dmp.DivisionRow(0, "Bacteria")]
+
     def test_non_integer_id(self):
         with pytest.raises(dmp.DmpFormatError):
             dmp.parse_nodes("x\t|\t1\t|\tspecies\t|\t\t|\t1\t|\n")

@@ -22,7 +22,7 @@ from helpers import random_literal, random_store, random_triple, reference_count
 
 
 def brute_counts(store):
-    kept = [t for t in store.triples() if not t.object.is_literal()]
+    kept = [t for t in store if not t.object.is_literal()]
     relations = {t.predicate for t in kept}
     entities = {t.subject for t in kept} | {t.object for t in kept}
     return len(kept), len(relations), len(entities)
