@@ -372,12 +372,16 @@ def cmd_query(args, cfg: _Config) -> dict:
     prefixes = cfg.prefixes(args.prefixes)
     store = _read_graph(Path(args.graph), prefixes)
     parsed = query_mod.parse_query(_read_text(Path(args.query)), prefixes)
-    result = query_mod.run_query(store, parsed)
+    funnel: list = []
+    result = query_mod.run_query(store, parsed, funnel)
+    if args.explain:
+        sys.stderr.write(query_mod.explain(store, funnel))
+    step_rows = [rows for _, rows in funnel]
     if parsed.kind == "construct":
-        return _emit(args, ntriples.serialize(result), {"triples": len(result)})
+        return _emit(args, ntriples.serialize(result), {"triples": len(result), "step_rows": step_rows})
     lines = ["\t".join(f"?{name}" for name in parsed.projection)]
     lines += ["\t".join(term.ntriples() for term in row) for row in result]
-    return _emit(args, "".join(line + "\n" for line in lines), {"rows": len(result)})
+    return _emit(args, "".join(line + "\n" for line in lines), {"rows": len(result), "step_rows": step_rows})
 
 
 def cmd_path(args, cfg: _Config) -> dict:
@@ -588,6 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--graph", required=True, help="graph file (.nt)")
     p.add_argument("--query", required=True, help="query file")
+    p.add_argument("--explain", action="store_true", help="print the join plan on stderr")
 
     p = sub.add_parser("path", help="evaluate a property path")
     common(p)

@@ -25,10 +25,10 @@ _new = tuple.__new__
 
 
 class DmpFormatError(ValueError):
-    """Malformed dump record; carries the 1-based line number."""
+    """Malformed record of the file ``dump``; carries the 1-based line number."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, dump: str):
+        super().__init__(f"{dump} line {line}: {message}")
         self.line = line
 
 
@@ -54,58 +54,59 @@ _NAME_FIELDS = ((0, int), (1, str), (3, str))
 _DIVISION_FIELDS = ((0, int), (2, str))
 
 
-def parse_dmp(text: str) -> Iterator[tuple[int, list[str]]]:
+def parse_dmp(text: str, dump: str) -> Iterator[tuple[int, list[str]]]:
     """Line number (from 1) and unstripped fields of each record.
 
     Lines end at ``\n`` only, with one trailing ``\r`` dropped; blank
     lines are skipped, and any other line must end with ``<tab>|``.
+    Errors name the file ``dump``.
     """
     for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.removesuffix("\r")
         if not line:
             continue
         if not line.endswith(RECORD_END):
-            raise DmpFormatError("record does not end with tab-pipe terminator", line_no)
+            raise DmpFormatError("record does not end with tab-pipe terminator", line_no, dump)
         yield line_no, line[: -len(RECORD_END)].split(FIELD_SEP)
 
 
-def _read_records(text: str, record: type, spec: tuple) -> list:
-    """One ``record`` per dump line, built from the stripped fields ``spec`` names."""
+def _read_records(text: str, dump: str, record: type, spec: tuple) -> list:
+    """One ``record`` per line of the file ``dump``, built from the stripped fields ``spec`` names."""
     rows = []
-    for line_no, fields in parse_dmp(text):
+    for line_no, fields in parse_dmp(text, dump):
         try:
             values = [kind(fields[col].strip()) for col, kind in spec]
         except (IndexError, ValueError):
-            values = _checked_values(fields, spec, line_no)
+            values = _checked_values(fields, spec, line_no, dump)
         # ``spec`` has one entry per record field, so ``_make``'s length check is moot
         rows.append(_new(record, values))
     return rows
 
 
-def _checked_values(fields: list[str], spec: tuple, line_no: int) -> list:
+def _checked_values(fields: list[str], spec: tuple, line_no: int, dump: str) -> list:
     """``_read_records``' values of one line, failing at its first short or non-integer field."""
     values = []
     for col, kind in spec:
         if col >= len(fields):
-            raise DmpFormatError(f"expected at least {col + 1} fields, got {len(fields)}", line_no)
+            raise DmpFormatError(f"expected at least {col + 1} fields, got {len(fields)}", line_no, dump)
         text = fields[col].strip()
         try:
             values.append(kind(text))
         except ValueError:
-            raise DmpFormatError(f"field {col + 1} is not an integer: {text!r}", line_no) from None
+            raise DmpFormatError(f"field {col + 1} is not an integer: {text!r}", line_no, dump) from None
     return values
 
 
 def parse_nodes(text: str) -> list[TaxonNodeRow]:
-    return _read_records(text, TaxonNodeRow, _NODE_FIELDS)
+    return _read_records(text, "nodes.dmp", TaxonNodeRow, _NODE_FIELDS)
 
 
 def parse_names(text: str) -> list[TaxonNameRow]:
-    return _read_records(text, TaxonNameRow, _NAME_FIELDS)
+    return _read_records(text, "names.dmp", TaxonNameRow, _NAME_FIELDS)
 
 
 def parse_divisions(text: str) -> list[DivisionRow]:
-    return _read_records(text, DivisionRow, _DIVISION_FIELDS)
+    return _read_records(text, "division.dmp", DivisionRow, _DIVISION_FIELDS)
 
 
 def taxon_iri(taxon_id: int | str) -> Term:

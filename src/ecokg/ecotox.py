@@ -102,17 +102,18 @@ def read_table(
 
     Lines end at ``\n`` only and blank lines are skipped. The first line
     is the header; each later line needs as many fields as it has, and
-    the header must name every ``required`` column.
+    the header must name every ``required`` column. Each error names
+    ``table``.
     """
     lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
-        raise ValueError("empty table")
+        raise ValueError(f"{table}: empty table")
     header = [col.strip() for col in lines[0][1].split("|")]
     rows = []
     for line_no, line in lines[1:]:
         cells = line.split("|")
         if len(cells) != len(header):
-            raise ValueError(f"line {line_no}: expected {len(header)} fields, got {len(cells)}")
+            raise ValueError(f"{table} line {line_no}: expected {len(header)} fields, got {len(cells)}")
         rows.append(dict(zip(header, map(str.strip, cells))))
     for col in required:
         if col not in header:

@@ -106,8 +106,20 @@ class Term(namedtuple("Term", "kind value datatype language", defaults=(None, No
         return text
 
 
+def _valid_iri(text: str) -> bool:
+    """Whether ``text`` is non-empty and free of whitespace, '<' and '>'.
+
+    Every character ``_BAD_IRI_CHAR`` matches is the space, '<', '>' or
+    not printable, so a printable text free of those three passes
+    without the regex scan.
+    """
+    if text.isprintable() and " " not in text and "<" not in text and ">" not in text:
+        return text != ""
+    return _BAD_IRI_CHAR.search(text) is None
+
+
 def iri(text: str) -> Term:
-    if not text or _BAD_IRI_CHAR.search(text):
+    if not _valid_iri(text):
         raise ValueError(f"invalid IRI: {text!r}")
     return _new(Term, (IRI, text, None, None))
 
@@ -116,7 +128,7 @@ def literal(lex: str, datatype: str | None = None, language: str | None = None) 
     if datatype is not None:
         if language is not None:
             raise ValueError("literal cannot have both datatype and language")
-        if not datatype or _BAD_IRI_CHAR.search(datatype):
+        if not _valid_iri(datatype):
             raise ValueError(f"invalid datatype IRI: {datatype!r}")
     elif language is not None and not _LANG_TAG.fullmatch(language):
         raise ValueError(f"invalid language tag: {language!r}")
@@ -186,7 +198,7 @@ class PrefixMap:
     def bind(self, prefix: str, namespace: str) -> None:
         if not prefix or ":" in prefix:
             raise ValueError(f"invalid prefix label: {prefix!r}")
-        if not namespace or _BAD_IRI_CHAR.search(namespace):
+        if not _valid_iri(namespace):
             raise ValueError(f"invalid namespace IRI: {namespace!r}")
         self._ns[prefix] = namespace
 

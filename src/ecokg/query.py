@@ -25,6 +25,8 @@ from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, i
 from .ns import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
 from .ntriples import _LineScanner
 
+_new = tuple.__new__
+
 
 class PathSyntaxError(ValueError):
     pass
@@ -363,98 +365,121 @@ def _bind(slot: Term | Var, binding: dict[Var, Term]) -> Term | None:
     return slot
 
 
-def solve(store: TripleStore, patterns) -> list[dict[Var, Term]]:
+def solve(store: TripleStore, patterns, funnel: list | None = None) -> list[dict[Var, Term]]:
     """All distinct variable bindings satisfying every pattern, in no set order.
 
     The join order is fixed once, before any row is read, as in RDF-3X.
     Each step takes the pattern with the most positions bound, by
-    constants or by variables of earlier patterns, then the one sharing
-    the most variables with earlier patterns. Only patterns still tied
-    are counted in the store, with their constants alone; the fewest
-    matches go first. Each pattern in turn then extends every partial
-    row from the store's unsorted ``probe``. Which slots a pattern reads
-    from a row, which it binds, and which must repeat a value it binds
-    are worked out once per pattern, since every row at a step binds
-    the same variables.
+    constants or by variables of earlier patterns, then the one with the
+    most distinct variables bound by earlier patterns; only patterns
+    still tied are counted in the store by their constants, fewest
+    first, then the earliest. Each pattern's slots are read once; its
+    rank then rises by counting as steps bind its variables.
+
+    A row is a tuple that each step extends by the triple it matched, so
+    a variable's column is its slot at the step that first binds it.
+    Rows become binding dicts once, at the end. ``funnel``, when given,
+    receives one (pattern, rows after the step) pair per step.
     """
-    remaining = list(patterns)
-    for pat in remaining:
-        if isinstance(pat[0], Term) and pat[0].is_literal():
+    args, var_slots, ranks = [], [], []
+    # variable -> {pattern: 4 per slot it fills there, plus 1}
+    weights: dict[Var, dict[int, int]] = {}
+    for n, pat in enumerate(patterns):
+        consts, slots = [], []
+        for i, slot in enumerate(pat):
+            if isinstance(slot, Var):
+                consts.append(None)
+                slots.append((i, slot))
+                seen = weights.setdefault(slot, {})
+                seen[n] = seen.get(n, 1) + 4
+            else:
+                consts.append(slot)
+        s, p, _ = consts
+        if s is not None and s.is_literal():
             raise ValueError("literal cannot be a pattern subject")
-        if isinstance(pat[1], Term) and not pat[1].is_iri():
+        if p is not None and not p.is_iri():
             raise ValueError("pattern predicate must be an IRI")
         if isinstance(pat[1], Var) and pat[1].blank:
             raise ValueError("pattern predicate cannot be a blank variable")
-    bound: set[Var] = set()
+        args.append(consts)
+        var_slots.append(slots)
+        # 4 per position bound plus 1 per distinct variable bound (at
+        # most 3), so one int orders by both
+        ranks.append(4 * (3 - len(slots)))
+    remaining = list(range(len(patterns)))
+    columns: dict[Var, int] = {}
     steps = []
     while remaining:
-        ranks = [(sum(not isinstance(slot, Var) or slot in bound for slot in pat),
-                  len(bound.intersection(pat))) for pat in remaining]
-        top = max(ranks)
-        tied = [pat for pat, rank in zip(remaining, ranks) if rank == top]
+        top, tied = -1, []
+        for n in remaining:
+            if ranks[n] > top:
+                top, tied = ranks[n], [n]
+            elif ranks[n] == top:
+                tied.append(n)
         if len(tied) > 1:
-            tied.sort(key=lambda pat: store.count(*(_bind(slot, {}) for slot in pat)))
-        pat = tied[0]
-        remaining.remove(pat)
-        args = [_bind(slot, {}) for slot in pat]
-        reads, binds, repeats = [], [], []
-        first: dict[Var, int] = {}
-        for i, slot in enumerate(pat):
-            if not isinstance(slot, Var):
-                continue
-            if slot in bound:
-                reads.append((i, slot))
-            elif slot in first:
-                repeats.append((i, first[slot]))
+            tied.sort(key=lambda n: store.count(*args[n]))
+        n = tied[0]
+        remaining.remove(n)
+        width = 3 * len(steps)
+        reads, repeats = [], []
+        for i, var in var_slots[n]:
+            col = columns.get(var)
+            if col is None:
+                columns[var] = width + i
+                for m, weight in weights[var].items():
+                    ranks[m] += weight
+            elif col >= width:
+                repeats.append((i, col - width))
             else:
-                first[slot] = i
-                binds.append((i, slot))
-        bound.update(first)
-        steps.append((args, reads, binds, repeats))
-    rows: list[dict[Var, Term]] = [{}]
-    for args, reads, binds, repeats in steps:
+                reads.append((i, col))
+        steps.append((patterns[n], args[n], reads, repeats))
+    probe = store.probe
+    rows: list[tuple[Term, ...]] = [()]
+    for pat, probe_args, reads, repeats in steps:
         joined = []
         for row in rows:
-            for i, var in reads:
-                args[i] = row[var]
-            for t in store.probe(*args):
-                if repeats and any(t[i] != t[j] for i, j in repeats):
-                    continue
-                new = row.copy()
-                for i, var in binds:
-                    new[var] = t[i]
-                joined.append(new)
+            for i, col in reads:
+                probe_args[i] = row[col]
+            for t in probe(*probe_args):
+                if not repeats or all(t[i] == t[j] for i, j in repeats):
+                    joined.append(row + t)
         rows = joined
+        if funnel is not None:
+            funnel.append((pat, len(rows)))
     # The rows are already distinct: two of them part where one pattern
     # matched two different triples under the same row, and those
     # triples differ in a slot that holds a variable left unbound there,
     # so they bind it differently.
-    return rows
+    pairs = list(columns.items())
+    return [{var: row[col] for var, col in pairs} for row in rows]
 
 
 def select(
     store: TripleStore,
     patterns,
     projection: list[str],
+    funnel: list | None = None,
 ) -> list[tuple[Term, ...]]:
     """Distinct projected rows in deterministic order.
 
     Projection names must be named (non-blank) pattern variables.
+    ``funnel`` is passed to ``solve``.
     """
-    named = {v.name for v in _pattern_vars(patterns) if not v.blank}
-    missing = [name for name in projection if name not in named]
+    pattern_vars = _pattern_vars(patterns)
+    wanted = [Var(name) for name in projection]
+    missing = [v.name for v in wanted if v not in pattern_vars]
     if missing:
         raise UnboundProjectionError(f"projection variables not in pattern: {missing}")
-    wanted = [Var(name) for name in projection]
-    rows = {tuple(binding[v] for v in wanted) for binding in solve(store, patterns)}
-    return sorted(rows, key=lambda row: tuple(t.ntriples() for t in row))
+    rows = {tuple(map(binding.__getitem__, wanted)) for binding in solve(store, patterns, funnel)}
+    return sorted(rows, key=lambda row: tuple(map(Term.ntriples, row)))
 
 
-def construct(store: TripleStore, patterns, template) -> TripleStore:
+def construct(store: TripleStore, patterns, template, funnel: list | None = None) -> TripleStore:
     """New store holding the template instantiated per solution.
 
     As in SPARQL CONSTRUCT, an instance that is no valid triple (a
-    literal subject, a non-IRI predicate) is left out.
+    literal subject, a non-IRI predicate) is left out. ``funnel`` is
+    passed to ``solve``.
     """
     pattern_vars = _pattern_vars(patterns)
     unbound = sorted(
@@ -463,12 +488,28 @@ def construct(store: TripleStore, patterns, template) -> TripleStore:
     if unbound:
         raise UnboundTemplateError(f"template variables not bound by pattern: {unbound}")
     out = TripleStore(store.prefixes)
-    for binding in solve(store, patterns):
+    for binding in solve(store, patterns, funnel):
         for pat in template:
             s, p, o = (_bind(slot, binding) for slot in pat)
             if not s.is_literal() and p.is_iri():
                 out.add(Triple(s, p, o))
     return out
+
+
+def explain(store: TripleStore, funnel) -> str:
+    """The join plan a ``solve`` funnel recorded, one line per step.
+
+    Each line gives the step's pattern in query syntax, the store's
+    count of its constants alone (the planner's estimate) and the rows
+    after the step.
+    """
+    lines = []
+    for pat, rows in funnel:
+        words = [("_:" if slot.blank else "?") + slot.name if isinstance(slot, Var) else slot.ntriples()
+                 for slot in pat]
+        estimate = store.count(*(_bind(slot, {}) for slot in pat))
+        lines.append(f"plan\t{' '.join(words)} .\testimate={estimate}\trows={rows}\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +582,7 @@ class _PatternScanner(_TermScanner):
             return None
         if head == "?" or word.startswith("_:"):
             name = word[1 if head == "?" else 2:]
-            return Var(name, head == "_") if name else None
+            return _new(Var, (name, head == "_")) if name else None
         if head == "<":
             # ``iri`` rejects a '>' before the last character
             return iri(word[1:-1]) if word.endswith(">") else None
@@ -624,10 +665,11 @@ def parse_query(text: str, prefixes: PrefixMap) -> Query:
     return Query("select", patterns, projection=tuple(names))
 
 
-def run_query(store: TripleStore, query: Query):
+def run_query(store: TripleStore, query: Query, funnel: list | None = None):
+    """Rows of a select, or the store a construct builds; ``funnel`` is passed to ``solve``."""
     if query.kind == "select":
-        return select(store, query.patterns, list(query.projection))
-    return construct(store, query.patterns, query.template)
+        return select(store, query.patterns, list(query.projection), funnel)
+    return construct(store, query.patterns, query.template, funnel)
 
 
 # ---------------------------------------------------------------------------

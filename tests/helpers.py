@@ -14,7 +14,7 @@ from pathlib import Path
 from ecokg.align import DEFAULT_STOP_WORDS
 from ecokg.graph import Term, Triple, TripleStore, blank, iri, literal
 from ecokg.ns import RDFS_LABEL
-from ecokg.query import PathAlt, PathAtom, PathInverse, PathRepeat, PathSeq
+from ecokg.query import PathAlt, PathAtom, PathInverse, PathRepeat, PathSeq, Var
 
 _WORDS = [
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
@@ -74,6 +74,31 @@ def brute_force_match(store: TripleStore, s=None, p=None, o=None) -> list[Triple
         and (o is None or t.object == o)
     ]
     return sorted(hits, key=triple_key)
+
+
+def reference_plan_order(store: TripleStore, patterns) -> list:
+    """The join order ``solve`` must fix, by the planner's first ranking loop.
+
+    At every step each remaining pattern is ranked afresh from all its
+    slots: positions bound (constants, or variables of earlier
+    patterns), then distinct variables bound; only the tied are counted
+    in the store by their constants, fewest first, then pattern order.
+    """
+    remaining = list(patterns)
+    bound: set = set()
+    order = []
+    while remaining:
+        ranks = [(sum(not isinstance(slot, Var) or slot in bound for slot in pat),
+                  len(bound.intersection(pat))) for pat in remaining]
+        top = max(ranks)
+        tied = [pat for pat, rank in zip(remaining, ranks) if rank == top]
+        if len(tied) > 1:
+            tied.sort(key=lambda pat: store.count(*(None if isinstance(slot, Var) else slot for slot in pat)))
+        pat = tied[0]
+        remaining.remove(pat)
+        order.append(pat)
+        bound.update(slot for slot in pat if isinstance(slot, Var))
+    return order
 
 
 def reference_count_graph(store: TripleStore) -> tuple[int, int, int]:

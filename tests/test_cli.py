@@ -13,7 +13,7 @@ import pytest
 
 from ecokg import align, checks, cli, dmp, ecotox, graph, idmap, ntriples, query, stats, traits, units
 from ecokg.graph import FrozenStoreError, PrefixMap, UnknownPrefixError
-from ecokg.ns import ET, NCBI, default_prefix_map
+from ecokg.ns import ET, NCBI, RDF_TYPE, default_prefix_map
 
 import helpers
 from conftest import FIXTURES, read_summary, run_cli
@@ -62,7 +62,7 @@ INPUT_FAILURES = [
     FileNotFoundError(2, "No such file or directory"),
     json.JSONDecodeError("Expecting value", "{", 1),
     ntriples.NTriplesParseError("missing object", 3),
-    dmp.DmpFormatError("missing terminator", 1),
+    dmp.DmpFormatError("missing terminator", 1, "nodes.dmp"),
     query.PathSyntaxError("unbalanced parenthesis"),
     query.QuerySyntaxError("missing object"),
     UnknownPrefixError("unknown prefix: 'zz'"),
@@ -206,7 +206,7 @@ CLI_OPTIONS = {
     "eval-mappings": {"--prefixes", "--out", "--mappings", "--reference"},
     "bridge": {"--prefixes", "--out", "--pairs", "--rewrite"},
     "export": {"--prefixes", "--out", "--graphs", "--mappings"},
-    "query": {"--prefixes", "--out", "--graph", "--query"},
+    "query": {"--prefixes", "--out", "--graph", "--query", "--explain"},
     "path": {"--prefixes", "--out", "--graph", "--expr", "--start"},
     "lookup": {"--prefixes", "--out", "--graph", "--name", "-k"},
     "lineage": {"--prefixes", "--out", "--graph", "--taxon"},
@@ -503,6 +503,28 @@ class TestUpdateRegressions:
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
         assert error_line(capsys) == ("ValueError", "chemical 'Unnamed salt': missing cas_number")
 
+    def with_second_line(self, tmp_path, key: str, row: str) -> Path:
+        """A config whose input ``key`` has ``row`` inserted as its second line."""
+        config_path = self.copy_config(tmp_path)
+        config = json.loads(config_path.read_text())
+        source = Path(config[key])
+        first, rest = source.read_text().split("\n", 1)
+        path = tmp_path / source.name
+        path.write_text(f"{first}\n{row}\n{rest}")
+        config[key] = str(path)
+        config_path.write_text(json.dumps(config))
+        return config_path
+
+    @pytest.mark.parametrize(("key", "row", "error"), [
+        ("chemicals", "50-00-0|Formaldehyde", ("ValueError", "chemicals line 2: expected 3 fields, got 2")),
+        ("ncbi_names", "5\t|\tleaf\t|", ("DmpFormatError", "names.dmp line 2: expected at least 4 fields, got 2")),
+    ], ids=["ecotox", "dmp"])
+    def test_row_errors_name_their_input(self, tmp_path, capsys, key, row, error):
+        # seven input tables feed update; "line 2: ..." alone did not say which was bad
+        config_path = self.with_second_line(tmp_path, key, row)
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
+        assert error_line(capsys) == error
+
     def test_tautonym_species_builds(self, tmp_path):
         # Genus Bufo and species bufo share the node et:taxon/bufo; a
         # subClassOf self-loop there used to fail the cycle scan (exit 3).
@@ -710,6 +732,23 @@ class TestQueryCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "?t"
         assert len(lines) == 4  # header + three experiments
+
+    def test_summary_and_explain_give_rows_per_join_step(self, pipeline_dir, tmp_path, capsys):
+        q = tmp_path / "tests.rq"
+        q.write_text("select ?t ?c\n?t et:compound ?c .\n?t a et:Test .\n")
+        out = tmp_path / "rows.tsv"
+        argv = cfg_args("query", "--graph", str(pipeline_dir / "kg.nt"), "--query", str(q), "--out", str(out))
+        assert run_cli(*argv, "--explain") == 0
+        captured = capsys.readouterr()
+        # the typed pattern binds ?t first; every test has one compound
+        assert captured.err.splitlines() == [
+            f"plan\t?t <{RDF_TYPE.value}> <{ET}Test> .\testimate=3\trows=3",
+            f"plan\t?t <{ET}compound> ?c .\testimate=3\trows=3",
+        ]
+        summary = json.loads((tmp_path / "rows.tsv.summary.json").read_text())
+        assert summary["counts"] == {"rows": 3, "step_rows": [3, 3]}
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == captured.out
 
     def test_construct_ntriples(self, pipeline_dir, tmp_path, capsys):
         q = tmp_path / "c.rq"

@@ -51,15 +51,15 @@ class TestTableReader:
         assert rows == [{"a": "1\u2028x", "b": "2\x0c3"}, {"a": "4\u0085y", "b": "5\x1e6"}]
 
     def test_column_count_enforced(self):
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match="^t line 3: "):
             ecotox.read_table("a|b\n1|2\nonly-one\n", "t", ())
 
     def test_error_names_the_file_line_past_blank_lines(self):
-        with pytest.raises(ValueError, match="^line 4: expected 2 fields, got 1$"):
+        with pytest.raises(ValueError, match="^t line 4: expected 2 fields, got 1$"):
             ecotox.read_table("a|b\n1|2\n\nonly-one\n", "t", ())
 
     def test_empty_table(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^t: empty table$"):
             ecotox.read_table("\n\n", "t", ())
 
 

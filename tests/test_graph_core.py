@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,33 @@ class TestTerm:
         for bad in ["", "http://x.org/a b", "http://x.org/<a>", "x\ny"]:
             with pytest.raises(ValueError):
                 iri(bad)
+
+    def test_iri_check_accepts_what_the_regex_accepts_on_every_code_point(self):
+        # the characters the regex scan r"[\s<>]" rejects, found in one pass
+        every = "".join(map(chr, range(0x110000)))
+        bad = {m.start() for m in re.finditer(r"[\s<>]", every)}
+        assert len(bad) == 31
+        for cp in range(0x110000):
+            text = "a" + chr(cp) + "b"
+            if cp not in bad:
+                assert iri(text).value == text
+                continue
+            with pytest.raises(ValueError) as err:
+                iri(text)
+            assert str(err.value) == f"invalid IRI: {text!r}"
+
+    @pytest.mark.parametrize("ch", [" ", "<", ">", "\t", "\x1c", "\x85", "\u2028", "\u3000", "", "\x00",
+                                    "\xe9", "\ud800", "\U0010ffff"])
+    def test_datatype_and_namespace_checks_match_the_iri_check(self, ch):
+        text = f"http://x.org/{ch}" if ch else ""
+        if re.search(r"[\s<>]", text) or not text:
+            for make, message in ((iri, "invalid IRI"), (lambda t: literal("x", t), "invalid datatype IRI"),
+                                  (lambda t: PrefixMap().bind("ex", t), "invalid namespace IRI")):
+                with pytest.raises(ValueError, match=f"^{message}: "):
+                    make(text)
+        else:
+            assert literal("x", text).datatype == text
+            assert PrefixMap({"ex": text}).expand("ex:a") == iri(text + "a")
 
     def test_iri_carries_no_literal_fields(self):
         with pytest.raises(ValueError):

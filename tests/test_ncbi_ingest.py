@@ -23,19 +23,23 @@ def taxonomy_store(dump_texts):
     return store
 
 
+DUMP_NAMES = {dmp.parse_nodes: "nodes.dmp", dmp.parse_names: "names.dmp", dmp.parse_divisions: "division.dmp"}
+
+
 class TestRecordParsing:
     def test_field_separator_and_terminator(self):
-        rows = dmp.parse_dmp("10\t|\tleft\t|\t\t|\tright\t|\n")
+        rows = dmp.parse_dmp("10\t|\tleft\t|\t\t|\tright\t|\n", "nodes.dmp")
         assert list(rows) == [(1, ["10", "left", "", "right"])]
 
     def test_records_split_at_newline_only(self):
         text = "1\t|\ta\u2028b\x0bc\t|\r\n2\t|\td\u0085e\x1cf\t|\n"
-        assert list(dmp.parse_dmp(text)) == [(1, ["1", "a\u2028b\x0bc"]), (2, ["2", "d\u0085e\x1cf"])]
+        assert list(dmp.parse_dmp(text, "nodes.dmp")) == [(1, ["1", "a\u2028b\x0bc"]), (2, ["2", "d\u0085e\x1cf"])]
 
     def test_missing_terminator_is_an_error_with_line(self):
         with pytest.raises(dmp.DmpFormatError) as err:
-            list(dmp.parse_dmp("1\t|\t2\t|\tok\t|\n3\t|\t4\t|\tbroken\n"))
+            list(dmp.parse_dmp("1\t|\t2\t|\tok\t|\n3\t|\t4\t|\tbroken\n", "nodes.dmp"))
         assert err.value.line == 2
+        assert str(err.value) == "nodes.dmp line 2: record does not end with tab-pipe terminator"
 
     @pytest.mark.parametrize(("parse", "good", "bad"), [
         (dmp.parse_nodes, "1\t|\t1\t|\tno rank\t|\t\t|\t8\t|", "2\t|\tx\t|\tspecies\t|\t\t|\t1\t|"),
@@ -43,7 +47,7 @@ class TestRecordParsing:
         (dmp.parse_divisions, "0\t|\tBCT\t|\tBacteria\t|", "1\t|\tINV\t|"),
     ], ids=["nodes", "names", "divisions"])
     def test_error_names_the_file_line_past_blank_lines(self, parse, good, bad):
-        with pytest.raises(dmp.DmpFormatError, match="^line 3: ") as err:
+        with pytest.raises(dmp.DmpFormatError, match=f"^{DUMP_NAMES[parse]} line 3: ") as err:
             parse(f"{good}\n\n{bad}\n")
         assert err.value.line == 3
 
@@ -69,7 +73,7 @@ class TestRecordParsing:
         }[parse]
         with pytest.raises(dmp.DmpFormatError) as err:
             parse(f"{good}\n{good}\n{bad}\n")
-        assert str(err.value) == f"line 3: {message}"
+        assert str(err.value) == f"{DUMP_NAMES[parse]} line 3: {message}"
         assert err.value.line == 3
 
     def test_fields_are_stripped(self):

@@ -96,13 +96,17 @@ def test_update_output_digests(tmp_path, inputs):
     assert _update_digests(config, tmp_path / "out", EXPECTED[inputs]) == EXPECTED[inputs]
 
 
-def test_update_output_digests_x10(tmp_path, monkeypatch):
+def _generate_x10_inputs(out: Path, monkeypatch) -> Path:
     synth = _load_synth()
     x10 = {key: value if key == "kingdoms" or isinstance(value, float) else value * 10
            for key, value in synth.SCALES["bench"].items()}
     monkeypatch.setitem(synth.SCALES, "x10", x10)
-    synth.generate(1, tmp_path / "inputs", "x10")
-    config = tmp_path / "inputs" / "config.json"
+    synth.generate(1, out, "x10")
+    return out / "config.json"
+
+
+def test_update_output_digests_x10(tmp_path, monkeypatch):
+    config = _generate_x10_inputs(tmp_path / "inputs", monkeypatch)
     assert _update_digests(config, tmp_path / "out", EXPECTED_X10) == EXPECTED_X10
 
 
@@ -166,3 +170,80 @@ def test_lookup_output_digests(tmp_path):
         )
         digests[k] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digests == LOOKUP_DIGESTS
+
+
+@pytest.fixture(scope="module")
+def bench_seed1(tmp_path_factory) -> Path:
+    """Bench seed 1's inputs and ``update`` outputs, built once for the tests below."""
+    root = tmp_path_factory.mktemp("bench_seed1")
+    config = _generate_bench_inputs(1, root / "inputs")
+    assert run_cli("--config", str(config), "update", "--out", str(root / "out")) == 0
+    return root
+
+
+def _query_digest(graph: Path, text: str, query_file: Path, capsys, *flags: str) -> str:
+    """sha256 of ``ecokg query`` stdout for ``text``."""
+    query_file.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("query", "--graph", str(graph), "--query", str(query_file), *flags) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+def test_explain_leaves_query_stdout_unchanged(bench_seed1, tmp_path, capsys):
+    graph = bench_seed1 / "out" / "kg.nt"
+    for name, (text, digest) in QUERIES.items():
+        query_file = tmp_path / f"{name}.txt"
+        assert _query_digest(graph, text, query_file, capsys) == digest
+        assert _query_digest(graph, text, query_file, capsys, "--explain") == digest
+
+
+def test_explain_prints_one_plan_line_per_step(bench_seed1, tmp_path, capsys):
+    query_file = tmp_path / "anchored.txt"
+    query_file.write_text(QUERIES["anchored_select"][0], encoding="utf-8")
+    argv = ("query", "--graph", str(bench_seed1 / "out" / "kg.nt"), "--query", str(query_file))
+    assert run_cli(*argv) == 0
+    assert "plan\t" not in capsys.readouterr().err
+    assert run_cli(*argv, "--explain") == 0
+    captured = capsys.readouterr()
+    plan = [line.split("\t") for line in captured.err.splitlines() if line.startswith("plan\t")]
+    # the chemical's tests, their results, and the LC50 ones among those
+    assert [fields[1] for fields in plan] == [
+        f"?t <{ET}compound> <{ET}chemical/893535541> .",
+        f"?t <{ET}hasResult> ?r .",
+        f"?r <{ET}endpoint> <{ET}LC50> .",
+    ]
+    assert [fields[2].startswith("estimate=") for fields in plan] == [True] * 3
+    assert plan[-1][3] == f"rows={len(captured.out.splitlines()) - 1}"
+
+
+# The anchored LC50 select of the query bench for every chemical of bench
+# seed 1's truth file (sorted), and the unanchored select of ``QUERIES``
+# at ten times the bench counts: the sha256 of the rows as ``ecokg
+# query`` prints them, header first, query after query.
+LC50_SELECT = "select ?r\n?t et:compound <{chemical}>\n?t et:hasResult ?r\n?r et:endpoint et:LC50\n"
+ANCHORED_LC50_DIGEST = "7789ee025d520d21df373180378bd4b1f5f799384ab174e1214a2906b2862a3f"
+UNANCHORED_SELECT_X10_DIGEST = "1fe150c162759003c2cca4d358d885cb032e202fc4afedaf160306fe8af85dba"
+
+
+def test_anchored_lc50_select_digest(bench_seed1):
+    prefixes = default_prefix_map()
+    store = ntriples.parse((bench_seed1 / "out" / "kg.nt").read_text(encoding="utf-8"), prefixes)
+    store.freeze()
+    truth = json.loads((bench_seed1 / "inputs" / "truth.json").read_text(encoding="utf-8"))
+    digest = hashlib.sha256()
+    for chemical in sorted(truth["lc50"]):
+        parsed = query.parse_query(LC50_SELECT.format(chemical=chemical), prefixes)
+        rows = query.run_query(store, parsed)
+        assert sorted(row[0].value for row in rows) == sorted(truth["lc50"][chemical])
+        lines = ["\t".join(f"?{name}" for name in parsed.projection)]
+        lines += ["\t".join(term.ntriples() for term in row) for row in rows]
+        digest.update("".join(line + "\n" for line in lines).encode("utf-8"))
+    assert digest.hexdigest() == ANCHORED_LC50_DIGEST
+
+
+def test_unanchored_select_digest_x10(tmp_path, monkeypatch, capsys):
+    config = _generate_x10_inputs(tmp_path / "inputs", monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli("--config", str(config), "update", "--out", str(out)) == 0
+    text = QUERIES["unanchored_select"][0]
+    assert _query_digest(out / "kg.nt", text, tmp_path / "q.txt", capsys) == UNANCHORED_SELECT_X10_DIGEST

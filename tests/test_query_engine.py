@@ -542,6 +542,24 @@ class TestSolveSelect:
         assert binding_set(solved) == binding_set(brute_force_solve(store, patterns))
         assert len({frozenset(binding.items()) for binding in solved}) == len(solved)
 
+    @given(join_stores, join_queries())
+    @example([(JOIN_NODES[0], JOIN_PREDICATES[0], JOIN_NODES[1]), (JOIN_NODES[1], JOIN_PREDICATES[1], JOIN_NODES[2])],
+             [(Var("x"), JOIN_PREDICATES[0], Var("y")), (Var("z"), JOIN_PREDICATES[1], Var("w", blank=True)),
+              (Var("y"), JOIN_PREDICATES[1], Var("z"))])
+    @settings(max_examples=400, deadline=None)
+    def test_plan_order_matches_the_reference_ranking(self, triples, patterns):
+        store = TripleStore(PREFIXES)
+        store.add_all(Triple(*t) for t in triples)
+        funnel = []
+        solved = solve(store, patterns, funnel)
+        order = [pat for pat, _ in funnel]
+        assert order == helpers.reference_plan_order(store, patterns)
+        assert binding_set(solved) == binding_set(brute_force_solve(store, patterns))
+        # rows after each step: the distinct bindings of the patterns joined so far
+        assert [rows for _, rows in funnel] == [
+            len(brute_force_solve(store, order[:k])) for k in range(1, len(order) + 1)
+        ]
+
     @staticmethod
     def effect_store(n):
         """``n`` tests over 7 chemicals, every other one with an LC50 result."""
