@@ -29,7 +29,7 @@ import re
 from collections import namedtuple
 from typing import Iterable, Mapping as MappingType, Sequence
 
-from .graph import Triple, TripleStore, ValidationError, iri, read_tsv_rows
+from .graph import CheckedRecord, Triple, TripleStore, ValidationError, iri, read_tsv_rows
 from .ns import OWL_SAMEAS, RDFS_LABEL
 
 DEFAULT_STOP_WORDS = frozenset(
@@ -184,7 +184,7 @@ def block_candidates(
     return pairs
 
 
-class Mapping(namedtuple("Mapping", "source target score method")):
+class Mapping(CheckedRecord, namedtuple("Mapping", "source target score method")):
     """One scored correspondence; the score lies in [0, 1]."""
 
     __slots__ = ()
@@ -193,11 +193,6 @@ class Mapping(namedtuple("Mapping", "source target score method")):
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score out of range: {score!r}")
         return tuple.__new__(cls, (source, target, score, method))
-
-    @classmethod
-    def _make(cls, fields) -> "Mapping":
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*fields)
 
 
 class MappingSet:
@@ -255,7 +250,6 @@ def align_lexical(
     target_labels: MappingType[str, Sequence[str]],
     threshold: float = DEFAULT_THRESHOLD,
     stop_words: frozenset[str] = DEFAULT_STOP_WORDS,
-    method: str = "levenshtein",
     funnel: dict[str, int] | None = None,
 ) -> MappingSet:
     """Best-scoring target per source entity, at or above threshold.
@@ -331,9 +325,9 @@ def align_lexical(
             scored=scored,
             ties_broken=sum(len(winners) > 1 for _, winners in best.values()),
         )
-    out = MappingSet(method=method)
+    out = MappingSet(method="levenshtein")
     for source, (score, winners) in best.items():
-        out.add(Mapping(source, min(winners), score, method))
+        out.add(Mapping(source, min(winners), score, out.method))
     return out
 
 
@@ -383,12 +377,8 @@ def read_mappings(text: str) -> MappingSet:
     return out
 
 
-def sameas_triples(mappings: MappingSet) -> list[Triple]:
-    return [Triple(iri(m.source), OWL_SAMEAS, iri(m.target)) for m in mappings]
-
-
 def add_sameas(mappings: MappingSet, store: TripleStore) -> int:
-    return store.add_all(sameas_triples(mappings))
+    return store.add_all([Triple(iri(m.source), OWL_SAMEAS, iri(m.target)) for m in mappings])
 
 
 def labels_by_prefix(store: TripleStore, iri_prefix: str) -> dict[str, list[str]]:

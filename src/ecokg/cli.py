@@ -201,14 +201,6 @@ def cmd_units(args, cfg: _Config) -> dict:
             "registry": registry}
 
 
-def _load_registry(cfg: _Config, override: str | None, prefixes: PrefixMap) -> units.UnitRegistry | None:
-    path = cfg.path("units", override)
-    if path is None:
-        return None
-    registry, _ = units.load_registry(_read_text(path), prefixes)
-    return registry
-
-
 def cmd_ingest_ecotox(args, cfg: _Config, registry: units.UnitRegistry | None = None) -> dict:
     """Effect tables to ecotox.nt; ``registry``, if given, replaces reading units.tsv."""
     prefixes = cfg.prefixes(args.prefixes)
@@ -221,8 +213,9 @@ def cmd_ingest_ecotox(args, cfg: _Config, registry: units.UnitRegistry | None = 
     tests = ecotox.parse_tests(_input(cfg, "tests", args.tests))
     results = ecotox.parse_results(_input(cfg, "results", args.results))
     ecotox.validate_test_references(tests, species, chemicals)
-    if registry is None:
-        registry = _load_registry(cfg, args.units, prefixes)
+    units_path = cfg.path("units", args.units)
+    if registry is None and units_path is not None:
+        registry, _ = units.load_registry(_read_text(units_path), prefixes)
     store = TripleStore(prefixes)
     counts = {
         "species_rows": len(species),
@@ -246,10 +239,14 @@ def cmd_ingest_traits(args, cfg: _Config) -> dict:
     glossary = traits.load_glossary(_input(cfg, "glossary", args.glossary), prefixes)
     rows = traits.parse_traits(_input(cfg, "traits", args.traits), prefixes)
     store = TripleStore(prefixes)
-    added = traits.ingest_traits(rows, glossary, store, prefixes)
+    added = traits.ingest_traits(rows, glossary, store)
     ntriples.write_file(store, out_dir / "traits.nt")
     counts = {"rows": len(rows), "triples": added, "glossary_terms": len(glossary)}
     return {"out_dir": out_dir, "counts": counts, "outputs": ["traits.nt"], "store": store}
+
+
+# The subject namespaces `align` pairs unless --source-ns/--target-ns say otherwise.
+_SOURCE_NS, _TARGET_NS = ET + "taxon/", NCBI + "taxon/"
 
 
 def _align_graph(path: Path | None, given: TripleStore | None, default: Path,
@@ -363,65 +360,60 @@ def cmd_export(args, cfg: _Config, parts=None, mappings: align_mod.MappingSet | 
     return {"out_dir": out_dir, "counts": counts, "outputs": ["kg.nt"], "store": merged}
 
 
-# The query commands import the query engine themselves, so that the
-# build stages never load it.
+def cmd_read(args, cfg: _Config) -> dict:
+    """``query``, ``path``, ``lookup`` or ``lineage``: check the request, then answer it.
 
-def cmd_query(args, cfg: _Config) -> dict:
-    from . import query as query_mod
-
-    prefixes = cfg.prefixes(args.prefixes)
-    store = _read_graph(Path(args.graph), prefixes)
-    parsed = query_mod.parse_query(_read_text(Path(args.query)), prefixes)
-    funnel: list = []
-    result = query_mod.run_query(store, parsed, funnel)
-    if args.explain:
-        sys.stderr.write(query_mod.explain(store, funnel))
-    step_rows = [rows for _, rows in funnel]
-    if parsed.kind == "construct":
-        return _emit(args, ntriples.serialize(result), {"triples": len(result), "step_rows": step_rows})
-    lines = ["\t".join(f"?{name}" for name in parsed.projection)]
-    lines += ["\t".join(term.ntriples() for term in row) for row in result]
-    return _emit(args, "".join(line + "\n" for line in lines), {"rows": len(result), "step_rows": step_rows})
-
-
-def cmd_path(args, cfg: _Config) -> dict:
-    from . import query as query_mod
+    The request is built from the flags first (the query file read and
+    parsed, the path expression parsed, ``--start`` or ``--taxon``
+    resolved, ``-k`` checked), so a bad one fails before ``--graph`` is
+    read. ``answer`` gives the report's text and counts from the graph.
+    """
+    from . import query as query_mod  # only the read commands load the query engine
 
     prefixes = cfg.prefixes(args.prefixes)
-    store = _read_graph(Path(args.graph), prefixes)
-    expr = query_mod.parse_path(args.expr, prefixes)
-    start = iri(prefixes.resolve(args.start)) if args.start else None
-    pairs = sorted(
-        query_mod.eval_path(store, expr, start),
-        key=lambda pair: (pair[0].ntriples(), pair[1].ntriples()),
-    )
-    text = "".join(f"{a.ntriples()}\t{b.ntriples()}\n" for a, b in pairs)
-    return _emit(args, text, {"pairs": len(pairs)})
+    if args.command == "query":
+        parsed = query_mod.parse_query(_read_text(Path(args.query)), prefixes)
 
+        def answer(store):
+            funnel: list = []
+            result = query_mod.run_query(store, parsed, funnel)
+            if args.explain:
+                sys.stderr.write(query_mod.explain(store, funnel))
+            step_rows = [rows for _, rows in funnel]
+            if parsed.kind == "construct":
+                return ntriples.serialize(result), {"triples": len(result), "step_rows": step_rows}
+            lines = ["\t".join(f"?{name}" for name in parsed.projection)]
+            lines += ["\t".join(term.ntriples() for term in row) for row in result]
+            return "".join(line + "\n" for line in lines), {"rows": len(result), "step_rows": step_rows}
+    elif args.command == "path":
+        expr = query_mod.parse_path(args.expr, prefixes)
+        start = iri(prefixes.resolve(args.start)) if args.start else None
 
-def cmd_lookup(args, cfg: _Config) -> dict:
-    from . import query as query_mod
+        def answer(store):
+            pairs = sorted(
+                query_mod.eval_path(store, expr, start),
+                key=lambda pair: (pair[0].ntriples(), pair[1].ntriples()),
+            )
+            return "".join(f"{a.ntriples()}\t{b.ntriples()}\n" for a, b in pairs), {"pairs": len(pairs)}
+    elif args.command == "lookup":
+        query_mod.check_lookup_k(args.k)
 
-    query_mod.check_lookup_k(args.k)
-    prefixes = cfg.prefixes(args.prefixes)
-    store = _read_graph(Path(args.graph), prefixes)
-    funnel: dict[str, int] = {}
-    hits = query_mod.fuzzy_lookup(store, args.name, args.k, funnel)
-    text = "".join(f"{iri_text}\t{score:.6f}\n" for iri_text, score in hits)
-    return _emit(args, text, {"hits": len(hits), **funnel})
+        def answer(store):
+            funnel: dict[str, int] = {}
+            hits = query_mod.fuzzy_lookup(store, args.name, args.k, funnel)
+            text = "".join(f"{iri_text}\t{score:.6f}\n" for iri_text, score in hits)
+            return text, {"hits": len(hits), **funnel}
+    else:
+        taxon = iri(prefixes.resolve(args.taxon))
 
-
-def cmd_lineage(args, cfg: _Config) -> dict:
-    from . import query as query_mod
-
-    prefixes = cfg.prefixes(args.prefixes)
-    store = _read_graph(Path(args.graph), prefixes)
-    ancestors = query_mod.lineage(store, iri(prefixes.resolve(args.taxon)))
-    text = "".join(
-        (prefixes.compact(term.value) if term.is_iri() else term.ntriples()) + "\n"
-        for term in ancestors
-    )
-    return _emit(args, text, {"ancestors": len(ancestors)})
+        def answer(store):
+            ancestors = query_mod.lineage(store, taxon)
+            text = "".join(
+                (prefixes.compact(term.value) if term.is_iri() else term.ntriples()) + "\n"
+                for term in ancestors
+            )
+            return text, {"ancestors": len(ancestors)}
+    return _emit(args, *answer(_read_graph(Path(args.graph), prefixes)))
 
 
 def cmd_stats(args, cfg: _Config, kg: TripleStore | None = None) -> dict:
@@ -444,10 +436,6 @@ def cmd_stats(args, cfg: _Config, kg: TripleStore | None = None) -> dict:
         "entities": counts.entities,
     }
     return {"out_dir": out_dir, "counts": summary_counts, "outputs": ["stats.tsv", "stats.txt"]}
-
-
-def _count_type_instances(store: TripleStore, type_term) -> int:
-    return len(store.subjects(RDF_TYPE, type_term))
 
 
 def _stage_args(args, **flags) -> argparse.Namespace:
@@ -485,7 +473,7 @@ def cmd_update(args, cfg: _Config) -> dict:
 
     align_args = _stage_args(
         args, stopwords=None, threshold=None, source=None, target=None,
-        source_ns=ET + "taxon/", target_ns=NCBI + "taxon/",
+        source_ns=_SOURCE_NS, target_ns=_TARGET_NS,
     )
     mappings = record("align", cmd_align(align_args, cfg, ecotox_store, ncbi_store))["mappings"]
 
@@ -506,9 +494,9 @@ def cmd_update(args, cfg: _Config) -> dict:
     step_counts["checks"] = {"cycles": 0, "disjointness_violations": 0}
     stats_args = _stage_args(
         args,
-        tests=_count_type_instances(kg, ecotox.TEST_TYPE),
-        compounds=_count_type_instances(kg, ecotox.CHEMICAL_TYPE),
-        species=_count_type_instances(kg, ecotox.TAXON_TYPE),
+        tests=len(kg.subjects(RDF_TYPE, ecotox.TEST_TYPE)),
+        compounds=len(kg.subjects(RDF_TYPE, ecotox.CHEMICAL_TYPE)),
+        species=len(kg.subjects(RDF_TYPE, ecotox.TAXON_TYPE)),
     )
     record("stats", cmd_stats(stats_args, cfg, kg))
     return {"out_dir": out_dir, "counts": step_counts, "outputs": outputs}
@@ -568,8 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, out_required=True)
     p.add_argument("--source", help="source graph (.nt)")
     p.add_argument("--target", help="target graph (.nt)")
-    p.add_argument("--source-ns", default=ET + "taxon/", help="source subject namespace")
-    p.add_argument("--target-ns", default=NCBI + "taxon/", help="target subject namespace")
+    p.add_argument("--source-ns", default=_SOURCE_NS, help="source subject namespace")
+    p.add_argument("--target-ns", default=_TARGET_NS, help="target subject namespace")
     p.add_argument("--threshold", type=float, help="minimum score (default 0.8)")
     p.add_argument("--stopwords", help="stop-word list, one per line")
 
@@ -588,27 +576,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", nargs="+", help="explicit graph files to merge")
     p.add_argument("--mappings", help="mapping TSV emitted as owl:sameAs")
 
-    p = sub.add_parser("query", help="run a textual query against a graph")
-    common(p)
-    p.add_argument("--graph", required=True, help="graph file (.nt)")
+    def read_parser(name: str, command_help: str):
+        p = sub.add_parser(name, help=command_help)
+        common(p)
+        p.add_argument("--graph", required=True, help="graph file (.nt)")
+        return p
+
+    p = read_parser("query", "run a textual query against a graph")
     p.add_argument("--query", required=True, help="query file")
     p.add_argument("--explain", action="store_true", help="print the join plan on stderr")
-
-    p = sub.add_parser("path", help="evaluate a property path")
-    common(p)
-    p.add_argument("--graph", required=True, help="graph file (.nt)")
+    p = read_parser("path", "evaluate a property path")
     p.add_argument("--expr", required=True, help="path expression")
     p.add_argument("--start", help="start entity (curie or IRI)")
-
-    p = sub.add_parser("lookup", help="fuzzy label search")
-    common(p)
-    p.add_argument("--graph", required=True, help="graph file (.nt)")
+    p = read_parser("lookup", "fuzzy label search")
     p.add_argument("--name", required=True, help="name to look up")
     p.add_argument("-k", type=int, default=5, help="result count")
-
-    p = sub.add_parser("lineage", help="ancestor chain of a taxon")
-    common(p)
-    p.add_argument("--graph", required=True, help="graph file (.nt)")
+    p = read_parser("lineage", "ancestor chain of a taxon")
     p.add_argument("--taxon", required=True, help="taxon (curie or IRI)")
 
     p = sub.add_parser("stats", help="graph size and density report")
@@ -631,10 +614,10 @@ _COMMANDS = {
     "eval-mappings": cmd_eval_mappings,
     "bridge": cmd_bridge,
     "export": cmd_export,
-    "query": cmd_query,
-    "path": cmd_path,
-    "lookup": cmd_lookup,
-    "lineage": cmd_lineage,
+    "query": cmd_read,
+    "path": cmd_read,
+    "lookup": cmd_read,
+    "lineage": cmd_read,
     "stats": cmd_stats,
     "update": cmd_update,
 }

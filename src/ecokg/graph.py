@@ -24,9 +24,10 @@ _LANG_TAG = re.compile(r"[A-Za-z]+(-[A-Za-z0-9]+)*\Z")
 _new = tuple.__new__
 
 # Named escapes for literal serialization; remaining control characters
-# (below U+0020, plus U+007F) are written as \uXXXX.
+# (below U+0020, plus U+007F) and lone surrogates, which UTF-8 cannot
+# encode, are written as \uXXXX.
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f]')
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f\ud800-\udfff]')
 
 
 class ValidationError(ValueError):
@@ -52,7 +53,22 @@ def escape_literal(text: str) -> str:
     return _NEEDS_ESCAPE.sub(_escape_char, text)
 
 
-class Term(namedtuple("Term", "kind value datatype language", defaults=(None, None))):
+class CheckedRecord:
+    """Base of the named-tuple records whose ``__new__`` checks their fields.
+
+    A record lists it before its namedtuple base, so this ``_make`` wins,
+    and keeps its own ``__slots__ = ()``, so no instance gains a ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
+
+
+class Term(CheckedRecord, namedtuple("Term", "kind value datatype language", defaults=(None, None))):
     """One RDF-style term: an IRI, a literal, or a blank node.
 
     ``value`` holds the IRI text, the lexical form, or the blank label.
@@ -77,11 +93,6 @@ class Term(namedtuple("Term", "kind value datatype language", defaults=(None, No
             what = "IRI terms" if kind == IRI else "blank nodes"
             raise ValueError(f"{what} carry no datatype or language")
         return term
-
-    @classmethod
-    def _make(cls, fields) -> "Term":
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*fields)
 
     def is_iri(self) -> bool:
         return self.kind == IRI
@@ -141,7 +152,7 @@ def blank(label: str) -> Term:
     return _new(Term, (BLANK, label, None, None))
 
 
-class Triple(namedtuple("Triple", "subject predicate object")):
+class Triple(CheckedRecord, namedtuple("Triple", "subject predicate object")):
     """Subject/predicate/object with positional validity checks."""
 
     __slots__ = ()
@@ -152,10 +163,6 @@ class Triple(namedtuple("Triple", "subject predicate object")):
         if predicate.kind != IRI:
             raise ValueError("predicate must be an IRI")
         return _new(cls, (subject, predicate, object))
-
-    @classmethod
-    def _make(cls, fields) -> "Triple":
-        return cls(*fields)
 
     def ntriples(self) -> str:
         return f"{self.subject.ntriples()} {self.predicate.ntriples()} {self.object.ntriples()} ."

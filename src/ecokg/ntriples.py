@@ -3,10 +3,11 @@
 One triple per line, terminated by `` .``. IRIs sit in angle brackets,
 blank nodes are ``_:label``, literals are double-quoted with ``\\"``,
 ``\\\\``, ``\\n``, ``\\r``, ``\\t`` escapes plus ``\\uXXXX`` for other
-control characters. Serialization sorts lines so equal stores always
-produce byte-identical text. Lines end at ``\\n`` only (one trailing
-``\\r`` is dropped), so a literal holding U+0085, U+2028 or U+2029, which
-the serializer writes verbatim, reads back unchanged.
+control characters and lone surrogates. Serialization sorts lines so
+equal stores always produce byte-identical text. Lines end at ``\\n``
+only (one trailing ``\\r`` is dropped), so a literal holding U+0085,
+U+2028 or U+2029, which the serializer writes verbatim, reads back
+unchanged.
 """
 
 import gc

@@ -698,17 +698,13 @@ def _label_index(
         if o.is_literal():
             key = s.ntriples() if s.is_blank() else s.value
             keys_by_form.setdefault(_label_form(o.value), set()).add(key)
-    by_length: dict[int, tuple[list[str], list[list[str]]]] = {}
-    for form, keys in sorted(keys_by_form.items()):
-        forms, lane_keys = by_length.setdefault(len(form), ([], []))
+    groups: dict[int, tuple[list[str], list[list[str]], dict[int, tuple[int, int]]]] = {}
+    for form, keys in sorted(keys_by_form.items(), key=lambda item: (len(item[0]), item[0])):
+        forms, lane_keys, runs = groups.setdefault(_stride(len(form)), ([], [], {}))
+        start, _ = runs.get(len(form), (len(forms), None))
         forms.append(form)
         lane_keys.append(sorted(keys))
-    groups: dict[int, tuple[list[str], list[list[str]], dict[int, tuple[int, int]]]] = {}
-    for length, (run_forms, run_keys) in sorted(by_length.items()):
-        forms, lane_keys, runs = groups.setdefault(_stride(length), ([], [], {}))
-        runs[length] = (len(forms), len(forms) + len(run_forms))
-        forms += run_forms
-        lane_keys += run_keys
+        runs[len(form)] = (start, len(forms))
     index = {stride: (*_pack(stride, forms), keys, runs) for stride, (forms, keys, runs) in groups.items()}
     if store.frozen:
         store.label_index = index

@@ -9,7 +9,9 @@ rows flow through the same path. Each row becomes exactly one triple.
 import re
 from collections import namedtuple
 
-from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
+from .graph import (
+    CheckedRecord, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
+)
 
 _KINDS = ("iri", "literal", "glossary")
 _LITERAL_SYNTAX = re.compile(r'"(.*)"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^(\S+))?\Z', re.S)
@@ -23,7 +25,7 @@ class UnresolvedGlossaryError(ValidationError):
         self.terms = sorted(terms)
 
 
-class TraitRow(namedtuple("TraitRow", "subject property value kind")):
+class TraitRow(CheckedRecord, namedtuple("TraitRow", "subject property value kind")):
     """One trait row: subject and property IRI texts, the raw value column, its kind."""
 
     __slots__ = ()
@@ -32,11 +34,6 @@ class TraitRow(namedtuple("TraitRow", "subject property value kind")):
         if kind not in _KINDS:
             raise ValueError(f"unknown trait value kind: {kind!r}")
         return tuple.__new__(cls, (subject, property, value, kind))
-
-    @classmethod
-    def _make(cls, fields) -> "TraitRow":
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*fields)
 
 
 def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:
@@ -75,18 +72,13 @@ def _lexical_form(value: str) -> str:
     return m.group(1) if m else value
 
 
-def ingest_traits(
-    rows: list[TraitRow],
-    glossary: dict[str, str],
-    store: TripleStore,
-    prefixes: PrefixMap | None = None,
-) -> int:
+def ingest_traits(rows: list[TraitRow], glossary: dict[str, str], store: TripleStore) -> int:
     """Emit one triple per row; glossary terms become IRI objects.
 
-    All glossary terms are resolved up front so a bad batch emits
-    nothing.
+    Curies resolve through the store's prefix map. All glossary terms
+    are resolved up front so a bad batch emits nothing.
     """
-    resolver = prefixes if prefixes is not None else store.prefixes
+    prefixes = store.prefixes
     unresolved = sorted(
         {
             _lexical_form(row.value)
@@ -99,10 +91,10 @@ def ingest_traits(
     added = 0
     for row in rows:
         if row.kind == "iri":
-            obj = iri(resolver.resolve(row.value))
+            obj = iri(prefixes.resolve(row.value))
         elif row.kind == "glossary":
             obj = iri(glossary[_lexical_form(row.value)])
         else:
-            obj = parse_literal_value(row.value, resolver)
+            obj = parse_literal_value(row.value, prefixes)
         added += store.add(Triple(iri(row.subject), iri(row.property), obj))
     return added

@@ -16,7 +16,9 @@ import math
 from collections import namedtuple
 from decimal import Decimal
 
-from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
+from .graph import (
+    CheckedRecord, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
+)
 from .ns import QUDT, RDF_TYPE, RDFS_LABEL, XSD_DECIMAL, XSD_STRING
 
 
@@ -28,7 +30,8 @@ class DimensionMismatchError(ValidationError):
     pass
 
 
-class UnitDef(namedtuple("UnitDef", "id label abbreviation multiplier offset dimension symbol")):
+class UnitDef(CheckedRecord,
+              namedtuple("UnitDef", "id label abbreviation multiplier offset dimension symbol")):
     """One unit: identity, presentation strings, and conversion data."""
 
     __slots__ = ()
@@ -41,11 +44,6 @@ class UnitDef(namedtuple("UnitDef", "id label abbreviation multiplier offset dim
         if not math.isfinite(multiplier) or not math.isfinite(offset):
             raise ValueError(f"multiplier and offset must be finite: {multiplier!r}, {offset!r}")
         return tuple.__new__(cls, (id, label, abbreviation, multiplier, offset, dimension, symbol))
-
-    @classmethod
-    def _make(cls, fields) -> "UnitDef":
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*fields)
 
 
 def _decimal_lexical(value: float) -> str:

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,12 @@ class TestExitCodes:
         assert code == 2
         cls, _ = error_line(capsys)
         assert cls == "JSONDecodeError"
+
+    def test_config_that_is_no_object_is_two(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[]")
+        assert run_cli("--config", str(cfg), "units", "--out", str(tmp_path)) == 2
+        assert error_line(capsys) == ("ValueError", "config must be a JSON object")
 
     def test_unknown_entity_is_three(self, pipeline_dir, capsys):
         code = run_cli(
@@ -437,6 +444,25 @@ class TestUpdateInMemory:
         rows = [line.split("\t")[:2] for line in (out / "mappings.tsv").read_text().splitlines()]
         assert rows == [[f"{ET}taxon/probe", f"{NCBI}taxon/35525"]]
 
+    def test_standalone_stages_rebuild_the_update_bytes(self, pipeline_dir, tmp_path):
+        out = str(tmp_path)
+        kg = ntriples.parse((pipeline_dir / "kg.nt").read_text(), default_prefix_map())
+        # the coverage counts update hands its stats stage
+        tests, compounds, species = (
+            str(len(kg.subjects(RDF_TYPE, type_term)))
+            for type_term in (ecotox.TEST_TYPE, ecotox.CHEMICAL_TYPE, ecotox.TAXON_TYPE)
+        )
+        for argv in (
+            ("ingest-ncbi",), ("units",), ("ingest-ecotox",), ("ingest-traits",), ("align",),
+            ("bridge", "--rewrite", "ncbi", "--pairs", str(FIXTURES / "pairs" / "wd_ncbi.tsv")),
+            ("bridge", "--rewrite", "cas", "--pairs", str(FIXTURES / "pairs" / "wd_cas.tsv")),
+            ("export", "--mappings", str(tmp_path / "mappings.tsv")),
+            ("stats", "--tests", tests, "--compounds", compounds, "--species", species),
+        ):
+            assert run_cli(*cfg_args(*argv, "--out", out)) == 0, argv
+        for name in (*self.PARTS, "mappings.tsv", "kg.nt", "stats.tsv"):
+            assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+
     def test_failed_out_write_keeps_previous_file(self, pipeline_dir, tmp_path, monkeypatch):
         out = tmp_path / "hits.tsv"
         argv = cfg_args("lookup", "--graph", str(pipeline_dir / "kg.nt"),
@@ -524,6 +550,23 @@ class TestUpdateRegressions:
         config_path = self.with_second_line(tmp_path, key, row)
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
         assert error_line(capsys) == error
+
+    def test_subclass_cycle_exits_three(self, tmp_path, capsys):
+        nodes = tmp_path / "nodes.dmp"
+        nodes.write_text(
+            (FIXTURES / "ncbi" / "nodes.dmp").read_text()
+            + "900001\t|\t900002\t|\tspecies\t|\t\t|\t1\t|\n"
+            + "900002\t|\t900001\t|\tgenus\t|\t\t|\t1\t|\n"
+        )
+        config_path = self.copy_config(tmp_path)
+        config = json.loads(config_path.read_text())
+        config["ncbi_nodes"] = str(nodes)
+        config_path.write_text(json.dumps(config))
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
+        assert error_line(capsys) == (
+            "IntegrityError",
+            "exported graph failed consistency scans: 1 cycles, 0 disjointness violations",
+        )
 
     def test_tautonym_species_builds(self, tmp_path):
         # Genus Bufo and species bufo share the node et:taxon/bufo; a
@@ -829,6 +872,49 @@ class TestQueryCommands:
         assert lines[0] == "et:taxon/hirta"
         assert lines[-1] == "et:taxon/animalia"
 
+    # Each read command checks its request before it reads the graph,
+    # which here does not exist.
+    @pytest.mark.parametrize(("argv", "error"), [
+        (("query", "--query", "{bad_query}"), ("QuerySyntaxError", "line 1: invalid IRI: 'a b'")),
+        (("path", "--expr", "(("), ("PathSyntaxError", "position 2: expected a predicate atom")),
+        (("path", "--expr", "rdfs:subClassOf", "--start", "zz:x"), ("UnknownPrefixError", "unknown prefix: 'zz'")),
+        (("lineage", "--taxon", "zz:x"), ("UnknownPrefixError", "unknown prefix: 'zz'")),
+        (("lookup", "--name", "daphnia", "-k", "0"), ("ValueError", "k must be at least 1, got 0")),
+    ], ids=["query", "path-expr", "path-start", "lineage-taxon", "lookup-k"])
+    def test_bad_request_fails_before_the_graph_is_read(self, tmp_path, capsys, argv, error):
+        bad_query = tmp_path / "bad.rq"
+        bad_query.write_text("?s <a b> ?o .\n")
+        argv = [str(bad_query) if arg == "{bad_query}" else arg for arg in argv]
+        assert run_cli(*cfg_args(*argv, "--graph", str(tmp_path / "absent.nt"))) == 2
+        assert error_line(capsys) == error
+
+    @pytest.mark.parametrize(("argv", "count"), [
+        (("query", "--query", "{query}"), "rows"),
+        (("path", "--expr", "rdfs:subClassOf{1,2}", "--start", "ncbi:taxon/687295"), "pairs"),
+        (("lookup", "--name", "daphnia magna", "-k", "3"), "hits"),
+        (("lineage", "--taxon", "et:taxon/34010"), "ancestors"),
+    ], ids=["query", "path", "lookup", "lineage"])
+    def test_out_file_holds_stdout(self, pipeline_dir, tmp_path, capsys, argv, count):
+        query_file = tmp_path / "tests.rq"
+        query_file.write_text("select ?t\n?t a et:Test .\n")
+        out = tmp_path / "report.txt"
+        argv = [str(query_file) if arg == "{query}" else arg for arg in argv]
+        assert run_cli(*cfg_args(*argv, "--graph", str(pipeline_dir / "kg.nt"), "--out", str(out))) == 0
+        stdout = capsys.readouterr().out
+        assert stdout and out.read_text() == stdout
+        summary = json.loads((tmp_path / "report.txt.summary.json").read_text())
+        assert (summary["command"], summary["outputs"]) == (argv[0], [str(out)])
+        assert summary["counts"][count] == len(stdout.splitlines()) - (argv[0] == "query")
+
+    def test_lone_surrogate_literal_is_written_escaped(self, tmp_path, capsys):
+        graph = tmp_path / "g.nt"
+        graph.write_text('<http://x.org/s> <http://x.org/p> "x\\uD800y" .\n')
+        query_file = tmp_path / "q.rq"
+        query_file.write_text("select ?o\n?s <http://x.org/p> ?o .\n")
+        out = tmp_path / "rows.tsv"
+        assert run_cli("query", "--graph", str(graph), "--query", str(query_file), "--out", str(out)) == 0
+        assert out.read_text() == capsys.readouterr().out == '?o\n"x\\uD800y"\n'
+
 
 class TestStatsCommand:
     def test_coverage_needs_all_three_counts(self, pipeline_dir, tmp_path, capsys):
@@ -866,6 +952,16 @@ class TestStatsCommand:
         )
         assert code == 0
         assert capsys.readouterr().out == (tmp_path / "stats.txt").read_text()
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("ecokg ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -146,6 +146,18 @@ class TestTableShapes:
         with pytest.raises(ValueError, match="^chemical 'Acrylamide': missing cas_number$"):
             ecotox.parse_chemicals(shaped("chemicals", cas_number=token))
 
+    @pytest.mark.parametrize(("table", "cells", "error"), [
+        ("tests", {"test_id": "1a"}, "bad test_id: '1a'"),
+        ("tests", {"species_number": "x"}, "test 1: bad species_number 'x'"),
+        ("tests", {"test_cas": "NR"}, "test 1: missing test_cas"),
+        ("results", {"result_id": "r7"}, "bad result_id: 'r7'"),
+        ("results", {"endpoint": "--"}, "result 7: missing endpoint"),
+    ])
+    def test_bad_key_cell_is_an_input_error(self, table, cells, error):
+        with pytest.raises(ValueError) as err:
+            SHAPES[table][0](shaped(table, **cells))
+        assert str(err.value) == error
+
 
 class TestNameCleaning:
     @pytest.mark.parametrize(

@@ -206,6 +206,9 @@ class TestFastPath:
         (f"{S} {P}  .", (2, "line 2: object must be an IRI, literal, or blank node")),
         (f"{S} {P} <> .", (2, "line 2: invalid IRI: ''")),
         (f'{S} {P} "o"^^<> .', (2, "line 2: invalid IRI: ''")),
+        (f'{S} {P} "a\\', (2, "line 2: dangling escape")),
+        (f'{S} {P} "\\u12', (2, "line 2: truncated \\u escape")),
+        (f'{S} {P} "a"^^x .', (2, "line 2: datatype must be an IRI")),
     ])
     def test_noncanonical_lines_read_as_before(self, line, expected):
         text = "# first\n" + line + "\n"
@@ -336,6 +339,16 @@ class TestLineBreaks:
         text = serialize(store)
         assert ch in text  # written verbatim, not escaped
         assert parse(text) == store
+
+    def test_lone_surrogate_literal_round_trips(self, tmp_path):
+        # the scanner reads \uD800 as U+D800, which UTF-8 cannot encode raw
+        line = '<http://x.org/s> <http://x.org/p> "x\\uD800y" .\n'
+        store = parse(line)
+        assert next(iter(store)).object == literal("x\ud800y")
+        path = tmp_path / "g.nt"
+        ntriples.write_file(store, path)
+        assert path.read_text(encoding="utf-8") == line
+        assert parse(path.read_text(encoding="utf-8")) == store
 
     def test_crlf_line_endings(self):
         store = parse('<http://x.org/s> <http://x.org/p> "o" .\r\n_:a <http://x.org/p> _:b .\r\n')

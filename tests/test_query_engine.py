@@ -120,6 +120,7 @@ class TestParsePath:
             "rdfs:label{3,1}",
             "rdfs:label{,3}",
             "rdfs:label{1 3}",
+            "rdfs:label{1,3",
             "<http://unterminated",
             "nosuchprefix:x",
             "rdfs:label)",
@@ -514,6 +515,11 @@ class TestSolveSelect:
         with pytest.raises(ValueError):
             solve(store, [(Var("s"), Var("p", blank=True), Var("o"))])
 
+    def test_non_iri_predicate_rejected(self):
+        store = edge_store([(1, 2)])
+        with pytest.raises(ValueError, match="^pattern predicate must be an IRI$"):
+            solve(store, [(Var("s"), literal("p"), Var("o"))])
+
     def test_language_tag_matching_is_exact(self):
         store = TripleStore(PREFIXES)
         place = iri("http://example.org/fjord")
@@ -807,6 +813,10 @@ class TestParseQuery:
             ("?s. a ?t", "line 1: missing predicate"),
             ("_:b. a ?t", "line 1: missing predicate"),
             ("?s a et:x..", "line 1: trailing content: '..'"),
+            ("construct\n?x a ?y .\nwhere\n", "^construct query needs template and where patterns$"),
+            ("construct\nwhere\n?x a ?y .", "^construct query needs template and where patterns$"),
+            ("<a> a <b> .", "^query binds no named variables$"),
+            ("_:s a [] .\n[] a _:s .", "^query binds no named variables$"),
         ],
     )
     def test_errors(self, bad, needle):

@@ -18,7 +18,7 @@ def rows(fixtures, prefixes):
 @pytest.fixture(scope="module")
 def trait_store(rows, glossary, prefixes):
     store = TripleStore(prefixes)
-    traits.ingest_traits(rows, glossary, store, prefixes)
+    traits.ingest_traits(rows, glossary, store)
     return store
 
 
@@ -89,12 +89,12 @@ class TestIngest:
 
     def test_one_triple_per_row(self, rows, glossary, prefixes):
         store = TripleStore(prefixes)
-        added = traits.ingest_traits(rows, glossary, store, prefixes)
+        added = traits.ingest_traits(rows, glossary, store)
         assert added == len(rows) == len(store)
 
     def test_unresolved_terms_abort_atomically(self, rows, prefixes):
         store = TripleStore(prefixes)
         with pytest.raises(traits.UnresolvedGlossaryError) as err:
-            traits.ingest_traits(rows, {}, store, prefixes)
+            traits.ingest_traits(rows, {}, store)
         assert "Oslofjorden" in err.value.terms
         assert len(store) == 0
