@@ -15,6 +15,7 @@ import gc
 import json
 import logging
 import resource
+import shutil
 import sys
 import time
 import traceback
@@ -417,15 +418,19 @@ def cmd_read(args, cfg: _Config) -> dict:
 
 
 def cmd_stats(args, cfg: _Config, kg: TripleStore | None = None) -> dict:
-    """Size and density report for ``kg``, else for the graph file."""
+    """Size and density report for ``kg``, else for the graph file.
+
+    Coverage counts are read off ``kg`` if given, else taken from --tests/--compounds/--species.
+    """
     out_dir = _out_dir(cfg, args.out)
     if kg is None:
-        graph_path = cfg.path("graph", args.graph) or (out_dir / "kg.nt")
-        kg = _read_graph(graph_path, cfg.prefixes(args.prefixes))
+        kg = _read_graph(cfg.path("graph", args.graph) or (out_dir / "kg.nt"), cfg.prefixes(args.prefixes))
+        coverage_counts = (args.tests, args.compounds, args.species)
+    else:
+        types = (ecotox.TEST_TYPE, ecotox.CHEMICAL_TYPE, ecotox.TAXON_TYPE)
+        coverage_counts = [kg.count(p=RDF_TYPE, o=type_term) for type_term in types]
     counts = stats.count_graph(kg)
-    coverage_percent = None
-    if args.tests is not None and args.compounds is not None and args.species is not None:
-        coverage_percent = stats.coverage(args.tests, args.compounds, args.species)
+    coverage_percent = None if None in coverage_counts else stats.coverage(*coverage_counts)
     ntriples.write_text(out_dir / "stats.tsv", stats.report_tsv(counts, coverage_percent))
     text = stats.report_text(counts, coverage_percent)
     ntriples.write_text(out_dir / "stats.txt", text)
@@ -438,19 +443,19 @@ def cmd_stats(args, cfg: _Config, kg: TripleStore | None = None) -> dict:
     return {"out_dir": out_dir, "counts": summary_counts, "outputs": ["stats.tsv", "stats.txt"]}
 
 
-def _stage_args(args, **flags) -> argparse.Namespace:
-    """Flags for a stage whose own flags `update` does not take."""
-    return argparse.Namespace(prefixes=args.prefixes, out=args.out, **flags)
-
-
 def cmd_update(args, cfg: _Config) -> dict:
     """Full rebuild: ingest everything, align, bridge, export, check, stats.
 
-    Each stage hands its store to the next in memory, so every part file
-    is written once and none is read back; kg.nt merges exactly the
-    parts this run built.
+    Every stage takes update's own flags and hands its store to the next
+    in memory, so no part file is read back; kg.nt merges exactly the parts
+    this run built. The files are staged inside the output directory and
+    replace the previous run's only once the checks and stats have passed.
     """
     out_dir = _out_dir(cfg, args.out)
+    staging = out_dir / ".update-staging"
+    shutil.rmtree(staging, ignore_errors=True)  # left by a killed run
+    staging.mkdir()
+    args.out = str(staging)  # every stage writes there
     step_counts: dict[str, dict] = {}
     outputs: list[str] = []
     parts: list[tuple[str, TripleStore]] = []
@@ -465,40 +470,34 @@ def cmd_update(args, cfg: _Config) -> dict:
         parts.append((result["outputs"][0], store))
         return store
 
-    ncbi_store = keep_part("ingest-ncbi", cmd_ingest_ncbi(args, cfg))
-    units_result = cmd_units(args, cfg)
-    keep_part("units", units_result)
-    ecotox_store = keep_part("ingest-ecotox", cmd_ingest_ecotox(args, cfg, units_result["registry"]))
-    keep_part("ingest-traits", cmd_ingest_traits(args, cfg))
-
-    align_args = _stage_args(
-        args, stopwords=None, threshold=None, source=None, target=None,
-        source_ns=_SOURCE_NS, target_ns=_TARGET_NS,
-    )
-    mappings = record("align", cmd_align(align_args, cfg, ecotox_store, ncbi_store))["mappings"]
-
-    for key, rewrite in (("pairs_ncbi", "ncbi"), ("pairs_cas", "cas")):
-        pairs_path = cfg.path(key, None)
-        if pairs_path is not None:
-            bridge_args = _stage_args(args, pairs=str(pairs_path), rewrite=rewrite)
-            keep_part(f"bridge-{rewrite}", cmd_bridge(bridge_args, cfg))
-
-    kg = record("export", cmd_export(args, cfg, parts, mappings))["store"]
-    cycles = checks.subclass_cycles(kg)
-    violations = checks.disjointness_violations(kg, ecotox.GROUP_PROP)
-    if cycles or violations:
-        raise checks.IntegrityError(
-            f"exported graph failed consistency scans: "
-            f"{len(cycles)} cycles, {len(violations)} disjointness violations"
-        )
-    step_counts["checks"] = {"cycles": 0, "disjointness_violations": 0}
-    stats_args = _stage_args(
-        args,
-        tests=len(kg.subjects(RDF_TYPE, ecotox.TEST_TYPE)),
-        compounds=len(kg.subjects(RDF_TYPE, ecotox.CHEMICAL_TYPE)),
-        species=len(kg.subjects(RDF_TYPE, ecotox.TAXON_TYPE)),
-    )
-    record("stats", cmd_stats(stats_args, cfg, kg))
+    try:
+        ncbi_store = keep_part("ingest-ncbi", cmd_ingest_ncbi(args, cfg))
+        units_result = cmd_units(args, cfg)
+        keep_part("units", units_result)
+        ecotox_store = keep_part("ingest-ecotox", cmd_ingest_ecotox(args, cfg, units_result["registry"]))
+        keep_part("ingest-traits", cmd_ingest_traits(args, cfg))
+        mappings = record("align", cmd_align(args, cfg, ecotox_store, ncbi_store))["mappings"]
+        for key, rewrite in (("pairs_ncbi", "ncbi"), ("pairs_cas", "cas")):
+            pairs_path = cfg.path(key, None)
+            if pairs_path is not None:
+                # perfbench/tracer.py names the bridge's span from this .rewrite
+                bridge_args = argparse.Namespace(prefixes=args.prefixes, out=args.out,
+                                                 pairs=str(pairs_path), rewrite=rewrite)
+                keep_part(f"bridge-{rewrite}", cmd_bridge(bridge_args, cfg))
+        kg = record("export", cmd_export(args, cfg, parts, mappings))["store"]
+        cycles = checks.subclass_cycles(kg)
+        violations = checks.disjointness_violations(kg, ecotox.GROUP_PROP)
+        if cycles or violations:
+            raise checks.IntegrityError(
+                f"exported graph failed consistency scans: "
+                f"{len(cycles)} cycles, {len(violations)} disjointness violations"
+            )
+        step_counts["checks"] = {"cycles": 0, "disjointness_violations": 0}
+        record("stats", cmd_stats(args, cfg, kg))
+        for name in outputs:
+            (staging / name).replace(out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return {"out_dir": out_dir, "counts": step_counts, "outputs": outputs}
 
 
@@ -546,6 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p, out_required=True)
         for flag, flag_help in flags.items():
             p.add_argument(flag, help=flag_help)
+        return p
 
     update_flags: dict[str, str] = {}
     for name, stage_help, flags in _INGEST_STAGES:
@@ -601,7 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compounds", type=int, help="compound count for coverage")
     p.add_argument("--species", type=int, help="species count for coverage")
 
-    ingest_parser("update", "full deterministic rebuild from config", update_flags)
+    p = ingest_parser("update", "full deterministic rebuild from config", update_flags)
+    # align's flags, which update hands that stage without taking them
+    p.set_defaults(stopwords=None, threshold=None, source=None, target=None,
+                   source_ns=_SOURCE_NS, target_ns=_TARGET_NS)
     return parser
 
 

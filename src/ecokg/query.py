@@ -347,12 +347,8 @@ class Var(namedtuple("Var", "name blank", defaults=(False,))):
 Pattern = tuple[Term | Var, Term | Var, Term | Var]
 
 
-@dataclass(frozen=True, slots=True)
-class Query:
-    kind: str  # "select" | "construct"
-    patterns: tuple[Pattern, ...]
-    projection: tuple[str, ...] = ()
-    template: tuple[Pattern, ...] = ()
+# kind: "select" or "construct"; projection: a select's variables; template: a construct's patterns
+Query = namedtuple("Query", "kind patterns projection template", defaults=((), ()))
 
 
 def _pattern_vars(patterns) -> set[Var]:

@@ -551,7 +551,8 @@ class TestUpdateRegressions:
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
         assert error_line(capsys) == error
 
-    def test_subclass_cycle_exits_three(self, tmp_path, capsys):
+    def with_cycle(self, tmp_path) -> Path:
+        """A config whose NCBI nodes add two taxa that are each other's parent."""
         nodes = tmp_path / "nodes.dmp"
         nodes.write_text(
             (FIXTURES / "ncbi" / "nodes.dmp").read_text()
@@ -562,11 +563,38 @@ class TestUpdateRegressions:
         config = json.loads(config_path.read_text())
         config["ncbi_nodes"] = str(nodes)
         config_path.write_text(json.dumps(config))
+        return config_path
+
+    def test_subclass_cycle_exits_three(self, tmp_path, capsys):
+        config_path = self.with_cycle(tmp_path)
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
         assert error_line(capsys) == (
             "IntegrityError",
             "exported graph failed consistency scans: 1 cycles, 0 disjointness violations",
         )
+
+    @pytest.mark.parametrize(("align_raises", "code"), [(False, 3), (True, 4)],
+                             ids=["cycle", "align-error"])
+    def test_failed_update_keeps_the_previous_run(self, tmp_path, monkeypatch, align_raises, code):
+        out = tmp_path / "out"
+        # a staging directory left behind by a killed run
+        (out / ".update-staging").mkdir(parents=True)
+        (out / ".update-staging" / "kg.nt").write_text("stale\n")
+        assert run_cli(*cfg_args("update", "--out", str(out))) == 0
+
+        def entries():
+            return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
+
+        good = entries()
+        assert ".update-staging" not in good
+        config_path = self.with_cycle(tmp_path)  # whose ncbi.nt differs from the good run's
+        if align_raises:
+            def boom(*args, **kwargs):
+                raise RuntimeError("alignment failed")
+
+            monkeypatch.setattr(align, "align_lexical", boom)
+        assert run_cli("--config", str(config_path), "update", "--out", str(out)) == code
+        assert entries() == good
 
     def test_tautonym_species_builds(self, tmp_path):
         # Genus Bufo and species bufo share the node et:taxon/bufo; a

@@ -1,4 +1,4 @@
-"""The bench tracer still sees the pattern-query path.
+"""The bench tracer still sees the pattern-query path and every `update` stage.
 
 ``perfbench/tracer.py`` replaces module attributes such as
 ``query.solve`` with wrappers. A ``select`` that stopped calling
@@ -47,3 +47,26 @@ def test_select_runs_inside_a_traced_solve_span(tmp_path):
     spans = {span[3]: span for span in tracer.spans}
     assert spans["query.solve"][1] == spans["query.select"][0]  # solve's parent is select
     assert tracer.counts["query.solve.results"] == len(rows) > 1
+
+
+# every stage span a traced `update` reports, as perfbench/tracer.py names them
+UPDATE_STAGES = ("ingest-ncbi", "units", "ingest-ecotox", "ingest-traits", "align",
+                 "bridge-ncbi", "bridge-cas", "export", "stats")
+
+
+def test_update_runs_every_stage_inside_a_traced_span(tmp_path):
+    # the tracer wraps cli's stage functions by name and reads the
+    # bridge's args[0].rewrite; a stage called another way goes unseen
+    config = _generate_bench_inputs(1, tmp_path / "inputs")
+    tracer = _tracer_class()()
+    tracer.install()
+    try:
+        assert run_cli("--config", str(config), "update", "--out", str(tmp_path / "out")) == 0
+    finally:
+        tracer.uninstall()
+    names = [span[3] for span in tracer.spans]
+    assert names.count("cli.update") == 1
+    assert {f"cli.stage.{stage}" for stage in UPDATE_STAGES} <= set(names)
+    update_id = next(span[0] for span in tracer.spans if span[3] == "cli.update")
+    stage_parents = {span[1] for span in tracer.spans if span[3].startswith("cli.stage.")}
+    assert stage_parents == {update_id}
