@@ -34,81 +34,77 @@ EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
 
-class _Config:
-    """Flag defaults from JSON; paths resolve against the file's directory."""
-
-    def __init__(self, values: dict, base: Path):
-        self.values = values
-        self.base = base
-        self._prefix_maps: dict[Path | None, PrefixMap] = {}
-
-    @classmethod
-    def load(cls, path: str | None) -> "_Config":
-        if path is None:
-            return cls({}, Path.cwd())
-        p = Path(path)
-        with open(p, encoding="utf-8") as fh:
-            values = json.load(fh)
-        if not isinstance(values, dict):
-            raise ValueError("config must be a JSON object")
-        return cls(values, p.parent)
-
-    def path(self, key: str, override: str | None) -> Path | None:
-        if override is not None:
-            return Path(override)
-        value = self.values.get(key)
-        if value is None:
-            return None
-        return self.base / value
-
-    def get(self, key: str, override=None, default=None):
-        if override is not None:
-            return override
-        return self.values.get(key, default)
-
-    def prefixes(self, override: str | None) -> PrefixMap:
-        """The prefix map, read once per run however many stages ask."""
-        path = self.path("prefixes", override)
-        if path not in self._prefix_maps:
-            self._prefix_maps[path] = (
-                default_prefix_map() if path is None else PrefixMap.from_tsv(_read_text(path))
-            )
-        return self._prefix_maps[path]
+# The config key that fills each flag, by the flag's dest. A flag left
+# unset takes its key's value, a path relative to the config file;
+# `threshold` is the one key that holds a number instead.
+_CONFIG_KEYS = {
+    "prefixes": "prefixes", "out": "out_dir", "mappings": "mappings", "graph": "graph",
+    "nodes": "ncbi_nodes", "names": "ncbi_names", "divisions": "ncbi_divisions",
+    "species": "species", "chemicals": "chemicals", "tests": "tests", "results": "results",
+    "units": "units", "traits": "traits", "glossary": "glossary",
+    "stopwords": "stopwords", "threshold": "threshold",
+    "source": "align_source", "target": "align_target",
+    "pairs": "pairs", "pairs_ncbi": "pairs_ncbi", "pairs_cas": "pairs_cas",
+}
 
 
-def _read_text(path: Path) -> str:
+def _resolve_flags(args) -> None:
+    """Fill the flags left unset from ``--config``, checking its values; load the prefix map."""
+    config = {} if args.config is None else json.loads(_read_text(args.config))
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    for key in sorted(config.keys() - set(_CONFIG_KEYS.values())):
+        log.warning("config: unknown key %r ignored", key)
+    for dest, key in _CONFIG_KEYS.items():
+        value = config.get(key)
+        if dest == "threshold" and value is not None:
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"config key {key} must be a number, got {value!r}") from None
+        elif isinstance(value, str):
+            value = Path(args.config).parent / value
+        elif value is not None:
+            raise ValueError(f"config key {key} must be a path string, got {value!r}")
+        if value is not None and hasattr(args, dest) and getattr(args, dest) is None:
+            setattr(args, dest, value)
+    if args.command != "eval-mappings":  # the one command that reads no prefix table
+        path = args.prefixes
+        args.prefixes = default_prefix_map() if path is None else PrefixMap.from_tsv(_read_text(path))
+
+
+def _read_text(path: str | Path) -> str:
     # no newline translation: a lone \r is content; each reader drops that of a \r\n
     with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
-def _require(value, name: str):
+def _require(args, dest: str):
+    value = getattr(args, dest)
     if value is None:
-        raise ValueError(f"missing required input: {name} (flag or config key)")
+        raise ValueError(f"missing required input: {_CONFIG_KEYS[dest]} (flag or config key)")
     return value
 
 
-def _input(cfg: _Config, key: str, flag: str | None) -> str:
-    """The text of a required input file, named by its flag or else its config key."""
-    return _read_text(_require(cfg.path(key, flag), key))
+def _input(args, dest: str) -> str:
+    """The text of the required input file named by ``args.<dest>``."""
+    return _read_text(_require(args, dest))
 
 
-def _load_stop_words(cfg: _Config, override: str | None) -> frozenset[str]:
-    path = cfg.path("stopwords", override)
+def _load_stop_words(path: str | Path | None) -> frozenset[str]:
     if path is None:
         return align_mod.DEFAULT_STOP_WORDS
     lines = _read_text(path).split("\n")
     return frozenset(line.strip().lower() for line in lines if is_content_line(line))
 
 
-def _out_dir(cfg: _Config, override: str | None) -> Path:
-    path = cfg.path("out_dir", override)
-    _require(path, "out_dir")
+def _out_dir(args) -> Path:
+    path = Path(_require(args, "out"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _read_graph(path: Path, prefixes: PrefixMap) -> TripleStore:
+def _read_graph(path: str | Path, prefixes: PrefixMap) -> TripleStore:
     store = ntriples.parse(_read_text(path), prefixes)
     store.freeze()
     # the store lives until exit, so the cyclic collector need never walk it
@@ -159,10 +155,10 @@ def _write_summary(path: Path, command: str, result: dict, seconds: float, warni
 def _emit(args, text: str, counts: dict) -> dict:
     """Print a command's report; with ``--out`` also write it to that file."""
     sys.stdout.write(text)
-    if not args.out:
+    if not args.out_file:
         return {"counts": counts, "outputs": []}
-    ntriples.write_text(Path(args.out), text)
-    return {"counts": counts, "outputs": [args.out]}
+    ntriples.write_text(Path(args.out_file), text)
+    return {"counts": counts, "outputs": [args.out_file]}
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +167,12 @@ def _emit(args, text: str, counts: dict) -> dict:
 # The stages that build part graphs also return the store they wrote
 # under "store", so `update` can hand it on instead of reading it back.
 
-def cmd_ingest_ncbi(args, cfg: _Config) -> dict:
-    prefixes = cfg.prefixes(args.prefixes)
-    out_dir = _out_dir(cfg, args.out)
-    nodes = dmp.parse_nodes(_input(cfg, "ncbi_nodes", args.nodes))
-    names = dmp.parse_names(_input(cfg, "ncbi_names", args.names))
-    divisions = dmp.parse_divisions(_input(cfg, "ncbi_divisions", args.divisions))
-    store = TripleStore(prefixes)
+def cmd_ingest_ncbi(args) -> dict:
+    out_dir = _out_dir(args)
+    nodes = dmp.parse_nodes(_input(args, "nodes"))
+    names = dmp.parse_names(_input(args, "names"))
+    divisions = dmp.parse_divisions(_input(args, "divisions"))
+    store = TripleStore(args.prefixes)
     counts = {
         "node_rows": len(nodes),
         "name_rows": len(names),
@@ -191,33 +186,30 @@ def cmd_ingest_ncbi(args, cfg: _Config) -> dict:
     return {"out_dir": out_dir, "counts": counts, "outputs": ["ncbi.nt"], "store": store}
 
 
-def cmd_units(args, cfg: _Config) -> dict:
-    prefixes = cfg.prefixes(args.prefixes)
-    out_dir = _out_dir(cfg, args.out)
-    store = TripleStore(prefixes)
-    registry, added = units.load_registry(_input(cfg, "units", args.units), prefixes, store)
+def cmd_units(args) -> dict:
+    out_dir = _out_dir(args)
+    store = TripleStore(args.prefixes)
+    registry, added = units.load_registry(_input(args, "units"), args.prefixes, store)
     ntriples.write_file(store, out_dir / "units.nt")
     counts = {"units": len(registry), "triples": added}
     return {"out_dir": out_dir, "counts": counts, "outputs": ["units.nt"], "store": store,
             "registry": registry}
 
 
-def cmd_ingest_ecotox(args, cfg: _Config, registry: units.UnitRegistry | None = None) -> dict:
+def cmd_ingest_ecotox(args, registry: units.UnitRegistry | None = None) -> dict:
     """Effect tables to ecotox.nt; ``registry``, if given, replaces reading units.tsv."""
-    prefixes = cfg.prefixes(args.prefixes)
-    out_dir = _out_dir(cfg, args.out)
+    out_dir = _out_dir(args)
     species = [
         ecotox.synthesize_lineage(rec)
-        for rec in ecotox.parse_species(_input(cfg, "species", args.species))
+        for rec in ecotox.parse_species(_input(args, "species"))
     ]
-    chemicals = ecotox.parse_chemicals(_input(cfg, "chemicals", args.chemicals))
-    tests = ecotox.parse_tests(_input(cfg, "tests", args.tests))
-    results = ecotox.parse_results(_input(cfg, "results", args.results))
+    chemicals = ecotox.parse_chemicals(_input(args, "chemicals"))
+    tests = ecotox.parse_tests(_input(args, "tests"))
+    results = ecotox.parse_results(_input(args, "results"))
     ecotox.validate_test_references(tests, species, chemicals)
-    units_path = cfg.path("units", args.units)
-    if registry is None and units_path is not None:
-        registry, _ = units.load_registry(_read_text(units_path), prefixes)
-    store = TripleStore(prefixes)
+    if registry is None and args.units is not None:
+        registry, _ = units.load_registry(_read_text(args.units), args.prefixes)
+    store = TripleStore(args.prefixes)
     counts = {
         "species_rows": len(species),
         "chemical_rows": len(chemicals),
@@ -234,12 +226,11 @@ def cmd_ingest_ecotox(args, cfg: _Config, registry: units.UnitRegistry | None = 
     return {"out_dir": out_dir, "counts": counts, "outputs": ["ecotox.nt"], "store": store}
 
 
-def cmd_ingest_traits(args, cfg: _Config) -> dict:
-    prefixes = cfg.prefixes(args.prefixes)
-    out_dir = _out_dir(cfg, args.out)
-    glossary = traits.load_glossary(_input(cfg, "glossary", args.glossary), prefixes)
-    rows = traits.parse_traits(_input(cfg, "traits", args.traits), prefixes)
-    store = TripleStore(prefixes)
+def cmd_ingest_traits(args) -> dict:
+    out_dir = _out_dir(args)
+    glossary = traits.load_glossary(_input(args, "glossary"), args.prefixes)
+    rows = traits.parse_traits(_input(args, "traits"), args.prefixes)
+    store = TripleStore(args.prefixes)
     added = traits.ingest_traits(rows, glossary, store)
     ntriples.write_file(store, out_dir / "traits.nt")
     counts = {"rows": len(rows), "triples": added, "glossary_terms": len(glossary)}
@@ -250,7 +241,7 @@ def cmd_ingest_traits(args, cfg: _Config) -> dict:
 _SOURCE_NS, _TARGET_NS = ET + "taxon/", NCBI + "taxon/"
 
 
-def _align_graph(path: Path | None, given: TripleStore | None, default: Path,
+def _align_graph(path: str | Path | None, given: TripleStore | None, default: Path,
                  prefixes: PrefixMap) -> TripleStore:
     """The configured graph file, else the store handed over, else ``default``."""
     if path is None and given is not None:
@@ -258,20 +249,18 @@ def _align_graph(path: Path | None, given: TripleStore | None, default: Path,
     return _read_graph(path or default, prefixes)
 
 
-def cmd_align(args, cfg: _Config, source: TripleStore | None = None,
-              target: TripleStore | None = None) -> dict:
+def cmd_align(args, source: TripleStore | None = None, target: TripleStore | None = None) -> dict:
     """Align source labels to target labels; returns the set under "mappings".
 
-    A ``--source``/``--target`` flag or ``align_source``/``align_target``
-    config key names a graph file to read; otherwise the store passed in
-    is used, and failing that ecotox.nt/ncbi.nt in the output directory.
+    ``args.source``/``args.target``, from a flag or the config, names a
+    graph file to read; otherwise the store passed in is used, and
+    failing that ecotox.nt/ncbi.nt in the output directory.
     """
-    prefixes = cfg.prefixes(args.prefixes)
-    out_dir = _out_dir(cfg, args.out)
-    stop_words = _load_stop_words(cfg, args.stopwords)
-    threshold = float(cfg.get("threshold", args.threshold, align_mod.DEFAULT_THRESHOLD))
-    source = _align_graph(cfg.path("align_source", args.source), source, out_dir / "ecotox.nt", prefixes)
-    target = _align_graph(cfg.path("align_target", args.target), target, out_dir / "ncbi.nt", prefixes)
+    out_dir = _out_dir(args)
+    stop_words = _load_stop_words(args.stopwords)
+    threshold = align_mod.DEFAULT_THRESHOLD if args.threshold is None else args.threshold
+    source = _align_graph(args.source, source, out_dir / "ecotox.nt", args.prefixes)
+    target = _align_graph(args.target, target, out_dir / "ncbi.nt", args.prefixes)
     source_labels = align_mod.labels_by_prefix(source, args.source_ns)
     target_labels = align_mod.labels_by_prefix(target, args.target_ns)
     funnel: dict[str, int] = {}
@@ -288,7 +277,7 @@ def cmd_align(args, cfg: _Config, source: TripleStore | None = None,
     return {"out_dir": out_dir, "counts": counts, "outputs": ["mappings.tsv"], "mappings": mappings}
 
 
-def cmd_eval_mappings(args, cfg: _Config) -> dict:
+def cmd_eval_mappings(args) -> dict:
     computed = align_mod.read_mappings(_read_text(Path(args.mappings)))
     reference = align_mod.read_mappings(_read_text(Path(args.reference)))
     recall = align_mod.evaluate(computed, reference)
@@ -298,11 +287,10 @@ def cmd_eval_mappings(args, cfg: _Config) -> dict:
     return _emit(args, text, counts)
 
 
-def cmd_bridge(args, cfg: _Config) -> dict:
-    prefixes = cfg.prefixes(args.prefixes)
-    out_dir = _out_dir(cfg, args.out)
-    pairs = idmap.parse_pairs(_input(cfg, "pairs", args.pairs))
-    store = TripleStore(prefixes)
+def cmd_bridge(args) -> dict:
+    out_dir = _out_dir(args)
+    pairs = idmap.parse_pairs(_input(args, "pairs"))
+    store = TripleStore(args.prefixes)
     added, errors = idmap.construct_sameas(pairs, args.rewrite, store)
     for message in errors:
         log.warning("bridge: %s", message)
@@ -323,16 +311,16 @@ _EXPORT_PARTS = (
 )
 
 
-def _part_files(args, out_dir: Path, prefixes: PrefixMap):
+def _part_files(args, out_dir: Path):
     """(file name, store) for ``--graphs``, else for the part files present."""
     paths = [Path(p) for p in args.graphs] if args.graphs else [
         out_dir / name for name in _EXPORT_PARTS if (out_dir / name).exists()
     ]
     for path in paths:
-        yield path.name, ntriples.parse(_read_text(path), prefixes)
+        yield path.name, ntriples.parse(_read_text(path), args.prefixes)
 
 
-def cmd_export(args, cfg: _Config, parts=None, mappings: align_mod.MappingSet | None = None) -> dict:
+def cmd_export(args, parts=None, mappings: align_mod.MappingSet | None = None) -> dict:
     """Merge part graphs, plus mappings as owl:sameAs, into kg.nt.
 
     ``parts`` yields (file name, store) in merge order; without it the
@@ -341,12 +329,11 @@ def cmd_export(args, cfg: _Config, parts=None, mappings: align_mod.MappingSet | 
     part counts the triples it adds. The base is returned, frozen, under
     "store".
     """
-    out_dir = _out_dir(cfg, args.out)
+    out_dir = _out_dir(args)
     if parts is None:
-        parts = _part_files(args, out_dir, cfg.prefixes(args.prefixes))
-        mappings_path = cfg.path("mappings", args.mappings)
-        if mappings_path is not None:
-            mappings = align_mod.read_mappings(_read_text(mappings_path))
+        parts = _part_files(args, out_dir)
+        if args.mappings is not None:
+            mappings = align_mod.read_mappings(_read_text(args.mappings))
     parts = list(parts)
     if not parts:
         raise ValueError("nothing to export: no graph files found or given")
@@ -361,7 +348,7 @@ def cmd_export(args, cfg: _Config, parts=None, mappings: align_mod.MappingSet | 
     return {"out_dir": out_dir, "counts": counts, "outputs": ["kg.nt"], "store": merged}
 
 
-def cmd_read(args, cfg: _Config) -> dict:
+def cmd_read(args) -> dict:
     """``query``, ``path``, ``lookup`` or ``lineage``: check the request, then answer it.
 
     The request is built from the flags first (the query file read and
@@ -371,9 +358,8 @@ def cmd_read(args, cfg: _Config) -> dict:
     """
     from . import query as query_mod  # only the read commands load the query engine
 
-    prefixes = cfg.prefixes(args.prefixes)
     if args.command == "query":
-        parsed = query_mod.parse_query(_read_text(Path(args.query)), prefixes)
+        parsed = query_mod.parse_query(_read_text(Path(args.query)), args.prefixes)
 
         def answer(store):
             funnel: list = []
@@ -387,8 +373,8 @@ def cmd_read(args, cfg: _Config) -> dict:
             lines += ["\t".join(term.ntriples() for term in row) for row in result]
             return "".join(line + "\n" for line in lines), {"rows": len(result), "step_rows": step_rows}
     elif args.command == "path":
-        expr = query_mod.parse_path(args.expr, prefixes)
-        start = iri(prefixes.resolve(args.start)) if args.start else None
+        expr = query_mod.parse_path(args.expr, args.prefixes)
+        start = iri(args.prefixes.resolve(args.start)) if args.start else None
 
         def answer(store):
             pairs = sorted(
@@ -405,27 +391,27 @@ def cmd_read(args, cfg: _Config) -> dict:
             text = "".join(f"{iri_text}\t{score:.6f}\n" for iri_text, score in hits)
             return text, {"hits": len(hits), **funnel}
     else:
-        taxon = iri(prefixes.resolve(args.taxon))
+        taxon = iri(args.prefixes.resolve(args.taxon))
 
         def answer(store):
             ancestors = query_mod.lineage(store, taxon)
             text = "".join(
-                (prefixes.compact(term.value) if term.is_iri() else term.ntriples()) + "\n"
+                (args.prefixes.compact(term.value) if term.is_iri() else term.ntriples()) + "\n"
                 for term in ancestors
             )
             return text, {"ancestors": len(ancestors)}
-    return _emit(args, *answer(_read_graph(Path(args.graph), prefixes)))
+    return _emit(args, *answer(_read_graph(Path(args.graph), args.prefixes)))
 
 
-def cmd_stats(args, cfg: _Config, kg: TripleStore | None = None) -> dict:
+def cmd_stats(args, kg: TripleStore | None = None) -> dict:
     """Size and density report for ``kg``, else for the graph file.
 
     Coverage counts are read off ``kg`` if given, else taken from --tests/--compounds/--species.
     """
-    out_dir = _out_dir(cfg, args.out)
+    out_dir = _out_dir(args)
     if kg is None:
-        kg = _read_graph(cfg.path("graph", args.graph) or (out_dir / "kg.nt"), cfg.prefixes(args.prefixes))
-        coverage_counts = (args.tests, args.compounds, args.species)
+        kg = _read_graph(args.graph or out_dir / "kg.nt", args.prefixes)
+        coverage_counts = (args.test_count, args.compound_count, args.species_count)
     else:
         types = (ecotox.TEST_TYPE, ecotox.CHEMICAL_TYPE, ecotox.TAXON_TYPE)
         coverage_counts = [kg.count(p=RDF_TYPE, o=type_term) for type_term in types]
@@ -443,7 +429,7 @@ def cmd_stats(args, cfg: _Config, kg: TripleStore | None = None) -> dict:
     return {"out_dir": out_dir, "counts": summary_counts, "outputs": ["stats.tsv", "stats.txt"]}
 
 
-def cmd_update(args, cfg: _Config) -> dict:
+def cmd_update(args) -> dict:
     """Full rebuild: ingest everything, align, bridge, export, check, stats.
 
     Every stage takes update's own flags and hands its store to the next
@@ -451,7 +437,7 @@ def cmd_update(args, cfg: _Config) -> dict:
     this run built. The files are staged inside the output directory and
     replace the previous run's only once the checks and stats have passed.
     """
-    out_dir = _out_dir(cfg, args.out)
+    out_dir = _out_dir(args)
     staging = out_dir / ".update-staging"
     shutil.rmtree(staging, ignore_errors=True)  # left by a killed run
     staging.mkdir()
@@ -471,20 +457,18 @@ def cmd_update(args, cfg: _Config) -> dict:
         return store
 
     try:
-        ncbi_store = keep_part("ingest-ncbi", cmd_ingest_ncbi(args, cfg))
-        units_result = cmd_units(args, cfg)
+        ncbi_store = keep_part("ingest-ncbi", cmd_ingest_ncbi(args))
+        units_result = cmd_units(args)
         keep_part("units", units_result)
-        ecotox_store = keep_part("ingest-ecotox", cmd_ingest_ecotox(args, cfg, units_result["registry"]))
-        keep_part("ingest-traits", cmd_ingest_traits(args, cfg))
-        mappings = record("align", cmd_align(args, cfg, ecotox_store, ncbi_store))["mappings"]
-        for key, rewrite in (("pairs_ncbi", "ncbi"), ("pairs_cas", "cas")):
-            pairs_path = cfg.path(key, None)
-            if pairs_path is not None:
-                # perfbench/tracer.py names the bridge's span from this .rewrite
-                bridge_args = argparse.Namespace(prefixes=args.prefixes, out=args.out,
-                                                 pairs=str(pairs_path), rewrite=rewrite)
-                keep_part(f"bridge-{rewrite}", cmd_bridge(bridge_args, cfg))
-        kg = record("export", cmd_export(args, cfg, parts, mappings))["store"]
+        ecotox_store = keep_part("ingest-ecotox", cmd_ingest_ecotox(args, units_result["registry"]))
+        keep_part("ingest-traits", cmd_ingest_traits(args))
+        mappings = record("align", cmd_align(args, ecotox_store, ncbi_store))["mappings"]
+        for pairs, rewrite in ((args.pairs_ncbi, "ncbi"), (args.pairs_cas, "cas")):
+            if pairs is not None:
+                # perfbench/tracer.py names the bridge's span from args.rewrite
+                args.pairs, args.rewrite = pairs, rewrite
+                keep_part(f"bridge-{rewrite}", cmd_bridge(args))
+        kg = record("export", cmd_export(args, parts, mappings))["store"]
         cycles = checks.subclass_cycles(kg)
         violations = checks.disjointness_violations(kg, ecotox.GROUP_PROP)
         if cycles or violations:
@@ -493,7 +477,7 @@ def cmd_update(args, cfg: _Config) -> dict:
                 f"{len(cycles)} cycles, {len(violations)} disjointness violations"
             )
         step_counts["checks"] = {"cycles": 0, "disjointness_violations": 0}
-        record("stats", cmd_stats(args, cfg, kg))
+        record("stats", cmd_stats(args, kg))
         for name in outputs:
             (staging / name).replace(out_dir / name)
     finally:
@@ -538,7 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, out_required=False):
         p.add_argument("--prefixes", help="prefix table TSV (prefix<TAB>namespace)")
-        p.add_argument("--out", help="output directory" if out_required else "output file")
+        if out_required:
+            p.add_argument("--out", help="output directory")
+        else:  # a report file, which the config's out_dir must not fill
+            p.add_argument("--out", dest="out_file", metavar="OUT", help="output file")
 
     def ingest_parser(name: str, stage_help: str, flags: dict[str, str]):
         p = sub.add_parser(name, help=stage_help)
@@ -597,14 +584,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="graph size and density report")
     common(p, out_required=True)
     p.add_argument("--graph", help="graph file (.nt), default <out>/kg.nt")
-    p.add_argument("--tests", type=int, help="experiment count for coverage")
-    p.add_argument("--compounds", type=int, help="compound count for coverage")
-    p.add_argument("--species", type=int, help="species count for coverage")
+    # counts, not the ECOTOX tables the config's tests/species keys name
+    p.add_argument("--tests", type=int, dest="test_count", metavar="TESTS",
+                   help="experiment count for coverage")
+    p.add_argument("--compounds", type=int, dest="compound_count", metavar="COMPOUNDS",
+                   help="compound count for coverage")
+    p.add_argument("--species", type=int, dest="species_count", metavar="SPECIES",
+                   help="species count for coverage")
 
     p = ingest_parser("update", "full deterministic rebuild from config", update_flags)
-    # align's flags, which update hands that stage without taking them
+    # align's flags and the bridges' pair tables: update hands them on, only the config sets them
     p.set_defaults(stopwords=None, threshold=None, source=None, target=None,
-                   source_ns=_SOURCE_NS, target_ns=_TARGET_NS)
+                   source_ns=_SOURCE_NS, target_ns=_TARGET_NS, pairs_ncbi=None, pairs_cas=None)
     return parser
 
 
@@ -634,14 +625,14 @@ def main(argv: list[str] | None = None) -> int:
     counter = _WarningCounter()
     logging.getLogger().addHandler(counter)
     try:
-        cfg = _Config.load(args.config)
-        result = _COMMANDS[args.command](args, cfg)
+        _resolve_flags(args)
+        result = _COMMANDS[args.command](args)
         elapsed = time.perf_counter() - started
         out_dir = result.get("out_dir")
         if out_dir is not None:
             summary = out_dir / f"{args.command}.summary.json"
-        elif getattr(args, "out", None):
-            out = Path(args.out)
+        elif getattr(args, "out_file", None):
+            out = Path(args.out_file)
             summary = out.with_name(out.name + ".summary.json")
         else:
             return EXIT_OK

@@ -73,7 +73,7 @@ INPUT_FAILURES = [
 
 def exit_code_raising(exc, tmp_path, monkeypatch) -> int:
     """Exit code of ``main`` when a command raises ``exc``."""
-    def fail(args, cfg):
+    def fail(args):
         raise exc
 
     monkeypatch.setitem(cli._COMMANDS, "units", fail)
@@ -139,7 +139,7 @@ class TestExitCodes:
         assert "404" in msg
 
     def test_internal_failure_is_four(self, tmp_path, capsys, monkeypatch):
-        def explode(args, cfg):
+        def explode(args):
             raise RuntimeError("wires crossed")
 
         monkeypatch.setitem(cli._COMMANDS, "units", explode)
@@ -259,6 +259,55 @@ class TestParserSurface:
                 assert (action.default, action.type, action.nargs, action.required) == (
                     None, None, None, False
                 ), (name, flag)
+
+
+def fixture_config(tmp_path, **changes) -> Path:
+    """The fixture config with absolute paths and ``changes``, written into ``tmp_path``."""
+    config = json.loads((FIXTURES / "config.json").read_text())
+    config = {k: str(FIXTURES / v) if isinstance(v, str) else v for k, v in config.items()}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, **changes}))
+    return path
+
+
+class TestConfigKeys:
+    # these used to escape as a TypeError (exit 4) from the stage that read them
+    @pytest.mark.parametrize(("command", "key", "value", "error"), [
+        ("units", "units", 5, "config key units must be a path string, got 5"),
+        ("update", "threshold", [0.8], "config key threshold must be a number, got [0.8]"),
+    ], ids=["path-key", "threshold"])
+    def test_malformed_value_is_two_and_names_the_key(self, tmp_path, capsys, command, key, value, error):
+        config = fixture_config(tmp_path, **{key: value})
+        assert run_cli("--config", str(config), command, "--out", str(tmp_path / "out")) == 2
+        assert error_line(capsys) == ("ValueError", error)
+
+    def test_unknown_key_logs_one_warning(self, tmp_path, caplog):
+        config = fixture_config(tmp_path, treshold=0.5)
+        assert run_cli("--config", str(config), "units", "--out", str(tmp_path)) == 0
+        assert [r.getMessage() for r in caplog.records] == ["config: unknown key 'treshold' ignored"]
+        assert read_summary(tmp_path, "units")["warnings"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("lookup", "--name", "daphnia magna"),
+        ("query", "--query", "{query}"),
+    ], ids=["lookup", "query"])
+    def test_report_out_file_never_takes_out_dir(self, pipeline_dir, tmp_path, argv):
+        query_file = tmp_path / "tests.rq"
+        query_file.write_text("select ?t\n?t a et:Test .\n")
+        argv = [str(query_file) if arg == "{query}" else arg for arg in argv]
+        config = fixture_config(tmp_path, out_dir=str(tmp_path / "out_dir"))
+        out = tmp_path / "report.txt"
+        assert run_cli("--config", str(config), *argv, "--graph", str(pipeline_dir / "kg.nt"),
+                       "--out", str(out)) == 0
+        assert out.exists() and (tmp_path / "report.txt.summary.json").exists()
+        assert not (tmp_path / "out_dir").exists()
+
+    def test_eval_mappings_reads_no_prefix_table(self, pipeline_dir, tmp_path):
+        assert run_cli(
+            "eval-mappings", "--prefixes", str(tmp_path / "absent.tsv"),
+            "--mappings", str(pipeline_dir / "mappings.tsv"),
+            "--reference", str(FIXTURES / "mappings" / "reference.tsv"),
+        ) == 0
 
 
 class TestSummaries:
@@ -728,7 +777,7 @@ class TestAlignmentCommands:
     def test_stop_words_split_at_newline_only(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_bytes("The\r\n# comment\r\nfoo\u2028bar\n\x0cbaz\n".encode())
-        stop_words = cli._load_stop_words(cli._Config({}, tmp_path), str(path))
+        stop_words = cli._load_stop_words(str(path))
         assert stop_words == {"the", "foo\u2028bar", "baz"}
 
 
@@ -990,6 +1039,20 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_documents_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    flags = {key.strip().strip("`"): flag.strip().strip("`") for key, flag in rows}
+    assert len(flags) == len(rows)
+    assert set(flags) == set(cli._CONFIG_KEYS.values())
+    options = set().union(*subcommand_options().values())
+    for dest, key in cli._CONFIG_KEYS.items():
+        flag = "--" + dest.replace("_", "-")
+        # a key with no flag of its name is read only through the config
+        assert flags[key] == (flag if flag in options else "none"), key
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
