@@ -14,17 +14,15 @@ def subclass_cycles(store: TripleStore) -> list[list[Term]]:
     A depth-first search in term order with an explicit stack, so chains
     of any depth are scanned without recursion.
     """
-    edges: dict[Term, set[Term]] = {}
-    for child, parent in store.predicate_pairs(RDFS_SUBCLASSOF):
-        edges.setdefault(child, set()).add(parent)
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[Term, int] = {}
     cycles: list[list[Term]] = []
 
     def successors(node: Term):
-        return iter(sorted(edges.get(node, ()), key=Term.ntriples))
+        return iter(sorted(store.objects(node, RDFS_SUBCLASSOF), key=Term.ntriples))
 
-    for root in sorted(edges, key=Term.ntriples):
+    children = {child for child, _ in store.predicate_pairs(RDFS_SUBCLASSOF)}
+    for root in sorted(children, key=Term.ntriples):
         if color.get(root, WHITE) != WHITE:
             continue
         color[root] = GRAY
@@ -53,19 +51,12 @@ def disjointness_violations(
 
     Returns (entity, group, other-group) sorted; empty means consistent.
     """
-    disjoint: set[tuple[Term, Term]] = set()
-    for a, b in store.predicate_pairs(OWL_DISJOINTWITH):
-        disjoint.add((a, b))
-        disjoint.add((b, a))
-    memberships: dict[Term, set[Term]] = {}
-    for entity, group in store.predicate_pairs(membership_predicate):
-        memberships.setdefault(entity, set()).add(group)
     violations = []
-    for entity, groups in memberships.items():
-        ordered = sorted(groups, key=Term.ntriples)
+    for entity in {member for member, _ in store.predicate_pairs(membership_predicate)}:
+        ordered = sorted(store.objects(entity, membership_predicate), key=Term.ntriples)
         for i, a in enumerate(ordered):
             for b in ordered[i + 1:]:
-                if (a, b) in disjoint:
+                if store.count(a, OWL_DISJOINTWITH, b) or store.count(b, OWL_DISJOINTWITH, a):
                     violations.append((entity, a, b))
     violations.sort(key=lambda v: tuple(term.ntriples() for term in v))
     return violations

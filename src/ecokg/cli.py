@@ -59,6 +59,8 @@ def _resolve_flags(args) -> None:
         value = config.get(key)
         if dest == "threshold" and value is not None:
             try:
+                if isinstance(value, bool):  # float() would take true as 1.0
+                    raise TypeError
                 value = float(value)
             except (TypeError, ValueError):
                 raise ValueError(f"config key {key} must be a number, got {value!r}") from None
@@ -316,6 +318,10 @@ def _part_files(args, out_dir: Path):
     paths = [Path(p) for p in args.graphs] if args.graphs else [
         out_dir / name for name in _EXPORT_PARTS if (out_dir / name).exists()
     ]
+    names = [path.name for path in paths]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"two graph files share the name {name!r}, which keys their counts")
     for path in paths:
         yield path.name, ntriples.parse(_read_text(path), args.prefixes)
 
@@ -556,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bridge", help="pair table to owl:sameAs links")
     common(p, out_required=True)
     p.add_argument("--pairs", help="pair table TSV (id<TAB>iri)")
-    p.add_argument("--rewrite", required=True, choices=["cas", "ncbi", "verbatim"])
+    p.add_argument("--rewrite", required=True, choices=list(idmap.REWRITE_RULES))
 
     p = sub.add_parser("export", help="merge part graphs into kg.nt")
     common(p, out_required=True)

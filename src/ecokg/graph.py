@@ -19,7 +19,7 @@ LITERAL = "literal"
 BLANK = "blank"
 
 _BLANK_LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
-_BAD_IRI_CHAR = re.compile(r"[\s<>]")
+_BAD_IRI_CHAR = re.compile(r"[\s<>\ud800-\udfff]")
 _LANG_TAG = re.compile(r"[A-Za-z]+(-[A-Za-z0-9]+)*\Z")
 _new = tuple.__new__
 
@@ -118,7 +118,7 @@ class Term(CheckedRecord, namedtuple("Term", "kind value datatype language", def
 
 
 def _valid_iri(text: str) -> bool:
-    """Whether ``text`` is non-empty and free of whitespace, '<' and '>'.
+    """Whether ``text`` is non-empty and free of whitespace, '<', '>' and lone surrogates.
 
     Every character ``_BAD_IRI_CHAR`` matches is the space, '<', '>' or
     not printable, so a printable text free of those three passes

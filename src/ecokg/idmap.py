@@ -66,6 +66,10 @@ def ncbi_id_to_iri(taxon_id: str) -> str:
 
 IdPair = namedtuple("IdPair", "external_id external_iri")
 
+# The local-IRI rule of each ``bridge --rewrite`` name; the store's prefix
+# map resolves what a rule returns, so "verbatim" takes an IRI or a curie.
+REWRITE_RULES = {"cas": cas_to_iri, "ncbi": ncbi_id_to_iri, "verbatim": str}
+
 
 def parse_pairs(text: str) -> list[IdPair]:
     """Read (external-id, external-iri) rows from TSV text."""
@@ -80,24 +84,17 @@ def construct_sameas(
 ) -> tuple[int, list[str]]:
     """Link local IRIs to external ones with owl:sameAs.
 
-    ``rewrite`` picks the local-IRI rule: "cas" and "ncbi" rewrite the
-    external id, "verbatim" takes it as already an IRI (or curie bound
-    in the store's prefix map). Bad pairs are collected as error
-    strings; the remaining pairs are still emitted. Returns
-    (triples added, errors).
+    ``rewrite`` names the local-IRI rule in ``REWRITE_RULES``. Bad pairs
+    are collected as error strings; the remaining pairs are still
+    emitted. Returns (triples added, errors).
     """
-    if rewrite not in ("cas", "ncbi", "verbatim"):
+    if rewrite not in REWRITE_RULES:
         raise ValueError(f"unknown rewrite rule: {rewrite!r}")
     added = 0
     errors: list[str] = []
     for pair in pairs:
         try:
-            if rewrite == "cas":
-                local = cas_to_iri(pair.external_id)
-            elif rewrite == "ncbi":
-                local = ncbi_id_to_iri(pair.external_id)
-            else:
-                local = store.prefixes.resolve(pair.external_id)
+            local = store.prefixes.resolve(REWRITE_RULES[rewrite](pair.external_id))
             target = store.prefixes.resolve(pair.external_iri)
             added += store.add(Triple(iri(local), OWL_SAMEAS, iri(target)))
         except ValueError as exc:

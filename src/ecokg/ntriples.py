@@ -31,7 +31,8 @@ _UNESCAPES = {
 # of its term, so every token the regex accepts is valid. Groups: the
 # literal's lexical form, language and datatype.
 _TOKEN = re.compile(
-    r'<[^\s<>]+>|_:[A-Za-z0-9_]+|"([^"\\]*)"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^<([^\s<>]+)>)?'
+    r'<[^\s<>\ud800-\udfff]+>|_:[A-Za-z0-9_]+|"([^"\\]*)"'
+    r'(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^<([^\s<>\ud800-\udfff]+)>)?'
 )
 
 

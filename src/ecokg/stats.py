@@ -61,6 +61,8 @@ def absolute_density(counts: GraphCounts) -> float:
 
 def coverage(tests: int, compounds: int, species: int) -> float:
     """Tested share of the compound-species cross product, as a percentage."""
+    if tests < 0:
+        raise ValueError("test count must not be negative")
     if compounds <= 0 or species <= 0:
         raise ValueError("compound and species counts must be positive")
     return 100.0 * tests / (compounds * species)

@@ -232,6 +232,11 @@ class TestAlignLexical:
         out = align_lexical({"s": ["Daphnia sp."]}, {"t": ["Daphnia"]})
         assert out.get("s", "t").score == 1.0
 
+    def test_label_of_only_stop_words_is_skipped(self):
+        # "sp." normalizes to no tokens: it neither matches nor blocks
+        out = align_lexical({"s": ["sp.", "Daphnia"], "u": ["sp."]}, {"t": ["Daphnia"], "v": ["sp."]})
+        assert list(out) == [Mapping("s", "t", 1.0, "levenshtein")]
+
     def test_exact_form_wins_over_a_smaller_near_match_without_scoring(self):
         funnel = {}
         out = align_lexical(

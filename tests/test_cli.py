@@ -275,7 +275,8 @@ class TestConfigKeys:
     @pytest.mark.parametrize(("command", "key", "value", "error"), [
         ("units", "units", 5, "config key units must be a path string, got 5"),
         ("update", "threshold", [0.8], "config key threshold must be a number, got [0.8]"),
-    ], ids=["path-key", "threshold"])
+        ("update", "threshold", True, "config key threshold must be a number, got True"),
+    ], ids=["path-key", "threshold", "threshold-bool"])
     def test_malformed_value_is_two_and_names_the_key(self, tmp_path, capsys, command, key, value, error):
         config = fixture_config(tmp_path, **{key: value})
         assert run_cli("--config", str(config), command, "--out", str(tmp_path / "out")) == 2
@@ -834,6 +835,19 @@ class TestBridgeExport:
             "small.nt": 1, "large.nt": 5, "tail.nt": 1, "total_triples": 7,
         }
 
+    def test_export_graphs_sharing_a_file_name_is_input_error(self, tmp_path, capsys):
+        # each part's count is keyed by its file name, so one would be lost
+        for folder, ids in (("a", [0, 1]), ("b", [2])):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "part.nt").write_text("".join(
+                f"<http://example.org/s{i}> <http://example.org/p> <http://example.org/o> .\n" for i in ids))
+        out = tmp_path / "out"
+        code = run_cli(*cfg_args("export", "--graphs", str(tmp_path / "a" / "part.nt"),
+                                 str(tmp_path / "b" / "part.nt"), "--out", str(out)))
+        assert code == 2
+        assert error_line(capsys) == ("ValueError", "two graph files share the name 'part.nt', which keys their counts")
+        assert not (out / "kg.nt").exists()
+
     def test_export_nothing_found_is_input_error(self, tmp_path, capsys):
         code = run_cli(*cfg_args("export", "--out", str(tmp_path)))
         assert code == 2
@@ -1018,6 +1032,19 @@ class TestStatsCommand:
         assert code == 0
         body = (tmp_path / "stats.tsv").read_text()
         assert "coverage_percent\t0.6026" in body
+
+    def test_negative_test_count_is_input_error(self, pipeline_dir, tmp_path, capsys):
+        code = run_cli(
+            *cfg_args(
+                "stats",
+                "--graph", str(pipeline_dir / "kg.nt"),
+                "--tests", "-5", "--compounds", "2", "--species", "2",
+                "--out", str(tmp_path),
+            )
+        )
+        assert code == 2
+        assert error_line(capsys) == ("ValueError", "test count must not be negative")
+        assert not (tmp_path / "stats.tsv").exists()
 
     def test_report_files_agree_with_stdout(self, pipeline_dir, tmp_path, capsys):
         code = run_cli(

@@ -85,10 +85,11 @@ class TestTerm:
                 iri(bad)
 
     def test_iri_check_accepts_what_the_regex_accepts_on_every_code_point(self):
-        # the characters the regex scan r"[\s<>]" rejects, found in one pass
+        # the characters the regex scan rejects (whitespace, '<', '>' and
+        # the 2,048 lone surrogates), found in one pass
         every = "".join(map(chr, range(0x110000)))
-        bad = {m.start() for m in re.finditer(r"[\s<>]", every)}
-        assert len(bad) == 31
+        bad = {m.start() for m in re.finditer(r"[\s<>\ud800-\udfff]", every)}
+        assert len(bad) == 31 + 2048
         for cp in range(0x110000):
             text = "a" + chr(cp) + "b"
             if cp not in bad:
@@ -102,7 +103,7 @@ class TestTerm:
                                     "\xe9", "\ud800", "\U0010ffff"])
     def test_datatype_and_namespace_checks_match_the_iri_check(self, ch):
         text = f"http://x.org/{ch}" if ch else ""
-        if re.search(r"[\s<>]", text) or not text:
+        if re.search(r"[\s<>\ud800-\udfff]", text) or not text:
             for make, message in ((iri, "invalid IRI"), (lambda t: literal("x", t), "invalid datatype IRI"),
                                   (lambda t: PrefixMap().bind("ex", t), "invalid namespace IRI")):
                 with pytest.raises(ValueError, match=f"^{message}: "):

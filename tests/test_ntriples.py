@@ -350,6 +350,16 @@ class TestLineBreaks:
         assert path.read_text(encoding="utf-8") == line
         assert parse(path.read_text(encoding="utf-8")) == store
 
+    @pytest.mark.parametrize("line", [
+        "<http://x.org/s\ud800> <http://x.org/p> <http://x.org/o> .",
+        '<http://x.org/s> <http://x.org/p> "x"^^<http://x.org/dt\udc00> .',
+    ], ids=["iri", "datatype"])
+    def test_lone_surrogate_iri_fails_on_read_with_its_line(self, line):
+        # UTF-8 cannot encode it, so a store that held it could not be written
+        with pytest.raises(NTriplesParseError, match=r"^line 2: invalid IRI: ") as err:
+            parse(f"<http://x.org/s> <http://x.org/p> <http://x.org/o> .\n{line}\n")
+        assert err.value.line == 2
+
     def test_crlf_line_endings(self):
         store = parse('<http://x.org/s> <http://x.org/p> "o" .\r\n_:a <http://x.org/p> _:b .\r\n')
         assert len(store) == 2

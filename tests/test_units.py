@@ -145,6 +145,12 @@ class TestRegistry:
         assert reg.unit_term("mg/L") == iri(MG_L.id)
         assert reg.unit_term("nope") is None
 
+    def test_iteration_sorted_by_id(self):
+        reg = UnitRegistry()
+        reg.register(MG_L)
+        reg.register(UG_L)
+        assert list(reg) == [UG_L, MG_L]
+
     def test_registry_convert(self):
         reg = UnitRegistry()
         reg.register(MG_L)
