@@ -76,8 +76,9 @@ def _resolve_flags(args) -> None:
 
 
 def _read_text(path: str | Path) -> str:
-    # no newline translation: a lone \r is content; each reader drops that of a \r\n
-    with open(path, encoding="utf-8", newline="") as fh:
+    # no newline translation: a lone \r is content; each reader drops that of a \r\n.
+    # utf-8-sig drops one leading byte-order mark, which would join the first field.
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return fh.read()
 
 

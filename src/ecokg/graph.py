@@ -18,9 +18,11 @@ IRI = "iri"
 LITERAL = "literal"
 BLANK = "blank"
 
-_BLANK_LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
-_BAD_IRI_CHAR = re.compile(r"[\s<>\ud800-\udfff]")
-_LANG_TAG = re.compile(r"[A-Za-z]+(-[A-Za-z0-9]+)*\Z")
+# The term rules, spelled out here only; with no capturing group, readers' patterns embed them.
+IRI_TEXT = r"[^\s<>\ud800-\udfff]+"
+BLANK_LABEL = r"[A-Za-z0-9_]+"
+LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_IRI_TEXT, _BLANK_LABEL, _LANG_TAG = map(re.compile, (IRI_TEXT, BLANK_LABEL, LANG_TAG))
 _new = tuple.__new__
 
 # Named escapes for literal serialization; remaining control characters
@@ -120,13 +122,13 @@ class Term(CheckedRecord, namedtuple("Term", "kind value datatype language", def
 def _valid_iri(text: str) -> bool:
     """Whether ``text`` is non-empty and free of whitespace, '<', '>' and lone surrogates.
 
-    Every character ``_BAD_IRI_CHAR`` matches is the space, '<', '>' or
+    Every character ``IRI_TEXT`` excludes is the space, '<', '>' or
     not printable, so a printable text free of those three passes
     without the regex scan.
     """
     if text.isprintable() and " " not in text and "<" not in text and ">" not in text:
         return text != ""
-    return _BAD_IRI_CHAR.search(text) is None
+    return _IRI_TEXT.fullmatch(text) is not None
 
 
 def iri(text: str) -> Term:

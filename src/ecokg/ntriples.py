@@ -16,7 +16,10 @@ import re
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from .graph import PrefixMap, Term, Triple, TripleStore, blank, iri, is_content_line, literal
+from .graph import (
+    BLANK, BLANK_LABEL, IRI, IRI_TEXT, LANG_TAG, LITERAL, PrefixMap, Term, Triple, TripleStore, blank, iri,
+    is_content_line, literal
+)
 
 _UNESCAPES = {
     't': '\t', 'b': '\b', 'n': '\n', 'r': '\r', 'f': '\f',
@@ -24,16 +27,15 @@ _UNESCAPES = {
 }
 
 
-# One term token in the shape ``serialize`` writes: an IRI, an ASCII
-# blank label, or a literal whose lexical form holds no quote or
-# backslash, so its closing quote is the first one after the opening
-# quote (a datatype IRI may hold ``"``). Each class is the validity rule
-# of its term, so every token the regex accepts is valid. Groups: the
-# literal's lexical form, language and datatype.
-_TOKEN = re.compile(
-    r'<[^\s<>\ud800-\udfff]+>|_:[A-Za-z0-9_]+|"([^"\\]*)"'
-    r'(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^<([^\s<>\ud800-\udfff]+)>)?'
-)
+# One term token in the shape ``serialize`` writes: an IRI, a blank label,
+# or a literal whose lexical form holds no quote or backslash, so its
+# closing quote is the first after the opening one (a datatype IRI may hold
+# ``"``). Each part is matched by its term's rule, so every token it accepts
+# is valid. Groups: IRI, blank label, literal lexical form, language, datatype.
+_TOKEN = re.compile(rf'<({IRI_TEXT})>|_:({BLANK_LABEL})|"([^"\\]*)"(?:@({LANG_TAG})|\^\^<({IRI_TEXT})>)?')
+# what the scanner takes as a blank label (isalnum or '_') or language tag (isalnum or '-') to check
+_LABEL_RUN = re.compile(r"\w*")
+_LANG_RUN = re.compile(r"(?:[^\W_]|-)*")
 
 
 class NTriplesParseError(ValueError):
@@ -92,10 +94,8 @@ class _LineScanner:
         return self.checked(iri, self.take_until(">", "IRI"))
 
     def scan_blank(self) -> Term:
-        self.pos += 2  # consume '_:'
-        start = self.pos
-        while not self.eof() and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
+        start = self.pos + 2  # past '_:'
+        self.pos = _LABEL_RUN.match(self.text, start).end()
         return self.checked(blank, self.text[start:self.pos])
 
     def scan_string(self) -> str:
@@ -141,10 +141,8 @@ class _LineScanner:
         datatype = None
         language = None
         if self.peek() == "@":
-            self.pos += 1
-            start = self.pos
-            while not self.eof() and (self.text[self.pos].isalnum() or self.text[self.pos] == "-"):
-                self.pos += 1
+            start = self.pos + 1
+            self.pos = _LANG_RUN.match(self.text, start).end()
             language = self.text[start:self.pos]
         elif self.text.startswith("^^", self.pos):
             self.pos += 2
@@ -211,6 +209,8 @@ def parse(text: str, prefixes: PrefixMap | None = None) -> TripleStore:
     gc.disable()
     try:
         for line_no, line in enumerate(text.split("\n"), 1):
+            if line.endswith("\r"):
+                line = line[:-1]
             toks = line.split(" ", 2)
             # roles by first character: a literal subject or a non-IRI
             # predicate is left to the scanner, which rejects it
@@ -223,8 +223,6 @@ def parse(text: str, prefixes: PrefixMap | None = None) -> TripleStore:
                 if s and p and o:
                     add((s, p, o))
                     continue
-            if line.endswith("\r"):
-                line = line[:-1]
             if is_content_line(line):
                 add(parse_triple_line(line, line_no))
     finally:
@@ -238,21 +236,17 @@ def _token_term(terms: dict[str, Term], token: str) -> Term | None:
     m = _TOKEN.fullmatch(token)
     if m is None:
         return None
-    if token[0] == "<":
-        term = iri(token[1:-1])
-    elif token[0] == "_":
-        term = blank(token[2:])
-    else:
-        lex, language, datatype = m.groups()
-        term = literal(lex, datatype, language)
-    terms[token] = term
+    # the groups of the two kinds that did not match are None
+    iri_text, label, lex, language, datatype = m.groups()
+    kind = IRI if iri_text else BLANK if label else LITERAL
+    term = terms[token] = tuple.__new__(Term, (kind, iri_text or label or lex, datatype, language))
     return term
 
 
 # Subjects sorted by text, then each subject's lines sorted, is the order
 # of all lines sorted: no subject's text is a proper prefix of another's
 # followed by a character at or below the space that ends it in a line.
-# IRIs hold no ``<>`` and blank labels are ``[A-Za-z0-9_]+``.
+# IRIs hold no ``<>`` and blank labels match ``BLANK_LABEL``.
 def _sorted_chunks(store: TripleStore) -> Iterator[str]:
     """The canonical text of ``store``, one subject's sorted lines at a time."""
     # a dict, not a list of (text, index) pairs, so the cyclic collector

@@ -637,6 +637,8 @@ def parse_query(text: str, prefixes: PrefixMap) -> Query:
         for token in words[1:]:
             if not token.startswith("?"):
                 raise QuerySyntaxError(f"line {first_no}: projection must list ?variables")
+            if token == "?":
+                raise QuerySyntaxError(f"line {first_no}: empty variable name")
             names.append(token[1:])
         if not names:
             raise QuerySyntaxError(f"line {first_no}: empty projection")

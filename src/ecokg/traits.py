@@ -10,11 +10,11 @@ import re
 from collections import namedtuple
 
 from .graph import (
-    CheckedRecord, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
+    LANG_TAG, CheckedRecord, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
 )
 
 _KINDS = ("iri", "literal", "glossary")
-_LITERAL_SYNTAX = re.compile(r'"(.*)"(?:@([A-Za-z]+(?:-[A-Za-z0-9]+)*)|\^\^(\S+))?\Z', re.S)
+_LITERAL_SYNTAX = re.compile(rf'"(.*)"(?:@({LANG_TAG})|\^\^(\S+))?\Z', re.S)
 
 
 class UnresolvedGlossaryError(ValidationError):

@@ -997,6 +997,22 @@ class TestQueryCommands:
         assert (summary["command"], summary["outputs"]) == (argv[0], [str(out)])
         assert summary["counts"][count] == len(stdout.splitlines()) - (argv[0] == "query")
 
+    @pytest.mark.parametrize("marked", ["prefixes.tsv", "kg.nt"])
+    def test_leading_byte_order_mark_is_dropped(self, pipeline_dir, tmp_path, capsys, marked):
+        plain = {"prefixes.tsv": FIXTURES / "prefixes.tsv", "kg.nt": pipeline_dir / "kg.nt"}
+        (tmp_path / marked).write_bytes("\ufeff".encode() + plain[marked].read_bytes())
+        query_file = tmp_path / "types.rq"
+        query_file.write_text("select ?s ?t\n?s rdf:type ?t .\n")
+
+        def answers(files):
+            argv = ("--prefixes", str(files["prefixes.tsv"]), "--graph", str(files["kg.nt"]))
+            assert run_cli("query", *argv, "--query", str(query_file)) == 0
+            return capsys.readouterr().out
+
+        expected = answers(plain)
+        assert expected.count("\n") > 1
+        assert answers({**plain, marked: tmp_path / marked}) == expected
+
     def test_lone_surrogate_literal_is_written_escaped(self, tmp_path, capsys):
         graph = tmp_path / "g.nt"
         graph.write_text('<http://x.org/s> <http://x.org/p> "x\\uD800y" .\n')

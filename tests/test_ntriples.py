@@ -133,6 +133,9 @@ def outcome(reader, text: str):
 
 
 S, P = "<http://x.org/s>", "<http://x.org/p>"
+# Tokens at the edges of graph's IRI, blank-label and language-tag rules
+RULE_EDGE_TOKENS = ["<http://x.org/\ud800>", '"a"^^<http://x.org/\udc00>', '"a"@en-', '"a"@-en', '"a"@e1',
+                    '"a"@en--gb', "_:_", "_:a-b"]
 
 
 @pytest.fixture
@@ -219,7 +222,7 @@ class TestFastPath:
         # meets tokens the first already put in the token table
         frags = [S, P, "<a b>", "<>", "_:b", "_:", "_:bé", '"a"', '"a b"', '"a ."', '"a"@en-GB',
                  '"a"@', '"a"^^<http://x.org/d>', '"a"^^<>', '"a\\"b"', '"', ".", " ", "\t", "\r", "#",
-                 '"x"^^<http://x.org/"q>', '"a"b"', "<http://x.org/o>."]
+                 '"x"^^<http://x.org/"q>', '"a"b"', "<http://x.org/o>.", *RULE_EDGE_TOKENS]
         rng = random.Random(29)
         for _ in range(3000):
             words = (rng.choice(frags) + rng.choice(["", " ", " "]) for _ in range(rng.randrange(1, 7)))
@@ -246,6 +249,25 @@ class TestFastPath:
                 seen.setdefault(term, set()).add(id(term))
         assert len(seen) == 6
         assert all(len(ids) == 1 for ids in seen.values())
+
+
+class TestFastPathEdges:
+    """Canonical lines the token table must read as the scanner does."""
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["subject", "predicate", "object"])
+    @pytest.mark.parametrize("token", RULE_EDGE_TOKENS)
+    def test_rule_edge_tokens_read_as_before(self, token, position):
+        terms = [S, P, "<http://x.org/o>"]
+        terms[position] = token
+        line = " ".join(terms) + " ."
+        text = f'# first\n{line}\n{S} {P} "a" .\n{line}\n'
+        assert outcome(parse, text) == outcome(scanner_parse, text)
+
+    def test_crlf_lines_take_the_fast_path(self, scanned):
+        text = serialize(labelled_store(50))
+        crlf = parse(text.replace("\n", "\r\n"))
+        assert scanned == []
+        assert serialize(crlf) == serialize(parse(text)) == text
 
 
 class TestCollector:

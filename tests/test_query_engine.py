@@ -785,6 +785,7 @@ class TestParseQuery:
             ("select ?s\n", "no patterns"),
             ("select s\n?s a ?t .", "line 1"),
             ("select\n?s a ?t .", "empty projection"),
+            ("select ?\n?s a ?t .", "^line 1: empty variable name$"),
             ("construct\n?x a ?y .\n", "where"),
             ('"lit" rdfs:label ?o .', "line 1"),
             ("?s ?p ?o extra .", "trailing"),
