@@ -29,7 +29,7 @@ import re
 from collections import namedtuple
 from typing import Iterable, Mapping as MappingType, Sequence
 
-from .graph import CheckedRecord, Triple, TripleStore, ValidationError, iri, read_tsv_rows
+from .graph import ALNUM, CheckedRecord, Triple, TripleStore, ValidationError, iri, read_tsv_rows
 from .ns import OWL_SAMEAS, RDFS_LABEL
 
 DEFAULT_STOP_WORDS = frozenset(
@@ -41,9 +41,7 @@ DEFAULT_STOP_WORDS = frozenset(
 
 DEFAULT_THRESHOLD = 0.8
 
-# A word character other than "_" is exactly a character for which
-# str.isalnum() is true.
-_WORD = re.compile(r"[^\W_]+")
+_WORD = re.compile(ALNUM + "+")
 
 
 class EmptyReferenceError(ValidationError):

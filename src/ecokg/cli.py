@@ -414,6 +414,7 @@ def cmd_stats(args, kg: TripleStore | None = None) -> dict:
     """Size and density report for ``kg``, else for the graph file.
 
     Coverage counts are read off ``kg`` if given, else taken from --tests/--compounds/--species.
+    Coverage is left out when any count is missing, or when ``kg`` has no chemical or no species.
     """
     out_dir = _out_dir(args)
     if kg is None:
@@ -421,19 +422,15 @@ def cmd_stats(args, kg: TripleStore | None = None) -> dict:
         coverage_counts = (args.test_count, args.compound_count, args.species_count)
     else:
         types = (ecotox.TEST_TYPE, ecotox.CHEMICAL_TYPE, ecotox.TAXON_TYPE)
-        coverage_counts = [kg.count(p=RDF_TYPE, o=type_term) for type_term in types]
+        tests, compounds, species = (kg.count(p=RDF_TYPE, o=type_term) for type_term in types)
+        coverage_counts = (tests, compounds or None, species or None)  # undefined over no pairs
     counts = stats.count_graph(kg)
     coverage_percent = None if None in coverage_counts else stats.coverage(*coverage_counts)
     ntriples.write_text(out_dir / "stats.tsv", stats.report_tsv(counts, coverage_percent))
     text = stats.report_text(counts, coverage_percent)
     ntriples.write_text(out_dir / "stats.txt", text)
     sys.stdout.write(text)
-    summary_counts = {
-        "triples": counts.triples,
-        "relations": counts.relations,
-        "entities": counts.entities,
-    }
-    return {"out_dir": out_dir, "counts": summary_counts, "outputs": ["stats.tsv", "stats.txt"]}
+    return {"out_dir": out_dir, "counts": counts._asdict(), "outputs": ["stats.tsv", "stats.txt"]}
 
 
 def cmd_update(args) -> dict:

@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from . import idmap
-from .graph import Term, Triple, TripleStore, ValidationError, iri, literal
+from .graph import Term, Triple, TripleStore, ValidationError, iri, literal, unique_keys
 from .ns import NCBI, OWL_DISJOINTWITH, RDFS_LABEL, RDFS_SUBCLASSOF
 
 FIELD_SEP = "\t|\t"
@@ -133,10 +133,11 @@ _DIVISION_PROP = iri(NCBI + "division")
 def ingest_nodes(rows: list[TaxonNodeRow], store: TripleStore) -> int:
     """Emit hierarchy, rank, and division-membership triples.
 
-    Every parent id must itself appear as a taxon id; unresolved
-    parents abort the ingest before anything is emitted.
+    Taxon ids must not repeat, and every parent id must itself appear
+    as a taxon id; either failure aborts the ingest before anything is
+    emitted.
     """
-    ids = {row.taxon_id for row in rows}
+    ids = unique_keys([row.taxon_id for row in rows], "nodes.dmp", "taxon id")
     missing = {row.parent_id for row in rows} - ids
     if missing:
         raise DanglingParentError(sorted(missing))

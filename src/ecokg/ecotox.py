@@ -20,7 +20,7 @@ import re
 from collections import namedtuple
 
 from . import idmap
-from .graph import Term, Triple, TripleStore, ValidationError, blank, iri, literal
+from .graph import ALNUM, Term, Triple, TripleStore, ValidationError, blank, iri, literal, unique_keys
 from .ns import (
     ET,
     OWL_DISJOINTWITH,
@@ -42,6 +42,11 @@ _SPECIES_META_COLUMNS = ("species_number", "common_name", "latin_name", "ecotox_
 _DECIMAL = re.compile(r"[0-9]+(\.[0-9]+)?\Z")
 _QUALIFIED = re.compile(r"([<>~=*]+)\s*(.*)\Z")
 _DIGITS = re.compile(r"[0-9]+\Z")
+# what a name key drops: all but word characters and spaces (which become "_")
+_NOT_KEY = re.compile(r"[^\w ]")
+# the trailing run of non-alphanumerics that a code drops
+_CODE_TAIL = re.compile(rf"(?:(?!{ALNUM}).)+\Z", re.S)
+_HAS_ALNUM = re.compile(ALNUM)
 
 TAXON_TYPE = iri(ET + "Taxon")
 CHEMICAL_TYPE = iri(ET + "Chemical")
@@ -102,8 +107,8 @@ def read_table(
 
     Lines end at ``\n`` only and blank lines are skipped. The first line
     is the header; each later line needs as many fields as it has, and
-    the header must name every ``required`` column. Each error names
-    ``table``.
+    the header must name every ``required`` column. The first of them is
+    the table's key, whose cells must not repeat. Each error names ``table``.
     """
     lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
@@ -118,6 +123,8 @@ def read_table(
     for col in required:
         if col not in header:
             raise ValueError(f"{table} table missing column {col!r}")
+    if required:
+        unique_keys([row[required[0]] for row in rows], table, required[0])
     return header, rows
 
 
@@ -127,18 +134,19 @@ def _cell(row: dict[str, str], column: str) -> str | None:
     return None if cell in MISSING_TOKENS else cell
 
 
+def _name_cell(row: dict[str, str], column: str) -> str | None:
+    """``_cell`` of a cell that keys a node; one with no letter or digit would key the bare namespace."""
+    cell = _cell(row, column)
+    return cell if cell is not None and _HAS_ALNUM.search(cell) else None
+
+
 def clean_species_name(raw: str) -> str | None:
     """Drop placeholder words and missing-value shorthands.
 
     Returns None when nothing meaningful remains.
     """
-    if raw.strip() in MISSING_TOKENS:
-        return None
-    words = [w for w in raw.split() if w.lower() not in _PLACEHOLDER_WORDS]
-    cleaned = " ".join(words)
-    if not cleaned or cleaned in MISSING_TOKENS:
-        return None
-    return cleaned
+    cleaned = " ".join(w for w in raw.split() if w.lower() not in _PLACEHOLDER_WORDS)
+    return None if cleaned in MISSING_TOKENS else cleaned
 
 
 def sanitize_name(name: str) -> str:
@@ -148,13 +156,7 @@ def sanitize_name(name: str) -> str:
 
 
 def _sanitize_keep_case(name: str) -> str:
-    out = []
-    for ch in name.strip():
-        if ch.isalnum() or ch == "_":
-            out.append(ch)
-        elif ch == " ":
-            out.append("_")
-    return "".join(out)
+    return _NOT_KEY.sub("", name.strip()).replace(" ", "_")
 
 
 def _level_term(level: str) -> Term:
@@ -194,8 +196,8 @@ def parse_species(text: str) -> list[SpeciesRecord]:
             number,
             clean_species_name(row["common_name"]),
             clean_species_name(row["latin_name"]),
-            _cell(row, "ecotox_group"),
-            tuple([(level, _cell(row, level) or "") for level in levels]),
+            _name_cell(row, "ecotox_group"),
+            tuple([(level, _name_cell(row, level) or "") for level in levels]),
         ))
     return records
 
@@ -296,7 +298,7 @@ def parse_chemicals(text: str) -> list[ChemicalRecord]:
         if not valid:
             log.warning("invalid CAS number kept: %r", cas)
         records.append(ChemicalRecord(
-            cas, _cell(row, "chemical_name") or "", _cell(row, "ecotox_group"), valid
+            cas, _cell(row, "chemical_name") or "", _name_cell(row, "ecotox_group"), valid
         ))
     return records
 
@@ -336,7 +338,7 @@ def parse_tests(text: str) -> list[TestRecord]:
             cas,
             row["species_number"],
             None if reference is None else int(reference),
-            _cell(row, "organism_lifestage"),
+            _name_cell(row, "organism_lifestage"),
         ))
     return records
 
@@ -348,7 +350,7 @@ def parse_results(text: str) -> list[ResultRecord]:
         result_id = row["result_id"]
         if not _DIGITS.fullmatch(result_id):
             raise ValueError(f"bad result_id: {result_id!r}")
-        endpoint = _cell(row, "endpoint")
+        endpoint = _name_cell(row, "endpoint")
         if endpoint is None:
             raise ValueError(f"result {result_id}: missing endpoint")
         records.append(ResultRecord(
@@ -357,7 +359,7 @@ def parse_results(text: str) -> list[ResultRecord]:
             endpoint,
             _cell(row, "conc1_mean"),
             _cell(row, "conc1_unit"),
-            _cell(row, "effect"),
+            _name_cell(row, "effect"),
         ))
     return records
 
@@ -379,10 +381,7 @@ def validate_test_references(
 
 def code_iri(code: str) -> Term:
     """Endpoint/effect code: trailing punctuation dropped, uppercased."""
-    text = code.strip()
-    while text and not text[-1].isalnum():
-        text = text[:-1]
-    return iri(ET + text.upper())
+    return iri(ET + _CODE_TAIL.sub("", code.strip()).upper())
 
 
 def _lifestage_iri(value: str) -> Term:

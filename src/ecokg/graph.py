@@ -11,7 +11,7 @@ predicate-first index once per predicate; a graph has few predicates.
 """
 
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from typing import Iterator
 
 IRI = "iri"
@@ -22,6 +22,8 @@ BLANK = "blank"
 IRI_TEXT = r"[^\s<>\ud800-\udfff]+"
 BLANK_LABEL = r"[A-Za-z0-9_]+"
 LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+# A word character other than "_" is exactly one str.isalnum() accepts.
+ALNUM = r"[^\W_]"
 _IRI_TEXT, _BLANK_LABEL, _LANG_TAG = map(re.compile, (IRI_TEXT, BLANK_LABEL, LANG_TAG))
 _new = tuple.__new__
 
@@ -34,6 +36,10 @@ _NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f\ud800-\udfff]')
 
 class ValidationError(ValueError):
     """Well-formed input that fails a semantic check; the CLI exits 3 on it."""
+
+
+class DuplicateKeyError(ValidationError):
+    """A key repeats in its table, so two records would merge into one node."""
 
 
 class FrozenStoreError(RuntimeError):
@@ -193,6 +199,15 @@ def read_tsv_rows(
                 rule = f"at least {columns}" if at_least else columns
                 raise ValueError(f"{table} line {line_no}: expected {rule} columns, got {len(parts)}")
             yield line_no, list(map(str.strip, parts))
+
+
+def unique_keys(keys: list, table: str, column: str) -> set:
+    """The set of ``keys``, which must not repeat; the error names ``table``, ``column`` and the repeats."""
+    unique = set(keys)
+    if len(unique) < len(keys):
+        repeated = sorted(key for key, n in Counter(keys).items() if n > 1)
+        raise DuplicateKeyError(f"{table}: duplicate {column}: {repeated}")
+    return unique
 
 
 class PrefixMap:

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .graph import (
-    BLANK, BLANK_LABEL, IRI, IRI_TEXT, LANG_TAG, LITERAL, PrefixMap, Term, Triple, TripleStore, blank, iri,
+    ALNUM, BLANK, BLANK_LABEL, IRI, IRI_TEXT, LANG_TAG, LITERAL, PrefixMap, Term, Triple, TripleStore, blank, iri,
     is_content_line, literal
 )
 
@@ -35,7 +35,7 @@ _UNESCAPES = {
 _TOKEN = re.compile(rf'<({IRI_TEXT})>|_:({BLANK_LABEL})|"([^"\\]*)"(?:@({LANG_TAG})|\^\^<({IRI_TEXT})>)?')
 # what the scanner takes as a blank label (isalnum or '_') or language tag (isalnum or '-') to check
 _LABEL_RUN = re.compile(r"\w*")
-_LANG_RUN = re.compile(r"(?:[^\W_]|-)*")
+_LANG_RUN = re.compile(rf"(?:{ALNUM}|-)*")
 
 
 class NTriplesParseError(ValueError):

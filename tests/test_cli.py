@@ -38,6 +38,7 @@ def error_line(capsys):
 VALIDATION_FAILURES = [
     dmp.DanglingParentError([404]),
     dmp.DuplicateDivisionError("division 3 defined twice"),
+    graph.DuplicateKeyError("tests: duplicate test_id: ['001']"),
     ecotox.EmptyLineageError("no lineage level"),
     ecotox.UnresolvedParentError("no parent node"),
     ecotox.OrphanResultError(["t9"]),
@@ -601,6 +602,35 @@ class TestUpdateRegressions:
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
         assert error_line(capsys) == error
 
+    @pytest.mark.parametrize(("key", "row", "error"), [
+        ("species", "5156|Zebrafish|Danio rerio|Animalia|Chordata|Actinopterygii|Cypriniformes|"
+                    "Cyprinidae|Danio|rerio|Fish", "species: duplicate species_number: ['5156']"),
+        ("chemicals", "79-06-1|Acrylamide|Organics", "chemicals: duplicate cas_number: ['79-06-1']"),
+        ("tests", "001|100|115-86-6|5156|adult", "tests: duplicate test_id: ['001']"),
+        ("results", "55501|001|LC50|12.5|mg/L|ACUTE", "results: duplicate result_id: ['55501']"),
+        ("ncbi_nodes", "6669\t|\t1\t|\tgenus\t|\t\t|\t1\t|", "nodes.dmp: duplicate taxon id: [6669]"),
+    ], ids=["species", "chemicals", "tests", "results", "nodes.dmp"])
+    def test_repeated_key_exits_three(self, tmp_path, capsys, key, row, error):
+        # test 001 repeated under another species got two et:species objects, exit 0
+        config_path = self.with_second_line(tmp_path, key, row)
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
+        assert error_line(capsys) == ("DuplicateKeyError", error)
+
+    @pytest.mark.parametrize("emptied", ["chemicals", "species"])
+    def test_update_without_chemicals_or_species_leaves_out_coverage(self, tmp_path, emptied):
+        # coverage over no pairs raised "counts must be positive" and discarded the run (exit 2)
+        config_path = self.copy_config(tmp_path)
+        config = json.loads(config_path.read_text())
+        for table in (emptied, "tests", "results"):
+            path = tmp_path / f"{table}.txt"
+            path.write_text((FIXTURES / "ecotox" / f"{table}.txt").read_text().split("\n", 1)[0] + "\n")
+            config[table] = str(path)
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("--config", str(config_path), "update", "--out", str(out)) == 0
+        report = (out / "stats.tsv").read_text()
+        assert report.startswith("triples\t") and "coverage_percent" not in report
+
     def with_cycle(self, tmp_path) -> Path:
         """A config whose NCBI nodes add two taxa that are each other's parent."""
         nodes = tmp_path / "nodes.dmp"
@@ -1061,6 +1091,20 @@ class TestStatsCommand:
         assert code == 2
         assert error_line(capsys) == ("ValueError", "test count must not be negative")
         assert not (tmp_path / "stats.tsv").exists()
+
+    @pytest.mark.parametrize("zero", ["--compounds", "--species"])
+    def test_zero_given_count_is_input_error(self, pipeline_dir, tmp_path, capsys, zero):
+        counts = {"--tests": "3", "--compounds": "2", "--species": "2", zero: "0"}
+        code = run_cli(
+            *cfg_args(
+                "stats",
+                "--graph", str(pipeline_dir / "kg.nt"),
+                *[item for pair in counts.items() for item in pair],
+                "--out", str(tmp_path),
+            )
+        )
+        assert code == 2
+        assert error_line(capsys) == ("ValueError", "compound and species counts must be positive")
 
     def test_report_files_agree_with_stdout(self, pipeline_dir, tmp_path, capsys):
         code = run_cli(

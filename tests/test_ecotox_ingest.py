@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ecokg import checks, ecotox, units
+from ecokg import checks, ecotox, graph, units
 from ecokg.graph import Triple, TripleStore, blank, iri, literal
 from ecokg.ns import ET, RDF_VALUE, RDFS_LABEL, RDFS_SUBCLASSOF, UNIT_UNITS, XSD_DECIMAL, default_prefix_map
 from ecokg.ntriples import serialize
@@ -95,6 +95,18 @@ OPTIONAL_CELLS = [
 ]
 
 
+# (table, column, record field) of every optional cell that keys a node;
+# the endpoint, which keys one too, is required
+NAME_CELLS = [
+    ("species", "ecotox_group", "group"),
+    ("chemicals", "ecotox_group", "group"),
+    ("tests", "organism_lifestage", "lifestage"),
+    ("results", "effect", "effect"),
+]
+# cells with no letter or digit, which key no node of their own
+NO_ALNUM_CELLS = ["?", "---", "*", "_", "- . -", "\u00b7"]
+
+
 def shaped(table: str, drop: str | None = None, **cells: str) -> str:
     row = {**SHAPES[table][1], **cells}
     row.pop(drop, None)
@@ -152,11 +164,41 @@ class TestTableShapes:
         ("tests", {"test_cas": "NR"}, "test 1: missing test_cas"),
         ("results", {"result_id": "r7"}, "bad result_id: 'r7'"),
         ("results", {"endpoint": "--"}, "result 7: missing endpoint"),
+        ("results", {"endpoint": "*"}, "result 7: missing endpoint"),
     ])
     def test_bad_key_cell_is_an_input_error(self, table, cells, error):
         with pytest.raises(ValueError) as err:
             SHAPES[table][0](shaped(table, **cells))
         assert str(err.value) == error
+
+    @pytest.mark.parametrize(("table", "column", "key"), [
+        ("species", "species_number", "5156"),
+        ("chemicals", "cas_number", "79-06-1"),
+        ("tests", "test_id", "1"),
+        ("results", "result_id", "7"),
+    ])
+    def test_repeated_key_is_a_validation_error(self, table, column, key):
+        # a repeated key merged two records into one node
+        text = shaped(table)
+        text += text.split("\n")[1] + "\n"
+        with pytest.raises(graph.DuplicateKeyError) as err:
+            SHAPES[table][0](text)
+        assert str(err.value) == f"{table}: duplicate {column}: [{key!r}]"
+
+    @pytest.mark.parametrize("cell", NO_ALNUM_CELLS)
+    @pytest.mark.parametrize(("table", "column", "field"), NAME_CELLS)
+    def test_name_cell_with_no_letter_or_digit_reads_as_none(self, table, column, field, cell):
+        # "---" keyed the bare <.../ecotox/group/>, disjoint with every other group
+        assert getattr(parse_one(table, shaped(table, **{column: cell})), field) is None
+
+    @pytest.mark.parametrize("cell", NO_ALNUM_CELLS)
+    def test_lineage_level_with_no_letter_or_digit_is_a_gap(self, cell):
+        species = parse_one("species", shaped("species", genus=cell))
+        assert species.lineage == (("genus", ""), ("species", "rerio"))
+
+    def test_concentration_and_unit_keep_cells_without_letters(self):
+        record = parse_one("results", shaped("results", conc1_mean="*", conc1_unit="%"))
+        assert (record.concentration, record.unit) == ("*", "%")
 
 
 class TestNameCleaning:
@@ -240,6 +282,18 @@ class TestSpeciesParsing:
 
 
 class TestSpeciesIngest:
+    def test_unnamed_genus_keys_no_bare_namespace_node(self):
+        # a genus of "?" keyed <.../ecotox/taxon/>, which every such cell would share
+        [record] = ecotox.parse_species(
+            "species_number|common_name|latin_name|family|genus|species|ecotox_group\n"
+            "34010|--|Daphnia hirta|Daphniidae|?|hirta|Crustaceans\n"
+        )
+        store = TripleStore()
+        ecotox.ingest_species([ecotox.synthesize_lineage(record)], store)
+        assert not store.match(iri(f"{ET}taxon/"))
+        hirta, genus = iri(f"{ET}taxon/hirta"), iri(f"{ET}taxon/daphniidae_genus")
+        assert store.match(hirta, RDFS_SUBCLASSOF, genus)
+
     def test_leaf_under_name_node(self, effect_store):
         assert (
             "<https://cfpub.epa.gov/ecotox/taxon/34010> "

@@ -1,6 +1,6 @@
 import pytest
 
-from ecokg import dmp
+from ecokg import dmp, graph
 from ecokg.graph import TripleStore, iri, literal
 from ecokg.ntriples import serialize
 
@@ -145,6 +145,16 @@ class TestHierarchyIngest:
         with pytest.raises(dmp.DanglingParentError) as err:
             dmp.ingest_nodes(rows, store)
         assert err.value.missing == [99]
+        assert len(store) == 0
+
+    def test_repeated_taxon_id_aborts(self):
+        # a repeat merged two taxa, giving the node two parents and two ranks
+        rows = [dmp.TaxonNodeRow(1, 1, "no rank", 8), dmp.TaxonNodeRow(5, 1, "species", 1),
+                dmp.TaxonNodeRow(7, 1, "genus", 1), dmp.TaxonNodeRow(5, 7, "species", 1),
+                dmp.TaxonNodeRow(7, 1, "genus", 1)]
+        store = TripleStore()
+        with pytest.raises(graph.DuplicateKeyError, match=r"^nodes\.dmp: duplicate taxon id: \[5, 7\]$"):
+            dmp.ingest_nodes(rows, store)
         assert len(store) == 0
 
     def test_root_emits_no_self_subclass(self, taxonomy_store):

@@ -1,14 +1,17 @@
 """No runtime module but graph.py spells out a term rule; the others build on graph's named rules."""
 
 import ast
+import sys
 from pathlib import Path
+
+from ecokg import align, ecotox, ntriples
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ecokg"
 
-# Fragments of the IRI, blank-label and language-tag rules: the ASCII
-# letter class and the start of the surrogate range, as regex text or as
-# the character itself.
-RULE_FRAGMENTS = ("A-Za-z", "\\ud800", "\ud800")
+# Fragments of the IRI, blank-label, language-tag and alphanumeric rules:
+# the ASCII letter class, the start of the surrogate range (as regex text
+# or as the character itself) and the Unicode alphanumeric class.
+RULE_FRAGMENTS = ("A-Za-z", "\\ud800", "\ud800", "[^\\W_]")
 
 
 def rule_spellings(source: str) -> list[tuple[int, str]]:
@@ -48,3 +51,48 @@ def test_lint_sees_a_spelled_out_rule():
         (6, "[\ud800-\udfff]"),
         (7, "<[^\\s<>\\ud800-\\udfff]+>"),
     ]
+
+
+def isalnum_calls(source: str) -> list[int]:
+    """Lines of the ``.isalnum(`` calls in ``source``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "isalnum"
+    )
+
+
+def test_only_graph_states_the_alphanumeric_rule():
+    modules = sorted(path for path in SRC.glob("*.py") if path.name != "graph.py")
+    calls = {path.name: isalnum_calls(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_lint_sees_an_isalnum_call_and_the_alphanumeric_class():
+    source = (
+        "# a comment may say ch.isalnum()\n"
+        "WORD = re.compile(r'[^\\W_]+')\n"
+        "def f(text):\n    return [ch for ch in text if ch.isalnum() or ch == '_']\n"
+        "keep = str.isalnum\n"
+        "ok = text[-1].isalnum()\n"
+    )
+    assert isalnum_calls(source) == [4, 6]
+    assert rule_spellings(source) == [(2, "[^\\W_]+")]
+
+
+def test_alphanumeric_rules_agree_with_str_on_every_code_point():
+    # each class built from graph.ALNUM against the str predicate it stands for
+    rules = {
+        "align._WORD": (align._WORD, str.isalnum),
+        "ntriples._LANG_RUN": (ntriples._LANG_RUN, lambda ch: ch.isalnum() or ch == "-"),
+        "ecotox._NOT_KEY": (ecotox._NOT_KEY, lambda ch: not (ch.isalnum() or ch in "_ ")),
+        "ecotox._CODE_TAIL": (ecotox._CODE_TAIL, lambda ch: not ch.isalnum()),
+        "ecotox._HAS_ALNUM": (ecotox._HAS_ALNUM, str.isalnum),
+    }
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    assert len(chars) == 1_114_112
+    for name, (pattern, predicate) in rules.items():
+        matches = pattern.fullmatch
+        disagree = [ch for ch in chars if (matches(ch) is not None) != predicate(ch)]
+        assert disagree == [], name
