@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from . import idmap
-from .graph import Term, Triple, TripleStore, ValidationError, iri, literal, unique_keys
+from .graph import DuplicateKeyError, Term, Triple, TripleStore, ValidationError, iri, literal, unique_keys
 from .ns import NCBI, OWL_DISJOINTWITH, RDFS_LABEL, RDFS_SUBCLASSOF
 
 FIELD_SEP = "\t|\t"
@@ -40,8 +40,8 @@ class DanglingParentError(ValidationError):
         self.missing = sorted(missing)
 
 
-class DuplicateDivisionError(ValidationError):
-    pass
+class DuplicateDivisionError(DuplicateKeyError):
+    """division.dmp repeats a division id."""
 
 
 TaxonNodeRow = namedtuple("TaxonNodeRow", "taxon_id parent_id rank division_id")
@@ -71,30 +71,22 @@ def parse_dmp(text: str, dump: str) -> Iterator[tuple[int, list[str]]]:
 
 
 def _read_records(text: str, dump: str, record: type, spec: tuple) -> list:
-    """One ``record`` per line of the file ``dump``, built from the stripped fields ``spec`` names."""
+    """One ``record`` per line of ``dump``, from its stripped ``spec`` fields; fails at the first bad one."""
     rows = []
     for line_no, fields in parse_dmp(text, dump):
+        values = []
         try:
-            values = [kind(fields[col].strip()) for col, kind in spec]
-        except (IndexError, ValueError):
-            values = _checked_values(fields, spec, line_no, dump)
+            for col, kind in spec:
+                values.append(kind(fields[col].strip()))
+        except IndexError:
+            message = f"expected at least {col + 1} fields, got {len(fields)}"
+            raise DmpFormatError(message, line_no, dump) from None
+        except ValueError:
+            message = f"field {col + 1} is not an integer: {fields[col].strip()!r}"
+            raise DmpFormatError(message, line_no, dump) from None
         # ``spec`` has one entry per record field, so ``_make``'s length check is moot
         rows.append(_new(record, values))
     return rows
-
-
-def _checked_values(fields: list[str], spec: tuple, line_no: int, dump: str) -> list:
-    """``_read_records``' values of one line, failing at its first short or non-integer field."""
-    values = []
-    for col, kind in spec:
-        if col >= len(fields):
-            raise DmpFormatError(f"expected at least {col + 1} fields, got {len(fields)}", line_no, dump)
-        text = fields[col].strip()
-        try:
-            values.append(kind(text))
-        except ValueError:
-            raise DmpFormatError(f"field {col + 1} is not an integer: {text!r}", line_no, dump) from None
-    return values
 
 
 def parse_nodes(text: str) -> list[TaxonNodeRow]:
@@ -168,15 +160,11 @@ def ingest_divisions(rows: list[DivisionRow], store: TripleStore) -> int:
     k divisions yield k*(k-1)/2 owl:disjointWith triples, directed from
     the numerically smaller id to the larger.
     """
-    seen: set[int] = set()
-    for row in rows:
-        if row.division_id in seen:
-            raise DuplicateDivisionError(f"duplicate division id: {row.division_id}")
-        seen.add(row.division_id)
+    ids = unique_keys([r.division_id for r in rows], "division.dmp", "division id", DuplicateDivisionError)
     added = 0
     for row in rows:
         added += store.add(Triple(division_iri(row.division_id), RDFS_LABEL, literal(row.label)))
-    ordered = sorted(seen)
+    ordered = sorted(ids)
     for i, low in enumerate(ordered):
         for high in ordered[i + 1:]:
             added += store.add(Triple(division_iri(low), OWL_DISJOINTWITH, division_iri(high)))

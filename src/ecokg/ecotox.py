@@ -241,17 +241,28 @@ def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> int:
     """Emit classification chains, ranks, labels, and group membership.
 
     Records must be cleaned and lineage-completed; a record with no
-    filled lineage level cannot be attached anywhere.
+    filled lineage level cannot be attached anywhere. No lineage node
+    may mint a species leaf's IRI, which would join the two records.
     """
+    nodes: dict[str, Term] = {}  # lineage name -> its node, minted once
+    minted: dict[str, str] = {}  # node IRI text -> the first lineage cell that mints it
+    for rec in records:
+        for level, name in rec.lineage:
+            if name and name not in nodes:
+                nodes[name] = node = lineage_node_iri(name)
+                minted.setdefault(node.value, f"{level} {name}")
+    leaves = [species_iri(rec.number) for rec in records]
+    unique_keys([*minted, *(leaf.value for leaf in leaves)], "species", "taxon IRI",
+                cells=[*minted.values(), *(f"species_number {rec.number}" for rec in records)])
     added = 0
     groups: set[str] = set()
-    for rec in records:
+    for rec, leaf in zip(records, leaves):
         filled = [(level, name) for level, name in rec.lineage if name]
         if not filled:
             raise UnresolvedParentError(f"species {rec.number}: empty lineage")
         previous: Term | None = None
         for level, name in filled:
-            node = lineage_node_iri(name)
+            node = nodes[name]
             if node == previous:
                 # a tautonym (genus Bufo, species bufo) names two levels
                 # alike; the node keeps the upper level's rank and label
@@ -261,7 +272,6 @@ def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> int:
             if previous is not None:
                 added += store.add(Triple(node, RDFS_SUBCLASSOF, previous))
             previous = node
-        leaf = species_iri(rec.number)
         added += store.add(Triple(leaf, RDF_TYPE, TAXON_TYPE))
         added += store.add(Triple(leaf, RDFS_SUBCLASSOF, previous))
         if rec.common_name is not None:
@@ -304,10 +314,13 @@ def parse_chemicals(text: str) -> list[ChemicalRecord]:
 
 
 def ingest_chemicals(records: list[ChemicalRecord], store: TripleStore) -> int:
+    """Emit chemical types, labels and groups; no two CAS cells may mint one chemical IRI."""
+    subjects = [chemical_iri(rec.cas) for rec in records]
+    unique_keys([subject.value for subject in subjects], "chemicals", "chemical IRI",
+                cells=[f"cas_number {rec.cas}" for rec in records])
     added = 0
     groups: set[str] = set()
-    for rec in records:
-        subject = chemical_iri(rec.cas)
+    for rec, subject in zip(records, subjects):
         added += store.add(Triple(subject, RDF_TYPE, CHEMICAL_TYPE))
         if rec.name:
             added += store.add(Triple(subject, RDFS_LABEL, literal(rec.name)))
@@ -388,9 +401,9 @@ def _lifestage_iri(value: str) -> Term:
     return iri(f"{ET}lifestage/{sanitize_name(value)}")
 
 
-def _concentration_triples(rec: ResultRecord, units: UnitRegistry | None) -> list[Triple]:
+def _concentration_triples(subject: Term, rec: ResultRecord, units: UnitRegistry | None) -> list[Triple]:
     node = blank(f"conc_{rec.result_id}")
-    triples = [Triple(result_iri(rec.result_id), CONCENTRATION_PROP, node)]
+    triples = [Triple(subject, CONCENTRATION_PROP, node)]
     value = rec.concentration.strip() if rec.concentration else ""
     if _DECIMAL.fullmatch(value):
         triples.append(Triple(node, RDF_VALUE, literal(value, XSD_DECIMAL)))
@@ -440,5 +453,5 @@ def ingest_tests(
         if r.effect is not None:
             added += store.add(Triple(subject, EFFECT_PROP, code_iri(r.effect)))
         if r.concentration is not None:
-            added += store.add_all(_concentration_triples(r, units))
+            added += store.add_all(_concentration_triples(subject, r, units))
     return added

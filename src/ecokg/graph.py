@@ -201,12 +201,19 @@ def read_tsv_rows(
             yield line_no, list(map(str.strip, parts))
 
 
-def unique_keys(keys: list, table: str, column: str) -> set:
-    """The set of ``keys``, which must not repeat; the error names ``table``, ``column`` and the repeats."""
+def unique_keys(
+    keys: list, table: str, column: str, error: type = DuplicateKeyError, cells: list | None = None
+) -> set:
+    """The set of ``keys``, which must not repeat; ``error`` names ``table``, ``column`` and the repeats.
+
+    ``cells``, if given, holds the cell each key was minted from; a repeat is then named with its cells.
+    """
     unique = set(keys)
     if len(unique) < len(keys):
         repeated = sorted(key for key, n in Counter(keys).items() if n > 1)
-        raise DuplicateKeyError(f"{table}: duplicate {column}: {repeated}")
+        if cells is not None:
+            repeated = [(key, *(cell for k, cell in zip(keys, cells) if k == key)) for key in repeated]
+        raise error(f"{table}: duplicate {column}: {repeated}")
     return unique
 
 

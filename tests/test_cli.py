@@ -616,6 +616,33 @@ class TestUpdateRegressions:
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
         assert error_line(capsys) == ("DuplicateKeyError", error)
 
+    def test_repeated_division_id_exits_three(self, tmp_path, capsys):
+        config_path = self.with_second_line(tmp_path, "ncbi_divisions", "4\t|\tPLN\t|\tPlants\t|")
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
+        assert error_line(capsys) == ("DuplicateDivisionError", "division.dmp: duplicate division id: [4]")
+
+    @pytest.mark.parametrize("groups", [("Organics", "Organics"), ("Organics", "Esters")],
+                             ids=["same", "other"])
+    def test_cas_cells_that_mint_one_iri_exit_three(self, tmp_path, capsys, groups):
+        # both minted et:chemical/50000, which took both labels (exit 0), or with two
+        # groups failed the disjointness scan as an IntegrityError
+        rows = f"50-00-0|Formaldehyde|{groups[0]}\n50000|Formalin|{groups[1]}\n"
+        config_path = self.with_rows(tmp_path, "chemicals", rows)
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
+        assert error_line(capsys) == ("DuplicateKeyError", "chemicals: duplicate chemical IRI: "
+                                      "[('https://cfpub.epa.gov/ecotox/chemical/50000', "
+                                      "'cas_number 50-00-0', 'cas_number 50000')]")
+
+    def test_lineage_cell_that_mints_a_species_leaf_exits_three(self, tmp_path, capsys):
+        # family 5156 keyed et:taxon/5156, species 5156's leaf, which gained the
+        # label "5156" and a second parent (exit 0)
+        row = "99|--|Fakeus fakeus|Animalia|Chordata|Actinopterygii|Cypriniformes|5156|Fakeus|fakeus|Fish\n"
+        config_path = self.with_rows(tmp_path, "species", row)
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
+        assert error_line(capsys) == ("DuplicateKeyError", "species: duplicate taxon IRI: "
+                                      "[('https://cfpub.epa.gov/ecotox/taxon/5156', "
+                                      "'family 5156', 'species_number 5156')]")
+
     @pytest.mark.parametrize("emptied", ["chemicals", "species"])
     def test_update_without_chemicals_or_species_leaves_out_coverage(self, tmp_path, emptied):
         # coverage over no pairs raised "counts must be positive" and discarded the run (exit 2)

@@ -383,6 +383,19 @@ class TestSpeciesIngest:
             ecotox.ingest_species([rec], TripleStore())
 
 
+    def test_lineage_node_that_mints_a_leaf_aborts(self):
+        # the check reads the minted IRI: "51-56" keys et:taxon/5156 as "5156" does
+        records = [ecotox.SpeciesRecord("5156", None, None, None, (("family", "Cyprinidae"),)),
+                   ecotox.SpeciesRecord("7", None, None, None, (("family", "51-56"),))]
+        store = TripleStore()
+        with pytest.raises(graph.DuplicateKeyError) as err:
+            ecotox.ingest_species(records, store)
+        assert str(err.value) == ("species: duplicate taxon IRI: "
+                                  "[('https://cfpub.epa.gov/ecotox/taxon/5156', 'family 51-56', "
+                                  "'species_number 5156')]")
+        assert len(store) == 0
+
+
 class TestChemicalIngest:
     def test_subject_drops_hyphens_and_labels(self, effect_store):
         subject = ecotox.chemical_iri("877-43-0")
@@ -407,6 +420,18 @@ class TestChemicalIngest:
         store = TripleStore()
         ecotox.ingest_chemicals(records, store)
         assert not store.match(None, iri("http://www.w3.org/2000/01/rdf-schema#label"), None)
+
+    def test_cas_cells_that_mint_one_iri_abort(self):
+        records = ecotox.parse_chemicals(
+            "cas_number|chemical_name\n50000|Formalin\n79-06-1|Acrylamide\n50-00-0|Formaldehyde\n"
+        )
+        store = TripleStore()
+        with pytest.raises(graph.DuplicateKeyError) as err:
+            ecotox.ingest_chemicals(records, store)
+        assert str(err.value) == ("chemicals: duplicate chemical IRI: "
+                                  "[('https://cfpub.epa.gov/ecotox/chemical/50000', 'cas_number 50000', "
+                                  "'cas_number 50-00-0')]")
+        assert len(store) == 0
 
     def test_distinct_subject_count(self, effect_store, tables):
         records = ecotox.parse_chemicals(tables["chemicals"])
@@ -470,14 +495,14 @@ class TestTestIngest:
 
     def test_unparsable_concentration_flagged(self):
         rec = ecotox.ResultRecord("9", "1", "LC50", "ca. 5-10", "mg/L", None)
-        triples = ecotox._concentration_triples(rec, None)
+        triples = ecotox._concentration_triples(ecotox.result_iri("9"), rec, None)
         objects = {(t.predicate, t.object) for t in triples}
         assert (RDF_VALUE, literal("ca. 5-10")) in objects
         assert (ecotox.QUALIFIER_PROP, literal("unparsed")) in objects
 
     def test_unit_without_registry_stays_literal(self):
         rec = ecotox.ResultRecord("9", "1", "LC50", "4", "mg/L", None)
-        triples = ecotox._concentration_triples(rec, None)
+        triples = ecotox._concentration_triples(ecotox.result_iri("9"), rec, None)
         assert any(t.object == literal("mg/L") for t in triples)
 
     def test_orphan_result_rejected_before_emission(self, tables):

@@ -60,6 +60,8 @@ class TestRecordParsing:
         # the first bad field in reading order is the one reported
         (dmp.parse_nodes, "x\t|\t1\t|", "field 1 is not an integer: 'x'"),
         (dmp.parse_nodes, "5\t|\tx\t|", "field 2 is not an integer: 'x'"),
+        (dmp.parse_nodes, "x\t|\ty\t|\tspecies\t|\t\t|\t1\t|", "field 1 is not an integer: 'x'"),
+        (dmp.parse_nodes, "5\t|\tx\t|\tspecies\t|\t\t|\tBCT\t|", "field 2 is not an integer: 'x'"),
         (dmp.parse_names, "5\t|\tleaf\t|", "expected at least 4 fields, got 2"),
         (dmp.parse_names, "5.0\t|\tleaf\t|\t\t|\tscientific name\t|", "field 1 is not an integer: '5.0'"),
         (dmp.parse_divisions, "1\t|\tINV\t|", "expected at least 3 fields, got 2"),
@@ -214,9 +216,13 @@ class TestDivisionIngest:
         assert not store.match(dmp.division_iri(9), None, dmp.division_iri(2))
 
     def test_duplicate_division_rejected(self):
-        rows = [dmp.DivisionRow(1, "a"), dmp.DivisionRow(1, "b")]
-        with pytest.raises(dmp.DuplicateDivisionError):
-            dmp.ingest_divisions(rows, TripleStore())
+        rows = [dmp.DivisionRow(i, f"d{n}") for n, i in enumerate((3, 1, 3, 2, 1, 3))]
+        store = TripleStore()
+        with pytest.raises(dmp.DuplicateDivisionError,
+                           match=r"^division\.dmp: duplicate division id: \[1, 3\]$") as err:
+            dmp.ingest_divisions(rows, store)
+        assert isinstance(err.value, graph.DuplicateKeyError)
+        assert len(store) == 0
 
     def test_idempotent_reingest(self, dump_texts):
         store = TripleStore()
