@@ -16,7 +16,9 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from . import idmap
-from .graph import DuplicateKeyError, Term, Triple, TripleStore, ValidationError, iri, literal, unique_keys
+from .graph import (
+    DuplicateKeyError, Term, Triple, TripleStore, ValidationError, digits_int, iri, literal, unique_keys
+)
 from .ns import NCBI, OWL_DISJOINTWITH, RDFS_LABEL, RDFS_SUBCLASSOF
 
 FIELD_SEP = "\t|\t"
@@ -48,10 +50,10 @@ TaxonNodeRow = namedtuple("TaxonNodeRow", "taxon_id parent_id rank division_id")
 TaxonNameRow = namedtuple("TaxonNameRow", "taxon_id name name_class")
 DivisionRow = namedtuple("DivisionRow", "division_id label")
 
-# Each record's fields in reading order: (0-based column, int or str).
-_NODE_FIELDS = ((0, int), (1, int), (2, str), (4, int))
-_NAME_FIELDS = ((0, int), (1, str), (3, str))
-_DIVISION_FIELDS = ((0, int), (2, str))
+# Each record's fields in reading order: (0-based column, id or str).
+_NODE_FIELDS = ((0, digits_int), (1, digits_int), (2, str), (4, digits_int))
+_NAME_FIELDS = ((0, digits_int), (1, str), (3, str))
+_DIVISION_FIELDS = ((0, digits_int), (2, str))
 
 
 def parse_dmp(text: str, dump: str) -> Iterator[tuple[int, list[str]]]:

@@ -20,7 +20,7 @@ import re
 from collections import namedtuple
 
 from . import idmap
-from .graph import ALNUM, Term, Triple, TripleStore, ValidationError, blank, iri, literal, unique_keys
+from .graph import ALNUM, DIGIT, Term, Triple, TripleStore, ValidationError, blank, iri, literal, unique_keys
 from .ns import (
     ET,
     OWL_DISJOINTWITH,
@@ -39,9 +39,9 @@ MISSING_TOKENS = frozenset({"", "--", "NA", "NR", "/"})
 _PLACEHOLDER_WORDS = frozenset({"sp.", "var.", "ssp.", "spp."})
 
 _SPECIES_META_COLUMNS = ("species_number", "common_name", "latin_name", "ecotox_group")
-_DECIMAL = re.compile(r"[0-9]+(\.[0-9]+)?\Z")
+_DECIMAL = re.compile(rf"{DIGIT}+(\.{DIGIT}+)?\Z")
 _QUALIFIED = re.compile(r"([<>~=*]+)\s*(.*)\Z")
-_DIGITS = re.compile(r"[0-9]+\Z")
+_DIGITS = re.compile(rf"{DIGIT}+\Z")
 # what a name key drops: all but word characters and spaces (which become "_")
 _NOT_KEY = re.compile(r"[^\w ]")
 # the trailing run of non-alphanumerics that a code drops

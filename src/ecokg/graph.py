@@ -24,6 +24,10 @@ BLANK_LABEL = r"[A-Za-z0-9_]+"
 LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 # A word character other than "_" is exactly one str.isalnum() accepts.
 ALNUM = r"[^\W_]"
+# Ids, CAS numbers and escape codes take ASCII digits only, where "\d", str.isdigit()
+# and int() also take other scripts' digits.
+DIGIT = "[0-9]"
+HEX_DIGIT = "[0-9A-Fa-f]"
 _IRI_TEXT, _BLANK_LABEL, _LANG_TAG = map(re.compile, (IRI_TEXT, BLANK_LABEL, LANG_TAG))
 _new = tuple.__new__
 
@@ -59,6 +63,16 @@ def escape_literal(text: str) -> str:
     if _NEEDS_ESCAPE.search(text) is None:
         return text
     return _NEEDS_ESCAPE.sub(_escape_char, text)
+
+
+def digits_int(text: str) -> int:
+    """``text`` as an int if it is one or more ASCII digits, the rule ``DIGIT`` spells; else ``ValueError``.
+
+    ``int()`` alone would also take a sign, ``_`` between digits, spaces and other scripts' digits.
+    """
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"not ASCII digits: {text!r}")
 
 
 class CheckedRecord:

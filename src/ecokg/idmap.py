@@ -3,11 +3,11 @@
 import re
 from collections import namedtuple
 
-from .graph import Triple, TripleStore, ValidationError, iri, read_tsv_rows
+from .graph import DIGIT, Triple, TripleStore, ValidationError, iri, read_tsv_rows
 from .ns import ET, NCBI, OWL_SAMEAS
 
-_CAS = re.compile(r"(\d{2,7})-(\d{2})-(\d)\Z")
-_NCBI_ID = re.compile(r"[1-9]\d*\Z")
+_CAS = re.compile(rf"({DIGIT}{{2,7}})-({DIGIT}{{2}})-({DIGIT})\Z")
+_NCBI_ID = re.compile(rf"[1-9]{DIGIT}*\Z")
 
 
 class InvalidCasError(ValidationError):

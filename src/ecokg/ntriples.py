@@ -13,12 +13,13 @@ unchanged.
 import gc
 import os
 import re
+import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .graph import (
-    ALNUM, BLANK, BLANK_LABEL, IRI, IRI_TEXT, LANG_TAG, LITERAL, PrefixMap, Term, Triple, TripleStore, blank, iri,
-    is_content_line, literal
+    ALNUM, BLANK, BLANK_LABEL, HEX_DIGIT, IRI, IRI_TEXT, LANG_TAG, LITERAL, PrefixMap, Term, Triple,
+    TripleStore, blank, iri, is_content_line, literal
 )
 
 _UNESCAPES = {
@@ -36,6 +37,7 @@ _TOKEN = re.compile(rf'<({IRI_TEXT})>|_:({BLANK_LABEL})|"([^"\\]*)"(?:@({LANG_TA
 # what the scanner takes as a blank label (isalnum or '_') or language tag (isalnum or '-') to check
 _LABEL_RUN = re.compile(r"\w*")
 _LANG_RUN = re.compile(rf"(?:{ALNUM}|-)*")
+_HEX = re.compile(HEX_DIGIT + "+")
 
 
 class NTriplesParseError(ValueError):
@@ -122,10 +124,10 @@ class _LineScanner:
                 hexpart = self.text[self.pos:self.pos + width]
                 if len(hexpart) < width:
                     raise self.error(f"truncated \\{esc} escape")
-                try:
-                    out.append(chr(int(hexpart, 16)))
-                except ValueError:
-                    raise self.error(f"bad \\{esc} escape: {hexpart!r}") from None
+                # int(hexpart, 16) alone would also take a sign, "_", spaces and other scripts' digits
+                if not _HEX.fullmatch(hexpart) or int(hexpart, 16) > sys.maxunicode:
+                    raise self.error(f"bad \\{esc} escape: {hexpart!r}")
+                out.append(chr(int(hexpart, 16)))
                 self.pos += width
             else:
                 raise self.error(f"unknown escape: \\{esc}")

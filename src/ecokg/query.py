@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .align import _lane_counts, _pack, _stride, lane_deltas, normalize_label
-from .graph import PrefixMap, Term, Triple, TripleStore, ValidationError, iri, is_content_line
+from .graph import DIGIT, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, is_content_line
 from .ns import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
 from .ntriples import _LineScanner
 
@@ -89,6 +89,7 @@ PathExpr = PathAtom | PathInverse | PathSeq | PathAlt | PathRepeat
 
 # a path atom (a curie or ``a``) runs to a space, tab, newline, operator or bracket
 _ATOM = re.compile(r"[^ \t\n\r|/^{}()]*")
+_DIGITS = re.compile(DIGIT + "*")
 
 
 class _TermScanner(_LineScanner):
@@ -201,8 +202,7 @@ class _PathParser(_TermScanner):
     def number(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
+        self.pos = _DIGITS.match(self.text, start).end()
         if self.pos == start:
             raise self.error("expected a number")
         return self.checked(int, self.text[start:self.pos])
@@ -796,18 +796,18 @@ def _require_known(store: TripleStore, term: Term) -> None:
 
 def lineage(store: TripleStore, taxon: Term) -> list[Term]:
     """Ancestors by transitive subClassOf, ordered leaf to root."""
-    _require_known(store, taxon)
     out: list[Term] = []
     seen = {taxon}
     frontier = [taxon]
     while frontier:
-        parents: set[Term] = set()
-        for node in frontier:
-            parents.update(store.objects(node, RDFS_SUBCLASSOF))
-        parents -= seen
-        frontier = sorted(parents, key=Term.ntriples)
+        frontier = {p for node in frontier for p in store.objects(node, RDFS_SUBCLASSOF) if p not in seen}
+        if len(frontier) > 1:
+            frontier = sorted(frontier, key=Term.ntriples)
         out.extend(frontier)
-        seen.update(parents)
+        seen.update(frontier)
+    if not out:
+        # a taxon with a parent is the subject of a triple, so only an empty walk needs the check
+        _require_known(store, taxon)
     return out
 
 

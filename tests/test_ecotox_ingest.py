@@ -415,6 +415,16 @@ class TestChemicalIngest:
         ecotox.ingest_chemicals(records, store)
         assert store.match(ecotox.chemical_iri("877-43-1"))
 
+    def test_cas_of_non_ascii_digits_is_invalid_but_kept(self, caplog):
+        cas = "\u0665\u0660-\u0660\u0660-\u0660"  # 50-00-0 in Arabic-Indic digits
+        with caplog.at_level("WARNING", logger="ecokg.ecotox"):
+            records = ecotox.parse_chemicals(f"cas_number|chemical_name\n{cas}|Formaldehyde\n")
+        assert records[0].cas_valid is False
+        assert [r.getMessage() for r in caplog.records] == [f"invalid CAS number kept: {cas!r}"]
+        store = TripleStore()
+        ecotox.ingest_chemicals(records, store)
+        assert store.match(ecotox.chemical_iri(cas))
+
     def test_empty_name_gets_no_label(self):
         records = ecotox.parse_chemicals("cas_number|chemical_name\n50-00-0|--\n")
         store = TripleStore()

@@ -73,6 +73,10 @@ class TestValidateCas:
             "877-43-",
             "877-43-00",
             "877 43 0",
+            # ASCII digits only: "\d" would take these Arabic-Indic and fullwidth ones
+            "\u0665\u0660-\u0660\u0660-\u0660",
+            "50-0\u0660-0",
+            "877-43-\uff10",
         ],
     )
     def test_malformed(self, bad):
@@ -125,7 +129,7 @@ class TestNcbiIds:
             "https://www.ncbi.nlm.nih.gov/taxonomy/taxon/311871"
         )
 
-    @pytest.mark.parametrize("bad", ["0", "-3", "01", "", "x", "3.5", "1e3"])
+    @pytest.mark.parametrize("bad", ["0", "-3", "01", "", "x", "3.5", "1e3", "1\u0660", "7\u0967"])
     def test_rejects_non_positive_ints(self, bad):
         with pytest.raises(InvalidNcbiIdError):
             ncbi_id_to_iri(bad)

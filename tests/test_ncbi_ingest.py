@@ -62,6 +62,13 @@ class TestRecordParsing:
         (dmp.parse_nodes, "5\t|\tx\t|", "field 2 is not an integer: 'x'"),
         (dmp.parse_nodes, "x\t|\ty\t|\tspecies\t|\t\t|\t1\t|", "field 1 is not an integer: 'x'"),
         (dmp.parse_nodes, "5\t|\tx\t|\tspecies\t|\t\t|\tBCT\t|", "field 2 is not an integer: 'x'"),
+        # ids are ASCII digits: int() alone reads each of these cells as an id
+        (dmp.parse_nodes, "1_0\t|\t+1\t|\tspecies\t|\t\t|\t\u0661\t|", "field 1 is not an integer: '1_0'"),
+        (dmp.parse_nodes, "10\t|\t+1\t|\tspecies\t|\t\t|\t\u0661\t|", "field 2 is not an integer: '+1'"),
+        (dmp.parse_nodes, "10\t|\t1\t|\tspecies\t|\t\t|\t\u0661\t|", "field 5 is not an integer: '\u0661'"),
+        (dmp.parse_nodes, "10\t|\t-1\t|\tspecies\t|\t\t|\t1\t|", "field 2 is not an integer: '-1'"),
+        (dmp.parse_names, "1\u0660\t|\tleaf\t|\t\t|\tscientific name\t|", "field 1 is not an integer: '1\u0660'"),
+        (dmp.parse_divisions, "\uff13\t|\tINV\t|\tInvertebrates\t|", "field 1 is not an integer: '\uff13'"),
         (dmp.parse_names, "5\t|\tleaf\t|", "expected at least 4 fields, got 2"),
         (dmp.parse_names, "5.0\t|\tleaf\t|\t\t|\tscientific name\t|", "field 1 is not an integer: '5.0'"),
         (dmp.parse_divisions, "1\t|\tINV\t|", "expected at least 3 fields, got 2"),

@@ -109,6 +109,15 @@ class TestParseErrors:
         with pytest.raises(NTriplesParseError):
             parse('<http://x.org/s> <http://x.org/p> "\\uZZZZ" .\n')
 
+    @pytest.mark.parametrize("escape", [
+        "\\u+041", "\\u0_41", "\\u 041", "\\u\u0660\u0660\u0664\u0661", "\\U0000_041", "\\U+0000041",
+    ])
+    def test_escape_takes_only_hex_digits(self, escape):
+        # int(text, 16) reads each of these as 0x41, "A"
+        with pytest.raises(NTriplesParseError) as err:
+            parse(f'<http://x.org/s> <http://x.org/p> "{escape}" .\n')
+        assert str(err.value) == f"line 1: bad \\{escape[1]} escape: {escape[2:]!r}"
+
     def test_unknown_escape(self):
         with pytest.raises(NTriplesParseError):
             parse('<http://x.org/s> <http://x.org/p> "\\q" .\n')

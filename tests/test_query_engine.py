@@ -1,5 +1,6 @@
 """Path expressions, pattern joins, the text query format, navigation."""
 
+import collections
 import itertools
 import random
 
@@ -130,6 +131,13 @@ class TestParsePath:
     def test_syntax_errors_carry_position(self, bad):
         with pytest.raises(PathSyntaxError, match="position"):
             parse_path(bad, PREFIXES)
+
+    @pytest.mark.parametrize("bound", ["\u0661", "\uff11", "\u0967"])
+    def test_repetition_bounds_take_only_ascii_digits(self, bound):
+        with pytest.raises(PathSyntaxError, match="^position 16: expected a number$"):
+            parse_path(f"rdfs:subClassOf{{{bound},}}", PREFIXES)
+        with pytest.raises(PathSyntaxError, match="expected a number$"):
+            parse_path(f"rdfs:subClassOf{{1,{bound}}}", PREFIXES)
 
     @pytest.mark.parametrize(("text", "position"), [
         ("(" * 2000 + "a" + ")" * 2000, MAX_PATH_DEPTH + 1),
@@ -778,6 +786,10 @@ class TestParseQuery:
         q = parse_query('select ?x\n?x rdfs:label "a\\u0001b" .', PREFIXES)
         assert run_query(reloaded, q) == [(node(1),)]
 
+    def test_literal_escape_takes_only_hex_digits(self):
+        with pytest.raises(QuerySyntaxError, match=r"^line 1: bad \\u escape: '\+041'$"):
+            parse_query('?x rdfs:label "\\u+041" .', PREFIXES)
+
     @pytest.mark.parametrize(
         ("bad", "needle"),
         [
@@ -1279,3 +1291,64 @@ class TestLineageSiblings:
         store.add(Triple(node(3), ns.RDFS_SUBCLASSOF, node(4)))
         got = lineage(store, node(1))
         assert got == [node(2), node(3), node(4)]
+
+    @staticmethod
+    def bfs_levels(edges, start):
+        """Reference lineage: every term a subClassOf walk reaches from ``start``, by BFS level, then N-Triples text."""
+        parents = collections.defaultdict(set)
+        for child, parent in edges:
+            parents[child].add(parent)
+        level = {start: 0}
+        queue = collections.deque([start])
+        while queue:
+            here = queue.popleft()
+            for parent in parents[here]:
+                if parent not in level:
+                    level[parent] = level[here] + 1
+                    queue.append(parent)
+        return sorted((term for term in level if term != start), key=lambda term: (level[term], term.ntriples()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30),
+        labelled=st.sets(st.integers(0, 14), max_size=4),
+        start=st.integers(0, 14),
+    )
+    # a cycle back to the start, with a shared ancestor reached on two levels
+    @example(edges=[(0, 1), (1, 2), (2, 0), (0, 3), (3, 2), (2, 4)], labelled=set(), start=0)
+    # two parents sharing a grandparent; the root is known only as an object
+    @example(edges=[(0, 1), (0, 2), (1, 3), (2, 3)], labelled=set(), start=0)
+    # a self-loop, a term known only through a label, and an unknown term
+    @example(edges=[(5, 5)], labelled={6}, start=5)
+    @example(edges=[(5, 5)], labelled={6}, start=6)
+    @example(edges=[(5, 5)], labelled={6}, start=7)
+    def test_lineage_is_the_bfs_levels_of_the_edges(self, edges, labelled, start):
+        # every third term a blank node, so levels mix "<" and "_:" in their order
+        term = {i: blank(f"b{i}") if i % 3 == 0 else node(i) for i in range(15)}
+        store = TripleStore(PREFIXES)
+        for child, parent in edges:
+            store.add(Triple(term[child], ns.RDFS_SUBCLASSOF, term[parent]))
+        for i in labelled:
+            store.add(Triple(term[i], ns.RDFS_LABEL, literal(f"taxon {i}")))
+        known = {i for edge in edges for i in edge} | labelled
+        if start not in known:
+            with pytest.raises(UnknownEntityError, match="^entity not in graph: "):
+                lineage(store, term[start])
+        else:
+            expect = self.bfs_levels([(term[a], term[b]) for a, b in edges], term[start])
+            assert lineage(store, term[start]) == expect
+
+    def test_single_parent_levels_are_not_sorted(self, monkeypatch):
+        store = TripleStore(PREFIXES)
+        for depth in range(30):
+            store.add(Triple(node(depth), ns.RDFS_SUBCLASSOF, node(depth + 1)))
+        rendered = []
+        ntriples = Term.ntriples
+
+        def counted(term):
+            rendered.append(term)
+            return ntriples(term)
+
+        monkeypatch.setattr(Term, "ntriples", counted)
+        assert lineage(store, node(0)) == [node(depth) for depth in range(1, 31)]
+        assert rendered == []

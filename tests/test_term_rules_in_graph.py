@@ -1,17 +1,19 @@
 """No runtime module but graph.py spells out a term rule; the others build on graph's named rules."""
 
 import ast
+import string
 import sys
 from pathlib import Path
 
-from ecokg import align, ecotox, ntriples
+from ecokg import align, ecotox, graph, ntriples, query
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ecokg"
 
-# Fragments of the IRI, blank-label, language-tag and alphanumeric rules:
-# the ASCII letter class, the start of the surrogate range (as regex text
-# or as the character itself) and the Unicode alphanumeric class.
-RULE_FRAGMENTS = ("A-Za-z", "\\ud800", "\ud800", "[^\\W_]")
+# Fragments of the IRI, blank-label, language-tag, alphanumeric and digit
+# rules: the ASCII letter class, the start of the surrogate range (as regex
+# text or as the character itself), the Unicode alphanumeric class and the
+# Unicode digit class, which graph.DIGIT's ASCII digits replace.
+RULE_FRAGMENTS = ("A-Za-z", "\\ud800", "\ud800", "[^\\W_]", "\\d")
 
 
 def rule_spellings(source: str) -> list[tuple[int, str]]:
@@ -53,20 +55,29 @@ def test_lint_sees_a_spelled_out_rule():
     ]
 
 
-def isalnum_calls(source: str) -> list[int]:
-    """Lines of the ``.isalnum(`` calls in ``source``."""
+def method_calls(source: str, method: str) -> list[int]:
+    """Lines of the ``.method(`` calls in ``source``."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "isalnum"
+        and node.func.attr == method
     )
 
 
-def test_only_graph_states_the_alphanumeric_rule():
+def calls_outside_graph(method: str) -> dict[str, list[int]]:
+    """Lines of the ``.method(`` calls in each runtime module but graph.py that has one."""
     modules = sorted(path for path in SRC.glob("*.py") if path.name != "graph.py")
-    calls = {path.name: isalnum_calls(path.read_text(encoding="utf-8")) for path in modules}
-    assert {name: lines for name, lines in calls.items() if lines} == {}
+    calls = {path.name: method_calls(path.read_text(encoding="utf-8"), method) for path in modules}
+    return {name: lines for name, lines in calls.items() if lines}
+
+
+def test_only_graph_states_the_alphanumeric_rule():
+    assert calls_outside_graph("isalnum") == {}
+
+
+def test_only_graph_states_the_digit_rule():
+    assert calls_outside_graph("isdigit") == {}
 
 
 def test_lint_sees_an_isalnum_call_and_the_alphanumeric_class():
@@ -77,8 +88,20 @@ def test_lint_sees_an_isalnum_call_and_the_alphanumeric_class():
         "keep = str.isalnum\n"
         "ok = text[-1].isalnum()\n"
     )
-    assert isalnum_calls(source) == [4, 6]
+    assert method_calls(source, "isalnum") == [4, 6]
     assert rule_spellings(source) == [(2, "[^\\W_]+")]
+
+
+def test_lint_sees_an_isdigit_call_and_the_digit_class():
+    source = (
+        "# a comment may say \\d+ or text.isdigit()\n"
+        "ID = re.compile(r'[1-9]\\d*')\n"
+        "from .graph import DIGIT\n"
+        "CAS = re.compile(rf'({DIGIT}{{2,7}})-(\\d{{2}})')\n"
+        "def number(text):\n    return int(text) if text.isdigit() else None\n"
+    )
+    assert method_calls(source, "isdigit") == [6]
+    assert rule_spellings(source) == [(2, "[1-9]\\d*"), (4, "{2,7})-(\\d{2})")]
 
 
 def test_alphanumeric_rules_agree_with_str_on_every_code_point():
@@ -96,3 +119,30 @@ def test_alphanumeric_rules_agree_with_str_on_every_code_point():
         matches = pattern.fullmatch
         disagree = [ch for ch in chars if (matches(ch) is not None) != predicate(ch)]
         assert disagree == [], name
+
+
+def ascii_digit(ch: str) -> bool:
+    return ch.isascii() and ch.isdigit()
+
+
+def test_digit_rules_agree_with_str_on_every_code_point():
+    # each class built from graph.DIGIT or graph.HEX_DIGIT against the ASCII rule it stands for;
+    # str.isdigit(), int() and "\d" also take the other scripts' digits
+    rules = {
+        "ecotox._DIGITS": (ecotox._DIGITS, ascii_digit),
+        "query._DIGITS": (query._DIGITS, ascii_digit),
+        "ntriples._HEX": (ntriples._HEX, lambda ch: ch in string.hexdigits),
+    }
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    for name, (pattern, predicate) in rules.items():
+        matches = pattern.fullmatch
+        disagree = [ch for ch in chars if (matches(ch) is not None) != predicate(ch)]
+        assert disagree == [], name
+    read = []
+    for ch in chars:
+        if ch.isnumeric():  # the only characters int() can read
+            try:
+                read.append(graph.digits_int(ch))
+            except ValueError:
+                pass
+    assert read == list(range(10))
