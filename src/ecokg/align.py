@@ -18,8 +18,9 @@ The distance is the exact bit-parallel Levenshtein algorithm (Myers
 columns packed into an int. ``lane_deltas`` runs it over any number of
 patterns side by side (Hyyrö, Fredriksson and Navarro 2005), and
 ``_pack`` is the one packer of those lanes, for alignment, for
-``levenshtein`` (one lane) and for ``query.fuzzy_lookup``. Each source
-form gets one pass per lane width over its candidates' forms, less
+``levenshtein`` (one lane) and for ``query.fuzzy_lookup``. A lane takes
+whole bytes, so forms of every length share one int. Each source form
+gets one pass over its candidates' forms, packed in length order, less
 those whose length bound ``1 - |len difference|/max(len)``, which no
 score can exceed, is below the threshold.
 """
@@ -27,9 +28,10 @@ score can exceed, is below the threshold.
 import math
 import re
 from collections import namedtuple
+from itertools import groupby
 from typing import Iterable, Mapping as MappingType, Sequence
 
-from .graph import ALNUM, CheckedRecord, Triple, TripleStore, ValidationError, iri, read_tsv_rows
+from .graph import ALNUM, CheckedRecord, Triple, TripleStore, ValidationError, ascii_float, iri, read_tsv_rows
 from .ns import OWL_SAMEAS, RDFS_LABEL
 
 DEFAULT_STOP_WORDS = frozenset(
@@ -94,16 +96,14 @@ _POPCOUNT = bytes(bin(byte).count("1") for byte in range(256))
 _BINARY_DIGIT = [bytes(48 + (byte >> j & 1) for byte in range(256)) for j in range(8)]
 
 
-def _stride(length: int) -> int:
-    """Lane width: the smallest power of two above the length, at least 8."""
-    return max(8, 1 << length.bit_length())
-
-
-def _pack(stride: int, forms: list[str]) -> tuple[int, int, dict[str, int]]:
+def _pack(forms: list[str]) -> tuple[int, int, dict[str, int], list[tuple[int, int]]]:
     """``lane_deltas``'s mask, bottoms and per-character bits for the
-    forms, one per ``stride``-bit lane, each padded to the width on its own."""
+    forms, one per lane, and the runs of adjacent lanes of one width as
+    (width, lanes). Forms in length order make one run per width."""
     lengths = list(map(len, forms))
-    lane = {n: ((1 << n) - 1).to_bytes(stride // 8, "little") for n in set(lengths)}
+    # a lane is whole bytes with at least one carry bit above its form, a power of two from 64 on
+    widths = {n: 8 * (n // 8 + 1) if n < 64 else 1 << n.bit_length() for n in set(lengths)}
+    lane = {n: ((1 << n) - 1).to_bytes(width // 8, "little") for n, width in widths.items()}
     mask = int.from_bytes(b"".join(map(lane.__getitem__, lengths)), "little")
     # bit 0 of a non-empty lane is the one set bit whose bit below is clear
     bottoms = mask ^ (mask & (mask << 1))
@@ -111,7 +111,7 @@ def _pack(stride: int, forms: list[str]) -> tuple[int, int, dict[str, int]]:
     # padded text, read as binary digits from the last position down. A
     # character's positions are those where every plane agrees with it;
     # a lone surrogate is a code point like any other.
-    padded = "".join([form.ljust(stride, "\0") for form in forms])
+    padded = "".join([form.ljust(widths[len(form)], "\0") for form in forms])
     points = padded[::-1].encode("utf-32-le", "surrogatepass")
     alphabet = set("".join(forms))
     planes = [
@@ -127,32 +127,38 @@ def _pack(stride: int, forms: list[str]) -> tuple[int, int, dict[str, int]]:
         for j, (off, on) in enumerate(choices):
             bits &= on if code >> j & 1 else off
         peq[ch] = bits
-    return mask, bottoms, peq
+    runs = [(width, len(list(run))) for width, run in groupby(map(widths.__getitem__, lengths))]
+    return mask, bottoms, peq, runs
 
 
-def _lane_counts(pv: int, nv: int, stride: int, lanes: int) -> bytes | list[int]:
-    """Per lane, the popcount of ``pv`` plus that of ``nv``.
+def _lane_counts(pv: int, nv: int, runs: list[tuple[int, int]]) -> bytes | list[int]:
+    """Per lane, the popcount of ``pv`` plus that of ``nv``, over ``_pack``'s runs.
 
-    A table turns every byte into its popcount. One multiply then sums
-    each run of up to 8 bytes into the run's top byte; a run's counts
-    total at most 128, so no byte carries. Lanes wider than a run add
-    their runs' sums.
+    A table turns every byte into its popcount. In a run of lanes of up
+    to 8 bytes, one multiply then sums each lane's bytes into its top
+    byte; any lane-wide window of the run holds at most 63 mask bits, so
+    no sum passes 126 and no byte carries. A wider lane, whose total can
+    pass 255, adds its bytes in a loop.
     """
-    size = lanes * stride // 8
+    size = sum(width * lanes for width, lanes in runs) // 8
     n = (int.from_bytes(pv.to_bytes(size, "little").translate(_POPCOUNT), "little")
          + int.from_bytes(nv.to_bytes(size, "little").translate(_POPCOUNT), "little"))
-    run = min(stride // 8, 8)
-    summed = n * int.from_bytes(b"\1" * run, "little")
-    counts = summed.to_bytes(size + run, "little")[run - 1:size:run]
-    per = stride // 64
-    if per <= 1:
-        return counts
-    return [sum(counts[i:i + per]) for i in range(0, len(counts), per)]
+    popcounts = n.to_bytes(size, "little")
+    counts, start = b"", 0
+    for width, lanes in runs:
+        step, end = width // 8, start + width * lanes // 8
+        if width > 64:
+            counts = [*counts, *(sum(popcounts[i:i + step]) for i in range(start, end, step))]
+        else:
+            summed = int.from_bytes(popcounts[start:end], "little") * int.from_bytes(b"\1" * step, "little")
+            counts += summed.to_bytes(end - start + step, "little")[step - 1:end - start:step]
+        start = end
+    return counts
 
 
 def levenshtein(a: str, b: str) -> int:
     """Edit distance with unit costs: ``lane_deltas`` with one lane, ``b``."""
-    mask, bottoms, peq = _pack(_stride(len(b)), [b])
+    mask, bottoms, peq, _ = _pack([b])
     pv, mv = lane_deltas(peq, mask, bottoms, a)
     return len(a) + pv.bit_count() - mv.bit_count()
 
@@ -290,27 +296,26 @@ def align_lexical(
         top, winners = threshold, set()
         for sf in source_forms[source]:
             n = len(sf)
-            # by lane width, the forms whose length bound reaches threshold
-            lanes: dict[int, tuple[list[str], list[str]]] = {}
+            # (form, target) per form whose length bound reaches threshold
+            lanes = []
             for target in targets:
                 for tf in target_forms[target]:
                     form_pairs += 1
                     if 1.0 - abs(n - len(tf)) / max(n, len(tf)) >= threshold:
-                        forms, owners = lanes.setdefault(_stride(len(tf)), ([], []))
-                        forms.append(tf)
-                        owners.append(target)
-            for stride, (forms, owners) in lanes.items():
-                scored += len(forms)
-                mask, bottoms, peq = _pack(stride, forms)
-                pv, mv = lane_deltas(peq, mask, bottoms, sf)
-                # as in query.fuzzy_lookup, distance = count + n - len(tf)
-                counts = _lane_counts(pv, mv ^ mask, stride, len(forms))
-                for tf, target, count in zip(forms, owners, counts):
-                    score = 1.0 - (count + n - len(tf)) / max(n, len(tf))
-                    if score > top:
-                        top, winners = score, {target}
-                    elif score == top:
-                        winners.add(target)
+                        lanes.append((tf, target))
+            if not lanes:
+                continue
+            lanes.sort(key=lambda lane: len(lane[0]))
+            scored += len(lanes)
+            mask, bottoms, peq, runs = _pack([tf for tf, _ in lanes])
+            pv, mv = lane_deltas(peq, mask, bottoms, sf)
+            # as in query.fuzzy_lookup, distance = count + n - len(tf)
+            for (tf, target), count in zip(lanes, _lane_counts(pv, mv ^ mask, runs)):
+                score = 1.0 - (count + n - len(tf)) / max(n, len(tf))
+                if score > top:
+                    top, winners = score, {target}
+                elif score == top:
+                    winners.add(target)
         if winners:
             best[source] = (top, winners)
     if funnel is not None:
@@ -367,7 +372,7 @@ def read_mappings(text: str) -> MappingSet:
     methods: set[str] = set()
     for line_no, (source, target, score, method) in read_tsv_rows(text, "mappings", 4):
         try:
-            out.add(Mapping(source, target, float(score), method))
+            out.add(Mapping(source, target, ascii_float(score), method))
         except ValueError as exc:
             raise ValueError(f"mappings line {line_no}: {exc}") from None
         methods.add(method)

@@ -23,7 +23,9 @@ from pathlib import Path
 
 from . import align as align_mod
 from . import checks, dmp, ecotox, idmap, ntriples, stats, traits, units
-from .graph import FrozenStoreError, PrefixMap, TripleStore, ValidationError, iri, is_content_line
+from .graph import (
+    FrozenStoreError, PrefixMap, TripleStore, ValidationError, ascii_float, digits_int, iri, is_content_line
+)
 from .ns import ET, NCBI, RDF_TYPE, default_prefix_map
 
 log = logging.getLogger(__name__)
@@ -59,10 +61,9 @@ def _resolve_flags(args) -> None:
         value = config.get(key)
         if dest == "threshold" and value is not None:
             try:
-                if isinstance(value, bool):  # float() would take true as 1.0
-                    raise TypeError
-                value = float(value)
-            except (TypeError, ValueError):
+                # a JSON number or numeric string; str() spells true as "True", which is no number
+                value = ascii_float(str(value))
+            except ValueError:
                 raise ValueError(f"config key {key} must be a number, got {value!r}") from None
         elif isinstance(value, str):
             value = Path(args.config).parent / value
@@ -517,6 +518,11 @@ _INGEST_STAGES = (
 )
 
 
+def ascii_int(text: str) -> int:
+    """A count flag: ASCII digits with an optional ``-``, so a negative count reaches its own check."""
+    return -digits_int(text[1:]) if text.startswith("-") else digits_int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecokg", description="Build and query an ecotoxicology knowledge graph."
@@ -549,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="target graph (.nt)")
     p.add_argument("--source-ns", default=_SOURCE_NS, help="source subject namespace")
     p.add_argument("--target-ns", default=_TARGET_NS, help="target subject namespace")
-    p.add_argument("--threshold", type=float, help="minimum score (default 0.8)")
+    p.add_argument("--threshold", type=ascii_float, help="minimum score (default 0.8)")
     p.add_argument("--stopwords", help="stop-word list, one per line")
 
     p = sub.add_parser("eval-mappings", help="recall of computed vs reference mappings")
@@ -581,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", help="start entity (curie or IRI)")
     p = read_parser("lookup", "fuzzy label search")
     p.add_argument("--name", required=True, help="name to look up")
-    p.add_argument("-k", type=int, default=5, help="result count")
+    p.add_argument("-k", type=ascii_int, default=5, help="result count")
     p = read_parser("lineage", "ancestor chain of a taxon")
     p.add_argument("--taxon", required=True, help="taxon (curie or IRI)")
 
@@ -589,11 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, out_required=True)
     p.add_argument("--graph", help="graph file (.nt), default <out>/kg.nt")
     # counts, not the ECOTOX tables the config's tests/species keys name
-    p.add_argument("--tests", type=int, dest="test_count", metavar="TESTS",
+    p.add_argument("--tests", type=ascii_int, dest="test_count", metavar="TESTS",
                    help="experiment count for coverage")
-    p.add_argument("--compounds", type=int, dest="compound_count", metavar="COMPOUNDS",
+    p.add_argument("--compounds", type=ascii_int, dest="compound_count", metavar="COMPOUNDS",
                    help="compound count for coverage")
-    p.add_argument("--species", type=int, dest="species_count", metavar="SPECIES",
+    p.add_argument("--species", type=ascii_int, dest="species_count", metavar="SPECIES",
                    help="species count for coverage")
 
     p = ingest_parser("update", "full deterministic rebuild from config", update_flags)

@@ -75,6 +75,13 @@ def digits_int(text: str) -> int:
     raise ValueError(f"not ASCII digits: {text!r}")
 
 
+def ascii_float(text: str) -> float:
+    """``float(text)`` for ASCII text without ``_``; ``float()`` alone also takes other scripts' digits."""
+    if text.isascii() and "_" not in text:
+        return float(text)
+    raise ValueError(f"could not convert string to float: {text!r}")
+
+
 class CheckedRecord:
     """Base of the named-tuple records whose ``__new__`` checks their fields.
 

@@ -16,11 +16,12 @@ file can hold; a query adds ``^^curie`` datatypes.
 """
 
 import re
+from bisect import bisect_left, bisect_right
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from itertools import compress
 
-from .align import _lane_counts, _pack, _stride, lane_deltas, normalize_label
+from .align import _lane_counts, _pack, lane_deltas, normalize_label
 from .graph import DIGIT, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, is_content_line
 from .ns import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
 from .ntriples import _LineScanner
@@ -679,15 +680,14 @@ def _label_form(label: str) -> str:
 
 def _label_index(
     store: TripleStore,
-) -> dict[int, tuple[int, int, dict[str, int], list[list[str]], dict[int, tuple[int, int]]]]:
-    """Distinct label forms by lane width, packed for ``lane_deltas``.
+) -> tuple[int, int, dict[str, int], list[tuple[int, int]], list[list[str]], dict[int, tuple[int, int]]]:
+    """Distinct label forms packed for ``lane_deltas``, one form per lane.
 
-    Per width (``_stride`` of a form's length): the mask, bottoms and
-    per-character bits of the width's forms sorted by (length, form), one
-    form per lane; each lane's sorted subject keys; and per length, the
-    (start, stop) range of its run of lanes. Built once per frozen store
-    and kept on it; an unfrozen store can change, so it gets a fresh
-    index on every call.
+    ``_pack``'s mask, bottoms, per-character bits and width runs of the
+    forms sorted by (length, form); each lane's sorted subject keys; and
+    per length, the (start, stop) range of its run of lanes. Built once
+    per frozen store and kept on it; an unfrozen store can change, so it
+    gets a fresh index on every call.
     """
     if store.label_index is not None:
         return store.label_index
@@ -696,14 +696,10 @@ def _label_index(
         if o.is_literal():
             key = s.ntriples() if s.is_blank() else s.value
             keys_by_form.setdefault(_label_form(o.value), set()).add(key)
-    groups: dict[int, tuple[list[str], list[list[str]], dict[int, tuple[int, int]]]] = {}
-    for form, keys in sorted(keys_by_form.items(), key=lambda item: (len(item[0]), item[0])):
-        forms, lane_keys, runs = groups.setdefault(_stride(len(form)), ([], [], {}))
-        start, _ = runs.get(len(form), (len(forms), None))
-        forms.append(form)
-        lane_keys.append(sorted(keys))
-        runs[len(form)] = (start, len(forms))
-    index = {stride: (*_pack(stride, forms), keys, runs) for stride, (forms, keys, runs) in groups.items()}
+    forms = sorted(keys_by_form, key=lambda form: (len(form), form))
+    lengths = list(map(len, forms))
+    by_length = {n: (bisect_left(lengths, n), bisect_right(lengths, n)) for n in set(lengths)}
+    index = (*_pack(forms), [sorted(keys_by_form[form]) for form in forms], by_length)
     if store.frozen:
         store.label_index = index
     return index
@@ -724,69 +720,54 @@ def fuzzy_lookup(
     break toward the lexicographically smaller IRI. Ingest mirrors all
     source names under rdfs:label, so the labels cover them all.
 
-    The result is exact. Forms of one lane width share a lane-packed run
-    of Myers' algorithm (Hyyrö, Fredriksson and Navarro 2005), one pass
-    over the probe per width. Widths are visited by their best length
-    bound, stopping once no length in a width can reach the k-th best
-    score so far. Within a width, lengths are ranked best bound first
-    with the same stop, and a form is ranked only if its distance leaves
-    it a chance to reach that score. The k-th best is recomputed only
-    after a length's run raised some subject's score. ``funnel``, when
-    given, receives the number of passes and of the lanes they scanned.
+    The result is exact. Every form is a lane of one run of Myers'
+    algorithm (Hyyrö, Fredriksson and Navarro 2005): one pass over the
+    probe scores them all. Lengths are then ranked best bound first,
+    stopping once no length left can reach the k-th best score so far,
+    and a form is ranked only if its distance leaves it a chance to
+    reach that score. The k-th best is recomputed only after a length's
+    run raised some subject's score. ``funnel``, when given, receives
+    the number of passes (one, or none on a store without labels) and of
+    the lanes they scanned.
     """
     check_lookup_k(k)
     probe = _label_form(name)
     lp = len(probe)
-    index = _label_index(store)
+    mask, bottoms, peq, runs, keys, by_length = _label_index(store)
     # each length's bound 1 - |len difference|/max(len); no score exceeds it
-    bound = {
-        length: 1.0 - abs(length - lp) / (max(length, lp) or 1)
-        for *_, runs in index.values()
-        for length in runs
-    }
-    visits = []
-    for stride, (*_, runs) in index.items():
-        lengths = sorted(runs, key=bound.__getitem__, reverse=True)
-        visits.append((bound[lengths[0]], stride, lengths))
-    visits.sort(key=lambda visit: visit[0], reverse=True)
+    bound = {length: 1.0 - abs(length - lp) / (max(length, lp) or 1) for length in by_length}
     best: dict[str, float] = {}
     kth = float("-inf")
-    passes = lanes = 0
-    for top, stride, lengths in visits:
-        if top < kth:
-            break
-        mask, bottoms, peq, keys, runs = index[stride]
+    if keys:
         pv, mv = lane_deltas(peq, mask, bottoms, probe)
-        passes += 1
-        lanes += len(keys)
         # distance = lp + popcount(pv) - popcount(mv), where popcount(mv)
         # = length - popcount(mv ^ mask) in a lane of that length
-        counts = _lane_counts(pv, mv ^ mask, stride, len(keys))
-        for length in lengths:
-            if bound[length] < kth:
-                break
-            start, stop = runs[length]
-            longest = max(length, lp) or 1
-            # a form further than this scores more than 1/longest below kth
-            limit = int((1.0 - kth) * longest) + 1 if kth > 0.0 else longest
-            # "most" is the count at limit
-            most = limit + length - lp
-            run = counts[start:stop]
-            raised = False
-            for lane_keys, count in compress(zip(keys[start:stop], run), map(most.__ge__, run)):
-                score = 1.0 - (count + lp - length) / longest
-                for key in lane_keys:
-                    if score > best.get(key, -1.0):
-                        best[key] = score
-                        raised = True
-            if raised and len(best) >= k:
-                kth = sorted(best.values(), reverse=True)[k - 1]
-                # kth only rises, so a subject below it now can never rank
-                best = {key: score for key, score in best.items() if score >= kth}
+        counts = _lane_counts(pv, mv ^ mask, runs)
+    for length in sorted(by_length, key=bound.__getitem__, reverse=True):
+        if bound[length] < kth:
+            break
+        start, stop = by_length[length]
+        longest = max(length, lp) or 1
+        # a form further than limit scores more than 1/longest below kth; "most" is the count at limit
+        limit = int((1.0 - kth) * longest) + 1 if kth > 0.0 else longest
+        most = limit + length - lp
+        run = counts[start:stop]
+        if min(run) > most:  # no form of this length can rank
+            continue
+        raised = False
+        for lane_keys, count in compress(zip(keys[start:stop], run), map(most.__ge__, run)):
+            score = 1.0 - (count + lp - length) / longest
+            for key in lane_keys:
+                if score > best.get(key, -1.0):
+                    best[key] = score
+                    raised = True
+        if raised and len(best) >= k:
+            kth = sorted(best.values(), reverse=True)[k - 1]
+            # kth only rises, so a subject below it now can never rank
+            best = {key: score for key, score in best.items() if score >= kth}
     if funnel is not None:
-        funnel.update(passes=passes, lanes=lanes)
-    ranked = sorted(best.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+        funnel.update(passes=min(len(keys), 1), lanes=len(keys))
+    return sorted(best.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 
 def _require_known(store: TripleStore, term: Term) -> None:

@@ -17,7 +17,8 @@ from collections import namedtuple
 from decimal import Decimal
 
 from .graph import (
-    CheckedRecord, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
+    CheckedRecord, PrefixMap, Term, Triple, TripleStore, ValidationError, ascii_float, iri, literal,
+    read_tsv_rows,
 )
 from .ns import QUDT, RDF_TYPE, RDFS_LABEL, XSD_DECIMAL, XSD_STRING
 
@@ -141,7 +142,7 @@ def parse_units(text: str, prefixes: PrefixMap | None = None) -> list[UnitDef]:
         if prefixes is not None:
             unit_id = prefixes.resolve(unit_id)
         try:
-            units.append(UnitDef(unit_id, label, abbreviation, float(multiplier), float(offset),
+            units.append(UnitDef(unit_id, label, abbreviation, ascii_float(multiplier), ascii_float(offset),
                                  dimension, symbol))
         except ValueError as exc:
             raise ValueError(f"units table line {line_no}: {exc}") from None

@@ -124,8 +124,10 @@ class TestLevenshtein:
             assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
 
-# Lane lengths at and around every lane-width edge up to 128, and 200.
-LANE_EDGE_LENGTHS = (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200)
+# Lane lengths at and around every lane-width edge up to 128, and 200: lanes
+# take whole bytes up to 64 bits, then a power of two.
+LANE_EDGE_LENGTHS = (0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 39, 40, 41, 47, 48, 49,
+                     55, 56, 57, 63, 64, 65, 127, 128, 129, 200)
 # é, ж, a code point past U+FFFF, a lone surrogate and U+0000, the padding
 KERNEL_ALPHABET = ("a", "b", "é", "ж", "\U00010428", "\ud800", "\0")
 
@@ -141,19 +143,28 @@ class TestLaneKernel:
     @given(st.lists(kernel_forms, min_size=1, max_size=4), st.lists(kernel_forms, max_size=3), kernel_forms)
     @settings(max_examples=60, deadline=None)
     def test_bits_stay_inside_mask_and_lanes_match_oracle(self, before, after, text):
-        # an empty lane between non-empty ones, U+0000 inside a form, and
-        # the widest form sets the width
+        # an empty lane between non-empty ones and U+0000 inside a form, all
+        # widths in one pack, as given and in length order
         forms = before + [""] + after + ["é\0ж\U00010428\ud800"]
-        stride = max(map(align._stride, map(len, forms)))
-        mask, bottoms, peq = align._pack(stride, forms)
-        for bits in (bottoms, *peq.values()):
-            assert bits >= 0 and bits | mask == mask
-        pv, mv = align.lane_deltas(peq, mask, bottoms, text)
-        assert pv >= 0 and pv | mask == mask
-        assert mv >= 0 and mv | mask == mask
-        counts = align._lane_counts(pv, mv ^ mask, stride, len(forms))
-        for form, count in zip(forms, counts):
-            assert count + len(text) - len(form) == helpers.dp_levenshtein(text, form), ascii(form)
+        for order in (forms, sorted(forms, key=len)):
+            mask, bottoms, peq, runs = align._pack(order)
+            # whole bytes with a carry bit above the form, a power of two from 64 characters on
+            widths = [8 * (len(form) // 8 + 1) if len(form) < 64 else 1 << len(form).bit_length()
+                      for form in order]
+            assert [width for width, lanes in runs for _ in range(lanes)] == widths
+            assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+            assert mask < 1 << sum(widths)
+            for bits in (bottoms, *peq.values()):
+                assert bits >= 0 and bits | mask == mask
+            pv, mv = align.lane_deltas(peq, mask, bottoms, text)
+            assert pv >= 0 and pv | mask == mask
+            assert mv >= 0 and mv | mask == mask
+            counts = align._lane_counts(pv, mv ^ mask, runs)
+            assert len(counts) == len(order)
+            for form, count in zip(order, counts):
+                assert count + len(text) - len(form) == helpers.dp_levenshtein(text, form), ascii(form)
+        # in length order, one run per width
+        assert [width for width, _ in runs] == sorted(set(widths))
 
 
 class TestSimilarity:
@@ -373,9 +384,9 @@ def random_label_sets(rng):
 
 # ASCII, Latin-1, Cyrillic and an astral lowercase letter (U+10428).
 LANE_LETTERS = "ab\xe9\u0436\U00010428"
-# Form lengths at both sides of each lane width's edge (8, 16, 32 and 64
-# bits); 64 and up take 128-bit lanes, whose counts sum two runs.
-LANE_EDGE_LENGTHS = (7, 8, 15, 16, 31, 32, 63, 64, 65)
+# Form lengths at both sides of lane width edges (lanes take whole bytes
+# up to 64 bits); 64 and up take 128-bit lanes, whose counts add their bytes.
+LANE_EDGE_LENGTHS = (7, 8, 15, 16, 23, 24, 31, 32, 47, 48, 63, 64, 65)
 
 
 def lane_label_sets(rng):
@@ -461,16 +472,17 @@ class TestLengthPruning:
         rng = random.Random(59)
         source, target = random_label_sets(rng)
         plain = align_lexical(source, target, threshold=0.6)
-        lanes = []
+        packs = []
         real = align._pack
-        monkeypatch.setattr(align, "_pack", lambda stride, forms: lanes.append(len(forms)) or real(stride, forms))
+        monkeypatch.setattr(align, "_pack", lambda forms: packs.append(forms) or real(forms))
         funnel = {}
         counted = align_lexical(source, target, threshold=0.6, funnel=funnel)
         assert list(counted) == list(plain)
         assert sorted(funnel) == ["blocked_pairs", "distinct_tokens", "exact_sources",
                                   "form_pairs", "length_pruned", "scored", "ties_broken"]
         assert funnel["form_pairs"] == funnel["length_pruned"] + funnel["scored"]
-        assert funnel["scored"] == sum(lanes)
+        assert funnel["scored"] == sum(map(len, packs))
+        assert all(forms == sorted(forms, key=len) for forms in packs)
         assert funnel["length_pruned"] > 0
 
     def test_funnel_is_deterministic(self):

@@ -261,6 +261,24 @@ class TestParserSurface:
                     None, None, None, False
                 ), (name, flag)
 
+    @pytest.mark.parametrize(("flag", "value"), [
+        ("-k", "٣"), ("-k", "1_0"), ("--tests", "9_4٠"), ("--compounds", "٢"), ("--species", "٢"),
+        ("--threshold", "٠.٨"), ("--threshold", "0_8"),
+    ])
+    def test_number_flags_take_ascii_digits_only(self, pipeline_dir, tmp_path, capsys, flag, value):
+        # int() and float() read these as 3, 10, 940, 2, 2, 0.8 and 0.8, and each run exited 0
+        argv = {
+            "-k": ["lookup", "--graph", str(pipeline_dir / "kg.nt"), "--name", "daphnia magna"],
+            "--threshold": ["align", "--source", str(pipeline_dir / "ecotox.nt"),
+                            "--target", str(pipeline_dir / "ncbi.nt"), "--out", str(tmp_path)],
+        }.get(flag, ["stats", "--graph", str(pipeline_dir / "kg.nt"), "--out", str(tmp_path),
+                     "--tests", "3", "--compounds", "2", "--species", "2"])
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(*cfg_args(*argv, flag, value))
+        assert exit_.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 def fixture_config(tmp_path, **changes) -> Path:
     """The fixture config with absolute paths and ``changes``, written into ``tmp_path``."""
@@ -277,7 +295,9 @@ class TestConfigKeys:
         ("units", "units", 5, "config key units must be a path string, got 5"),
         ("update", "threshold", [0.8], "config key threshold must be a number, got [0.8]"),
         ("update", "threshold", True, "config key threshold must be a number, got True"),
-    ], ids=["path-key", "threshold", "threshold-bool"])
+        ("update", "threshold", "٠.٨", "config key threshold must be a number, got '٠.٨'"),
+        ("update", "threshold", "0_8", "config key threshold must be a number, got '0_8'"),
+    ], ids=["path-key", "threshold", "threshold-bool", "threshold-arabic-indic", "threshold-underscore"])
     def test_malformed_value_is_two_and_names_the_key(self, tmp_path, capsys, command, key, value, error):
         config = fixture_config(tmp_path, **{key: value})
         assert run_cli("--config", str(config), command, "--out", str(tmp_path / "out")) == 2

@@ -360,7 +360,17 @@ class TestTsvRows:
          "units table line 1: could not convert string to float: '1x'"),
         (align.read_mappings, "a\tb\t 0.9x \tlexical\n",
          "mappings line 1: could not convert string to float: '0.9x'"),
-    ], ids=["units", "mappings"])
+        # float() alone reads other scripts' digits and "_" between digits
+        (units.parse_units, "u\tl\ta\t١.٥\t0\td\ts\n",
+         "units table line 1: could not convert string to float: '١.٥'"),
+        (units.parse_units, "u\tl\ta\t1\t1_0\td\ts\n",
+         "units table line 1: could not convert string to float: '1_0'"),
+        (align.read_mappings, "a\tb\t٠.٩\tlexical\n",
+         "mappings line 1: could not convert string to float: '٠.٩'"),
+        (align.read_mappings, "a\tb\t0.9_0\tlexical\n",
+         "mappings line 1: could not convert string to float: '0.9_0'"),
+    ], ids=["units", "mappings", "units-arabic-indic", "units-underscore", "mappings-arabic-indic",
+            "mappings-underscore"])
     def test_bad_padded_number_quotes_the_stripped_field(self, read, text, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             read(text)

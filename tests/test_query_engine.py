@@ -977,6 +977,14 @@ _:conc unit:units ?concunit .
         assert "3.1" not in values
 
 
+# Label text whose form lands in each lane width: empty, 1-7 characters
+# (8 bits), 8-63 (16 to 64 bits) and 64 on (128 bits and up). U+0000, a
+# lone surrogate and spaces split tokens; a label of no letters is kept whole.
+lookup_labels = st.one_of(st.just(0), st.integers(1, 7), st.integers(8, 63), st.integers(64, 80)).flatmap(
+    lambda n: st.lists(st.sampled_from(("a", "b", "é", " ", "\0", "\ud800")), min_size=n, max_size=n)
+).map("".join)
+
+
 class TestFuzzyLookup:
     def build(self):
         store = TripleStore(PREFIXES)
@@ -1107,11 +1115,11 @@ class TestFuzzyLookup:
                     assert fuzzy_lookup(store, probe, k) == expect[:k], (probe, k)
 
     def test_form_lengths_at_every_lane_width_edge(self):
-        # Lanes are 8, 16, ..., 256 bits wide: lengths on both sides of
-        # each edge, runs of one letter (the longest carries) and near
-        # copies of the stored labels as probes.
+        # Lanes are 8, 16, 24, ..., 64, then 128 and 256 bits wide: lengths
+        # on both sides of each edge, runs of one letter (the longest
+        # carries) and near copies of the stored labels as probes.
         rng = random.Random(89)
-        lengths = (0, 1, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128, 200)
+        lengths = (0, 1, 7, 8, 15, 16, 23, 24, 31, 32, 47, 48, 63, 64, 127, 128, 200)
 
         def word(n):
             if rng.random() < 0.3:
@@ -1186,8 +1194,8 @@ class TestFuzzyLookup:
         ]
         self.assert_matches_reference(store, ["abcdefghijkl", "abcdefghijk", "abcdefghijklmn"])
 
-    def test_one_lane_deltas_pass_per_lane_width(self, monkeypatch):
-        # forms of every length from 1 to 40 fill the 8-, 16-, 32- and 64-bit widths
+    def test_one_lane_deltas_pass_per_lookup(self, monkeypatch):
+        # forms of every length from 1 to 40 fill the 8- to 48-bit widths
         rng = random.Random(97)
         store = self.labeled(*((f"s{n}", "".join(rng.choice("bcdf") for _ in range(n)))
                                for n in range(1, 41)))
@@ -1200,14 +1208,17 @@ class TestFuzzyLookup:
             for k in (1, 5):
                 calls.clear()
                 assert fuzzy_lookup(store, probe, k) == expect[:k], (probe, k)
-                assert len(calls) <= 4, (probe, k)
+                assert len(calls) == 1, (probe, k)
+        calls.clear()
+        assert fuzzy_lookup(self.labeled(), "b", 1) == []
+        assert calls == []
 
     def test_funnel_counts_passes_and_their_lanes(self, monkeypatch):
         rng = random.Random(101)
         store = self.labeled(*((f"s{n}", "".join(rng.choice("bcdf") for _ in range(n % 40 + 1)))
                                for n in range(120)))
         store.freeze()
-        lanes_by_mask = {mask: len(keys) for mask, _, _, keys, _ in query._label_index(store).values()}
+        mask, *_, keys, _ = query._label_index(store)
         real = query.lane_deltas
         masks = []
         monkeypatch.setattr(query, "lane_deltas", lambda *args: masks.append(args[1]) or real(*args))
@@ -1216,10 +1227,25 @@ class TestFuzzyLookup:
                 masks.clear()
                 funnel = {}
                 assert fuzzy_lookup(store, probe, k, funnel) == helpers.reference_lookup(store, probe)[:k]
-                assert funnel == {"passes": len(masks),
-                                  "lanes": sum(map(lanes_by_mask.__getitem__, masks))}, (probe, k)
-            # more hits than subjects: every width is scanned
-            assert funnel == {"passes": len(lanes_by_mask), "lanes": sum(lanes_by_mask.values())}
+                # one pass scans every distinct form
+                assert masks == [mask], (probe, k)
+                assert funnel == {"passes": 1, "lanes": len(keys)} and 0 < len(keys) < 120, (probe, k)
+        funnel = {}
+        assert fuzzy_lookup(self.labeled(), "b", 5, funnel) == []
+        assert funnel == {"passes": 0, "lanes": 0}
+
+    @given(st.lists(st.tuples(st.integers(0, 5), lookup_labels), max_size=10), lookup_labels)
+    @example([(0, ""), (1, "ab\0ba"), (2, "b" * 8), (3, "\ud800\0" * 33)], "ab")
+    @settings(max_examples=80, deadline=None)
+    def test_equals_reference_on_labels_of_every_lane_width(self, labels, probe):
+        store = self.labeled(*((f"s{i}", label) for i, label in labels))
+        subjects = len({i for i, _ in labels})
+        expect = helpers.reference_lookup(store, probe)
+        for frozen in (False, True):
+            if frozen:
+                store.freeze()
+            for k in range(1, subjects + 2):
+                assert fuzzy_lookup(store, probe, k) == expect[:k], (frozen, k)
 
     def test_frozen_store_reads_its_labels_once(self, monkeypatch):
         reads = []

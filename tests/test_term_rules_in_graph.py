@@ -138,11 +138,40 @@ def test_digit_rules_agree_with_str_on_every_code_point():
         matches = pattern.fullmatch
         disagree = [ch for ch in chars if (matches(ch) is not None) != predicate(ch)]
         assert disagree == [], name
-    read = []
+    read, read_float = [], []
     for ch in chars:
-        if ch.isnumeric():  # the only characters int() can read
-            try:
-                read.append(graph.digits_int(ch))
-            except ValueError:
-                pass
-    assert read == list(range(10))
+        if ch.isnumeric():  # the only characters int() and float() can read
+            for reader, out in ((graph.digits_int, read), (graph.ascii_float, read_float)):
+                try:
+                    out.append(reader(ch))
+                except ValueError:
+                    pass
+    assert read == read_float == list(range(10))
+
+
+def builtin_number_types(source: str) -> list[int]:
+    """Lines of the ``type=int`` and ``type=float`` keyword arguments in ``source``."""
+    return sorted(
+        node.value.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.keyword) and node.arg == "type"
+        and isinstance(node.value, ast.Name) and node.value.id in ("int", "float")
+    )
+
+
+def test_no_flag_reads_its_number_through_int_or_float():
+    # int() and float() take other scripts' digits and "_"; flags read numbers through graph's rules
+    found = {path.name: builtin_number_types(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    assert "cli.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_lint_sees_a_type_int_or_float_argument():
+    source = (
+        "# a comment may say type=int\n"
+        "p.add_argument('-k', type=int, default=5)\n"
+        "p.add_argument('--threshold',\n    type=float)\n"
+        "p.add_argument('-n', type=ascii_int)\n"
+        "kind = dict(type=str)\n"
+    )
+    assert builtin_number_types(source) == [2, 4]
