@@ -168,11 +168,17 @@ def _emit(args, text: str, counts: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Commands
 #
-# The stages that build part graphs also return the store they wrote
-# under "store", so `update` can hand it on instead of reading it back.
+# Each stage that builds a graph ends in _write_graph, which also returns
+# the store under "store", so `update` can hand it on instead of reading it back.
+
+def _write_graph(args, name: str, store: TripleStore, counts: dict) -> dict:
+    """Make the output directory and write ``store`` to ``name`` there; the stage's result."""
+    out_dir = _out_dir(args)
+    ntriples.write_file(store, out_dir / name)
+    return {"out_dir": out_dir, "counts": counts, "outputs": [name], "store": store}
+
 
 def cmd_ingest_ncbi(args) -> dict:
-    out_dir = _out_dir(args)
     nodes = dmp.parse_nodes(_input(args, "nodes"))
     names = dmp.parse_names(_input(args, "names"))
     divisions = dmp.parse_divisions(_input(args, "divisions"))
@@ -186,23 +192,18 @@ def cmd_ingest_ncbi(args) -> dict:
         "division_triples": dmp.ingest_divisions(divisions, store),
         "total_triples": len(store),
     }
-    ntriples.write_file(store, out_dir / "ncbi.nt")
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["ncbi.nt"], "store": store}
+    return _write_graph(args, "ncbi.nt", store, counts)
 
 
 def cmd_units(args) -> dict:
-    out_dir = _out_dir(args)
     store = TripleStore(args.prefixes)
     registry, added = units.load_registry(_input(args, "units"), args.prefixes, store)
-    ntriples.write_file(store, out_dir / "units.nt")
     counts = {"units": len(registry), "triples": added}
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["units.nt"], "store": store,
-            "registry": registry}
+    return {**_write_graph(args, "units.nt", store, counts), "registry": registry}
 
 
 def cmd_ingest_ecotox(args, registry: units.UnitRegistry | None = None) -> dict:
     """Effect tables to ecotox.nt; ``registry``, if given, replaces reading units.tsv."""
-    out_dir = _out_dir(args)
     species = [
         ecotox.synthesize_lineage(rec)
         for rec in ecotox.parse_species(_input(args, "species"))
@@ -226,19 +227,16 @@ def cmd_ingest_ecotox(args, registry: units.UnitRegistry | None = None) -> dict:
         "lineage_merges": ecotox.lineage_merges(store),
         "invalid_cas_kept": sum(not rec.cas_valid for rec in chemicals),
     }
-    ntriples.write_file(store, out_dir / "ecotox.nt")
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["ecotox.nt"], "store": store}
+    return _write_graph(args, "ecotox.nt", store, counts)
 
 
 def cmd_ingest_traits(args) -> dict:
-    out_dir = _out_dir(args)
     glossary = traits.load_glossary(_input(args, "glossary"), args.prefixes)
     rows = traits.parse_traits(_input(args, "traits"), args.prefixes)
     store = TripleStore(args.prefixes)
     added = traits.ingest_traits(rows, glossary, store)
-    ntriples.write_file(store, out_dir / "traits.nt")
     counts = {"rows": len(rows), "triples": added, "glossary_terms": len(glossary)}
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["traits.nt"], "store": store}
+    return _write_graph(args, "traits.nt", store, counts)
 
 
 # The subject namespaces `align` pairs unless --source-ns/--target-ns say otherwise.
@@ -292,16 +290,13 @@ def cmd_eval_mappings(args) -> dict:
 
 
 def cmd_bridge(args) -> dict:
-    out_dir = _out_dir(args)
     pairs = idmap.parse_pairs(_input(args, "pairs"))
     store = TripleStore(args.prefixes)
     added, errors = idmap.construct_sameas(pairs, args.rewrite, store)
     for message in errors:
         log.warning("bridge: %s", message)
-    name = f"sameas_{args.rewrite}.nt"
-    ntriples.write_file(store, out_dir / name)
     counts = {"pairs": len(pairs), "triples": added, "errors": len(errors)}
-    return {"out_dir": out_dir, "counts": counts, "outputs": [name], "store": store}
+    return _write_graph(args, f"sameas_{args.rewrite}.nt", store, counts)
 
 
 _EXPORT_PARTS = (
@@ -315,8 +310,9 @@ _EXPORT_PARTS = (
 )
 
 
-def _part_files(args, out_dir: Path):
-    """(file name, store) for ``--graphs``, else for the part files present."""
+def _part_files(args):
+    """(file name, store) for ``--graphs``, else for the part files present in ``--out``."""
+    out_dir = Path(_require(args, "out"))
     paths = [Path(p) for p in args.graphs] if args.graphs else [
         out_dir / name for name in _EXPORT_PARTS if (out_dir / name).exists()
     ]
@@ -337,9 +333,8 @@ def cmd_export(args, parts=None, mappings: align_mod.MappingSet | None = None) -
     part counts the triples it adds. The base is returned, frozen, under
     "store".
     """
-    out_dir = _out_dir(args)
     if parts is None:
-        parts = _part_files(args, out_dir)
+        parts = _part_files(args)
         if args.mappings is not None:
             mappings = align_mod.read_mappings(_read_text(args.mappings))
     parts = list(parts)
@@ -350,10 +345,9 @@ def cmd_export(args, parts=None, mappings: align_mod.MappingSet | None = None) -
     counts = {name: base_size if part is merged else merged.add_all(part) for name, part in parts}
     if mappings is not None:
         counts["mappings_sameas"] = align_mod.add_sameas(mappings, merged)
-    ntriples.write_file(merged, out_dir / "kg.nt")
     counts["total_triples"] = len(merged)
     merged.freeze()
-    return {"out_dir": out_dir, "counts": counts, "outputs": ["kg.nt"], "store": merged}
+    return _write_graph(args, "kg.nt", merged, counts)
 
 
 def cmd_read(args) -> dict:

@@ -105,15 +105,16 @@ def read_table(
 ) -> tuple[list[str], list[dict[str, str]]]:
     """Header and dict rows of a pipe-delimited ``table``, every cell stripped.
 
-    Lines end at ``\n`` only and blank lines are skipped. The first line
-    is the header; each later line needs as many fields as it has, and
-    the header must name every ``required`` column. The first of them is
-    the table's key, whose cells must not repeat. Each error names ``table``.
+    Lines end at ``\n`` only and blank lines are skipped. The first line is
+    the header, naming no column twice and every ``required`` one; each later
+    line needs one field per column. The first required column is the key,
+    whose cells must not repeat. Each error names ``table``.
     """
     lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{table}: empty table")
     header = [col.strip() for col in lines[0][1].split("|")]
+    unique_keys(header, table, "column", ValueError)
     rows = []
     for line_no, line in lines[1:]:
         cells = line.split("|")

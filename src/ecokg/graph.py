@@ -285,11 +285,10 @@ class PrefixMap:
 
     @classmethod
     def from_tsv(cls, text: str) -> "PrefixMap":
-        """Load bindings from two-column (prefix, namespace) TSV text."""
-        pm = cls()
-        for _, parts in read_tsv_rows(text, "prefix table", 2, at_least=True):
-            pm.bind(parts[0], parts[1])
-        return pm
+        """Load bindings from two-column (prefix, namespace) TSV text; no prefix may repeat."""
+        rows = [parts[:2] for _, parts in read_tsv_rows(text, "prefix table", 2, at_least=True)]
+        unique_keys([prefix for prefix, _ in rows], "prefix table", "prefix")
+        return cls(dict(rows))
 
 
 class TripleStore:

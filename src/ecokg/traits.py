@@ -10,7 +10,8 @@ import re
 from collections import namedtuple
 
 from .graph import (
-    LANG_TAG, CheckedRecord, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal, read_tsv_rows
+    LANG_TAG, CheckedRecord, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal,
+    read_tsv_rows, unique_keys
 )
 
 _KINDS = ("iri", "literal", "glossary")
@@ -37,11 +38,10 @@ class TraitRow(CheckedRecord, namedtuple("TraitRow", "subject property value kin
 
 
 def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:
-    """Read (term, iri) rows; the iri column may be a curie."""
-    glossary: dict[str, str] = {}
-    for _, parts in read_tsv_rows(text, "glossary", 2, at_least=True):
-        glossary[parts[0]] = prefixes.resolve(parts[1])
-    return glossary
+    """Read (term, iri) rows; the iri column may be a curie, and no term may repeat."""
+    rows = [parts[:2] for _, parts in read_tsv_rows(text, "glossary", 2, at_least=True)]
+    unique_keys([term for term, _ in rows], "glossary", "term")
+    return {term: prefixes.resolve(target) for term, target in rows}
 
 
 def parse_traits(text: str, prefixes: PrefixMap) -> list[TraitRow]:

@@ -115,6 +115,21 @@ class TestExitCodes:
         cls, _ = error_line(capsys)
         assert cls == "FileNotFoundError"
 
+    @pytest.mark.parametrize("argv", [
+        ("ingest-ncbi", "--nodes"),
+        ("units", "--units"),
+        ("ingest-ecotox", "--species"),
+        ("ingest-traits", "--glossary"),
+        ("bridge", "--rewrite", "ncbi", "--pairs"),
+        ("export", "--graphs"),
+    ], ids=lambda argv: argv[0])
+    def test_failed_stage_makes_no_output_directory(self, tmp_path, capsys, argv):
+        # each stage made --out before it read its input
+        out = tmp_path / "out"
+        assert run_cli(*cfg_args(*argv, str(tmp_path / "absent"), "--out", str(out))) == 2
+        assert error_line(capsys)[0] == "FileNotFoundError"
+        assert not out.exists()
+
     def test_malformed_input_is_two(self, tmp_path, capsys):
         bad = tmp_path / "nodes.dmp"
         bad.write_text("1\t|\tno-terminator\n")
@@ -635,6 +650,29 @@ class TestUpdateRegressions:
         config_path = self.with_second_line(tmp_path, key, row)
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
         assert error_line(capsys) == ("DuplicateKeyError", error)
+
+    @pytest.mark.parametrize(("key", "row", "error"), [
+        ("prefixes", "rdfs\thttp://example.org/other#", "prefix table: duplicate prefix: ['rdfs']"),
+        ("glossary", "Oostende\tworms:Brugge", "glossary: duplicate term: ['Oostende']"),
+    ], ids=["prefixes", "glossary"])
+    def test_repeated_prefix_or_glossary_term_exits_three(self, tmp_path, capsys, key, row, error):
+        # the last row won: rdfs:label expanded into the other namespace, Oostende mapped to Brugge
+        config_path = self.with_second_line(tmp_path, key, row)
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
+        assert error_line(capsys) == ("DuplicateKeyError", error)
+
+    def test_header_that_names_a_column_twice_exits_two(self, tmp_path, capsys):
+        # the second genus column replaced the first: Danio rerio's genus cell read "rerio"
+        out = tmp_path / "out"
+        assert run_cli(*cfg_args("update", "--out", str(out))) == 0
+        good = {p.name: p.read_bytes() for p in out.iterdir()}
+        species = tmp_path / "species.txt"
+        text = (FIXTURES / "ecotox" / "species.txt").read_text()
+        species.write_text(text.replace("|species|", "|genus|", 1))
+        config_path = fixture_config(tmp_path, species=str(species))
+        assert run_cli("--config", str(config_path), "update", "--out", str(out)) == 2
+        assert error_line(capsys) == ("ValueError", "species: duplicate column: ['genus']")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == good
 
     def test_repeated_division_id_exits_three(self, tmp_path, capsys):
         config_path = self.with_second_line(tmp_path, "ncbi_divisions", "4\t|\tPLN\t|\tPlants\t|")

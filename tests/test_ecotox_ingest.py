@@ -62,6 +62,15 @@ class TestTableReader:
         with pytest.raises(ValueError, match="^t: empty table$"):
             ecotox.read_table("\n\n", "t", ())
 
+    def test_header_that_names_a_column_twice(self):
+        # the last cell won: {'a': '2', 'b': '3'}
+        with pytest.raises(ValueError, match=r"^t: duplicate column: \['a'\]$") as err:
+            ecotox.read_table("a|a|b\n1|2|3\n", "t", ())
+        assert type(err.value) is ValueError  # malformed input, not a ValidationError
+        text = shaped("species").replace("|species|", "|genus|", 1)
+        with pytest.raises(ValueError, match=r"^species: duplicate column: \['genus'\]$"):
+            ecotox.parse_species(text)
+
 
 # One valid row per table, as column -> cell; the shape tests drop a
 # column or replace a cell.
@@ -159,6 +168,7 @@ class TestTableShapes:
             ecotox.parse_chemicals(shaped("chemicals", cas_number=token))
 
     @pytest.mark.parametrize(("table", "cells", "error"), [
+        ("species", {"species_number": "x"}, "bad species_number: 'x'"),
         ("tests", {"test_id": "1a"}, "bad test_id: '1a'"),
         ("tests", {"species_number": "x"}, "test 1: bad species_number 'x'"),
         ("tests", {"test_cas": "NR"}, "test 1: missing test_cas"),

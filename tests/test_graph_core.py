@@ -14,6 +14,7 @@ from ecokg.graph import (
     BLANK,
     IRI,
     LITERAL,
+    DuplicateKeyError,
     FrozenStoreError,
     PrefixMap,
     Term,
@@ -314,6 +315,11 @@ class TestPrefixMap:
         assert pm.expand("ex:a") == iri("http://x.org/a")
         with pytest.raises(ValueError):
             PrefixMap.from_tsv("only-one-column\n")
+
+    def test_from_tsv_rejects_a_prefix_bound_twice(self):
+        # the last binding won: et:a expanded into http://b.org/
+        with pytest.raises(DuplicateKeyError, match=r"^prefix table: duplicate prefix: \['et'\]$"):
+            PrefixMap.from_tsv("et\thttp://a.org/\nex\thttp://x.org/\net\thttp://b.org/\n")
 
 
 class TestTsvRows:

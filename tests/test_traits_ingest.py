@@ -1,7 +1,7 @@
 import pytest
 
 from ecokg import traits
-from ecokg.graph import TripleStore, iri, literal
+from ecokg.graph import DuplicateKeyError, TripleStore, iri, literal
 from ecokg.ntriples import serialize
 
 
@@ -29,6 +29,11 @@ class TestParsing:
     def test_rows_resolved(self, rows):
         assert rows[0].subject == "https://www.ncbi.nlm.nih.gov/taxonomy/taxon/35525"
         assert rows[0].property == "http://eol.org/schema/terms/habitat"
+
+    def test_glossary_term_listed_twice_is_rejected(self, prefixes):
+        # the last row won: Oslo mapped to et:c
+        with pytest.raises(DuplicateKeyError, match=r"^glossary: duplicate term: \['Oslo'\]$"):
+            traits.load_glossary("Oslo\tet:a\nBergen\tet:b\nOslo\tet:c\n", prefixes)
 
     def test_column_count(self, prefixes):
         with pytest.raises(ValueError, match="line 1"):
