@@ -379,11 +379,10 @@ def cmd_read(args) -> dict:
         start = iri(args.prefixes.resolve(args.start)) if args.start else None
 
         def answer(store):
-            pairs = sorted(
-                query_mod.eval_path(store, expr, start),
-                key=lambda pair: (pair[0].ntriples(), pair[1].ntriples()),
-            )
-            return "".join(f"{a.ntriples()}\t{b.ntriples()}\n" for a, b in pairs), {"pairs": len(pairs)}
+            # the lines sort as their (start, end) texts do, by the argument above ntriples._sorted_chunks
+            pairs = query_mod.eval_path(store, expr, start)
+            lines = sorted(f"{a.ntriples()}\t{b.ntriples()}\n" for a, b in pairs)
+            return "".join(lines), {"pairs": len(lines)}
     elif args.command == "lookup":
         query_mod.check_lookup_k(args.k)
 
@@ -441,33 +440,21 @@ def cmd_update(args) -> dict:
     shutil.rmtree(staging, ignore_errors=True)  # left by a killed run
     staging.mkdir()
     args.out = str(staging)  # every stage writes there
-    step_counts: dict[str, dict] = {}
-    outputs: list[str] = []
-    parts: list[tuple[str, TripleStore]] = []
-
-    def record(step: str, result: dict) -> dict:
-        step_counts[step] = result["counts"]
-        outputs.extend(result["outputs"])
-        return result
-
-    def keep_part(step: str, result: dict) -> TripleStore:
-        store = record(step, result).pop("store")
-        parts.append((result["outputs"][0], store))
-        return store
-
+    results: dict[str, dict] = {}  # each step's result, in run order
     try:
-        ncbi_store = keep_part("ingest-ncbi", cmd_ingest_ncbi(args))
-        units_result = cmd_units(args)
-        keep_part("units", units_result)
-        ecotox_store = keep_part("ingest-ecotox", cmd_ingest_ecotox(args, units_result["registry"]))
-        keep_part("ingest-traits", cmd_ingest_traits(args))
-        mappings = record("align", cmd_align(args, ecotox_store, ncbi_store))["mappings"]
+        results["ingest-ncbi"] = cmd_ingest_ncbi(args)
+        results["units"] = cmd_units(args)
+        results["ingest-ecotox"] = cmd_ingest_ecotox(args, results["units"]["registry"])
+        results["ingest-traits"] = cmd_ingest_traits(args)
+        results["align"] = cmd_align(args, results["ingest-ecotox"]["store"], results["ingest-ncbi"]["store"])
         for pairs, rewrite in ((args.pairs_ncbi, "ncbi"), (args.pairs_cas, "cas")):
             if pairs is not None:
                 # perfbench/tracer.py names the bridge's span from args.rewrite
                 args.pairs, args.rewrite = pairs, rewrite
-                keep_part(f"bridge-{rewrite}", cmd_bridge(args))
-        kg = record("export", cmd_export(args, parts, mappings))["store"]
+                results[f"bridge-{rewrite}"] = cmd_bridge(args)
+        parts = [(result["outputs"][0], result["store"]) for result in results.values() if "store" in result]
+        results["export"] = cmd_export(args, parts, results["align"]["mappings"])
+        kg = results["export"]["store"]
         cycles = checks.subclass_cycles(kg)
         violations = checks.disjointness_violations(kg, ecotox.GROUP_PROP)
         if cycles or violations:
@@ -475,13 +462,15 @@ def cmd_update(args) -> dict:
                 f"exported graph failed consistency scans: "
                 f"{len(cycles)} cycles, {len(violations)} disjointness violations"
             )
-        step_counts["checks"] = {"cycles": 0, "disjointness_violations": 0}
-        record("stats", cmd_stats(args, kg))
+        results["checks"] = {"counts": {"cycles": 0, "disjointness_violations": 0}, "outputs": []}
+        results["stats"] = cmd_stats(args, kg)
+        outputs = [name for result in results.values() for name in result["outputs"]]
         for name in outputs:
             (staging / name).replace(out_dir / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    return {"out_dir": out_dir, "counts": step_counts, "outputs": outputs}
+    counts = {step: result["counts"] for step, result in results.items()}
+    return {"out_dir": out_dir, "counts": counts, "outputs": outputs}
 
 
 # ---------------------------------------------------------------------------

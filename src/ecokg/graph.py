@@ -428,22 +428,18 @@ class TripleStore:
         return out
 
     def count(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> int:
-        """Number of triples ``match(s, p, o)`` would return, read off the indexes."""
-        if s is not None and p is not None and o is not None:
-            return int(o in self._spo.get(s, {}).get(p, ()))
-        if s is not None and p is not None:
+        """Number of triples ``match(s, p, o)`` would return.
+
+        Subject+predicate reads its ``spo`` leaf's size, predicate+object its
+        ``pos`` leaf's, the empty pattern ``_len``; any other shape is ``probe``'s length.
+        """
+        if s is not None and p is not None and o is None:
             return len(self._spo.get(s, {}).get(p, ()))
-        if p is not None and o is not None:
+        if s is None and p is not None and o is not None:
             return len(self._pos.get(p, {}).get(o, ()))
-        if s is not None and o is not None:
-            return sum(o in objs for objs in self._spo.get(s, {}).values())
-        if s is not None:
-            return sum(map(len, self._spo.get(s, {}).values()))
-        if p is not None:
-            return sum(map(len, self._pos.get(p, {}).values()))
-        if o is not None:
-            return sum(len(os_.get(o, ())) for os_ in self._pos.values())
-        return self._len
+        if s is None and p is None and o is None:
+            return self._len
+        return len(self.probe(s, p, o))
 
     def terms(self) -> set[Term]:
         """All subjects and objects (predicates excluded)."""

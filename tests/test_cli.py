@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, error lines, summaries, artifacts."""
 
 import argparse
+import contextlib
+import io
 import json
 import logging
 import os
@@ -8,9 +10,12 @@ import resource
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecokg import align, checks, cli, dmp, ecotox, graph, idmap, ntriples, query, stats, traits, units
 from ecokg.graph import FrozenStoreError, PrefixMap, UnknownPrefixError
@@ -19,6 +24,19 @@ from ecokg.ns import ET, NCBI, RDF_TYPE, default_prefix_map
 import helpers
 from conftest import FIXTURES, read_summary, run_cli
 from test_output_oracle import _generate_bench_inputs
+
+
+# Terms whose texts share a prefix, in each kind a term can take
+PREFIX_SUBJECTS = ("<http://x.org/a>", "<http://x.org/a/b>", "_:b", "_:b1")
+PREFIX_OBJECTS = PREFIX_SUBJECTS + ('"x"', '"x"@en', '"x"^^<http://x.org/dt>')
+PREFIX_PREDICATES = ("<http://x.org/p>", "<http://x.org/q>")
+PREFIX_PATHS = (
+    "<http://x.org/p>",
+    "^<http://x.org/p>",
+    "<http://x.org/p>|<http://x.org/q>",
+    "<http://x.org/p>/^<http://x.org/q>",
+    "(<http://x.org/p>|^<http://x.org/q>){0,2}",
+)
 
 
 def cfg_args(*rest):
@@ -426,10 +444,12 @@ class TestSummaries:
 
     def test_update_summary_collects_steps(self, pipeline_dir):
         summary = read_summary(pipeline_dir, "update")
-        for step in ("ingest-ncbi", "units", "ingest-ecotox", "ingest-traits",
-                     "align", "bridge-ncbi", "bridge-cas", "export", "checks", "stats"):
-            assert step in summary["counts"], step
+        assert set(summary["counts"]) == {"ingest-ncbi", "units", "ingest-ecotox", "ingest-traits",
+                                          "align", "bridge-ncbi", "bridge-cas", "export", "checks", "stats"}
         assert summary["counts"]["checks"] == {"cycles": 0, "disjointness_violations": 0}
+        part_files = ["ncbi.nt", "units.nt", "ecotox.nt", "traits.nt", "sameas_ncbi.nt", "sameas_cas.nt"]
+        assert summary["outputs"] == sorted(part_files + ["mappings.tsv", "kg.nt", "stats.tsv", "stats.txt"])
+        assert set(summary["counts"]["export"]) == {*part_files, "mappings_sameas", "total_triples"}
 
 
 class TestPipelineArtifacts:
@@ -1028,6 +1048,37 @@ class TestQueryCommands:
         assert len(lines) == 2
         assert lines == sorted(lines)
         assert all(ln.split("\t")[0].endswith("taxon/687295>") for ln in lines)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(PREFIX_SUBJECTS), st.sampled_from(PREFIX_PREDICATES),
+                           st.sampled_from(PREFIX_OBJECTS)), min_size=1, max_size=12),
+        st.sampled_from(PREFIX_PATHS),
+        st.sampled_from((None, "http://x.org/a", "http://x.org/a/b")),
+    )
+    @example(
+        [("<http://x.org/a>", "<http://x.org/p>", "<http://x.org/a/b>"),
+         ("<http://x.org/a/b>", "<http://x.org/p>", "_:b1"), ("<http://x.org/a/b>", "<http://x.org/p>", "_:b"),
+         ("_:b1", "<http://x.org/p>", '"x"@en'), ("_:b", "<http://x.org/p>", '"x"^^<http://x.org/dt>'),
+         ("_:b", "<http://x.org/p>", '"x"')],
+        "<http://x.org/p>{0,}", None,
+    )
+    def test_path_command_sorts_pairs_whose_texts_share_a_prefix(self, triples, expr, start):
+        # one term's text starts another's, as "_:b" does "_:b1"; the lines
+        # still come in (start, end) text order
+        prefixes = default_prefix_map()
+        with tempfile.TemporaryDirectory() as tmp:
+            graph_file = Path(tmp) / "g.nt"
+            graph_file.write_text("".join(f"{s} {p} {o} .\n" for s, p, o in triples), encoding="utf-8")
+            argv = ["path", "--graph", str(graph_file), "--expr", expr] + (["--start", start] if start else [])
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run_cli(*argv) == 0
+            store = ntriples.parse(graph_file.read_text(encoding="utf-8"), prefixes)
+        start_term = None if start is None else graph.iri(start)
+        pairs = query.eval_path(store, query.parse_path(expr, prefixes), start_term)
+        pairs = sorted(pairs, key=lambda pair: (pair[0].ntriples(), pair[1].ntriples()))
+        assert out.getvalue() == "".join(f"{a.ntriples()}\t{b.ntriples()}\n" for a, b in pairs)
 
     def test_lookup_ranked_output(self, pipeline_dir, capsys):
         code = run_cli(

@@ -478,6 +478,7 @@ class TestStore:
             assert set(rows) == {tuple(t) for t in helpers.brute_force_match(store, s, p, o)}
             assert all(type(row) is tuple for row in rows)
             assert store.match(s, p, o) == sorted(map(Triple._make, rows), key=Triple.ntriples)
+            assert store.count(s, p, o) == len(rows)
 
     def test_terms_are_subjects_and_objects(self):
         rng = random.Random(14)
