@@ -15,12 +15,12 @@ normalization.
 
 The distance is the exact bit-parallel Levenshtein algorithm (Myers
 1999, in Hyyrö's 2001 form): one pass over a text, with a pattern's
-columns packed into an int. ``lane_deltas`` runs it over any number of
-patterns side by side (Hyyrö, Fredriksson and Navarro 2005), and
-``_pack`` is the one packer of those lanes, for alignment, for
-``levenshtein`` (one lane) and for ``query.fuzzy_lookup``. A lane takes
-whole bytes, so forms of every length share one int. Each source form
-gets one pass over its candidates' forms, packed in length order, less
+columns packed into an int. ``lane_counts`` runs it over any number of
+patterns side by side (Hyyrö, Fredriksson and Navarro 2005), packed by
+``_pack``; alignment, ``levenshtein`` (one lane) and
+``query.fuzzy_lookup`` each make that one call. A lane takes whole
+bytes, so forms of every length share one int. Each source form gets
+one pass over its candidates' forms, packed in length order, less
 those whose length bound ``1 - |len difference|/max(len)``, which no
 score can exceed, is below the threshold.
 """
@@ -55,41 +55,6 @@ def normalize_label(label: str, stop_words: frozenset[str] = DEFAULT_STOP_WORDS)
     return [tok for tok in _WORD.findall(label.lower()) if tok not in stop_words]
 
 
-def lane_deltas(peq: dict[str, int], mask: int, bottoms: int, text: str) -> tuple[int, int]:
-    """Myers' step over every lane at once; the last DP column's deltas.
-
-    Each lane packs one pattern in the low bits of a field: ``mask`` sets
-    those bits, ``bottoms`` bit 0 of every non-empty field, and ``peq``
-    maps a character to the positions where it occurs. Bit i of the
-    returned ``pv``/``mv`` says the column for all of ``text`` steps
-    +1/-1 at row i + 1, so a lane's distance is ``len(text)`` plus its
-    ``pv`` bits minus its ``mv`` bits. The masked shifts keep every bit
-    in its lane, and a zero bit above each field absorbs the add's carry.
-
-    Every int stays non-negative, because ``^ mask`` stands in for ``~``
-    (on a negative int CPython's ``&``, ``|`` and ``^`` convert the whole
-    int to two's complement). That is exact only if every ``peq`` value
-    lies inside ``mask``, as ``_pack``'s do; then ``pv`` and ``mv`` do
-    too, and ``(xh | pv) ^ mask`` differs from ``~(xh | pv)`` only in
-    bits outside ``mask``. The masked shift moves those onto a lane's
-    bit 0, which ``bottoms`` sets anyway, or out of the mask.
-    """
-    inner = mask ^ bottoms
-    get = peq.get
-    pv, mv = mask, 0
-    for ch in text:
-        eq = get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ((xh | pv) ^ mask)
-        mh = pv & xh
-        ph = ((ph << 1) & mask) | bottoms
-        mh = (mh << 1) & inner
-        pv = mh | ((xv | ph) ^ mask)
-        mv = ph & xv
-    return pv, mv
-
-
 # bit count of every byte value
 _POPCOUNT = bytes(bin(byte).count("1") for byte in range(256))
 # per bit j, the binary digit ("0" or "1") of that bit of every byte value
@@ -97,7 +62,7 @@ _BINARY_DIGIT = [bytes(48 + (byte >> j & 1) for byte in range(256)) for j in ran
 
 
 def _pack(forms: list[str]) -> tuple[int, int, dict[str, int], list[tuple[int, int]]]:
-    """``lane_deltas``'s mask, bottoms and per-character bits for the
+    """``lane_counts``'s mask, bottoms and per-character bits for the
     forms, one per lane, and the runs of adjacent lanes of one width as
     (width, lanes). Forms in length order make one run per width."""
     lengths = list(map(len, forms))
@@ -131,8 +96,27 @@ def _pack(forms: list[str]) -> tuple[int, int, dict[str, int], list[tuple[int, i
     return mask, bottoms, peq, runs
 
 
-def _lane_counts(pv: int, nv: int, runs: list[tuple[int, int]]) -> bytes | list[int]:
-    """Per lane, the popcount of ``pv`` plus that of ``nv``, over ``_pack``'s runs.
+def lane_counts(pack: tuple, text: str) -> bytes | list[int]:
+    """Myers' step over every lane of ``_pack``'s 4-tuple at once, then
+    per lane a count: the edit distance from ``text`` to the lane's form
+    is ``count + len(text) - len(form)``.
+
+    ``mask`` sets each lane's form bits, ``bottoms`` bit 0 of every
+    non-empty lane, and ``peq`` maps a character to the positions where
+    it occurs. Bit i of the last ``pv``/``mv`` says the column for all
+    of ``text`` steps +1/-1 at row i + 1, so the distance is
+    ``len(text)`` plus a lane's ``pv`` bits minus its ``mv`` bits, and
+    the count is the popcount of ``pv`` plus that of ``mv ^ mask``. The
+    masked shifts keep every bit in its lane, and a zero bit above each
+    form absorbs the add's carry.
+
+    Every int stays non-negative, because ``^ mask`` stands in for ``~``
+    (on a negative int CPython's ``&``, ``|`` and ``^`` convert the whole
+    int to two's complement). That is exact only if every ``peq`` value
+    lies inside ``mask``, as ``_pack``'s do; then ``pv`` and ``mv`` do
+    too, and ``(xh | pv) ^ mask`` differs from ``~(xh | pv)`` only in
+    bits outside ``mask``. The masked shift moves those onto a lane's
+    bit 0, which ``bottoms`` sets anyway, or out of the mask.
 
     A table turns every byte into its popcount. In a run of lanes of up
     to 8 bytes, one multiply then sums each lane's bytes into its top
@@ -140,9 +124,23 @@ def _lane_counts(pv: int, nv: int, runs: list[tuple[int, int]]) -> bytes | list[
     no sum passes 126 and no byte carries. A wider lane, whose total can
     pass 255, adds its bytes in a loop.
     """
+    mask, bottoms, peq, runs = pack
+    inner = mask ^ bottoms
+    get = peq.get
+    pv, mv = mask, 0
+    for ch in text:
+        eq = get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ mask)
+        mh = pv & xh
+        ph = ((ph << 1) & mask) | bottoms
+        mh = (mh << 1) & inner
+        pv = mh | ((xv | ph) ^ mask)
+        mv = ph & xv
     size = sum(width * lanes for width, lanes in runs) // 8
     n = (int.from_bytes(pv.to_bytes(size, "little").translate(_POPCOUNT), "little")
-         + int.from_bytes(nv.to_bytes(size, "little").translate(_POPCOUNT), "little"))
+         + int.from_bytes((mv ^ mask).to_bytes(size, "little").translate(_POPCOUNT), "little"))
     popcounts = n.to_bytes(size, "little")
     counts, start = b"", 0
     for width, lanes in runs:
@@ -157,10 +155,8 @@ def _lane_counts(pv: int, nv: int, runs: list[tuple[int, int]]) -> bytes | list[
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit costs: ``lane_deltas`` with one lane, ``b``."""
-    mask, bottoms, peq, _ = _pack([b])
-    pv, mv = lane_deltas(peq, mask, bottoms, a)
-    return len(a) + pv.bit_count() - mv.bit_count()
+    """Edit distance with unit costs: ``lane_counts`` with one lane, ``b``."""
+    return lane_counts(_pack([b]), a)[0] + len(a) - len(b)
 
 
 def similarity(a: str, b: str) -> float:
@@ -307,10 +303,7 @@ def align_lexical(
                 continue
             lanes.sort(key=lambda lane: len(lane[0]))
             scored += len(lanes)
-            mask, bottoms, peq, runs = _pack([tf for tf, _ in lanes])
-            pv, mv = lane_deltas(peq, mask, bottoms, sf)
-            # as in query.fuzzy_lookup, distance = count + n - len(tf)
-            for (tf, target), count in zip(lanes, _lane_counts(pv, mv ^ mask, runs)):
+            for (tf, target), count in zip(lanes, lane_counts(_pack([tf for tf, _ in lanes]), sf)):
                 score = 1.0 - (count + n - len(tf)) / max(n, len(tf))
                 if score > top:
                     top, winners = score, {target}

@@ -21,7 +21,7 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from itertools import compress
 
-from .align import _lane_counts, _pack, lane_deltas, normalize_label
+from .align import _pack, lane_counts, normalize_label
 from .graph import DIGIT, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, is_content_line
 from .ns import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
 from .ntriples import _LineScanner
@@ -678,16 +678,13 @@ def _label_form(label: str) -> str:
     return " ".join(normalize_label(label)) or label.lower()
 
 
-def _label_index(
-    store: TripleStore,
-) -> tuple[int, int, dict[str, int], list[tuple[int, int]], list[list[str]], dict[int, tuple[int, int]]]:
-    """Distinct label forms packed for ``lane_deltas``, one form per lane.
+def _label_index(store: TripleStore) -> tuple[tuple, list[list[str]], dict[int, tuple[int, int]]]:
+    """Distinct label forms packed for ``lane_counts``, one form per lane.
 
-    ``_pack``'s mask, bottoms, per-character bits and width runs of the
-    forms sorted by (length, form); each lane's sorted subject keys; and
-    per length, the (start, stop) range of its run of lanes. Built once
-    per frozen store and kept on it; an unfrozen store can change, so it
-    gets a fresh index on every call.
+    ``_pack``'s 4-tuple for the forms sorted by (length, form); each
+    lane's sorted subject keys; and per length, the (start, stop) range
+    of its run of lanes. Built once per frozen store and kept on it; an
+    unfrozen store can change, so it gets a fresh index on every call.
     """
     if store.label_index is not None:
         return store.label_index
@@ -699,7 +696,7 @@ def _label_index(
     forms = sorted(keys_by_form, key=lambda form: (len(form), form))
     lengths = list(map(len, forms))
     by_length = {n: (bisect_left(lengths, n), bisect_right(lengths, n)) for n in set(lengths)}
-    index = (*_pack(forms), [sorted(keys_by_form[form]) for form in forms], by_length)
+    index = (_pack(forms), [sorted(keys_by_form[form]) for form in forms], by_length)
     if store.frozen:
         store.label_index = index
     return index
@@ -733,16 +730,13 @@ def fuzzy_lookup(
     check_lookup_k(k)
     probe = _label_form(name)
     lp = len(probe)
-    mask, bottoms, peq, runs, keys, by_length = _label_index(store)
+    pack, keys, by_length = _label_index(store)
     # each length's bound 1 - |len difference|/max(len); no score exceeds it
     bound = {length: 1.0 - abs(length - lp) / (max(length, lp) or 1) for length in by_length}
     best: dict[str, float] = {}
     kth = float("-inf")
     if keys:
-        pv, mv = lane_deltas(peq, mask, bottoms, probe)
-        # distance = lp + popcount(pv) - popcount(mv), where popcount(mv)
-        # = length - popcount(mv ^ mask) in a lane of that length
-        counts = _lane_counts(pv, mv ^ mask, runs)
+        counts = lane_counts(pack, probe)
     for length in sorted(by_length, key=bound.__getitem__, reverse=True):
         if bound[length] < kth:
             break

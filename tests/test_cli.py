@@ -8,6 +8,7 @@ import logging
 import os
 import resource
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -1276,6 +1277,18 @@ def test_readme_documents_every_config_key():
         flag = "--" + dest.replace("_", "-")
         # a key with no flag of its name is read only through the config
         assert flags[key] == (flag if flag in options else "none"), key
+
+
+def test_readme_library_example_runs(pipeline_dir, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library in five lines", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "build").mkdir()
+    shutil.copyfile(pipeline_dir / "kg.nt", tmp_path / "build" / "kg.nt")
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(block, scope)
+    expand = scope["store"].prefixes.expand
+    assert scope["ancestors"] == [expand("ncbi:taxon/1").value, expand("ncbi:taxon/513583").value]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

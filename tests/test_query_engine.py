@@ -1194,15 +1194,15 @@ class TestFuzzyLookup:
         ]
         self.assert_matches_reference(store, ["abcdefghijkl", "abcdefghijk", "abcdefghijklmn"])
 
-    def test_one_lane_deltas_pass_per_lookup(self, monkeypatch):
+    def test_one_lane_counts_call_per_lookup(self, monkeypatch):
         # forms of every length from 1 to 40 fill the 8- to 48-bit widths
         rng = random.Random(97)
         store = self.labeled(*((f"s{n}", "".join(rng.choice("bcdf") for _ in range(n)))
                                for n in range(1, 41)))
         store.freeze()
-        real = query.lane_deltas
+        real = query.lane_counts
         calls = []
-        monkeypatch.setattr(query, "lane_deltas", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(query, "lane_counts", lambda *args: calls.append(args) or real(*args))
         for probe in ("bcdfbcdfbc", "b", "d" * 40, "bcdf" * 6):
             expect = helpers.reference_lookup(store, probe)
             for k in (1, 5):
@@ -1218,10 +1218,10 @@ class TestFuzzyLookup:
         store = self.labeled(*((f"s{n}", "".join(rng.choice("bcdf") for _ in range(n % 40 + 1)))
                                for n in range(120)))
         store.freeze()
-        mask, *_, keys, _ = query._label_index(store)
-        real = query.lane_deltas
+        (mask, *_), keys, _ = query._label_index(store)
+        real = query.lane_counts
         masks = []
-        monkeypatch.setattr(query, "lane_deltas", lambda *args: masks.append(args[1]) or real(*args))
+        monkeypatch.setattr(query, "lane_counts", lambda pack, text: masks.append(pack[0]) or real(pack, text))
         for probe in ("bcdfbcdfbc", "b", "d" * 40, "bcdf" * 6, ""):
             for k in (1, 5, 200):
                 masks.clear()
