@@ -41,7 +41,7 @@ CHEMICALS = "cas_number|chemical_name|ecotox_group\n79-06-1|Acrylamide|Organics\
 TESTS = "test_id|reference_number|test_cas|species_number|organism_lifestage\n2037887|848|79-06-1|5156|NR\n"
 RESULTS = "result_id|test_id|endpoint|conc1_mean|conc1_unit|effect\n2063723|2037887|LC50|220|mg/L|ACUTE\n"
 
-registry, _ = units.load_registry(
+registry = units.load_registry(
     "et:MilligramPerLiter\tmilligram per liter\tmg/L\t0.000001\t0\tmass-per-volume\tmg/L",
     prefixes,
     store,

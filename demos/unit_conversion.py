@@ -24,12 +24,12 @@ et:Kelvin\tkelvin\tK\t1\t0\ttemperature\tK
 
 prefixes = default_prefix_map()
 store = TripleStore(prefixes)
-registry, added = load_registry(TABLE, prefixes, store)
-print(f"{len(registry)} units, {added} description triples")
+registry = load_registry(TABLE, prefixes, store)
+print(f"{len(registry)} units, {len(store)} description triples")
 
 # each unit contributes eight triples: three types, label,
 # abbreviation, symbol, multiplier, offset
-assert added == 8 * len(registry)
+assert len(store) == 8 * len(registry)
 
 # lookup accepts either the abbreviation or the full unit id
 # scale-only conversion: 2.5 mg/L is 2500 ug/L

@@ -178,6 +178,13 @@ def _write_graph(args, name: str, store: TripleStore, counts: dict) -> dict:
     return {"out_dir": out_dir, "counts": counts, "outputs": [name], "store": store}
 
 
+def _growth(store: TripleStore, ingest, *rows, **options) -> int:
+    """How many triples ``ingest(*rows, store, **options)`` adds to ``store``."""
+    before = len(store)
+    ingest(*rows, store, **options)
+    return len(store) - before
+
+
 def cmd_ingest_ncbi(args) -> dict:
     nodes = dmp.parse_nodes(_input(args, "nodes"))
     names = dmp.parse_names(_input(args, "names"))
@@ -187,9 +194,9 @@ def cmd_ingest_ncbi(args) -> dict:
         "node_rows": len(nodes),
         "name_rows": len(names),
         "division_rows": len(divisions),
-        "hierarchy_triples": dmp.ingest_nodes(nodes, store),
-        "name_triples": dmp.ingest_names(names, store),
-        "division_triples": dmp.ingest_divisions(divisions, store),
+        "hierarchy_triples": _growth(store, dmp.ingest_nodes, nodes),
+        "name_triples": _growth(store, dmp.ingest_names, names),
+        "division_triples": _growth(store, dmp.ingest_divisions, divisions),
         "total_triples": len(store),
     }
     return _write_graph(args, "ncbi.nt", store, counts)
@@ -197,8 +204,8 @@ def cmd_ingest_ncbi(args) -> dict:
 
 def cmd_units(args) -> dict:
     store = TripleStore(args.prefixes)
-    registry, added = units.load_registry(_input(args, "units"), args.prefixes, store)
-    counts = {"units": len(registry), "triples": added}
+    registry = units.load_registry(_input(args, "units"), args.prefixes, store)
+    counts = {"units": len(registry), "triples": len(store)}
     return {**_write_graph(args, "units.nt", store, counts), "registry": registry}
 
 
@@ -213,16 +220,16 @@ def cmd_ingest_ecotox(args, registry: units.UnitRegistry | None = None) -> dict:
     results = ecotox.parse_results(_input(args, "results"))
     ecotox.validate_test_references(tests, species, chemicals)
     if registry is None and args.units is not None:
-        registry, _ = units.load_registry(_read_text(args.units), args.prefixes)
+        registry = units.load_registry(_read_text(args.units), args.prefixes)
     store = TripleStore(args.prefixes)
     counts = {
         "species_rows": len(species),
         "chemical_rows": len(chemicals),
         "test_rows": len(tests),
         "result_rows": len(results),
-        "species_triples": ecotox.ingest_species(species, store),
-        "chemical_triples": ecotox.ingest_chemicals(chemicals, store),
-        "effect_triples": ecotox.ingest_tests(tests, results, store, registry),
+        "species_triples": _growth(store, ecotox.ingest_species, species),
+        "chemical_triples": _growth(store, ecotox.ingest_chemicals, chemicals),
+        "effect_triples": _growth(store, ecotox.ingest_tests, tests, results, units=registry),
         "total_triples": len(store),
         "lineage_merges": ecotox.lineage_merges(store),
         "invalid_cas_kept": sum(not rec.cas_valid for rec in chemicals),
@@ -234,8 +241,8 @@ def cmd_ingest_traits(args) -> dict:
     glossary = traits.load_glossary(_input(args, "glossary"), args.prefixes)
     rows = traits.parse_traits(_input(args, "traits"), args.prefixes)
     store = TripleStore(args.prefixes)
-    added = traits.ingest_traits(rows, glossary, store)
-    counts = {"rows": len(rows), "triples": added, "glossary_terms": len(glossary)}
+    traits.ingest_traits(rows, glossary, store)
+    counts = {"rows": len(rows), "triples": len(store), "glossary_terms": len(glossary)}
     return _write_graph(args, "traits.nt", store, counts)
 
 

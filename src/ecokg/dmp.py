@@ -124,7 +124,7 @@ _RANK_PROP = iri(NCBI + "rank")
 _DIVISION_PROP = iri(NCBI + "division")
 
 
-def ingest_nodes(rows: list[TaxonNodeRow], store: TripleStore) -> int:
+def ingest_nodes(rows: list[TaxonNodeRow], store: TripleStore) -> None:
     """Emit hierarchy, rank, and division-membership triples.
 
     Taxon ids must not repeat, and every parent id must itself appear
@@ -135,39 +135,33 @@ def ingest_nodes(rows: list[TaxonNodeRow], store: TripleStore) -> int:
     missing = {row.parent_id for row in rows} - ids
     if missing:
         raise DanglingParentError(sorted(missing))
-    added = 0
     for row in rows:
         subject = taxon_iri(row.taxon_id)
         if row.parent_id != row.taxon_id:
-            added += store.add(Triple(subject, RDFS_SUBCLASSOF, taxon_iri(row.parent_id)))
-        added += store.add(Triple(subject, _RANK_PROP, rank_iri(row.rank)))
-        added += store.add(Triple(subject, _DIVISION_PROP, division_iri(row.division_id)))
-    return added
+            store.add(Triple(subject, RDFS_SUBCLASSOF, taxon_iri(row.parent_id)))
+        store.add(Triple(subject, _RANK_PROP, rank_iri(row.rank)))
+        store.add(Triple(subject, _DIVISION_PROP, division_iri(row.division_id)))
 
 
-def ingest_names(rows: list[TaxonNameRow], store: TripleStore) -> int:
+def ingest_names(rows: list[TaxonNameRow], store: TripleStore) -> None:
     """Emit one name-class triple per row, mirrored under rdfs:label."""
-    added = 0
     for row in rows:
         subject = taxon_iri(row.taxon_id)
         name = literal(row.name)
-        added += store.add(Triple(subject, name_class_iri(row.name_class), name))
-        added += store.add(Triple(subject, RDFS_LABEL, name))
-    return added
+        store.add(Triple(subject, name_class_iri(row.name_class), name))
+        store.add(Triple(subject, RDFS_LABEL, name))
 
 
-def ingest_divisions(rows: list[DivisionRow], store: TripleStore) -> int:
+def ingest_divisions(rows: list[DivisionRow], store: TripleStore) -> None:
     """Emit division labels plus one disjointness triple per unordered pair.
 
     k divisions yield k*(k-1)/2 owl:disjointWith triples, directed from
     the numerically smaller id to the larger.
     """
     ids = unique_keys([r.division_id for r in rows], "division.dmp", "division id", DuplicateDivisionError)
-    added = 0
     for row in rows:
-        added += store.add(Triple(division_iri(row.division_id), RDFS_LABEL, literal(row.label)))
+        store.add(Triple(division_iri(row.division_id), RDFS_LABEL, literal(row.label)))
     ordered = sorted(ids)
     for i, low in enumerate(ordered):
         for high in ordered[i + 1:]:
-            added += store.add(Triple(division_iri(low), OWL_DISJOINTWITH, division_iri(high)))
-    return added
+            store.add(Triple(division_iri(low), OWL_DISJOINTWITH, division_iri(high)))

@@ -227,18 +227,16 @@ def result_iri(result_id: str) -> Term:
     return iri(f"{ET}result/{result_id}")
 
 
-def _group_disjointness(groups: set[str], store: TripleStore) -> int:
+def _group_disjointness(groups: set[str], store: TripleStore) -> None:
     """Pairwise disjointness, emitted in both directions."""
-    added = 0
     ordered = sorted(groups)
     for a in ordered:
         for b in ordered:
             if a != b:
-                added += store.add(Triple(group_iri(a), OWL_DISJOINTWITH, group_iri(b)))
-    return added
+                store.add(Triple(group_iri(a), OWL_DISJOINTWITH, group_iri(b)))
 
 
-def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> int:
+def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> None:
     """Emit classification chains, ranks, labels, and group membership.
 
     Records must be cleaned and lineage-completed; a record with no
@@ -255,7 +253,6 @@ def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> int:
     leaves = [species_iri(rec.number) for rec in records]
     unique_keys([*minted, *(leaf.value for leaf in leaves)], "species", "taxon IRI",
                 cells=[*minted.values(), *(f"species_number {rec.number}" for rec in records)])
-    added = 0
     groups: set[str] = set()
     for rec, leaf in zip(records, leaves):
         filled = [(level, name) for level, name in rec.lineage if name]
@@ -268,24 +265,23 @@ def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> int:
                 # a tautonym (genus Bufo, species bufo) names two levels
                 # alike; the node keeps the upper level's rank and label
                 continue
-            added += store.add(Triple(node, RANK_PROP, _level_term(level)))
-            added += store.add(Triple(node, RDFS_LABEL, literal(name)))
+            store.add(Triple(node, RANK_PROP, _level_term(level)))
+            store.add(Triple(node, RDFS_LABEL, literal(name)))
             if previous is not None:
-                added += store.add(Triple(node, RDFS_SUBCLASSOF, previous))
+                store.add(Triple(node, RDFS_SUBCLASSOF, previous))
             previous = node
-        added += store.add(Triple(leaf, RDF_TYPE, TAXON_TYPE))
-        added += store.add(Triple(leaf, RDFS_SUBCLASSOF, previous))
+        store.add(Triple(leaf, RDF_TYPE, TAXON_TYPE))
+        store.add(Triple(leaf, RDFS_SUBCLASSOF, previous))
         if rec.common_name is not None:
-            added += store.add(Triple(leaf, COMMON_NAME_PROP, literal(rec.common_name)))
-            added += store.add(Triple(leaf, RDFS_LABEL, literal(rec.common_name)))
+            store.add(Triple(leaf, COMMON_NAME_PROP, literal(rec.common_name)))
+            store.add(Triple(leaf, RDFS_LABEL, literal(rec.common_name)))
         if rec.latin_name is not None:
-            added += store.add(Triple(leaf, LATIN_NAME_PROP, literal(rec.latin_name)))
-            added += store.add(Triple(leaf, RDFS_LABEL, literal(rec.latin_name)))
+            store.add(Triple(leaf, LATIN_NAME_PROP, literal(rec.latin_name)))
+            store.add(Triple(leaf, RDFS_LABEL, literal(rec.latin_name)))
         if rec.group is not None:
             groups.add(rec.group)
-            added += store.add(Triple(leaf, GROUP_PROP, group_iri(rec.group)))
-    added += _group_disjointness(groups, store)
-    return added
+            store.add(Triple(leaf, GROUP_PROP, group_iri(rec.group)))
+    _group_disjointness(groups, store)
 
 
 def lineage_merges(store: TripleStore) -> int:
@@ -314,22 +310,20 @@ def parse_chemicals(text: str) -> list[ChemicalRecord]:
     return records
 
 
-def ingest_chemicals(records: list[ChemicalRecord], store: TripleStore) -> int:
+def ingest_chemicals(records: list[ChemicalRecord], store: TripleStore) -> None:
     """Emit chemical types, labels and groups; no two CAS cells may mint one chemical IRI."""
     subjects = [chemical_iri(rec.cas) for rec in records]
     unique_keys([subject.value for subject in subjects], "chemicals", "chemical IRI",
                 cells=[f"cas_number {rec.cas}" for rec in records])
-    added = 0
     groups: set[str] = set()
     for rec, subject in zip(records, subjects):
-        added += store.add(Triple(subject, RDF_TYPE, CHEMICAL_TYPE))
+        store.add(Triple(subject, RDF_TYPE, CHEMICAL_TYPE))
         if rec.name:
-            added += store.add(Triple(subject, RDFS_LABEL, literal(rec.name)))
+            store.add(Triple(subject, RDFS_LABEL, literal(rec.name)))
         if rec.group is not None:
             groups.add(rec.group)
-            added += store.add(Triple(subject, GROUP_PROP, group_iri(rec.group)))
-    added += _group_disjointness(groups, store)
-    return added
+            store.add(Triple(subject, GROUP_PROP, group_iri(rec.group)))
+    _group_disjointness(groups, store)
 
 
 def parse_tests(text: str) -> list[TestRecord]:
@@ -427,7 +421,7 @@ def ingest_tests(
     results: list[ResultRecord],
     store: TripleStore,
     units: UnitRegistry | None = None,
-) -> int:
+) -> None:
     """Emit test metadata and per-result endpoint/concentration nodes.
 
     Every result must reference a known test id. Concentration values
@@ -438,21 +432,19 @@ def ingest_tests(
     missing = {r.test_id for r in results} - known
     if missing:
         raise OrphanResultError(sorted(missing))
-    added = 0
     for t in tests:
         subject = test_iri(t.test_id)
-        added += store.add(Triple(subject, RDF_TYPE, TEST_TYPE))
-        added += store.add(Triple(subject, COMPOUND_PROP, chemical_iri(t.cas)))
-        added += store.add(Triple(subject, SPECIES_PROP, species_iri(t.species_number)))
+        store.add(Triple(subject, RDF_TYPE, TEST_TYPE))
+        store.add(Triple(subject, COMPOUND_PROP, chemical_iri(t.cas)))
+        store.add(Triple(subject, SPECIES_PROP, species_iri(t.species_number)))
         if t.lifestage is not None:
-            added += store.add(Triple(subject, LIFESTAGE_PROP, _lifestage_iri(t.lifestage)))
+            store.add(Triple(subject, LIFESTAGE_PROP, _lifestage_iri(t.lifestage)))
     for r in results:
         subject = result_iri(r.result_id)
-        added += store.add(Triple(test_iri(r.test_id), HAS_RESULT_PROP, subject))
-        added += store.add(Triple(subject, RDF_TYPE, RESULT_TYPE))
-        added += store.add(Triple(subject, ENDPOINT_PROP, code_iri(r.endpoint)))
+        store.add(Triple(test_iri(r.test_id), HAS_RESULT_PROP, subject))
+        store.add(Triple(subject, RDF_TYPE, RESULT_TYPE))
+        store.add(Triple(subject, ENDPOINT_PROP, code_iri(r.endpoint)))
         if r.effect is not None:
-            added += store.add(Triple(subject, EFFECT_PROP, code_iri(r.effect)))
+            store.add(Triple(subject, EFFECT_PROP, code_iri(r.effect)))
         if r.concentration is not None:
-            added += store.add_all(_concentration_triples(subject, r, units))
-    return added
+            store.add_all(_concentration_triples(subject, r, units))

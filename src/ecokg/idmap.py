@@ -86,7 +86,8 @@ def construct_sameas(
 
     ``rewrite`` names the local-IRI rule in ``REWRITE_RULES``. Bad pairs
     are collected as error strings; the remaining pairs are still
-    emitted. Returns (triples added, errors).
+    emitted. Returns (triples added, errors); the count stays because
+    perfbench/tracer.py reads the errors as ``result[1]``.
     """
     if rewrite not in REWRITE_RULES:
         raise ValueError(f"unknown rewrite rule: {rewrite!r}")

@@ -72,7 +72,7 @@ def _lexical_form(value: str) -> str:
     return m.group(1) if m else value
 
 
-def ingest_traits(rows: list[TraitRow], glossary: dict[str, str], store: TripleStore) -> int:
+def ingest_traits(rows: list[TraitRow], glossary: dict[str, str], store: TripleStore) -> None:
     """Emit one triple per row; glossary terms become IRI objects.
 
     Curies resolve through the store's prefix map. All glossary terms
@@ -88,7 +88,6 @@ def ingest_traits(rows: list[TraitRow], glossary: dict[str, str], store: TripleS
     )
     if unresolved:
         raise UnresolvedGlossaryError(unresolved)
-    added = 0
     for row in rows:
         if row.kind == "iri":
             obj = iri(prefixes.resolve(row.value))
@@ -96,5 +95,4 @@ def ingest_traits(rows: list[TraitRow], glossary: dict[str, str], store: TripleS
             obj = iri(glossary[_lexical_form(row.value)])
         else:
             obj = parse_literal_value(row.value, prefixes)
-        added += store.add(Triple(iri(row.subject), iri(row.property), obj))
-    return added
+        store.add(Triple(iri(row.subject), iri(row.property), obj))

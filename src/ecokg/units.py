@@ -102,15 +102,14 @@ class UnitRegistry:
     def __iter__(self):
         return iter(sorted(self._by_id.values(), key=lambda u: u.id))
 
-    def register(self, unit: UnitDef, store: TripleStore | None = None) -> int:
+    def register(self, unit: UnitDef, store: TripleStore | None = None) -> None:
         """Add a unit and optionally emit its description triples."""
         if unit.id in self._by_id or unit.abbreviation in self._by_abbreviation:
             raise DuplicateUnitError(f"unit already registered: {unit.id} ({unit.abbreviation})")
         self._by_id[unit.id] = unit
         self._by_abbreviation[unit.abbreviation] = unit
-        if store is None:
-            return 0
-        return store.add_all(definition_triples(unit))
+        if store is not None:
+            store.add_all(definition_triples(unit))
 
     def get(self, key: str) -> UnitDef | None:
         """Look up by abbreviation first, then by id."""
@@ -153,10 +152,9 @@ def load_registry(
     text: str,
     prefixes: PrefixMap | None = None,
     store: TripleStore | None = None,
-) -> tuple[UnitRegistry, int]:
-    """Build a registry from TSV text; returns (registry, triples added)."""
+) -> UnitRegistry:
+    """The registry of the units in TSV text; each unit's description triples go to ``store``, if given."""
     registry = UnitRegistry()
-    added = 0
     for unit in parse_units(text, prefixes):
-        added += registry.register(unit, store)
-    return registry, added
+        registry.register(unit, store)
+    return registry

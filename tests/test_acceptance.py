@@ -61,9 +61,7 @@ def build_fixture_graph() -> TripleStore:
         dmp.parse_divisions((FIXTURES / "ncbi" / "division.dmp").read_text()), store
     )
 
-    registry, _ = units.load_registry(
-        (FIXTURES / "units.tsv").read_text(), PREFIXES, store
-    )
+    registry = units.load_registry((FIXTURES / "units.tsv").read_text(), PREFIXES, store)
 
     species = ecotox.parse_species((FIXTURES / "ecotox" / "species.txt").read_text())
     chemicals = ecotox.parse_chemicals((FIXTURES / "ecotox" / "chemicals.txt").read_text())

@@ -211,10 +211,10 @@ class TestDivisionIngest:
     def test_pair_count_is_k_choose_2(self):
         rows = [dmp.DivisionRow(i, f"d{i}") for i in (3, 1, 7, 2)]
         store = TripleStore()
-        added = dmp.ingest_divisions(rows, store)
+        dmp.ingest_divisions(rows, store)
         disjoint = store.match(p=iri("http://www.w3.org/2002/07/owl#disjointWith"))
         assert len(disjoint) == 4 * 3 // 2
-        assert added == len(disjoint) + 4
+        assert len(store) == len(disjoint) + 4
 
     def test_direction_small_to_large(self):
         store = TripleStore()
@@ -234,6 +234,8 @@ class TestDivisionIngest:
     def test_idempotent_reingest(self, dump_texts):
         store = TripleStore()
         rows = dmp.parse_divisions(dump_texts["divisions"])
-        first = dmp.ingest_divisions(rows, store)
+        dmp.ingest_divisions(rows, store)
+        first = len(store)
         assert first > 0
-        assert dmp.ingest_divisions(rows, store) == 0
+        dmp.ingest_divisions(rows, store)
+        assert len(store) == first
