@@ -361,16 +361,10 @@ def write_mappings(mappings: MappingSet) -> str:
 
 
 def read_mappings(text: str) -> MappingSet:
-    out = MappingSet()
-    methods: set[str] = set()
-    for line_no, (source, target, score, method) in read_tsv_rows(text, "mappings", 4):
-        try:
-            out.add(Mapping(source, target, ascii_float(score), method))
-        except ValueError as exc:
-            raise ValueError(f"mappings line {line_no}: {exc}") from None
-        methods.add(method)
-    out.method = methods.pop() if len(methods) == 1 else "mixed"
-    return out
+    rows = read_tsv_rows(text, "mappings", 4, lambda source, target, score, method: Mapping(
+        source, target, ascii_float(score), method))
+    methods = {m.method for m in rows}
+    return MappingSet(methods.pop() if len(methods) == 1 else "mixed", rows)
 
 
 def add_sameas(mappings: MappingSet, store: TripleStore) -> int:

@@ -18,9 +18,12 @@ shorthands before use.
 import logging
 import re
 from collections import namedtuple
+from typing import Callable
 
 from . import idmap
-from .graph import ALNUM, DIGIT, Term, Triple, TripleStore, ValidationError, blank, iri, literal, unique_keys
+from .graph import (
+    ALNUM, DIGIT, Term, Triple, TripleStore, ValidationError, blank, build_row, iri, literal, unique_keys
+)
 from .ns import (
     ET,
     OWL_DISJOINTWITH,
@@ -100,33 +103,33 @@ ResultRecord = namedtuple("ResultRecord", "result_id test_id endpoint concentrat
                           defaults=(None, None, None))
 
 
-def read_table(
-    text: str, table: str, required: tuple[str, ...]
-) -> tuple[list[str], list[dict[str, str]]]:
-    """Header and dict rows of a pipe-delimited ``table``, every cell stripped.
+def read_table(text: str, table: str, required: tuple[str, ...], make: Callable) -> list:
+    """``make`` of each dict row of a pipe-delimited ``table``, keyed in header order, every cell stripped.
 
     Lines end at ``\n`` only and blank lines are skipped. The first line is
     the header, naming no column twice and every ``required`` one; each later
     line needs one field per column. The first required column is the key,
-    whose cells must not repeat. Each error names ``table``.
+    whose cells must not repeat. Each error names ``table``, and one in a row
+    its line (``build_row``); ``make`` runs only after all these checks.
     """
     lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{table}: empty table")
     header = [col.strip() for col in lines[0][1].split("|")]
     unique_keys(header, table, "column", ValueError)
-    rows = []
-    for line_no, line in lines[1:]:
-        cells = line.split("|")
-        if len(cells) != len(header):
-            raise ValueError(f"{table} line {line_no}: expected {len(header)} fields, got {len(cells)}")
-        rows.append(dict(zip(header, map(str.strip, cells))))
+
+    def cells(line: str) -> dict[str, str]:
+        fields = line.split("|")
+        if len(fields) != len(header):
+            raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+        return dict(zip(header, map(str.strip, fields)))
+
+    rows = [(line_no, build_row(cells, table, line_no, line)) for line_no, line in lines[1:]]
     for col in required:
         if col not in header:
             raise ValueError(f"{table} table missing column {col!r}")
-    if required:
-        unique_keys([row[required[0]] for row in rows], table, required[0])
-    return header, rows
+    unique_keys([row[required[0]] for _, row in rows], table, required[0])
+    return [build_row(make, table, line_no, row) for line_no, row in rows]
 
 
 def _cell(row: dict[str, str], column: str) -> str | None:
@@ -184,23 +187,18 @@ def synthesize_lineage(record: SpeciesRecord) -> SpeciesRecord:
     return record._replace(lineage=lineage)
 
 
+def _species(row: dict[str, str]) -> SpeciesRecord:
+    """One species row; its other columns are lineage levels, in header order."""
+    number = row["species_number"]
+    if not _DIGITS.fullmatch(number):
+        raise ValueError(f"bad species_number: {number!r}")
+    lineage = [(level, _name_cell(row, level) or "") for level in row if level not in _SPECIES_META_COLUMNS]
+    return SpeciesRecord(number, clean_species_name(row["common_name"]), clean_species_name(row["latin_name"]),
+                         _name_cell(row, "ecotox_group"), tuple(lineage))
+
+
 def parse_species(text: str) -> list[SpeciesRecord]:
-    """Read species rows; lineage levels come from the header order."""
-    header, rows = read_table(text, "species", _SPECIES_META_COLUMNS)
-    levels = [col for col in header if col not in _SPECIES_META_COLUMNS]
-    records = []
-    for row in rows:
-        number = row["species_number"]
-        if not _DIGITS.fullmatch(number):
-            raise ValueError(f"bad species_number: {number!r}")
-        records.append(SpeciesRecord(
-            number,
-            clean_species_name(row["common_name"]),
-            clean_species_name(row["latin_name"]),
-            _name_cell(row, "ecotox_group"),
-            tuple([(level, _name_cell(row, level) or "") for level in levels]),
-        ))
-    return records
+    return read_table(text, "species", _SPECIES_META_COLUMNS, _species)
 
 
 def species_iri(number: str) -> Term:
@@ -294,20 +292,18 @@ def lineage_merges(store: TripleStore) -> int:
     return sum(store.count(node, RDFS_SUBCLASSOF) > 1 for node in nodes)
 
 
+def _chemical(row: dict[str, str]) -> ChemicalRecord:
+    cas = _cell(row, "cas_number")
+    if cas is None:
+        raise ValueError(f"chemical {row['chemical_name']!r}: missing cas_number")
+    valid = idmap.validate_cas(cas)
+    if not valid:
+        log.warning("invalid CAS number kept: %r", cas)
+    return ChemicalRecord(cas, _cell(row, "chemical_name") or "", _name_cell(row, "ecotox_group"), valid)
+
+
 def parse_chemicals(text: str) -> list[ChemicalRecord]:
-    _, rows = read_table(text, "chemicals", ("cas_number", "chemical_name"))
-    records = []
-    for row in rows:
-        cas = _cell(row, "cas_number")
-        if cas is None:
-            raise ValueError(f"chemical {row['chemical_name']!r}: missing cas_number")
-        valid = idmap.validate_cas(cas)
-        if not valid:
-            log.warning("invalid CAS number kept: %r", cas)
-        records.append(ChemicalRecord(
-            cas, _cell(row, "chemical_name") or "", _name_cell(row, "ecotox_group"), valid
-        ))
-    return records
+    return read_table(text, "chemicals", ("cas_number", "chemical_name"), _chemical)
 
 
 def ingest_chemicals(records: list[ChemicalRecord], store: TripleStore) -> None:
@@ -326,50 +322,39 @@ def ingest_chemicals(records: list[ChemicalRecord], store: TripleStore) -> None:
     _group_disjointness(groups, store)
 
 
+def _test(row: dict[str, str]) -> TestRecord:
+    test_id = row["test_id"]
+    if not _DIGITS.fullmatch(test_id):
+        raise ValueError(f"bad test_id: {test_id!r}")
+    if not _DIGITS.fullmatch(row["species_number"]):
+        raise ValueError(f"test {test_id}: bad species_number {row['species_number']!r}")
+    cas = _cell(row, "test_cas")
+    if cas is None:
+        raise ValueError(f"test {test_id}: missing test_cas")
+    reference = _cell(row, "reference_number")
+    if reference is not None and not _DIGITS.fullmatch(reference):
+        raise ValueError(f"test {test_id}: bad reference_number {reference!r}")
+    return TestRecord(test_id, cas, row["species_number"], None if reference is None else int(reference),
+                      _name_cell(row, "organism_lifestage"))
+
+
 def parse_tests(text: str) -> list[TestRecord]:
-    _, rows = read_table(text, "tests", ("test_id", "test_cas", "species_number"))
-    records = []
-    for row in rows:
-        test_id = row["test_id"]
-        if not _DIGITS.fullmatch(test_id):
-            raise ValueError(f"bad test_id: {test_id!r}")
-        if not _DIGITS.fullmatch(row["species_number"]):
-            raise ValueError(f"test {test_id}: bad species_number {row['species_number']!r}")
-        cas = _cell(row, "test_cas")
-        if cas is None:
-            raise ValueError(f"test {test_id}: missing test_cas")
-        reference = _cell(row, "reference_number")
-        if reference is not None and not _DIGITS.fullmatch(reference):
-            raise ValueError(f"test {test_id}: bad reference_number {reference!r}")
-        records.append(TestRecord(
-            test_id,
-            cas,
-            row["species_number"],
-            None if reference is None else int(reference),
-            _name_cell(row, "organism_lifestage"),
-        ))
-    return records
+    return read_table(text, "tests", ("test_id", "test_cas", "species_number"), _test)
+
+
+def _result(row: dict[str, str]) -> ResultRecord:
+    result_id = row["result_id"]
+    if not _DIGITS.fullmatch(result_id):
+        raise ValueError(f"bad result_id: {result_id!r}")
+    endpoint = _name_cell(row, "endpoint")
+    if endpoint is None:
+        raise ValueError(f"result {result_id}: missing endpoint")
+    return ResultRecord(result_id, row["test_id"], endpoint, _cell(row, "conc1_mean"),
+                        _cell(row, "conc1_unit"), _name_cell(row, "effect"))
 
 
 def parse_results(text: str) -> list[ResultRecord]:
-    _, rows = read_table(text, "results", ("result_id", "test_id", "endpoint"))
-    records = []
-    for row in rows:
-        result_id = row["result_id"]
-        if not _DIGITS.fullmatch(result_id):
-            raise ValueError(f"bad result_id: {result_id!r}")
-        endpoint = _name_cell(row, "endpoint")
-        if endpoint is None:
-            raise ValueError(f"result {result_id}: missing endpoint")
-        records.append(ResultRecord(
-            result_id,
-            row["test_id"],
-            endpoint,
-            _cell(row, "conc1_mean"),
-            _cell(row, "conc1_unit"),
-            _name_cell(row, "effect"),
-        ))
-    return records
+    return read_table(text, "results", ("result_id", "test_id", "endpoint"), _result)
 
 
 def validate_test_references(
@@ -428,12 +413,12 @@ def ingest_tests(
     that are not plain decimals stay unparsed: the raw remainder goes
     under rdf:value with the qualifier recorded alongside.
     """
-    known = {t.test_id for t in tests}
-    missing = {r.test_id for r in results} - known
+    subjects = {t.test_id: test_iri(t.test_id) for t in tests}
+    missing = {r.test_id for r in results} - subjects.keys()
     if missing:
         raise OrphanResultError(sorted(missing))
     for t in tests:
-        subject = test_iri(t.test_id)
+        subject = subjects[t.test_id]
         store.add(Triple(subject, RDF_TYPE, TEST_TYPE))
         store.add(Triple(subject, COMPOUND_PROP, chemical_iri(t.cas)))
         store.add(Triple(subject, SPECIES_PROP, species_iri(t.species_number)))
@@ -441,7 +426,7 @@ def ingest_tests(
             store.add(Triple(subject, LIFESTAGE_PROP, _lifestage_iri(t.lifestage)))
     for r in results:
         subject = result_iri(r.result_id)
-        store.add(Triple(test_iri(r.test_id), HAS_RESULT_PROP, subject))
+        store.add(Triple(subjects[r.test_id], HAS_RESULT_PROP, subject))
         store.add(Triple(subject, RDF_TYPE, RESULT_TYPE))
         store.add(Triple(subject, ENDPOINT_PROP, code_iri(r.endpoint)))
         if r.effect is not None:

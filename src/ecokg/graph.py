@@ -12,7 +12,7 @@ predicate-first index once per predicate; a graph has few predicates.
 
 import re
 from collections import Counter, namedtuple
-from typing import Iterator
+from typing import Callable
 
 IRI = "iri"
 LITERAL = "literal"
@@ -203,23 +203,35 @@ def is_content_line(line: str) -> bool:
     return head != "" and head[0] != "#"
 
 
-def read_tsv_rows(
-    text: str, table: str, columns: int, at_least: bool = False
-) -> Iterator[tuple[int, list[str]]]:
-    """Line number (from 1) and stripped tab-separated fields of each content line.
+def build_row(make: Callable, table: str, line_no: int, *fields):
+    """``make(*fields)`` for the row on line ``line_no`` of ``table``.
+
+    A ``ValueError`` it raises keeps its class and attributes and gains
+    "<table> line N: " in front of its message.
+    """
+    try:
+        return make(*fields)
+    except ValueError as exc:
+        exc.args = (f"{table} line {line_no}: {exc}",)
+        raise
+
+
+def read_tsv_rows(text: str, table: str, columns: int, make: Callable, at_least: bool = False) -> list:
+    """``make`` of the first ``columns`` stripped tab-separated fields of each content line.
 
     Lines end at ``\n`` only; blank lines and ``#`` comment lines are
     skipped. A line needs exactly ``columns`` fields, or at least that
     many with ``at_least``; any other line fails as "<table> line N:
-    expected ...".
+    expected ...", as does a row ``make`` rejects (``build_row``).
     """
-    for line_no, line in enumerate(text.split("\n"), 1):
-        if is_content_line(line):
-            parts = line.split("\t")
-            if len(parts) < columns or (len(parts) > columns and not at_least):
-                rule = f"at least {columns}" if at_least else columns
-                raise ValueError(f"{table} line {line_no}: expected {rule} columns, got {len(parts)}")
-            yield line_no, list(map(str.strip, parts))
+    def row(line: str):
+        parts = line.split("\t")
+        if len(parts) < columns or (len(parts) > columns and not at_least):
+            rule = f"at least {columns}" if at_least else columns
+            raise ValueError(f"expected {rule} columns, got {len(parts)}")
+        return make(*map(str.strip, parts[:columns]))
+
+    return [build_row(row, table, n, ln) for n, ln in enumerate(text.split("\n"), 1) if is_content_line(ln)]
 
 
 def unique_keys(
@@ -286,9 +298,14 @@ class PrefixMap:
     @classmethod
     def from_tsv(cls, text: str) -> "PrefixMap":
         """Load bindings from two-column (prefix, namespace) TSV text; no prefix may repeat."""
-        rows = [parts[:2] for _, parts in read_tsv_rows(text, "prefix table", 2, at_least=True)]
-        unique_keys([prefix for prefix, _ in rows], "prefix table", "prefix")
-        return cls(dict(rows))
+        prefixes = cls()
+
+        def bind(prefix: str, namespace: str) -> str:
+            prefixes.bind(prefix, namespace)
+            return prefix
+
+        unique_keys(read_tsv_rows(text, "prefix table", 2, bind, at_least=True), "prefix table", "prefix")
+        return prefixes
 
 
 class TripleStore:

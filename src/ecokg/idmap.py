@@ -73,8 +73,7 @@ REWRITE_RULES = {"cas": cas_to_iri, "ncbi": ncbi_id_to_iri, "verbatim": str}
 
 def parse_pairs(text: str) -> list[IdPair]:
     """Read (external-id, external-iri) rows from TSV text."""
-    rows = read_tsv_rows(text, "pair table", 2, at_least=True)
-    return [IdPair(parts[0], parts[1]) for _, parts in rows]
+    return read_tsv_rows(text, "pair table", 2, IdPair, at_least=True)
 
 
 def construct_sameas(

@@ -39,16 +39,15 @@ class TraitRow(CheckedRecord, namedtuple("TraitRow", "subject property value kin
 
 def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:
     """Read (term, iri) rows; the iri column may be a curie, and no term may repeat."""
-    rows = [parts[:2] for _, parts in read_tsv_rows(text, "glossary", 2, at_least=True)]
+    rows = read_tsv_rows(text, "glossary", 2, lambda term, target: (term, prefixes.resolve(target)),
+                         at_least=True)
     unique_keys([term for term, _ in rows], "glossary", "term")
-    return {term: prefixes.resolve(target) for term, target in rows}
+    return dict(rows)
 
 
 def parse_traits(text: str, prefixes: PrefixMap) -> list[TraitRow]:
-    return [
-        TraitRow(prefixes.resolve(subject), prefixes.resolve(prop), value, kind)
-        for _, (subject, prop, value, kind) in read_tsv_rows(text, "trait table", 4)
-    ]
+    return read_tsv_rows(text, "trait table", 4, lambda subject, prop, value, kind: TraitRow(
+        prefixes.resolve(subject), prefixes.resolve(prop), value, kind))
 
 
 def parse_literal_value(text: str, prefixes: PrefixMap | None = None) -> Term:

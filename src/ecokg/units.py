@@ -135,17 +135,11 @@ def parse_units(text: str, prefixes: PrefixMap | None = None) -> list[UnitDef]:
     Columns: id, label, abbreviation, multiplier, offset, dimension,
     symbol. The id may be a curie when a prefix map is supplied.
     """
-    units = []
-    for line_no, parts in read_tsv_rows(text, "units table", 7):
-        unit_id, label, abbreviation, multiplier, offset, dimension, symbol = parts
-        if prefixes is not None:
-            unit_id = prefixes.resolve(unit_id)
-        try:
-            units.append(UnitDef(unit_id, label, abbreviation, ascii_float(multiplier), ascii_float(offset),
-                                 dimension, symbol))
-        except ValueError as exc:
-            raise ValueError(f"units table line {line_no}: {exc}") from None
-    return units
+    def unit(unit_id, label, abbreviation, multiplier, offset, dimension, symbol):
+        return UnitDef(unit_id if prefixes is None else prefixes.resolve(unit_id), label, abbreviation,
+                       ascii_float(multiplier), ascii_float(offset), dimension, symbol)
+
+    return read_tsv_rows(text, "units table", 7, unit)
 
 
 def load_registry(

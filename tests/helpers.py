@@ -5,6 +5,7 @@ matrices, denotational set semantics) so they share no code paths with
 the implementations they check.
 """
 
+import ast
 import builtins
 import errno
 import random
@@ -303,3 +304,23 @@ def fail_writes_in(monkeypatch, directory: Path) -> None:
         return fh
 
     monkeypatch.setattr(builtins, "open", flaky_open)
+
+
+def scoped_nodes(source: str) -> list[tuple[str, ast.AST]]:
+    """(qualified name of the enclosing def or class, node) of every AST node of ``source``.
+
+    Nodes outside any def or class report ``<module>``; a def's or class's
+    own node reports the scope around it, and its body its own name.
+    """
+    nodes: list[tuple[str, ast.AST]] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            nodes.append((scope, child))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return nodes

@@ -634,7 +634,8 @@ class TestUpdateRegressions:
         rows = "|Unnamed salt|Organics\n--|Unnamed ester|Esters\n"
         config_path = self.with_rows(tmp_path, "chemicals", rows)
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
-        assert error_line(capsys) == ("ValueError", "chemical 'Unnamed salt': missing cas_number")
+        error = "chemicals line 5: chemical 'Unnamed salt': missing cas_number"
+        assert error_line(capsys) == ("ValueError", error)
 
     def with_second_line(self, tmp_path, key: str, row: str) -> Path:
         """A config whose input ``key`` has ``row`` inserted as its second line."""
@@ -651,9 +652,25 @@ class TestUpdateRegressions:
     @pytest.mark.parametrize(("key", "row", "error"), [
         ("chemicals", "50-00-0|Formaldehyde", ("ValueError", "chemicals line 2: expected 3 fields, got 2")),
         ("ncbi_names", "5\t|\tleaf\t|", ("DmpFormatError", "names.dmp line 2: expected at least 4 fields, got 2")),
-    ], ids=["ecotox", "dmp"])
+        ("traits", "ncbi:taxon/35525\teol:habitat\tENVO:00000873\tbogus",
+         ("ValueError", "trait table line 2: unknown trait value kind: 'bogus'")),
+        ("traits", "nope:taxon/35525\teol:habitat\tENVO:00000873\tiri",
+         ("UnknownPrefixError", "trait table line 2: unknown prefix: 'nope'")),
+        ("glossary", "Brugge\tnope:Brugge", ("UnknownPrefixError", "glossary line 2: unknown prefix: 'nope'")),
+        ("units", "nope:Gram\tGram\tg\t1.0\t0.0\tmass\tg",
+         ("UnknownPrefixError", "units table line 2: unknown prefix: 'nope'")),
+        ("prefixes", "ex\tnot an iri", ("ValueError", "prefix table line 2: invalid namespace IRI: 'not an iri'")),
+        ("species", "x|--|Daphnia hirta|Animalia|Arthropoda|Branchiopoda|Diplostraca|Daphniidae|Daphnia|hirta|"
+                    "Crustaceans", ("ValueError", "species line 2: bad species_number: 'x'")),
+        ("chemicals", "--|Unnamed salt|Organics",
+         ("ValueError", "chemicals line 2: chemical 'Unnamed salt': missing cas_number")),
+        ("tests", "1a|100|115-86-6|26812|adult", ("ValueError", "tests line 2: bad test_id: '1a'")),
+        ("results", "r7|001|LC50|400|mg/L|ACUTE", ("ValueError", "results line 2: bad result_id: 'r7'")),
+    ], ids=["ecotox", "dmp", "trait-kind", "trait-curie", "glossary-target", "unit-id", "prefix-namespace",
+            "species-key", "chemicals-key", "tests-key", "results-key"])
     def test_row_errors_name_their_input(self, tmp_path, capsys, key, row, error):
-        # seven input tables feed update; "line 2: ..." alone did not say which was bad
+        # seven input tables feed update; "line 2: ..." alone did not say which was bad,
+        # and the checks of a row's cells named neither table nor line
         config_path = self.with_second_line(tmp_path, key, row)
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
         assert error_line(capsys) == error
@@ -681,6 +698,17 @@ class TestUpdateRegressions:
         config_path = self.with_second_line(tmp_path, key, row)
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
         assert error_line(capsys) == ("DuplicateKeyError", error)
+
+    @pytest.mark.parametrize(("key", "row", "error"), [
+        ("prefixes", "rdfs\tnot an iri",
+         ("ValueError", "prefix table line 2: invalid namespace IRI: 'not an iri'")),
+        ("glossary", "Oostende\tnope:Brugge", ("UnknownPrefixError", "glossary line 2: unknown prefix: 'nope'")),
+    ], ids=["prefixes", "glossary"])
+    def test_a_bad_row_comes_before_a_repeated_prefix_or_glossary_term(self, tmp_path, capsys, key, row, error):
+        # each row is checked as it is read, before the keys are compared
+        config_path = self.with_second_line(tmp_path, key, row)
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
+        assert error_line(capsys) == error
 
     def test_header_that_names_a_column_twice_exits_two(self, tmp_path, capsys):
         # the second genus column replaced the first: Danio rerio's genus cell read "rerio"

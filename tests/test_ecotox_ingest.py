@@ -4,7 +4,7 @@ import pytest
 
 from ecokg import checks, ecotox, graph, units
 from ecokg.graph import Triple, TripleStore, blank, iri, literal
-from ecokg.ns import ET, RDF_VALUE, RDFS_LABEL, RDFS_SUBCLASSOF, UNIT_UNITS, XSD_DECIMAL, default_prefix_map
+from ecokg.ns import ET, RDF_TYPE, RDF_VALUE, RDFS_LABEL, RDFS_SUBCLASSOF, UNIT_UNITS, XSD_DECIMAL, default_prefix_map
 from ecokg.ntriples import serialize
 
 
@@ -41,31 +41,42 @@ def effect_store(tables, species_records, fixtures, prefixes):
 
 class TestTableReader:
     def test_header_and_rows(self):
-        header, rows = ecotox.read_table("a|b\n1|2\n3|4\n", "t", ())
-        assert header == ["a", "b"]
-        assert rows == [{"a": "1", "b": "2"}, {"a": "3", "b": "4"}]
+        rows = ecotox.read_table("b|a\n1|2\n3|4\n", "t", ("a",), dict)
+        assert rows == [{"b": "1", "a": "2"}, {"b": "3", "a": "4"}]
+        assert [list(row) for row in rows] == [["b", "a"], ["b", "a"]]
 
     def test_rows_split_at_newline_only(self):
-        header, rows = ecotox.read_table("a|b\r\n1\u2028x|2\x0c3\r\n4\u0085y|5\x1e6\n", "t", ())
-        assert header == ["a", "b"]
+        rows = ecotox.read_table("a|b\r\n1\u2028x|2\x0c3\r\n4\u0085y|5\x1e6\n", "t", ("a",), dict)
         assert rows == [{"a": "1\u2028x", "b": "2\x0c3"}, {"a": "4\u0085y", "b": "5\x1e6"}]
+
+    def test_a_rejected_row_is_named_by_its_line_after_the_table_checks(self):
+        def make(row):
+            if row["a"] == "x":
+                raise ValueError("bad a")
+            return row["a"]
+
+        with pytest.raises(ValueError, match="^t line 4: bad a$"):
+            ecotox.read_table("a|b\n1|2\n\nx|3\n", "t", ("a",), make)
+        # a repeated key, found before any row is made, comes first
+        with pytest.raises(graph.DuplicateKeyError, match=r"^t: duplicate a: \['x'\]$"):
+            ecotox.read_table("a|b\nx|2\nx|3\n", "t", ("a",), make)
 
     def test_column_count_enforced(self):
         with pytest.raises(ValueError, match="^t line 3: "):
-            ecotox.read_table("a|b\n1|2\nonly-one\n", "t", ())
+            ecotox.read_table("a|b\n1|2\nonly-one\n", "t", ("a",), dict)
 
     def test_error_names_the_file_line_past_blank_lines(self):
         with pytest.raises(ValueError, match="^t line 4: expected 2 fields, got 1$"):
-            ecotox.read_table("a|b\n1|2\n\nonly-one\n", "t", ())
+            ecotox.read_table("a|b\n1|2\n\nonly-one\n", "t", ("a",), dict)
 
     def test_empty_table(self):
         with pytest.raises(ValueError, match="^t: empty table$"):
-            ecotox.read_table("\n\n", "t", ())
+            ecotox.read_table("\n\n", "t", ("a",), dict)
 
     def test_header_that_names_a_column_twice(self):
         # the last cell won: {'a': '2', 'b': '3'}
         with pytest.raises(ValueError, match=r"^t: duplicate column: \['a'\]$") as err:
-            ecotox.read_table("a|a|b\n1|2|3\n", "t", ())
+            ecotox.read_table("a|a|b\n1|2|3\n", "t", ("a",), dict)
         assert type(err.value) is ValueError  # malformed input, not a ValidationError
         text = shaped("species").replace("|species|", "|genus|", 1)
         with pytest.raises(ValueError, match=r"^species: duplicate column: \['genus'\]$"):
@@ -164,7 +175,7 @@ class TestTableShapes:
     @pytest.mark.parametrize("token", sorted(ecotox.MISSING_TOKENS))
     def test_missing_cas_number_names_the_chemical(self, token):
         # "" and "--" both minted <.../ecotox/chemical/>, merging unrelated chemicals
-        with pytest.raises(ValueError, match="^chemical 'Acrylamide': missing cas_number$"):
+        with pytest.raises(ValueError, match="^chemicals line 2: chemical 'Acrylamide': missing cas_number$"):
             ecotox.parse_chemicals(shaped("chemicals", cas_number=token))
 
     @pytest.mark.parametrize(("table", "cells", "error"), [
@@ -179,7 +190,8 @@ class TestTableShapes:
     def test_bad_key_cell_is_an_input_error(self, table, cells, error):
         with pytest.raises(ValueError) as err:
             SHAPES[table][0](shaped(table, **cells))
-        assert str(err.value) == error
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"{table} line 2: {error}"
 
     @pytest.mark.parametrize(("table", "column", "key"), [
         ("species", "species_number", "5156"),
@@ -537,9 +549,18 @@ class TestTestIngest:
         assert err.value.missing == ["999999"]
         assert len(store) == 0
 
+    def test_a_result_hangs_from_the_subject_its_test_was_typed_with(self, tables):
+        # the orphan check's map mints each test IRI once, and the results reuse it
+        store = TripleStore()
+        ecotox.ingest_tests(ecotox.parse_tests(tables["tests"]), ecotox.parse_results(tables["results"]), store)
+        typed = {s.value: s for s, _, _ in store.probe(None, RDF_TYPE, ecotox.TEST_TYPE)}
+        linked = [s for s, _, _ in store.probe(None, ecotox.HAS_RESULT_PROP)]
+        assert linked
+        assert all(s is typed[s.value] for s in linked)
+
     def test_bad_reference_number_names_the_test(self):
         text = "test_id|test_cas|species_number|reference_number\n12|50-00-0|7|abc\n"
-        with pytest.raises(ValueError, match="^test 12: bad reference_number 'abc'$"):
+        with pytest.raises(ValueError, match="^tests line 2: test 12: bad reference_number 'abc'$"):
             ecotox.parse_tests(text)
 
     def test_missing_reference_number_is_none(self):

@@ -22,6 +22,8 @@ from ecokg.graph import (
     TripleStore,
     UnknownPrefixError,
     blank,
+    build_row,
+    digits_int,
     escape_literal,
     iri,
     is_content_line,
@@ -325,15 +327,18 @@ class TestPrefixMap:
 class TestTsvRows:
     def test_blank_and_comment_lines_skipped_numbers_kept(self):
         text = "# head\n\n a\tb \n \t\n  # indented comment\nc\r\nd\te\tf"
-        rows = [(3, ["a", "b"]), (6, ["c"]), (7, ["d", "e", "f"])]
-        assert list(read_tsv_rows(text, "t", 1, at_least=True)) == rows
-        assert list(read_tsv_rows("", "t", 1)) == []
+        # the row function takes the first ``columns`` fields; at_least ignores the rest
+        assert read_tsv_rows(text, "t", 1, str, at_least=True) == ["a", "c", "d"]
+        assert read_tsv_rows("", "t", 1, str) == []
+        # a row the row function rejects is named by its line in the text
+        with pytest.raises(ValueError, match="^t line 7: not ASCII digits: 'd'$"):
+            read_tsv_rows("# head\n\n 1\tb \n \t\n  # c\n2\r\nd\te", "t", 1, digits_int, at_least=True)
 
     def test_lines_split_at_newline_only(self):
         # str.splitlines would also break at U+2028, U+0085, \x0b, \x0c and \x1c-\x1e
         text = "a\tb\u2028c\td\te\r\nf\u0085g\x0bh\x0ci\x1cj\x1dk\x1el\tm\tn\to\n"
-        rows = [(1, ["a", "b\u2028c", "d", "e"]), (2, ["f\u0085g\x0bh\x0ci\x1cj\x1dk\x1el", "m", "n", "o"])]
-        assert list(read_tsv_rows(text, "t", 4)) == rows
+        rows = [("a", "b\u2028c", "d", "e"), ("f\u0085g\x0bh\x0ci\x1cj\x1dk\x1el", "m", "n", "o")]
+        assert read_tsv_rows(text, "t", 4, lambda *fields: fields) == rows
 
     @pytest.mark.parametrize(("text", "at_least", "message"), [
         ("a\tb\n#\na\tb\tc\n", False, "t line 3: expected 2 columns, got 3"),
@@ -342,7 +347,7 @@ class TestTsvRows:
     ])
     def test_column_rule(self, text, at_least, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            list(read_tsv_rows(text, "t", 2, at_least=at_least))
+            read_tsv_rows(text, "t", 2, max, at_least=at_least)
 
     @pytest.mark.parametrize(("read", "text", "expected"), [
         (lambda t: PrefixMap.from_tsv(t).expand("ex:a").value, " ex \t http://x.org/ \t\n",
@@ -386,6 +391,40 @@ class TestTsvRows:
             assert is_content_line(line)
         for line in ("", " ", "\t\u2028", "#", "  #a", "\t# x"):
             assert not is_content_line(line)
+
+
+class TestBuildRow:
+    def test_a_row_is_what_the_row_function_returns(self):
+        assert build_row(lambda a, b: (b, a), "t", 3, "x", "y") == ("y", "x")
+
+    def test_a_rejected_row_keeps_its_exception_and_gains_its_location(self):
+        class Marked(ValueError):
+            pass
+
+        def make(cell):
+            exc = Marked(f"bad cell: {cell!r}")
+            exc.cell = cell
+            raise exc
+
+        with pytest.raises(Marked) as err:
+            build_row(make, "t", 4, "x")
+        assert type(err.value) is Marked
+        assert str(err.value) == "t line 4: bad cell: 'x'"
+        assert err.value.cell == "x"
+
+    def test_an_unknown_prefix_keeps_its_class(self):
+        prefixes = PrefixMap({"ex": "http://x.org/"})
+        with pytest.raises(UnknownPrefixError, match=r"^t line 2: unknown prefix: 'xx'$") as err:
+            build_row(prefixes.expand, "t", 2, "xx:a")
+        assert type(err.value) is UnknownPrefixError
+        text = "ex:s\tex:p\tv\tliteral\n\nex:s\txx:p\tv\tliteral\n"
+        with pytest.raises(UnknownPrefixError, match=r"^trait table line 3: unknown prefix: 'xx'$"):
+            traits.parse_traits(text, prefixes)
+
+    def test_other_errors_pass_unchanged(self):
+        with pytest.raises(KeyError) as err:
+            build_row({}.__getitem__, "t", 1, "k")
+        assert err.value.args == ("k",)
 
 
 class TestStore:

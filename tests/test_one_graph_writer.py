@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import helpers
+
 CLI = Path(__file__).resolve().parent.parent / "src" / "ecokg" / "cli.py"
 
 
@@ -11,21 +13,11 @@ def write_file_callers(source: str) -> list[str]:
 
     Calls outside any def or class report ``<module>``.
     """
-    callers: list[str] = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                  and child.func.attr == "write_file"
-                  and isinstance(child.func.value, ast.Name) and child.func.value.id == "ntriples"):
-                callers.append(scope)
-            visit(child, inner)
-
-    visit(ast.parse(source), "<module>")
-    return sorted(callers)
+    return sorted(
+        scope for scope, node in helpers.scoped_nodes(source)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "write_file"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "ntriples"
+    )
 
 
 def test_one_function_writes_every_stage_graph():

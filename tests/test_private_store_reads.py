@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import helpers
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "ecokg"
 
 PRIVATE_INDEXES = {"_spo", "_pos"}
@@ -17,19 +19,10 @@ def private_index_reads(source: str) -> list[tuple[str, str]]:
 
     Reads outside any def or class report ``<module>``.
     """
-    reads: list[tuple[str, str]] = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
-            elif isinstance(child, ast.Attribute) and child.attr in PRIVATE_INDEXES:
-                reads.append((scope, child.attr))
-            visit(child, inner)
-
-    visit(ast.parse(source), "<module>")
-    return sorted(reads)
+    return sorted(
+        (scope, node.attr) for scope, node in helpers.scoped_nodes(source)
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_INDEXES
+    )
 
 
 def test_only_the_named_readers_touch_the_private_indexes():
