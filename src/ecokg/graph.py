@@ -203,14 +203,14 @@ def is_content_line(line: str) -> bool:
     return head != "" and head[0] != "#"
 
 
-def build_row(make: Callable, table: str, line_no: int, *fields):
-    """``make(*fields)`` for the row on line ``line_no`` of ``table``.
+def build_row(make: Callable, table: str, line_no: int, row):
+    """``make(row)`` for the row on line ``line_no`` of ``table``.
 
     A ``ValueError`` it raises keeps its class and attributes and gains
     "<table> line N: " in front of its message.
     """
     try:
-        return make(*fields)
+        return make(row)
     except ValueError as exc:
         exc.args = (f"{table} line {line_no}: {exc}",)
         raise

@@ -666,8 +666,13 @@ class TestUpdateRegressions:
          ("ValueError", "chemicals line 2: chemical 'Unnamed salt': missing cas_number")),
         ("tests", "1a|100|115-86-6|26812|adult", ("ValueError", "tests line 2: bad test_id: '1a'")),
         ("results", "r7|001|LC50|400|mg/L|ACUTE", ("ValueError", "results line 2: bad result_id: 'r7'")),
+        # a bad row that also repeats a key: each row is checked as it is read, before the keys are compared
+        ("prefixes", "rdfs\tnot an iri",
+         ("ValueError", "prefix table line 2: invalid namespace IRI: 'not an iri'")),
+        ("glossary", "Oostende\tnope:Brugge", ("UnknownPrefixError", "glossary line 2: unknown prefix: 'nope'")),
     ], ids=["ecotox", "dmp", "trait-kind", "trait-curie", "glossary-target", "unit-id", "prefix-namespace",
-            "species-key", "chemicals-key", "tests-key", "results-key"])
+            "species-key", "chemicals-key", "tests-key", "results-key", "prefix-before-repeat",
+            "glossary-before-repeat"])
     def test_row_errors_name_their_input(self, tmp_path, capsys, key, row, error):
         # seven input tables feed update; "line 2: ..." alone did not say which was bad,
         # and the checks of a row's cells named neither table nor line
@@ -698,17 +703,6 @@ class TestUpdateRegressions:
         config_path = self.with_second_line(tmp_path, key, row)
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
         assert error_line(capsys) == ("DuplicateKeyError", error)
-
-    @pytest.mark.parametrize(("key", "row", "error"), [
-        ("prefixes", "rdfs\tnot an iri",
-         ("ValueError", "prefix table line 2: invalid namespace IRI: 'not an iri'")),
-        ("glossary", "Oostende\tnope:Brugge", ("UnknownPrefixError", "glossary line 2: unknown prefix: 'nope'")),
-    ], ids=["prefixes", "glossary"])
-    def test_a_bad_row_comes_before_a_repeated_prefix_or_glossary_term(self, tmp_path, capsys, key, row, error):
-        # each row is checked as it is read, before the keys are compared
-        config_path = self.with_second_line(tmp_path, key, row)
-        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
-        assert error_line(capsys) == error
 
     def test_header_that_names_a_column_twice_exits_two(self, tmp_path, capsys):
         # the second genus column replaced the first: Danio rerio's genus cell read "rerio"

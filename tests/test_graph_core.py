@@ -395,7 +395,7 @@ class TestTsvRows:
 
 class TestBuildRow:
     def test_a_row_is_what_the_row_function_returns(self):
-        assert build_row(lambda a, b: (b, a), "t", 3, "x", "y") == ("y", "x")
+        assert build_row(str.upper, "t", 3, "x") == "X"
 
     def test_a_rejected_row_keeps_its_exception_and_gains_its_location(self):
         class Marked(ValueError):
