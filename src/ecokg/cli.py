@@ -108,8 +108,17 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _parse_graph(path: str | Path, prefixes: PrefixMap) -> TripleStore:
+    """The graph file at ``path``; a parse error's message starts with the path."""
+    try:
+        return ntriples.parse(_read_text(path), prefixes)
+    except ntriples.NTriplesParseError as exc:
+        exc.args = (f"{path} {exc}",)
+        raise
+
+
 def _read_graph(path: str | Path, prefixes: PrefixMap) -> TripleStore:
-    store = ntriples.parse(_read_text(path), prefixes)
+    store = _parse_graph(path, prefixes)
     store.freeze()
     # the store lives until exit, so the cyclic collector need never walk it
     gc.freeze()
@@ -328,7 +337,7 @@ def _part_files(args):
         if names.count(name) > 1:
             raise ValueError(f"two graph files share the name {name!r}, which keys their counts")
     for path in paths:
-        yield path.name, ntriples.parse(_read_text(path), args.prefixes)
+        yield path.name, _parse_graph(path, args.prefixes)
 
 
 def cmd_export(args, parts=None, mappings: align_mod.MappingSet | None = None) -> dict:

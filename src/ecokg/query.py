@@ -19,7 +19,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
-from itertools import compress
+from heapq import heapify, heappop, heappush
 
 from .align import _pack, lane_counts, normalize_label
 from .graph import DIGIT, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, is_content_line
@@ -719,48 +719,48 @@ def fuzzy_lookup(
 
     The result is exact. Every form is a lane of one run of Myers'
     algorithm (Hyyrö, Fredriksson and Navarro 2005): one pass over the
-    probe scores them all. Lengths are then ranked best bound first,
-    stopping once no length left can reach the k-th best score so far,
-    and a form is ranked only if its distance leaves it a chance to
-    reach that score. The k-th best is recomputed only after a length's
-    run raised some subject's score. ``funnel``, when given, receives
-    the number of passes (one, or none on a store without labels) and of
-    the lanes they scanned.
+    probe scores them all. Each length's run is a ladder of score
+    levels, one per distinct count. A heap pops the levels of all
+    lengths best first, pushing a length's next level once its current
+    one has popped, so a subject's first level is its best score. The
+    walk stops at the first level below the one where the k-th distinct
+    subject appeared; levels tied with it are still ranked. ``funnel``,
+    when given, receives the number of passes (one, or none on a store
+    without labels), of the lanes they scanned, and of the lanes whose
+    keys the ranking read.
     """
     check_lookup_k(k)
     probe = _label_form(name)
     lp = len(probe)
     pack, keys, by_length = _label_index(store)
-    # each length's bound 1 - |len difference|/max(len); no score exceeds it
-    bound = {length: 1.0 - abs(length - lp) / (max(length, lp) or 1) for length in by_length}
+
+    def level(count: int, length: int, start: int, stop: int) -> tuple:
+        longest = (length if length > lp else lp) or 1  # a conditional, not max(): one call fewer per level
+        return -(1.0 - (count + lp - length) / longest), count, length, start, stop  # minus: best pops first
+
     best: dict[str, float] = {}
-    kth = float("-inf")
+    ranked = 0
     if keys:
         counts = lane_counts(pack, probe)
-    for length in sorted(by_length, key=bound.__getitem__, reverse=True):
-        if bound[length] < kth:
-            break
-        start, stop = by_length[length]
-        longest = max(length, lp) or 1
-        # a form further than limit scores more than 1/longest below kth; "most" is the count at limit
-        limit = int((1.0 - kth) * longest) + 1 if kth > 0.0 else longest
-        most = limit + length - lp
-        run = counts[start:stop]
-        if min(run) > most:  # no form of this length can rank
-            continue
-        raised = False
-        for lane_keys, count in compress(zip(keys[start:stop], run), map(most.__ge__, run)):
-            score = 1.0 - (count + lp - length) / longest
-            for key in lane_keys:
-                if score > best.get(key, -1.0):
-                    best[key] = score
-                    raised = True
-        if raised and len(best) >= k:
-            kth = sorted(best.values(), reverse=True)[k - 1]
-            # kth only rises, so a subject below it now can never rank
-            best = {key: score for key, score in best.items() if score >= kth}
+        heap = [level(min(counts[start:stop]), length, start, stop)
+                for length, (start, stop) in by_length.items()]
+        heapify(heap)
+        # until k subjects are ranked, then on through the levels tied with the last popped one
+        while heap and (len(best) < k or heap[0][0] == neg):
+            neg, count, length, start, stop = heappop(heap)
+            run = counts[start:stop]
+            tied = run.count(count)
+            ranked += tied
+            lane = start - 1
+            for _ in range(tied):
+                lane = counts.index(count, lane + 1, stop)
+                for key in keys[lane]:
+                    best.setdefault(key, -neg)
+            worse = min(filter(count.__lt__, run), default=None)
+            if worse is not None:
+                heappush(heap, level(worse, length, start, stop))
     if funnel is not None:
-        funnel.update(passes=min(len(keys), 1), lanes=len(keys))
+        funnel.update(passes=min(len(keys), 1), lanes=len(keys), ranked=ranked)
     return sorted(best.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 

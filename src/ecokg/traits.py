@@ -27,7 +27,7 @@ class UnresolvedGlossaryError(ValidationError):
 
 
 class TraitRow(CheckedRecord, namedtuple("TraitRow", "subject property value kind")):
-    """One trait row: subject and property IRI texts, the raw value column, its kind."""
+    """One trait row: subject and property IRI texts, the value column (IRI text for ``iri``), its kind."""
 
     __slots__ = ()
 
@@ -46,8 +46,10 @@ def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:
 
 
 def parse_traits(text: str, prefixes: PrefixMap) -> list[TraitRow]:
+    """Trait rows with the subject, the property and an ``iri`` row's value resolved to IRI text."""
+    resolve = prefixes.resolve
     return read_tsv_rows(text, "trait table", 4, lambda subject, prop, value, kind: TraitRow(
-        prefixes.resolve(subject), prefixes.resolve(prop), value, kind))
+        resolve(subject), resolve(prop), resolve(value) if kind == "iri" else value, kind))
 
 
 def parse_literal_value(text: str, prefixes: PrefixMap | None = None) -> Term:
@@ -74,8 +76,8 @@ def _lexical_form(value: str) -> str:
 def ingest_traits(rows: list[TraitRow], glossary: dict[str, str], store: TripleStore) -> None:
     """Emit one triple per row; glossary terms become IRI objects.
 
-    Curies resolve through the store's prefix map. All glossary terms
-    are resolved up front so a bad batch emits nothing.
+    Datatype curies resolve through the store's prefix map. All glossary
+    terms are resolved up front so a bad batch emits nothing.
     """
     prefixes = store.prefixes
     unresolved = sorted(
@@ -89,7 +91,7 @@ def ingest_traits(rows: list[TraitRow], glossary: dict[str, str], store: TripleS
         raise UnresolvedGlossaryError(unresolved)
     for row in rows:
         if row.kind == "iri":
-            obj = iri(prefixes.resolve(row.value))
+            obj = iri(row.value)
         elif row.kind == "glossary":
             obj = iri(glossary[_lexical_form(row.value)])
         else:

@@ -656,6 +656,8 @@ class TestUpdateRegressions:
          ("ValueError", "trait table line 2: unknown trait value kind: 'bogus'")),
         ("traits", "nope:taxon/35525\teol:habitat\tENVO:00000873\tiri",
          ("UnknownPrefixError", "trait table line 2: unknown prefix: 'nope'")),
+        ("traits", "ncbi:taxon/35525\teol:habitat\tnope:x\tiri",
+         ("UnknownPrefixError", "trait table line 2: unknown prefix: 'nope'")),
         ("glossary", "Brugge\tnope:Brugge", ("UnknownPrefixError", "glossary line 2: unknown prefix: 'nope'")),
         ("units", "nope:Gram\tGram\tg\t1.0\t0.0\tmass\tg",
          ("UnknownPrefixError", "units table line 2: unknown prefix: 'nope'")),
@@ -670,8 +672,8 @@ class TestUpdateRegressions:
         ("prefixes", "rdfs\tnot an iri",
          ("ValueError", "prefix table line 2: invalid namespace IRI: 'not an iri'")),
         ("glossary", "Oostende\tnope:Brugge", ("UnknownPrefixError", "glossary line 2: unknown prefix: 'nope'")),
-    ], ids=["ecotox", "dmp", "trait-kind", "trait-curie", "glossary-target", "unit-id", "prefix-namespace",
-            "species-key", "chemicals-key", "tests-key", "results-key", "prefix-before-repeat",
+    ], ids=["ecotox", "dmp", "trait-kind", "trait-curie", "trait-iri-value", "glossary-target", "unit-id",
+            "prefix-namespace", "species-key", "chemicals-key", "tests-key", "results-key", "prefix-before-repeat",
             "glossary-before-repeat"])
     def test_row_errors_name_their_input(self, tmp_path, capsys, key, row, error):
         # seven input tables feed update; "line 2: ..." alone did not say which was bad,
@@ -932,6 +934,17 @@ class TestAlignmentCommands:
         assert run_cli("--config", str(config_path), *argv) == 2
         assert error_line(capsys) == ("ValueError", "alignment threshold must be a number, got nan")
         assert not (tmp_path / "out" / "mappings.tsv").exists()
+
+    @pytest.mark.parametrize("bad", ["--source", "--target"])
+    def test_graph_parse_error_names_its_file(self, tmp_path, pipeline_dir, capsys, bad):
+        # "line 2: ..." alone did not say which of the two graphs was bad
+        path = tmp_path / "b.nt"
+        path.write_text('<http://x.org/a> <http://x.org/p> "a" .\n<http://x.org/b> <http://x.org/p> 7 .\n')
+        graphs = {"--source": pipeline_dir / "ecotox.nt", "--target": pipeline_dir / "ncbi.nt", bad: path}
+        argv = [str(arg) for flag_and_path in graphs.items() for arg in flag_and_path]
+        assert run_cli(*cfg_args("align", *argv, "--out", str(tmp_path / "out"))) == 2
+        error = f"{path} line 2: object must be an IRI, literal, or blank node"
+        assert error_line(capsys) == ("NTriplesParseError", error)
 
     def test_stop_words_split_at_newline_only(self, tmp_path):
         path = tmp_path / "stop.txt"

@@ -154,22 +154,39 @@ LOOKUP_DIGESTS = {
 }
 
 
-def test_lookup_output_digests(tmp_path):
-    config = _generate_bench_inputs(1, tmp_path / "inputs")
-    out = tmp_path / "out"
-    assert run_cli("--config", str(config), "update", "--out", str(out)) == 0
-    store = ntriples.parse((out / "kg.nt").read_text(encoding="utf-8"), default_prefix_map())
+def _lookup_digest(store, probes, k: int, render) -> str:
+    """sha256 of ``render(key, score)`` over the top-k hits of every probe."""
+    text = "".join(render(key, score) for probe in probes for key, score in query.fuzzy_lookup(store, probe["name"], k))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _bench_lookup_inputs(root: Path, seed: int):
+    """Bench seed ``seed``'s frozen ``update`` graph and its truth file's lookup probes."""
+    config = _generate_bench_inputs(seed, root / "inputs")
+    assert run_cli("--config", str(config), "update", "--out", str(root / "out")) == 0
+    store = ntriples.parse((root / "out" / "kg.nt").read_text(encoding="utf-8"), default_prefix_map())
     store.freeze()
-    probes = json.loads((tmp_path / "inputs" / "truth.json").read_text(encoding="utf-8"))["lookup_probes"]
-    digests = {}
-    for k in LOOKUP_DIGESTS:
-        text = "".join(
-            f"{key}\t{score:.6f}\n"
-            for probe in probes
-            for key, score in query.fuzzy_lookup(store, probe["name"], k)
-        )
-        digests[k] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return store, json.loads((root / "inputs" / "truth.json").read_text(encoding="utf-8"))["lookup_probes"]
+
+
+def test_lookup_output_digests(tmp_path):
+    store, probes = _bench_lookup_inputs(tmp_path, 1)
+    digests = {k: _lookup_digest(store, probes, k, lambda key, score: f"{key}\t{score:.6f}\n") for k in LOOKUP_DIGESTS}
     assert digests == LOOKUP_DIGESTS
+
+
+# The same at k = 20 on bench seeds 1 and 7, with each score written by
+# ``repr``, so that a change in its last bit fails too.
+LOOKUP_REPR_DIGESTS = {
+    1: "de7f8c0e4a565486357d57c942421fb41dcda38b383225de7158870fda0cc5a5",
+    7: "52a3dfcc18ff73fcc7e774ca32bd636570ba2c68625a1bfb3a9c30724d0dc847",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LOOKUP_REPR_DIGESTS))
+def test_lookup_exact_score_digests(tmp_path, seed):
+    store, probes = _bench_lookup_inputs(tmp_path, seed)
+    assert _lookup_digest(store, probes, 20, lambda key, score: f"{key}\t{score!r}\n") == LOOKUP_REPR_DIGESTS[seed]
 
 
 @pytest.fixture(scope="module")

@@ -1194,6 +1194,24 @@ class TestFuzzyLookup:
         ]
         self.assert_matches_reference(store, ["abcdefghijkl", "abcdefghijk", "abcdefghijklmn"])
 
+    def test_kth_tie_across_four_lengths(self):
+        # against the 12-letter probe, 0.75 is distance 3 at lengths 9, 11
+        # and 12 and distance 4 at length 16; the tied length popped last
+        # holds the smallest key. "m" scores 0.5 in the length-12 run,
+        # whose best level pops first, and 1 - 1/13 in the length-13 run
+        store = self.labeled(
+            ("t4", "abcdefghi"), ("t3", "abcdefghixy"), ("t2", "abcdefghixyz"), ("t1", "abcdefghijklwxyz"),
+            ("a", "abcdefghijkl"), ("b", "abcdefghijkx"), ("m", "abcdefxxxxxx"), ("m", "abcdefghijklm"),
+        )
+        ex = "http://example.org/"
+        assert fuzzy_lookup(store, "abcdefghijkl", k=4) == [
+            (f"{ex}a", 1.0), (f"{ex}m", 1 - 1 / 13), (f"{ex}b", 1 - 1 / 12), (f"{ex}t1", 0.75)
+        ]
+        expect = helpers.reference_lookup(store, "abcdefghijkl")
+        assert [score for _, score in expect[3:]] == [0.75] * 4
+        for k in range(1, 7):
+            assert fuzzy_lookup(store, "abcdefghijkl", k) == expect[:k], k
+
     def test_one_lane_counts_call_per_lookup(self, monkeypatch):
         # forms of every length from 1 to 40 fill the 8- to 48-bit widths
         rng = random.Random(97)
@@ -1227,12 +1245,14 @@ class TestFuzzyLookup:
                 masks.clear()
                 funnel = {}
                 assert fuzzy_lookup(store, probe, k, funnel) == helpers.reference_lookup(store, probe)[:k]
-                # one pass scans every distinct form
+                # one pass scans every distinct form; the ranking reads the keys of some of them
                 assert masks == [mask], (probe, k)
-                assert funnel == {"passes": 1, "lanes": len(keys)} and 0 < len(keys) < 120, (probe, k)
+                ranked = funnel["ranked"]
+                assert funnel == {"passes": 1, "lanes": len(keys), "ranked": ranked}, (probe, k)
+                assert 0 < len(keys) < 120 and 0 < ranked <= len(keys), (probe, k)
         funnel = {}
         assert fuzzy_lookup(self.labeled(), "b", 5, funnel) == []
-        assert funnel == {"passes": 0, "lanes": 0}
+        assert funnel == {"passes": 0, "lanes": 0, "ranked": 0}
 
     @given(st.lists(st.tuples(st.integers(0, 5), lookup_labels), max_size=10), lookup_labels)
     @example([(0, ""), (1, "ab\0ba"), (2, "b" * 8), (3, "\ud800\0" * 33)], "ab")
