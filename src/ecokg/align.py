@@ -31,7 +31,7 @@ from collections import namedtuple
 from itertools import groupby
 from typing import Iterable, Mapping as MappingType, Sequence
 
-from .graph import ALNUM, CheckedRecord, Triple, TripleStore, ValidationError, ascii_float, iri, read_tsv_rows
+from .graph import ALNUM, CheckedRecord, TripleStore, ValidationError, ascii_float, iri, read_tsv_rows
 from .ns import OWL_SAMEAS, RDFS_LABEL
 
 DEFAULT_STOP_WORDS = frozenset(
@@ -368,7 +368,7 @@ def read_mappings(text: str) -> MappingSet:
 
 
 def add_sameas(mappings: MappingSet, store: TripleStore) -> int:
-    return store.add_all([Triple(iri(m.source), OWL_SAMEAS, iri(m.target)) for m in mappings])
+    return store.add_all([(iri(m.source), OWL_SAMEAS, iri(m.target)) for m in mappings])
 
 
 def labels_by_prefix(store: TripleStore, iri_prefix: str) -> dict[str, list[str]]:

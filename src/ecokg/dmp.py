@@ -13,11 +13,10 @@ replaced by underscores. Divisions are declared pairwise disjoint.
 """
 
 from collections import namedtuple
-from collections.abc import Iterator
 
 from . import idmap
 from .graph import (
-    DuplicateKeyError, Term, Triple, TripleStore, ValidationError, digits_int, iri, literal, unique_keys
+    DuplicateKeyError, Term, TripleStore, ValidationError, build_row, digits_int, iri, literal, unique_keys
 )
 from .ns import NCBI, OWL_DISJOINTWITH, RDFS_LABEL, RDFS_SUBCLASSOF
 
@@ -27,11 +26,7 @@ _new = tuple.__new__
 
 
 class DmpFormatError(ValueError):
-    """Malformed record of the file ``dump``; carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int, dump: str):
-        super().__init__(f"{dump} line {line}: {message}")
-        self.line = line
+    """Malformed record; ``build_row`` names its file and sets ``line``, the 1-based line number."""
 
 
 class DanglingParentError(ValidationError):
@@ -56,39 +51,30 @@ _NAME_FIELDS = ((0, digits_int), (1, str), (3, str))
 _DIVISION_FIELDS = ((0, digits_int), (2, str))
 
 
-def parse_dmp(text: str, dump: str) -> Iterator[tuple[int, list[str]]]:
-    """Line number (from 1) and unstripped fields of each record.
+def _read_records(text: str, dump: str, record: type, spec: tuple) -> list:
+    """One ``record`` per line of ``dump``, from its stripped ``spec`` fields; fails at the first bad one.
 
     Lines end at ``\n`` only, with one trailing ``\r`` dropped; blank
     lines are skipped, and any other line must end with ``<tab>|``.
-    Errors name the file ``dump``.
+    Errors name the file ``dump`` and the line (``build_row``).
     """
-    for line_no, raw in enumerate(text.split("\n"), 1):
-        line = raw.removesuffix("\r")
-        if not line:
-            continue
+    def row(line: str):
         if not line.endswith(RECORD_END):
-            raise DmpFormatError("record does not end with tab-pipe terminator", line_no, dump)
-        yield line_no, line[: -len(RECORD_END)].split(FIELD_SEP)
-
-
-def _read_records(text: str, dump: str, record: type, spec: tuple) -> list:
-    """One ``record`` per line of ``dump``, from its stripped ``spec`` fields; fails at the first bad one."""
-    rows = []
-    for line_no, fields in parse_dmp(text, dump):
+            raise DmpFormatError("record does not end with tab-pipe terminator")
+        fields = line[: -len(RECORD_END)].split(FIELD_SEP)
         values = []
         try:
             for col, kind in spec:
                 values.append(kind(fields[col].strip()))
         except IndexError:
-            message = f"expected at least {col + 1} fields, got {len(fields)}"
-            raise DmpFormatError(message, line_no, dump) from None
+            raise DmpFormatError(f"expected at least {col + 1} fields, got {len(fields)}") from None
         except ValueError:
-            message = f"field {col + 1} is not an integer: {fields[col].strip()!r}"
-            raise DmpFormatError(message, line_no, dump) from None
+            raise DmpFormatError(f"field {col + 1} is not an integer: {fields[col].strip()!r}") from None
         # ``spec`` has one entry per record field, so ``_make``'s length check is moot
-        rows.append(_new(record, values))
-    return rows
+        return _new(record, values)
+
+    lines = (raw.removesuffix("\r") for raw in text.split("\n"))
+    return [build_row(row, dump, n, line) for n, line in enumerate(lines, 1) if line]
 
 
 def parse_nodes(text: str) -> list[TaxonNodeRow]:
@@ -138,9 +124,9 @@ def ingest_nodes(rows: list[TaxonNodeRow], store: TripleStore) -> None:
     for row in rows:
         subject = taxon_iri(row.taxon_id)
         if row.parent_id != row.taxon_id:
-            store.add(Triple(subject, RDFS_SUBCLASSOF, taxon_iri(row.parent_id)))
-        store.add(Triple(subject, _RANK_PROP, rank_iri(row.rank)))
-        store.add(Triple(subject, _DIVISION_PROP, division_iri(row.division_id)))
+            store.add((subject, RDFS_SUBCLASSOF, taxon_iri(row.parent_id)))
+        store.add((subject, _RANK_PROP, rank_iri(row.rank)))
+        store.add((subject, _DIVISION_PROP, division_iri(row.division_id)))
 
 
 def ingest_names(rows: list[TaxonNameRow], store: TripleStore) -> None:
@@ -148,8 +134,8 @@ def ingest_names(rows: list[TaxonNameRow], store: TripleStore) -> None:
     for row in rows:
         subject = taxon_iri(row.taxon_id)
         name = literal(row.name)
-        store.add(Triple(subject, name_class_iri(row.name_class), name))
-        store.add(Triple(subject, RDFS_LABEL, name))
+        store.add((subject, name_class_iri(row.name_class), name))
+        store.add((subject, RDFS_LABEL, name))
 
 
 def ingest_divisions(rows: list[DivisionRow], store: TripleStore) -> None:
@@ -160,8 +146,8 @@ def ingest_divisions(rows: list[DivisionRow], store: TripleStore) -> None:
     """
     ids = unique_keys([r.division_id for r in rows], "division.dmp", "division id", DuplicateDivisionError)
     for row in rows:
-        store.add(Triple(division_iri(row.division_id), RDFS_LABEL, literal(row.label)))
+        store.add((division_iri(row.division_id), RDFS_LABEL, literal(row.label)))
     ordered = sorted(ids)
     for i, low in enumerate(ordered):
         for high in ordered[i + 1:]:
-            store.add(Triple(division_iri(low), OWL_DISJOINTWITH, division_iri(high)))
+            store.add((division_iri(low), OWL_DISJOINTWITH, division_iri(high)))

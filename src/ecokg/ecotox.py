@@ -231,7 +231,7 @@ def _group_disjointness(groups: set[str], store: TripleStore) -> None:
     for a in ordered:
         for b in ordered:
             if a != b:
-                store.add(Triple(group_iri(a), OWL_DISJOINTWITH, group_iri(b)))
+                store.add((group_iri(a), OWL_DISJOINTWITH, group_iri(b)))
 
 
 def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> None:
@@ -263,22 +263,22 @@ def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> None:
                 # a tautonym (genus Bufo, species bufo) names two levels
                 # alike; the node keeps the upper level's rank and label
                 continue
-            store.add(Triple(node, RANK_PROP, _level_term(level)))
-            store.add(Triple(node, RDFS_LABEL, literal(name)))
+            store.add((node, RANK_PROP, _level_term(level)))
+            store.add((node, RDFS_LABEL, literal(name)))
             if previous is not None:
-                store.add(Triple(node, RDFS_SUBCLASSOF, previous))
+                store.add((node, RDFS_SUBCLASSOF, previous))
             previous = node
-        store.add(Triple(leaf, RDF_TYPE, TAXON_TYPE))
-        store.add(Triple(leaf, RDFS_SUBCLASSOF, previous))
+        store.add((leaf, RDF_TYPE, TAXON_TYPE))
+        store.add((leaf, RDFS_SUBCLASSOF, previous))
         if rec.common_name is not None:
-            store.add(Triple(leaf, COMMON_NAME_PROP, literal(rec.common_name)))
-            store.add(Triple(leaf, RDFS_LABEL, literal(rec.common_name)))
+            store.add((leaf, COMMON_NAME_PROP, literal(rec.common_name)))
+            store.add((leaf, RDFS_LABEL, literal(rec.common_name)))
         if rec.latin_name is not None:
-            store.add(Triple(leaf, LATIN_NAME_PROP, literal(rec.latin_name)))
-            store.add(Triple(leaf, RDFS_LABEL, literal(rec.latin_name)))
+            store.add((leaf, LATIN_NAME_PROP, literal(rec.latin_name)))
+            store.add((leaf, RDFS_LABEL, literal(rec.latin_name)))
         if rec.group is not None:
             groups.add(rec.group)
-            store.add(Triple(leaf, GROUP_PROP, group_iri(rec.group)))
+            store.add((leaf, GROUP_PROP, group_iri(rec.group)))
     _group_disjointness(groups, store)
 
 
@@ -313,12 +313,12 @@ def ingest_chemicals(records: list[ChemicalRecord], store: TripleStore) -> None:
                 cells=[f"cas_number {rec.cas}" for rec in records])
     groups: set[str] = set()
     for rec, subject in zip(records, subjects):
-        store.add(Triple(subject, RDF_TYPE, CHEMICAL_TYPE))
+        store.add((subject, RDF_TYPE, CHEMICAL_TYPE))
         if rec.name:
-            store.add(Triple(subject, RDFS_LABEL, literal(rec.name)))
+            store.add((subject, RDFS_LABEL, literal(rec.name)))
         if rec.group is not None:
             groups.add(rec.group)
-            store.add(Triple(subject, GROUP_PROP, group_iri(rec.group)))
+            store.add((subject, GROUP_PROP, group_iri(rec.group)))
     _group_disjointness(groups, store)
 
 
@@ -419,17 +419,17 @@ def ingest_tests(
         raise OrphanResultError(sorted(missing))
     for t in tests:
         subject = subjects[t.test_id]
-        store.add(Triple(subject, RDF_TYPE, TEST_TYPE))
-        store.add(Triple(subject, COMPOUND_PROP, chemical_iri(t.cas)))
-        store.add(Triple(subject, SPECIES_PROP, species_iri(t.species_number)))
+        store.add((subject, RDF_TYPE, TEST_TYPE))
+        store.add((subject, COMPOUND_PROP, chemical_iri(t.cas)))
+        store.add((subject, SPECIES_PROP, species_iri(t.species_number)))
         if t.lifestage is not None:
-            store.add(Triple(subject, LIFESTAGE_PROP, _lifestage_iri(t.lifestage)))
+            store.add((subject, LIFESTAGE_PROP, _lifestage_iri(t.lifestage)))
     for r in results:
         subject = result_iri(r.result_id)
-        store.add(Triple(subjects[r.test_id], HAS_RESULT_PROP, subject))
-        store.add(Triple(subject, RDF_TYPE, RESULT_TYPE))
-        store.add(Triple(subject, ENDPOINT_PROP, code_iri(r.endpoint)))
+        store.add((subjects[r.test_id], HAS_RESULT_PROP, subject))
+        store.add((subject, RDF_TYPE, RESULT_TYPE))
+        store.add((subject, ENDPOINT_PROP, code_iri(r.endpoint)))
         if r.effect is not None:
-            store.add(Triple(subject, EFFECT_PROP, code_iri(r.effect)))
+            store.add((subject, EFFECT_PROP, code_iri(r.effect)))
         if r.concentration is not None:
             store.add_all(_concentration_triples(subject, r, units))

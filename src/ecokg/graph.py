@@ -181,17 +181,10 @@ def blank(label: str) -> Term:
     return _new(Term, (BLANK, label, None, None))
 
 
-class Triple(CheckedRecord, namedtuple("Triple", "subject predicate object")):
-    """Subject/predicate/object with positional validity checks."""
+class Triple(namedtuple("Triple", "subject predicate object")):
+    """The read-side view of a stored triple; ``TripleStore.add`` checks positions, not this."""
 
     __slots__ = ()
-
-    def __new__(cls, subject: Term, predicate: Term, object: Term) -> "Triple":
-        if subject.kind == LITERAL:
-            raise ValueError("literal cannot be a subject")
-        if predicate.kind != IRI:
-            raise ValueError("predicate must be an IRI")
-        return _new(cls, (subject, predicate, object))
 
     def ntriples(self) -> str:
         return f"{self.subject.ntriples()} {self.predicate.ntriples()} {self.object.ntriples()} ."
@@ -206,13 +199,14 @@ def is_content_line(line: str) -> bool:
 def build_row(make: Callable, table: str, line_no: int, row):
     """``make(row)`` for the row on line ``line_no`` of ``table``.
 
-    A ``ValueError`` it raises keeps its class and attributes and gains
-    "<table> line N: " in front of its message.
+    A ``ValueError`` it raises keeps its class and attributes, gains
+    "<table> line N: " in front of its message, and gets ``line``, N.
     """
     try:
         return make(row)
     except ValueError as exc:
         exc.args = (f"{table} line {line_no}: {exc}",)
+        exc.line = line_no
         raise
 
 
@@ -318,8 +312,8 @@ class TripleStore:
     makes one ``pos`` probe per predicate, and one with subject and
     object bound reads the predicates under ``spo[s]``. ``label_index``
     is left to readers that derive data from a frozen store; the store
-    itself never reads it. Every triple the store hands out is built from
-    terms checked when they were inserted, so it skips ``Triple``'s checks.
+    itself never reads it. ``add``, the one way in, checks positions; the
+    ``Triple``s that reads hand out are plain views.
 
     Most index leaves hold one term, kept as the 1-tuple ``(term,)`` at a
     fraction of a set's size; the second distinct insert makes it a
@@ -350,8 +344,8 @@ class TripleStore:
     def __len__(self) -> int:
         return self._len
 
-    def __contains__(self, t: Triple) -> bool:
-        return t.object in self._spo.get(t.subject, {}).get(t.predicate, ())
+    def __contains__(self, t: tuple[Term, Term, Term]) -> bool:
+        return t[2] in self._spo.get(t[0], {}).get(t[1], ())
 
     def __iter__(self):
         for s, po in self._spo.items():
@@ -364,12 +358,22 @@ class TripleStore:
             return NotImplemented
         return self._spo == other._spo
 
-    def add(self, t: Triple) -> bool:
-        """Insert one triple; returns False for duplicates."""
+    def add(self, t: tuple[Term, Term, Term]) -> bool:
+        """Insert one ``(s, p, o)``; returns False for duplicates.
+
+        A subject is checked when it first keys ``spo``, a predicate when it
+        first keys ``pos``; a literal subject or a non-IRI predicate raises
+        ``ValueError`` before any index changes.
+        """
         if self._frozen:
             raise FrozenStoreError("store is frozen")
         s, p, o = t
         po = self._spo.get(s)
+        if po is None and s.kind == LITERAL:
+            raise ValueError("literal cannot be a subject")
+        os_ = self._pos.get(p)
+        if os_ is None and p.kind != IRI:
+            raise ValueError("predicate must be an IRI")
         if po is None:
             po = self._spo[s] = {}
         objs = po.get(p)
@@ -381,7 +385,6 @@ class TripleStore:
             po[p] = {objs[0], o}
         else:
             objs.add(o)
-        os_ = self._pos.get(p)
         if os_ is None:
             os_ = self._pos[p] = {}
         subs = os_.get(o)

@@ -3,7 +3,7 @@
 import re
 from collections import namedtuple
 
-from .graph import DIGIT, Triple, TripleStore, ValidationError, iri, read_tsv_rows
+from .graph import DIGIT, TripleStore, ValidationError, iri, read_tsv_rows
 from .ns import ET, NCBI, OWL_SAMEAS
 
 _CAS = re.compile(rf"({DIGIT}{{2,7}})-({DIGIT}{{2}})-({DIGIT})\Z")
@@ -96,7 +96,7 @@ def construct_sameas(
         try:
             local = store.prefixes.resolve(REWRITE_RULES[rewrite](pair.external_id))
             target = store.prefixes.resolve(pair.external_iri)
-            added += store.add(Triple(iri(local), OWL_SAMEAS, iri(target)))
+            added += store.add((iri(local), OWL_SAMEAS, iri(target)))
         except ValueError as exc:
             errors.append(f"{pair.external_id}: {exc}")
     return added, errors

@@ -18,8 +18,8 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .graph import (
-    ALNUM, BLANK, BLANK_LABEL, HEX_DIGIT, IRI, IRI_TEXT, LANG_TAG, LITERAL, PrefixMap, Term, Triple,
-    TripleStore, blank, iri, is_content_line, literal
+    ALNUM, BLANK, BLANK_LABEL, HEX_DIGIT, IRI, IRI_TEXT, LANG_TAG, LITERAL, PrefixMap, Term, TripleStore,
+    blank, iri, is_content_line, literal
 )
 
 _UNESCAPES = {
@@ -170,7 +170,7 @@ class _LineScanner:
         raise self.error("object must be an IRI, literal, or blank node")
 
 
-def parse_triple_line(line: str, line_no: int) -> Triple:
+def parse_triple_line(line: str, line_no: int) -> tuple[Term, Term, Term]:
     sc = _LineScanner(line, line_no)
     sc.skip_ws()
     subject = sc.scan_subject()
@@ -189,7 +189,7 @@ def parse_triple_line(line: str, line_no: int) -> Triple:
     sc.skip_ws()
     if not sc.eof():
         raise sc.error("trailing content after '.'")
-    return sc.checked(Triple, subject, predicate, obj)
+    return subject, predicate, obj
 
 
 def parse(text: str, prefixes: PrefixMap | None = None) -> TripleStore:

@@ -18,11 +18,12 @@ file can hold; a query adds ``^^curie`` datatypes.
 import re
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, namedtuple
+from contextlib import suppress
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .align import _pack, lane_counts, normalize_label
-from .graph import DIGIT, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, is_content_line
+from .graph import DIGIT, PrefixMap, Term, TripleStore, ValidationError, iri, is_content_line
 from .ns import RDF_TYPE, RDFS_LABEL, RDFS_SUBCLASSOF
 from .ntriples import _LineScanner
 
@@ -474,9 +475,9 @@ def select(
 def construct(store: TripleStore, patterns, template, funnel: list | None = None) -> TripleStore:
     """New store holding the template instantiated per solution.
 
-    As in SPARQL CONSTRUCT, an instance that is no valid triple (a
-    literal subject, a non-IRI predicate) is left out. ``funnel`` is
-    passed to ``solve``.
+    As in SPARQL CONSTRUCT, an instance that is no valid triple, which
+    the store's ``add`` refuses, is left out. ``funnel`` is passed to
+    ``solve``.
     """
     pattern_vars = _pattern_vars(patterns)
     unbound = sorted(
@@ -487,9 +488,8 @@ def construct(store: TripleStore, patterns, template, funnel: list | None = None
     out = TripleStore(store.prefixes)
     for binding in solve(store, patterns, funnel):
         for pat in template:
-            s, p, o = (_bind(slot, binding) for slot in pat)
-            if not s.is_literal() and p.is_iri():
-                out.add(Triple(s, p, o))
+            with suppress(ValueError):
+                out.add(tuple(_bind(slot, binding) for slot in pat))
     return out
 
 

@@ -10,7 +10,7 @@ import re
 from collections import namedtuple
 
 from .graph import (
-    LANG_TAG, CheckedRecord, PrefixMap, Term, Triple, TripleStore, ValidationError, iri, literal,
+    LANG_TAG, CheckedRecord, PrefixMap, Term, TripleStore, ValidationError, iri, literal,
     read_tsv_rows, unique_keys
 )
 
@@ -96,4 +96,4 @@ def ingest_traits(rows: list[TraitRow], glossary: dict[str, str], store: TripleS
             obj = iri(glossary[_lexical_form(row.value)])
         else:
             obj = parse_literal_value(row.value, prefixes)
-        store.add(Triple(iri(row.subject), iri(row.property), obj))
+        store.add((iri(row.subject), iri(row.property), obj))

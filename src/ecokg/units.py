@@ -129,24 +129,20 @@ class UnitRegistry:
         return iri(unit.id) if unit is not None else None
 
 
-def parse_units(text: str, prefixes: PrefixMap | None = None) -> list[UnitDef]:
+def parse_units(text: str, prefixes: PrefixMap) -> list[UnitDef]:
     """Read unit rows from 7-column TSV.
 
     Columns: id, label, abbreviation, multiplier, offset, dimension,
-    symbol. The id may be a curie when a prefix map is supplied.
+    symbol. The id is an IRI or a curie of ``prefixes``.
     """
     def unit(unit_id, label, abbreviation, multiplier, offset, dimension, symbol):
-        return UnitDef(unit_id if prefixes is None else prefixes.resolve(unit_id), label, abbreviation,
+        return UnitDef(prefixes.resolve(unit_id), label, abbreviation,
                        ascii_float(multiplier), ascii_float(offset), dimension, symbol)
 
     return read_tsv_rows(text, "units table", 7, unit)
 
 
-def load_registry(
-    text: str,
-    prefixes: PrefixMap | None = None,
-    store: TripleStore | None = None,
-) -> UnitRegistry:
+def load_registry(text: str, prefixes: PrefixMap, store: TripleStore | None = None) -> UnitRegistry:
     """The registry of the units in TSV text; each unit's description triples go to ``store``, if given."""
     registry = UnitRegistry()
     for unit in parse_units(text, prefixes):

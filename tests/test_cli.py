@@ -83,7 +83,7 @@ INPUT_FAILURES = [
     FileNotFoundError(2, "No such file or directory"),
     json.JSONDecodeError("Expecting value", "{", 1),
     ntriples.NTriplesParseError("missing object", 3),
-    dmp.DmpFormatError("missing terminator", 1, "nodes.dmp"),
+    dmp.DmpFormatError("nodes.dmp line 1: missing terminator"),
     query.PathSyntaxError("unbalanced parenthesis"),
     query.QuerySyntaxError("missing object"),
     UnknownPrefixError("unknown prefix: 'zz'"),

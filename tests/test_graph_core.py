@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from ecokg import align, idmap, ntriples, traits, units
+from ecokg import align, dmp, ecotox, idmap, ntriples, traits, units
 from ecokg.graph import (
     BLANK,
     IRI,
@@ -185,13 +185,10 @@ class TestTerm:
     def test_replace_and_make_check_fields(self):
         term = iri("http://x.org/a")
         assert term._replace(value="http://x.org/b") == iri("http://x.org/b")
-        triple = Triple(term, term, literal("o"))
         for bad in (
             lambda: term._replace(value="a b"),
             lambda: term._replace(language="en"),
             lambda: Term._make(["literal", "x", "http://x.org/dt", "en"]),
-            lambda: triple._replace(subject=literal("s")),
-            lambda: Triple._make([term, blank("b"), term]),
         ):
             with pytest.raises(ValueError):
                 bad()
@@ -267,17 +264,6 @@ class TestEscaping:
 
 
 class TestTriple:
-    def test_positional_validity(self):
-        s, p, o = iri("http://x.org/s"), iri("http://x.org/p"), literal("o")
-        Triple(s, p, o)
-        Triple(blank("b"), p, o)
-        with pytest.raises(ValueError):
-            Triple(literal("s"), p, o)
-        with pytest.raises(ValueError):
-            Triple(s, blank("b"), o)
-        with pytest.raises(ValueError):
-            Triple(s, literal("p"), o)
-
     def test_ntriples_line(self):
         t = Triple(iri("http://x.org/s"), iri("http://x.org/p"), literal("o"))
         assert t.ntriples() == '<http://x.org/s> <http://x.org/p> "o" .'
@@ -358,7 +344,7 @@ class TestTsvRows:
         (lambda t: traits.parse_traits(t, PrefixMap({"ex": "http://x.org/"})),
          " ex:s \t ex:p \t endangered \t glossary \n",
          [traits.TraitRow("http://x.org/s", "http://x.org/p", "endangered", "glossary")]),
-        (units.parse_units, " http://x.org/mgL \t milligram \t mg/L \t 0.001 \t 0 \t mass \t mg \n",
+        (lambda t: units.parse_units(t, PrefixMap()), " http://x.org/mgL \t milligram \t mg/L \t 0.001 \t 0 \t mass \t mg \n",
          [units.UnitDef("http://x.org/mgL", "milligram", "mg/L", 0.001, 0.0, "mass", "mg")]),
         (lambda t: list(align.read_mappings(t)), " http://x.org/a \t http://x.org/b \t 0.9 \t lexical \n",
          [align.Mapping("http://x.org/a", "http://x.org/b", 0.9, "lexical")]),
@@ -367,14 +353,14 @@ class TestTsvRows:
         assert read(text) == expected
 
     @pytest.mark.parametrize(("read", "text", "message"), [
-        (units.parse_units, "u\tl\ta\t 1x \t0\td\ts\n",
+        (lambda t: units.parse_units(t, PrefixMap()), "http://x.org/u\tl\ta\t 1x \t0\td\ts\n",
          "units table line 1: could not convert string to float: '1x'"),
         (align.read_mappings, "a\tb\t 0.9x \tlexical\n",
          "mappings line 1: could not convert string to float: '0.9x'"),
         # float() alone reads other scripts' digits and "_" between digits
-        (units.parse_units, "u\tl\ta\t١.٥\t0\td\ts\n",
+        (lambda t: units.parse_units(t, PrefixMap()), "http://x.org/u\tl\ta\t١.٥\t0\td\ts\n",
          "units table line 1: could not convert string to float: '١.٥'"),
-        (units.parse_units, "u\tl\ta\t1\t1_0\td\ts\n",
+        (lambda t: units.parse_units(t, PrefixMap()), "http://x.org/u\tl\ta\t1\t1_0\td\ts\n",
          "units table line 1: could not convert string to float: '1_0'"),
         (align.read_mappings, "a\tb\t٠.٩\tlexical\n",
          "mappings line 1: could not convert string to float: '٠.٩'"),
@@ -410,7 +396,17 @@ class TestBuildRow:
             build_row(make, "t", 4, "x")
         assert type(err.value) is Marked
         assert str(err.value) == "t line 4: bad cell: 'x'"
-        assert err.value.cell == "x"
+        assert err.value.cell == "x" and err.value.line == 4
+
+    @pytest.mark.parametrize(("read", "text", "table", "line"), [
+        (lambda t: read_tsv_rows(t, "t", 2, max), "a\tb\n\n# c\na\n", "t", 4),
+        (lambda t: ecotox.read_table(t, "t", ("a",), dict), "a|b\n1|2\n\n3\n", "t", 4),
+        (dmp.parse_divisions, "0\t|\tBCT\t|\tBacteria\t|\n\n1\t|\tINV\t|\n", "division.dmp", 3),
+    ], ids=["tsv", "ecotox", "dmp"])
+    def test_every_row_error_carries_its_line(self, read, text, table, line):
+        with pytest.raises(ValueError, match=f"^{table} line {line}: ") as err:
+            read(text)
+        assert err.value.line == line
 
     def test_an_unknown_prefix_keeps_its_class(self):
         prefixes = PrefixMap({"ex": "http://x.org/"})
@@ -425,6 +421,41 @@ class TestBuildRow:
         with pytest.raises(KeyError) as err:
             build_row({}.__getitem__, "t", 1, "k")
         assert err.value.args == ("k",)
+
+
+class TestStoreDoor:
+    """``TripleStore.add`` checks a triple's positions; a refused add changes nothing."""
+
+    S, P, O = iri("http://x.org/s"), iri("http://x.org/p"), literal("o")
+
+    @pytest.mark.parametrize(("bad", "message"), [
+        ((literal("x"), iri("http://p"), iri("http://o")), "literal cannot be a subject"),
+        ((S, blank("b"), O), "predicate must be an IRI"),
+        ((S, literal("p"), O), "predicate must be an IRI"),
+        # with both positions bad, the subject is the one reported
+        ((literal("s"), blank("b"), O), "literal cannot be a subject"),
+        (Triple(S, P, O)._replace(subject=literal("s")), "literal cannot be a subject"),
+        (Triple._make([S, blank("b"), S]), "predicate must be an IRI"),
+    ], ids=["literal-subject", "blank-predicate", "literal-predicate", "both", "replace", "make"])
+    def test_positional_validity(self, bad, message):
+        store = TripleStore()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            store.add(bad)
+        assert len(store) == 0 and store._spo == {} and store._pos == {} and ntriples.serialize(store) == ""
+        # a refused add beside known subjects and predicates leaves their leaves as they were
+        store.add((self.S, self.P, self.O))
+        store.add((blank("b"), self.P, self.O))
+        spo, pos = copy.deepcopy(store._spo), copy.deepcopy(store._pos)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            store.add(bad)
+        assert len(store) == 2 and (store._spo, store._pos) == (spo, pos)
+
+    def test_a_plain_tuple_and_a_triple_are_one_triple(self):
+        store = TripleStore()
+        assert store.add((self.S, self.P, self.O))
+        assert not store.add(Triple(self.S, self.P, self.O))
+        assert (self.S, self.P, self.O) in store and Triple(self.S, self.P, self.O) in store
+        assert [type(t) for t in store.match()] == [Triple] and list(store) == [(self.S, self.P, self.O)]
 
 
 class TestStore:
@@ -476,6 +507,8 @@ class TestStore:
         a.add(t)
         b.add(t)
         assert a == b
+        # a store equals no other kind of object, a set of its triples included
+        assert a.__eq__({t}) is NotImplemented and a != {t}
 
     def test_match_results_sorted(self):
         rng = random.Random(7)

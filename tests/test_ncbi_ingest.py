@@ -28,16 +28,16 @@ DUMP_NAMES = {dmp.parse_nodes: "nodes.dmp", dmp.parse_names: "names.dmp", dmp.pa
 
 class TestRecordParsing:
     def test_field_separator_and_terminator(self):
-        rows = dmp.parse_dmp("10\t|\tleft\t|\t\t|\tright\t|\n", "nodes.dmp")
-        assert list(rows) == [(1, ["10", "left", "", "right"])]
+        # the empty third field still counts, so the fourth is the name class
+        assert dmp.parse_names("10\t|\tleft\t|\t\t|\tright\t|\n") == [dmp.TaxonNameRow(10, "left", "right")]
 
     def test_records_split_at_newline_only(self):
-        text = "1\t|\ta\u2028b\x0bc\t|\r\n2\t|\td\u0085e\x1cf\t|\n"
-        assert list(dmp.parse_dmp(text, "nodes.dmp")) == [(1, ["1", "a\u2028b\x0bc"]), (2, ["2", "d\u0085e\x1cf"])]
+        text = "1\t|\tX\t|\ta\u2028b\x0bc\t|\r\n2\t|\tY\t|\td\u0085e\x1cf\t|\n"
+        assert dmp.parse_divisions(text) == [dmp.DivisionRow(1, "a\u2028b\x0bc"), dmp.DivisionRow(2, "d\u0085e\x1cf")]
 
     def test_missing_terminator_is_an_error_with_line(self):
         with pytest.raises(dmp.DmpFormatError) as err:
-            list(dmp.parse_dmp("1\t|\t2\t|\tok\t|\n3\t|\t4\t|\tbroken\n", "nodes.dmp"))
+            dmp.parse_nodes("1\t|\t1\t|\tno rank\t|\t\t|\t8\t|\n3\t|\t4\t|\tbroken\n")
         assert err.value.line == 2
         assert str(err.value) == "nodes.dmp line 2: record does not end with tab-pipe terminator"
 

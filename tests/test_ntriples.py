@@ -38,6 +38,20 @@ _LITERALS = st.builds(
 )
 _TRIPLES = st.builds(Triple, _SUBJECTS, _PREDICATES, st.one_of(_SUBJECTS, _LITERALS))
 
+# Terms of every kind, for any position: IRIs, blank nodes, and literals
+# whose lexical forms need each escape the writer has (named, \uXXXX for
+# control characters and lone surrogates) or none, with language tags and
+# datatypes.
+_ANY_TERMS = st.one_of(
+    st.sampled_from(["http://x/a", "http://x/p", "urn:x:é"]).map(iri),
+    st.sampled_from(["b", "b1", "B_"]).map(blank),
+    st.builds(
+        lambda lex, suffix: literal(lex, *suffix),
+        st.text(alphabet='a "\\\n\r\t\x00\x08\x1f\x7f\x85\u2028\ud800é', max_size=6),
+        st.sampled_from([(None, None), (None, "en"), (None, "en-GB"), ("http://x/a", None), ("http://x/p", None)]),
+    ),
+)
+
 
 def single(text: str) -> Triple:
     store = parse(text)
@@ -353,6 +367,21 @@ class TestRoundTrip:
             for index in (parsed._spo, parsed._pos, store._spo, store._pos):
                 for leaf in (leaf for leaves in index.values() for leaf in leaves.values()):
                     assert type(leaf) is (tuple if len(leaf) == 1 else set)
+
+    @given(st.lists(st.tuples(_ANY_TERMS, _ANY_TERMS, _ANY_TERMS), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_every_graph_the_store_accepts_round_trips(self, triples):
+        store = TripleStore()
+        for t in triples:
+            size, text = len(store), serialize(store)
+            try:
+                store.add(t)
+            except ValueError:
+                assert t[0].is_literal() or not t[1].is_iri()
+                assert (len(store), serialize(store)) == (size, text)
+            else:
+                assert not t[0].is_literal() and t[1].is_iri()
+            assert parse(serialize(store)) == store
 
     def test_serialize_parse_serialize_stable(self):
         rng = random.Random(19)

@@ -180,6 +180,12 @@ class TestEvalPath:
         got = eval_path(store, path, start=species)
         assert got == {(species, genus), (species, root)}
 
+    @pytest.mark.parametrize("start", [None, node(1)], ids=["unanchored", "anchored"])
+    def test_a_non_path_expression_is_a_type_error(self, start):
+        # unanchored, the start nodes are found first (``_first_nodes``); anchored, the walk meets it (``_ends``)
+        with pytest.raises(TypeError, match=r"^not a path expression: 'p'$"):
+            eval_path(edge_store([(1, 2)]), PathSeq("p", P), start=start)
+
     def test_repeat_once_is_atom(self):
         rng = random.Random(11)
         for _ in range(20):
