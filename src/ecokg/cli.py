@@ -220,10 +220,7 @@ def cmd_units(args) -> dict:
 
 def cmd_ingest_ecotox(args, registry: units.UnitRegistry | None = None) -> dict:
     """Effect tables to ecotox.nt; ``registry``, if given, replaces reading units.tsv."""
-    species = [
-        ecotox.synthesize_lineage(rec)
-        for rec in ecotox.parse_species(_input(args, "species"))
-    ]
+    species = ecotox.parse_species(_input(args, "species"))
     chemicals = ecotox.parse_chemicals(_input(args, "chemicals"))
     tests = ecotox.parse_tests(_input(args, "tests"))
     results = ecotox.parse_results(_input(args, "results"))

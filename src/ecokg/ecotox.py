@@ -73,10 +73,6 @@ class EmptyLineageError(ValidationError):
     """No lineage level is filled, so nothing can be synthesized."""
 
 
-class UnresolvedParentError(ValidationError):
-    """A species row has no lineage node to attach to."""
-
-
 class OrphanResultError(ValidationError):
     """Results reference test ids that do not exist."""
 
@@ -237,10 +233,12 @@ def _group_disjointness(groups: set[str], store: TripleStore) -> None:
 def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> None:
     """Emit classification chains, ranks, labels, and group membership.
 
-    Records must be cleaned and lineage-completed; a record with no
-    filled lineage level cannot be attached anywhere. No lineage node
-    may mint a species leaf's IRI, which would join the two records.
+    Each record's lineage is completed first (``synthesize_lineage``), so
+    a record with no filled lineage level fails before anything is added.
+    No lineage node may mint a species leaf's IRI, which would join the
+    two records.
     """
+    records = [synthesize_lineage(rec) for rec in records]
     nodes: dict[str, Term] = {}  # lineage name -> its node, minted once
     minted: dict[str, str] = {}  # node IRI text -> the first lineage cell that mints it
     for rec in records:
@@ -253,11 +251,10 @@ def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> None:
                 cells=[*minted.values(), *(f"species_number {rec.number}" for rec in records)])
     groups: set[str] = set()
     for rec, leaf in zip(records, leaves):
-        filled = [(level, name) for level, name in rec.lineage if name]
-        if not filled:
-            raise UnresolvedParentError(f"species {rec.number}: empty lineage")
         previous: Term | None = None
-        for level, name in filled:
+        for level, name in rec.lineage:
+            if not name:
+                continue  # a level above the highest filled one
             node = nodes[name]
             if node == previous:
                 # a tautonym (genus Bufo, species bufo) names two levels

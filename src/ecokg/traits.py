@@ -27,11 +27,15 @@ class UnresolvedGlossaryError(ValidationError):
 
 
 class TraitRow(CheckedRecord, namedtuple("TraitRow", "subject property value kind")):
-    """One trait row: subject and property IRI texts, the value column (IRI text for ``iri``), its kind."""
+    """One trait row: subject and property IRI texts, the value as inserted, its kind.
+
+    An ``iri`` or ``literal`` row's value is its object ``Term``; a
+    ``glossary`` row's is the lexical form that keys the glossary.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, subject: str, property: str, value: str, kind: str) -> "TraitRow":
+    def __new__(cls, subject: str, property: str, value: Term | str, kind: str) -> "TraitRow":
         if kind not in _KINDS:
             raise ValueError(f"unknown trait value kind: {kind!r}")
         return tuple.__new__(cls, (subject, property, value, kind))
@@ -46,14 +50,16 @@ def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:
 
 
 def parse_traits(text: str, prefixes: PrefixMap) -> list[TraitRow]:
-    """Trait rows with the subject, the property and an ``iri`` row's value resolved to IRI text."""
+    """Trait rows with every curie resolved and each value built, so a bad cell names its line."""
     resolve = prefixes.resolve
+    values = {"iri": lambda cell: iri(resolve(cell)),
+              "literal": lambda cell: parse_literal_value(cell, prefixes)}
     return read_tsv_rows(text, "trait table", 4, lambda subject, prop, value, kind: TraitRow(
-        resolve(subject), resolve(prop), resolve(value) if kind == "iri" else value, kind))
+        resolve(subject), resolve(prop), values.get(kind, _lexical_form)(value), kind))
 
 
-def parse_literal_value(text: str, prefixes: PrefixMap | None = None) -> Term:
-    """Literal from column syntax: "lex", "lex"@lang, "lex"^^<dt>, or bare text."""
+def parse_literal_value(text: str, prefixes: PrefixMap) -> Term:
+    """Literal from column syntax: "lex", "lex"@lang, "lex"^^<dt>, "lex"^^curie, or bare text."""
     m = _LITERAL_SYNTAX.fullmatch(text)
     if not m:
         return literal(text)
@@ -62,7 +68,7 @@ def parse_literal_value(text: str, prefixes: PrefixMap | None = None) -> Term:
         datatype = datatype.strip()
         if datatype.startswith("<") and datatype.endswith(">"):
             datatype = datatype[1:-1]
-        elif prefixes is not None:
+        else:
             datatype = prefixes.resolve(datatype)
         return literal(lex, datatype)
     return literal(lex, language=lang)
@@ -76,24 +82,12 @@ def _lexical_form(value: str) -> str:
 def ingest_traits(rows: list[TraitRow], glossary: dict[str, str], store: TripleStore) -> None:
     """Emit one triple per row; glossary terms become IRI objects.
 
-    Datatype curies resolve through the store's prefix map. All glossary
-    terms are resolved up front so a bad batch emits nothing.
+    All glossary terms are looked up first, so a batch with unknown
+    terms fails listing them all and emits nothing.
     """
-    prefixes = store.prefixes
-    unresolved = sorted(
-        {
-            _lexical_form(row.value)
-            for row in rows
-            if row.kind == "glossary" and _lexical_form(row.value) not in glossary
-        }
-    )
+    unresolved = {row.value for row in rows if row.kind == "glossary" and row.value not in glossary}
     if unresolved:
-        raise UnresolvedGlossaryError(unresolved)
+        raise UnresolvedGlossaryError(sorted(unresolved))
     for row in rows:
-        if row.kind == "iri":
-            obj = iri(row.value)
-        elif row.kind == "glossary":
-            obj = iri(glossary[_lexical_form(row.value)])
-        else:
-            obj = parse_literal_value(row.value, prefixes)
+        obj = iri(glossary[row.value]) if row.kind == "glossary" else row.value
         store.add((iri(row.subject), iri(row.property), obj))

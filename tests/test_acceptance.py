@@ -109,6 +109,19 @@ def test_fixture_reference_triples():
     assert elapsed < 5.0, f"ingest took {elapsed:.2f}s"
 
 
+@criterion("library-recipe-equals-update")
+def test_library_recipe_equals_updates_ecotox_part(pipeline_dir):
+    # the recipe of build_fixture_graph: update alone padded the lineages, so
+    # this store lacked the synthesized genus and species nodes
+    registry = units.load_registry((FIXTURES / "units.tsv").read_text(), PREFIXES)
+    store = TripleStore(PREFIXES)
+    ecotox.ingest_species(ecotox.parse_species((FIXTURES / "ecotox" / "species.txt").read_text()), store)
+    ecotox.ingest_chemicals(ecotox.parse_chemicals((FIXTURES / "ecotox" / "chemicals.txt").read_text()), store)
+    ecotox.ingest_tests(ecotox.parse_tests((FIXTURES / "ecotox" / "tests.txt").read_text()),
+                        ecotox.parse_results((FIXTURES / "ecotox" / "results.txt").read_text()), store, registry)
+    assert ntriples.serialize(store) == (pipeline_dir / "ecotox.nt").read_text(encoding="utf-8")
+
+
 @criterion("coverage-figure")
 def test_coverage_figure():
     value = stats.coverage(940_000, 12_000, 13_000)

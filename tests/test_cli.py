@@ -59,7 +59,6 @@ VALIDATION_FAILURES = [
     dmp.DuplicateDivisionError("division 3 defined twice"),
     graph.DuplicateKeyError("tests: duplicate test_id: ['001']"),
     ecotox.EmptyLineageError("no lineage level"),
-    ecotox.UnresolvedParentError("no parent node"),
     ecotox.OrphanResultError(["t9"]),
     ecotox.UnknownReferenceError(["species 9"]),
     traits.UnresolvedGlossaryError(["size"]),
@@ -658,6 +657,8 @@ class TestUpdateRegressions:
          ("UnknownPrefixError", "trait table line 2: unknown prefix: 'nope'")),
         ("traits", "ncbi:taxon/35525\teol:habitat\tnope:x\tiri",
          ("UnknownPrefixError", "trait table line 2: unknown prefix: 'nope'")),
+        ("traits", 'ncbi:taxon/35525\teol:habitat\t"1"^^nope:int\tliteral',
+         ("UnknownPrefixError", "trait table line 2: unknown prefix: 'nope'")),
         ("glossary", "Brugge\tnope:Brugge", ("UnknownPrefixError", "glossary line 2: unknown prefix: 'nope'")),
         ("units", "nope:Gram\tGram\tg\t1.0\t0.0\tmass\tg",
          ("UnknownPrefixError", "units table line 2: unknown prefix: 'nope'")),
@@ -672,9 +673,9 @@ class TestUpdateRegressions:
         ("prefixes", "rdfs\tnot an iri",
          ("ValueError", "prefix table line 2: invalid namespace IRI: 'not an iri'")),
         ("glossary", "Oostende\tnope:Brugge", ("UnknownPrefixError", "glossary line 2: unknown prefix: 'nope'")),
-    ], ids=["ecotox", "dmp", "trait-kind", "trait-curie", "trait-iri-value", "glossary-target", "unit-id",
-            "prefix-namespace", "species-key", "chemicals-key", "tests-key", "results-key", "prefix-before-repeat",
-            "glossary-before-repeat"])
+    ], ids=["ecotox", "dmp", "trait-kind", "trait-curie", "trait-iri-value", "trait-literal-datatype",
+            "glossary-target", "unit-id", "prefix-namespace", "species-key", "chemicals-key", "tests-key",
+            "results-key", "prefix-before-repeat", "glossary-before-repeat"])
     def test_row_errors_name_their_input(self, tmp_path, capsys, key, row, error):
         # seven input tables feed update; "line 2: ..." alone did not say which was bad,
         # and the checks of a row's cells named neither table nor line
@@ -705,6 +706,20 @@ class TestUpdateRegressions:
         config_path = self.with_second_line(tmp_path, key, row)
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
         assert error_line(capsys) == ("DuplicateKeyError", error)
+
+    def test_species_with_no_lineage_exits_three(self, tmp_path, capsys):
+        # ingest_species completes the lineages, so the check runs at ingest, not at parse
+        out = tmp_path / "out"
+        config_path = self.with_second_line(tmp_path, "species", "4242|--|--||||||||Fish")
+        assert run_cli("--config", str(config_path), "update", "--out", str(out)) == 3
+        assert error_line(capsys) == ("EmptyLineageError", "species 4242: no lineage level is filled")
+        assert not (out / "ecotox.nt").exists()
+        # a bad tests row is now reported first: the tables are all read before any is ingested
+        species = json.loads(config_path.read_text())["species"]
+        config_path = self.with_second_line(tmp_path, "tests", "1a|100|115-86-6|26812|adult")
+        config_path.write_text(json.dumps({**json.loads(config_path.read_text()), "species": species}))
+        assert run_cli("--config", str(config_path), "update", "--out", str(out)) == 2
+        assert error_line(capsys) == ("ValueError", "tests line 2: bad test_id: '1a'")
 
     def test_header_that_names_a_column_twice_exits_two(self, tmp_path, capsys):
         # the second genus column replaced the first: Danio rerio's genus cell read "rerio"

@@ -403,8 +403,21 @@ class TestSpeciesIngest:
 
     def test_unresolved_parent(self):
         rec = ecotox.SpeciesRecord("9", None, "x", None, (("genus", ""), ("species", "")))
-        with pytest.raises(ecotox.UnresolvedParentError):
-            ecotox.ingest_species([rec], TripleStore())
+        store = TripleStore()
+        with pytest.raises(ecotox.EmptyLineageError, match=r"^species 9: no lineage level is filled$"):
+            ecotox.ingest_species([rec], store)
+        assert len(store) == 0
+
+    def test_lineage_is_completed_before_ingest(self):
+        # the levels above the highest filled one stay empty and add nothing
+        rec = ecotox.SpeciesRecord("9", None, None, None, (("family", ""), ("genus", "Daphnia"), ("species", "")))
+        store = TripleStore()
+        ecotox.ingest_species([rec], store)
+        daphnia, padded = ecotox.lineage_node_iri("Daphnia"), ecotox.lineage_node_iri("Daphnia species")
+        assert store.objects(ecotox.species_iri("9"), RDFS_SUBCLASSOF) == {padded}
+        assert store.objects(padded, RDFS_SUBCLASSOF) == {daphnia}
+        assert not store.match(daphnia, RDFS_SUBCLASSOF)
+        assert store.objects(padded, ecotox.RANK_PROP) == {iri(f"{ET}Species")}
 
 
     def test_lineage_node_that_mints_a_leaf_aborts(self):

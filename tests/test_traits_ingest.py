@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from ecokg import traits
-from ecokg.graph import DuplicateKeyError, TripleStore, iri, literal
+from ecokg.graph import DuplicateKeyError, TripleStore, UnknownPrefixError, iri, literal
 from ecokg.ntriples import serialize
 
 
@@ -43,13 +45,29 @@ class TestParsing:
         with pytest.raises(ValueError):
             traits.parse_traits("et:x\tet:p\tv\tmystery\n", prefixes)
 
+    @pytest.mark.parametrize(("value", "error", "message"), [
+        ('"1"^^nope:int', UnknownPrefixError, "unknown prefix: 'nope'"),
+        ('"1"^^<a<b>', ValueError, "invalid datatype IRI: 'a<b'"),
+    ], ids=["unbound-prefix", "invalid-iri"])
+    def test_bad_literal_datatype_names_its_line(self, prefixes, value, error, message):
+        # the datatype was resolved only at ingest, where no line was known
+        with pytest.raises(error, match=f"^trait table line 2: {re.escape(message)}$") as err:
+            traits.parse_traits(f"et:x\tet:p\tv\tliteral\net:x\tet:p\t{value}\tliteral\n", prefixes)
+        assert type(err.value) is error and err.value.line == 2
+
+    def test_values_are_built_when_read(self, prefixes):
+        text = 'et:x\tet:p\tet:y\tiri\net:x\tet:p\t"4"^^xsd:integer\tliteral\net:x\tet:p\t"Oslo"@no\tglossary\n'
+        assert [row.value for row in traits.parse_traits(text, prefixes)] == [
+            prefixes.expand("et:y"), literal("4", "http://www.w3.org/2001/XMLSchema#integer"), "Oslo",
+        ]
+
 
 class TestLiteralColumn:
     def test_quoted_plain(self, prefixes):
-        assert traits.parse_literal_value('"five"') == literal("five")
+        assert traits.parse_literal_value('"five"', prefixes) == literal("five")
 
     def test_language_tagged(self, prefixes):
-        assert traits.parse_literal_value('"Oslofjorden"@no') == literal(
+        assert traits.parse_literal_value('"Oslofjorden"@no', prefixes) == literal(
             "Oslofjorden", language="no"
         )
 
@@ -58,11 +76,11 @@ class TestLiteralColumn:
             "4", "http://www.w3.org/2001/XMLSchema#integer"
         )
         assert traits.parse_literal_value(
-            '"4"^^<http://www.w3.org/2001/XMLSchema#integer>'
+            '"4"^^<http://www.w3.org/2001/XMLSchema#integer>', prefixes
         ) == literal("4", "http://www.w3.org/2001/XMLSchema#integer")
 
     def test_bare_text(self, prefixes):
-        assert traits.parse_literal_value("least concern") == literal("least concern")
+        assert traits.parse_literal_value("least concern", prefixes) == literal("least concern")
 
 
 class TestIngest:
