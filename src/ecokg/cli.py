@@ -24,7 +24,7 @@ from pathlib import Path
 from . import align as align_mod
 from . import checks, dmp, ecotox, idmap, ntriples, stats, traits, units
 from .graph import (
-    FrozenStoreError, PrefixMap, TripleStore, ValidationError, ascii_float, digits_int, iri, is_content_line
+    FrozenStoreError, PrefixMap, TripleStore, ValidationError, ascii_float, digits_int, is_content_line
 )
 from .ns import ET, NCBI, RDF_TYPE, default_prefix_map
 
@@ -389,7 +389,7 @@ def cmd_read(args) -> dict:
             return "".join(line + "\n" for line in lines), {"rows": len(result), "step_rows": step_rows}
     elif args.command == "path":
         expr = query_mod.parse_path(args.expr, args.prefixes)
-        start = iri(args.prefixes.resolve(args.start)) if args.start else None
+        start = args.prefixes.resolve(args.start) if args.start else None
 
         def answer(store):
             # the lines sort as their (start, end) texts do, by the argument above ntriples._sorted_chunks
@@ -405,7 +405,7 @@ def cmd_read(args) -> dict:
             text = "".join(f"{iri_text}\t{score:.6f}\n" for iri_text, score in hits)
             return text, {"hits": len(hits), **funnel}
     else:
-        taxon = iri(args.prefixes.resolve(args.taxon))
+        taxon = args.prefixes.resolve(args.taxon)
 
         def answer(store):
             ancestors = query_mod.lineage(store, taxon)

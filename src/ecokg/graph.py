@@ -269,11 +269,11 @@ class PrefixMap:
             raise UnknownPrefixError(f"unknown prefix: {prefix!r}")
         return iri(self._ns[prefix] + local)
 
-    def resolve(self, text: str) -> str:
-        """Return IRI text for either a full IRI or a curie."""
+    def resolve(self, text: str) -> Term:
+        """The checked IRI term of ``text``: a full IRI (``://`` in it) or a curie ``expand`` reads."""
         if "://" in text:
-            return text
-        return self.expand(text).value
+            return iri(text)
+        return self.expand(text)
 
     def compact(self, iri_text: str) -> str:
         """Compact to a curie using the longest matching namespace.
@@ -361,17 +361,19 @@ class TripleStore:
     def add(self, t: tuple[Term, Term, Term]) -> bool:
         """Insert one ``(s, p, o)``; returns False for duplicates.
 
-        A subject is checked when it first keys ``spo``, a predicate when it
-        first keys ``pos``; a literal subject or a non-IRI predicate raises
-        ``ValueError`` before any index changes.
+        Each add checks the object, and a subject or predicate when it first
+        keys ``spo`` or ``pos``; a non-``Term`` position, a literal subject or
+        a non-IRI predicate raises ``ValueError`` before any index changes.
         """
         if self._frozen:
             raise FrozenStoreError("store is frozen")
         s, p, o = t
         po = self._spo.get(s)
+        os_ = self._pos.get(p)
+        if type(o) is not Term or po is None and type(s) is not Term or os_ is None and type(p) is not Term:
+            raise ValueError(f"not a triple of terms: {t!r}")
         if po is None and s.kind == LITERAL:
             raise ValueError("literal cannot be a subject")
-        os_ = self._pos.get(p)
         if os_ is None and p.kind != IRI:
             raise ValueError("predicate must be an IRI")
         if po is None:

@@ -3,7 +3,7 @@
 import re
 from collections import namedtuple
 
-from .graph import DIGIT, TripleStore, ValidationError, iri, read_tsv_rows
+from .graph import DIGIT, TripleStore, ValidationError, read_tsv_rows
 from .ns import ET, NCBI, OWL_SAMEAS
 
 _CAS = re.compile(rf"({DIGIT}{{2,7}})-({DIGIT}{{2}})-({DIGIT})\Z")
@@ -90,13 +90,12 @@ def construct_sameas(
     """
     if rewrite not in REWRITE_RULES:
         raise ValueError(f"unknown rewrite rule: {rewrite!r}")
+    rule, resolve = REWRITE_RULES[rewrite], store.prefixes.resolve
     added = 0
     errors: list[str] = []
     for pair in pairs:
         try:
-            local = store.prefixes.resolve(REWRITE_RULES[rewrite](pair.external_id))
-            target = store.prefixes.resolve(pair.external_iri)
-            added += store.add((iri(local), OWL_SAMEAS, iri(target)))
+            added += store.add((resolve(rule(pair.external_id)), OWL_SAMEAS, resolve(pair.external_iri)))
         except ValueError as exc:
             errors.append(f"{pair.external_id}: {exc}")
     return added, errors

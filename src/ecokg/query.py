@@ -564,7 +564,7 @@ class _PatternScanner(_TermScanner):
     def scan_datatype(self) -> str:
         if self.peek() == "<":
             return self.scan_iri().value
-        return self.checked(self.prefixes.resolve, self.take_token())
+        return self.checked(self.prefixes.resolve, self.take_token()).value
 
     def plain_term(self, word: str) -> Term | Var | None:
         """The term a whitespace-free ``word`` of a plain shape reads as:

@@ -1,16 +1,16 @@
 """Species trait ingestion from TSV with glossary-backed value resolution.
 
-Rows are (subject-iri, property, value, kind). ``kind`` is one of
-``iri``, ``literal``, or ``glossary``. Glossary values are looked up in
-a (term, iri) table and replaced by the mapped IRI; conservation-status
-rows flow through the same path. Each row becomes exactly one triple.
+Rows are (subject, property, value, kind), ``kind`` one of ``iri``,
+``literal`` or ``glossary``. Each IRI cell, a full IRI or a curie, is read
+into its checked IRI term by ``PrefixMap.resolve``; a glossary value maps
+through a (term, iri) table to its IRI term. Each row becomes one triple.
 """
 
 import re
 from collections import namedtuple
 
 from .graph import (
-    LANG_TAG, CheckedRecord, PrefixMap, Term, TripleStore, ValidationError, iri, literal,
+    LANG_TAG, CheckedRecord, PrefixMap, Term, TripleStore, ValidationError, literal,
     read_tsv_rows, unique_keys
 )
 
@@ -27,7 +27,7 @@ class UnresolvedGlossaryError(ValidationError):
 
 
 class TraitRow(CheckedRecord, namedtuple("TraitRow", "subject property value kind")):
-    """One trait row: subject and property IRI texts, the value as inserted, its kind.
+    """One trait row: subject and property IRI terms, the value as inserted, its kind.
 
     An ``iri`` or ``literal`` row's value is its object ``Term``; a
     ``glossary`` row's is the lexical form that keys the glossary.
@@ -35,14 +35,14 @@ class TraitRow(CheckedRecord, namedtuple("TraitRow", "subject property value kin
 
     __slots__ = ()
 
-    def __new__(cls, subject: str, property: str, value: Term | str, kind: str) -> "TraitRow":
+    def __new__(cls, subject: Term, property: Term, value: Term | str, kind: str) -> "TraitRow":
         if kind not in _KINDS:
             raise ValueError(f"unknown trait value kind: {kind!r}")
         return tuple.__new__(cls, (subject, property, value, kind))
 
 
-def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:
-    """Read (term, iri) rows; the iri column may be a curie, and no term may repeat."""
+def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, Term]:
+    """Each (term, iri) row's term mapped to its IRI term; the iri may be a curie, no term may repeat."""
     rows = read_tsv_rows(text, "glossary", 2, lambda term, target: (term, prefixes.resolve(target)),
                          at_least=True)
     unique_keys([term for term, _ in rows], "glossary", "term")
@@ -50,12 +50,10 @@ def load_glossary(text: str, prefixes: PrefixMap) -> dict[str, str]:
 
 
 def parse_traits(text: str, prefixes: PrefixMap) -> list[TraitRow]:
-    """Trait rows with every curie resolved and each value built, so a bad cell names its line."""
-    resolve = prefixes.resolve
-    values = {"iri": lambda cell: iri(resolve(cell)),
-              "literal": lambda cell: parse_literal_value(cell, prefixes)}
+    """Trait rows with every IRI cell resolved and each value built, so a bad cell names its line."""
+    values = {"iri": prefixes.resolve, "literal": lambda cell: parse_literal_value(cell, prefixes)}
     return read_tsv_rows(text, "trait table", 4, lambda subject, prop, value, kind: TraitRow(
-        resolve(subject), resolve(prop), values.get(kind, _lexical_form)(value), kind))
+        prefixes.resolve(subject), prefixes.resolve(prop), values.get(kind, _lexical_form)(value), kind))
 
 
 def parse_literal_value(text: str, prefixes: PrefixMap) -> Term:
@@ -69,7 +67,7 @@ def parse_literal_value(text: str, prefixes: PrefixMap) -> Term:
         if datatype.startswith("<") and datatype.endswith(">"):
             datatype = datatype[1:-1]
         else:
-            datatype = prefixes.resolve(datatype)
+            datatype = prefixes.resolve(datatype).value
         return literal(lex, datatype)
     return literal(lex, language=lang)
 
@@ -79,7 +77,7 @@ def _lexical_form(value: str) -> str:
     return m.group(1) if m else value
 
 
-def ingest_traits(rows: list[TraitRow], glossary: dict[str, str], store: TripleStore) -> None:
+def ingest_traits(rows: list[TraitRow], glossary: dict[str, Term], store: TripleStore) -> None:
     """Emit one triple per row; glossary terms become IRI objects.
 
     All glossary terms are looked up first, so a batch with unknown
@@ -89,5 +87,4 @@ def ingest_traits(rows: list[TraitRow], glossary: dict[str, str], store: TripleS
     if unresolved:
         raise UnresolvedGlossaryError(sorted(unresolved))
     for row in rows:
-        obj = iri(glossary[row.value]) if row.kind == "glossary" else row.value
-        store.add((iri(row.subject), iri(row.property), obj))
+        store.add((row.subject, row.property, glossary[row.value] if row.kind == "glossary" else row.value))

@@ -136,7 +136,7 @@ def parse_units(text: str, prefixes: PrefixMap) -> list[UnitDef]:
     symbol. The id is an IRI or a curie of ``prefixes``.
     """
     def unit(unit_id, label, abbreviation, multiplier, offset, dimension, symbol):
-        return UnitDef(prefixes.resolve(unit_id), label, abbreviation,
+        return UnitDef(prefixes.resolve(unit_id).value, label, abbreviation,
                        ascii_float(multiplier), ascii_float(offset), dimension, symbol)
 
     return read_tsv_rows(text, "units table", 7, unit)

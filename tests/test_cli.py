@@ -673,9 +673,19 @@ class TestUpdateRegressions:
         ("prefixes", "rdfs\tnot an iri",
          ("ValueError", "prefix table line 2: invalid namespace IRI: 'not an iri'")),
         ("glossary", "Oostende\tnope:Brugge", ("UnknownPrefixError", "glossary line 2: unknown prefix: 'nope'")),
+        # a full IRI came back from PrefixMap.resolve unchecked: a bad glossary target no trait
+        # used built with exit 0, and the others failed at ingest naming no table or line
+        ("traits", "http://a b\teol:habitat\tENVO:00000873\tiri",
+         ("ValueError", "trait table line 2: invalid IRI: 'http://a b'")),
+        ("traits", "ncbi:taxon/35525\thttp://a b\tENVO:00000873\tiri",
+         ("ValueError", "trait table line 2: invalid IRI: 'http://a b'")),
+        ("glossary", "Brugge\thttp://a b", ("ValueError", "glossary line 2: invalid IRI: 'http://a b'")),
+        ("units", "http://a b\tGram\tg\t1.0\t0.0\tmass\tg",
+         ("ValueError", "units table line 2: invalid IRI: 'http://a b'")),
     ], ids=["ecotox", "dmp", "trait-kind", "trait-curie", "trait-iri-value", "trait-literal-datatype",
             "glossary-target", "unit-id", "prefix-namespace", "species-key", "chemicals-key", "tests-key",
-            "results-key", "prefix-before-repeat", "glossary-before-repeat"])
+            "results-key", "prefix-before-repeat", "glossary-before-repeat", "trait-full-iri-subject",
+            "trait-full-iri-property", "glossary-full-iri-target", "unit-full-iri-id"])
     def test_row_errors_name_their_input(self, tmp_path, capsys, key, row, error):
         # seven input tables feed update; "line 2: ..." alone did not say which was bad,
         # and the checks of a row's cells named neither table nor line

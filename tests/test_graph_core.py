@@ -273,8 +273,11 @@ class TestPrefixMap:
     def test_expand_and_resolve(self):
         pm = PrefixMap({"ex": "http://x.org/"})
         assert pm.expand("ex:a") == iri("http://x.org/a")
-        assert pm.resolve("ex:a") == "http://x.org/a"
-        assert pm.resolve("http://y.org/b") == "http://y.org/b"
+        assert pm.resolve("ex:a") == iri("http://x.org/a")
+        assert pm.resolve("http://y.org/b") == iri("http://y.org/b")
+        # a full IRI is checked as a curie's expansion is
+        with pytest.raises(ValueError, match=r"^invalid IRI: 'http://a b'$"):
+            pm.resolve("http://a b")
 
     def test_unknown_prefix(self):
         pm = PrefixMap()
@@ -340,10 +343,10 @@ class TestTsvRows:
          "http://x.org/a"),
         (idmap.parse_pairs, " 79-06-1 \t wd:Q1 \n", [idmap.IdPair("79-06-1", "wd:Q1")]),
         (lambda t: traits.load_glossary(t, PrefixMap({"ex": "http://x.org/"})), " endangered \t ex:EN \n",
-         {"endangered": "http://x.org/EN"}),
+         {"endangered": iri("http://x.org/EN")}),
         (lambda t: traits.parse_traits(t, PrefixMap({"ex": "http://x.org/"})),
          " ex:s \t ex:p \t endangered \t glossary \n",
-         [traits.TraitRow("http://x.org/s", "http://x.org/p", "endangered", "glossary")]),
+         [traits.TraitRow(iri("http://x.org/s"), iri("http://x.org/p"), "endangered", "glossary")]),
         (lambda t: units.parse_units(t, PrefixMap()), " http://x.org/mgL \t milligram \t mg/L \t 0.001 \t 0 \t mass \t mg \n",
          [units.UnitDef("http://x.org/mgL", "milligram", "mg/L", 0.001, 0.0, "mass", "mg")]),
         (lambda t: list(align.read_mappings(t)), " http://x.org/a \t http://x.org/b \t 0.9 \t lexical \n",

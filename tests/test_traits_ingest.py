@@ -26,11 +26,11 @@ def trait_store(rows, glossary, prefixes):
 
 class TestParsing:
     def test_glossary_resolves_curies(self, glossary):
-        assert glossary["Oslofjorden"] == "http://marineregions.org/mrgid/Oslofjorden"
+        assert glossary["Oslofjorden"] == iri("http://marineregions.org/mrgid/Oslofjorden")
 
     def test_rows_resolved(self, rows):
-        assert rows[0].subject == "https://www.ncbi.nlm.nih.gov/taxonomy/taxon/35525"
-        assert rows[0].property == "http://eol.org/schema/terms/habitat"
+        assert rows[0].subject == iri("https://www.ncbi.nlm.nih.gov/taxonomy/taxon/35525")
+        assert rows[0].property == iri("http://eol.org/schema/terms/habitat")
 
     def test_glossary_term_listed_twice_is_rejected(self, prefixes):
         # the last row won: Oslo mapped to et:c
