@@ -361,17 +361,17 @@ class TripleStore:
     def add(self, t: tuple[Term, Term, Term]) -> bool:
         """Insert one ``(s, p, o)``; returns False for duplicates.
 
-        Each add checks the object, and a subject or predicate when it first
-        keys ``spo`` or ``pos``; a non-``Term`` position, a literal subject or
-        a non-IRI predicate raises ``ValueError`` before any index changes.
+        Every position must be a ``Term``, a subject first keying ``spo`` no
+        literal and a predicate first keying ``pos`` an IRI; a triple that is
+        not raises ``ValueError`` before any index changes.
         """
         if self._frozen:
             raise FrozenStoreError("store is frozen")
         s, p, o = t
+        if type(s) is not Term or type(p) is not Term or type(o) is not Term:
+            raise ValueError(f"not a triple of terms: {t!r}")
         po = self._spo.get(s)
         os_ = self._pos.get(p)
-        if type(o) is not Term or po is None and type(s) is not Term or os_ is None and type(p) is not Term:
-            raise ValueError(f"not a triple of terms: {t!r}")
         if po is None and s.kind == LITERAL:
             raise ValueError("literal cannot be a subject")
         if os_ is None and p.kind != IRI:

@@ -4,10 +4,10 @@ One triple per line, terminated by `` .``. IRIs sit in angle brackets,
 blank nodes are ``_:label``, literals are double-quoted with ``\\"``,
 ``\\\\``, ``\\n``, ``\\r``, ``\\t`` escapes plus ``\\uXXXX`` for other
 control characters and lone surrogates. Serialization sorts lines so
-equal stores always produce byte-identical text. Lines end at ``\\n``
-only (one trailing ``\\r`` is dropped), so a literal holding U+0085,
-U+2028 or U+2029, which the serializer writes verbatim, reads back
-unchanged.
+equal stores always produce byte-identical text. The reader splits the
+text at each `` .\\n`` terminator, and lines end at ``\\n`` only (one
+trailing ``\\r`` is dropped), so a literal holding U+0085, U+2028 or
+U+2029, which the serializer writes verbatim, reads back unchanged.
 """
 
 import gc
@@ -28,12 +28,11 @@ _UNESCAPES = {
 }
 
 
-# One term token in the shape ``serialize`` writes: an IRI, a blank label,
-# or a literal whose lexical form holds no quote or backslash, so its
-# closing quote is the first after the opening one (a datatype IRI may hold
-# ``"``). Each part is matched by its term's rule, so every token it accepts
-# is valid. Groups: IRI, blank label, literal lexical form, language, datatype.
-_TOKEN = re.compile(rf'<({IRI_TEXT})>|_:({BLANK_LABEL})|"([^"\\]*)"(?:@({LANG_TAG})|\^\^<({IRI_TEXT})>)?')
+# One term token in the shape ``serialize`` writes: an IRI, a blank label, or a literal whose lexical
+# form holds no quote, backslash or newline, so its closing quote is the first after the opening one (a
+# datatype IRI may hold ``"``) and no token spans two lines. Each part is matched by its term's rule, so
+# every token it accepts is valid. Groups: IRI, blank label, literal lexical form, language, datatype.
+_TOKEN = re.compile(rf'<({IRI_TEXT})>|_:({BLANK_LABEL})|"([^"\\\n]*)"(?:@({LANG_TAG})|\^\^<({IRI_TEXT})>)?')
 # what the scanner takes as a blank label (isalnum or '_') or language tag (isalnum or '-') to check
 _LABEL_RUN = re.compile(r"\w*")
 _LANG_RUN = re.compile(rf"(?:{ALNUM}|-)*")
@@ -196,48 +195,60 @@ def parse(text: str, prefixes: PrefixMap | None = None) -> TripleStore:
     """Parse N-Triples text into a fresh store.
 
     Blank lines and ``#`` comment lines are skipped. Errors report the
-    1-based line number. A line in the shape ``serialize`` writes splits
-    at its first two spaces into three tokens and `` .``; each distinct
-    token is checked against ``_TOKEN`` and built into one shared ``Term``
-    once. Every other line goes through ``parse_triple_line``, with the
-    same result. The cyclic collector is paused meanwhile: a load makes
-    no cyclic garbage, yet each collection would walk the growing store.
+    1-based line number. The text is split once at `` .\\n`` (`` .\\r\\n`` if
+    the first line ends so); a piece of three tokens in ``serialize``'s
+    shape is one line, each distinct token checked by ``_TOKEN`` and built
+    into one shared ``Term`` once. Every other line goes through
+    ``parse_triple_line``, with the same result. The cyclic collector is
+    paused: a load makes no cyclic garbage, yet collections walk the store.
     """
     store = TripleStore(prefixes)
     add = store.add
     terms: dict[str, Term] = {}
     get = terms.get
+    pieces = text.split(" .\r\n" if text.endswith("\r", 0, text.find("\n")) else " .\n")
+    tail = pieces.pop()  # what follows the last terminator
+    if tail.endswith(" ."):  # a last line with no final newline
+        pieces.append(tail[:-2])
+        tail = ""
+    extra = 0  # lines merged into earlier pieces, past each one's first
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for line_no, line in enumerate(text.split("\n"), 1):
-            if line.endswith("\r"):
-                line = line[:-1]
-            toks = line.split(" ", 2)
-            # roles by first character: a literal subject or a non-IRI
-            # predicate is left to the scanner, which rejects it
-            if len(toks) == 3 and toks[2].endswith(" .") and toks[1][:1] == "<" and toks[0][:1] != '"':
-                s_tok, p_tok, rest = toks
-                o_tok = rest[:-2]
-                s = get(s_tok) or _token_term(terms, s_tok)
-                p = get(p_tok) or _token_term(terms, p_tok)
-                o = get(o_tok) or _token_term(terms, o_tok)
-                if s and p and o:
-                    add((s, p, o))
-                    continue
-            if is_content_line(line):
-                add(parse_triple_line(line, line_no))
+        for n, piece in enumerate(pieces, 1):
+            while True:
+                try:
+                    s, p, o = piece.split(" ", 2)
+                    add((get(s) or _token_term(terms, s), get(p) or _token_term(terms, p),
+                         get(o) or _token_term(terms, o)))
+                    break
+                except ValueError:  # not three canonical tokens, or roles the store refuses
+                    pass
+                head, merged, piece = piece.rpartition("\n")
+                if not merged:
+                    _scan_lines(add, piece + " .", n + extra)
+                    break
+                _scan_lines(add, head, n + extra)
+                extra += head.count("\n") + 1
+        _scan_lines(add, tail, len(pieces) + 1 + extra)
     finally:
         if enabled:
             gc.enable()
     return store
 
 
-def _token_term(terms: dict[str, Term], token: str) -> Term | None:
-    """The ``Term`` of a canonical ``token``, kept in ``terms``; None for any other token."""
+def _scan_lines(add, text: str, line_no: int) -> None:
+    """Add each line of ``text``, the first numbered ``line_no``, through the scanner."""
+    for n, line in enumerate(text.split("\n"), line_no):
+        if is_content_line(line):
+            add(parse_triple_line(line.removesuffix("\r"), n))
+
+
+def _token_term(terms: dict[str, Term], token: str) -> Term:
+    """The ``Term`` of a canonical ``token``, kept in ``terms``; ``ValueError`` for any other token."""
     m = _TOKEN.fullmatch(token)
     if m is None:
-        return None
+        raise ValueError(token)
     # the groups of the two kinds that did not match are None
     iri_text, label, lex, language, datatype = m.groups()
     kind = IRI if iri_text else BLANK if label else LITERAL

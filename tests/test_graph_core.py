@@ -453,6 +453,20 @@ class TestStoreDoor:
             store.add(bad)
         assert len(store) == 2 and (store._spo, store._pos) == (spo, pos)
 
+    # a plain tuple equal to a stored term finds that term's index key, so
+    # only a type test on every add keeps it out of the other index
+    @pytest.mark.parametrize("position", [0, 1], ids=["subject", "predicate"])
+    def test_a_plain_tuple_equal_to_a_stored_term_is_refused(self, position):
+        store = TripleStore()
+        store.add((self.S, self.P, self.O))
+        spo, pos = copy.deepcopy(store._spo), copy.deepcopy(store._pos)
+        bad = [self.S, self.P, literal("o2")]
+        bad[position] = tuple(bad[position])
+        with pytest.raises(ValueError, match="^not a triple of terms: "):
+            store.add(tuple(bad))
+        assert len(store) == 1 and (store._spo, store._pos) == (spo, pos)
+        assert all(type(x) is Term for t in store.match() for x in t)
+
     def test_a_plain_tuple_and_a_triple_are_one_triple(self):
         store = TripleStore()
         assert store.add((self.S, self.P, self.O))

@@ -293,6 +293,114 @@ class TestFastPathEdges:
         assert serialize(crlf) == serialize(parse(text)) == text
 
 
+# Lines for the property below, each tagged with what ``parse`` does with it
+# when it ends in the text's terminator: reads it on the fast path ("fast"),
+# hands it to the scanner ("scan"), skips it ("skip"), or fails on it ("bad").
+_FAST_LINES = st.builds(
+    lambda s, p, o: ("fast", f"{s} {p} {o} ."),
+    st.sampled_from([S, "_:b", "<http://x.org/o>"]),
+    st.sampled_from([P, "<http://x.org/q>"]),
+    st.one_of(
+        st.sampled_from([S, "_:b"]),
+        st.builds(lambda lex, suffix: f'"{lex}"{suffix}', st.text(alphabet="a .é\r\x85\u2028", max_size=5),
+                  st.sampled_from(["", "@en", "@en-GB", "^^<http://x.org/d>"])),
+    ),
+)
+_SCANNED_LINES = st.one_of(
+    st.builds(lambda line, gap: ("scan", line[1].replace(" ", gap, 1)), _FAST_LINES,
+              st.sampled_from(["\t", "  ", " \t"])),
+    st.builds(lambda line, edge: ("scan", edge.replace("LINE", line[1])), _FAST_LINES,
+              st.sampled_from(["  LINE", "LINE\t", "LINE ", "\tLINE"])),
+    st.sampled_from([f'{S} {P} "a\\tb" .', f'{S} {P} "\\u00e9\\U0001F600" .', f'_:b {P} "a\\"b"@en .',
+                     f'{S} {P} "o".', f"{S} {P} <http://x.org/o>\t."]).map(lambda line: ("scan", line)),
+)
+_SKIPPED_LINES = st.sampled_from(["", "  ", "\t", "# c", "# c .", "  # a\rb .", "# x\x85y\u2028z", "#a <b> <c> ."])
+_BAD_LINES = st.sampled_from([f'{S} {P} "x', f'{S} {P} " .', f'"a" {P} {S} .', f'{S} _:b "o" .', f"{S} {P} .",
+                              f"{S} {P} <http://x.org/o> . x", f'{S} {P} "\\q" .', "<a b> <c> <d> ."])
+
+
+@st.composite
+def _mixed_texts(draw) -> tuple[str, list[str]]:
+    """A text of fast, scanned, skipped and bad lines, and the lines ``parse`` must scan if it reads.
+
+    Most lines end in the text's own line ending, some in the other one,
+    and the last line may have none.
+    """
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    odd = "\r\n" if eol == "\n" else "\n"
+    kinds = st.one_of(_FAST_LINES, _FAST_LINES, _SCANNED_LINES, _SKIPPED_LINES.map(lambda line: ("skip", line)),
+                      _BAD_LINES.map(lambda line: ("bad", line)))
+    lines = draw(st.lists(st.tuples(kinds, st.sampled_from([eol, eol, eol, odd])), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        lines[-1] = (lines[-1][0], "")
+    # the first line's ending is the terminator's; a last line with no newline takes the fast path too
+    ending = "\r\n" if lines[0][1] == "\r\n" else "\n"
+    scan = [line for (kind, line), end in lines if kind == "scan" or kind == "fast" and end not in (ending, "")]
+    return "".join(line + end for (_, line), end in lines), scan
+
+
+class TestPieces:
+    """``parse`` splits the text at each line's terminator once and reads as the scanner does."""
+
+    def test_a_literal_cannot_span_two_lines(self):
+        # split at " .\n", the two lines are one piece that a literal token could cover whole
+        text = f'{S} {P} "x\n{S} {P} " .\n'
+        assert outcome(parse, text) == outcome(scanner_parse, text) == (1, "line 1: unterminated string literal")
+
+    @given(_mixed_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_mixed_texts_read_as_before(self, case):
+        text, scan = case
+        seen: list[str] = []
+
+        def spy(line: str, line_no: int) -> Triple:
+            seen.append(line)
+            return parse_triple_line(line, line_no)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ntriples, "parse_triple_line", spy)
+            got = outcome(parse, text)
+        assert got == outcome(scanner_parse, text)
+        if type(got) is list:
+            assert seen == scan
+
+    @pytest.mark.parametrize("eol,odd", [("\r\n", "\n"), ("\n", "\r\n")],
+                             ids=["crlf-with-an-lf-line", "lf-with-a-crlf-line"])
+    @pytest.mark.parametrize("at", [0, 3, 5])
+    def test_a_line_ending_unlike_the_first_is_scanned(self, scanned, eol, odd, at):
+        lines = serialize(labelled_store(6)).split("\n")[:-1]
+        text = "".join(line + (odd if i == at else eol) for i, line in enumerate(lines))
+        got = outcome(parse, text)
+        # the terminator is the first line's, so an odd first line makes every other line odd
+        assert scanned == ([lines[at]] if at else lines[1:])
+        assert got == outcome(scanner_parse, text) == sorted(lines)
+
+    def test_a_crlf_load_copies_no_text(self):
+        text = serialize(labelled_store(2000))
+        crlf = text.replace("\n", "\r\n")
+        peaks = []
+        for t in (text, crlf):
+            tracemalloc.start()
+            try:
+                parse(t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a second copy of the text, such as a replace of "\r\n", would add len(crlf) to the peak
+        assert peaks[1] - peaks[0] < len(crlf) // 4
+
+
+def test_program_outputs_take_the_fast_path(pipeline_dir, scanned):
+    """Only the lines of ``kg.nt`` and the part files that hold an escape reach the scanner."""
+    paths = sorted(pipeline_dir.glob("*.nt"))
+    assert "kg.nt" in [path.name for path in paths] and len(paths) > 1
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        scanned.clear()
+        parse(text)
+        assert scanned == [line for line in text.split("\n") if "\\" in line], path.name
+
+
 class TestCollector:
     """``parse`` pauses the cyclic collector and leaves it as it found it."""
 
@@ -368,22 +476,30 @@ class TestRoundTrip:
                 for leaf in (leaf for leaves in index.values() for leaf in leaves.values()):
                     assert type(leaf) is (tuple if len(leaf) == 1 else set)
 
-    # a str or None in any position: a str object was stored, and serialize then failed
-    @given(st.lists(st.tuples(*[st.one_of(_ANY_TERMS, st.sampled_from(["http://x/a", None]))] * 3), max_size=30))
+    # a str or None in any position: a str object was stored, and serialize then failed.
+    # Each drawn triple is added again with the position ``twin`` names made a plain
+    # tuple: one equal to a stored term passed as that term's index key and was stored.
+    @given(st.lists(st.tuples(*[st.one_of(_ANY_TERMS, st.sampled_from(["http://x/a", None]))] * 3,
+                              st.sampled_from([None, 0, 1, 2])), max_size=30))
     @settings(max_examples=300, deadline=None)
-    def test_every_graph_the_store_accepts_round_trips(self, triples):
+    def test_every_graph_the_store_accepts_round_trips(self, items):
         store = TripleStore()
-        for t in triples:
-            size, text = len(store), serialize(store)
-            terms = all(type(x) is Term for x in t)
-            try:
-                store.add(t)
-            except ValueError:
-                assert not terms or t[0].is_literal() or not t[1].is_iri()
-                assert (len(store), serialize(store)) == (size, text)
-            else:
-                assert terms and not t[0].is_literal() and t[1].is_iri()
-            assert parse(serialize(store)) == store
+        for *drawn, twin in items:
+            tries = [tuple(drawn)]
+            if twin is not None and type(drawn[twin]) is Term:
+                drawn[twin] = tuple(drawn[twin])
+                tries.append(tuple(drawn))
+            for t in tries:
+                size, text = len(store), serialize(store)
+                terms = all(type(x) is Term for x in t)
+                try:
+                    store.add(t)
+                except ValueError:
+                    assert not terms or t[0].is_literal() or not t[1].is_iri()
+                    assert (len(store), serialize(store)) == (size, text)
+                else:
+                    assert terms and not t[0].is_literal() and t[1].is_iri()
+                assert parse(serialize(store)) == store
 
     def test_serialize_parse_serialize_stable(self):
         rng = random.Random(19)
