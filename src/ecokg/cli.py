@@ -14,6 +14,7 @@ import argparse
 import gc
 import json
 import logging
+import os
 import resource
 import shutil
 import sys
@@ -79,8 +80,13 @@ def _resolve_flags(args) -> None:
 def _read_text(path: str | Path) -> str:
     # no newline translation: a lone \r is content; each reader drops that of a \r\n.
     # utf-8-sig drops one leading byte-order mark, which would join the first field.
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        return fh.read()
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # ``object`` holds the bytes after any byte-order mark, ``start`` the bad byte's offset in them
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path} line {line}: byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
 
 
 def _require(args, dest: str):
@@ -446,7 +452,8 @@ def cmd_update(args) -> dict:
     Every stage takes update's own flags and hands its store to the next
     in memory, so no part file is read back; kg.nt merges exactly the parts
     this run built. The files are staged inside the output directory and
-    replace the previous run's only once the checks and stats have passed.
+    replace the previous run's only once the checks and stats have passed
+    (``_publish``).
     """
     out_dir = _out_dir(args)
     staging = out_dir / ".update-staging"
@@ -478,12 +485,37 @@ def cmd_update(args) -> dict:
         results["checks"] = {"counts": {"cycles": 0, "disjointness_violations": 0}, "outputs": []}
         results["stats"] = cmd_stats(args, kg)
         outputs = [name for result in results.values() for name in result["outputs"]]
-        for name in outputs:
-            (staging / name).replace(out_dir / name)
+        _publish(staging, out_dir, outputs)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     counts = {step: result["counts"] for step, result in results.items()}
     return {"out_dir": out_dir, "counts": counts, "outputs": outputs}
+
+
+def _publish(staging: Path, out_dir: Path, names: list[str]) -> None:
+    """Move each staged file over its namesake in ``out_dir``; if any move fails, undo those made.
+
+    Each file to be replaced is first hard-linked into ``staging``'s
+    ``previous`` directory, so an exception in the loop (``KeyboardInterrupt``
+    too) puts the previous run's files back and removes the new ones.
+    """
+    previous = staging / "previous"
+    previous.mkdir()
+    kept = [name for name in names if (out_dir / name).exists()]
+    for name in kept:
+        os.link(out_dir / name, previous / name)
+    try:
+        for name in names:
+            (staging / name).replace(out_dir / name)
+    except BaseException:
+        for name in names:
+            if (staging / name).exists():
+                continue  # not moved
+            if name in kept:
+                (previous / name).replace(out_dir / name)
+            else:
+                (out_dir / name).unlink()
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,23 @@ class DuplicateDivisionError(DuplicateKeyError):
     """division.dmp repeats a division id."""
 
 
+def rank_iri(rank: str) -> Term:
+    # "no rank" -> ncbi:No_rank, "species" -> ncbi:Species
+    return iri(NCBI + idmap.capitalized_local_name(rank))
+
+
+def name_class_iri(name_class: str) -> Term:
+    return iri(NCBI + name_class.strip().replace(" ", "_"))
+
+
+# rank and name_class hold IRI terms, minted when the record is read
 TaxonNodeRow = namedtuple("TaxonNodeRow", "taxon_id parent_id rank division_id")
 TaxonNameRow = namedtuple("TaxonNameRow", "taxon_id name name_class")
 DivisionRow = namedtuple("DivisionRow", "division_id label")
 
-# Each record's fields in reading order: (0-based column, id or str).
-_NODE_FIELDS = ((0, digits_int), (1, digits_int), (2, str), (4, digits_int))
-_NAME_FIELDS = ((0, digits_int), (1, str), (3, str))
+# Each record's fields in reading order: (0-based column, what reads the cell).
+_NODE_FIELDS = ((0, digits_int), (1, digits_int), (2, rank_iri), (4, digits_int))
+_NAME_FIELDS = ((0, digits_int), (1, str), (3, name_class_iri))
 _DIVISION_FIELDS = ((0, digits_int), (2, str))
 
 
@@ -69,6 +79,8 @@ def _read_records(text: str, dump: str, record: type, spec: tuple) -> list:
         except IndexError:
             raise DmpFormatError(f"expected at least {col + 1} fields, got {len(fields)}") from None
         except ValueError:
+            if kind is not digits_int:
+                raise  # an IRI cell's own "invalid IRI: ..."
             raise DmpFormatError(f"field {col + 1} is not an integer: {fields[col].strip()!r}") from None
         # ``spec`` has one entry per record field, so ``_make``'s length check is moot
         return _new(record, values)
@@ -97,15 +109,6 @@ def division_iri(division_id: int) -> Term:
     return iri(f"{NCBI}division/{division_id}")
 
 
-def rank_iri(rank: str) -> Term:
-    # "no rank" -> ncbi:No_rank, "species" -> ncbi:Species
-    return iri(NCBI + idmap.capitalized_local_name(rank))
-
-
-def name_class_iri(name_class: str) -> Term:
-    return iri(NCBI + name_class.strip().replace(" ", "_"))
-
-
 _RANK_PROP = iri(NCBI + "rank")
 _DIVISION_PROP = iri(NCBI + "division")
 
@@ -125,7 +128,7 @@ def ingest_nodes(rows: list[TaxonNodeRow], store: TripleStore) -> None:
         subject = taxon_iri(row.taxon_id)
         if row.parent_id != row.taxon_id:
             store.add((subject, RDFS_SUBCLASSOF, taxon_iri(row.parent_id)))
-        store.add((subject, _RANK_PROP, rank_iri(row.rank)))
+        store.add((subject, _RANK_PROP, row.rank))
         store.add((subject, _DIVISION_PROP, division_iri(row.division_id)))
 
 
@@ -134,7 +137,7 @@ def ingest_names(rows: list[TaxonNameRow], store: TripleStore) -> None:
     for row in rows:
         subject = taxon_iri(row.taxon_id)
         name = literal(row.name)
-        store.add((subject, name_class_iri(row.name_class), name))
+        store.add((subject, row.name_class, name))
         store.add((subject, RDFS_LABEL, name))
 
 

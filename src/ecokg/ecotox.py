@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import idmap
 from .graph import (
-    ALNUM, DIGIT, Term, Triple, TripleStore, ValidationError, blank, build_row, iri, literal, unique_keys
+    ALNUM, DIGIT, Term, TripleStore, ValidationError, blank, build_row, iri, literal, unique_keys
 )
 from .ns import (
     ET,
@@ -89,10 +89,11 @@ class UnknownReferenceError(ValidationError):
         self.missing = sorted(missing)
 
 
-# lineage: (level, name-or-empty) pairs, highest first. The parsers pass
-# fields by position: keywords make a namedtuple about twice as slow to build.
+# lineage: (level, name-or-empty) pairs, highest first. A chemical's subject and a
+# result's endpoint and effect are IRI terms, minted when the row is read. The parsers
+# pass fields by position: keywords make a namedtuple about twice as slow to build.
 SpeciesRecord = namedtuple("SpeciesRecord", "number common_name latin_name group lineage")
-ChemicalRecord = namedtuple("ChemicalRecord", "cas name group cas_valid")
+ChemicalRecord = namedtuple("ChemicalRecord", "cas subject name group cas_valid")
 TestRecord = namedtuple("TestRecord", "test_id cas species_number reference_number lifestage",
                         defaults=(None, None))
 ResultRecord = namedtuple("ResultRecord", "result_id test_id endpoint concentration unit effect",
@@ -293,10 +294,11 @@ def _chemical(row: dict[str, str]) -> ChemicalRecord:
     cas = _cell(row, "cas_number")
     if cas is None:
         raise ValueError(f"chemical {row['chemical_name']!r}: missing cas_number")
+    subject = chemical_iri(cas)
     valid = idmap.validate_cas(cas)
     if not valid:
         log.warning("invalid CAS number kept: %r", cas)
-    return ChemicalRecord(cas, _cell(row, "chemical_name") or "", _name_cell(row, "ecotox_group"), valid)
+    return ChemicalRecord(cas, subject, _cell(row, "chemical_name") or "", _name_cell(row, "ecotox_group"), valid)
 
 
 def parse_chemicals(text: str) -> list[ChemicalRecord]:
@@ -305,17 +307,16 @@ def parse_chemicals(text: str) -> list[ChemicalRecord]:
 
 def ingest_chemicals(records: list[ChemicalRecord], store: TripleStore) -> None:
     """Emit chemical types, labels and groups; no two CAS cells may mint one chemical IRI."""
-    subjects = [chemical_iri(rec.cas) for rec in records]
-    unique_keys([subject.value for subject in subjects], "chemicals", "chemical IRI",
+    unique_keys([rec.subject.value for rec in records], "chemicals", "chemical IRI",
                 cells=[f"cas_number {rec.cas}" for rec in records])
     groups: set[str] = set()
-    for rec, subject in zip(records, subjects):
-        store.add((subject, RDF_TYPE, CHEMICAL_TYPE))
+    for rec in records:
+        store.add((rec.subject, RDF_TYPE, CHEMICAL_TYPE))
         if rec.name:
-            store.add((subject, RDFS_LABEL, literal(rec.name)))
+            store.add((rec.subject, RDFS_LABEL, literal(rec.name)))
         if rec.group is not None:
             groups.add(rec.group)
-            store.add((subject, GROUP_PROP, group_iri(rec.group)))
+            store.add((rec.subject, GROUP_PROP, group_iri(rec.group)))
     _group_disjointness(groups, store)
 
 
@@ -346,8 +347,9 @@ def _result(row: dict[str, str]) -> ResultRecord:
     endpoint = _name_cell(row, "endpoint")
     if endpoint is None:
         raise ValueError(f"result {result_id}: missing endpoint")
-    return ResultRecord(result_id, row["test_id"], endpoint, _cell(row, "conc1_mean"),
-                        _cell(row, "conc1_unit"), _name_cell(row, "effect"))
+    effect = _name_cell(row, "effect")
+    return ResultRecord(result_id, row["test_id"], code_iri(endpoint), _cell(row, "conc1_mean"),
+                        _cell(row, "conc1_unit"), None if effect is None else code_iri(effect))
 
 
 def parse_results(text: str) -> list[ResultRecord]:
@@ -378,23 +380,24 @@ def _lifestage_iri(value: str) -> Term:
     return iri(f"{ET}lifestage/{sanitize_name(value)}")
 
 
-def _concentration_triples(subject: Term, rec: ResultRecord, units: UnitRegistry | None) -> list[Triple]:
+def _concentration_triples(subject: Term, rec: ResultRecord,
+                           units: UnitRegistry | None) -> list[tuple[Term, Term, Term]]:
     node = blank(f"conc_{rec.result_id}")
-    triples = [Triple(subject, CONCENTRATION_PROP, node)]
+    triples = [(subject, CONCENTRATION_PROP, node)]
     value = rec.concentration.strip() if rec.concentration else ""
     if _DECIMAL.fullmatch(value):
-        triples.append(Triple(node, RDF_VALUE, literal(value, XSD_DECIMAL)))
+        triples.append((node, RDF_VALUE, literal(value, XSD_DECIMAL)))
     else:
         qual = _QUALIFIED.fullmatch(value)
         if qual and _DECIMAL.fullmatch(qual.group(2).strip()):
-            triples.append(Triple(node, RDF_VALUE, literal(qual.group(2).strip())))
-            triples.append(Triple(node, QUALIFIER_PROP, literal(qual.group(1))))
+            triples.append((node, RDF_VALUE, literal(qual.group(2).strip())))
+            triples.append((node, QUALIFIER_PROP, literal(qual.group(1))))
         else:
-            triples.append(Triple(node, RDF_VALUE, literal(value)))
-            triples.append(Triple(node, QUALIFIER_PROP, literal("unparsed")))
+            triples.append((node, RDF_VALUE, literal(value)))
+            triples.append((node, QUALIFIER_PROP, literal("unparsed")))
     if rec.unit:
         unit_term = units.unit_term(rec.unit) if units is not None else None
-        triples.append(Triple(node, UNIT_UNITS, unit_term or literal(rec.unit)))
+        triples.append((node, UNIT_UNITS, unit_term or literal(rec.unit)))
     return triples
 
 
@@ -425,8 +428,8 @@ def ingest_tests(
         subject = result_iri(r.result_id)
         store.add((subjects[r.test_id], HAS_RESULT_PROP, subject))
         store.add((subject, RDF_TYPE, RESULT_TYPE))
-        store.add((subject, ENDPOINT_PROP, code_iri(r.endpoint)))
+        store.add((subject, ENDPOINT_PROP, r.endpoint))
         if r.effect is not None:
-            store.add((subject, EFFECT_PROP, code_iri(r.effect)))
+            store.add((subject, EFFECT_PROP, r.effect))
         if r.concentration is not None:
             store.add_all(_concentration_triples(subject, r, units))

@@ -17,7 +17,7 @@ from collections import namedtuple
 from decimal import Decimal
 
 from .graph import (
-    CheckedRecord, PrefixMap, Term, Triple, TripleStore, ValidationError, ascii_float, iri, literal,
+    CheckedRecord, PrefixMap, Term, TripleStore, ValidationError, ascii_float, iri, literal,
     read_tsv_rows,
 )
 from .ns import QUDT, RDF_TYPE, RDFS_LABEL, XSD_DECIMAL, XSD_STRING
@@ -33,11 +33,11 @@ class DimensionMismatchError(ValidationError):
 
 class UnitDef(CheckedRecord,
               namedtuple("UnitDef", "id label abbreviation multiplier offset dimension symbol")):
-    """One unit: identity, presentation strings, and conversion data."""
+    """One unit: its IRI term, presentation strings, and conversion data."""
 
     __slots__ = ()
 
-    def __new__(cls, id: str, label: str, abbreviation: str, multiplier: float, offset: float,
+    def __new__(cls, id: Term, label: str, abbreviation: str, multiplier: float, offset: float,
                 dimension: str, symbol: str) -> "UnitDef":
         if not multiplier > 0:
             raise ValueError(f"multiplier must be positive: {multiplier!r}")
@@ -58,26 +58,18 @@ def _dimension_class(dimension: str) -> str:
     return "".join(p[:1].upper() + p[1:] for p in parts) + "Unit"
 
 
-def definition_triples(unit: UnitDef) -> list[Triple]:
+def definition_triples(unit: UnitDef) -> list[tuple[Term, Term, Term]]:
     """QUDT-shaped description: types, label, abbreviation, factors, symbol."""
-    subject = iri(unit.id)
+    subject = unit.id
     return [
-        Triple(subject, RDF_TYPE, iri(QUDT + _dimension_class(unit.dimension))),
-        Triple(subject, RDF_TYPE, iri(QUDT + "SIDerivedUnit")),
-        Triple(subject, RDF_TYPE, iri(QUDT + "DerivedUnit")),
-        Triple(subject, RDFS_LABEL, literal(unit.label, XSD_STRING)),
-        Triple(subject, iri(QUDT + "abbreviation"), literal(unit.abbreviation, XSD_STRING)),
-        Triple(
-            subject,
-            iri(QUDT + "conversionMultiplier"),
-            literal(_decimal_lexical(unit.multiplier), XSD_DECIMAL),
-        ),
-        Triple(
-            subject,
-            iri(QUDT + "conversionOffset"),
-            literal(_decimal_lexical(unit.offset), XSD_DECIMAL),
-        ),
-        Triple(subject, iri(QUDT + "symbol"), literal(unit.symbol, XSD_STRING)),
+        (subject, RDF_TYPE, iri(QUDT + _dimension_class(unit.dimension))),
+        (subject, RDF_TYPE, iri(QUDT + "SIDerivedUnit")),
+        (subject, RDF_TYPE, iri(QUDT + "DerivedUnit")),
+        (subject, RDFS_LABEL, literal(unit.label, XSD_STRING)),
+        (subject, iri(QUDT + "abbreviation"), literal(unit.abbreviation, XSD_STRING)),
+        (subject, iri(QUDT + "conversionMultiplier"), literal(_decimal_lexical(unit.multiplier), XSD_DECIMAL)),
+        (subject, iri(QUDT + "conversionOffset"), literal(_decimal_lexical(unit.offset), XSD_DECIMAL)),
+        (subject, iri(QUDT + "symbol"), literal(unit.symbol, XSD_STRING)),
     ]
 
 
@@ -90,7 +82,7 @@ def convert(value: float, from_unit: UnitDef, to_unit: UnitDef) -> float:
 
 
 class UnitRegistry:
-    """Units keyed by id and abbreviation. Configure once, then read."""
+    """Units keyed by id text and abbreviation. Configure once, then read."""
 
     def __init__(self):
         self._by_id: dict[str, UnitDef] = {}
@@ -104,9 +96,11 @@ class UnitRegistry:
 
     def register(self, unit: UnitDef, store: TripleStore | None = None) -> None:
         """Add a unit and optionally emit its description triples."""
-        if unit.id in self._by_id or unit.abbreviation in self._by_abbreviation:
-            raise DuplicateUnitError(f"unit already registered: {unit.id} ({unit.abbreviation})")
-        self._by_id[unit.id] = unit
+        if unit.id.value in self._by_id:
+            raise DuplicateUnitError(f"unit id already registered: {unit.id.value}")
+        if unit.abbreviation in self._by_abbreviation:
+            raise DuplicateUnitError(f"unit abbreviation already registered: {unit.abbreviation!r}")
+        self._by_id[unit.id.value] = unit
         self._by_abbreviation[unit.abbreviation] = unit
         if store is not None:
             store.add_all(definition_triples(unit))
@@ -126,25 +120,22 @@ class UnitRegistry:
 
     def unit_term(self, key: str) -> Term | None:
         unit = self.get(key)
-        return iri(unit.id) if unit is not None else None
-
-
-def parse_units(text: str, prefixes: PrefixMap) -> list[UnitDef]:
-    """Read unit rows from 7-column TSV.
-
-    Columns: id, label, abbreviation, multiplier, offset, dimension,
-    symbol. The id is an IRI or a curie of ``prefixes``.
-    """
-    def unit(unit_id, label, abbreviation, multiplier, offset, dimension, symbol):
-        return UnitDef(prefixes.resolve(unit_id).value, label, abbreviation,
-                       ascii_float(multiplier), ascii_float(offset), dimension, symbol)
-
-    return read_tsv_rows(text, "units table", 7, unit)
+        return unit.id if unit is not None else None
 
 
 def load_registry(text: str, prefixes: PrefixMap, store: TripleStore | None = None) -> UnitRegistry:
-    """The registry of the units in TSV text; each unit's description triples go to ``store``, if given."""
+    """The registry of the units in 7-column TSV text; each unit's description triples go to ``store``, if given.
+
+    Columns: id, label, abbreviation, multiplier, offset, dimension,
+    symbol. The id is an IRI or a curie of ``prefixes``, read into its IRI
+    term. Each unit is registered as its row is read, so a bad cell, a
+    repeated unit or a dimension whose class is no IRI fails naming its line.
+    """
     registry = UnitRegistry()
-    for unit in parse_units(text, prefixes):
-        registry.register(unit, store)
+
+    def register(unit_id, label, abbreviation, multiplier, offset, dimension, symbol):
+        registry.register(UnitDef(prefixes.resolve(unit_id), label, abbreviation, ascii_float(multiplier),
+                                  ascii_float(offset), dimension, symbol), store)
+
+    read_tsv_rows(text, "units table", 7, register)
     return registry

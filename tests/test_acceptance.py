@@ -308,7 +308,7 @@ def test_edit_distance_metric():
 @criterion("unit-definition-fidelity")
 def test_unit_definition_fidelity():
     mg_l = units.UnitDef(
-        id=ET + "MilligramPerLiter",
+        id=iri(ET + "MilligramPerLiter"),
         label="milligram per liter",
         abbreviation="mg/L",
         multiplier=1e-6,
@@ -317,7 +317,7 @@ def test_unit_definition_fidelity():
         symbol="mg/L",
     )
     ug_l = units.UnitDef(
-        id=ET + "MicrogramPerLiter",
+        id=iri(ET + "MicrogramPerLiter"),
         label="microgram per liter",
         abbreviation="ug/L",
         multiplier=1e-9,
@@ -326,7 +326,7 @@ def test_unit_definition_fidelity():
         symbol="ug/L",
     )
     emitted = units.definition_triples(mg_l)
-    by_predicate = {t.predicate.value: t.object for t in emitted}
+    by_predicate = {predicate.value: obj for _, predicate, obj in emitted}
     multiplier = by_predicate[QUDT + "conversionMultiplier"]
     assert multiplier.value == "0.000001"
     assert multiplier.datatype == XSD_DECIMAL

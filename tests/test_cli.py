@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import resource
+import re
 import shlex
 import shutil
 import subprocess
@@ -682,16 +683,76 @@ class TestUpdateRegressions:
         ("glossary", "Brugge\thttp://a b", ("ValueError", "glossary line 2: invalid IRI: 'http://a b'")),
         ("units", "http://a b\tGram\tg\t1.0\t0.0\tmass\tg",
          ("ValueError", "units table line 2: invalid IRI: 'http://a b'")),
+        # these cells were minted at ingest, after the tables were read, so they failed naming neither
+        ("ncbi_nodes", "4242\t|\t1\t|\tge<nus\t|\t\t|\t1\t|",
+         ("ValueError", f"nodes.dmp line 2: invalid IRI: '{NCBI}Ge<nus'")),
+        ("ncbi_names", "1\t|\tall\t|\t\t|\tscientific<name\t|",
+         ("ValueError", f"names.dmp line 2: invalid IRI: '{NCBI}scientific<name'")),
+        ("chemicals", "79-06 1|Acrylamide|Organics",
+         ("ValueError", f"chemicals line 2: invalid IRI: '{ET}chemical/7906 1'")),
+        ("results", "55599|001|>=5|1|mg/L|ACUTE", ("ValueError", f"results line 2: invalid IRI: '{ET}>=5'")),
+        ("results", "55599|001|LC50|1|mg/L|a b", ("ValueError", f"results line 2: invalid IRI: '{ET}A B'")),
+        ("units", "et:Gram\tGram\tg\t1.0\t0.0\tmass<x\tg",
+         ("ValueError", "units table line 2: invalid IRI: 'http://qudt.org/schema/qudt#Mass<xUnit'")),
     ], ids=["ecotox", "dmp", "trait-kind", "trait-curie", "trait-iri-value", "trait-literal-datatype",
             "glossary-target", "unit-id", "prefix-namespace", "species-key", "chemicals-key", "tests-key",
             "results-key", "prefix-before-repeat", "glossary-before-repeat", "trait-full-iri-subject",
-            "trait-full-iri-property", "glossary-full-iri-target", "unit-full-iri-id"])
+            "trait-full-iri-property", "glossary-full-iri-target", "unit-full-iri-id", "rank", "name-class",
+            "cas-inner-space", "endpoint", "effect", "unit-dimension"])
     def test_row_errors_name_their_input(self, tmp_path, capsys, key, row, error):
         # seven input tables feed update; "line 2: ..." alone did not say which was bad,
         # and the checks of a row's cells named neither table nor line
         config_path = self.with_second_line(tmp_path, key, row)
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
         assert error_line(capsys) == error
+
+    def test_repeated_unit_names_its_line(self, tmp_path, capsys):
+        # the units were registered after the whole table was read, so the repeat named no line,
+        # and the message named the second row's id, which did not repeat
+        config_path = self.with_second_line(tmp_path, "units", "et:Gram\tGram\tmg/L\t1.0\t0.0\tmass\tg")
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3
+        error = "units table line 3: unit abbreviation already registered: 'mg/L'"
+        assert error_line(capsys) == ("DuplicateUnitError", error)
+
+    @pytest.mark.parametrize(("key", "line"), [("ncbi_names", 2), ("chemicals", 3), ("traits", 2)],
+                             ids=["dump", "ecotox", "tsv"])
+    def test_undecodable_byte_names_its_file_and_line(self, tmp_path, capsys, key, line):
+        # the whole file was decoded at once: UnicodeDecodeError named a byte position, not the file
+        config_path = self.copy_config(tmp_path)
+        config = json.loads(config_path.read_text())
+        data = Path(config[key]).read_bytes()
+        at = [i for i, byte in enumerate(data) if byte == ord("\n")][line - 2] + 3
+        path = tmp_path / Path(config[key]).name
+        path.write_bytes(b"\xef\xbb\xbf" + data[:at] + b"\xff" + data[at:])
+        config_path.write_text(json.dumps({**config, key: str(path)}))
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
+        error = f"{path} line {line}: byte 0xff is not UTF-8 (invalid start byte)"
+        assert error_line(capsys) == ("ValueError", error)
+
+    @pytest.mark.parametrize("first_run", [False, True], ids=["over-a-run", "first-run"])
+    def test_interrupted_publish_keeps_the_previous_run(self, tmp_path, monkeypatch, first_run):
+        # the renames were not undone: a failure after the first left the new ncbi.nt beside the old kg.nt
+        out = tmp_path / "out"
+        if not first_run:
+            assert run_cli(*cfg_args("update", "--out", str(out))) == 0
+        previous = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        # a new name changes ncbi.nt, the first file published
+        config_path = self.with_second_line(tmp_path, "ncbi_names", "1\t|\tbiota\t|\t\t|\tsynonym\t|")
+        real, calls = Path.replace, []
+
+        def replace(self, target):
+            calls.append(self.name)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(self, target)
+
+        monkeypatch.setattr(Path, "replace", replace)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("--config", str(config_path), "update", "--out", str(out))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+        monkeypatch.undo()
+        assert run_cli("--config", str(config_path), "update", "--out", str(out)) == 0
+        assert calls[0] == "ncbi.nt" and (out / "ncbi.nt").read_bytes() != previous.get("ncbi.nt")
 
     @pytest.mark.parametrize(("key", "row", "error"), [
         ("species", "5156|Zebrafish|Danio rerio|Animalia|Chordata|Actinopterygii|Cypriniformes|"
@@ -896,6 +957,55 @@ class TestUpdateRegressions:
         assert counts["blocked_pairs"] + counts["exact_sources"] >= counts["mappings"]
         mappings = align.read_mappings((pipeline_dir / "mappings.tsv").read_text())
         assert counts["mappings"] == len(mappings)
+
+
+# Each input table of update's config: its field separator and its number of header lines.
+FUZZ_TABLES = {
+    "ncbi_nodes": ("\t|\t", 0), "ncbi_names": ("\t|\t", 0), "ncbi_divisions": ("\t|\t", 0),
+    "species": ("|", 1), "chemicals": ("|", 1), "tests": ("|", 1), "results": ("|", 1),
+    "units": ("\t", 0), "traits": ("\t", 0), "glossary": ("\t", 0), "prefixes": ("\t", 0),
+    "pairs_ncbi": ("\t", 0), "pairs_cas": ("\t", 0),
+}
+# Cells that read as missing, hold IRI delimiters, split lines elsewhere, need escapes or name curies
+FUZZ_CELLS = ("", "  ", "<", ">", "a b", ">=5", "\u2028", "\u0085", "\x00", '"', "'", "\\", "#", "x" * 300,
+              "et:x", "nope:x", "http://a b", "ncbi:taxon/1")
+# How an exit-2 error line names its input: a table, a dump or a path
+FUZZ_NAMED = re.compile(r"(/\S+|(nodes|names|division)\.dmp|species|chemicals|tests|results|"
+                        r"(units|trait|prefix|pair) table|glossary)( line \d+)?: ")
+
+
+class TestUpdateProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FUZZ_TABLES)), st.integers(0, 99), st.integers(0, 99),
+           st.sampled_from(FUZZ_CELLS))
+    def test_one_replaced_cell_fails_cleanly_or_builds_a_graph_that_round_trips(self, key, row, col, cell):
+        # update exits 0, 2 or 3 on any one bad cell; an input error names its input, and a built
+        # kg.nt parses back to a store that serializes to the same bytes
+        sep, headers = FUZZ_TABLES[key]
+        config = json.loads((FIXTURES / "config.json").read_text())
+        config = {k: str(FIXTURES / v) if isinstance(v, str) else v for k, v in config.items()}
+        lines = Path(config[key]).read_text(encoding="utf-8").split("\n")
+        rows = [n for n, line in enumerate(lines) if line][headers:]
+        n = rows[row % len(rows)]
+        dmp_record = sep == "\t|\t"
+        fields = (lines[n].removesuffix("\t|") if dmp_record else lines[n]).split(sep)
+        fields[col % len(fields)] = cell
+        lines[n] = sep.join(fields) + ("\t|" if dmp_record else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input"
+            path.write_text("\n".join(lines), encoding="utf-8")
+            config_path = Path(tmp) / "config.json"
+            config_path.write_text(json.dumps({**config, key: str(path)}))
+            out, stdout = Path(tmp) / "out", io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = run_cli("--config", str(config_path), "update", "--out", str(out))
+            assert code in (0, 2, 3)
+            if code == 2:
+                message = stdout.getvalue().splitlines()[-1].split("\t", 2)[2]
+                assert FUZZ_NAMED.match(message), message
+            if code == 0:
+                text = (out / "kg.nt").read_text(encoding="utf-8")
+                assert ntriples.serialize(ntriples.parse(text, default_prefix_map())) == text
 
 
 class TestAlignmentCommands:

@@ -541,21 +541,21 @@ class TestTestIngest:
         assert effect_store.match(node, ecotox.QUALIFIER_PROP, literal(">"))
 
     def test_unparsable_concentration_flagged(self):
-        rec = ecotox.ResultRecord("9", "1", "LC50", "ca. 5-10", "mg/L", None)
+        rec = ecotox.ResultRecord("9", "1", ecotox.code_iri("LC50"), "ca. 5-10", "mg/L", None)
         triples = ecotox._concentration_triples(ecotox.result_iri("9"), rec, None)
-        objects = {(t.predicate, t.object) for t in triples}
+        objects = {(predicate, obj) for _, predicate, obj in triples}
         assert (RDF_VALUE, literal("ca. 5-10")) in objects
         assert (ecotox.QUALIFIER_PROP, literal("unparsed")) in objects
 
     def test_unit_without_registry_stays_literal(self):
-        rec = ecotox.ResultRecord("9", "1", "LC50", "4", "mg/L", None)
+        rec = ecotox.ResultRecord("9", "1", ecotox.code_iri("LC50"), "4", "mg/L", None)
         triples = ecotox._concentration_triples(ecotox.result_iri("9"), rec, None)
-        assert any(t.object == literal("mg/L") for t in triples)
+        assert any(obj == literal("mg/L") for _, _, obj in triples)
 
     def test_orphan_result_rejected_before_emission(self, tables):
         tests = ecotox.parse_tests(tables["tests"])
         results = ecotox.parse_results(tables["results"])
-        results.append(ecotox.ResultRecord("1", "999999", "LC50", "1", "mg/L", None))
+        results.append(ecotox.ResultRecord("1", "999999", ecotox.code_iri("LC50"), "1", "mg/L", None))
         store = TripleStore()
         with pytest.raises(ecotox.OrphanResultError) as err:
             ecotox.ingest_tests(tests, results, store)

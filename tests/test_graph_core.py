@@ -347,8 +347,8 @@ class TestTsvRows:
         (lambda t: traits.parse_traits(t, PrefixMap({"ex": "http://x.org/"})),
          " ex:s \t ex:p \t endangered \t glossary \n",
          [traits.TraitRow(iri("http://x.org/s"), iri("http://x.org/p"), "endangered", "glossary")]),
-        (lambda t: units.parse_units(t, PrefixMap()), " http://x.org/mgL \t milligram \t mg/L \t 0.001 \t 0 \t mass \t mg \n",
-         [units.UnitDef("http://x.org/mgL", "milligram", "mg/L", 0.001, 0.0, "mass", "mg")]),
+        (lambda t: list(units.load_registry(t, PrefixMap())), " http://x.org/mgL \t milligram \t mg/L \t 0.001 \t 0 \t mass \t mg \n",
+         [units.UnitDef(iri("http://x.org/mgL"), "milligram", "mg/L", 0.001, 0.0, "mass", "mg")]),
         (lambda t: list(align.read_mappings(t)), " http://x.org/a \t http://x.org/b \t 0.9 \t lexical \n",
          [align.Mapping("http://x.org/a", "http://x.org/b", 0.9, "lexical")]),
     ], ids=["prefixes", "pairs", "glossary", "traits", "units", "mappings"])
@@ -356,14 +356,14 @@ class TestTsvRows:
         assert read(text) == expected
 
     @pytest.mark.parametrize(("read", "text", "message"), [
-        (lambda t: units.parse_units(t, PrefixMap()), "http://x.org/u\tl\ta\t 1x \t0\td\ts\n",
+        (lambda t: list(units.load_registry(t, PrefixMap())), "http://x.org/u\tl\ta\t 1x \t0\td\ts\n",
          "units table line 1: could not convert string to float: '1x'"),
         (align.read_mappings, "a\tb\t 0.9x \tlexical\n",
          "mappings line 1: could not convert string to float: '0.9x'"),
         # float() alone reads other scripts' digits and "_" between digits
-        (lambda t: units.parse_units(t, PrefixMap()), "http://x.org/u\tl\ta\t١.٥\t0\td\ts\n",
+        (lambda t: list(units.load_registry(t, PrefixMap())), "http://x.org/u\tl\ta\t١.٥\t0\td\ts\n",
          "units table line 1: could not convert string to float: '١.٥'"),
-        (lambda t: units.parse_units(t, PrefixMap()), "http://x.org/u\tl\ta\t1\t1_0\td\ts\n",
+        (lambda t: list(units.load_registry(t, PrefixMap())), "http://x.org/u\tl\ta\t1\t1_0\td\ts\n",
          "units table line 1: could not convert string to float: '1_0'"),
         (align.read_mappings, "a\tb\t٠.٩\tlexical\n",
          "mappings line 1: could not convert string to float: '٠.٩'"),

@@ -109,9 +109,9 @@ class TestCheckedRecords:
     def test_ecotox_records_keep_their_defaults(self):
         test = ecotox.TestRecord("5", "50-00-0", "7")
         assert (test.reference_number, test.lifestage) == (None, None)
-        result = ecotox.ResultRecord("9", "5", "LC50")
+        result = ecotox.ResultRecord("9", "5", ecotox.code_iri("LC50"))
         assert (result.concentration, result.unit, result.effect) == (None, None, None)
-        assert ecotox.ResultRecord("9", "5", "LC50", unit="mg/L").unit == "mg/L"
+        assert ecotox.ResultRecord("9", "5", ecotox.code_iri("LC50"), unit="mg/L").unit == "mg/L"
 
     def test_synthesized_lineage_is_a_species_record(self):
         rec = ecotox.SpeciesRecord("7", None, "Bufo bufo", None, (("genus", "Bufo"), ("species", "")))

@@ -29,7 +29,9 @@ DUMP_NAMES = {dmp.parse_nodes: "nodes.dmp", dmp.parse_names: "names.dmp", dmp.pa
 class TestRecordParsing:
     def test_field_separator_and_terminator(self):
         # the empty third field still counts, so the fourth is the name class
-        assert dmp.parse_names("10\t|\tleft\t|\t\t|\tright\t|\n") == [dmp.TaxonNameRow(10, "left", "right")]
+        assert dmp.parse_names("10\t|\tleft\t|\t\t|\tright\t|\n") == [
+            dmp.TaxonNameRow(10, "left", dmp.name_class_iri("right"))
+        ]
 
     def test_records_split_at_newline_only(self):
         text = "1\t|\tX\t|\ta\u2028b\x0bc\t|\r\n2\t|\tY\t|\td\u0085e\x1cf\t|\n"
@@ -87,10 +89,10 @@ class TestRecordParsing:
 
     def test_fields_are_stripped(self):
         assert dmp.parse_nodes(" 5 \t|\t 1\t|\t species \t|\t\t|\t1 \t|\n") == [
-            dmp.TaxonNodeRow(5, 1, "species", 1)
+            dmp.TaxonNodeRow(5, 1, dmp.rank_iri("species"), 1)
         ]
         assert dmp.parse_names("5\t|\t Danio rerio \t|\t\t|\t scientific name\t|") == [
-            dmp.TaxonNameRow(5, "Danio rerio", "scientific name")
+            dmp.TaxonNameRow(5, "Danio rerio", dmp.name_class_iri("scientific name"))
         ]
         assert dmp.parse_divisions(" 0\t|\tBCT\t|\tBacteria \t|") == [dmp.DivisionRow(0, "Bacteria")]
 
@@ -106,14 +108,14 @@ class TestRecordParsing:
         rows = dmp.parse_nodes(dump_texts["nodes"])
         by_id = {r.taxon_id: r for r in rows}
         assert by_id[687295].parent_id == 513583
-        assert by_id[687295].rank == "species"
+        assert by_id[687295].rank == dmp.rank_iri("species")
         assert by_id[687295].division_id == 1
         assert by_id[1].parent_id == 1
 
     def test_names_columns(self, dump_texts):
         rows = dmp.parse_names(dump_texts["names"])
         wanted = [r for r in rows if r.taxon_id == 687295]
-        assert wanted == [dmp.TaxonNameRow(687295, "Coleophora cornella", "scientific name")]
+        assert wanted == [dmp.TaxonNameRow(687295, "Coleophora cornella", dmp.name_class_iri("scientific name"))]
 
     def test_divisions_columns(self, dump_texts):
         rows = dmp.parse_divisions(dump_texts["divisions"])

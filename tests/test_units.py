@@ -16,7 +16,7 @@ from ecokg.units import (
 )
 
 MG_L = UnitDef(
-    id=ET + "MilligramPerLiter",
+    id=iri(ET + "MilligramPerLiter"),
     label="Milligram per Liter",
     abbreviation="mg/L",
     multiplier=0.000001,
@@ -25,7 +25,7 @@ MG_L = UnitDef(
     symbol="mg/dm^3",
 )
 UG_L = UnitDef(
-    id=ET + "MicrogramPerLiter",
+    id=iri(ET + "MicrogramPerLiter"),
     label="Microgram per Liter",
     abbreviation="ug/L",
     multiplier=0.000000001,
@@ -128,7 +128,7 @@ class TestRegistry:
         reg = UnitRegistry()
         reg.register(MG_L)
         assert reg.get("mg/L") is MG_L
-        assert reg.get(MG_L.id) is MG_L
+        assert reg.get(MG_L.id.value) is MG_L
         assert reg.get("nope") is None
         with pytest.raises(KeyError):
             reg.require("nope")
@@ -142,7 +142,7 @@ class TestRegistry:
     def test_unit_term(self):
         reg = UnitRegistry()
         reg.register(MG_L)
-        assert reg.unit_term("mg/L") == iri(MG_L.id)
+        assert reg.unit_term("mg/L") is MG_L.id
         assert reg.unit_term("nope") is None
 
     def test_iteration_sorted_by_id(self):
@@ -165,17 +165,17 @@ class TestTableLoading:
         assert len(registry) == 5
         assert len(store) == 5 * 8
         mg = registry.require("mg/L")
-        assert mg.id == ET + "MilligramPerLiter"
+        assert mg.id == iri(ET + "MilligramPerLiter")
         assert mg.multiplier == 0.000001
 
     def test_column_count_enforced(self, prefixes):
         with pytest.raises(ValueError, match="line 1"):
-            units.parse_units("too\tfew\n", prefixes)
+            units.load_registry("too\tfew\n", prefixes)
 
     def test_bad_number_reported_with_line(self, prefixes):
         text = "et:U\tlabel\tabbr\tnot-a-number\t0.0\tdim\tsym\n"
         with pytest.raises(ValueError, match="line 1"):
-            units.parse_units(text, prefixes)
+            units.load_registry(text, prefixes)
 
     @pytest.mark.parametrize(("multiplier", "offset"), [
         ("inf", "0.0"), ("1.0", "nan"), ("1e400", "0.0"), ("1.0", "-inf"), ("inf", "nan"),
@@ -184,4 +184,4 @@ class TestTableLoading:
         # kg.nt would otherwise carry "inf"/"nan" as xsd:decimal, which has no such value
         text = f"et:A\tA\ta\t1.0\t0.0\tmass\ta\net:B\tB\tb\t{multiplier}\t{offset}\tmass\tb\n"
         with pytest.raises(ValueError, match="^units table line 2: .*must be finite"):
-            units.parse_units(text, prefixes)
+            units.load_registry(text, prefixes)
