@@ -46,10 +46,11 @@ registry = units.load_registry(
     prefixes,
     store,
 )
+chemicals = ecotox.parse_chemicals(CHEMICALS)
 ecotox.ingest_species(ecotox.parse_species(SPECIES), store)
-ecotox.ingest_chemicals(ecotox.parse_chemicals(CHEMICALS), store)
+ecotox.ingest_chemicals(chemicals, store)
 ecotox.ingest_tests(
-    ecotox.parse_tests(TESTS), ecotox.parse_results(RESULTS), store, registry
+    ecotox.parse_tests(TESTS), ecotox.parse_results(RESULTS), chemicals, store, registry
 )
 
 # trait rows attach habitat facts to taxa

@@ -241,7 +241,7 @@ def cmd_ingest_ecotox(args, registry: units.UnitRegistry | None = None) -> dict:
         "result_rows": len(results),
         "species_triples": _growth(store, ecotox.ingest_species, species),
         "chemical_triples": _growth(store, ecotox.ingest_chemicals, chemicals),
-        "effect_triples": _growth(store, ecotox.ingest_tests, tests, results, units=registry),
+        "effect_triples": _growth(store, ecotox.ingest_tests, tests, results, chemicals, units=registry),
         "total_triples": len(store),
         "lineage_merges": ecotox.lineage_merges(store),
         "invalid_cas_kept": sum(not rec.cas_valid for rec in chemicals),
@@ -361,7 +361,7 @@ def cmd_export(args, parts=None, mappings: align_mod.MappingSet | None = None) -
         raise ValueError("nothing to export: no graph files found or given")
     merged = max((part for _, part in parts), key=len)
     base_size = len(merged)
-    counts = {name: base_size if part is merged else merged.add_all(part) for name, part in parts}
+    counts = {name: base_size if part is merged else merged.add_all(part.probe()) for name, part in parts}
     if mappings is not None:
         counts["mappings_sameas"] = align_mod.add_sameas(mappings, merged)
     counts["total_triples"] = len(merged)

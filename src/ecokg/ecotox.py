@@ -89,10 +89,11 @@ class UnknownReferenceError(ValidationError):
         self.missing = sorted(missing)
 
 
-# lineage: (level, name-or-empty) pairs, highest first. A chemical's subject and a
-# result's endpoint and effect are IRI terms, minted when the row is read. The parsers
+# lineage: (level, name-or-empty) pairs, highest first; ranks: each level's rank term,
+# minted once per table from its header and shared by its records. A chemical's subject
+# and a result's endpoint and effect are IRI terms, minted when the row is read. The parsers
 # pass fields by position: keywords make a namedtuple about twice as slow to build.
-SpeciesRecord = namedtuple("SpeciesRecord", "number common_name latin_name group lineage")
+SpeciesRecord = namedtuple("SpeciesRecord", "number common_name latin_name group lineage ranks")
 ChemicalRecord = namedtuple("ChemicalRecord", "cas subject name group cas_valid")
 TestRecord = namedtuple("TestRecord", "test_id cas species_number reference_number lifestage",
                         defaults=(None, None))
@@ -100,14 +101,15 @@ ResultRecord = namedtuple("ResultRecord", "result_id test_id endpoint concentrat
                           defaults=(None, None, None))
 
 
-def read_table(text: str, table: str, required: tuple[str, ...], make: Callable) -> list:
-    """``make`` of each dict row of a pipe-delimited ``table``, keyed in header order, every cell stripped.
+def table_rows(text: str, table: str, required: tuple[str, ...]) -> tuple[int, list[str], list]:
+    """The header's line number, the header, and each (line number, dict row) of a pipe-delimited ``table``.
 
-    Lines end at ``\n`` only and blank lines are skipped. The first line is
-    the header, naming no column twice and every ``required`` one; each later
-    line needs one field per column. The first required column is the key,
-    whose cells must not repeat. Each error names ``table``, and one in a row
-    its line (``build_row``); ``make`` runs only after all these checks.
+    Rows are keyed in header order, every cell stripped. Lines end at ``\n``
+    only and blank lines are skipped. The first line is the header, naming
+    no column twice and every ``required`` one; each later line needs one
+    field per column. The first required column is the key, whose cells
+    must not repeat. Each error names ``table``, and one in a row its line
+    (``build_row``).
     """
     lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
@@ -126,6 +128,12 @@ def read_table(text: str, table: str, required: tuple[str, ...], make: Callable)
         if col not in header:
             raise ValueError(f"{table} table missing column {col!r}")
     unique_keys([row[required[0]] for _, row in rows], table, required[0])
+    return lines[0][0], header, rows
+
+
+def read_table(text: str, table: str, required: tuple[str, ...], make: Callable) -> list:
+    """``make`` of each dict row ``table_rows`` reads, run only after all its checks; an error names the row's line."""
+    _, _, rows = table_rows(text, table, required)
     return [build_row(make, table, line_no, row) for line_no, row in rows]
 
 
@@ -160,8 +168,9 @@ def _sanitize_keep_case(name: str) -> str:
     return _NOT_KEY.sub("", name.strip()).replace(" ", "_")
 
 
-def _level_term(level: str) -> Term:
-    return iri(ET + idmap.capitalized_local_name(level))
+def level_terms(levels) -> tuple[Term, ...]:
+    """The rank term of each lineage level name."""
+    return tuple(iri(ET + idmap.capitalized_local_name(level)) for level in levels)
 
 
 def synthesize_lineage(record: SpeciesRecord) -> SpeciesRecord:
@@ -184,18 +193,22 @@ def synthesize_lineage(record: SpeciesRecord) -> SpeciesRecord:
     return record._replace(lineage=lineage)
 
 
-def _species(row: dict[str, str]) -> SpeciesRecord:
-    """One species row; its other columns are lineage levels, in header order."""
+def _species(row: dict[str, str], levels: list[str], ranks: tuple[Term, ...]) -> SpeciesRecord:
+    """One species row; ``levels`` are its other columns, in header order, and ``ranks`` their terms."""
     number = row["species_number"]
     if not _DIGITS.fullmatch(number):
         raise ValueError(f"bad species_number: {number!r}")
-    lineage = [(level, _name_cell(row, level) or "") for level in row if level not in _SPECIES_META_COLUMNS]
+    lineage = tuple((level, _name_cell(row, level) or "") for level in levels)
     return SpeciesRecord(number, clean_species_name(row["common_name"]), clean_species_name(row["latin_name"]),
-                         _name_cell(row, "ecotox_group"), tuple(lineage))
+                         _name_cell(row, "ecotox_group"), lineage, ranks)
 
 
 def parse_species(text: str) -> list[SpeciesRecord]:
-    return read_table(text, "species", _SPECIES_META_COLUMNS, _species)
+    """The species table's records; the lineage levels' rank terms are minted once, from the header."""
+    header_line, header, rows = table_rows(text, "species", _SPECIES_META_COLUMNS)
+    levels = [column for column in header if column not in _SPECIES_META_COLUMNS]
+    ranks = build_row(level_terms, "species", header_line, levels)
+    return [build_row(lambda row: _species(row, levels, ranks), "species", line_no, row) for line_no, row in rows]
 
 
 def species_iri(number: str) -> Term:
@@ -253,7 +266,7 @@ def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> None:
     groups: set[str] = set()
     for rec, leaf in zip(records, leaves):
         previous: Term | None = None
-        for level, name in rec.lineage:
+        for (_, name), rank in zip(rec.lineage, rec.ranks, strict=True):
             if not name:
                 continue  # a level above the highest filled one
             node = nodes[name]
@@ -261,7 +274,7 @@ def ingest_species(records: list[SpeciesRecord], store: TripleStore) -> None:
                 # a tautonym (genus Bufo, species bufo) names two levels
                 # alike; the node keeps the upper level's rank and label
                 continue
-            store.add((node, RANK_PROP, _level_term(level)))
+            store.add((node, RANK_PROP, rank))
             store.add((node, RDFS_LABEL, literal(name)))
             if previous is not None:
                 store.add((node, RDFS_SUBCLASSOF, previous))
@@ -404,23 +417,29 @@ def _concentration_triples(subject: Term, rec: ResultRecord,
 def ingest_tests(
     tests: list[TestRecord],
     results: list[ResultRecord],
+    chemicals: list[ChemicalRecord],
     store: TripleStore,
     units: UnitRegistry | None = None,
 ) -> None:
     """Emit test metadata and per-result endpoint/concentration nodes.
 
-    Every result must reference a known test id. Concentration values
-    that are not plain decimals stay unparsed: the raw remainder goes
-    under rdf:value with the qualifier recorded alongside.
+    Every result must reference a known test id, and every test a CAS
+    number of ``chemicals``, whose record's subject it links to.
+    Concentration values that are not plain decimals stay unparsed: the
+    raw remainder goes under rdf:value with the qualifier recorded alongside.
     """
     subjects = {t.test_id: test_iri(t.test_id) for t in tests}
     missing = {r.test_id for r in results} - subjects.keys()
     if missing:
         raise OrphanResultError(sorted(missing))
+    compounds = {c.cas: c.subject for c in chemicals}
+    unknown = {t.cas for t in tests} - compounds.keys()
+    if unknown:
+        raise UnknownReferenceError([f"cas:{cas}" for cas in unknown])
     for t in tests:
         subject = subjects[t.test_id]
         store.add((subject, RDF_TYPE, TEST_TYPE))
-        store.add((subject, COMPOUND_PROP, chemical_iri(t.cas)))
+        store.add((subject, COMPOUND_PROP, compounds[t.cas]))
         store.add((subject, SPECIES_PROP, species_iri(t.species_number)))
         if t.lifestage is not None:
             store.add((subject, LIFESTAGE_PROP, _lifestage_iri(t.lifestage)))

@@ -2,12 +2,14 @@
 
 Terms and triples are immutable named tuples, hashed and compared by
 the tuple's own C code, so they key the store's indexes cheaply.
-A store keeps two nested indexes (subject-first and predicate-first),
-the first of which doubles as the triple set, and answers wildcard
-pattern matches in deterministic lexicographic order, or unsorted as
-plain tuples through ``probe``. Patterns that bind
-the object but not the predicate are served by probing the
-predicate-first index once per predicate; a graph has few predicates.
+A store's inserts fill one nested index, subject-first, which doubles as
+the triple set. Each predicate's object-first index is built from it the
+first time a read needs it, and kept current by later inserts; on a
+frozen store that build fills a cache, like ``label_index``. The store
+answers wildcard pattern matches in deterministic lexicographic order,
+or unsorted as plain tuples through ``probe``. Patterns that bind the
+object but not the predicate are served by probing every predicate's
+object index once; a graph has few predicates.
 """
 
 import re
@@ -30,6 +32,8 @@ DIGIT = "[0-9]"
 HEX_DIGIT = "[0-9A-Fa-f]"
 _IRI_TEXT, _BLANK_LABEL, _LANG_TAG = map(re.compile, (IRI_TEXT, BLANK_LABEL, LANG_TAG))
 _new = tuple.__new__
+# what a read bound on an unknown predicate finds; never mutated
+_NO_INDEX: dict = {}
 
 # Named escapes for literal serialization; remaining control characters
 # (below U+0020, plus U+007F) and lone surrogates, which UTF-8 cannot
@@ -303,17 +307,24 @@ class PrefixMap:
 
 
 class TripleStore:
-    """Set-semantics triple store with two access-path indexes.
+    """Set-semantics triple store: one index filled by ``add``, the other built on read.
 
     The subject-first index ``spo`` is the triple set: membership,
     iteration and equality all read it, and a counter tracks its size.
-    The predicate-first index ``pos`` serves predicate-bound patterns.
-    There is no object-first index: a pattern with only the object bound
-    makes one ``pos`` probe per predicate, and one with subject and
-    object bound reads the predicates under ``spo[s]``. ``label_index``
-    is left to readers that derive data from a frozen store; the store
-    itself never reads it. ``add``, the one way in, checks positions; the
-    ``Triple``s that reads hand out are plain views.
+    ``add``, the one way in, fills only ``spo``, checks positions, and keys
+    every new predicate in ``pos`` with None. A predicate's object-first
+    index replaces that None the first time a read needs it, built in one
+    walk of ``spo``: a read bound on the predicate (``subjects``,
+    ``predicate_pairs``, ``probe`` or ``count`` with the predicate bound and
+    the subject not) builds that predicate's, and one bound only on the
+    object (``probe`` or ``count`` with only the object, ``terms``) builds
+    every predicate's. ``add`` keeps a built index current. On a frozen
+    store the build fills a cache, like ``label_index``: no triple changes,
+    and a concurrent reader sees either None or a whole index. A pattern
+    with subject and object bound reads the predicates under ``spo[s]``.
+    ``label_index`` is left to readers that derive data from a frozen
+    store; the store itself never reads it. The ``Triple``s that reads
+    hand out are plain views.
 
     Most index leaves hold one term, kept as the 1-tuple ``(term,)`` at a
     fraction of a set's size; the second distinct insert makes it a
@@ -328,7 +339,7 @@ class TripleStore:
     def __init__(self, prefixes: PrefixMap | None = None):
         self.prefixes = prefixes if prefixes is not None else PrefixMap()
         self._spo: dict[Term, dict[Term, tuple[Term] | set[Term]]] = {}
-        self._pos: dict[Term, dict[Term, tuple[Term] | set[Term]]] = {}
+        self._pos: dict[Term, dict[Term, tuple[Term] | set[Term]] | None] = {}
         self._len = 0
         self._frozen = False
         self.label_index = None
@@ -338,7 +349,10 @@ class TripleStore:
         return self._frozen
 
     def freeze(self) -> None:
-        """Make the store immutable; reads stay safe under shared use."""
+        """Make the store's triples immutable; reads stay safe under shared use.
+
+        Reads still build object-first indexes on a frozen store: a cache, like ``label_index``.
+        """
         self._frozen = True
 
     def __len__(self) -> int:
@@ -362,8 +376,11 @@ class TripleStore:
         """Insert one ``(s, p, o)``; returns False for duplicates.
 
         Every position must be a ``Term``, a subject first keying ``spo`` no
-        literal and a predicate first keying ``pos`` an IRI; a triple that is
-        not raises ``ValueError`` before any index changes.
+        literal and a predicate the store has not seen an IRI; a triple that
+        is not raises ``ValueError`` before any index changes. The triple
+        also goes into its predicate's object-first index if a read has
+        built it. A frozen store refuses every add; there a read's build of
+        an object index only fills a cache, like ``label_index``.
         """
         if self._frozen:
             raise FrozenStoreError("store is frozen")
@@ -371,10 +388,11 @@ class TripleStore:
         if type(s) is not Term or type(p) is not Term or type(o) is not Term:
             raise ValueError(f"not a triple of terms: {t!r}")
         po = self._spo.get(s)
-        os_ = self._pos.get(p)
+        # False: a predicate not seen yet; None: seen, its object index not built
+        os_ = self._pos.get(p, False)
         if po is None and s.kind == LITERAL:
             raise ValueError("literal cannot be a subject")
-        if os_ is None and p.kind != IRI:
+        if os_ is False and p.kind != IRI:
             raise ValueError("predicate must be an IRI")
         if po is None:
             po = self._spo[s] = {}
@@ -387,30 +405,61 @@ class TripleStore:
             po[p] = {objs[0], o}
         else:
             objs.add(o)
-        if os_ is None:
-            os_ = self._pos[p] = {}
-        subs = os_.get(o)
-        if subs is None:
-            os_[o] = (s,)
-        elif type(subs) is tuple:
-            os_[o] = {subs[0], s}
-        else:
-            subs.add(s)
+        if os_ is False:
+            self._pos[p] = None
+        elif os_ is not None:
+            subs = os_.get(o)
+            if subs is None:
+                os_[o] = (s,)
+            elif type(subs) is tuple:
+                os_[o] = {subs[0], s}
+            else:
+                subs.add(s)
         self._len += 1
         return True
 
     def add_all(self, triples) -> int:
         return sum(1 for t in triples if self.add(t))
 
+    def _build_pos(self, p: Term) -> dict:
+        """Build ``p``'s object-first index in one walk of ``spo`` and return it."""
+        os_ = {}
+        for s, po in self._spo.items():
+            objs = po.get(p)
+            if objs is None:
+                continue
+            for o in objs:
+                subs = os_.get(o)
+                if subs is None:
+                    os_[o] = (s,)
+                elif type(subs) is tuple:
+                    os_[o] = {subs[0], s}
+                else:
+                    subs.add(s)
+        self._pos[p] = os_
+        return os_
+
+    def _all_pos(self) -> dict:
+        """``pos`` with every predicate's object-first index built."""
+        for p in [p for p, os_ in self._pos.items() if os_ is None]:
+            self._build_pos(p)
+        return self._pos
+
     def objects(self, s: Term, p: Term) -> set[Term]:
         return set(self._spo.get(s, {}).get(p, ()))
 
     def subjects(self, p: Term, o: Term) -> set[Term]:
-        return set(self._pos.get(p, {}).get(o, ()))
+        os_ = self._pos.get(p, _NO_INDEX)
+        if os_ is None:
+            os_ = self._build_pos(p)
+        return set(os_.get(o, ()))
 
     def predicate_pairs(self, p: Term) -> set[tuple[Term, Term]]:
         """All (subject, object) pairs under one predicate."""
-        return {(s, o) for o, subs in self._pos.get(p, {}).items() for s in subs}
+        os_ = self._pos.get(p, _NO_INDEX)
+        if os_ is None:
+            os_ = self._build_pos(p)
+        return {(s, o) for o, subs in os_.items() for s in subs}
 
     def probe(
         self, s: Term | None = None, p: Term | None = None, o: Term | None = None
@@ -431,12 +480,14 @@ class TripleStore:
                 return [(s, pred, o) for pred, objs in po.items() if o in objs]
             return [(s, pred, obj) for pred, objs in po.items() for obj in objs]
         if p is not None:
-            os_ = self._pos.get(p, {})
+            os_ = self._pos.get(p, _NO_INDEX)
+            if os_ is None:
+                os_ = self._build_pos(p)
             if o is not None:
                 return [(sub, p, o) for sub in os_.get(o, ())]
             return [(sub, p, obj) for obj, subs in os_.items() for sub in subs]
         if o is not None:
-            return [(sub, pred, o) for pred, os_ in self._pos.items() for sub in os_.get(o, ())]
+            return [(sub, pred, o) for pred, os_ in self._all_pos().items() for sub in os_.get(o, ())]
         return [(sub, pred, obj) for sub, po in self._spo.items() for pred, objs in po.items() for obj in objs]
 
     def match(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> list[Triple]:
@@ -458,11 +509,14 @@ class TripleStore:
         if s is not None and p is not None and o is None:
             return len(self._spo.get(s, {}).get(p, ()))
         if s is None and p is not None and o is not None:
-            return len(self._pos.get(p, {}).get(o, ()))
+            os_ = self._pos.get(p, _NO_INDEX)
+            if os_ is None:
+                os_ = self._build_pos(p)
+            return len(os_.get(o, ()))
         if s is None and p is None and o is None:
             return self._len
         return len(self.probe(s, p, o))
 
     def terms(self) -> set[Term]:
         """All subjects and objects (predicates excluded)."""
-        return set(self._spo).union(*self._pos.values())
+        return set(self._spo).union(*self._all_pos().values())

@@ -22,18 +22,19 @@ GraphCounts = namedtuple("GraphCounts", "triples relations entities")
 
 
 def count_graph(store: TripleStore) -> GraphCounts:
-    """Count triples, relations, and entities with literals removed, walking ``pos`` once."""
-    triples = relations = 0
+    """Count triples, relations, and entities with literals removed, walking ``spo`` once."""
+    triples = 0
+    relations = set()
     entities = set()
-    for by_object in store._pos.values():
-        before = triples
-        for o, subjects in by_object.items():
-            if o.kind != LITERAL:
-                triples += len(subjects)
-                entities.add(o)
-                entities.update(subjects)
-        relations += triples > before
-    return GraphCounts(triples, relations, len(entities))
+    for s, po in store._spo.items():
+        for p, objs in po.items():
+            nodes = [o for o in objs if o.kind != LITERAL]
+            if nodes:
+                triples += len(nodes)
+                relations.add(p)
+                entities.add(s)
+                entities.update(nodes)
+    return GraphCounts(triples, len(relations), len(entities))
 
 
 def _require_nonempty(counts: GraphCounts) -> None:

@@ -77,6 +77,20 @@ def brute_force_match(store: TripleStore, s=None, p=None, o=None) -> list[Triple
     return sorted(hits, key=triple_key)
 
 
+def public_view(store: TripleStore) -> tuple:
+    """What the store's public reads show: its size and triples, each predicate's pairs, each object's
+    matches and the terms. Reading them may build object-first indexes; the view is the same either way.
+    """
+    triples = frozenset(store)
+    return (
+        len(store),
+        triples,
+        {p: frozenset(store.predicate_pairs(p)) for p in {t.predicate for t in triples}},
+        {o: frozenset(store.probe(o=o)) for o in {t.object for t in triples}},
+        frozenset(store.terms()),
+    )
+
+
 def reference_plan_order(store: TripleStore, patterns) -> list:
     """The join order ``solve`` must fix, by the planner's first ranking loop.
 

@@ -69,7 +69,7 @@ def build_fixture_graph() -> TripleStore:
     results = ecotox.parse_results((FIXTURES / "ecotox" / "results.txt").read_text())
     ecotox.ingest_species(species, store)
     ecotox.ingest_chemicals(chemicals, store)
-    ecotox.ingest_tests(tests, results, store, registry)
+    ecotox.ingest_tests(tests, results, chemicals, store, registry)
 
     glossary = traits.load_glossary((FIXTURES / "traits" / "glossary.tsv").read_text(), PREFIXES)
     rows = traits.parse_traits((FIXTURES / "traits" / "traits.tsv").read_text(), PREFIXES)
@@ -115,10 +115,12 @@ def test_library_recipe_equals_updates_ecotox_part(pipeline_dir):
     # this store lacked the synthesized genus and species nodes
     registry = units.load_registry((FIXTURES / "units.tsv").read_text(), PREFIXES)
     store = TripleStore(PREFIXES)
+    chemicals = ecotox.parse_chemicals((FIXTURES / "ecotox" / "chemicals.txt").read_text())
     ecotox.ingest_species(ecotox.parse_species((FIXTURES / "ecotox" / "species.txt").read_text()), store)
-    ecotox.ingest_chemicals(ecotox.parse_chemicals((FIXTURES / "ecotox" / "chemicals.txt").read_text()), store)
+    ecotox.ingest_chemicals(chemicals, store)
     ecotox.ingest_tests(ecotox.parse_tests((FIXTURES / "ecotox" / "tests.txt").read_text()),
-                        ecotox.parse_results((FIXTURES / "ecotox" / "results.txt").read_text()), store, registry)
+                        ecotox.parse_results((FIXTURES / "ecotox" / "results.txt").read_text()), chemicals, store,
+                        registry)
     assert ntriples.serialize(store) == (pipeline_dir / "ecotox.nt").read_text(encoding="utf-8")
 
 

@@ -805,6 +805,15 @@ class TestUpdateRegressions:
         assert error_line(capsys) == ("ValueError", "species: duplicate column: ['genus']")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == good
 
+    def test_lineage_level_that_makes_no_iri_names_the_header(self, tmp_path, capsys):
+        # the level's rank term was minted at ingest, after the tables were read, so it failed naming neither
+        species = tmp_path / "species.txt"
+        text = (FIXTURES / "ecotox" / "species.txt").read_text()
+        species.write_text(text.replace("|genus|", "|ge<nus|", 1))
+        config_path = fixture_config(tmp_path, species=str(species))
+        assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 2
+        assert error_line(capsys) == ("ValueError", f"species line 1: invalid IRI: '{ET}Ge<nus'")
+
     def test_repeated_division_id_exits_three(self, tmp_path, capsys):
         config_path = self.with_second_line(tmp_path, "ncbi_divisions", "4\t|\tPLN\t|\tPlants\t|")
         assert run_cli("--config", str(config_path), "update", "--out", str(tmp_path / "out")) == 3

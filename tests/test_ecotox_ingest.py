@@ -29,10 +29,12 @@ def effect_store(tables, species_records, fixtures, prefixes):
     registry = units.load_registry((fixtures / "units.tsv").read_text(), prefixes)
     store = TripleStore(default_prefix_map())
     ecotox.ingest_species(species_records, store)
-    ecotox.ingest_chemicals(ecotox.parse_chemicals(tables["chemicals"]), store)
+    chemicals = ecotox.parse_chemicals(tables["chemicals"])
+    ecotox.ingest_chemicals(chemicals, store)
     ecotox.ingest_tests(
         ecotox.parse_tests(tables["tests"]),
         ecotox.parse_results(tables["results"]),
+        chemicals,
         store,
         registry,
     )
@@ -253,7 +255,7 @@ class TestLineageSynthesis:
     def make(self, **levels):
         order = ["family", "genus", "species"]
         lineage = tuple((lvl, levels.get(lvl, "")) for lvl in order)
-        return ecotox.SpeciesRecord("1", None, None, None, lineage)
+        return ecotox.SpeciesRecord("1", None, None, None, lineage, ecotox.level_terms(order))
 
     def test_gap_filled_from_nearest_ancestor(self):
         rec = self.make(family="Daphniidae", species="magna")
@@ -372,7 +374,8 @@ class TestSpeciesIngest:
 
     def test_tautonym_has_no_self_loop(self):
         lineage = (("family", "Bufonidae"), ("genus", "Bufo"), ("species", "bufo"))
-        rec = ecotox.SpeciesRecord("7", None, "Bufo bufo", None, lineage)
+        rec = ecotox.SpeciesRecord("7", None, "Bufo bufo", None, lineage,
+                                   ecotox.level_terms(["family", "genus", "species"]))
         store = TripleStore()
         ecotox.ingest_species([rec], store)
         bufo = ecotox.lineage_node_iri("bufo")
@@ -389,7 +392,8 @@ class TestSpeciesIngest:
         # et:taxon/vulgaris node, which then has two parents
         records = [
             ecotox.SpeciesRecord(number, None, f"{genus} vulgaris", None,
-                                 (("family", family), ("genus", genus), ("species", "vulgaris")))
+                                 (("family", family), ("genus", genus), ("species", "vulgaris")),
+                                 ecotox.level_terms(["family", "genus", "species"]))
             for number, family, genus in (("1", "Hydridae", "Hydra"), ("2", "Amaranthaceae", "Beta"))
         ]
         store = TripleStore()
@@ -402,7 +406,8 @@ class TestSpeciesIngest:
         assert ecotox.lineage_merges(effect_store) == 0
 
     def test_unresolved_parent(self):
-        rec = ecotox.SpeciesRecord("9", None, "x", None, (("genus", ""), ("species", "")))
+        rec = ecotox.SpeciesRecord("9", None, "x", None, (("genus", ""), ("species", "")),
+                                   ecotox.level_terms(["genus", "species"]))
         store = TripleStore()
         with pytest.raises(ecotox.EmptyLineageError, match=r"^species 9: no lineage level is filled$"):
             ecotox.ingest_species([rec], store)
@@ -410,7 +415,8 @@ class TestSpeciesIngest:
 
     def test_lineage_is_completed_before_ingest(self):
         # the levels above the highest filled one stay empty and add nothing
-        rec = ecotox.SpeciesRecord("9", None, None, None, (("family", ""), ("genus", "Daphnia"), ("species", "")))
+        rec = ecotox.SpeciesRecord("9", None, None, None, (("family", ""), ("genus", "Daphnia"), ("species", "")),
+                                   ecotox.level_terms(["family", "genus", "species"]))
         store = TripleStore()
         ecotox.ingest_species([rec], store)
         daphnia, padded = ecotox.lineage_node_iri("Daphnia"), ecotox.lineage_node_iri("Daphnia species")
@@ -422,8 +428,9 @@ class TestSpeciesIngest:
 
     def test_lineage_node_that_mints_a_leaf_aborts(self):
         # the check reads the minted IRI: "51-56" keys et:taxon/5156 as "5156" does
-        records = [ecotox.SpeciesRecord("5156", None, None, None, (("family", "Cyprinidae"),)),
-                   ecotox.SpeciesRecord("7", None, None, None, (("family", "51-56"),))]
+        family = ecotox.level_terms(["family"])
+        records = [ecotox.SpeciesRecord("5156", None, None, None, (("family", "Cyprinidae"),), family),
+                   ecotox.SpeciesRecord("7", None, None, None, (("family", "51-56"),), family)]
         store = TripleStore()
         with pytest.raises(graph.DuplicateKeyError) as err:
             ecotox.ingest_species(records, store)
@@ -558,18 +565,32 @@ class TestTestIngest:
         results.append(ecotox.ResultRecord("1", "999999", ecotox.code_iri("LC50"), "1", "mg/L", None))
         store = TripleStore()
         with pytest.raises(ecotox.OrphanResultError) as err:
-            ecotox.ingest_tests(tests, results, store)
+            ecotox.ingest_tests(tests, results, ecotox.parse_chemicals(tables["chemicals"]), store)
         assert err.value.missing == ["999999"]
         assert len(store) == 0
 
     def test_a_result_hangs_from_the_subject_its_test_was_typed_with(self, tables):
         # the orphan check's map mints each test IRI once, and the results reuse it
         store = TripleStore()
-        ecotox.ingest_tests(ecotox.parse_tests(tables["tests"]), ecotox.parse_results(tables["results"]), store)
+        ecotox.ingest_tests(ecotox.parse_tests(tables["tests"]), ecotox.parse_results(tables["results"]),
+                            ecotox.parse_chemicals(tables["chemicals"]), store)
         typed = {s.value: s for s, _, _ in store.probe(None, RDF_TYPE, ecotox.TEST_TYPE)}
         linked = [s for s, _, _ in store.probe(None, ecotox.HAS_RESULT_PROP)]
         assert linked
         assert all(s is typed[s.value] for s in linked)
+
+    def test_a_test_links_to_the_subject_its_chemical_row_minted(self, tables):
+        # a test's CAS is not minted again; one no chemical record carries is refused before any add
+        tests, chemicals = ecotox.parse_tests(tables["tests"]), ecotox.parse_chemicals(tables["chemicals"])
+        store = TripleStore()
+        ecotox.ingest_tests(tests, [], chemicals, store)
+        minted = {c.subject.value: c.subject for c in chemicals}
+        linked = [o for _, _, o in store.probe(None, ecotox.COMPOUND_PROP)]
+        assert len(linked) == len(tests) and all(o is minted[o.value] for o in linked)
+        store = TripleStore()
+        with pytest.raises(ecotox.UnknownReferenceError) as err:
+            ecotox.ingest_tests(tests + [ecotox.TestRecord("77", "0-00-0", "7")], [], chemicals, store)
+        assert err.value.missing == ["cas:0-00-0"] and len(store) == 0
 
     def test_bad_reference_number_names_the_test(self):
         text = "test_id|test_cas|species_number|reference_number\n12|50-00-0|7|abc\n"
@@ -583,7 +604,8 @@ class TestTestIngest:
     def test_zero_result_test_emits_metadata_only(self):
         tests = [ecotox.TestRecord("5", "50-00-0", "7")]
         store = TripleStore()
-        ecotox.ingest_tests(tests, [], store)
+        chemicals = ecotox.parse_chemicals("cas_number|chemical_name\n50-00-0|Formaldehyde\n")
+        ecotox.ingest_tests(tests, [], chemicals, store)
         assert len(store) == 3
 
     def test_cross_table_validation(self, tables, species_records):

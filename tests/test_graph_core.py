@@ -49,6 +49,12 @@ def shared_node_store() -> tuple[TripleStore, Triple]:
     return store, Triple(hub, iri("http://x.org/p0"), shared)
 
 
+def store_of(triples) -> TripleStore:
+    store = TripleStore()
+    store.add_all(triples)
+    return store
+
+
 def probed_stores(rng: random.Random):
     """The shared-node store, then random stores each with one of its triples."""
     yield shared_node_store()
@@ -444,28 +450,36 @@ class TestStoreDoor:
         store = TripleStore()
         with pytest.raises(ValueError, match=f"^{message}$"):
             store.add(bad)
-        assert len(store) == 0 and store._spo == {} and store._pos == {} and ntriples.serialize(store) == ""
-        # a refused add beside known subjects and predicates leaves their leaves as they were
-        store.add((self.S, self.P, self.O))
-        store.add((blank("b"), self.P, self.O))
-        spo, pos = copy.deepcopy(store._spo), copy.deepcopy(store._pos)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            store.add(bad)
-        assert len(store) == 2 and (store._spo, store._pos) == (spo, pos)
+        assert helpers.public_view(store) == helpers.public_view(TripleStore()) and ntriples.serialize(store) == ""
+        # a refused add beside known subjects and predicates, with no object index built and with
+        # every one built, changes no read, and is refused again: the predicate check is not skipped
+        known = [(self.S, self.P, self.O), (blank("b"), self.P, self.O)]
+        expected = helpers.public_view(store_of(known))
+        for built in (False, True):
+            store = store_of(known)
+            if built:
+                store.terms()
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                store.add(bad)
+            assert helpers.public_view(store) == expected
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                store.add(bad)
 
     # a plain tuple equal to a stored term finds that term's index key, so
     # only a type test on every add keeps it out of the other index
     @pytest.mark.parametrize("position", [0, 1], ids=["subject", "predicate"])
     def test_a_plain_tuple_equal_to_a_stored_term_is_refused(self, position):
-        store = TripleStore()
-        store.add((self.S, self.P, self.O))
-        spo, pos = copy.deepcopy(store._spo), copy.deepcopy(store._pos)
+        expected = helpers.public_view(store_of([(self.S, self.P, self.O)]))
         bad = [self.S, self.P, literal("o2")]
         bad[position] = tuple(bad[position])
-        with pytest.raises(ValueError, match="^not a triple of terms: "):
-            store.add(tuple(bad))
-        assert len(store) == 1 and (store._spo, store._pos) == (spo, pos)
-        assert all(type(x) is Term for t in store.match() for x in t)
+        for built in (False, True):
+            store = store_of([(self.S, self.P, self.O)])
+            if built:
+                store.terms()
+            with pytest.raises(ValueError, match="^not a triple of terms: "):
+                store.add(tuple(bad))
+            assert helpers.public_view(store) == expected
+            assert all(type(x) is Term for t in store.match() for x in t)
 
     def test_a_plain_tuple_and_a_triple_are_one_triple(self):
         store = TripleStore()
@@ -569,6 +583,46 @@ class TestStore:
             assert store.match(s, p, o) == sorted(map(Triple._make, rows), key=Triple.ntriples)
             assert store.count(s, p, o) == len(rows)
 
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(PROBE_NODES), st.sampled_from(PROBE_PREDICATES),
+                  st.sampled_from(PROBE_OBJECTS)),
+        st.tuples(st.sampled_from(["probe", "count", "match"]), *[st.none() | st.sampled_from(PROBE_TERMS)] * 3),
+        st.tuples(st.just("subjects"), st.none(), st.sampled_from(PROBE_TERMS), st.sampled_from(PROBE_TERMS)),
+        st.tuples(st.just("predicate_pairs"), st.none(), st.sampled_from(PROBE_TERMS), st.none()),
+        st.tuples(st.sampled_from(["terms", "freeze"]), st.none(), st.none(), st.none()),
+    ), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_reads_agree_with_brute_force_as_object_indexes_are_built(self, steps):
+        # each read checks the triples added so far: before any object index is built,
+        # after the reads so far built some, and after adds that follow a build; past a
+        # freeze, adds are refused and the reads still build what they need
+        store, added = TripleStore(), set()
+        for kind, s, p, o in [*steps, ("terms", None, None, None)]:
+            if kind == "add":
+                if store.frozen:
+                    with pytest.raises(FrozenStoreError):
+                        store.add((s, p, o))
+                else:
+                    assert store.add((s, p, o)) is ((s, p, o) not in added)
+                    added.add((s, p, o))
+            elif kind == "freeze":
+                store.freeze()
+            else:
+                hits = helpers.brute_force_match(store, s, p, o)
+                assert set(hits) == {t for t in added if all(x in (None, y) for x, y in zip((s, p, o), t))}
+                if kind == "probe":
+                    assert sorted(map(Triple._make, store.probe(s, p, o)), key=helpers.triple_key) == hits
+                elif kind == "count":
+                    assert store.count(s, p, o) == len(hits)
+                elif kind == "match":
+                    assert store.match(s, p, o) == hits
+                elif kind == "subjects":
+                    assert store.subjects(p, o) == {t.subject for t in hits}
+                elif kind == "predicate_pairs":
+                    assert store.predicate_pairs(p) == {(t.subject, t.object) for t in hits}
+                else:
+                    assert store.terms() == {t[0] for t in added} | {t[2] for t in added}
+
     def test_terms_are_subjects_and_objects(self):
         rng = random.Random(14)
         for _ in range(40):
@@ -608,12 +662,18 @@ class TestStore:
                 return Triple(s, p, literal(f"o{i}"))
             return Triple(iri(f"http://x.org/s{i}"), p, o)
 
-        def leaf():
-            return store._spo[s][p] if index == "spo" else store._pos[p][o]
+        def leaves():
+            if index == "spo":
+                return [store._spo[s][p]]
+            # the leaf of an index a read built, then kept current by add, and one built afresh
+            rebuilt = store_of(store)
+            store.count(p=p, o=o)
+            rebuilt.count(p=p, o=o)
+            return [store._pos[p][o], rebuilt._pos[p][o]]
 
         for size in range(1, 6):
             assert store.add(nth(size - 1)) is True
-            assert type(leaf()) is (tuple if size == 1 else set)
+            assert [type(leaf) for leaf in leaves()] == [tuple if size == 1 else set] * (1 if index == "spo" else 2)
             for i in range(size):
                 assert store.add(nth(i)) is False
             assert len(store) == store.count() == size
@@ -637,10 +697,12 @@ class TestStore:
         assert store.match() == [Triple(s, p, o)] and len(store) == 1
 
     def test_equal_stores_have_equal_leaves_whatever_the_order(self):
-        # leaves of one and of several members on both indexes
+        # leaves of one and of several members on both indexes; the object indexes of
+        # ``store`` are built before its last adds, ``twin``'s and ``copied``'s after all
         rng = random.Random(16)
         for _ in range(30):
             store = helpers.random_store(rng, 60)
+            store.terms()
             for i in range(rng.randrange(4)):
                 store.add(Triple(iri("http://x.org/hub"), iri("http://x.org/p"), literal(str(i))))
                 store.add(Triple(iri(f"http://x.org/s{i}"), iri("http://x.org/p"), literal("0")))
@@ -650,7 +712,10 @@ class TestStore:
             copied = TripleStore()
             assert copied.add_all(store) == len(store)
             assert store == twin == copied
-            assert twin._pos == store._pos == copied._pos
+            assert helpers.public_view(twin) == helpers.public_view(store) == helpers.public_view(copied)
+            for index in (twin._pos, store._pos, copied._pos):
+                for leaf in (leaf for by_object in index.values() for leaf in by_object.values()):
+                    assert type(leaf) is (tuple if len(leaf) == 1 else set)
 
     def test_literal_subject_matches_nothing(self):
         store = TripleStore()

@@ -100,7 +100,7 @@ class TestCheckedRecords:
         align.Mapping("s", "t", 1.0, "m"),
         traits.TraitRow("s", "p", "v", "iri"),
         units.UnitDef("u", "l", "a", 2.0, 0.0, "d", "s"),
-        ecotox.SpeciesRecord("1", None, None, None, ()),
+        ecotox.SpeciesRecord("1", None, None, None, (), ()),
     ], ids=lambda record: type(record).__name__)
     def test_fields_cannot_be_assigned(self, record):
         with pytest.raises(AttributeError):
@@ -114,8 +114,9 @@ class TestCheckedRecords:
         assert ecotox.ResultRecord("9", "5", ecotox.code_iri("LC50"), unit="mg/L").unit == "mg/L"
 
     def test_synthesized_lineage_is_a_species_record(self):
-        rec = ecotox.SpeciesRecord("7", None, "Bufo bufo", None, (("genus", "Bufo"), ("species", "")))
+        rec = ecotox.SpeciesRecord("7", None, "Bufo bufo", None, (("genus", "Bufo"), ("species", "")),
+                                   ecotox.level_terms(["genus", "species"]))
         filled = ecotox.synthesize_lineage(rec)
         assert type(filled) is ecotox.SpeciesRecord
         assert filled.lineage == (("genus", "Bufo"), ("species", "Bufo species"))
-        assert filled[:4] == rec[:4]
+        assert filled[:4] == rec[:4] and filled.ranks is rec.ranks

@@ -792,6 +792,28 @@ class TestParseQuery:
         q = parse_query('select ?x\n?x rdfs:label "a\\u0001b" .', PREFIXES)
         assert run_query(reloaded, q) == [(node(1),)]
 
+    # every character the writer escapes (by name, or as \uXXXX: the other controls, DEL and
+    # lone surrogates), characters the query syntax reads (?, ., #, <, >, @, ^, :), and others
+    @given(
+        st.text(alphabet='ab ?.#<>@^:"\\\n\r\t\x00\x01\x08\x1f\x7f\x85\u2028\ud800\udfffé\U0001f600', max_size=10),
+        st.sampled_from([(None, None), (None, "en"), (None, "EN-gb"), (None, "de-AT-1996"),
+                         (ns.XSD + "string", None), (ns.XSD + "decimal", None), ("urn:x:é", None)]),
+    )
+    @example('"\\\n\r\t\x00\x7f\ud800 ?x .', (None, "en"))
+    @settings(max_examples=300, deadline=None)
+    def test_every_serialized_literal_token_finds_its_triple(self, lex, suffix):
+        # the object token serialize writes, pasted into a pattern, must read back as the same term
+        term = literal(lex, *suffix)
+        store = TripleStore(PREFIXES)
+        store.add(Triple(node(1), ns.RDFS_LABEL, term))
+        line = serialize(store)
+        lead = f"{node(1).ntriples()} {ns.RDFS_LABEL.ntriples()} "
+        assert line.startswith(lead) and line.endswith(" .\n")
+        token = line[len(lead):-len(" .\n")]
+        q = parse_query(f"select ?x\n?x <{ns.RDFS_LABEL.value}> {token} .", PREFIXES)
+        assert q.patterns[0][2] == term
+        assert run_query(store, q) == [(node(1),)]
+
     def test_literal_escape_takes_only_hex_digits(self):
         with pytest.raises(QuerySyntaxError, match=r"^line 1: bad \\u escape: '\+041'$"):
             parse_query('?x rdfs:label "\\u+041" .', PREFIXES)
