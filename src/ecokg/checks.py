@@ -19,7 +19,7 @@ def subclass_cycles(store: TripleStore) -> list[list[Term]]:
     cycles: list[list[Term]] = []
 
     def successors(node: Term):
-        return iter(sorted(store.objects(node, RDFS_SUBCLASSOF), key=Term.ntriples))
+        return iter(sorted(store.objects_of(node, RDFS_SUBCLASSOF), key=Term.ntriples))
 
     children = {child for child, _ in store.predicate_pairs(RDFS_SUBCLASSOF)}
     for root in sorted(children, key=Term.ntriples):
@@ -53,7 +53,7 @@ def disjointness_violations(
     """
     violations = []
     for entity in {member for member, _ in store.predicate_pairs(membership_predicate)}:
-        ordered = sorted(store.objects(entity, membership_predicate), key=Term.ntriples)
+        ordered = sorted(store.objects_of(entity, membership_predicate), key=Term.ntriples)
         for i, a in enumerate(ordered):
             for b in ordered[i + 1:]:
                 if store.count(a, OWL_DISJOINTWITH, b) or store.count(b, OWL_DISJOINTWITH, a):

@@ -126,8 +126,6 @@ def _parse_graph(path: str | Path, prefixes: PrefixMap) -> TripleStore:
 def _read_graph(path: str | Path, prefixes: PrefixMap) -> TripleStore:
     store = _parse_graph(path, prefixes)
     store.freeze()
-    # the store lives until exit, so the cyclic collector need never walk it
-    gc.freeze()
     return store
 
 
@@ -656,13 +654,17 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A command makes a handful of reference cycles whatever its input, so
+    # the cyclic collector would only walk the graphs it builds: it is
+    # paused while the command runs, and left on or off as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
     counter = _WarningCounter()
     logging.getLogger().addHandler(counter)
     try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         _resolve_flags(args)
         result = _COMMANDS[args.command](args)
         elapsed = time.perf_counter() - started
@@ -685,6 +687,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, EXIT_INTERNAL)
     finally:
         logging.getLogger().removeHandler(counter)
+        if collecting:
+            gc.enable()
 
 
 def _fail(exc: Exception, code: int) -> int:

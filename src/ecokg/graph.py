@@ -32,7 +32,7 @@ DIGIT = "[0-9]"
 HEX_DIGIT = "[0-9A-Fa-f]"
 _IRI_TEXT, _BLANK_LABEL, _LANG_TAG = map(re.compile, (IRI_TEXT, BLANK_LABEL, LANG_TAG))
 _new = tuple.__new__
-# what a read bound on an unknown predicate finds; never mutated
+# what a read bound on an unknown subject or predicate finds; never mutated
 _NO_INDEX: dict = {}
 
 # Named escapes for literal serialization; remaining control characters
@@ -331,7 +331,8 @@ class TripleStore:
     ``set``. Readers use only ``in``, ``len`` and iteration, alike on both,
     and leaves only grow, so equal stores have equal indexes. A leaf is
     never the bare term: a ``Term`` is a tuple, so iterating it would walk
-    its fields.
+    its fields. ``objects_of`` hands a subject-first leaf out as stored,
+    for callers that only read it.
     """
 
     __slots__ = ("prefixes", "_spo", "_pos", "_len", "_frozen", "label_index")
@@ -440,13 +441,36 @@ class TripleStore:
         return os_
 
     def _all_pos(self) -> dict:
-        """``pos`` with every predicate's object-first index built."""
-        for p in [p for p, os_ in self._pos.items() if os_ is None]:
-            self._build_pos(p)
+        """``pos`` with every predicate's object-first index built, the unbuilt ones in one walk of ``spo``."""
+        unbuilt = {p: {} for p, os_ in self._pos.items() if os_ is None}
+        if unbuilt:
+            for s, po in self._spo.items():
+                for p, objs in po.items():
+                    os_ = unbuilt.get(p)
+                    if os_ is None:
+                        continue
+                    for o in objs:
+                        subs = os_.get(o)
+                        if subs is None:
+                            os_[o] = (s,)
+                        elif type(subs) is tuple:
+                            os_[o] = {subs[0], s}
+                        else:
+                            subs.add(s)
+            self._pos.update(unbuilt)
         return self._pos
 
+    def objects_of(self, s: Term, p: Term) -> tuple[Term] | set[Term]:
+        """The objects of ``(s, p)`` as stored: the leaf itself, a 1-tuple or a set, or ``()``.
+
+        No copy, as ``probe`` builds no ``Triple``: callers only read it
+        (``in``, ``len``, iteration) and never keep or change it; ``objects``
+        returns a set of their own.
+        """
+        return self._spo.get(s, _NO_INDEX).get(p, ())
+
     def objects(self, s: Term, p: Term) -> set[Term]:
-        return set(self._spo.get(s, {}).get(p, ()))
+        return set(self.objects_of(s, p))
 
     def subjects(self, p: Term, o: Term) -> set[Term]:
         os_ = self._pos.get(p, _NO_INDEX)

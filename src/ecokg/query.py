@@ -234,7 +234,7 @@ def parse_path(text: str, prefixes: PrefixMap) -> PathExpr:
     return _PathParser(text, prefixes).parse()
 
 
-def _ends(store: TripleStore, expr: PathExpr, node: Term, forward: bool, memo: defaultdict) -> set[Term]:
+def _ends(store: TripleStore, expr: PathExpr, node: Term, forward: bool, memo: defaultdict) -> tuple | set:
     """The nodes ``expr`` leads to from ``node``; with ``forward`` false,
     the nodes it leads from to ``node``.
 
@@ -244,12 +244,14 @@ def _ends(store: TripleStore, expr: PathExpr, node: Term, forward: bool, memo: d
     direction round, and a sequence runs right to left going backward.
     ``memo`` maps (``id`` of a composite expression, direction) to its
     ends by node, for one ``eval_path`` call, so each subexpression is
-    walked from a node once however many enclosing levels reach it; a
-    returned set may be the memo's own, so callers only read it.
+    walked from a node once however many enclosing levels reach it. What
+    is returned may be the memo's own set or, for a forward atom, the
+    store's own leaf (``objects_of``: a 1-tuple, a set or ``()``), so
+    callers only iterate it.
     """
     kind = type(expr)
     if kind is PathAtom:
-        return store.objects(node, expr.predicate) if forward else store.subjects(expr.predicate, node)
+        return store.objects_of(node, expr.predicate) if forward else store.subjects(expr.predicate, node)
     if kind is PathInverse:
         return _ends(store, expr.child, node, not forward, memo)
     known = memo[id(expr), forward]
@@ -261,7 +263,7 @@ def _ends(store: TripleStore, expr: PathExpr, node: Term, forward: bool, memo: d
         out = {e for m in _ends(store, first, node, forward, memo)
                for e in _ends(store, then, m, forward, memo)}
     elif kind is PathAlt:
-        out = _ends(store, expr.left, node, forward, memo) | _ends(store, expr.right, node, forward, memo)
+        out = {*_ends(store, expr.left, node, forward, memo), *_ends(store, expr.right, node, forward, memo)}
     elif kind is PathRepeat:
         # exactly ``low`` steps, then breadth-first up to ``high - low`` more:
         # a node within that many steps of the frontier has a walk of a
@@ -273,8 +275,13 @@ def _ends(store: TripleStore, expr: PathExpr, node: Term, forward: bool, memo: d
         out = set(frontier)
         depth = 0
         while frontier and (expr.high is None or depth < expr.high - expr.low):
-            frontier = {b for a in frontier for b in _ends(store, child, a, forward, memo)} - out
-            out |= frontier
+            level = []
+            for a in frontier:
+                for b in _ends(store, child, a, forward, memo):
+                    if b not in out:
+                        out.add(b)
+                        level.append(b)
+            frontier = level
             depth += 1
     else:
         raise TypeError(f"not a path expression: {expr!r}")
@@ -770,16 +777,27 @@ def _require_known(store: TripleStore, term: Term) -> None:
 
 
 def lineage(store: TripleStore, taxon: Term) -> list[Term]:
-    """Ancestors by transitive subClassOf, ordered leaf to root."""
+    """Ancestors by transitive subClassOf, ordered leaf to root.
+
+    One breadth-first level at a time over the stored parent leaves
+    (``objects_of``), so an ancestor appears once, at its nearest level,
+    and never ``taxon``; a level of two or more sorts by N-Triples text.
+    """
     out: list[Term] = []
     seen = {taxon}
     frontier = [taxon]
+    parents_of = store.objects_of
     while frontier:
-        frontier = {p for node in frontier for p in store.objects(node, RDFS_SUBCLASSOF) if p not in seen}
-        if len(frontier) > 1:
-            frontier = sorted(frontier, key=Term.ntriples)
-        out.extend(frontier)
-        seen.update(frontier)
+        level = []
+        for node in frontier:
+            for parent in parents_of(node, RDFS_SUBCLASSOF):
+                if parent not in seen:
+                    seen.add(parent)
+                    level.append(parent)
+        if len(level) > 1:
+            level.sort(key=Term.ntriples)
+        out += level
+        frontier = level
     if not out:
         # a taxon with a parent is the subject of a triple, so only an empty walk needs the check
         _require_known(store, taxon)
@@ -790,7 +808,7 @@ def siblings(store: TripleStore, taxon: Term) -> list[Term]:
     """Other direct children of the taxon's direct parents."""
     _require_known(store, taxon)
     out: set[Term] = set()
-    for parent in store.objects(taxon, RDFS_SUBCLASSOF):
+    for parent in store.objects_of(taxon, RDFS_SUBCLASSOF):
         out.update(store.subjects(RDFS_SUBCLASSOF, parent))
     out.discard(taxon)
     return sorted(out, key=Term.ntriples)

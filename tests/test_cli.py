@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import logging
@@ -1015,6 +1016,68 @@ class TestUpdateProperty:
             if code == 0:
                 text = (out / "kg.nt").read_text(encoding="utf-8")
                 assert ntriples.serialize(ntriples.parse(text, default_prefix_map())) == text
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector while a command runs and leaves it as it found it."""
+
+    TAXON = "ncbi:taxon/35525"
+
+    def test_update_runs_no_collection(self, tmp_path):
+        generations = []
+
+        def count(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            assert run_cli(*cfg_args("update", "--out", str(tmp_path))) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert generations == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, pipeline_dir, tmp_path, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run_cli(*cfg_args("lineage", "--graph", str(pipeline_dir / "kg.nt"), "--taxon", self.TAXON,
+                                     "--out", str(tmp_path / "lineage.txt"))) == cli.EXIT_OK
+            assert gc.isenabled() is enabled
+            assert run_cli(*cfg_args("stats", "--graph", str(tmp_path / "missing.nt"))) == cli.EXIT_INPUT
+            assert gc.isenabled() is enabled
+            with pytest.raises(SystemExit):
+                run_cli("lineage")  # no --graph or --taxon: argparse exits 2
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_paused_commands_leave_little_cyclic_garbage(self, tmp_path):
+        # what the pause leaves for the collector once the command is done: a
+        # handful of cycles, not a number that grows with the graph
+        kg = str(tmp_path / "out" / "kg.nt")
+        query_file = tmp_path / "tests.rq"
+        query_file.write_text("select ?t\n?t a et:Test .\n")
+        reads = [
+            ("query", "--graph", kg, "--query", str(query_file)),
+            ("path", "--graph", kg, "--expr", "rdfs:subClassOf{1,}", "--start", self.TAXON),
+            ("lookup", "--graph", kg, "--name", "daphnia magna"),
+            ("lineage", "--graph", kg, "--taxon", self.TAXON),
+        ]
+        unreachable = {}
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert run_cli(*cfg_args("update", "--out", str(tmp_path / "out"))) == 0
+            unreachable["update"] = gc.collect()
+            for argv in reads:
+                assert run_cli(*cfg_args(*argv, "--out", str(tmp_path / f"{argv[0]}.txt"))) == 0
+                unreachable[argv[0]] = gc.collect()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert max(unreachable.values()) <= 1000, unreachable
 
 
 class TestAlignmentCommands:

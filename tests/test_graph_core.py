@@ -696,6 +696,38 @@ class TestStore:
         assert store.subjects(p, o) == {s}
         assert store.match() == [Triple(s, p, o)] and len(store) == 1
 
+    def test_objects_of_is_the_stored_leaf(self):
+        s, p, q = iri("http://x.org/s"), iri("http://x.org/p"), iri("http://x.org/q")
+        store = TripleStore()
+        assert store.objects_of(s, p) == ()
+        store.add(Triple(s, p, literal("a")))
+        assert store.objects_of(s, p) == (literal("a"),)
+        assert store.objects_of(s, q) == () and store.objects_of(p, p) == ()
+        store.add(Triple(s, p, literal("b")))
+        leaf = store.objects_of(s, p)
+        assert type(leaf) is set and leaf == {literal("a"), literal("b")}
+        assert store.objects_of(s, p) is leaf
+
+    def test_terms_builds_every_unbuilt_object_index_in_one_walk(self):
+        class CountedWalks(dict):
+            walks = 0
+
+            def items(self):
+                self.walks += 1
+                return super().items()
+
+        triples = [Triple(iri(f"http://x.org/s{i % 4}"), iri(f"http://x.org/p{i % 3}"), literal(str(i % 5)))
+                   for i in range(12)]
+        store, twin = store_of(triples), store_of(triples)
+        store._spo = CountedWalks(store._spo)
+        assert store.terms() == {t.subject for t in triples} | {t.object for t in triples}
+        assert store._spo.walks == 1
+        store.terms()
+        assert store._spo.walks == 1
+        for p in {t.predicate for t in triples}:
+            twin.subjects(p, literal("0"))  # one predicate's index at a time
+        assert store._pos == twin._pos
+
     def test_equal_stores_have_equal_leaves_whatever_the_order(self):
         # leaves of one and of several members on both indexes; the object indexes of
         # ``store`` are built before its last adds, ``twin``'s and ``copied``'s after all

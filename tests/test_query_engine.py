@@ -3,6 +3,7 @@
 import collections
 import itertools
 import random
+from contextlib import suppress
 
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +168,23 @@ class TestParsePath:
         assert eval_path(store, expr, node(1)) == expected
 
 
+# Nodes with one or several subClassOf and p parents, objects of every kind, and
+# paths over both predicates that use ``^``, ``/``, ``|`` and ``{m,n}``
+LEAF_NODES = [blank("b1"), node(1), node(2), node(3), node(4)]
+LEAF_STARTS = LEAF_NODES + [node(9)]
+LEAF_PREDICATES = [ns.RDFS_SUBCLASSOF, P.predicate]
+LEAF_OBJECTS = LEAF_NODES + [literal("v"), literal("v", language="en"), literal("1", ns.XSD + "integer")]
+LEAF_PATHS = [
+    parse_path(text.format(s="rdfs:subClassOf", p="<http://example.org/p>"), PREFIXES)
+    for text in ("^{s}", "{s}/{p}", "{s}|{p}", "{p}|{p}", "{s}{{1,}}", "({s}|^{p}){{0,2}}", "^({s}/{p}){{1,3}}",
+                 "({p}|{s}/^{p}){{2,}}")
+]
+leaf_stores = st.lists(
+    st.tuples(st.sampled_from(LEAF_NODES), st.sampled_from(LEAF_PREDICATES), st.sampled_from(LEAF_OBJECTS)),
+    max_size=25,
+)
+
+
 class TestEvalPath:
     def test_two_step_chain(self):
         # species -> genus -> root, one repetition covering both hops
@@ -282,8 +300,8 @@ class TestEvalPath:
 
     @staticmethod
     def count_object_reads(monkeypatch, bound):
-        """Make ``TripleStore.objects`` fail once it is called more than ``bound`` times."""
-        real = TripleStore.objects
+        """Make ``TripleStore.objects_of``, a forward atom's read, fail once it is called more than ``bound`` times."""
+        real = TripleStore.objects_of
         calls = 0
 
         def counted(*args):
@@ -292,7 +310,7 @@ class TestEvalPath:
             assert calls <= bound, "a subexpression was walked from one node twice"
             return real(*args)
 
-        monkeypatch.setattr(TripleStore, "objects", counted)
+        monkeypatch.setattr(TripleStore, "objects_of", counted)
 
     def test_nested_repetitions_evaluate_each_node_once_per_level(self, monkeypatch):
         # each {0,} level walks its child from a node once, not once per
@@ -387,6 +405,34 @@ class TestEvalPath:
         store.add(Triple(node(2), iri("http://example.org/q"), node(3)))
         got = eval_path(store, PathInverse(PathSeq(P, Q)))
         assert got == {(node(3), node(1))}
+
+    def test_alternative_of_two_one_member_leaves(self):
+        # a forward atom hands out the stored leaf, here a 1-tuple on each side of the ``|``
+        store = edge_store([(1, 2)])
+        store.add(Triple(node(1), Q.predicate, node(3)))
+        assert store.objects_of(node(1), P.predicate) == (node(2),)
+        assert store.objects_of(node(1), Q.predicate) == (node(3),)
+        assert eval_path(store, PathAlt(P, Q), start=node(1)) == {(node(1), node(2)), (node(1), node(3))}
+
+    @given(triples=leaf_stores, start=st.sampled_from(LEAF_STARTS))
+    @settings(max_examples=300, deadline=None)
+    def test_walks_read_the_stored_leaves_and_leave_the_store_as_it_was(self, triples, start):
+        # leaves of one and of several IRI, blank and literal objects, read before and after a freeze
+        store = TripleStore(PREFIXES)
+        store.add_all(triples)
+        for freeze in (False, True):
+            if freeze:
+                store.freeze()
+            for s in LEAF_STARTS:
+                for p in LEAF_PREDICATES:
+                    assert collections.Counter(store.objects_of(s, p)) == collections.Counter(store.objects(s, p))
+            view = helpers.public_view(store)
+            with suppress(UnknownEntityError):
+                lineage(store, start)
+            for path in LEAF_PATHS:
+                eval_path(store, path, start)
+                eval_path(store, path)
+            assert helpers.public_view(store) == view
 
 
 def brute_force_solve(store, patterns):
