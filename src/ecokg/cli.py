@@ -212,7 +212,7 @@ def cmd_ingest_ncbi(args) -> dict:
         "division_triples": _growth(store, dmp.ingest_divisions, divisions),
         "total_triples": len(store),
     }
-    return _write_graph(args, "ncbi.nt", store, counts)
+    return {**_write_graph(args, "ncbi.nt", store, counts), "taxa": {node.taxon_id for node in nodes}}
 
 
 def cmd_units(args) -> dict:
@@ -306,13 +306,20 @@ def cmd_eval_mappings(args) -> dict:
     return _emit(args, text, counts)
 
 
-def cmd_bridge(args) -> dict:
+def cmd_bridge(args, taxa: set[int] | None = None) -> dict:
+    """Pair table to owl:sameAs links; with ``taxa``, the NCBI node ids, also count and warn of the
+    pairs whose taxid names no node. Their links are kept."""
     pairs = idmap.parse_pairs(_input(args, "pairs"))
     store = TripleStore(args.prefixes)
     added, errors = idmap.construct_sameas(pairs, args.rewrite, store)
     for message in errors:
         log.warning("bridge: %s", message)
     counts = {"pairs": len(pairs), "triples": added, "errors": len(errors)}
+    if taxa is not None:
+        unknown = idmap.unknown_taxa(pairs, taxa)
+        for taxid in unknown:
+            log.warning("bridge: taxid %s is no node of nodes.dmp; its link is kept", taxid)
+        counts["unknown_taxa"] = len(unknown)
     return _write_graph(args, f"sameas_{args.rewrite}.nt", store, counts)
 
 
@@ -465,11 +472,13 @@ def cmd_update(args) -> dict:
         results["ingest-ecotox"] = cmd_ingest_ecotox(args, results["units"]["registry"])
         results["ingest-traits"] = cmd_ingest_traits(args)
         results["align"] = cmd_align(args, results["ingest-ecotox"]["store"], results["ingest-ncbi"]["store"])
+        taxa = results["ingest-ncbi"].pop("taxa")
         for pairs, rewrite in ((args.pairs_ncbi, "ncbi"), (args.pairs_cas, "cas")):
             if pairs is not None:
                 # perfbench/tracer.py names the bridge's span from args.rewrite
                 args.pairs, args.rewrite = pairs, rewrite
-                results[f"bridge-{rewrite}"] = cmd_bridge(args)
+                results[f"bridge-{rewrite}"] = cmd_bridge(args, taxa if rewrite == "ncbi" else None)
+        del taxa  # not held through the export
         parts = [(result["outputs"][0], result["store"]) for result in results.values() if "store" in result]
         results["export"] = cmd_export(args, parts, results["align"]["mappings"])
         kg = results["export"]["store"]

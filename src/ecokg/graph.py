@@ -3,13 +3,13 @@
 Terms and triples are immutable named tuples, hashed and compared by
 the tuple's own C code, so they key the store's indexes cheaply.
 A store's inserts fill one nested index, subject-first, which doubles as
-the triple set. Each predicate's object-first index is built from it the
-first time a read needs it, and kept current by later inserts; on a
-frozen store that build fills a cache, like ``label_index``. The store
-answers wildcard pattern matches in deterministic lexicographic order,
-or unsorted as plain tuples through ``probe``. Patterns that bind the
-object but not the predicate are served by probing every predicate's
-object index once; a graph has few predicates.
+the triple set, and every read walks it but one: the read bound on a
+predicate and an object with the subject unbound, whose first call
+builds that predicate's object-first index. An insert under the
+predicate drops the built index; on a frozen store the build fills a
+cache, like ``label_index``. The store answers wildcard pattern matches
+in deterministic lexicographic order, or unsorted as plain tuples
+through ``probe``.
 """
 
 import re
@@ -307,21 +307,21 @@ class PrefixMap:
 
 
 class TripleStore:
-    """Set-semantics triple store: one index filled by ``add``, the other built on read.
+    """Set-semantics triple store: one index filled by ``add``, the other built for one read.
 
     The subject-first index ``spo`` is the triple set: membership,
     iteration and equality all read it, and a counter tracks its size.
     ``add``, the one way in, fills only ``spo``, checks positions, and keys
-    every new predicate in ``pos`` with None. A predicate's object-first
-    index replaces that None the first time a read needs it, built in one
-    walk of ``spo``: a read bound on the predicate (``subjects``,
-    ``predicate_pairs``, ``probe`` or ``count`` with the predicate bound and
-    the subject not) builds that predicate's, and one bound only on the
-    object (``probe`` or ``count`` with only the object, ``terms``) builds
-    every predicate's. ``add`` keeps a built index current. On a frozen
-    store the build fills a cache, like ``label_index``: no triple changes,
-    and a concurrent reader sees either None or a whole index. A pattern
-    with subject and object bound reads the predicates under ``spo[s]``.
+    a predicate in ``pos`` with None. Only a read bound on the predicate
+    and the object with the subject unbound (``subjects``, and ``probe`` or
+    ``count`` of that shape) uses a predicate's object-first index, through
+    ``_subjects_of``: its first call replaces the None with the index,
+    built in one walk of ``spo``. Every other read walks ``spo`` and builds
+    nothing; one bound only on the predicate or only on the object, and
+    ``predicate_pairs`` and ``terms``, walk all of it on every call. An
+    ``add`` under a predicate sets its built index back to None. On a
+    frozen store the build fills a cache, like ``label_index``: no triple
+    changes, and a concurrent reader sees either None or a whole index.
     ``label_index`` is left to readers that derive data from a frozen
     store; the store itself never reads it. The ``Triple``s that reads
     hand out are plain views.
@@ -329,10 +329,10 @@ class TripleStore:
     Most index leaves hold one term, kept as the 1-tuple ``(term,)`` at a
     fraction of a set's size; the second distinct insert makes it a
     ``set``. Readers use only ``in``, ``len`` and iteration, alike on both,
-    and leaves only grow, so equal stores have equal indexes. A leaf is
-    never the bare term: a ``Term`` is a tuple, so iterating it would walk
-    its fields. ``objects_of`` hands a subject-first leaf out as stored,
-    for callers that only read it.
+    and leaves only grow, so equal stores have equal indexes where both
+    are built. A leaf is never the bare term: a ``Term`` is a tuple, so
+    iterating it would walk its fields. ``objects_of`` and ``_subjects_of``
+    hand a leaf out as stored, for callers that only read it.
     """
 
     __slots__ = ("prefixes", "_spo", "_pos", "_len", "_frozen", "label_index")
@@ -352,7 +352,8 @@ class TripleStore:
     def freeze(self) -> None:
         """Make the store's triples immutable; reads stay safe under shared use.
 
-        Reads still build object-first indexes on a frozen store: a cache, like ``label_index``.
+        A ``subjects``-shaped read still builds its predicate's object-first index
+        on a frozen store: a cache, like ``label_index``.
         """
         self._frozen = True
 
@@ -378,10 +379,11 @@ class TripleStore:
 
         Every position must be a ``Term``, a subject first keying ``spo`` no
         literal and a predicate the store has not seen an IRI; a triple that
-        is not raises ``ValueError`` before any index changes. The triple
-        also goes into its predicate's object-first index if a read has
-        built it. A frozen store refuses every add; there a read's build of
-        an object index only fills a cache, like ``label_index``.
+        is not raises ``ValueError`` before any index changes. A new triple
+        sets its predicate's object-first index to None, so the next read
+        that needs it builds it afresh. A frozen store refuses every add;
+        there a read's build of an object index only fills a cache, like
+        ``label_index``.
         """
         if self._frozen:
             raise FrozenStoreError("store is frozen")
@@ -389,7 +391,7 @@ class TripleStore:
         if type(s) is not Term or type(p) is not Term or type(o) is not Term:
             raise ValueError(f"not a triple of terms: {t!r}")
         po = self._spo.get(s)
-        # False: a predicate not seen yet; None: seen, its object index not built
+        # None: a predicate whose object index is not built; False: one not seen yet
         os_ = self._pos.get(p, False)
         if po is None and s.kind == LITERAL:
             raise ValueError("literal cannot be a subject")
@@ -406,59 +408,13 @@ class TripleStore:
             po[p] = {objs[0], o}
         else:
             objs.add(o)
-        if os_ is False:
+        if os_ is not None:
             self._pos[p] = None
-        elif os_ is not None:
-            subs = os_.get(o)
-            if subs is None:
-                os_[o] = (s,)
-            elif type(subs) is tuple:
-                os_[o] = {subs[0], s}
-            else:
-                subs.add(s)
         self._len += 1
         return True
 
     def add_all(self, triples) -> int:
         return sum(1 for t in triples if self.add(t))
-
-    def _build_pos(self, p: Term) -> dict:
-        """Build ``p``'s object-first index in one walk of ``spo`` and return it."""
-        os_ = {}
-        for s, po in self._spo.items():
-            objs = po.get(p)
-            if objs is None:
-                continue
-            for o in objs:
-                subs = os_.get(o)
-                if subs is None:
-                    os_[o] = (s,)
-                elif type(subs) is tuple:
-                    os_[o] = {subs[0], s}
-                else:
-                    subs.add(s)
-        self._pos[p] = os_
-        return os_
-
-    def _all_pos(self) -> dict:
-        """``pos`` with every predicate's object-first index built, the unbuilt ones in one walk of ``spo``."""
-        unbuilt = {p: {} for p, os_ in self._pos.items() if os_ is None}
-        if unbuilt:
-            for s, po in self._spo.items():
-                for p, objs in po.items():
-                    os_ = unbuilt.get(p)
-                    if os_ is None:
-                        continue
-                    for o in objs:
-                        subs = os_.get(o)
-                        if subs is None:
-                            os_[o] = (s,)
-                        elif type(subs) is tuple:
-                            os_[o] = {subs[0], s}
-                        else:
-                            subs.add(s)
-            self._pos.update(unbuilt)
-        return self._pos
 
     def objects_of(self, s: Term, p: Term) -> tuple[Term] | set[Term]:
         """The objects of ``(s, p)`` as stored: the leaf itself, a 1-tuple or a set, or ``()``.
@@ -472,18 +428,34 @@ class TripleStore:
     def objects(self, s: Term, p: Term) -> set[Term]:
         return set(self.objects_of(s, p))
 
-    def subjects(self, p: Term, o: Term) -> set[Term]:
+    def _subjects_of(self, p: Term, o: Term) -> tuple[Term] | set[Term]:
+        """The subjects of ``(p, o)`` as stored in ``p``'s object-first index, or ``()``.
+
+        The one read of ``pos``. Its first call for ``p`` builds ``p``'s index
+        in one walk of ``spo`` into a local dict and publishes it with one
+        assignment. Like ``objects_of``, callers only read what it returns.
+        """
         os_ = self._pos.get(p, _NO_INDEX)
         if os_ is None:
-            os_ = self._build_pos(p)
-        return set(os_.get(o, ()))
+            os_ = {}
+            for s, po in self._spo.items():
+                for obj in po.get(p, ()):
+                    subs = os_.get(obj)
+                    if subs is None:
+                        os_[obj] = (s,)
+                    elif type(subs) is tuple:
+                        os_[obj] = {subs[0], s}
+                    else:
+                        subs.add(s)
+            self._pos[p] = os_
+        return os_.get(o, ())
+
+    def subjects(self, p: Term, o: Term) -> set[Term]:
+        return set(self._subjects_of(p, o))
 
     def predicate_pairs(self, p: Term) -> set[tuple[Term, Term]]:
-        """All (subject, object) pairs under one predicate."""
-        os_ = self._pos.get(p, _NO_INDEX)
-        if os_ is None:
-            os_ = self._build_pos(p)
-        return {(s, o) for o, subs in os_.items() for s in subs}
+        """All (subject, object) pairs under one predicate, in one walk of ``spo``."""
+        return {(s, o) for s, po in self._spo.items() for o in po.get(p, ())}
 
     def probe(
         self, s: Term | None = None, p: Term | None = None, o: Term | None = None
@@ -504,14 +476,11 @@ class TripleStore:
                 return [(s, pred, o) for pred, objs in po.items() if o in objs]
             return [(s, pred, obj) for pred, objs in po.items() for obj in objs]
         if p is not None:
-            os_ = self._pos.get(p, _NO_INDEX)
-            if os_ is None:
-                os_ = self._build_pos(p)
             if o is not None:
-                return [(sub, p, o) for sub in os_.get(o, ())]
-            return [(sub, p, obj) for obj, subs in os_.items() for sub in subs]
+                return [(sub, p, o) for sub in self._subjects_of(p, o)]
+            return [(sub, p, obj) for sub, po in self._spo.items() for obj in po.get(p, ())]
         if o is not None:
-            return [(sub, pred, o) for pred, os_ in self._all_pos().items() for sub in os_.get(o, ())]
+            return [(sub, pred, o) for sub, po in self._spo.items() for pred, objs in po.items() if o in objs]
         return [(sub, pred, obj) for sub, po in self._spo.items() for pred, objs in po.items() for obj in objs]
 
     def match(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> list[Triple]:
@@ -533,14 +502,11 @@ class TripleStore:
         if s is not None and p is not None and o is None:
             return len(self._spo.get(s, {}).get(p, ()))
         if s is None and p is not None and o is not None:
-            os_ = self._pos.get(p, _NO_INDEX)
-            if os_ is None:
-                os_ = self._build_pos(p)
-            return len(os_.get(o, ()))
+            return len(self._subjects_of(p, o))
         if s is None and p is None and o is None:
             return self._len
         return len(self.probe(s, p, o))
 
     def terms(self) -> set[Term]:
-        """All subjects and objects (predicates excluded)."""
-        return set(self._spo).union(*self._all_pos().values())
+        """All subjects and objects (predicates excluded), in one walk of ``spo``."""
+        return {o for po in self._spo.values() for objs in po.values() for o in objs}.union(self._spo)

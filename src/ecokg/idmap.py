@@ -76,6 +76,12 @@ def parse_pairs(text: str) -> list[IdPair]:
     return read_tsv_rows(text, "pair table", 2, IdPair, at_least=True)
 
 
+def unknown_taxa(pairs: list[IdPair], taxa: set[int]) -> list[str]:
+    """The ids of ``pairs`` that are valid NCBI taxon ids but name none of ``taxa``, in table order."""
+    return [pair.external_id for pair in pairs
+            if _NCBI_ID.fullmatch(text := pair.external_id.strip()) and int(text) not in taxa]
+
+
 def construct_sameas(
     pairs: list[IdPair],
     rewrite: str,

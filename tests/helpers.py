@@ -78,14 +78,16 @@ def brute_force_match(store: TripleStore, s=None, p=None, o=None) -> list[Triple
 
 
 def public_view(store: TripleStore) -> tuple:
-    """What the store's public reads show: its size and triples, each predicate's pairs, each object's
-    matches and the terms. Reading them may build object-first indexes; the view is the same either way.
+    """What the store's public reads show: its size and triples, each predicate's pairs, the subjects of
+    each stored (predicate, object), each object's matches and the terms. The ``subjects`` reads build
+    object-first indexes; the view is the same either way.
     """
     triples = frozenset(store)
     return (
         len(store),
         triples,
         {p: frozenset(store.predicate_pairs(p)) for p in {t.predicate for t in triples}},
+        {(p, o): frozenset(store.subjects(p, o)) for _, p, o in triples},
         {o: frozenset(store.probe(o=o)) for o in {t.object for t in triples}},
         frozenset(store.terms()),
     )

@@ -616,6 +616,26 @@ class TestUpdateRegressions:
         assert counts["lineage_merges"] == 1
         assert counts["species_rows"] == 9
 
+    def test_update_counts_bridge_pairs_naming_no_ncbi_node(self, tmp_path, pipeline_dir, caplog):
+        built = read_summary(pipeline_dir, "update")
+        assert built["counts"]["bridge-ncbi"]["unknown_taxa"] == 0
+        pairs = tmp_path / "wd_ncbi.tsv"
+        pairs.write_text((FIXTURES / "pairs" / "wd_ncbi.tsv").read_text() + "2999999\twd:Q1\n")
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="ecokg.cli"):
+            assert run_cli("--config", str(fixture_config(tmp_path, pairs_ncbi=str(pairs))),
+                           "update", "--out", str(out)) == 0
+        summary = read_summary(out, "update")
+        assert summary["counts"]["bridge-ncbi"]["unknown_taxa"] == 1
+        assert summary["warnings"] == built["warnings"] + 1
+        assert [r.getMessage() for r in caplog.records if "2999999" in r.getMessage()] == [
+            "bridge: taxid 2999999 is no node of nodes.dmp; its link is kept"]
+        # the link is kept, as before the count: the fixtures' graph and one more line
+        link = ("<https://www.ncbi.nlm.nih.gov/taxonomy/taxon/2999999> <http://www.w3.org/2002/07/owl#sameAs> "
+                "<http://www.wikidata.org/entity/Q1> .\n")
+        kg = (pipeline_dir / "kg.nt").read_text(encoding="utf-8")
+        assert (out / "kg.nt").read_text(encoding="utf-8") == "".join(sorted([*kg.splitlines(True), link]))
+
     def test_update_summary_counts_invalid_cas_kept(self, tmp_path, pipeline_dir, caplog):
         built = read_summary(pipeline_dir, "update")["counts"]["ingest-ecotox"]
         assert built["invalid_cas_kept"] == 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from ecokg import align, dmp, ecotox, idmap, ntriples, traits, units
+from ecokg import align, checks, dmp, ecotox, idmap, ntriples, query, traits, units
 from ecokg.graph import (
     BLANK,
     IRI,
@@ -30,6 +30,7 @@ from ecokg.graph import (
     literal,
     read_tsv_rows,
 )
+from ecokg.ns import ET, OWL_DISJOINTWITH, RDFS_LABEL, RDFS_SUBCLASSOF
 
 
 def shared_node_store() -> tuple[TripleStore, Triple]:
@@ -665,7 +666,7 @@ class TestStore:
         def leaves():
             if index == "spo":
                 return [store._spo[s][p]]
-            # the leaf of an index a read built, then kept current by add, and one built afresh
+            # the leaf of an index a read rebuilt after an add dropped it, and one built on a copy
             rebuilt = store_of(store)
             store.count(p=p, o=o)
             rebuilt.count(p=p, o=o)
@@ -708,7 +709,7 @@ class TestStore:
         assert type(leaf) is set and leaf == {literal("a"), literal("b")}
         assert store.objects_of(s, p) is leaf
 
-    def test_terms_builds_every_unbuilt_object_index_in_one_walk(self):
+    def test_terms_walks_spo_once_builds_no_index_and_returns_a_fresh_set(self):
         class CountedWalks(dict):
             walks = 0
 
@@ -716,25 +717,30 @@ class TestStore:
                 self.walks += 1
                 return super().items()
 
+            def values(self):
+                self.walks += 1
+                return super().values()
+
         triples = [Triple(iri(f"http://x.org/s{i % 4}"), iri(f"http://x.org/p{i % 3}"), literal(str(i % 5)))
                    for i in range(12)]
-        store, twin = store_of(triples), store_of(triples)
+        store = store_of(triples)
         store._spo = CountedWalks(store._spo)
-        assert store.terms() == {t.subject for t in triples} | {t.object for t in triples}
-        assert store._spo.walks == 1
-        store.terms()
-        assert store._spo.walks == 1
-        for p in {t.predicate for t in triples}:
-            twin.subjects(p, literal("0"))  # one predicate's index at a time
-        assert store._pos == twin._pos
+        expected = {t.subject for t in triples} | {t.object for t in triples}
+        first = store.terms()
+        assert first == expected and store._spo.walks == 1
+        first.clear()
+        second = store.terms()
+        assert second == expected and second is not first and store._spo.walks == 2
+        assert len(store._pos) == 3 and all(os_ is None for os_ in store._pos.values())
 
     def test_equal_stores_have_equal_leaves_whatever_the_order(self):
         # leaves of one and of several members on both indexes; the object indexes of
-        # ``store`` are built before its last adds, ``twin``'s and ``copied``'s after all
+        # ``store`` are built before its last adds (which drop x.org/p's), ``twin``'s
+        # and ``copied``'s after all
         rng = random.Random(16)
         for _ in range(30):
             store = helpers.random_store(rng, 60)
-            store.terms()
+            helpers.public_view(store)
             for i in range(rng.randrange(4)):
                 store.add(Triple(iri("http://x.org/hub"), iri("http://x.org/p"), literal(str(i))))
                 store.add(Triple(iri(f"http://x.org/s{i}"), iri("http://x.org/p"), literal("0")))
@@ -746,7 +752,8 @@ class TestStore:
             assert store == twin == copied
             assert helpers.public_view(twin) == helpers.public_view(store) == helpers.public_view(copied)
             for index in (twin._pos, store._pos, copied._pos):
-                for leaf in (leaf for by_object in index.values() for leaf in by_object.values()):
+                for leaf in (leaf for by_object in index.values() if by_object is not None
+                             for leaf in by_object.values()):
                     assert type(leaf) is (tuple if len(leaf) == 1 else set)
 
     def test_literal_subject_matches_nothing(self):
@@ -782,3 +789,59 @@ class TestStore:
             store.add(universe[i])
         assert frozenset(store) == frozenset(universe[i] for i in picks)
         assert len(store) == len(set(picks))
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
+def test_one_off_reads_walk_spo_and_only_a_subjects_read_builds_an_index(pipeline_dir, frozen):
+    """The build's one-off reads, checked against full scans, leave every object index unbuilt;
+    one ``subjects(p, o)`` then builds only ``p``'s, and an add under ``p`` drops it."""
+    store = ntriples.parse((pipeline_dir / "kg.nt").read_text(encoding="utf-8"))
+    if frozen:
+        store.freeze()
+    scan = helpers.brute_force_match
+
+    labels = {}
+    for t in scan(store, p=RDFS_LABEL):
+        if t.object.is_literal() and t.subject.value.startswith(ET):
+            labels.setdefault(t.subject.value, []).append(t.object.value)
+    assert labels and align.labels_by_prefix(store, ET) == {s: sorted(v) for s, v in sorted(labels.items())}
+
+    parents = {}
+    for t in scan(store, p=RDFS_SUBCLASSOF):
+        parents.setdefault(t.subject, set()).add(t.object)
+    ranked = {t.subject for t in scan(store, p=ecotox.RANK_PROP)}
+    assert ecotox.lineage_merges(store) == sum(len(parents.get(node, ())) > 1 for node in ranked)
+
+    # peel the subClassOf edges into nodes with no parent left; a cycle would stop the peeling
+    edges = {(s, o) for s, os_ in parents.items() for o in os_}
+    while edges and (peeled := {(s, o) for s, o in edges if o not in {child for child, _ in edges}}):
+        edges -= peeled
+    assert edges == set() and checks.subclass_cycles(store) == []
+
+    groups = {}
+    for t in scan(store, p=ecotox.GROUP_PROP):
+        groups.setdefault(t.subject, set()).add(t.object)
+    disjoint = {(t.subject, t.object) for t in scan(store, p=OWL_DISJOINTWITH)}
+    violations = sorted(((e, a, b) for e, gs in groups.items() for a in gs for b in gs
+                         if a.ntriples() < b.ntriples() and ((a, b) in disjoint or (b, a) in disjoint)),
+                        key=lambda v: tuple(term.ntriples() for term in v))
+    assert groups and checks.disjointness_violations(store, ecotox.GROUP_PROP) == violations
+
+    assert query.fuzzy_lookup(store, "daphnia magna", 5) == helpers.reference_lookup(store, "daphnia magna")[:5]
+
+    triples = scan(store)
+    assert store.terms() == {t.subject for t in triples} | {t.object for t in triples}
+    p, o = triples[0].predicate, triples[-1].object
+    assert store.predicate_pairs(RDFS_SUBCLASSOF) == {(t.subject, t.object) for t in scan(store, p=RDFS_SUBCLASSOF)}
+    assert sorted(map(Triple._make, store.probe(o=o)), key=helpers.triple_key) == scan(store, o=o)
+    assert store.count(p=p) == len(scan(store, p=p))
+    assert len(store._pos) > 10 and all(os_ is None for os_ in store._pos.values())
+
+    child, parent = next((s, o) for s, os_ in parents.items() for o in os_)
+    assert store.subjects(RDFS_SUBCLASSOF, parent) == {t.subject for t in scan(store, p=RDFS_SUBCLASSOF, o=parent)}
+    assert [q for q, os_ in store._pos.items() if os_ is not None] == [RDFS_SUBCLASSOF]
+    if not frozen:
+        newcomer = iri("http://x.org/newcomer")
+        assert store.add((newcomer, RDFS_SUBCLASSOF, parent))
+        assert store._pos[RDFS_SUBCLASSOF] is None
+        assert newcomer in store.subjects(RDFS_SUBCLASSOF, parent) and child in store.subjects(RDFS_SUBCLASSOF, parent)

@@ -414,7 +414,8 @@ def test_a_loaded_graph_builds_no_object_index_until_a_read_needs_it(tmp_path):
         start = tracemalloc.get_traced_memory()[0]
         store = parse(text)
         loaded = tracemalloc.get_traced_memory()[0] - start
-        store.terms()  # a read bound on no predicate builds every one's object index
+        for p, o in {t.predicate: t.object for t in store}.items():
+            store.subjects(p, o)  # a read bound on the predicate and an object builds that predicate's index
         built = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
@@ -487,15 +488,15 @@ class TestSerialize:
 class TestRoundTrip:
     def test_random_stores_round_trip(self):
         # equal reads, and a one-member leaf is a 1-tuple on both sides, in the
-        # object indexes the reads built too, so the shape the query paths read
-        # cannot change unseen
+        # object indexes the reads built too (an unbuilt one is None), so the
+        # shape the query paths read cannot change unseen
         rng = random.Random(17)
         for _ in range(200):
             store = helpers.random_store(rng, 40)
             parsed = parse(serialize(store))
             assert parsed == store and helpers.public_view(parsed) == helpers.public_view(store)
             for index in (parsed._spo, parsed._pos, store._spo, store._pos):
-                for leaf in (leaf for leaves in index.values() for leaf in leaves.values()):
+                for leaf in (leaf for leaves in index.values() if leaves is not None for leaf in leaves.values()):
                     assert type(leaf) is (tuple if len(leaf) == 1 else set)
 
     # a str or None in any position: a str object was stored, and serialize then failed.
