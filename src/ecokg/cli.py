@@ -198,7 +198,8 @@ def _growth(store: TripleStore, ingest, *rows, **options) -> int:
     return len(store) - before
 
 
-def cmd_ingest_ncbi(args) -> dict:
+def cmd_ingest_ncbi(args, keep_taxa: bool = False) -> dict:
+    """The taxdump to ncbi.nt; with ``keep_taxa``, the result also holds its node rows' taxids under "taxa"."""
     nodes = dmp.parse_nodes(_input(args, "nodes"))
     names = dmp.parse_names(_input(args, "names"))
     divisions = dmp.parse_divisions(_input(args, "divisions"))
@@ -212,7 +213,10 @@ def cmd_ingest_ncbi(args) -> dict:
         "division_triples": _growth(store, dmp.ingest_divisions, divisions),
         "total_triples": len(store),
     }
-    return {**_write_graph(args, "ncbi.nt", store, counts), "taxa": {node.taxon_id for node in nodes}}
+    result = _write_graph(args, "ncbi.nt", store, counts)
+    if keep_taxa:
+        result["taxa"] = {node.taxon_id for node in nodes}
+    return result
 
 
 def cmd_units(args) -> dict:
@@ -308,7 +312,7 @@ def cmd_eval_mappings(args) -> dict:
 
 def cmd_bridge(args, taxa: set[int] | None = None) -> dict:
     """Pair table to owl:sameAs links; with ``taxa``, the NCBI node ids, also count and warn of the
-    pairs whose taxid names no node. Their links are kept."""
+    linked taxids that name no node. Their links are kept."""
     pairs = idmap.parse_pairs(_input(args, "pairs"))
     store = TripleStore(args.prefixes)
     added, errors = idmap.construct_sameas(pairs, args.rewrite, store)
@@ -316,7 +320,7 @@ def cmd_bridge(args, taxa: set[int] | None = None) -> dict:
         log.warning("bridge: %s", message)
     counts = {"pairs": len(pairs), "triples": added, "errors": len(errors)}
     if taxa is not None:
-        unknown = idmap.unknown_taxa(pairs, taxa)
+        unknown = idmap.unknown_taxa(pairs, taxa, store)
         for taxid in unknown:
             log.warning("bridge: taxid %s is no node of nodes.dmp; its link is kept", taxid)
         counts["unknown_taxa"] = len(unknown)
@@ -451,6 +455,15 @@ def cmd_stats(args, kg: TripleStore | None = None) -> dict:
     return {"out_dir": out_dir, "counts": counts._asdict(), "outputs": ["stats.tsv", "stats.txt"]}
 
 
+def _bridge(args, pairs: str | None, rewrite: str, taxa: set[int] | None = None) -> dict | None:
+    """``cmd_bridge`` of the pair table ``pairs`` under ``rewrite``, if one is configured."""
+    if pairs is None:
+        return None
+    # perfbench/tracer.py names the bridge's span from args.rewrite
+    args.pairs, args.rewrite = pairs, rewrite
+    return cmd_bridge(args, taxa)
+
+
 def cmd_update(args) -> dict:
     """Full rebuild: ingest everything, align, bridge, export, check, stats.
 
@@ -467,18 +480,16 @@ def cmd_update(args) -> dict:
     args.out = str(staging)  # every stage writes there
     results: dict[str, dict] = {}  # each step's result, in run order
     try:
-        results["ingest-ncbi"] = cmd_ingest_ncbi(args)
+        results["ingest-ncbi"] = cmd_ingest_ncbi(args, keep_taxa=args.pairs_ncbi is not None)
+        # bridge-ncbi runs here, so the node rows' taxids are dropped before the ECOTOX
+        # store is built; its result joins ``results`` after align's, in the steps' order
+        bridges = {"ncbi": _bridge(args, args.pairs_ncbi, "ncbi", results["ingest-ncbi"].pop("taxa", None))}
         results["units"] = cmd_units(args)
         results["ingest-ecotox"] = cmd_ingest_ecotox(args, results["units"]["registry"])
         results["ingest-traits"] = cmd_ingest_traits(args)
         results["align"] = cmd_align(args, results["ingest-ecotox"]["store"], results["ingest-ncbi"]["store"])
-        taxa = results["ingest-ncbi"].pop("taxa")
-        for pairs, rewrite in ((args.pairs_ncbi, "ncbi"), (args.pairs_cas, "cas")):
-            if pairs is not None:
-                # perfbench/tracer.py names the bridge's span from args.rewrite
-                args.pairs, args.rewrite = pairs, rewrite
-                results[f"bridge-{rewrite}"] = cmd_bridge(args, taxa if rewrite == "ncbi" else None)
-        del taxa  # not held through the export
+        bridges["cas"] = _bridge(args, args.pairs_cas, "cas")
+        results.update((f"bridge-{rewrite}", result) for rewrite, result in bridges.items() if result is not None)
         parts = [(result["outputs"][0], result["store"]) for result in results.values() if "store" in result]
         results["export"] = cmd_export(args, parts, results["align"]["mappings"])
         kg = results["export"]["store"]

@@ -3,7 +3,7 @@
 import re
 from collections import namedtuple
 
-from .graph import DIGIT, TripleStore, ValidationError, read_tsv_rows
+from .graph import DIGIT, TripleStore, ValidationError, iri, read_tsv_rows
 from .ns import ET, NCBI, OWL_SAMEAS
 
 _CAS = re.compile(rf"({DIGIT}{{2,7}})-({DIGIT}{{2}})-({DIGIT})\Z")
@@ -76,10 +76,14 @@ def parse_pairs(text: str) -> list[IdPair]:
     return read_tsv_rows(text, "pair table", 2, IdPair, at_least=True)
 
 
-def unknown_taxa(pairs: list[IdPair], taxa: set[int]) -> list[str]:
-    """The ids of ``pairs`` that are valid NCBI taxon ids but name none of ``taxa``, in table order."""
-    return [pair.external_id for pair in pairs
-            if _NCBI_ID.fullmatch(text := pair.external_id.strip()) and int(text) not in taxa]
+def unknown_taxa(pairs: list[IdPair], taxa: set[int], store: TripleStore) -> list[int]:
+    """The NCBI taxon ids of ``pairs`` that name none of ``taxa`` but have an owl:sameAs link in ``store``.
+
+    Each id once, in table order; a pair ``construct_sameas`` refused adds no link, so only its errors name it.
+    """
+    absent = dict.fromkeys(int(text) for pair in pairs
+                           if _NCBI_ID.fullmatch(text := pair.external_id.strip()) and int(text) not in taxa)
+    return [taxid for taxid in absent if store.count(s=iri(taxon_iri_text(taxid)), p=OWL_SAMEAS)]
 
 
 def construct_sameas(

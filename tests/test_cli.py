@@ -620,16 +620,21 @@ class TestUpdateRegressions:
         built = read_summary(pipeline_dir, "update")
         assert built["counts"]["bridge-ncbi"]["unknown_taxa"] == 0
         pairs = tmp_path / "wd_ncbi.tsv"
-        pairs.write_text((FIXTURES / "pairs" / "wd_ncbi.tsv").read_text() + "2999999\twd:Q1\n")
+        # a repeated row adds no second link; a refused one (no IRI after the id) adds none
+        pairs.write_text((FIXTURES / "pairs" / "wd_ncbi.tsv").read_text()
+                         + "2999999\twd:Q1\n2999999\twd:Q1\n2999998\tnot a curie\n")
         out = tmp_path / "out"
         with caplog.at_level("WARNING", logger="ecokg.cli"):
             assert run_cli("--config", str(fixture_config(tmp_path, pairs_ncbi=str(pairs))),
                            "update", "--out", str(out)) == 0
         summary = read_summary(out, "update")
         assert summary["counts"]["bridge-ncbi"]["unknown_taxa"] == 1
-        assert summary["warnings"] == built["warnings"] + 1
+        assert summary["counts"]["bridge-ncbi"]["errors"] == built["counts"]["bridge-ncbi"]["errors"] + 1
+        assert summary["warnings"] == built["warnings"] + 2
         assert [r.getMessage() for r in caplog.records if "2999999" in r.getMessage()] == [
             "bridge: taxid 2999999 is no node of nodes.dmp; its link is kept"]
+        assert [r.getMessage() for r in caplog.records if "2999998" in r.getMessage()] == [
+            "bridge: 2999998: not a curie: 'not a curie'"]
         # the link is kept, as before the count: the fixtures' graph and one more line
         link = ("<https://www.ncbi.nlm.nih.gov/taxonomy/taxon/2999999> <http://www.w3.org/2002/07/owl#sameAs> "
                 "<http://www.wikidata.org/entity/Q1> .\n")
